@@ -684,21 +684,11 @@ func (s *ShardedIndex) DocCacheHitRate() float64 { return s.cluster.CacheStats()
 // returned stats aggregate all nodes' work; HostBytes is the total result
 // traffic over the shared interconnect (per-node top-k lists).
 func (s *ShardedIndex) Search(expr string, k int) ([]Hit, *SimStats, error) {
-	res, err := s.cluster.Search(expr, k)
+	res, err := shardedResult(s.cluster.Search(expr, k))
 	if err != nil {
 		return nil, nil, err
 	}
-	agg := perf.NewMetrics()
-	for _, m := range res.PerShard {
-		if m != nil {
-			agg.Merge(m)
-		}
-	}
-	hits := make([]Hit, len(res.TopK))
-	for i, e := range res.TopK {
-		hits[i] = Hit{Doc: fmt.Sprintf("doc%d", e.DocID), DocID: e.DocID, Score: e.Score}
-	}
-	return hits, simStats(agg, mem.SCM(), 8), nil
+	return res.Hits, res.Stats, nil
 }
 
 // SearchBatch pipelines many queries across the pooled-memory cluster: each
@@ -706,25 +696,29 @@ func (s *ShardedIndex) Search(expr string, k int) ([]Hit, *SimStats, error) {
 // different queries occupy different nodes concurrently. Items preserve
 // input order and match Search query for query.
 func (s *ShardedIndex) SearchBatch(exprs []string, k int) []BatchItem {
-	br := s.cluster.SearchBatch(exprs, k)
-	items := make([]BatchItem, len(exprs))
-	for i := range exprs {
-		if err := br.Errs[i]; err != nil {
-			items[i].Err = err
-			continue
-		}
-		res := br.Results[i]
-		agg := perf.NewMetrics()
-		for _, m := range res.PerShard {
-			if m != nil {
-				agg.Merge(m)
+	return batchItems(s.cluster.SearchBatchQueries(context.Background(), pool.Queries(exprs, k)), true)
+}
+
+// batchItems converts a cluster batch into facade items. strict is
+// SearchBatch's contract, matching Search: a node failure fails the item
+// instead of degrading it.
+func batchItems(br *pool.BatchResult, strict bool) []BatchItem {
+	items := make([]BatchItem, len(br.Results))
+	for i, res := range br.Results {
+		err := br.Errs[i]
+		if err == nil && strict {
+			for _, e := range res.ShardErrs {
+				if e != nil {
+					err = e
+					break
+				}
 			}
 		}
-		items[i].Hits = make([]Hit, len(res.TopK))
-		for j, e := range res.TopK {
-			items[i].Hits[j] = Hit{Doc: fmt.Sprintf("doc%d", e.DocID), DocID: e.DocID, Score: e.Score}
+		if r, err := shardedResult(res, err); err != nil {
+			items[i].Err = err
+		} else {
+			items[i] = BatchItem{Hits: r.Hits, Stats: r.Stats, Degraded: r.Degraded}
 		}
-		items[i].Stats = simStats(agg, mem.SCM(), 8)
 	}
 	return items
 }
@@ -801,8 +795,11 @@ type ShardedResult struct {
 	ServedBy []int
 }
 
-// shardedResult converts a cluster result into the facade form.
-func shardedResult(res *pool.ClusterResult, withDocs bool) *ShardedResult {
+// shardedResult converts a cluster call's outcome into the facade form.
+func shardedResult(res *pool.ClusterResult, err error) (*ShardedResult, error) {
+	if err != nil {
+		return nil, err
+	}
 	agg := perf.NewMetrics()
 	for _, m := range res.PerShard {
 		if m != nil {
@@ -816,14 +813,12 @@ func shardedResult(res *pool.ClusterResult, withDocs bool) *ShardedResult {
 		Hedged:    res.Hedged,
 		HedgeWins: res.HedgeWins,
 		ServedBy:  res.ServedBy,
+		Docs:      docsFromFetched(res.Docs), // nil on search-only results
 	}
 	for i, e := range res.TopK {
 		out.Hits[i] = Hit{Doc: fmt.Sprintf("doc%d", e.DocID), DocID: e.DocID, Score: e.Score}
 	}
-	if withDocs {
-		out.Docs = docsFromFetched(res.Docs)
-	}
-	return out
+	return out, nil
 }
 
 // docsFromFetched converts pool-layer fetched payloads (already copied
@@ -851,11 +846,7 @@ func docsFromFetched(fds []pool.FetchedDoc) []Doc {
 // degraded fetch leaves its documents zero-valued rather than failing
 // the query.
 func (s *ShardedIndex) SearchFetchCtx(ctx context.Context, expr string, k int) (*ShardedResult, error) {
-	res, err := s.cluster.SearchFetchCtx(ctx, expr, k)
-	if err != nil {
-		return nil, err
-	}
-	return shardedResult(res, true), nil
+	return shardedResult(s.cluster.SearchFetchCtx(ctx, expr, k))
 }
 
 // FetchDocsCtx fetches document payloads by docID across the deployment:
@@ -863,11 +854,7 @@ func (s *ShardedIndex) SearchFetchCtx(ctx context.Context, expr string, k int) (
 // result's Hits are empty; Docs holds one entry per requested id, in
 // input order.
 func (s *ShardedIndex) FetchDocsCtx(ctx context.Context, ids []uint32) (*ShardedResult, error) {
-	res, err := s.cluster.FetchBatch(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	return shardedResult(res, true), nil
+	return shardedResult(s.cluster.FetchBatch(ctx, ids))
 }
 
 // SearchCtx is Search with deadlines, bounded retry, per-node circuit
@@ -876,11 +863,7 @@ func (s *ShardedIndex) FetchDocsCtx(ctx context.Context, ids []uint32) (*Sharded
 // failing the query. The error is non-nil only when the context dies,
 // the query is invalid, or every node fails.
 func (s *ShardedIndex) SearchCtx(ctx context.Context, expr string, k int) (*ShardedResult, error) {
-	res, err := s.cluster.SearchCtx(ctx, expr, k)
-	if err != nil {
-		return nil, err
-	}
-	return shardedResult(res, false), nil
+	return shardedResult(s.cluster.SearchCtx(ctx, expr, k))
 }
 
 // SearchBatchCtx is SearchBatch with per-query resilience: node failures
@@ -888,26 +871,5 @@ func (s *ShardedIndex) SearchCtx(ctx context.Context, expr string, k int) (*Shar
 // failing them, and cancelling the context fails the remaining queries
 // promptly.
 func (s *ShardedIndex) SearchBatchCtx(ctx context.Context, exprs []string, k int) []BatchItem {
-	br := s.cluster.SearchBatchCtx(ctx, exprs, k)
-	items := make([]BatchItem, len(exprs))
-	for i := range exprs {
-		if err := br.Errs[i]; err != nil {
-			items[i].Err = err
-			continue
-		}
-		res := br.Results[i]
-		agg := perf.NewMetrics()
-		for _, m := range res.PerShard {
-			if m != nil {
-				agg.Merge(m)
-			}
-		}
-		items[i].Degraded = res.Degraded
-		items[i].Hits = make([]Hit, len(res.TopK))
-		for j, e := range res.TopK {
-			items[i].Hits[j] = Hit{Doc: fmt.Sprintf("doc%d", e.DocID), DocID: e.DocID, Score: e.Score}
-		}
-		items[i].Stats = simStats(agg, mem.SCM(), 8)
-	}
-	return items
+	return batchItems(s.cluster.SearchBatchQueries(ctx, pool.Queries(exprs, k)), false)
 }

@@ -366,6 +366,17 @@ func TestShardedIndexInjectFaults(t *testing.T) {
 	if res.Degraded != 1<<1 {
 		t.Fatalf("degraded mask = %b, want node 1 only", res.Degraded)
 	}
+	// The context-free entry points keep their contract — a node failure
+	// fails the query — where the Ctx forms degrade.
+	if _, _, err := sharded.Search(`"t0" OR "t2"`, 20); err == nil {
+		t.Fatal("Search succeeded with a dead node")
+	}
+	if it := sharded.SearchBatch([]string{`"t0" OR "t2"`}, 20)[0]; it.Err == nil || it.Hits != nil {
+		t.Fatalf("SearchBatch item with a dead node: hits=%v err=%v", it.Hits, it.Err)
+	}
+	if it := sharded.SearchBatchCtx(context.Background(), []string{`"t0" OR "t2"`}, 20)[0]; it.Err != nil || it.Degraded != 1<<1 {
+		t.Fatalf("SearchBatchCtx item: err=%v degraded=%b, want node 1 degraded", it.Err, it.Degraded)
+	}
 	// Clearing the plan restores full availability.
 	sharded.InjectFaults(FaultConfig{})
 	res, err = sharded.SearchCtx(context.Background(), `"t0" OR "t2"`, 20)

@@ -106,101 +106,34 @@ func main() {
 
 	ctx := harness.NewContext(cfg)
 
-	if *over {
+	stamp := time.Now().UTC().Format(time.RFC3339)
+	switch {
+	case *over:
 		rep := harness.Overload(ctx, *shards)
-		rep.Created = time.Now().UTC().Format(time.RFC3339)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fmt.Fprintf(os.Stderr, "bossbench: %v\n", err)
-				os.Exit(1)
-			}
-		} else if *csv {
-			t := rep.Table()
-			fmt.Printf("# %s: %s\n%s\n", t.ID, t.Title, t.CSV())
-		} else {
-			fmt.Println(rep.Table().String())
-		}
+		rep.Created = stamp
+		emit(rep, *jsonOut, *csv)
 		return
-	}
-
-	if *sparse {
+	case *sparse:
 		rep := harness.Sparse(ctx)
-		rep.Created = time.Now().UTC().Format(time.RFC3339)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fmt.Fprintf(os.Stderr, "bossbench: %v\n", err)
-				os.Exit(1)
-			}
-		} else if *csv {
-			t := rep.Table()
-			fmt.Printf("# %s: %s\n%s\n", t.ID, t.Title, t.CSV())
-		} else {
-			fmt.Println(rep.Table().String())
-		}
+		rep.Created = stamp
+		emit(rep, *jsonOut, *csv)
 		return
-	}
-
-	if *fetch {
+	case *fetch:
 		rep := harness.Fetch(ctx, *shards)
-		rep.Created = time.Now().UTC().Format(time.RFC3339)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fmt.Fprintf(os.Stderr, "bossbench: %v\n", err)
-				os.Exit(1)
-			}
-		} else if *csv {
-			t := rep.Table()
-			fmt.Printf("# %s: %s\n%s\n", t.ID, t.Title, t.CSV())
-		} else {
-			fmt.Println(rep.Table().String())
-		}
+		rep.Created = stamp
+		emit(rep, *jsonOut, *csv)
 		return
-	}
-
-	if *chaos {
+	case *chaos:
 		if *repKill && *reps < 2 {
 			fmt.Fprintln(os.Stderr, "bossbench: -replicakill requires -replicas >= 2 (with one copy a whole-replica kill is just an outage)")
 			os.Exit(1)
 		}
 		rep := harness.Chaos(ctx, *shards, *reps, *repKill)
-		rep.Created = time.Now().UTC().Format(time.RFC3339)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fmt.Fprintf(os.Stderr, "bossbench: %v\n", err)
-				os.Exit(1)
-			}
-		} else if *csv {
-			t := rep.Table()
-			fmt.Printf("# %s: %s\n%s\n", t.ID, t.Title, t.CSV())
-		} else {
-			fmt.Println(rep.Table().String())
-		}
+		rep.Created = stamp
+		emit(rep, *jsonOut, *csv)
 		return
-	}
-
-	if *wall {
-		rep := harness.Wallclock(ctx, *shards)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fmt.Fprintf(os.Stderr, "bossbench: %v\n", err)
-				os.Exit(1)
-			}
-		} else if *csv {
-			t := rep.Table()
-			fmt.Printf("# %s: %s\n%s\n", t.ID, t.Title, t.CSV())
-		} else {
-			fmt.Println(rep.Table().String())
-		}
+	case *wall:
+		emit(harness.Wallclock(ctx, *shards), *jsonOut, *csv)
 		return
 	}
 
@@ -226,4 +159,23 @@ func main() {
 		os.Exit(1)
 	}
 	run(e)
+}
+
+// emit prints a sweep report: the report itself as indented JSON, or its
+// table as CSV or aligned text.
+func emit(rep interface{ Table() *harness.Table }, jsonOut, csv bool) {
+	switch {
+	case jsonOut:
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rep); err != nil {
+			fmt.Fprintf(os.Stderr, "bossbench: %v\n", err)
+			os.Exit(1)
+		}
+	case csv:
+		t := rep.Table()
+		fmt.Printf("# %s: %s\n%s\n", t.ID, t.Title, t.CSV())
+	default:
+		fmt.Println(rep.Table().String())
+	}
 }

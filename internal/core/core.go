@@ -222,7 +222,7 @@ type run struct {
 	// ctx, when non-nil, is the query's deadline/cancellation context,
 	// checked once per block fetch. err latches the first failure on
 	// any execution path; once set, the paths unwind without further
-	// fetches and RunDNF returns it instead of a Result.
+	// fetches and RunDNFCtx returns it instead of a Result.
 	ctx context.Context
 	err error
 
@@ -397,15 +397,11 @@ func (a *Accelerator) RunCtx(ctx context.Context, node *query.Node, k int) (Resu
 	return a.runDNF(ctx, node.DNF(), k)
 }
 
-// RunDNF executes a query already normalized to disjunctive normal form.
-// Callers that fan one query out to several accelerators (pool.Cluster)
-// normalize once and share the DNF; the term-count limit is the caller's to
-// enforce (Run checks it against the AST).
-func (a *Accelerator) RunDNF(dnf [][]string, k int) (Result, error) {
-	return a.runDNF(nil, dnf, k)
-}
-
-// RunDNFCtx is RunDNF under a deadline/cancellation context.
+// RunDNFCtx executes a query already normalized to disjunctive normal
+// form, under a deadline/cancellation context (nil means none). Callers
+// that fan one query out to several accelerators (pool.Cluster) normalize
+// once and share the DNF; the term-count limit is the caller's to enforce
+// (Run checks it against the AST).
 func (a *Accelerator) RunDNFCtx(ctx context.Context, dnf [][]string, k int) (Result, error) {
 	return a.runDNF(ctx, dnf, k)
 }
@@ -612,7 +608,7 @@ func (r *run) decoder(s compress.Scheme) *decomp.Module {
 //
 // On any failure — expired context, injected device fault, checksum
 // mismatch, decode error — it latches a typed error on the run (r.err)
-// and returns nil; callers unwind on nil and RunDNF surfaces the error.
+// and returns nil; callers unwind on nil and RunDNFCtx surfaces the error.
 //
 //boss:hotpath one call per block examined; the per-block decode loop.
 //boss:pool-escapes decoded blocks live in r.lists until releaseRun pools them.

@@ -91,7 +91,7 @@ func TestCorruptBlockReturnsTypedError(t *testing.T) {
 	}
 	pl.Data[pl.Blocks[0].Offset] ^= 0x5a
 
-	_, err := acc.RunDNF([][]string{{term}}, 10)
+	_, err := acc.RunDNFCtx(context.Background(), [][]string{{term}}, 10)
 	if err == nil {
 		t.Fatal("query over corrupt block succeeded")
 	}
@@ -101,7 +101,7 @@ func TestCorruptBlockReturnsTypedError(t *testing.T) {
 
 	// Restore and confirm the accelerator recovers fully.
 	pl.Data[pl.Blocks[0].Offset] ^= 0x5a
-	if _, err := acc.RunDNF([][]string{{term}}, 10); err != nil {
+	if _, err := acc.RunDNFCtx(context.Background(), [][]string{{term}}, 10); err != nil {
 		t.Fatalf("after restore: %v", err)
 	}
 }

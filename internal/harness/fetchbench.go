@@ -204,13 +204,17 @@ func Fetch(ctx *Context, shards int) *FetchReport {
 	}
 	for _, k := range fetchKs {
 		pt := FetchPoint{K: k}
+		search, searchFetch := pool.Queries(exprs, k), pool.Queries(exprs, k)
+		for i := range searchFetch {
+			searchFetch[i].WithDocs = true
+		}
 		pt.SearchQPS = measureQPS(len(exprs), func() {
-			if br := cl.SearchBatchCtx(context.Background(), exprs, k); br.Err != nil {
+			if br := cl.SearchBatchQueries(context.Background(), search); br.Err != nil {
 				panic(br.Err)
 			}
 		})
 		pt.SearchFetchQPS = measureQPS(len(exprs), func() {
-			if br := cl.SearchFetchBatch(context.Background(), exprs, k); br.Err != nil {
+			if br := cl.SearchBatchQueries(context.Background(), searchFetch); br.Err != nil {
 				panic(br.Err)
 			}
 		})

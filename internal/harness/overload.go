@@ -407,9 +407,9 @@ func Overload(ctx *Context, shards int) *OverloadReport {
 		// skew's traffic shape. Head-heavy mixes hit longer posting lists,
 		// so a fixed-rate "2x" would overdrive one skew and underdrive the
 		// other; per-skew capacity keeps the multiplier honest.
-		capExprs := overloadExprs(s.Corpus, 64, zs, ctx.Cfg.Seed)
-		capacity := measureQPS(len(capExprs), func() {
-			if br := cl.SearchBatchCtx(context.Background(), capExprs, k); br.Err != nil {
+		capBatch := pool.Queries(overloadExprs(s.Corpus, 64, zs, ctx.Cfg.Seed), k)
+		capacity := measureQPS(len(capBatch), func() {
+			if br := cl.SearchBatchQueries(context.Background(), capBatch); br.Err != nil {
 				panic(br.Err)
 			}
 		})

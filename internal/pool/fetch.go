@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"boss/internal/core"
 	"boss/internal/corpus"
@@ -113,26 +112,26 @@ func fetchRangeError(id uint32, n int) error {
 // ShardErrs. The call errors only on invalid ids, a dead context, or
 // when every involved shard failed.
 func (cl *Cluster) FetchBatch(ctx context.Context, ids []uint32) (*ClusterResult, error) {
-	return cl.fetchBatchMask(ctx, ids, 0)
+	// Straight to exec's fetch arm: BatchQuery spells a fetch as a
+	// non-empty FetchIDs, and an empty id list is still a (vacuous) fetch.
+	return cl.fetch(liveCtx(ctx), cl.newResult(), ids, 0, cl.workers(len(cl.shards)))
 }
 
-// fetchBatchMask is FetchBatch under a front-door shard mask: masked-out
-// shards are skipped entirely (no attempt, no breaker or retry activity)
-// and reported with ErrShardShed, like searchSerialCtxMask.
-func (cl *Cluster) fetchBatchMask(ctx context.Context, ids []uint32, mask uint64) (*ClusterResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// fetch is exec's fetch arm. It routes each docID to its owning shard,
+// runs the involved shards' fetches with the full resilience machinery
+// (masked-out shards are skipped and reported with ErrShardShed, like
+// runShardMasked) and folds the outcomes into res — a fresh result for a
+// fetch query, the search's result for WithDocs: Docs holds one entry per
+// id, the fetch work merges into PerShard and LinkBytes, and fetch
+// failures join the Degraded mask. shardWorkers is exec's.
+func (cl *Cluster) fetch(ctx context.Context, res *ClusterResult, ids []uint32, mask uint64, shardWorkers int) (*ClusterResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if err := cl.EnsureDocs(); err != nil {
 		return nil, err
 	}
-	res := &ClusterResult{
-		PerShard: make([]*perf.Metrics, len(cl.shards)),
-		Docs:     make([]FetchedDoc, len(ids)),
-	}
+	res.Docs = make([]FetchedDoc, len(ids))
 	if len(ids) == 0 {
 		return res, nil
 	}
@@ -148,48 +147,21 @@ func (cl *Cluster) fetchBatchMask(ctx context.Context, ids []uint32, mask uint64
 		byShard[si] = append(byShard[si], id)
 		pos[si] = append(pos[si], i)
 	}
-	type fetchOut struct {
-		m   *perf.Metrics
-		err error
-	}
-	outs := make([]fetchOut, len(cl.shards))
-	runOne := func(si int) {
-		if len(byShard[si]) == 0 {
-			return
-		}
-		if !maskHas(mask, si) {
-			outs[si] = fetchOut{err: shedShardError(si)}
-			return
-		}
-		m, err := cl.fetchShardResilient(ctx, si, byShard[si], pos[si], res.Docs)
-		outs[si] = fetchOut{m: m, err: err}
-	}
-	if workers := cl.workers(len(cl.shards)); workers == 1 {
-		for si := range cl.shards {
-			runOne(si)
+	outs := make([]shardOut, len(cl.shards))
+	if shardWorkers == 1 {
+		for si := range outs {
+			outs[si] = cl.fetchShardMasked(ctx, si, byShard[si], pos[si], res.Docs, mask)
 		}
 	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for si := range next {
-					runOne(si)
-				}
-			}()
-		}
-		for si := range cl.shards {
-			next <- si
-		}
-		close(next)
-		wg.Wait()
+		forEach(ctx, len(outs), shardWorkers, func(si int) {
+			outs[si] = cl.fetchShardMasked(ctx, si, byShard[si], pos[si], res.Docs, mask)
+		})
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Fold per-shard outcomes, degrading failed shards like mergePartial.
+	// Only the shards that own a requested document are involved; the call
+	// fails when every one of them did.
 	involved, failed := 0, 0
 	var firstErr error
 	for si, out := range outs {
@@ -202,13 +174,7 @@ func (cl *Cluster) fetchBatchMask(ctx context.Context, ids []uint32, mask uint64
 			if firstErr == nil {
 				firstErr = out.err
 			}
-			if si < 64 {
-				res.Degraded |= 1 << uint(si)
-			}
-			if res.ShardErrs == nil {
-				res.ShardErrs = make([]error, len(outs))
-			}
-			res.ShardErrs[si] = out.err
+			res.fail(si, out.err)
 			// A failed attempt may have partially populated its documents;
 			// zero them so degraded entries are unambiguous.
 			for _, p := range pos[si] {
@@ -216,13 +182,30 @@ func (cl *Cluster) fetchBatchMask(ctx context.Context, ids []uint32, mask uint64
 			}
 			continue
 		}
-		res.PerShard[si] = out.m
 		res.LinkBytes += out.m.HostBytes
+		if res.PerShard[si] == nil {
+			res.PerShard[si] = out.m
+		} else {
+			res.PerShard[si].Merge(out.m)
+		}
 	}
-	if failed == involved && failed > 0 {
+	if failed == involved {
 		return nil, firstErr
 	}
 	return res, nil
+}
+
+// fetchShardMasked runs one shard's share of a fetch under the front-door
+// mask; a shard that owns none of the requested documents does nothing.
+func (cl *Cluster) fetchShardMasked(ctx context.Context, si int, ids []uint32, pos []int, docs []FetchedDoc, mask uint64) shardOut {
+	if len(ids) == 0 {
+		return shardOut{}
+	}
+	if !maskHas(mask, si) {
+		return shardOut{err: shedShardError(si)}
+	}
+	m, err := cl.fetchShardResilient(ctx, si, ids, pos, docs)
+	return shardOut{m: m, err: err}
 }
 
 // fetchQueryKey folds a fetch's docID set into the stable query key the
@@ -316,67 +299,10 @@ func copyFields(dst, src [][]byte) [][]byte {
 	return dst
 }
 
-// attachDocs fetches a search result's top-k documents and folds the
-// fetch work into the result: Docs holds one entry per TopK entry, the
-// fetch shards' metrics merge into PerShard, and fetch degradation
-// unions into the Degraded mask.
-func (cl *Cluster) attachDocs(ctx context.Context, res *ClusterResult) (*ClusterResult, error) {
-	ids := make([]uint32, len(res.TopK))
-	for i, e := range res.TopK {
-		ids[i] = e.DocID
-	}
-	fr, err := cl.FetchBatch(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	res.Docs = fr.Docs
-	res.LinkBytes += fr.LinkBytes
-	res.Degraded |= fr.Degraded
-	for si, m := range fr.PerShard {
-		if m == nil {
-			continue
-		}
-		if res.PerShard[si] == nil {
-			res.PerShard[si] = m
-		} else {
-			res.PerShard[si].Merge(m)
-		}
-	}
-	if fr.ShardErrs != nil {
-		if res.ShardErrs == nil {
-			res.ShardErrs = make([]error, len(res.PerShard))
-		}
-		for si, e := range fr.ShardErrs {
-			if e != nil && res.ShardErrs[si] == nil {
-				res.ShardErrs[si] = e
-			}
-		}
-	}
-	return res, nil
-}
-
 // SearchFetchCtx is SearchCtx plus the fetch phase: the merged top-k's
 // documents come back in Docs (one entry per TopK entry, in rank order).
 // Search and fetch degrade independently; both phases' failed shards
 // appear in the Degraded mask.
 func (cl *Cluster) SearchFetchCtx(ctx context.Context, expr string, k int) (*ClusterResult, error) {
-	res, err := cl.SearchCtx(ctx, expr, k)
-	if err != nil {
-		return nil, err
-	}
-	return cl.attachDocs(ctx, res)
-}
-
-// SearchFetchBatch pipelines search+fetch over a query batch: each
-// worker owns one in-flight query, sweeps it across all shards, then
-// fetches its merged top-k documents. Per-query results match
-// SearchFetchCtx.
-func (cl *Cluster) SearchFetchBatch(ctx context.Context, exprs []string, k int) *BatchResult {
-	return cl.batchDriver(ctx, len(exprs), func(qi int) (*ClusterResult, error) {
-		res, err := cl.searchSerialCtx(ctx, exprs[qi], k)
-		if err != nil {
-			return nil, err
-		}
-		return cl.attachDocs(ctx, res)
-	})
+	return cl.exec(ctx, BatchQuery{Expr: expr, K: k, WithDocs: true}, cl.workers(len(cl.shards)))
 }

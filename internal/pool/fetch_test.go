@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"boss/internal/corpus"
 	"boss/internal/mem"
@@ -135,11 +138,11 @@ func TestSearchFetch(t *testing.T) {
 func TestSearchFetchBatch(t *testing.T) {
 	c, cl := fetchFixture(t, 3)
 	qs := corpus.SampleQueries(c, corpus.Q2, 6, 11)
-	exprs := make([]string, len(qs))
+	batch := make([]BatchQuery, len(qs))
 	for i, q := range qs {
-		exprs[i] = q.Expr
+		batch[i] = BatchQuery{Expr: q.Expr, K: 10, WithDocs: true}
 	}
-	br := cl.SearchFetchBatch(context.Background(), exprs, 10)
+	br := cl.SearchBatchQueries(context.Background(), batch)
 	if br.Err != nil {
 		t.Fatal(br.Err)
 	}
@@ -268,5 +271,43 @@ func TestFetchCancelled(t *testing.T) {
 	cancel()
 	if _, err := cl.FetchBatch(ctx, []uint32{0}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestBatchFetchSweepsSerially: a batch worker owns one in-flight query
+// and sweeps it across the shards itself, so fetches — and the fetch phase
+// of WithDocs searches — inside a batch must not spawn a shard fan-out of
+// their own (W workers, not up to W×W goroutines). The breaker clock runs
+// on the goroutine issuing each shard attempt, so it sees the peak.
+func TestBatchFetchSweepsSerially(t *testing.T) {
+	const workers = 4
+	c := corpus.Generate(corpus.CCNewsLike(0.004))
+	cfg := DefaultConfig()
+	cfg.Workers = workers
+	cl := mustCluster(t, cfg, c, 4)
+	if err := cl.EnsureDocs(); err != nil {
+		t.Fatal(err)
+	}
+	var peak atomic.Int64
+	cl.now = func() time.Time {
+		n := int64(runtime.NumGoroutine())
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		return time.Now()
+	}
+	n := uint32(c.Spec.NumDocs)
+	everyShard := []uint32{0, n / 3, 2 * n / 3, n - 1, 1, n/3 + 1, 2*n/3 + 1, n - 2}
+	expr := corpus.SampleQueries(c, corpus.Q1, 1, 3)[0].Expr
+	var batch []BatchQuery
+	for i := 0; i < 32; i++ {
+		batch = append(batch, BatchQuery{FetchIDs: everyShard}, BatchQuery{Expr: expr, K: 10, WithDocs: true})
+	}
+	before := runtime.NumGoroutine()
+	if br := cl.SearchBatchQueries(context.Background(), batch); br.Err != nil {
+		t.Fatal(br.Err)
+	}
+	if got := peak.Load(); got == 0 || got > int64(before+workers) {
+		t.Fatalf("peak %d goroutines during the batch, want at most %d (the caller's %d + %d batch workers)",
+			got, before+workers, before, workers)
 	}
 }

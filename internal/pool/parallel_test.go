@@ -1,39 +1,10 @@
 package pool
 
 import (
+	"context"
 	"reflect"
 	"testing"
-
-	"boss/internal/corpus"
 )
-
-// TestClusterSearchParallelMatchesSerial pins the determinism guarantee:
-// the concurrent shard fan-out must be bit-identical to visiting shards one
-// at a time — top-k, per-shard metrics, and link traffic all included.
-func TestClusterSearchParallelMatchesSerial(t *testing.T) {
-	c, _, cl := clusterFixture(t, 5)
-	for _, qt := range corpus.AllQueryTypes() {
-		for _, q := range corpus.SampleQueries(c, qt, 5, 77) {
-			want, err := cl.SearchSerial(q.Expr, 25)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := cl.Search(q.Expr, 25)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.TopK, want.TopK) {
-				t.Fatalf("%s: parallel top-k differs from serial", q.Expr)
-			}
-			if !reflect.DeepEqual(got.PerShard, want.PerShard) {
-				t.Fatalf("%s: parallel per-shard metrics differ from serial", q.Expr)
-			}
-			if got.LinkBytes != want.LinkBytes {
-				t.Fatalf("%s: link bytes %d != %d", q.Expr, got.LinkBytes, want.LinkBytes)
-			}
-		}
-	}
-}
 
 // TestClusterSearchWorkerWidths exercises the explicit Workers settings,
 // including the inline workers==1 path.
@@ -58,42 +29,10 @@ func TestClusterSearchWorkerWidths(t *testing.T) {
 	}
 }
 
-func TestClusterSearchBatchMatchesSearch(t *testing.T) {
-	c, _, cl := clusterFixture(t, 4)
-	var exprs []string
-	for _, qt := range corpus.AllQueryTypes() {
-		for _, q := range corpus.SampleQueries(c, qt, 3, 11) {
-			exprs = append(exprs, q.Expr)
-		}
-	}
-	br := cl.SearchBatch(exprs, 20)
-	if br.Err != nil {
-		t.Fatal(br.Err)
-	}
-	if len(br.Results) != len(exprs) || len(br.Errs) != len(exprs) {
-		t.Fatal("batch result/err count mismatch")
-	}
-	for i, expr := range exprs {
-		want, err := cl.Search(expr, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if br.Errs[i] != nil {
-			t.Fatalf("%s: %v", expr, br.Errs[i])
-		}
-		if !reflect.DeepEqual(br.Results[i].TopK, want.TopK) {
-			t.Fatalf("%s: batch top-k differs from Search", expr)
-		}
-		if !reflect.DeepEqual(br.Results[i].PerShard, want.PerShard) {
-			t.Fatalf("%s: batch per-shard metrics differ from Search", expr)
-		}
-	}
-}
-
 func TestClusterSearchBatchErrors(t *testing.T) {
 	_, _, cl := clusterFixture(t, 3)
 	exprs := []string{`"t0"`, `"nosuchtermzz"`, `bad syntax`, `"t1"`}
-	br := cl.SearchBatch(exprs, 10)
+	br := cl.SearchBatchQueries(context.Background(), Queries(exprs, 10))
 	if br.Err == nil {
 		t.Fatal("batch containing bad queries should surface an error")
 	}
@@ -113,7 +52,7 @@ func TestClusterSearchBatchErrors(t *testing.T) {
 		t.Fatal("failed queries should leave nil results")
 	}
 
-	empty := cl.SearchBatch(nil, 10)
+	empty := cl.SearchBatchQueries(context.Background(), nil)
 	if empty.Err != nil || len(empty.Results) != 0 {
 		t.Fatal("empty batch should succeed vacuously")
 	}

@@ -34,13 +34,13 @@ type Config struct {
 	K int
 	// Opts configures the cores' early-termination features.
 	Opts core.Options
-	// Workers bounds the host-side goroutines Cluster.Search uses for its
-	// shard fan-out and Cluster.SearchBatch uses to pipeline queries
+	// Workers bounds the host-side goroutines a single query's shard
+	// fan-out and Cluster.SearchBatchQueries' query pipeline run on
 	// (0 = GOMAXPROCS). It does not affect the simulated device models.
 	Workers int
 	// CacheBytes is the byte budget of the cluster's cross-query decoded-
-	// block cache, shared by all shards' wall-clock accelerators (Search/
-	// SearchSerial/SearchBatch). 0 disables the cache; negative values are
+	// block cache, shared by all shards' wall-clock accelerators (every
+	// Search* entry point). 0 disables the cache; negative values are
 	// rejected by NewCluster with ErrBadConfig. It never touches the
 	// event-driven simulated Device (RunBatch), whose modeled figures
 	// must not depend on host-side caching.
@@ -48,15 +48,15 @@ type Config struct {
 	// Replicas is the number of independently-faultable copies of each
 	// shard the cluster keeps (R-way replication). Each replica has its
 	// own accelerator, fault-injection domain, circuit breaker, and
-	// cache-key space; the resilient serving paths route across replicas
-	// with deterministic seeded selection and skip replicas whose
+	// cache-key space; every query routes across replicas
+	// with deterministic seeded selection, skipping replicas whose
 	// breakers are open. 1 (the DefaultConfig value) is single-copy
 	// serving, byte-identical to the pre-replication code path; values
 	// below 1 are rejected by NewCluster with ErrBadConfig.
 	Replicas int
 	// Resilience configures the cluster's serving-path fault handling
-	// (SearchCtx/SearchBatchCtx). Zero fields take DefaultResilience
-	// values.
+	// (every entry point runs under it). Zero fields take
+	// DefaultResilience values.
 	Resilience Resilience
 	// Faults, when non-empty, is the fault plan RunBatch applies to its
 	// simulated devices (shard si plays device si). Nil injects nothing

@@ -9,7 +9,6 @@ import (
 
 	"boss/internal/core"
 	"boss/internal/mem"
-	"boss/internal/perf"
 	"boss/internal/query"
 	"boss/internal/topk"
 )
@@ -155,6 +154,12 @@ const (
 	brHalfOpen
 )
 
+// eventLogCap bounds each replica's event log. Every clean attempt logs
+// one event, so an unbounded log grows with a serving process's lifetime;
+// the newest 16Ki events per replica cover every test and the default-scale
+// chaos sweep in full.
+const eventLogCap = 1 << 14
+
 // shardState is one shard replica's breaker plus its resilience event
 // log, under one mutex so log order matches breaker-transition order.
 type shardState struct {
@@ -164,12 +169,28 @@ type shardState struct {
 	fails    int
 	openedAt time.Time
 	probing  bool
-	events   []Event
+	// events is the log: append-only up to eventLogCap, then a ring whose
+	// oldest entry sits at oldest.
+	events []Event
+	oldest int
 }
 
-// record appends an event while holding s.mu.
+// record logs an event while holding s.mu, dropping the oldest once the
+// log is full.
 func (s *shardState) record(kind EventKind, attempt int, backoff time.Duration, err error) {
-	s.events = append(s.events, Event{Shard: s.si, Replica: s.ri, Kind: kind, Attempt: attempt, Backoff: backoff, Err: err})
+	ev := Event{Shard: s.si, Replica: s.ri, Kind: kind, Attempt: attempt, Backoff: backoff, Err: err}
+	if len(s.events) < eventLogCap {
+		s.events = append(s.events, ev)
+		return
+	}
+	s.events[s.oldest] = ev
+	s.oldest = (s.oldest + 1) % eventLogCap
+}
+
+// appendEvents appends the log to dst, oldest first, while holding s.mu.
+func (s *shardState) appendEvents(dst []Event) []Event {
+	dst = append(dst, s.events[s.oldest:]...)
+	return append(dst, s.events[:s.oldest]...)
 }
 
 // allow reports whether an attempt may be issued, applying the
@@ -243,13 +264,14 @@ func (s *shardState) abandon() {
 }
 
 // Events snapshots one shard's resilience event log: every replica's
-// events concatenated in replica order (identical to the lone replica's
-// log on single-copy clusters). ReplicaEvents narrows to one copy.
+// events (the newest eventLogCap of them) concatenated in replica order
+// (identical to the lone replica's log on single-copy clusters).
+// ReplicaEvents narrows to one copy.
 func (cl *Cluster) Events(si int) []Event {
 	var out []Event
 	for _, s := range cl.states[si] {
 		s.mu.Lock()
-		out = append(out, s.events...)
+		out = s.appendEvents(out)
 		s.mu.Unlock()
 	}
 	return out
@@ -260,7 +282,7 @@ func (cl *Cluster) ReplicaEvents(si, ri int) []Event {
 	s := cl.states[si][ri]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
+	return s.appendEvents(nil)
 }
 
 // ResetEvents clears every replica's event log (test/benchmark setup).
@@ -268,7 +290,7 @@ func (cl *Cluster) ResetEvents() {
 	for _, reps := range cl.states {
 		for _, s := range reps {
 			s.mu.Lock()
-			s.events = nil
+			s.events, s.oldest = nil, 0
 			s.mu.Unlock()
 		}
 	}
@@ -630,12 +652,24 @@ func breakerError(si int) error {
 	return fmt.Errorf("pool: shard %d: %w", si, ErrShardUnavailable)
 }
 
-// mergePartial folds per-shard results into the root-merged ranking,
-// degrading gracefully: failed shards set their bit in Degraded and park
-// their error in ShardErrs instead of failing the query. Only when every
-// populated shard failed does the query itself error.
+// fail marks shard si as missing from the result: its Degraded bit and
+// its error at ShardErrs[si].
+func (res *ClusterResult) fail(si int, err error) {
+	res.Degraded |= 1 << uint(si)
+	if res.ShardErrs == nil {
+		res.ShardErrs = make([]error, len(res.PerShard))
+	}
+	res.ShardErrs[si] = err
+}
+
+// mergePartial is the one search fold: per-shard results merge into the
+// root ranking in ascending shard order — so the result is bit-identical
+// however the shard runs were scheduled — degrading gracefully: failed
+// shards set their bit in Degraded and park their error in ShardErrs
+// instead of failing the query. Only when every shard failed does the
+// query itself error.
 func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) {
-	res := &ClusterResult{PerShard: make([]*perf.Metrics, len(outs))}
+	res := cl.newResult()
 	if cl.Replicas() > 1 {
 		// Replica attribution is allocated only on replicated clusters so
 		// single-copy serving pays nothing new.
@@ -661,13 +695,7 @@ func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) 
 			if firstErr == nil {
 				firstErr = out.err
 			}
-			if si < 64 {
-				res.Degraded |= 1 << uint(si)
-			}
-			if res.ShardErrs == nil {
-				res.ShardErrs = make([]error, len(outs))
-			}
-			res.ShardErrs[si] = out.err
+			res.fail(si, out.err)
 			continue
 		}
 		if out.m == nil {
@@ -686,214 +714,14 @@ func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) 
 	return res, nil
 }
 
-// SearchCtx is Search with deadlines, retries, circuit breaking, and
-// graceful degradation: surviving shards' top-k merge into a partial
-// result whose Degraded mask and ShardErrs name the missing shards. The
-// query errors only when the context dies or every shard fails.
-func (cl *Cluster) SearchCtx(ctx context.Context, expr string, k int) (*ClusterResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	node, dnf, err := cl.prepare(expr)
-	if err != nil {
-		return nil, err
-	}
-	qkey := mem.StableKey(expr)
-	outs := make([]shardOut, len(cl.shards))
-	workers := cl.workers(len(cl.shards))
-	if workers == 1 {
-		for si := range cl.shards {
-			outs[si] = cl.runShardResilient(ctx, node, dnf, si, k, qkey)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for si := range next {
-					outs[si] = cl.runShardResilient(ctx, node, dnf, si, k, qkey)
-				}
-			}()
-		}
-		dispatched := 0
-	dispatch:
-		for si := range cl.shards {
-			select {
-			case next <- si:
-				dispatched++
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
-		for si := dispatched; si < len(cl.shards); si++ {
-			outs[si] = shardOut{err: shardError(si, ctx.Err())}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cl.mergePartial(outs, k)
-}
-
 // maskHas reports whether shard si participates under a front-door shard
-// mask. Mask zero means "no mask" (every shard participates), and shards
-// beyond the mask's 64 bits always participate, mirroring the Degraded
-// bitmask's range.
+// mask. Mask zero means "no mask" (every shard participates); NewCluster
+// caps the shard count at the mask's 64 bits.
 func maskHas(mask uint64, si int) bool {
-	if mask == 0 || si >= 64 {
-		return true
-	}
-	return mask&(1<<uint(si)) != 0
+	return mask == 0 || mask&(1<<uint(si)) != 0
 }
 
 // shedShardError tags a deliberately-shed shard (outlined like shardError).
 func shedShardError(si int) error {
 	return fmt.Errorf("pool: shard %d: %w", si, ErrShardShed)
-}
-
-// searchSerialCtx sweeps one query across all shards on the calling
-// goroutine with the full resilience machinery.
-func (cl *Cluster) searchSerialCtx(ctx context.Context, expr string, k int) (*ClusterResult, error) {
-	return cl.searchSerialCtxMask(ctx, expr, k, 0)
-}
-
-// searchSerialCtxMask is searchSerialCtx under a front-door shard mask:
-// masked-out shards are skipped entirely (no attempt, no breaker or retry
-// activity) and reported in the result's Degraded bitmask with ErrShardShed.
-func (cl *Cluster) searchSerialCtxMask(ctx context.Context, expr string, k int, mask uint64) (*ClusterResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	node, dnf, err := cl.prepare(expr)
-	if err != nil {
-		return nil, err
-	}
-	qkey := mem.StableKey(expr)
-	outs := make([]shardOut, len(cl.shards))
-	for si := range cl.shards {
-		if !maskHas(mask, si) {
-			outs[si] = shardOut{err: shedShardError(si)}
-			continue
-		}
-		outs[si] = cl.runShardResilient(ctx, node, dnf, si, k, qkey)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cl.mergePartial(outs, k)
-}
-
-// batchDriver runs one resilient execution per query index on a bounded
-// worker pool, honoring cancellation: a dead context fails the remaining
-// queries promptly and no goroutines outlive the call. SearchBatchCtx and
-// SearchBatchQueries share it.
-func (cl *Cluster) batchDriver(ctx context.Context, n int, run func(qi int) (*ClusterResult, error)) *BatchResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	br := &BatchResult{
-		Results: make([]*ClusterResult, n),
-		Errs:    make([]error, n),
-	}
-	if err := ctx.Err(); err != nil {
-		for qi := 0; qi < n; qi++ {
-			br.Errs[qi] = err
-		}
-		br.Err = err
-		return br
-	}
-	workers := cl.workers(n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for qi := range next {
-				br.Results[qi], br.Errs[qi] = run(qi)
-			}
-		}()
-	}
-	dispatched := 0
-dispatch:
-	for qi := 0; qi < n; qi++ {
-		select {
-		case next <- qi:
-			dispatched++
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	for qi := dispatched; qi < n; qi++ {
-		br.Errs[qi] = ctx.Err()
-	}
-	for _, err := range br.Errs {
-		if err != nil {
-			br.Err = err
-			break
-		}
-	}
-	return br
-}
-
-// SearchBatchCtx pipelines a batch with per-query resilience: each
-// worker owns one in-flight query and sweeps it across all shards.
-// Unlike SearchBatch, a shard failure degrades that query's result
-// instead of failing it. A dead context fails the remaining queries
-// promptly; no goroutines outlive the call.
-func (cl *Cluster) SearchBatchCtx(ctx context.Context, exprs []string, k int) *BatchResult {
-	return cl.batchDriver(ctx, len(exprs), func(qi int) (*ClusterResult, error) {
-		return cl.searchSerialCtx(ctx, exprs[qi], k)
-	})
-}
-
-// BatchQuery is one query of a heterogeneous resilient batch: either a
-// search (Expr) or a document fetch (FetchIDs), with an optional
-// front-door shard mask. Carrying both in one query is an error.
-type BatchQuery struct {
-	// Expr is the boolean query expression (search queries).
-	Expr string
-	// K is the query's top-k depth (<= 0 uses the cluster config's K).
-	K int
-	// ShardMask, when non-zero, restricts execution to the shards whose
-	// bits are set; excluded shards appear in the result's Degraded mask
-	// with ErrShardShed. Zero executes every shard.
-	ShardMask uint64
-	// FetchIDs, when non-empty, makes this query a document fetch: the
-	// result's Docs holds the payloads of these global docIDs, in order.
-	// Mutually exclusive with Expr.
-	FetchIDs []uint32
-}
-
-// errExprAndFetch rejects a BatchQuery that is both a search and a fetch.
-var errExprAndFetch = errors.New("pool: BatchQuery carries both Expr and FetchIDs")
-
-// SearchBatchQueries is SearchBatchCtx for heterogeneous queries: per-query
-// top-k depths, front-door shard masks, and document fetches. It is the
-// execution surface the front-door serving tier flushes its coalesced
-// batches into.
-func (cl *Cluster) SearchBatchQueries(ctx context.Context, qs []BatchQuery) *BatchResult {
-	return cl.batchDriver(ctx, len(qs), func(qi int) (*ClusterResult, error) {
-		q := qs[qi]
-		if len(q.FetchIDs) > 0 {
-			if q.Expr != "" {
-				return nil, errExprAndFetch
-			}
-			return cl.fetchBatchMask(ctx, q.FetchIDs, q.ShardMask)
-		}
-		k := q.K
-		if k <= 0 {
-			k = cl.cfg.K
-		}
-		return cl.searchSerialCtxMask(ctx, q.Expr, k, q.ShardMask)
-	})
 }

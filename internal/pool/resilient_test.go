@@ -55,28 +55,6 @@ func chaosExprs(c *corpus.Corpus, n int) []string {
 	return exprs[:n]
 }
 
-// SearchCtx on a pristine cluster must be bit-identical to Search.
-func TestSearchCtxMatchesSearchWhenClean(t *testing.T) {
-	c := corpus.Generate(corpus.CCNewsLike(0.004))
-	cl := mustCluster(t, DefaultConfig(), c, 4)
-	for _, expr := range chaosExprs(c, 24) {
-		want, err := cl.Search(expr, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cl.SearchCtx(context.Background(), expr, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Degraded != 0 || got.ShardErrs != nil {
-			t.Fatalf("%s: clean cluster reported degradation %b", expr, got.Degraded)
-		}
-		if !reflect.DeepEqual(got.TopK, want.TopK) {
-			t.Fatalf("%s: SearchCtx diverged from Search", expr)
-		}
-	}
-}
-
 // The chaos acceptance test: a 1000-query batch over 4 shards at a 1%
 // transient fault rate. Every query must either succeed fully with
 // results identical to a pristine twin cluster, or return partial
@@ -92,7 +70,7 @@ func TestChaosBatchTransient(t *testing.T) {
 
 	exprs := chaosExprs(c, 1000)
 	before := runtime.NumGoroutine()
-	br := chaos.SearchBatchCtx(context.Background(), exprs, 10)
+	br := chaos.SearchBatchQueries(context.Background(), Queries(exprs, 10))
 	if br.Err != nil {
 		t.Fatalf("batch error: %v", br.Err)
 	}
@@ -160,24 +138,13 @@ func TestChaosDegradedResultsAreAccurate(t *testing.T) {
 		if !errors.Is(res.ShardErrs[2], mem.ErrDeviceDown) && !errors.Is(res.ShardErrs[2], ErrShardUnavailable) {
 			t.Fatalf("%s: shard 2 error %v is neither ErrDeviceDown nor ErrShardUnavailable", expr, res.ShardErrs[2])
 		}
-		// Rebuild the expected partial merge from the pristine cluster,
-		// failing shard 2 the same way.
-		node, dnf, err := clean.prepare(expr)
-		if err != nil {
-			t.Fatal(err)
+		// The expected partial merge is the pristine cluster's answer with
+		// shard 2 masked out.
+		br := clean.SearchBatchQueries(context.Background(), []BatchQuery{{Expr: expr, K: 10, ShardMask: 0b1011}})
+		if br.Err != nil {
+			t.Fatal(br.Err)
 		}
-		outs := make([]shardOut, clean.Shards())
-		for si := range outs {
-			if si == 2 {
-				outs[si] = shardOut{err: res.ShardErrs[2]}
-				continue
-			}
-			outs[si] = clean.runShard(node, dnf, si, 10)
-		}
-		want, err := clean.mergePartial(outs, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := br.Results[0]
 		if !reflect.DeepEqual(res.TopK, want.TopK) {
 			t.Fatalf("%s: degraded merge differs from pristine partial merge", expr)
 		}
@@ -209,7 +176,7 @@ func TestSearchBatchCtxPreCancelled(t *testing.T) {
 	exprs := chaosExprs(c, 64)
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	br := cl.SearchBatchCtx(ctx, exprs, 10)
+	br := cl.SearchBatchQueries(ctx, Queries(exprs, 10))
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("cancelled batch took %v", took)
 	}
@@ -244,7 +211,7 @@ func TestSearchBatchCtxCancelMidFlight(t *testing.T) {
 		cancel()
 	}()
 	before := runtime.NumGoroutine()
-	br := cl.SearchBatchCtx(ctx, exprs, 10)
+	br := cl.SearchBatchQueries(ctx, Queries(exprs, 10))
 	for qi := range exprs {
 		ok := br.Errs[qi] == nil && br.Results[qi] != nil
 		cancelled := br.Errs[qi] != nil && errors.Is(br.Errs[qi], context.Canceled)
@@ -454,5 +421,77 @@ func TestRunBatchFaultReporting(t *testing.T) {
 	dead := rep.PerNode[1]
 	if dead.Jobs > 0 && (dead.Failed != dead.Jobs || dead.Availability != 0) {
 		t.Fatalf("dead node: failed=%d/%d avail=%v", dead.Failed, dead.Jobs, dead.Availability)
+	}
+}
+
+// The event log is a ring: a serving process logs one event per clean
+// (query, shard) attempt forever, so the log keeps the newest eventLogCap
+// per replica and drops the oldest.
+func TestEventLogBounded(t *testing.T) {
+	c := corpus.Generate(corpus.CCNewsLike(0.003))
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cl := mustCluster(t, cfg, c, 1)
+	rare := `"` + c.Terms[len(c.Terms)-1].Term + `"`
+	ctx := context.Background()
+
+	// The oldest events: one failed query.
+	cl.SetFaultPlan(&mem.FaultPlan{Seed: 1, DeadDevices: []int{0}})
+	if _, err := cl.SearchCtx(ctx, rare, 5); !errors.Is(err, mem.ErrDeviceDown) {
+		t.Fatalf("marker query: %v", err)
+	}
+	cl.SetFaultPlan(nil)
+	for i := 0; i < 3*eventLogCap; i++ {
+		if _, err := cl.Search(rare, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evs := cl.Events(0)
+	if len(evs) != eventLogCap {
+		t.Fatalf("%d events after %d clean queries, want the cap %d", len(evs), 3*eventLogCap, eventLogCap)
+	}
+	for i, ev := range evs {
+		if ev.Kind != EvAttempt {
+			t.Fatalf("event %d is %v: the oldest events were not the ones dropped", i, ev.Kind)
+		}
+	}
+	// The newest events: another failed query lands at the tail, in order.
+	cl.SetFaultPlan(&mem.FaultPlan{Seed: 1, DeadDevices: []int{0}})
+	if _, err := cl.SearchCtx(ctx, rare, 5); !errors.Is(err, mem.ErrDeviceDown) {
+		t.Fatalf("tail query: %v", err)
+	}
+	evs = cl.ReplicaEvents(0, 0)
+	if len(evs) != eventLogCap {
+		t.Fatalf("%d events, want the cap %d", len(evs), eventLogCap)
+	}
+	if a, f := evs[len(evs)-2], evs[len(evs)-1]; a.Kind != EvAttempt || f.Kind != EvFailure || !errors.Is(f.Err, mem.ErrDeviceDown) {
+		t.Fatalf("log tail is %v, %v; want the newest attempt and its failure", a.Kind, f.Kind)
+	}
+	cl.ResetEvents()
+	if evs := cl.Events(0); len(evs) != 0 {
+		t.Fatalf("%d events after ResetEvents", len(evs))
+	}
+}
+
+// Search and SearchSerial keep their pre-degradation contract on the one
+// request path: where SearchCtx degrades around a dead shard, they fail
+// the query with that shard's error.
+func TestSearchStrictFailsOnShardError(t *testing.T) {
+	c := corpus.Generate(corpus.CCNewsLike(0.004))
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 0
+	cl := mustCluster(t, cfg, c, 4)
+	cl.SetFaultPlan(&mem.FaultPlan{Seed: 9, DeadDevices: []int{2}})
+	const expr = `"t0"` // the most common term: every shard holds it
+	res, err := cl.SearchCtx(context.Background(), expr, 10)
+	if err != nil || res.Degraded != 1<<2 {
+		t.Fatalf("SearchCtx: err=%v degraded=%b, want a result missing shard 2 only", err, res.Degraded)
+	}
+	for name, search := range map[string]func(string, int) (*ClusterResult, error){
+		"Search": cl.Search, "SearchSerial": cl.SearchSerial,
+	} {
+		if res, err := search(expr, 10); !errors.Is(err, mem.ErrDeviceDown) || res != nil {
+			t.Fatalf("%s: res=%v err=%v, want the dead shard's ErrDeviceDown and no result", name, res, err)
+		}
 	}
 }

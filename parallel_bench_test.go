@@ -7,6 +7,7 @@ package boss
 // speedup and per-query allocations.
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -125,7 +126,7 @@ const batchK = 10
 // (TestClusterCacheDeterminism).
 func BenchmarkClusterSearchBatch(b *testing.B) {
 	cl := sharedCluster()
-	exprs := zipfExprs(1000)
+	batch := pool.Queries(zipfExprs(1000), batchK)
 	for _, bc := range []struct {
 		name  string
 		bytes int64
@@ -138,12 +139,12 @@ func BenchmarkClusterSearchBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if br := cl.SearchBatch(exprs, batchK); br.Err != nil {
+				if br := cl.SearchBatchQueries(context.Background(), batch); br.Err != nil {
 					b.Fatal(br.Err)
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(len(exprs)), "queries/op")
+			b.ReportMetric(float64(len(batch)), "queries/op")
 			if st := cl.CacheStats(); st.Hits+st.Misses > 0 {
 				b.ReportMetric(st.HitRate(), "hit-rate")
 			}
