@@ -8,14 +8,14 @@
 //	bossbench -list                # list experiment ids
 //	bossbench -exp fig9 -full      # larger corpora/workload (slower)
 //	bossbench -scale 0.05 -k 500   # custom scope
-//	bossbench -wallclock           # real host QPS (serial vs batch/parallel)
-//	bossbench -wallclock -json     # same, machine-readable
 //	bossbench -chaos               # availability/QPS under fault injection
 //	bossbench -chaos -replicas 2 -replicakill  # replica failover: copy 0 of every shard dead
 //	bossbench -overload            # front-door goodput/tail-latency under overload
-//	bossbench -fetch               # document fetch phase: decode GB/s cold vs cached, search+fetch QPS
-//	bossbench -sparse              # Q7 sparse-dot: MaxScore pruning vs exhaustive, Q7 vs conjunctive QPS
+//	bossbench -chaos -json         # either sweep, machine-readable
 //	bossbench -profile out         # also write out.cpu.pprof + out.heap.pprof
+//
+// Serving throughput, the fetch phase and the SPARSE family are measured
+// by the repository's one benchmark, `go run ./bench` (see bench/README.md).
 package main
 
 import (
@@ -40,15 +40,12 @@ func main() {
 		k       = flag.Int("k", 0, "override top-k depth (0 = config default)")
 		seed    = flag.Int64("seed", 0, "override workload seed (0 = config default)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		wall    = flag.Bool("wallclock", false, "measure real host QPS (serial vs batch/parallel) instead of simulated experiments")
 		chaos   = flag.Bool("chaos", false, "sweep fault-injection rates and report availability/QPS of the resilient serving path")
 		over    = flag.Bool("overload", false, "sweep offered load past capacity and report front-door goodput, shedding, and tail latency")
-		fetch   = flag.Bool("fetch", false, "measure the document fetch phase: decode GB/s cold vs cached, search+fetch QPS")
-		sparse  = flag.Bool("sparse", false, "measure the Q7 sparse-dot family: MaxScore pruning vs exhaustive, Q7 QPS vs conjunctive baseline")
-		shards  = flag.Int("shards", 4, "cluster shard count for -wallclock, -chaos, -overload, and -fetch")
+		shards  = flag.Int("shards", 4, "cluster shard count for -chaos and -overload")
 		reps    = flag.Int("replicas", 1, "with -chaos, copies of every shard (replication + hedging when > 1)")
 		repKill = flag.Bool("replicakill", false, "with -chaos, kill copy 0 of every shard at each point (requires -replicas >= 2)")
-		jsonOut = flag.Bool("json", false, "with -wallclock, -chaos, -overload, or -fetch, emit the report as JSON")
+		jsonOut = flag.Bool("json", false, "with -chaos or -overload, emit the report as JSON")
 		profile = flag.String("profile", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof covering the run")
 	)
 	flag.Parse()
@@ -106,22 +103,10 @@ func main() {
 
 	ctx := harness.NewContext(cfg)
 
-	stamp := time.Now().UTC().Format(time.RFC3339)
 	switch {
 	case *over:
 		rep := harness.Overload(ctx, *shards)
-		rep.Created = stamp
-		emit(rep, *jsonOut, *csv)
-		return
-	case *sparse:
-		rep := harness.Sparse(ctx)
-		rep.Created = stamp
-		emit(rep, *jsonOut, *csv)
-		return
-	case *fetch:
-		rep := harness.Fetch(ctx, *shards)
-		rep.Created = stamp
-		emit(rep, *jsonOut, *csv)
+		emit(rep, &rep.ReportHeader, *jsonOut, *csv)
 		return
 	case *chaos:
 		if *repKill && *reps < 2 {
@@ -129,11 +114,7 @@ func main() {
 			os.Exit(1)
 		}
 		rep := harness.Chaos(ctx, *shards, *reps, *repKill)
-		rep.Created = stamp
-		emit(rep, *jsonOut, *csv)
-		return
-	case *wall:
-		emit(harness.Wallclock(ctx, *shards), *jsonOut, *csv)
+		emit(rep, &rep.ReportHeader, *jsonOut, *csv)
 		return
 	}
 
@@ -161,11 +142,13 @@ func main() {
 	run(e)
 }
 
-// emit prints a sweep report: the report itself as indented JSON, or its
-// table as CSV or aligned text.
-func emit(rep interface{ Table() *harness.Table }, jsonOut, csv bool) {
+// emit prints a sweep report: the report itself as indented JSON (its
+// header stamped with the creation time), or its table as CSV or aligned
+// text.
+func emit(rep interface{ Table() *harness.Table }, hdr *harness.ReportHeader, jsonOut, csv bool) {
 	switch {
 	case jsonOut:
+		hdr.Created = time.Now().UTC().Format(time.RFC3339)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {

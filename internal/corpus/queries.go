@@ -66,7 +66,7 @@ func (q QueryType) Operation() string {
 
 // AllQueryTypes lists Q1..Q6 in order — the Table II families. Q7 is
 // deliberately excluded: the figure harness iterates this list, and the
-// sparse family has its own bench (harness.Sparse).
+// sparse family is measured by bench/'s sparse-q7 workload.
 func AllQueryTypes() []QueryType {
 	return []QueryType{Q1, Q2, Q3, Q4, Q5, Q6}
 }

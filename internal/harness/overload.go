@@ -15,19 +15,38 @@ import (
 	"boss/internal/pool"
 )
 
-// Report schema versioning for the machine-readable bossbench outputs.
-// Schema names the envelope (bumped only when field meaning changes);
-// BenchPR is the PR that produced the binary, so archived BENCH_*.json
-// files are self-describing when diffed across the stacked sequence.
-const (
-	// v2 adds the -fetch report (document fetch phase) alongside the
-	// overload and chaos envelopes, and later the -sparse report (Q7
-	// impact-ordered retrieval) and the chaos envelope's replica fields
-	// (replicas/replica_kill, per-point dead_replicas/hedged); existing
-	// fields are unchanged.
-	BenchSchema = "bossbench/v2"
-	BenchPR     = 10
-)
+// BenchSchema names the envelope of the machine-readable bossbench sweep
+// reports (-chaos, -overload); it is bumped when a field changes meaning
+// or goes away. v3 dropped the "pr" field and put the shared fields in
+// one embedded ReportHeader.
+const BenchSchema = "bossbench/v3"
+
+// ReportHeader is the envelope every sweep report embeds: which binary
+// schema, host parallelism, corpus and workload identity produced the
+// points. Created is stamped by the caller (cmd/bossbench), so library
+// runs stay free of wall-clock reads outside the measured loops.
+type ReportHeader struct {
+	Schema     string `json:"schema"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Corpus     string `json:"corpus"`
+	Shards     int    `json:"shards"`
+	K          int    `json:"k"`
+	Seed       int64  `json:"seed"`
+	Created    string `json:"created,omitempty"`
+}
+
+// newReportHeader fills the header for a sweep over the context's
+// ClueWeb-like setup.
+func newReportHeader(ctx *Context, shards int) ReportHeader {
+	return ReportHeader{
+		Schema:     BenchSchema,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Corpus:     ctx.ClueWeb().Spec.Name,
+		Shards:     shards,
+		K:          ctx.Cfg.K,
+		Seed:       ctx.Cfg.Seed,
+	}
+}
 
 // overloadDeadline is each request's latency budget: a completion after
 // it does not count toward goodput. It is also the front door's default
@@ -89,13 +108,7 @@ type OverloadPoint struct {
 // front door's: admitted traffic keeps a flat tail because excess load is
 // shed or degraded at admission instead of queueing in the backend.
 type OverloadReport struct {
-	Schema     string  `json:"schema"`
-	PR         int     `json:"pr"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Corpus     string  `json:"corpus"`
-	Shards     int     `json:"shards"`
-	K          int     `json:"k"`
-	Seed       int64   `json:"seed"`
+	ReportHeader
 	DeadlineMS float64 `json:"deadline_ms"`
 	// CapacityQPS is the backend's measured batch throughput over the
 	// head-heavy serving mix (each point also records its own per-skew
@@ -104,7 +117,6 @@ type OverloadReport struct {
 	// Points is the front-door sweep; Baseline is the no-front control.
 	Points   []OverloadPoint `json:"points"`
 	Baseline []OverloadPoint `json:"baseline"`
-	Created  string          `json:"created,omitempty"`
 }
 
 // overloadVocab bounds the sampled term universe so the popularity head
@@ -187,46 +199,19 @@ func overloadFrontConfig() front.Config {
 	}
 }
 
-// overloadPoint drives one open-loop operating point through a fresh
-// front door: arrivals are paced on the intended schedule regardless of
-// completions (latency is measured from the scheduled arrival, so
-// coordinated omission cannot flatter the tail).
+// openLoop paces n arrivals at the offered rate on the intended schedule
+// regardless of completions, and measures each request's latency from
+// its scheduled arrival (not from the submit), so coordinated omission
+// cannot flatter the tail. submit runs on the pacing goroutine at each
+// arrival; it returns nil when the request was shed at admission, or the
+// blocking wait for its answer, which runs on the request's own
+// goroutine and reports whether it was delivered without error and
+// whether it was degraded. flush, if non-nil, runs once after the last
+// arrival.
 //
 //boss:wallclock this report intentionally measures real host-side latency.
-func overloadPoint(cl *pool.Cluster, exprs []string, k int, mult, s, capacity float64) OverloadPoint {
-	fr, err := front.New(overloadFrontConfig(), front.NewClusterBackend(cl))
-	if err != nil {
-		panic(err)
-	}
-	defer fr.Close()
-
-	// Warm the front's ticket/flight free lists and the executor before
-	// the measured window, then settle the heap so garbage inherited
-	// from the previous point cannot poison this one's tail.
-	warm := exprs
-	if len(warm) > 32 {
-		warm = warm[:32]
-	}
-	var wwg sync.WaitGroup
-	for _, e := range warm {
-		tk, err := fr.Submit(front.Request{Expr: e, K: k})
-		if err != nil {
-			continue
-		}
-		wwg.Add(1)
-		go func(tk *front.Ticket) {
-			defer wwg.Done()
-			tk.Wait(nil)
-		}(tk)
-	}
-	fr.Flush()
-	wwg.Wait()
-	runtime.GC()
-	m0 := fr.Metrics()
-
-	offered := capacity * mult
+func openLoop(n int, offered float64, submit func(i int, arrival time.Time) (wait func() (done, degraded bool)), flush func()) ([]overloadSlot, time.Duration) {
 	interval := time.Duration(float64(time.Second) / offered)
-	n := len(exprs)
 	slots := make([]overloadSlot, n)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -235,24 +220,55 @@ func overloadPoint(cl *pool.Cluster, exprs []string, k int, mult, s, capacity fl
 		if d := time.Until(arrival); d > 0 {
 			time.Sleep(d)
 		}
-		tk, err := fr.Submit(front.Request{Expr: exprs[i], K: k, Deadline: arrival.Add(overloadDeadline)})
-		if err != nil {
+		wait := submit(i, arrival)
+		if wait == nil {
 			slots[i].shed = true
 			continue
 		}
 		wg.Add(1)
-		go func(sl *overloadSlot, arrival time.Time, tk *front.Ticket) {
+		go func(sl *overloadSlot) {
 			defer wg.Done()
-			res := tk.Wait(nil)
+			sl.done, sl.degraded = wait()
 			sl.lat = time.Since(arrival)
-			sl.done = res.Err == nil
 			sl.good = sl.done && sl.lat <= overloadDeadline
-			sl.degraded = res.Degraded != 0
-		}(&slots[i], arrival, tk)
+		}(&slots[i])
 	}
-	fr.Flush()
+	if flush != nil {
+		flush()
+	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	return slots, time.Since(start)
+}
+
+// overloadPoint drives one open-loop operating point through a fresh
+// front door.
+func overloadPoint(cl *pool.Cluster, exprs []string, k int, mult, s, capacity float64) OverloadPoint {
+	fr, err := front.New(overloadFrontConfig(), front.NewClusterBackend(cl))
+	if err != nil {
+		panic(err)
+	}
+	defer fr.Close()
+
+	submit := func(i int, arrival time.Time) func() (bool, bool) {
+		tk, err := fr.Submit(front.Request{Expr: exprs[i], K: k, Deadline: arrival.Add(overloadDeadline)})
+		if err != nil {
+			return nil
+		}
+		return func() (bool, bool) {
+			res := tk.Wait(nil)
+			return res.Err == nil, res.Degraded != 0
+		}
+	}
+	// Warm the front's ticket/flight free lists and the executor with a
+	// burst (infinite rate: every arrival is due at once) before the
+	// measured window, then settle the heap so garbage inherited from
+	// the previous point cannot poison this one's tail.
+	openLoop(min(len(exprs), 32), math.Inf(1), submit, fr.Flush)
+	runtime.GC()
+	m0 := fr.Metrics()
+
+	offered := capacity * mult
+	slots, elapsed := openLoop(len(exprs), offered, submit, fr.Flush)
 
 	m := fr.Metrics()
 	pt := overloadReduce(slots, mult, s, offered, elapsed)
@@ -263,35 +279,18 @@ func overloadPoint(cl *pool.Cluster, exprs []string, k int, mult, s, capacity fl
 	return pt
 }
 
-// overloadBaseline is the no-front control: the same open-loop schedule,
+// overloadNoFront is the no-front control: the same open-loop schedule,
 // but every arrival spawns its own unbounded handler straight into the
 // cluster — the pre-serving-tier deployment shape.
-//
-//boss:wallclock this report intentionally measures real host-side latency.
-func overloadBaseline(cl *pool.Cluster, exprs []string, k int, mult, s, capacity float64) OverloadPoint {
+func overloadNoFront(cl *pool.Cluster, exprs []string, k int, mult, s, capacity float64) OverloadPoint {
 	runtime.GC() // settle garbage from the previous point before measuring
 	offered := capacity * mult
-	interval := time.Duration(float64(time.Second) / offered)
-	n := len(exprs)
-	slots := make([]overloadSlot, n)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		arrival := start.Add(time.Duration(i) * interval)
-		if d := time.Until(arrival); d > 0 {
-			time.Sleep(d)
+	slots, elapsed := openLoop(len(exprs), offered, func(i int, _ time.Time) func() (bool, bool) {
+		return func() (bool, bool) {
+			_, err := cl.SearchCtx(context.Background(), exprs[i], k)
+			return err == nil, false
 		}
-		wg.Add(1)
-		go func(sl *overloadSlot, arrival time.Time, expr string) {
-			defer wg.Done()
-			_, err := cl.SearchCtx(context.Background(), expr, k)
-			sl.lat = time.Since(arrival)
-			sl.done = err == nil
-			sl.good = sl.done && sl.lat <= overloadDeadline
-		}(&slots[i], arrival, exprs[i])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	}, nil)
 	pt := overloadReduce(slots, mult, s, offered, elapsed)
 	pt.CapacityQPS = capacity
 	return pt
@@ -374,6 +373,27 @@ func latPercentileUS(sorted []time.Duration, p float64) float64 {
 	return float64(sorted[i]) / float64(time.Microsecond)
 }
 
+// wallclockMinDuration is how long the capacity probe repeats its batch;
+// long enough to defeat timer noise, short enough for a CI smoke run.
+const wallclockMinDuration = 200 * time.Millisecond
+
+// measureQPS repeats f (which evaluates n queries) until the minimum
+// duration elapses and reports queries per wall-clock second.
+//
+//boss:wallclock this report intentionally measures real host-side throughput.
+func measureQPS(n int, f func()) float64 {
+	start := time.Now()
+	iters := 0
+	for {
+		f()
+		iters++
+		if time.Since(start) >= wallclockMinDuration {
+			break
+		}
+	}
+	return float64(n*iters) / time.Since(start).Seconds()
+}
+
 // Overload measures the front-door serving tier under offered loads from
 // 0.5x to 4x the backend's capacity, at two traffic skews, against a
 // no-front baseline. One cluster serves the whole sweep (its decoded-block
@@ -393,14 +413,8 @@ func Overload(ctx *Context, shards int) *OverloadReport {
 	}
 
 	rep := &OverloadReport{
-		Schema:     BenchSchema,
-		PR:         BenchPR,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Corpus:     s.Spec.Name,
-		Shards:     shards,
-		K:          k,
-		Seed:       ctx.Cfg.Seed,
-		DeadlineMS: float64(overloadDeadline) / float64(time.Millisecond),
+		ReportHeader: newReportHeader(ctx, shards),
+		DeadlineMS:   float64(overloadDeadline) / float64(time.Millisecond),
 	}
 	for _, zs := range overloadSkews {
 		// Capacity: the backend's pipelined batch throughput over this
@@ -423,7 +437,7 @@ func Overload(ctx *Context, shards int) *OverloadReport {
 		for _, mult := range overloadBaselineMults {
 			exprs := overloadExprs(s.Corpus, overloadRequests(capacity*mult), zs, ctx.Cfg.Seed)
 			rep.Baseline = append(rep.Baseline, bestOf2(func() OverloadPoint {
-				return overloadBaseline(cl, exprs, k, mult, zs, capacity)
+				return overloadNoFront(cl, exprs, k, mult, zs, capacity)
 			}))
 		}
 	}

@@ -92,15 +92,97 @@ func TestLatPercentileUS(t *testing.T) {
 	if got := latPercentileUS(sorted, 0.99); got != 99 {
 		t.Fatalf("p99 of 1..100us = %v, want 99", got)
 	}
+	// 0.99*150 = 148.5: nearest-rank rounds the rank up to the 149th
+	// sample; a floor form (n*99/100 - 1) would read the 148th and hide
+	// one more straggler.
+	sorted = make([]time.Duration, 150)
+	for i := range sorted {
+		sorted[i] = time.Duration(i+1) * time.Microsecond
+	}
+	if got := latPercentileUS(sorted, 0.99); got != 149 {
+		t.Fatalf("p99 of 1..150us = %v, want 149 (ceiling rank)", got)
+	}
 }
 
-// TestOverloadReportSchema pins the versioned envelope every BENCH_*.json
-// consumer keys on.
-func TestOverloadReportSchema(t *testing.T) {
-	if BenchSchema != "bossbench/v2" {
-		t.Fatalf("BenchSchema = %q", BenchSchema)
+// TestOpenLoopFoldsSlots drives the shared open-loop driver with a stub
+// backend whose ten requests reproduce TestOverloadReduce's mix — eight
+// prompt answers (one degraded), one shed at admission, one delivered
+// past the deadline — and checks each slot's fate and that the fold gives
+// the same rates.
+func TestOpenLoopFoldsSlots(t *testing.T) {
+	const shedAt, degradedAt, lateAt = 8, 7, 9
+	flushed := 0
+	slots, elapsed := openLoop(10, 1000, func(i int, arrival time.Time) func() (bool, bool) {
+		switch i {
+		case shedAt:
+			return nil
+		case lateAt:
+			return func() (bool, bool) {
+				time.Sleep(time.Until(arrival.Add(overloadDeadline + time.Millisecond)))
+				return true, false
+			}
+		}
+		return func() (bool, bool) { return true, i == degradedAt }
+	}, func() { flushed++ })
+
+	if flushed != 1 {
+		t.Fatalf("flush ran %d times, want once after the last arrival", flushed)
 	}
-	if BenchPR < 7 {
-		t.Fatalf("BenchPR = %d, want >= 7", BenchPR)
+	if elapsed < overloadDeadline {
+		t.Fatalf("elapsed %v: the driver returned before the late request was delivered", elapsed)
+	}
+	for i, sl := range slots {
+		want := overloadSlot{lat: sl.lat, done: true, good: true, degraded: i == degradedAt}
+		switch i {
+		case shedAt:
+			want = overloadSlot{shed: true}
+		case lateAt:
+			want.good = false
+			if sl.lat <= overloadDeadline {
+				t.Fatalf("slot %d: latency %v, want past the %v deadline", i, sl.lat, overloadDeadline)
+			}
+		}
+		if sl != want {
+			t.Fatalf("slot %d = %+v, want %+v", i, sl, want)
+		}
+	}
+	pt := overloadReduce(slots, 2, 1.2, 1000, time.Second)
+	if pt.GoodputQPS != 8 || pt.ShedRate != 0.1 || pt.DegradeRate != 1.0/9 || pt.Requests != 10 {
+		t.Fatalf("fold = %+v, want goodput 8, shed 0.1, degrade 1/9 of 10 requests", pt)
+	}
+	if pt.P999LatencyUS <= float64(overloadDeadline/time.Microsecond) {
+		t.Fatalf("P99.9 = %vus, want the late request's latency", pt.P999LatencyUS)
+	}
+}
+
+// TestOpenLoopLatencyFromScheduledArrival stalls the pacing goroutine
+// inside the first submit for longer than the deadline. Every later
+// request is then submitted behind schedule and answered instantly: its
+// latency must still include the time it spent waiting to be submitted
+// (coordinated omission), so none of them counts toward goodput.
+func TestOpenLoopLatencyFromScheduledArrival(t *testing.T) {
+	const stall = overloadDeadline + 10*time.Millisecond
+	slots, _ := openLoop(10, 10000, func(i int, _ time.Time) func() (bool, bool) {
+		if i == 0 {
+			time.Sleep(stall)
+		}
+		return func() (bool, bool) { return true, false }
+	}, nil)
+	for i, sl := range slots {
+		// Request i was scheduled i*100us after the start, all inside the stall.
+		if min := stall - time.Duration(i)*100*time.Microsecond; sl.lat < min {
+			t.Fatalf("slot %d: latency %v < %v: measured from the submit, not the scheduled arrival", i, sl.lat, min)
+		}
+		if !sl.done || sl.good {
+			t.Fatalf("slot %d = %+v: a request answered past its deadline must be done but not good", i, sl)
+		}
+	}
+}
+
+// TestOverloadReportSchema pins the versioned envelope consumers of the
+// -chaos/-overload JSON key on.
+func TestOverloadReportSchema(t *testing.T) {
+	if BenchSchema != "bossbench/v3" {
+		t.Fatalf("BenchSchema = %q", BenchSchema)
 	}
 }
