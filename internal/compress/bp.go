@@ -16,7 +16,7 @@ func (bpCodec) Encode(dst []byte, values []uint32) []byte {
 }
 
 func (bpCodec) Decode(dst []uint32, src []byte, n int) ([]uint32, int) {
-	w := int(src[0])
-	out, used := unpackBits(dst, src[1:], n, w)
+	out, used, f := UnpackBits(dst, src[1:], n, int(src[0]))
+	mustDecode(BP, f)
 	return out, 1 + used
 }

@@ -217,33 +217,6 @@ func packBits(dst []byte, values []uint32, width int) []byte {
 	return dst
 }
 
-// unpackBits reads n values of width bits from src, appending to dst. It
-// returns the extended slice and bytes consumed. width may be 0, producing n
-// zeros and consuming nothing.
-func unpackBits(dst []uint32, src []byte, n, width int) ([]uint32, int) {
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			dst = append(dst, 0)
-		}
-		return dst, 0
-	}
-	mask := uint64(1)<<uint(width) - 1
-	var acc uint64
-	accBits := 0
-	pos := 0
-	for i := 0; i < n; i++ {
-		for accBits < width {
-			acc |= uint64(src[pos]) << uint(accBits)
-			pos++
-			accBits += 8
-		}
-		dst = append(dst, uint32(acc&mask))
-		acc >>= uint(width)
-		accBits -= width
-	}
-	return dst, pos
-}
-
 // packedLen reports the byte length of n values packed at width bits.
 func packedLen(n, width int) int {
 	return (n*width + 7) / 8

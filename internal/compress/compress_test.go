@@ -335,7 +335,7 @@ func TestPackBitsRoundTripQuick(t *testing.T) {
 		if len(packed) != packedLen(len(values), w) {
 			return false
 		}
-		got, used := unpackBits(nil, packed, len(values), w)
+		got, used, _ := UnpackBits(nil, packed, len(values), w)
 		if used != len(packed) {
 			return false
 		}

@@ -126,25 +126,7 @@ func (c pfdCodec) Encode(dst []byte, values []uint32) []byte {
 }
 
 func (c pfdCodec) Decode(dst []uint32, src []byte, n int) ([]uint32, int) {
-	b := int(src[0])
-	nExc := int(src[1])
-	pos := 2
-	excPos := src[pos : pos+nExc]
-	pos += nExc
-	start := len(dst)
-	dst, used := unpackBits(dst, src[pos:], n, b)
-	pos += used
-	for _, ep := range excPos {
-		var hv uint32
-		for {
-			by := src[pos]
-			pos++
-			hv = hv<<7 | uint32(by&0x7F)
-			if by&0x80 != 0 {
-				break
-			}
-		}
-		dst[start+int(ep)] |= hv << uint(b)
-	}
-	return dst, pos
+	out, used, _, f := DecodePFD(dst, src, n)
+	mustDecode(c.Scheme(), f)
+	return out, used
 }

@@ -103,21 +103,7 @@ func (s16Codec) Encode(dst []byte, values []uint32) []byte {
 }
 
 func (s16Codec) Decode(dst []uint32, src []byte, n int) ([]uint32, int) {
-	pos := 0
-	remaining := n
-	for remaining > 0 {
-		word := binary.LittleEndian.Uint32(src[pos:])
-		pos += 4
-		widths := s16Modes[word>>28]
-		shift := 0
-		for _, w := range widths {
-			if remaining == 0 {
-				break
-			}
-			dst = append(dst, (word>>uint(shift))&(1<<uint(w)-1))
-			shift += w
-			remaining--
-		}
-	}
-	return dst, pos
+	out, used, f := DecodeS16(dst, src, n)
+	mustDecode(S16, f)
+	return out, used
 }

@@ -80,30 +80,7 @@ func (s8bCodec) Encode(dst []byte, values []uint32) []byte {
 }
 
 func (s8bCodec) Decode(dst []uint32, src []byte, n int) ([]uint32, int) {
-	pos := 0
-	remaining := n
-	for remaining > 0 {
-		word := binary.LittleEndian.Uint64(src[pos:])
-		pos += 8
-		m := s8bModes[word>>60]
-		if m.width == 0 {
-			k := m.count
-			if k > remaining {
-				k = remaining
-			}
-			for i := 0; i < k; i++ {
-				dst = append(dst, 0)
-			}
-			remaining -= k
-			continue
-		}
-		mask := uint64(1)<<uint(m.width) - 1
-		shift := 0
-		for i := 0; i < m.count && remaining > 0; i++ {
-			dst = append(dst, uint32((word>>uint(shift))&mask))
-			shift += m.width
-			remaining--
-		}
-	}
-	return dst, pos
+	out, used, f := DecodeS8b(dst, src, n)
+	mustDecode(S8b, f)
+	return out, used
 }

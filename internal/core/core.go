@@ -354,13 +354,14 @@ func (a *Accelerator) releaseRun(r *run) {
 	clear(r.lists)
 	// Reset the term arena (keeping the newest, largest chunk) and clear the
 	// match buffers so stale match records cannot pin retired arena chunks
-	// or posting lists across queries.
+	// or posting lists across queries. Only what this run wrote needs it:
+	// the buffers it grabbed, up to the length putMatchBuf stored (nextPass
+	// compacts in place below it); past that, earlier releases left zeros.
 	r.termArena = r.termArena[:0]
 	clear(r.termRetired)
 	r.termRetired = r.termRetired[:0]
-	for i := range r.matchBufs {
-		b := r.matchBufs[i]
-		clear(b[:cap(b)])
+	for _, b := range r.matchBufs[:r.matchBufN] {
+		clear(b)
 	}
 	r.matchBufN = 0
 	r.m = nil
@@ -698,55 +699,53 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData
 		return nil // r.err latched by decoder
 	}
 	bd := blockDataPool.Get().(*blockData)
+	docsBuf, tfsBuf := bd.docs[:0], bd.tfs[:0]
+	var e *cache.Entry
 	if ch != nil {
 		// Miss with a cache attached: decode straight into a cache-owned
-		// slab and publish so the next query hits. A failed decode
-		// releases the reserved (never published) entry.
+		// slab and publish so the next query hits.
 		n := int(meta.Count)
-		e := ch.Reserve(n)
-		docs, used, cyc1, err := mod.DecodeInto(e.DocsBuf(n), payload, n, meta.FirstDoc, true)
-		if err != nil {
-			ch.Release(e)
-			bd.docs, bd.tfs = bd.docs[:0], bd.tfs[:0]
-			blockDataPool.Put(bd)
-			r.failDecode("decompression", pl, b, err)
-			return nil
-		}
-		tfs, _, cyc2, err := mod.DecodeInto(e.TfsBuf(n), payload[used:], n, 0, false)
-		if err != nil {
-			ch.Release(e)
-			bd.docs, bd.tfs = bd.docs[:0], bd.tfs[:0]
-			blockDataPool.Put(bd)
-			r.failDecode("tf decompression", pl, b, err)
-			return nil
-		}
-		cyc := cyc1 + cyc2
-		ls.cycles += float64(cyc)
-		ls.decoded = true
-		e = ch.Publish(cache.Key{List: pl.ID(), Block: uint32(b)}, e, docs, tfs, int64(cyc))
-		bd.ent = e
-		bd.docs, bd.tfs = e.Docs(), e.Tfs()
-		ls.blocks[b] = bd
-		return bd
+		e = ch.Reserve(n)
+		docsBuf, tfsBuf = e.DocsBuf(n), e.TfsBuf(n)
 	}
-	docs, used, cyc1, err := mod.DecodeInto(bd.docs[:0], payload, int(meta.Count), meta.FirstDoc, true)
+	docs, tfs, cyc, err := r.decodeBlock(mod, pl, b, payload, docsBuf, tfsBuf)
 	if err != nil {
+		if e != nil {
+			ch.Release(e) // reserved, never published
+		}
+		bd.docs, bd.tfs = bd.docs[:0], bd.tfs[:0]
 		blockDataPool.Put(bd)
-		r.failDecode("decompression", pl, b, err)
 		return nil
 	}
-	tfs, _, cyc2, err := mod.DecodeInto(bd.tfs[:0], payload[used:], int(meta.Count), 0, false)
-	if err != nil {
-		bd.docs = docs
-		blockDataPool.Put(bd)
-		r.failDecode("tf decompression", pl, b, err)
-		return nil
-	}
-	ls.cycles += float64(cyc1 + cyc2)
+	ls.cycles += float64(cyc)
 	ls.decoded = true
+	if e != nil {
+		bd.ent = ch.Publish(cache.Key{List: pl.ID(), Block: uint32(b)}, e, docs, tfs, int64(cyc))
+		docs, tfs = bd.ent.Docs(), bd.ent.Tfs()
+	}
 	bd.docs, bd.tfs = docs, tfs
 	ls.blocks[b] = bd
 	return bd
+}
+
+// decodeBlock runs a block's docID stream (delta-coded from its first docID)
+// and then its tf stream through the decompression module into the two
+// buffers. A decode error is latched on the run, typed, and returned.
+//
+//boss:hotpath the decode arm of the per-block fetch loop.
+func (r *run) decodeBlock(mod *decomp.Module, pl *index.PostingList, b int, payload []byte, docsBuf, tfsBuf []uint32) (docs, tfs []uint32, cycles int, err error) {
+	meta := &pl.Blocks[b]
+	docs, used, cyc1, err := mod.DecodeInto(docsBuf, payload, int(meta.Count), meta.FirstDoc, true)
+	if err != nil {
+		r.failDecode("decompression", pl, b, err)
+		return nil, nil, 0, err
+	}
+	tfs, _, cyc2, err := mod.DecodeInto(tfsBuf, payload[used:], int(meta.Count), 0, false)
+	if err != nil {
+		r.failDecode("tf decompression", pl, b, err)
+		return nil, nil, 0, err
+	}
+	return docs, tfs, cyc1 + cyc2, nil
 }
 
 // chargeFaultyRead streams one block from the device under the fault

@@ -370,3 +370,47 @@ func BenchmarkBOSSQ5(b *testing.B) {
 		}
 	}
 }
+
+// releaseRun clears only the match records the finished run wrote, not each
+// buffer's whole capacity. The property that buys — a pooled run never pins
+// a previous query's term arena or posting lists — must still hold over the
+// full capacity, including the high-water region a large query grew and the
+// smaller ones after it never touch.
+func TestReleaseRunLeavesMatchBuffersPinFree(t *testing.T) {
+	f := newFixture(t)
+	acc := New(f.idx, DefaultOptions())
+	conj := func(terms ...string) []*index.PostingList {
+		pls := make([]*index.PostingList, len(terms))
+		for i, tm := range terms {
+			pls[i] = f.idx.MustList(tm)
+		}
+		return pls
+	}
+	rare := f.c.Terms[len(f.c.Terms)-1].Term
+	steps := [][][]*index.PostingList{
+		{conj("t0", "t1")}, // large: grows buffer 0
+		{conj("t0", "t1", "t2"), conj("t3"), conj("t1", "t4")}, // three buffers; nextPass compacts in place
+		{conj("t0", rare)}, // small: most of buffer 0 untouched
+		{conj(rare)},
+	}
+	grown := false
+	for i, conjuncts := range steps {
+		r := acc.newRun(10, 4)
+		r.mixed(conjuncts)
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		acc.releaseRun(r)
+		for bi, b := range r.matchBufs {
+			grown = grown || cap(b) > 0
+			for j, m := range b[:cap(b)] {
+				if m.terms != nil {
+					t.Fatalf("step %d: buffer %d (len %d, cap %d) still holds a match at %d after releaseRun", i, bi, len(b), cap(b), j)
+				}
+			}
+		}
+	}
+	if !grown {
+		t.Fatal("no match buffer ever grew: the test exercised nothing")
+	}
+}

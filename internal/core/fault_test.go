@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"boss/internal/cache"
+	"boss/internal/compress"
 	"boss/internal/corpus"
 	"boss/internal/index"
 	"boss/internal/mem"
@@ -103,6 +106,61 @@ func TestCorruptBlockReturnsTypedError(t *testing.T) {
 	pl.Data[pl.Blocks[0].Offset] ^= 0x5a
 	if _, err := acc.RunDNFCtx(context.Background(), [][]string{{term}}, 10); err != nil {
 		t.Fatalf("after restore: %v", err)
+	}
+}
+
+// A malformed payload the checksum gate cannot catch (Checksum == 0, as in
+// hand-built lists) reaches the decompression module's fused kernels. They
+// must refuse it with the module's error, typed by the core, on a cached
+// and an uncached accelerator alike; the cache must neither publish the
+// block nor keep the reserved entry pinned.
+func TestMalformedUnchecksummedBlockFailsTyped(t *testing.T) {
+	c := corpus.Generate(corpus.CCNewsLike(0.004))
+	for _, tc := range []struct {
+		name    string
+		scheme  compress.Scheme
+		corrupt func(pl *index.PostingList)
+		want    string
+	}{
+		{"BP width out of range", compress.BP, func(pl *index.PostingList) { pl.Data[pl.Blocks[0].Offset] = 33 }, "decomp: width 33 out of range"},
+		{"BP truncated", compress.BP, func(pl *index.PostingList) { pl.Blocks[0].Length = 1 }, "decomp: packed fields truncated"},
+		{"OptPFD truncated", compress.OptPFD, func(pl *index.PostingList) { pl.Blocks[0].Length = 1 }, "decomp: PFD payload too short"},
+		{"S16 truncated", compress.S16, func(pl *index.PostingList) { pl.Blocks[0].Length = 6 }, "decomp: S16 payload truncated"},
+		{"S8b truncated", compress.S8b, func(pl *index.PostingList) { pl.Blocks[0].Length = 9 }, "decomp: S8b payload truncated"},
+	} {
+		for _, cached := range []bool{false, true} {
+			idx := index.Build(c, index.BuildOptions{Scheme: tc.scheme})
+			pl := idx.Lists["t0"] // the most frequent term: several full blocks
+			saved, first := pl.Blocks[0], pl.Data[pl.Blocks[0].Offset]
+			pl.Blocks[0].Checksum = 0
+			tc.corrupt(pl)
+
+			var ch *cache.Cache
+			if cached {
+				ch = cache.New(1 << 20)
+			}
+			acc := NewCached(idx, DefaultOptions(), ch)
+			node := query.MustParse(`"t0"`)
+			_, err := acc.RunCtx(context.Background(), node, 10)
+			prefix := `core: decompression of list "t0" block 0 failed: `
+			if err == nil || !strings.HasPrefix(err.Error(), prefix+tc.want) {
+				t.Fatalf("%s (cached=%v): got %v, want %s%s…", tc.name, cached, err, prefix, tc.want)
+			}
+			if cached {
+				if st := ch.Stats(); st.PinnedEntries != 0 || st.ResidentEntries != 0 {
+					t.Fatalf("%s: after the failed query %d entries pinned, %d resident; want 0, 0", tc.name, st.PinnedEntries, st.ResidentEntries)
+				}
+			}
+
+			// Restore and confirm the accelerator recovers fully.
+			pl.Blocks[0], pl.Data[saved.Offset] = saved, first
+			if _, err := acc.RunCtx(context.Background(), node, 10); err != nil {
+				t.Fatalf("%s (cached=%v): after restore: %v", tc.name, cached, err)
+			}
+			if st := ch.Stats(); st.PinnedEntries != 0 {
+				t.Fatalf("%s: %d entries still pinned after the query finished", tc.name, st.PinnedEntries)
+			}
+		}
 	}
 }
 

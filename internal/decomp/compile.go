@@ -156,6 +156,30 @@ func compile(nl *Netlist) *program {
 	return p
 }
 
+// isIdentity reports whether the program is statically a passthrough: every
+// cycle emits its input unchanged with valid high, and no cycle can fail.
+// The test is deliberately narrow — no register, and the value step reads
+// from Output (the last write to that wire) is a plain copy of Input while
+// the one it reads from Output.valid is a non-zero literal. Any op between
+// Input and Output, even one that happens to compute the identity, keeps
+// the program on the simulated path.
+func (p *program) isIdentity() bool {
+	if p.staticErr != nil || p.nRegs != 0 || p.outSlot < 0 || p.validSlot < 0 {
+		return false
+	}
+	var out, valid *compiledOp
+	for i := range p.ops {
+		switch o := &p.ops[i]; o.dst {
+		case p.outSlot:
+			out = o
+		case p.validSlot:
+			valid = o
+		}
+	}
+	return out.op == opNone && out.a.kind == srcInput &&
+		valid.op == opNone && valid.a.kind == srcLit && valid.a.lit != 0
+}
+
 // resolveSrc maps an operand to its slot, in the interpreter's resolution
 // order: literal, the Input port, registers, then wires driven earlier in
 // the cycle.

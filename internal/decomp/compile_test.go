@@ -183,11 +183,15 @@ func TestCompiledRunBytesMatchesTokenRun(t *testing.T) {
 	}
 }
 
-// TestCompiledRunIsAllocFree pins the zero-alloc property of the compiled
-// steady state: decoding blocks through a configured module must not
-// allocate once its scratch has warmed up.
-func TestCompiledRunIsAllocFree(t *testing.T) {
-	for _, s := range compress.AllSchemes() {
+// decodeFunc is the shape DecodeInto and decodeNetlist share, so a test or
+// benchmark can run either path of a module.
+type decodeFunc func(m *Module, dst []uint32, payload []byte, n int, base uint32, applyDelta bool) ([]uint32, int, int, error)
+
+// requireAllocFree decodes one warm 128-value block per scheme through
+// decode and fails if the steady state allocates.
+func requireAllocFree(t *testing.T, schemes []compress.Scheme, decode decodeFunc) {
+	t.Helper()
+	for _, s := range schemes {
 		codec := compress.ForScheme(s)
 		vals := make([]uint32, 128)
 		for i := range vals {
@@ -198,16 +202,35 @@ func TestCompiledRunIsAllocFree(t *testing.T) {
 		mod := NewModuleFor(s)
 		dst := make([]uint32, 0, len(vals))
 		// Warm the scratch.
-		if _, _, _, err := mod.DecodeInto(dst, payload, len(vals), 0, true); err != nil {
+		if _, _, _, err := decode(mod, dst, payload, len(vals), 0, true); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 		avg := testing.AllocsPerRun(20, func() {
-			if _, _, _, err := mod.DecodeInto(dst[:0], payload, len(vals), 0, true); err != nil {
+			if _, _, _, err := decode(mod, dst[:0], payload, len(vals), 0, true); err != nil {
 				t.Fatalf("%s: %v", s, err)
 			}
 		})
 		if avg != 0 {
-			t.Errorf("%s: DecodeInto allocates %.1f times per block, want 0", s, avg)
+			t.Errorf("%s: decode allocates %.1f times per block, want 0", s, avg)
 		}
 	}
+}
+
+// TestCompiledRunIsAllocFree pins the zero-alloc property of the compiled
+// netlist's steady state: simulating blocks through a configured module
+// must not allocate once its scratch has warmed up.
+func TestCompiledRunIsAllocFree(t *testing.T) {
+	requireAllocFree(t, compress.AllSchemes(), (*Module).decodeNetlist)
+}
+
+// TestDecodeIntoAllocFree pins the same property on the path serving takes:
+// the fused kernels write into the caller's buffer and own no scratch.
+func TestDecodeIntoAllocFree(t *testing.T) {
+	schemes := []compress.Scheme{compress.BP, compress.PFD, compress.OptPFD, compress.S16, compress.S8b}
+	for _, s := range schemes {
+		if NewModuleFor(s).kernel == kernelNetlist {
+			t.Fatalf("%s: not on the fast path", s)
+		}
+	}
+	requireAllocFree(t, schemes, (*Module).DecodeInto)
 }

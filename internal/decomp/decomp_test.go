@@ -296,9 +296,10 @@ func TestDecodeErrorsOnTruncatedPayload(t *testing.T) {
 }
 
 // BenchmarkDecompModule times the steady-state decode path per scheme —
-// one 128-value block through the compiled four-stage datapath, appending
-// into caller scratch. Run with -benchmem: the compiled netlist plus
-// module-owned stage scratch make the per-block figure 0 allocs/op.
+// one 128-value block appended into caller scratch — through DecodeInto (the
+// fused kernel for the five field-structured schemes, the compiled netlist
+// for VB) and, as <scheme>/netlist, through the full four-stage simulation
+// that remains the reference. Run with -benchmem: both are 0 allocs/op.
 func BenchmarkDecompModule(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	values := make([]uint32, 128)
@@ -310,14 +311,18 @@ func BenchmarkDecompModule(b *testing.B) {
 		payload := codec.Encode(nil, values)
 		mod := NewModuleFor(s)
 		dst := make([]uint32, 0, len(values))
-		b.Run(s.String(), func(b *testing.B) {
-			b.SetBytes(int64(4 * len(values)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := mod.DecodeInto(dst[:0], payload, len(values), 0, true); err != nil {
-					b.Fatal(err)
+		run := func(decode decodeFunc) func(b *testing.B) {
+			return func(b *testing.B) {
+				b.SetBytes(int64(4 * len(values)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, _, err := decode(mod, dst[:0], payload, len(values), 0, true); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-		})
+		}
+		b.Run(s.String(), run((*Module).DecodeInto))
+		b.Run(s.String()+"/netlist", run((*Module).decodeNetlist))
 	}
 }

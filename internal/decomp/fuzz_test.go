@@ -139,7 +139,8 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 }
 
 // FuzzModuleDecode checks that decoding arbitrary (often corrupt) payloads
-// returns errors rather than panicking, for every scheme.
+// returns errors rather than panicking, for every scheme and on both the
+// fused-kernel path and the netlist path.
 func FuzzModuleDecode(f *testing.F) {
 	codec := compress.ForScheme(compress.BP)
 	f.Add(uint8(0), codec.Encode(nil, []uint32{1, 2, 3}), uint8(3))
@@ -156,5 +157,149 @@ func FuzzModuleDecode(f *testing.F) {
 			}
 		}()
 		mod.Decode(payload, n, 0, true)
+		mod.decodeNetlist(nil, payload, n, 0, true)
+	})
+}
+
+// fastVsNetlistConfigs are the module configurations the differential
+// fuzzer drives: the six built-in schemes (VB rides along as a control —
+// both of its sides run the netlist) plus passthrough user programs that
+// reach corners no built-in does.
+var fastVsNetlistConfigs = func() []string {
+	var cfgs []string
+	for _, s := range compress.AllSchemes() {
+		cfgs = append(cfgs, ConfigText(s))
+	}
+	return append(cfgs,
+		// a two-byte width header
+		"Extractor[0].use = 1\nExtractor[0].headerLength = 16\n"+identityNetlist+"UseDelta = 1",
+		// a fixed-width extractor that was never given a header
+		"Extractor[0].use = 1\n"+identityNetlist,
+		// PFD framing with stage 3 off: identity, but kept on the netlist
+		"Extractor[0].use = 1\nExtractor[0].pfdHeader = 1\n"+identityNetlist,
+		// dead wires and an overwritten Output around a passthrough
+		"Extractor[2].use = 1\nExtractor[2].table = s8b\nOutput := SHL(Input, 1)\nscratch := ADD(Input, 7)\nOutput := Input\nOutput.valid := 0\nOutput.valid := 0x10",
+		// not a passthrough: one op between Input and Output
+		"Extractor[2].use = 1\nExtractor[2].table = s16\nOutput := ADD(Input, 1)\nOutput.valid := 1\nUseExceptions = 1",
+	)
+}()
+
+// FuzzDecodeFastVsNetlist is the differential check that licenses eliding
+// stage 2 and fusing stages 1, 3 and 4: for any configuration, payload,
+// value count, base and delta switch, DecodeInto (which takes the fused
+// kernel whenever the program is statically the identity) and decodeNetlist
+// (the full simulation) on two modules of the same configuration must agree
+// on the values, the bytes consumed, the cycle count, the module counters,
+// and the error — nil-ness and text, since core wraps that text into the
+// typed error a query returns. The netlist is the reference; a divergence
+// is a bug in the fast path by definition.
+func FuzzDecodeFastVsNetlist(f *testing.F) {
+	vals := make([]uint32, 128)
+	for i := range vals {
+		vals[i] = uint32(i*2654435761) >> 22
+	}
+	vals[9], vals[77] = 1<<27, 1<<25 // PFD exceptions
+	for i, s := range compress.AllSchemes() {
+		payload := compress.ForScheme(s).Encode(nil, vals)
+		f.Add(uint8(i), payload, uint16(len(vals)), uint32(1000), true)
+		f.Add(uint8(i), payload[:len(payload)/2], uint16(len(vals)), uint32(0), false) // truncated
+		f.Add(uint8(i), payload, uint16(0), uint32(7), true)
+		f.Add(uint8(i), []byte{}, uint16(1), uint32(0), true)
+	}
+	f.Add(uint8(0), []byte{33, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(1), uint32(0), false)                                          // BP width > 32
+	f.Add(uint8(2), append([]byte{40, 0}, make([]byte, 40)...), uint16(8), uint32(0), true)                                         // PFD b > 32
+	f.Add(uint8(2), append([]byte{200, 1, 0}, make([]byte, 64)...), uint16(2), uint32(5), true)                                     // PFD b > 64
+	f.Add(uint8(2), []byte{4, 1, 9, 0x21, 0x43, 0x81}, uint16(4), uint32(0), false)                                                 // exception position >= n
+	f.Add(uint8(3), []byte{4, 2, 1, 1, 0x21, 0x43, 0x81, 0x82}, uint16(4), uint32(0), true)                                         // duplicate exception position
+	f.Add(uint8(3), []byte{4, 2, 9, 1, 0x21, 0x43, 0x81, 0x02}, uint16(4), uint32(0), true)                                         // bad position, then a truncated stream
+	f.Add(uint8(2), []byte{4, 3, 1}, uint16(4), uint32(0), true)                                                                    // position list truncated
+	f.Add(uint8(3), []byte{2, 1, 0, 0xFF, 0x7F, 0x7F, 0x7F, 0x7F, 0x7F, 0x7F, 0x7F, 0x7F, 0x7F, 0xFF}, uint16(4), uint32(0), false) // exception high overflows 64 bits
+	f.Add(uint8(4), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x02}, uint16(2), uint32(0), true)                                         // S16 second word truncated
+	f.Add(uint8(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x00}, uint16(256), uint32(3), true)                                                // S8b run of 240 zeros, then truncated
+	f.Add(uint8(5), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(1), uint32(1), true)                             // S8b 60-bit field
+	for i := len(compress.AllSchemes()); i < len(fastVsNetlistConfigs); i++ {
+		f.Add(uint8(i), []byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, uint16(5), uint32(2), true)
+	}
+	f.Fuzz(func(t *testing.T, cfgSeed uint8, payload []byte, nSeed uint16, base uint32, applyDelta bool) {
+		src := fastVsNetlistConfigs[int(cfgSeed)%len(fastVsNetlistConfigs)]
+		n := int(nSeed) % 257
+		fast, ref := mustModule(t, src), mustModule(t, src)
+		prefix := []uint32{0xDEAD}
+		fv, fu, fc, ferr := fast.DecodeInto(prefix, payload, n, base, applyDelta)
+		rv, ru, rc, rerr := ref.decodeNetlist(prefix, payload, n, base, applyDelta)
+		if (ferr == nil) != (rerr == nil) {
+			t.Fatalf("error divergence: fast=%v netlist=%v", ferr, rerr)
+		}
+		if ferr != nil && ferr.Error() != rerr.Error() {
+			t.Fatalf("error text divergence: fast=%q netlist=%q", ferr, rerr)
+		}
+		if !reflect.DeepEqual(fv, rv) {
+			t.Fatalf("value divergence:\n fast:    %v\n netlist: %v", fv, rv)
+		}
+		if fu != ru || fc != rc {
+			t.Fatalf("fast consumed %d bytes in %d cycles, netlist %d in %d", fu, fc, ru, rc)
+		}
+		if fast.Cycles() != ref.Cycles() || fast.Blocks() != ref.Blocks() || fast.Values() != ref.Values() {
+			t.Fatalf("counter divergence: fast %d/%d/%d, netlist %d/%d/%d",
+				fast.Cycles(), fast.Blocks(), fast.Values(), ref.Cycles(), ref.Blocks(), ref.Values())
+		}
+	})
+}
+
+func mustModule(t *testing.T, src string) *Module {
+	t.Helper()
+	cfg, err := ParseConfig(src)
+	if err != nil {
+		t.Fatalf("config does not parse: %v", err)
+	}
+	m, err := NewModule(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// FuzzIdentityClassification checks the soundness of the static rule from
+// the other side: whatever program ParseConfig accepts, if the compiler
+// classifies it as the identity then both the interpreter and the compiled
+// program must emit exactly their input tokens, one per cycle, with no
+// error — the three facts eliding stage 2 relies on.
+func FuzzIdentityClassification(f *testing.F) {
+	for _, src := range fastVsNetlistConfigs {
+		f.Add(src, []byte{0x02, 0xAC, 0x85, 0x00, 0xFF})
+	}
+	f.Add(nibbleNetlist, []byte{0x12, 0x9A})
+	f.Add("Extractor[1].use = 1\nRegInit(R, 0, x)\nOutput := Input\nOutput.valid := 1", []byte{1, 2})
+	f.Add("Extractor[1].use = 1\nOutput := Input\nOutput.valid := Input", []byte{0, 2})
+	f.Add("Extractor[1].use = 1\nOutput := Input\nOutput.valid := 1\nx := AND(y, 1)", []byte{3})
+	f.Add("Extractor[1].use = 1\nw := Input\nOutput := w\nOutput.valid := 1", []byte{3})
+	f.Fuzz(func(t *testing.T, src string, tokenBytes []byte) {
+		cfg, err := ParseConfig(src)
+		if err != nil {
+			return
+		}
+		p := compile(cfg.Netlist)
+		if !p.isIdentity() {
+			return
+		}
+		tokens := make([]uint64, len(tokenBytes))
+		for i, b := range tokenBytes {
+			tokens[i] = uint64(b) << (uint(i) % 57)
+		}
+		want := tokens
+		if len(want) == 0 {
+			want = nil
+		}
+		iv, ic, ierr := cfg.Netlist.Run(tokens, -1)
+		cv, cc, cerr := p.run(newProgState(p), nil, tokens, -1)
+		if ierr != nil || cerr != nil {
+			t.Fatalf("identity program failed: interpreter=%v compiled=%v", ierr, cerr)
+		}
+		if !reflect.DeepEqual(iv, want) || !reflect.DeepEqual(cv, want) {
+			t.Fatalf("identity program changed its input:\n tokens:      %v\n interpreter: %v\n compiled:    %v", tokens, iv, cv)
+		}
+		if ic != len(tokens) || cc != len(tokens) {
+			t.Fatalf("identity program took %d/%d cycles for %d tokens", ic, cc, len(tokens))
+		}
 	})
 }

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"boss/internal/compress"
@@ -36,6 +37,13 @@ type Module struct {
 	// bit-identical in values, cycle counts, and errors.
 	prog *program
 
+	// kernel is decided once at configuration time: when the compiled
+	// program is statically the identity, stage 2 can change neither a
+	// value nor a cycle count, so DecodeInto skips the simulation and runs
+	// the fused extract kernel for the configured layout. kernelNetlist
+	// (the zero value) simulates every stage.
+	kernel kernelKind
+
 	// selector tables resolved at configuration time
 	s16 [][]int
 	s8b []compress.S8bModeInfo
@@ -45,8 +53,8 @@ type Module struct {
 	blocks int64
 	values int64
 
-	// decode scratch, reused across blocks (a Module is single-owner, so
-	// plain fields suffice; see the concurrency note above)
+	// netlist-path decode scratch, reused across blocks (a Module is
+	// single-owner, so plain fields suffice; see the concurrency note above)
 	pstate *progState
 	outs   []uint64
 	tokens []uint64
@@ -69,7 +77,44 @@ func NewModule(cfg *Config) (*Module, error) {
 	}
 	m.prog = compile(cfg.Netlist)
 	m.pstate = newProgState(m.prog)
+	m.kernel = kernelFor(cfg, m.prog)
 	return m, nil
+}
+
+// kernelKind selects how DecodeInto runs a block.
+type kernelKind uint8
+
+const (
+	kernelNetlist kernelKind = iota // simulate all four stages
+	kernelFixedWidth
+	kernelPFD
+	kernelS16
+	kernelS8b
+)
+
+// kernelFor applies the elision rule: stage 2 is simulated only when it can
+// change a value or a cycle count. For an identity program it can do
+// neither — the field extractors emit exactly n tokens, each passes through
+// unchanged and valid, the program cannot fail, and a field-structured
+// block's cycle count is the extractor's alone. The byte extractor is
+// excluded: there the netlist's cycle count is the block's cycle count. So
+// is PFD framing with stage 3 switched off, which no built-in scheme uses
+// and the fused kernel (which always patches) does not model.
+func kernelFor(cfg *Config, p *program) kernelKind {
+	if !p.isIdentity() {
+		return kernelNetlist
+	}
+	switch {
+	case cfg.Extractor == ExtractFixedWidth && cfg.PFDHeader && cfg.UseExceptions:
+		return kernelPFD
+	case cfg.Extractor == ExtractFixedWidth && !cfg.PFDHeader:
+		return kernelFixedWidth
+	case cfg.Extractor == ExtractSelector && cfg.SelectorTable == "s16":
+		return kernelS16
+	case cfg.Extractor == ExtractSelector:
+		return kernelS8b
+	}
+	return kernelNetlist
 }
 
 // NewModuleFor builds a module from the built-in configuration of a scheme.
@@ -105,6 +150,51 @@ func (m *Module) Decode(payload []byte, n int, base uint32, applyDelta bool) (va
 //
 //boss:hotpath the per-block decode loop; error construction is outlined.
 func (m *Module) DecodeInto(dst []uint32, payload []byte, n int, base uint32, applyDelta bool) (values []uint32, bytesConsumed int, cycles int, err error) {
+	if m.kernel == kernelNetlist || n < 0 {
+		return m.decodeNetlist(dst, payload, n, base, applyDelta)
+	}
+	// Stages 1, 3 and 4 fused: the kernel writes final values into dst, the
+	// delta pass runs in place, and stage 2 — the identity — is elided.
+	var (
+		used, nExc int
+		f          compress.Fault
+	)
+	start := len(dst)
+	switch m.kernel {
+	case kernelPFD:
+		values, used, nExc, f = compress.DecodePFD(dst, payload, n)
+	case kernelS16:
+		values, used, f = compress.DecodeS16(dst, payload, n)
+	case kernelS8b:
+		values, used, f = compress.DecodeS8b(dst, payload, n)
+	default:
+		headerBytes, width, err := widthHeader(payload, m.cfg.HeaderLength)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		values, used, f = compress.UnpackBits(dst, payload[headerBytes:], n, width)
+		used += headerBytes
+	}
+	if f.Kind != compress.FaultNone {
+		return nil, 0, 0, errFault(f)
+	}
+	if applyDelta {
+		compress.DeltaDecode(values[start:], base)
+	}
+	cycles = (n+extractLanes-1)/extractLanes + nExc + pipelineDepth
+	m.cycles += int64(cycles)
+	m.blocks++
+	m.values += int64(n)
+	return values, used, cycles, nil
+}
+
+// decodeNetlist simulates the full four-stage datapath. It is the engine
+// for every program stage 2 can observe (VB's Figure 8 accumulator, any
+// user scheme that is not a passthrough) and the reference the fused
+// kernels are differentially fuzzed against (FuzzDecodeFastVsNetlist).
+//
+//boss:hotpath the per-block decode loop; error construction is outlined.
+func (m *Module) decodeNetlist(dst []uint32, payload []byte, n int, base uint32, applyDelta bool) (values []uint32, bytesConsumed int, cycles int, err error) {
 	var (
 		outs       []uint64
 		exceptions []exception
@@ -144,7 +234,7 @@ func (m *Module) DecodeInto(dst []uint32, payload []byte, n int, base uint32, ap
 	if m.cfg.UseExceptions {
 		for _, e := range exceptions {
 			if e.pos >= len(outs) {
-				return nil, 0, 0, errExceptionRange(e.pos) //boss:escape-ok cold exception-range-corrupt error path
+				return nil, 0, 0, errFault(compress.Fault{Kind: compress.FaultPFDPosition, A: e.pos})
 			}
 			outs[e.pos] |= e.high
 		}
@@ -179,15 +269,39 @@ func (m *Module) DecodeInto(dst []uint32, payload []byte, n int, base uint32, ap
 	return values, used, cycles, nil
 }
 
-// errValueCount and errExceptionRange build DecodeInto's corrupt-payload
-// errors. Outlined so the hot decode loop carries no fmt call
-// (hotpathalloc); both fire only on malformed input.
+// errValueCount and errFault build the corrupt-payload errors. Outlined so
+// the hot decode loops carry no fmt call (hotpathalloc); both fire only on
+// malformed input.
 func errValueCount(got, want int) error {
 	return fmt.Errorf("decomp: produced %d values, want %d", got, want)
 }
 
-func errExceptionRange(pos int) error {
-	return fmt.Errorf("decomp: exception position %d out of range", pos)
+// errFault turns a stage-1 or stage-3 refusal into the module's error. The
+// fused kernels report a compress.Fault and the netlist path's extractors
+// build the same Fault, so the two paths cannot drift apart in text (core
+// wraps it into the typed error callers see). Kept out of line so the hot
+// decode loops carry no allocation site (hotpathescape).
+//
+//go:noinline
+func errFault(f compress.Fault) error {
+	return errors.New("decomp: " + f.String())
+}
+
+// widthHeader parses the BP layout's width header: headerLength bits
+// (rounded up to whole bytes) whose first byte is the field width.
+func widthHeader(payload []byte, headerLength int) (headerBytes, width int, err error) {
+	headerBytes = (headerLength + 7) / 8
+	if headerBytes < 1 {
+		return 0, 0, errors.New("decomp: fixed-width extractor needs a width header")
+	}
+	if len(payload) < headerBytes {
+		return 0, 0, errors.New("decomp: payload shorter than header")
+	}
+	width = int(payload[0])
+	if width > 32 {
+		return 0, 0, fmt.Errorf("decomp: width %d out of range", width)
+	}
+	return headerBytes, width, nil
 }
 
 // extract runs the configured stage-1 unit, reusing the module's token and
@@ -225,16 +339,9 @@ func (m *Module) extract(payload []byte, n int) (tokens []uint64, exceptions []e
 // extractFixedWidth handles the BP layout: a width header of headerLength
 // bits (rounded up to whole bytes) followed by n packed fields.
 func extractFixedWidth(dst []uint64, payload []byte, n, headerLength int) ([]uint64, int, int, error) {
-	headerBytes := (headerLength + 7) / 8
-	if headerBytes < 1 {
-		return nil, 0, 0, fmt.Errorf("decomp: fixed-width extractor needs a width header")
-	}
-	if len(payload) < headerBytes {
-		return nil, 0, 0, fmt.Errorf("decomp: payload shorter than header")
-	}
-	width := int(payload[0])
-	if width > 32 {
-		return nil, 0, 0, fmt.Errorf("decomp: width %d out of range", width)
+	headerBytes, width, err := widthHeader(payload, headerLength)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	tokens, used, err := unpackFields(dst, payload[headerBytes:], n, width)
 	if err != nil {
@@ -248,13 +355,13 @@ func extractFixedWidth(dst []uint64, payload []byte, n, headerLength int) ([]uin
 // highs are pre-shifted so stage 3 only ORs them in.
 func extractPFD(dst []uint64, excDst []exception, payload []byte, n int) ([]uint64, []exception, int, int, error) {
 	if len(payload) < 2 {
-		return nil, nil, 0, 0, fmt.Errorf("decomp: PFD payload too short")
+		return nil, nil, 0, 0, errFault(compress.Fault{Kind: compress.FaultPFDHeader})
 	}
 	b := int(payload[0])
 	nExc := int(payload[1])
 	pos := 2
 	if len(payload) < pos+nExc {
-		return nil, nil, 0, 0, fmt.Errorf("decomp: PFD exception header truncated")
+		return nil, nil, 0, 0, errFault(compress.Fault{Kind: compress.FaultPFDPositions})
 	}
 	excPos := payload[pos : pos+nExc]
 	pos += nExc
@@ -268,7 +375,7 @@ func extractPFD(dst []uint64, excDst []exception, payload []byte, n int) ([]uint
 		var hv uint64
 		for {
 			if pos >= len(payload) {
-				return nil, nil, 0, 0, fmt.Errorf("decomp: PFD exception stream truncated")
+				return nil, nil, 0, 0, errFault(compress.Fault{Kind: compress.FaultPFDExceptions})
 			}
 			by := payload[pos]
 			pos++
@@ -288,7 +395,7 @@ func extractS16(dst []uint64, payload []byte, n int, table [][]int) ([]uint64, i
 	pos := 0
 	for len(tokens) < n {
 		if pos+4 > len(payload) {
-			return nil, 0, 0, fmt.Errorf("decomp: S16 payload truncated")
+			return nil, 0, 0, errFault(compress.Fault{Kind: compress.FaultS16Truncated})
 		}
 		word := binary.LittleEndian.Uint32(payload[pos:])
 		pos += 4
@@ -311,7 +418,7 @@ func extractS8b(dst []uint64, payload []byte, n int, table []compress.S8bModeInf
 	pos := 0
 	for len(tokens) < n {
 		if pos+8 > len(payload) {
-			return nil, 0, 0, fmt.Errorf("decomp: S8b payload truncated")
+			return nil, 0, 0, errFault(compress.Fault{Kind: compress.FaultS8bTruncated})
 		}
 		word := binary.LittleEndian.Uint64(payload[pos:])
 		pos += 8
@@ -343,7 +450,7 @@ func unpackFields(dst []uint64, src []byte, n, width int) ([]uint64, int, error)
 	}
 	need := (n*width + 7) / 8
 	if len(src) < need {
-		return nil, 0, fmt.Errorf("decomp: packed fields truncated (%d < %d bytes)", len(src), need)
+		return nil, 0, errFault(compress.Fault{Kind: compress.FaultFieldsTruncated, A: len(src), B: need})
 	}
 	mask := uint64(1)<<uint(width) - 1
 	tokens := dst
