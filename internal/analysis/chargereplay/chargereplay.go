@@ -160,8 +160,8 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 			fn.Name.Name, analysis.SortedSet(hit), analysis.SortedSet(miss))
 	}
 	// The cycles-replay rule applies only to charge-modeling functions: a
-	// host-side publish/probe site (the software engine's cursor) charges
-	// nothing in either arm and records no decode cycles to replay.
+	// site that only probes or publishes charges nothing in either arm and
+	// records no decode cycles to replay.
 	if len(hit)+len(miss) > 0 && !c.hitReplaysCycles {
 		pass.Reportf(fn.Pos(),
 			"%s violates charge replay: no cache-hit arm replays recorded decode cycles (call Cycles() on the entry and charge the result)",

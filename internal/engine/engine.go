@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 
-	"boss/internal/cache"
 	"boss/internal/index"
 	"boss/internal/mem"
 	"boss/internal/perf"
@@ -49,25 +48,11 @@ type Engine struct {
 	idx  *index.Index
 	cost CostModel
 	wand bool
-
-	// cache, when non-nil, serves decoded blocks across queries via cached
-	// cursors. It changes only host-side work: OnBlock fires on hits too,
-	// so the engine's simulated cost model charges identically either way.
-	cache *cache.Cache
 }
 
 // New returns an engine with the default cost model.
 func New(idx *index.Index) *Engine {
 	return &Engine{idx: idx, cost: DefaultCostModel()}
-}
-
-// SetCache attaches (or, with nil, detaches) a decoded-block cache. Not
-// safe concurrently with Run; meant for setup time.
-func (e *Engine) SetCache(c *cache.Cache) { e.cache = c }
-
-// NewWithCost returns an engine with an explicit cost model.
-func NewWithCost(idx *index.Index, cost CostModel) *Engine {
-	return &Engine{idx: idx, cost: cost}
 }
 
 // Result is the outcome of one query.
@@ -204,7 +189,7 @@ type termIter struct {
 
 func (e *Engine) newTermIter(pl *index.PostingList, m *perf.Metrics, ta *tally) *termIter {
 	t := &termIter{e: e, pl: pl, ta: ta}
-	cur := index.NewCursorCached(e.idx, pl, e.cache)
+	cur := index.NewCursor(e.idx, pl)
 	cur.OnBlock = func(b int) {
 		meta := pl.Blocks[b]
 		size := int64(meta.Length) + index.BlockMetaBytes

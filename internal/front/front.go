@@ -425,17 +425,6 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 	return t, nil
 }
 
-// Search is Submit + Wait: it blocks until the result is delivered, the
-// context dies, or admission fails.
-func (f *Front) Search(ctx context.Context, req Request) (Result, error) {
-	t, err := f.Submit(req)
-	if err != nil {
-		return Result{}, err
-	}
-	res := t.Wait(ctx)
-	return res, res.Err
-}
-
 // Flush force-flushes the pending batch (examples and tests; production
 // flushes ride the size target and the deadline timer).
 func (f *Front) Flush() {
@@ -539,6 +528,14 @@ func (t *Ticket) cancel(cause error) Result {
 	return Result{Err: cause}
 }
 
+// maxKeys bounds the key cache. It gains an entry per distinct expression
+// string ever submitted — malformed, rejected and shed ones included — so
+// unbounded it grows with the server's lifetime; when full it is cleared
+// and refills from the live stream. In-flight twins still coalesce across
+// a clear: flights are keyed by the canonical string, which a re-parse
+// reproduces. The largest bench/ stream has 8,000 distinct expressions.
+const maxKeys = 1 << 16
+
 // canonLocked resolves an expression to its canonical DNF key through
 // the key cache; only the first sighting of an expression parses.
 //
@@ -546,6 +543,9 @@ func (t *Ticket) cancel(cause error) Result {
 func (f *Front) canonLocked(expr string) (string, error) {
 	if e, ok := f.keys[expr]; ok {
 		return e.canon, e.err
+	}
+	if len(f.keys) >= maxKeys {
+		clear(f.keys)
 	}
 	node, err := query.Parse(expr)
 	if err != nil {

@@ -3,8 +3,6 @@ package index
 import (
 	"fmt"
 	"sync"
-
-	"boss/internal/cache"
 )
 
 // cursorBuf is the decode scratch one cursor owns: docs/tfs slices sized to
@@ -40,12 +38,6 @@ type Cursor struct {
 	done  bool
 	buf   *cursorBuf // pooled owner of docs/tfs; nil after Release
 
-	// cache, when non-nil, is consulted before every block decode; docs/tfs
-	// then alias the pinned entry ent instead of buf (which stays nil).
-	cache  *cache.Cache
-	ent    *cache.Entry
-	listID uint64
-
 	// err records a block integrity failure; the cursor then reports
 	// done so corrupt postings are never scored. Callers that must
 	// distinguish exhaustion from corruption check Err.
@@ -62,28 +54,9 @@ func NewCursor(idx *Index, pl *PostingList) *Cursor {
 	return c
 }
 
-// NewCursorCached returns a cursor that consults the decoded-block cache
-// before decoding. Decoded blocks live in cache-owned slabs (the cursor
-// holds at most one pinned entry, released on block advance), so a cached
-// cursor needs no pooled decode buffer. A nil cache degrades to NewCursor.
-func NewCursorCached(idx *Index, pl *PostingList, ch *cache.Cache) *Cursor {
-	if ch == nil {
-		return NewCursor(idx, pl)
-	}
-	c := &Cursor{idx: idx, pl: pl, cache: ch, listID: pl.ID()}
-	c.loadNextBlock()
-	return c
-}
-
 // Release returns the cursor's decode buffers to the shared pool. The
 // cursor must not be used afterwards; Release is idempotent.
 func (c *Cursor) Release() {
-	if c.ent != nil {
-		c.cache.Release(c.ent)
-		c.ent = nil
-		c.docs, c.tfs = nil, nil
-		c.done = true
-	}
 	if c.buf == nil {
 		return
 	}
@@ -97,53 +70,21 @@ func (c *Cursor) Release() {
 // loadNextBlock decodes block c.block and advances the block pointer. Sets
 // done when the list is exhausted.
 func (c *Cursor) loadNextBlock() {
-	if c.ent != nil {
-		// Done with the previous block: unpin it for the evictor.
-		c.cache.Release(c.ent)
-		c.ent = nil
-	}
 	if c.block >= len(c.pl.Blocks) {
 		c.done = true
 		return
 	}
-	// Integrity gate: a block whose payload fails its CRC must neither
-	// be scored nor published to the shared decoded-block cache.
+	// Integrity gate: a block whose payload fails its CRC is never scored.
 	if !c.pl.VerifyBlock(c.block) {
 		c.failBlock(c.block)
 		return
 	}
-	// OnBlock fires on cache hits too: the simulated models charge the
-	// block's memory traffic identically whether or not the host process
-	// happened to have the decoded form at hand.
 	if c.OnBlock != nil {
 		c.OnBlock(c.block)
 	}
-	if c.cache != nil {
-		c.loadBlockCached()
-	} else {
-		c.docs, c.tfs = c.idx.DecodeBlock(c.pl, c.block, c.docs[:0], c.tfs[:0])
-	}
+	c.docs, c.tfs = c.idx.DecodeBlock(c.pl, c.block, c.docs[:0], c.tfs[:0])
 	c.block++
 	c.pos = 0
-}
-
-// loadBlockCached serves the current block from the cache, decoding into a
-// cache-owned slab on a miss and publishing for later queries.
-//
-//boss:hotpath the cross-query block reuse path of the software engine.
-func (c *Cursor) loadBlockCached() {
-	k := cache.Key{List: c.listID, Block: uint32(c.block)}
-	if e := c.cache.Get(k); e != nil {
-		c.ent = e
-		c.docs, c.tfs = e.Docs(), e.Tfs()
-		return
-	}
-	n := int(c.pl.Blocks[c.block].Count)
-	e := c.cache.Reserve(n)
-	docs, tfs := c.idx.DecodeBlock(c.pl, c.block, e.DocsBuf(n), e.TfsBuf(n))
-	e = c.cache.Publish(k, e, docs, tfs, 0)
-	c.ent = e
-	c.docs, c.tfs = e.Docs(), e.Tfs()
 }
 
 // failBlock latches a corruption error and terminates iteration.
@@ -245,12 +186,4 @@ func (c *Cursor) findBlockGEQ(target uint32) int {
 		return -1
 	}
 	return lo
-}
-
-// BlocksDecoded reports how many blocks have been decoded so far.
-func (c *Cursor) BlocksDecoded() int {
-	if c.done {
-		return c.block
-	}
-	return c.block // block counts decoded blocks because it post-increments
 }

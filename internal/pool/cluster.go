@@ -79,7 +79,7 @@ type Cluster struct {
 	timerFn func(d time.Duration) (<-chan time.Time, func() bool) //boss:wallclock hedge cutoff timer
 	// runFn issues one replica attempt on the hedged path; tests
 	// substitute it to script replica latencies deterministically.
-	runFn func(ctx context.Context, node *query.Node, dnf [][]string, si, ri, k int) shardOut
+	runFn func(ctx context.Context, w shardWork, si, ri int) shardOut
 }
 
 // ErrBadConfig reports an invalid cluster construction request. All
@@ -479,6 +479,22 @@ type shardOut struct {
 	hedgeWin bool
 }
 
+// shardWork is what one request asks of every shard: a search (node set:
+// the prepared query, its shared DNF, depth and stable replica key) or a
+// fetch (node nil: the docIDs routed to each shard, where each goes back in
+// the input, and the result's Docs the attempts fill in place). It is passed
+// by value all the way down, so it never escapes to the heap.
+type shardWork struct {
+	node *query.Node
+	dnf  [][]string
+	k    int
+	qkey uint64
+
+	ids  [][]uint32
+	pos  [][]int
+	docs []FetchedDoc
+}
+
 // BatchQuery is one request to the cluster: either a search (Expr),
 // optionally chained into a fetch of its hits' documents (WithDocs), or a
 // document fetch by id (FetchIDs), with an optional front-door shard mask.
@@ -554,15 +570,12 @@ dispatch:
 }
 
 // exec is the cluster's one request path: it prepares the query, sweeps
-// it across the shards under the front-door mask with the full resilience
-// machinery (runShardResilient), folds the survivors (mergePartial) and,
+// it across the shards (sweep), folds the survivors (mergePartial) and,
 // for WithDocs, chains into the fetch arm; fetch queries go straight
 // there. shardWorkers is the shard fan-out width: 1 sweeps the shards on
 // the calling goroutine, as a batch worker (which owns one in-flight
 // query) must. Results are bit-identical at every width.
 func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) (*ClusterResult, error) {
-	// Nothing the parallel branch's closure captures may be reassigned: a
-	// reassigned capture is heap-boxed on every query, serial ones included.
 	ctx := liveCtx(parent)
 	if len(q.FetchIDs) > 0 {
 		if q.Expr != "" {
@@ -577,19 +590,8 @@ func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) 
 	if err != nil {
 		return nil, err
 	}
-	k, mask := cl.depth(q.K), q.ShardMask
-	qkey := mem.StableKey(q.Expr)
-	outs := make([]shardOut, len(cl.shards))
-	if shardWorkers == 1 {
-		// A plain loop: forEach's closure is a heap allocation per query.
-		for si := range outs {
-			outs[si] = cl.runShardMasked(ctx, node, dnf, si, k, qkey, mask)
-		}
-	} else {
-		forEach(ctx, len(outs), shardWorkers, func(si int) {
-			outs[si] = cl.runShardMasked(ctx, node, dnf, si, k, qkey, mask)
-		})
-	}
+	k := cl.depth(q.K)
+	outs := cl.sweep(ctx, shardWork{node: node, dnf: dnf, k: k, qkey: mem.StableKey(q.Expr)}, q.ShardMask, shardWorkers)
 	// A context that died mid-sweep fails the query, whatever shards ran.
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -602,7 +604,27 @@ func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) 
 	for i, e := range res.TopK {
 		ids[i] = e.DocID
 	}
-	return cl.fetch(ctx, res, ids, mask, shardWorkers)
+	return cl.fetch(ctx, res, ids, q.ShardMask, shardWorkers)
+}
+
+// sweep is the one shard fan-out, for searches and fetches alike: it runs
+// w on every shard under the front-door mask with the full resilience
+// machinery (runShard) and returns the per-shard outcomes in shard order.
+func (cl *Cluster) sweep(ctx context.Context, w shardWork, mask uint64, shardWorkers int) []shardOut {
+	// Nothing the parallel branch's closure captures may be reassigned: a
+	// reassigned capture is heap-boxed on every query, serial ones included.
+	outs := make([]shardOut, len(cl.shards))
+	if shardWorkers == 1 {
+		// A plain loop: forEach's closure is a heap allocation per query.
+		for si := range outs {
+			outs[si] = cl.runShard(ctx, w, si, mask)
+		}
+		return outs
+	}
+	forEach(ctx, len(outs), shardWorkers, func(si int) {
+		outs[si] = cl.runShard(ctx, w, si, mask)
+	})
+	return outs
 }
 
 // newResult is an empty result sized for this cluster.
@@ -616,16 +638,6 @@ func (cl *Cluster) depth(k int) int {
 		return cl.cfg.K
 	}
 	return k
-}
-
-// runShardMasked is runShardResilient under a front-door shard mask:
-// masked-out shards are skipped entirely (no attempt, no breaker or retry
-// activity) and reported with ErrShardShed.
-func (cl *Cluster) runShardMasked(ctx context.Context, node *query.Node, dnf [][]string, si, k int, qkey, mask uint64) shardOut {
-	if !maskHas(mask, si) {
-		return shardOut{err: shedShardError(si)}
-	}
-	return cl.runShardResilient(ctx, node, dnf, si, k, qkey)
 }
 
 // strict restores the contract of the entry points that predate

@@ -22,10 +22,12 @@ import (
 // only on (Seed, global docID, DocLens), so every shard count packs
 // byte-identical documents and fetch results are sharding-independent.
 //
-// Fetches ride the same resilience machinery as searches: per-shard
-// circuit breakers, bounded retry with jittered backoff, per-attempt
-// deadlines, and graceful degradation (a failed shard zeroes its
-// documents and sets its Degraded bit instead of failing the batch).
+// A fetch is shard work like a search: it goes through the same sweep and
+// the same attempt loop (runShard) — the same per-copy circuit breakers,
+// bounded retry with jittered backoff, front-door mask — and degrades the
+// same way (a failed shard zeroes its documents and sets its Degraded bit
+// instead of failing the batch). Only the attempt body (fetchShard) and
+// the fold are its own.
 
 // FetchedDoc is one fetched document at the cluster boundary. Fields are
 // copies (one per DocFields entry, in order), so the caller owns them
@@ -118,12 +120,13 @@ func (cl *Cluster) FetchBatch(ctx context.Context, ids []uint32) (*ClusterResult
 }
 
 // fetch is exec's fetch arm. It routes each docID to its owning shard,
-// runs the involved shards' fetches with the full resilience machinery
-// (masked-out shards are skipped and reported with ErrShardShed, like
-// runShardMasked) and folds the outcomes into res — a fresh result for a
-// fetch query, the search's result for WithDocs: Docs holds one entry per
-// id, the fetch work merges into PerShard and LinkBytes, and fetch
-// failures join the Degraded mask. shardWorkers is exec's.
+// sweeps the shards like a search does and folds the outcomes into res — a
+// fresh result for a fetch query, the search's result for WithDocs: Docs
+// holds one entry per id, the fetch work merges into PerShard and
+// LinkBytes, and fetch failures join the Degraded mask. The fold is not
+// mergePartial's: only the shards that own a requested document are
+// involved, and the call fails when every one of *them* did. shardWorkers
+// is exec's.
 func (cl *Cluster) fetch(ctx context.Context, res *ClusterResult, ids []uint32, mask uint64, shardWorkers int) (*ClusterResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -137,35 +140,27 @@ func (cl *Cluster) fetch(ctx context.Context, res *ClusterResult, ids []uint32, 
 	}
 	// Route each requested docID to its owning shard, remembering where in
 	// the input it goes back.
-	byShard := make([][]uint32, len(cl.shards))
-	pos := make([][]int, len(cl.shards))
+	w := shardWork{
+		ids:  make([][]uint32, len(cl.shards)),
+		pos:  make([][]int, len(cl.shards)),
+		docs: res.Docs,
+	}
 	for i, id := range ids {
 		if int(id) >= cl.spec.NumDocs {
 			return nil, fetchRangeError(id, cl.spec.NumDocs)
 		}
 		si := cl.shardOfDoc(id)
-		byShard[si] = append(byShard[si], id)
-		pos[si] = append(pos[si], i)
+		w.ids[si] = append(w.ids[si], id)
+		w.pos[si] = append(w.pos[si], i)
 	}
-	outs := make([]shardOut, len(cl.shards))
-	if shardWorkers == 1 {
-		for si := range outs {
-			outs[si] = cl.fetchShardMasked(ctx, si, byShard[si], pos[si], res.Docs, mask)
-		}
-	} else {
-		forEach(ctx, len(outs), shardWorkers, func(si int) {
-			outs[si] = cl.fetchShardMasked(ctx, si, byShard[si], pos[si], res.Docs, mask)
-		})
-	}
+	outs := cl.sweep(ctx, w, mask, shardWorkers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Only the shards that own a requested document are involved; the call
-	// fails when every one of them did.
 	involved, failed := 0, 0
 	var firstErr error
 	for si, out := range outs {
-		if len(byShard[si]) == 0 {
+		if len(w.ids[si]) == 0 {
 			continue
 		}
 		involved++
@@ -177,7 +172,7 @@ func (cl *Cluster) fetch(ctx context.Context, res *ClusterResult, ids []uint32, 
 			res.fail(si, out.err)
 			// A failed attempt may have partially populated its documents;
 			// zero them so degraded entries are unambiguous.
-			for _, p := range pos[si] {
+			for _, p := range w.pos[si] {
 				res.Docs[p] = FetchedDoc{}
 			}
 			continue
@@ -195,19 +190,6 @@ func (cl *Cluster) fetch(ctx context.Context, res *ClusterResult, ids []uint32, 
 	return res, nil
 }
 
-// fetchShardMasked runs one shard's share of a fetch under the front-door
-// mask; a shard that owns none of the requested documents does nothing.
-func (cl *Cluster) fetchShardMasked(ctx context.Context, si int, ids []uint32, pos []int, docs []FetchedDoc, mask uint64) shardOut {
-	if len(ids) == 0 {
-		return shardOut{}
-	}
-	if !maskHas(mask, si) {
-		return shardOut{err: shedShardError(si)}
-	}
-	m, err := cl.fetchShardResilient(ctx, si, ids, pos, docs)
-	return shardOut{m: m, err: err}
-}
-
 // fetchQueryKey folds a fetch's docID set into the stable query key the
 // replica rotation hashes on, so a given fetch routes to the same copy
 // across replays just like a search expression does.
@@ -219,64 +201,22 @@ func fetchQueryKey(ids []uint32) uint64 {
 	return key
 }
 
-// fetchShardResilient drives one shard's fetch attempt loop:
-// breaker-aware replica selection, bounded retry with jittered backoff,
-// parent-context awareness — the fetch twin of runShardResilient,
-// sharing its per-replica breaker state so a copy that fails searches
-// also sheds fetches. Fetches are never hedged: a fetch attempt writes
-// payloads into the caller's docs slice in place, and two racing
-// attempts would tear those writes.
-func (cl *Cluster) fetchShardResilient(ctx context.Context, si int, ids []uint32, pos []int, docs []FetchedDoc) (*perf.Metrics, error) {
-	qkey := fetchQueryKey(ids)
-	for attempt := 0; ; attempt++ {
-		if cause := ctx.Err(); cause != nil {
-			return nil, shardError(si, cause)
-		}
-		st, ri, ok := cl.pickReplica(si, qkey, attempt)
-		if !ok {
-			return nil, breakerError(si)
-		}
-		recordAttempt(st, attempt)
-		m, err := cl.fetchShardAttempt(ctx, si, ri, ids, pos, docs)
-		cl.settle(st, err, attempt)
-		if err == nil {
-			return m, nil
-		}
-		if attempt >= cl.res.MaxRetries || !cl.retryableOn(err, si) {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		d := cl.res.backoffDelay(si, attempt)
-		recordBackoff(st, attempt, d)
-		if cl.sleepFn(ctx, d) != nil {
-			return nil, err // context died during backoff: report the last failure
-		}
-	}
-}
-
-// fetchShardAttempt issues one fetch attempt on replica ri of shard si
-// under the per-attempt deadline: every requested document streams
-// through the replica's fetch engine, and the payloads are copied into
-// docs at their input positions. A fresh Metrics per attempt keeps
+// fetchShard is attempt's fetch body: every document routed to shard si
+// streams through replica ri's fetch engine, and the payloads are copied
+// into w.docs at their input positions. A fresh Metrics per attempt keeps
 // retried attempts from double-charging the recorded shard work.
-func (cl *Cluster) fetchShardAttempt(ctx context.Context, si, ri int, ids []uint32, pos []int, docs []FetchedDoc) (*perf.Metrics, error) {
-	if cl.res.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cl.res.ShardTimeout)
-		defer cancel()
-	}
+func (cl *Cluster) fetchShard(ctx context.Context, w shardWork, si, ri int) shardOut {
 	eng := cl.fetchers[si][ri]
 	off := cl.offsets[si]
+	pos := w.pos[si]
 	m := perf.NewMetrics()
 	var buf core.DocBuf
 	defer buf.Release()
-	for j, id := range ids {
+	for j, id := range w.ids[si] {
 		if err := eng.FetchInto(ctx, id-off, m, &buf); err != nil {
-			return nil, shardError(si, err)
+			return shardOut{err: shardError(si, err)}
 		}
-		d := &docs[pos[j]]
+		d := &w.docs[pos[j]]
 		d.DocID = id
 		d.Fields = copyFields(d.Fields, buf.Fields)
 		var n int64
@@ -286,7 +226,7 @@ func (cl *Cluster) fetchShardAttempt(ctx context.Context, si, ri int, ids []uint
 		// The returned payload crosses the shared interconnect to the root.
 		m.AddHost(n, mem.CatLoadDoc)
 	}
-	return m, nil
+	return shardOut{m: m}
 }
 
 // copyFields replaces dst with copies of src's field slices, reusing

@@ -4,9 +4,10 @@
 // real queueing contention between cores), and the shared host
 // interconnect. Where internal/perf composes per-query metrics analytically
 // into a throughput roofline, this package replays each query's traffic
-// through sim.Engine resources and measures throughput, latency percentiles
-// and utilization directly — the two views cross-validate each other (see
-// the package tests).
+// through sim.Resource bandwidth servers (the channels and the link; time
+// advances only through Resource.Acquire, there is no event queue) and
+// measures throughput, latency percentiles and utilization directly — the
+// two views cross-validate each other (see the package tests).
 package pool
 
 import (
@@ -106,7 +107,6 @@ func (j *Job) ServiceTime() sim.Duration { return j.Done - j.Start }
 type Device struct {
 	cfg  Config
 	idx  *index.Index
-	eng  *sim.Engine
 	node *mem.Node
 	mai  *mem.MAI
 	link *mem.Link
@@ -138,7 +138,6 @@ func New(cfg Config, idx *index.Index) *Device {
 	return &Device{
 		cfg:      cfg,
 		idx:      idx,
-		eng:      sim.NewEngine(),
 		node:     node,
 		mai:      mem.NewMAI(node),
 		link:     mem.NewLink(cfg.LinkGBs),
@@ -185,7 +184,7 @@ func (d *Device) Run() *Report {
 	// Sort by arrival; the command queue is FIFO.
 	sort.SliceStable(d.queue, func(i, j int) bool { return d.queue[i].Submit < d.queue[j].Submit })
 	for _, j := range d.queue {
-		coreID := d.nextFreeCore(j.Submit)
+		coreID := d.nextFreeCore()
 		start := maxTime(j.Submit, d.coreFree[coreID])
 		j.Start = start
 		j.Done = d.execute(j, start)
@@ -197,22 +196,30 @@ func (d *Device) Run() *Report {
 
 // nextFreeCore picks the core that frees up earliest (ties toward lower
 // index: the scheduler scans in order).
-func (d *Device) nextFreeCore(at sim.Time) int {
+func (d *Device) nextFreeCore() int {
 	best := 0
 	for i, f := range d.coreFree {
 		if f < d.coreFree[best] {
 			best = i
 		}
 	}
-	_ = at
 	return best
 }
 
+// replayMaxAttempts bounds the device's simulated re-reads of a
+// transiently-failing access (matches the core model's fetch retry).
+const replayMaxAttempts = 4
+
 // execute replays one job's traffic against the shared node starting at
-// start and returns its completion time.
+// start and returns its completion time. Reads go through the checked
+// path: under an attached fault injector transient errors retry
+// (re-charging channel time) and a permanent fault kills the job with a
+// typed error. With no injector every checked read is a plain read and
+// j.Err is never set, so fault-free figures stay byte-identical.
 func (d *Device) execute(j *Job, start sim.Time) sim.Time {
-	if d.inj != nil {
-		return d.executeFaulty(j, start)
+	if d.inj.Dead() {
+		j.Err = mem.ErrDeviceDown
+		return start
 	}
 	m := j.m
 	// Memory traffic: sequential bytes stream in stripe-sized chunks,
@@ -220,68 +227,6 @@ func (d *Device) execute(j *Job, start sim.Time) sim.Time {
 	// Addresses rotate across stripes so channel interleaving engages.
 	var memDone sim.Time
 	addr := uint64(j.Submit) // deterministic per-job placement seed
-	issue := start
-	charge := func(done sim.Time) {
-		if done > memDone {
-			memDone = done
-		}
-	}
-	for remaining := m.SeqReadBytes; remaining > 0; remaining -= chunkBytes {
-		size := int64(chunkBytes)
-		if remaining < size {
-			size = remaining
-		}
-		charge(d.mai.Read(issue, addr, int(size), mem.Sequential, mem.CatLoadList))
-		addr += chunkBytes
-	}
-	if m.RandAccesses > 0 {
-		per := m.RandReadBytes / m.RandAccesses
-		if per <= 0 {
-			per = 1
-		}
-		for i := int64(0); i < m.RandAccesses; i++ {
-			addr = addr*6364136223846793005 + 1442695040888963407 // LCG scatter
-			charge(d.mai.Read(issue, addr%(1<<41), int(per), mem.Random, mem.CatLoadList))
-		}
-	}
-	for remaining := m.WriteBytes; remaining > 0; remaining -= chunkBytes {
-		size := int64(chunkBytes)
-		if remaining < size {
-			size = remaining
-		}
-		charge(d.mai.Write(issue, addr, int(size), mem.CatStoreResult))
-		addr += chunkBytes
-	}
-
-	// Results cross the shared link.
-	linkDone := d.link.Transfer(issue, int(m.HostBytes), mem.CatStoreResult)
-	charge(linkDone)
-
-	// Pipeline: compute overlaps memory; serialized fetch hops and
-	// dependent random accesses extend the critical path.
-	computeDone := start + m.ComputeTime
-	done := maxTime(computeDone, memDone)
-	done += sim.Duration(m.DependentRandAccesses+m.SerialFetchHops) * d.cfg.Mem.ReadLatency
-	return done
-}
-
-// replayMaxAttempts bounds the device's simulated re-reads of a
-// transiently-failing access (matches the core model's fetch retry).
-const replayMaxAttempts = 4
-
-// executeFaulty is execute under an attached fault injector: reads go
-// through the checked path, transient errors retry (re-charging channel
-// time), and a permanent fault kills the job with a typed error. The
-// pristine path never runs this code, so fault-free figures stay
-// byte-identical.
-func (d *Device) executeFaulty(j *Job, start sim.Time) sim.Time {
-	if d.inj.Dead() {
-		j.Err = mem.ErrDeviceDown
-		return start
-	}
-	m := j.m
-	var memDone sim.Time
-	addr := uint64(j.Submit)
 	issue := start
 	charge := func(done sim.Time) {
 		if done > memDone {
@@ -322,10 +267,12 @@ func (d *Device) executeFaulty(j *Job, start sim.Time) sim.Time {
 			ok = read(addr%(1<<41), int(per), mem.Random)
 		}
 	}
+	// Pipeline: compute overlaps memory.
+	computeDone := start + m.ComputeTime
 	if !ok {
 		// The job died mid-replay: it occupied the node until the failing
 		// access returned, but ships no results over the link.
-		return maxTime(start+m.ComputeTime, memDone)
+		return maxTime(computeDone, memDone)
 	}
 	for remaining := m.WriteBytes; remaining > 0; remaining -= chunkBytes {
 		size := int64(chunkBytes)
@@ -335,8 +282,11 @@ func (d *Device) executeFaulty(j *Job, start sim.Time) sim.Time {
 		charge(d.mai.Write(issue, addr, int(size), mem.CatStoreResult))
 		addr += chunkBytes
 	}
+	// Results cross the shared link.
 	charge(d.link.Transfer(issue, int(m.HostBytes), mem.CatStoreResult))
-	done := maxTime(start+m.ComputeTime, memDone)
+	// Serialized fetch hops and dependent random accesses extend the
+	// critical path.
+	done := maxTime(computeDone, memDone)
 	done += sim.Duration(m.DependentRandAccesses+m.SerialFetchHops) * d.cfg.Mem.ReadLatency
 	return done
 }

@@ -11,7 +11,6 @@ import (
 
 	"boss/internal/corpus"
 	"boss/internal/mem"
-	"boss/internal/query"
 )
 
 // replicaTestCorpus is shared across the replica tests; generation and
@@ -288,15 +287,15 @@ func hedgePrimary(cl *Cluster, expr string) int {
 // stragglerRun returns a runFn that blocks the given replica until its
 // context dies (the straggling primary) and delegates every other call
 // to the real attempt path (the hedged backup).
-func stragglerRun(cl *Cluster, straggler int) (runFn func(context.Context, *query.Node, [][]string, int, int, int) shardOut, stalled *atomic.Int32) {
+func stragglerRun(cl *Cluster, straggler int) (runFn func(context.Context, shardWork, int, int) shardOut, stalled *atomic.Int32) {
 	stalled = new(atomic.Int32)
-	return func(ctx context.Context, node *query.Node, dnf [][]string, si, ri, k int) shardOut {
+	return func(ctx context.Context, w shardWork, si, ri int) shardOut {
 		if ri == straggler {
 			<-ctx.Done()
 			stalled.Add(1)
 			return shardOut{err: shardError(si, ctx.Err())}
 		}
-		return cl.runReplicaCtx(ctx, node, dnf, si, ri, k)
+		return cl.attempt(ctx, w, si, ri)
 	}, stalled
 }
 
@@ -315,7 +314,7 @@ func TestHedgeBackupWins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	want := cl.runReplicaCtx(context.Background(), node, dnf, 0, 0, 15)
+	want := cl.attempt(context.Background(), shardWork{node: node, dnf: dnf, k: 15}, 0, 0)
 	if want.err != nil {
 		t.Fatalf("direct attempt: %v", want.err)
 	}

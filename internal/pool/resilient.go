@@ -13,15 +13,11 @@ import (
 	"boss/internal/topk"
 )
 
-// Resilience configures the cluster's fault-handling policy: per-shard
-// deadlines, bounded retry with jittered exponential backoff, and a
-// per-shard circuit breaker. The zero value is normalized to
-// DefaultResilience by NewCluster.
+// Resilience configures the cluster's fault-handling policy: bounded
+// retry with jittered exponential backoff, a circuit breaker per shard
+// copy, and hedged requests across copies. The zero value is normalized
+// to DefaultResilience by NewCluster.
 type Resilience struct {
-	// ShardTimeout bounds one shard attempt's wall-clock time
-	// (0 disables the per-attempt deadline; the parent context still
-	// applies).
-	ShardTimeout time.Duration
 	// MaxRetries is how many times a retryable shard failure is retried
 	// (so a shard sees at most MaxRetries+1 attempts). Negative disables
 	// retry entirely.
@@ -55,9 +51,9 @@ type Resilience struct {
 
 // DefaultResilience is the serving default: two retries with 1–16 ms
 // jittered backoff, a breaker that opens after 5 consecutive failures
-// and probes again after 50 ms, and no per-attempt timeout (simulated
-// devices answer in microseconds of host time; a wall-clock deadline
-// would only add CI flakiness).
+// and probes again after 50 ms. There is no per-attempt timeout:
+// simulated devices answer in microseconds of host time, and the parent
+// context's deadline reaches every block fetch.
 func DefaultResilience() Resilience {
 	return Resilience{
 		MaxRetries:       2,
@@ -311,7 +307,7 @@ func (cl *Cluster) initResilience(r Resilience) {
 	cl.now = time.Now
 	cl.sleepFn = sleepCtx
 	cl.timerFn = hedgeTimer
-	cl.runFn = cl.runReplicaCtx
+	cl.runFn = cl.attempt
 }
 
 // hedgeTimer arms the production hedge-cutoff timer.
@@ -392,9 +388,8 @@ func (cl *Cluster) SetFaultPlan(plan *mem.FaultPlan) {
 }
 
 // retryable reports whether a shard failure is worth retrying on the
-// same copy: transient read errors and per-attempt timeouts are;
-// permanent media errors, dead devices, and parent-context cancellation
-// are not.
+// same copy: transient read errors are; permanent media errors, dead
+// devices, and parent-context cancellation are not.
 func retryable(err error) bool {
 	switch {
 	case errors.Is(err, mem.ErrMediaUncorrectable):
@@ -420,27 +415,26 @@ func (cl *Cluster) retryableOn(err error, si int) bool {
 	return len(cl.states[si]) > 1 && !errors.Is(err, context.Canceled)
 }
 
-// runReplicaCtx issues one attempt on replica ri of shard si under the
-// per-attempt deadline.
-func (cl *Cluster) runReplicaCtx(ctx context.Context, node *query.Node, dnf [][]string, si, ri, k int) shardOut {
-	pruned := pruneForShard(node, cl.shardTerms[si])
+// attempt issues one attempt of w on replica ri of shard si: the search
+// body or the fetch body (fetchShard, fetch.go).
+func (cl *Cluster) attempt(ctx context.Context, w shardWork, si, ri int) shardOut {
+	if w.node == nil {
+		return cl.fetchShard(ctx, w, si, ri)
+	}
+	pruned := pruneForShard(w.node, cl.shardTerms[si])
 	if pruned == nil {
 		return shardOut{}
-	}
-	if pruned.Op != query.OpSparse && pruned != node {
-		dnf = pruned.DNF()
-	}
-	if cl.res.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cl.res.ShardTimeout)
-		defer cancel()
 	}
 	var out core.Result
 	var err error
 	if pruned.Op == query.OpSparse {
-		out, err = cl.accs[si][ri].RunSparseCtx(ctx, pruned.Terms(), k)
+		out, err = cl.accs[si][ri].RunSparseCtx(ctx, pruned.Terms(), w.k)
 	} else {
-		out, err = cl.accs[si][ri].RunDNFCtx(ctx, dnf, k)
+		dnf := w.dnf
+		if pruned != w.node {
+			dnf = pruned.DNF()
+		}
+		out, err = cl.accs[si][ri].RunDNFCtx(ctx, dnf, w.k)
 	}
 	if err != nil {
 		return shardOut{err: shardError(si, err)}
@@ -448,8 +442,10 @@ func (cl *Cluster) runReplicaCtx(ctx context.Context, node *query.Node, dnf [][]
 	return shardOut{m: out.M, topk: out.TopK}
 }
 
-// shardError tags an error with its shard (outlined: the retry loop is a
-// hot path and must not construct errors inline).
+// shardError tags an error with its shard. Kept out of line so the attempt
+// loop, a hot path, carries no allocation site (hotpathescape).
+//
+//go:noinline
 func shardError(si int, err error) error {
 	return fmt.Errorf("pool: shard %d: %w", si, err)
 }
@@ -503,28 +499,49 @@ func (cl *Cluster) pickBackup(si, primary int) (*shardState, int, bool) {
 	return nil, 0, false
 }
 
-// runShardResilient drives one shard's attempt loop: breaker-aware
-// replica selection, bounded retry with jittered backoff, hedged
-// dispatch on replicated clusters, parent-context awareness.
+// runShard is the one attempt loop, for searches and fetches alike: the
+// front-door mask (a masked-out shard is skipped entirely — no attempt, no
+// breaker or retry activity — and reported with ErrShardShed),
+// breaker-aware replica selection, bounded retry with jittered backoff,
+// hedged dispatch, parent-context awareness. Both kinds of work share the
+// per-replica breaker state, so a copy that fails searches also sheds
+// fetches. Three asymmetries are deliberate:
+//   - a fetch shard that owns none of the requested documents does nothing,
+//     masked or not;
+//   - a fetch's replica key is fetchQueryKey of the ids routed to this
+//     shard, not of the whole request, so a given shard's share routes to
+//     the same copy whatever else the request asked for;
+//   - fetches are never hedged: a fetch attempt writes payloads into the
+//     result's Docs in place, and two racing attempts would tear them.
 //
-// event recording and error construction are outlined.
+// Event recording and error construction are outlined.
 //
 //boss:hotpath one call per (query, shard).
-func (cl *Cluster) runShardResilient(ctx context.Context, node *query.Node, dnf [][]string, si, k int, qkey uint64) shardOut {
+func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint64) shardOut {
+	if w.node == nil && len(w.ids[si]) == 0 {
+		return shardOut{}
+	}
+	if !maskHas(mask, si) {
+		return shardOut{err: shardError(si, ErrShardShed)}
+	}
+	qkey, hedge := w.qkey, cl.res.HedgeEnabled && len(cl.states[si]) > 1
+	if w.node == nil {
+		qkey, hedge = fetchQueryKey(w.ids[si]), false
+	}
 	for attempt := 0; ; attempt++ {
 		if cause := ctx.Err(); cause != nil {
-			return shardOut{err: shardError(si, cause)} //boss:escape-ok cold cancellation error path
+			return shardOut{err: shardError(si, cause)}
 		}
 		st, ri, ok := cl.pickReplica(si, qkey, attempt)
 		if !ok {
-			return shardOut{err: breakerError(si)} //boss:escape-ok cold breaker-open error path
+			return shardOut{err: shardError(si, ErrShardUnavailable)}
 		}
 		recordAttempt(st, attempt)
 		var out shardOut
-		if cl.res.HedgeEnabled && len(cl.states[si]) > 1 {
-			out = cl.runShardHedged(ctx, node, dnf, si, ri, k, attempt, st)
+		if hedge {
+			out = cl.runShardHedged(ctx, w, si, ri, attempt, st)
 		} else {
-			out = cl.runReplicaCtx(ctx, node, dnf, si, ri, k)
+			out = cl.attempt(ctx, w, si, ri)
 			out.ri = ri
 			cl.settle(st, out.err, attempt)
 		}
@@ -564,11 +581,11 @@ func (cl *Cluster) settle(st *shardState, err error, attempt int) {
 // and its claim on a half-open probe slot is released. Both runners
 // deliver into cap-1 buffered channels, so a cancelled loser's
 // goroutine always exits.
-func (cl *Cluster) runShardHedged(ctx context.Context, node *query.Node, dnf [][]string, si, primary, k, attempt int, st *shardState) shardOut {
+func (cl *Cluster) runShardHedged(ctx context.Context, w shardWork, si, primary, attempt int, st *shardState) shardOut {
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	pch := make(chan shardOut, 1)
-	go cl.hedgeRun(pctx, node, dnf, si, primary, k, pch)
+	go cl.hedgeRun(pctx, w, si, primary, pch)
 	fire, stop := cl.timerFn(cl.res.HedgeCutoff)
 	var pout shardOut
 	select {
@@ -591,7 +608,7 @@ func (cl *Cluster) runShardHedged(ctx context.Context, node *query.Node, dnf [][
 	bctx, bcancel := context.WithCancel(ctx)
 	defer bcancel()
 	bch := make(chan shardOut, 1)
-	go cl.hedgeRun(bctx, node, dnf, si, bri, k, bch)
+	go cl.hedgeRun(bctx, w, si, bri, bch)
 	var bout shardOut
 	var pdone bool
 	select {
@@ -623,13 +640,12 @@ func (cl *Cluster) runShardHedged(ctx context.Context, node *query.Node, dnf [][
 // hedgeRun executes one replica attempt and delivers its result on a
 // cap-1 buffered channel: the send never blocks, so a cancelled loser's
 // goroutine always exits.
-func (cl *Cluster) hedgeRun(ctx context.Context, node *query.Node, dnf [][]string, si, ri, k int, ch chan<- shardOut) {
-	ch <- cl.runFn(ctx, node, dnf, si, ri, k)
+func (cl *Cluster) hedgeRun(ctx context.Context, w shardWork, si, ri int, ch chan<- shardOut) {
+	ch <- cl.runFn(ctx, w, si, ri)
 }
 
-// recordAttempt / recordBackoff / recordHedge / breakerError are
-// outlined from the retry loop so the hot path stays free of composite
-// construction.
+// recordAttempt / recordBackoff / recordHedge are outlined from the retry
+// loop so the hot path stays free of composite construction.
 func recordAttempt(st *shardState, attempt int) {
 	st.mu.Lock()
 	st.record(EvAttempt, attempt, 0, nil)
@@ -646,10 +662,6 @@ func recordHedge(st *shardState, attempt int) {
 	st.mu.Lock()
 	st.record(EvHedge, attempt, 0, nil)
 	st.mu.Unlock()
-}
-
-func breakerError(si int) error {
-	return fmt.Errorf("pool: shard %d: %w", si, ErrShardUnavailable)
 }
 
 // fail marks shard si as missing from the result: its Degraded bit and
@@ -719,9 +731,4 @@ func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) 
 // caps the shard count at the mask's 64 bits.
 func maskHas(mask uint64, si int) bool {
 	return mask == 0 || mask&(1<<uint(si)) != 0
-}
-
-// shedShardError tags a deliberately-shed shard (outlined like shardError).
-func shedShardError(si int) error {
-	return fmt.Errorf("pool: shard %d: %w", si, ErrShardShed)
 }

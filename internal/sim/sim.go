@@ -1,18 +1,17 @@
-// Package sim provides a small transaction-level discrete-event simulation
-// kernel used by the memory-system and accelerator models.
+// Package sim provides the small transaction-level simulation kernel used by
+// the memory-system and accelerator models.
 //
-// The kernel is deliberately simple: a virtual clock measured in picoseconds,
-// an event queue, and "resources" that serialize access with a given service
-// time (bandwidth servers). Models advance virtual time by requesting service
-// from resources; the kernel tracks utilization so harness code can report
+// The kernel is deliberately simple: virtual time measured in picoseconds and
+// "resources" that serialize access with a given service time (bandwidth
+// servers). There is no event queue: models advance virtual time only by
+// requesting service from resources (Resource.Acquire returns the completion
+// time), and the kernel tracks utilization so harness code can report
 // bandwidth figures.
 //
 // All times are expressed as sim.Time (picoseconds) so that both a 1 GHz
 // accelerator clock (1000 ps/cycle) and sub-nanosecond DRAM events can be
 // represented exactly with integers.
 package sim
-
-import "fmt"
 
 // Time is a point in virtual time, in picoseconds.
 type Time int64
@@ -34,127 +33,6 @@ func Seconds(d Duration) float64 { return float64(d) / float64(Second) }
 
 // FromSeconds converts floating-point seconds to a Duration.
 func FromSeconds(s float64) Duration { return Duration(s * float64(Second)) }
-
-// event is a scheduled callback.
-type event struct {
-	at  Time
-	seq uint64 // tie-break to keep FIFO order for equal times
-	fn  func()
-}
-
-// before reports whether e fires ahead of o: earlier virtual time first,
-// schedule order (FIFO) among equal times.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
-// eventQueue is a by-value binary min-heap of events. A typed heap keeps
-// Schedule free of per-event allocations: container/heap would box each
-// *event through interface{} and force one heap-allocated event per call,
-// which the event-driven pool simulation pays millions of times per run.
-type eventQueue []event
-
-//boss:hotpath one call per scheduled event; millions per pool simulation.
-func (q *eventQueue) push(e event) {
-	h := append(*q, e)
-	*q = h
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].before(&h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-//boss:hotpath
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release the callback so the GC can collect it
-	h = h[:n]
-	*q = h
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].before(&h[c]) {
-			c = r
-		}
-		if !h[c].before(&h[i]) {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	return top
-}
-
-// Engine is a discrete-event simulation engine. The zero value is not ready
-// for use; call NewEngine.
-type Engine struct {
-	now   Time
-	queue eventQueue
-	seq   uint64
-}
-
-// NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{}
-}
-
-// Now reports the current virtual time.
-func (e *Engine) Now() Time { return e.now }
-
-// Schedule arranges for fn to run at time at. Scheduling in the past panics:
-// that is always a model bug.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
-	}
-	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Duration, fn func()) {
-	e.Schedule(e.now+d, fn)
-}
-
-// Run drains the event queue, advancing the clock, until no events remain.
-func (e *Engine) Run() {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		e.now = ev.at
-		ev.fn()
-	}
-}
-
-// RunUntil drains events with timestamps <= deadline. Events beyond the
-// deadline remain queued; the clock is left at the deadline or at the last
-// executed event, whichever is later.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		ev := e.queue.pop()
-		e.now = ev.at
-		ev.fn()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // Resource is a serially-reused facility (a bus, a memory channel, a divider).
 // Requests are granted in arrival order; each request occupies the resource

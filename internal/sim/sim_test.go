@@ -5,84 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	e.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("events ran out of order: %v", order)
-	}
-	if e.Now() != 30 {
-		t.Fatalf("clock = %d, want 30", e.Now())
-	}
-}
-
-func TestEngineFIFOForEqualTimes(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(100, func() { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("equal-time events reordered: %v", order)
-		}
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.Schedule(10, func() {
-		fired = append(fired, e.Now())
-		e.After(5, func() { fired = append(fired, e.Now()) })
-	})
-	e.Run()
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
-		t.Fatalf("nested scheduling wrong: %v", fired)
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.Schedule(5, func() {})
-	})
-	e.Run()
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(10, func() { ran++ })
-	e.Schedule(20, func() { ran++ })
-	e.Schedule(30, func() { ran++ })
-	e.RunUntil(20)
-	if ran != 2 {
-		t.Fatalf("RunUntil(20) ran %d events, want 2", ran)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	if e.Now() != 20 {
-		t.Fatalf("clock = %d, want 20", e.Now())
-	}
-	e.Run()
-	if ran != 3 {
-		t.Fatalf("Run after RunUntil ran %d total, want 3", ran)
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	r := NewResource("bus")
 	end1 := r.Acquire(0, 100)
