@@ -29,7 +29,7 @@
 //     otherwise a dead deadline spins the loop (breaker/backoff loops
 //     regressing this way survive every happy-path test). time.Sleep is
 //     likewise banned in scope: sleeping must select on ctx.Done() (see
-//     pool.sleepCtx).
+//     clock.Clock.Sleep).
 package ctxflow
 
 import (

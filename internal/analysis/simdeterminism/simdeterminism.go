@@ -31,14 +31,19 @@ import (
 
 // ScopePackages are the package path segments the analyzer applies to: the
 // event-driven simulation kernel, the memory system, the accelerator model,
-// the programmable decompressor, and the experiment harness that reports
-// simulated figures.
+// the programmable decompressor, the experiment harness that reports
+// simulated figures, and the serving stack — front door and cluster read
+// time only through internal/clock, whose wall implementation carries the
+// one waiver, so a fake clock replays their decisions exactly.
 var ScopePackages = []string{
 	"internal/sim",
 	"internal/mem",
 	"internal/core",
 	"internal/decomp",
 	"internal/harness",
+	"internal/clock",
+	"internal/front",
+	"internal/pool",
 }
 
 // StatePackages hold simulated-time, metrics, or event-queue state; calling

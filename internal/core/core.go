@@ -91,15 +91,6 @@ type Options struct {
 	// for the top-k design choice).
 	HostTopK bool
 
-	// ModelDRAMCache makes the *simulated* pipeline aware of the decoded-
-	// block cache: a hit is charged as a DRAM sequential read of the
-	// decoded block (no SCM traffic, no decompression cycles, no fetch-
-	// queue hop) instead of replaying the SCM fetch + decode. Default off,
-	// which keeps every modeled figure bit-identical to a cache-free run —
-	// the cache then only removes host-side work. This is a paper-style
-	// what-if: "what would BOSS gain from a DRAM-resident block cache?"
-	ModelDRAMCache bool
-
 	// decompConfigs, when non-nil, programs the decompression modules from
 	// a parsed configuration file instead of the built-in per-scheme
 	// programs (set via InitFromIndex).
@@ -631,25 +622,11 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData
 	if ch != nil {
 		ent = ch.Get(cache.Key{List: pl.ID(), Block: uint32(b)})
 	}
-	if ent != nil && r.acc.opts.ModelDRAMCache {
-		// What-if mode: the modeled device holds decoded hot blocks in its
-		// DRAM tier, so a hit costs one DRAM sequential read of the decoded
-		// form — no SCM traffic, no decompression cycles, and no fetch-
-		// queue hop (the DRAM read hides under the pipeline).
-		r.m.CacheHits++
-		r.m.AddCacheRead(int64(len(ent.Docs())+len(ent.Tfs())) * 4)
-		bd := blockDataPool.Get().(*blockData)
-		bd.ent = ent
-		bd.docs, bd.tfs = ent.Docs(), ent.Tfs()
-		ls.blocks[b] = bd
-		return bd
-	}
-
 	// From here on every simulated charge is identical whether the decoded
 	// form comes from the cache or from a fresh decode: the modeled device
-	// has no DRAM block cache (unless ModelDRAMCache above), so a host-side
-	// hit must replay the SCM fetch, the queue hop, and the decode cycles
-	// the entry recorded at publish time. Only host work is saved.
+	// has no DRAM block cache, so a host-side hit must replay the SCM fetch,
+	// the queue hop, and the decode cycles the entry recorded at publish
+	// time. Only host work is saved.
 	//
 	// BOSS fetches blocks in ascending docID order with look-ahead from
 	// the metadata scan, so even post-skip fetches stream at sequential

@@ -3,6 +3,8 @@ package front
 import (
 	"testing"
 	"time"
+
+	"boss/internal/clock"
 )
 
 // newQuietFront builds a front that never flushes on its own during the
@@ -16,7 +18,7 @@ func newQuietFront(t *testing.T) *Front {
 		BatchTarget: 1 << 20,
 		MaxQueue:    1 << 20,
 		Timeout:     time.Hour,
-		Clock:       NewFakeClock(time.Unix(0, 0)),
+		Clock:       clock.NewFakeClock(time.Unix(0, 0)),
 		Tenants:     map[string]TenantConfig{"t": {Rate: 1e9, Burst: 1e9}},
 	}, be)
 	if err != nil {

@@ -1,12 +1,17 @@
 package front
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 	"time"
 
+	"boss/internal/clock"
 	"boss/internal/corpus"
+	"boss/internal/mem"
 	"boss/internal/pool"
 )
 
@@ -121,5 +126,100 @@ func TestClusterDegradedExecutesPartialShards(t *testing.T) {
 		if res.TopK[j] != want.TopK[j] {
 			t.Fatalf("hit %d: front %+v, masked direct %+v", j, res.TopK[j], want.TopK[j])
 		}
+	}
+}
+
+// TestSharedClockFrontToClusterRetry drives both tiers off one FakeClock:
+// the test's Advance fires the front door's deadline flush, the flushed
+// batch fails over from a dead copy 0 inside the cluster, and the
+// cluster's backoff sleeps move the same clock on. With one advancer at a
+// time (the script while it submits, the cluster's one worker while the
+// script waits) the front decision log, the pool event trace and the
+// final virtual time are byte-identical run over run, and under -race.
+func TestSharedClockFrontToClusterRetry(t *testing.T) {
+	c := corpus.Generate(corpus.ClueWebLike(0.005))
+	base, err := pool.NewCluster(pool.DefaultConfig(), c, 2)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	epoch := time.Unix(0, 0)
+	const slack = 8 * time.Millisecond // Timeout - FlushSlack: when a lone batch flushes
+	run := func() (decisions []byte, events string, elapsed, backoffs time.Duration) {
+		fake := clock.NewFakeClock(epoch)
+		cfg := pool.DefaultConfig()
+		cfg.Workers = 1 // one batch worker: the event order is the request order
+		cfg.CacheBytes = 0
+		cfg.Replicas = 2
+		cfg.Resilience = pool.DefaultResilience()
+		cfg.Clock = fake
+		cl, err := base.Fresh(cfg)
+		if err != nil {
+			t.Fatalf("Fresh: %v", err)
+		}
+		plan := &mem.FaultPlan{Seed: 5}
+		for si := 0; si < cl.Shards(); si++ {
+			plan.DeadDevices = append(plan.DeadDevices, cl.ReplicaDevice(si, 0))
+		}
+		cl.SetFaultPlan(plan)
+		rec := &Recorder{}
+		f, err := New(Config{BatchTarget: 64, Timeout: 10 * time.Millisecond, FlushSlack: 2 * time.Millisecond,
+			Clock: fake, Recorder: rec}, NewClusterBackend(cl))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer f.Close()
+
+		const phases = 8 // enough failovers to open copy 0's breaker and be rejected by it
+		for phase := 0; phase < phases; phase++ {
+			var tickets []*Ticket
+			for _, e := range []string{`"t1"`, `"t2" AND "t3"`, `"t4" OR "t5"`, `"t6"`} {
+				tk, err := f.Submit(Request{Expr: e, K: 10})
+				if err != nil {
+					t.Fatalf("Submit(%q): %v", e, err)
+				}
+				tickets = append(tickets, tk)
+			}
+			// Lands exactly on the flush deadline and fires it inline: the
+			// script is done moving the clock before the batch runs.
+			fake.Advance(slack)
+			for _, tk := range tickets {
+				if res := tk.Wait(context.Background()); res.Err != nil || res.Degraded != 0 {
+					t.Fatalf("phase %d: err=%v degraded=%b, want a full answer off copy 1", phase, res.Err, res.Degraded)
+				}
+			}
+		}
+		var b strings.Builder
+		for si := 0; si < cl.Shards(); si++ {
+			for _, ev := range cl.Events(si) {
+				fmt.Fprintf(&b, "s%d r%d %s a%d %v\n", ev.Shard, ev.Replica, ev.Kind, ev.Attempt, ev.Backoff)
+				backoffs += ev.Backoff
+			}
+		}
+		return rec.Render(), b.String(), fake.Now().Sub(epoch) - phases*slack, backoffs
+	}
+
+	decisions, events, elapsed, backoffs := run()
+	for i := 1; i < 3; i++ {
+		d, e, el, _ := run()
+		if !bytes.Equal(d, decisions) || e != events || el != elapsed {
+			t.Fatalf("run %d diverged (clock %v vs %v)\n--- decisions ---\n%s--- vs ---\n%s--- events ---\n%s--- vs ---\n%s",
+				i, el, elapsed, decisions, d, events, e)
+		}
+	}
+	if !strings.Contains(string(decisions), " "+DFlushDeadline.String()+" ") {
+		t.Errorf("no deadline flush in the decision log:\n%s", decisions)
+	}
+	for _, kind := range []pool.EventKind{pool.EvBackoff, pool.EvBreakerOpen, pool.EvBreakerReject} {
+		if !strings.Contains(events, " "+kind.String()+" ") {
+			t.Errorf("no %s event in the cluster trace", kind)
+		}
+	}
+	if t.Failed() {
+		t.Logf("cluster trace:\n%s", events)
+	}
+	// The cluster's sleeps moved the front door's clock: past the script's
+	// own advances, virtual time is exactly the backoffs served.
+	if backoffs == 0 || elapsed != backoffs {
+		t.Errorf("clock moved %v beyond the script's advances, backoffs sum to %v", elapsed, backoffs)
 	}
 }

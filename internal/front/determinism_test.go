@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"boss/internal/clock"
 )
 
 // runScript drives one full front-door lifecycle against a fake clock:
@@ -15,7 +17,7 @@ import (
 // queue depth it was taken under — is a pure function of the script.
 func runScript(t *testing.T) []byte {
 	t.Helper()
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	rec := &Recorder{}
 	be := &fakeBackend{shards: 8, block: make(chan struct{}, 100)}
 	f, err := New(Config{
@@ -113,7 +115,7 @@ func TestDecisionLogDeterminism(t *testing.T) {
 // backend saw identical batch shapes both times.
 func TestBatchBoundariesDeterministic(t *testing.T) {
 	shapes := func() []int {
-		clk := NewFakeClock(time.Unix(0, 0))
+		clk := clock.NewFakeClock(time.Unix(0, 0))
 		be := &fakeBackend{shards: 4}
 		f, err := New(Config{BatchTarget: 3, Timeout: 10 * time.Millisecond,
 			FlushSlack: 2 * time.Millisecond, Clock: clk}, be)

@@ -5,13 +5,15 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"boss/internal/clock"
 )
 
 // TestFetchCoalescing: identical concurrent id lists share one flight;
 // different lists do not; every waiter sees the payloads.
 func TestFetchCoalescing(t *testing.T) {
 	be := &fakeBackend{shards: 4}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 64, Clock: clk}, be)
 
 	a1, err := f.Submit(Request{FetchIDs: []uint32{3, 1, 4}})
@@ -59,7 +61,7 @@ func TestFetchCoalescing(t *testing.T) {
 // one heterogeneous batch, and the fetch's id list reaches the backend.
 func TestFetchSharesBatch(t *testing.T) {
 	be := &fakeBackend{shards: 2}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 64, Clock: clk}, be)
 
 	q, err := f.Submit(Request{Expr: `"a"`, K: 5})
@@ -100,7 +102,7 @@ func TestFetchSharesBatch(t *testing.T) {
 // and an id list is a caller bug, rejected before admission.
 func TestFetchMixedRequestRejected(t *testing.T) {
 	be := &fakeBackend{shards: 2}
-	f := start(t, Config{Clock: NewFakeClock(time.Unix(0, 0))}, be)
+	f := start(t, Config{Clock: clock.NewFakeClock(time.Unix(0, 0))}, be)
 	if _, err := f.Submit(Request{Expr: `"a"`, FetchIDs: []uint32{1}}); !errors.Is(err, ErrMixedRequest) {
 		t.Fatalf("err = %v, want ErrMixedRequest", err)
 	}
@@ -114,7 +116,7 @@ func TestFetchMixedRequestRejected(t *testing.T) {
 // shards show up in the result mask.
 func TestFetchDegradedAdmission(t *testing.T) {
 	be := &fakeBackend{shards: 4}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 64, MaxQueue: 4, DegradeWatermark: 0.25, Clock: clk}, be)
 
 	// First admission fills to the watermark (1 of 4); the second degrades.

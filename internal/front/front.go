@@ -18,8 +18,8 @@
 // tickets, and batches recycle through free lists, and the flush timer is
 // a single persistent handle that is only ever Reset. Every batching and
 // shedding decision is a pure function of (config, arrival sequence,
-// clock readings), so tests drive a FakeClock and assert byte-identical
-// decision logs across runs.
+// clock readings), so tests drive a clock.FakeClock and assert
+// byte-identical decision logs across runs.
 package front
 
 import (
@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"boss/internal/clock"
 	"boss/internal/pool"
 	"boss/internal/query"
 	"boss/internal/topk"
@@ -93,8 +94,8 @@ type Config struct {
 	// the map are not rate-limited.
 	Tenants map[string]TenantConfig
 	// Clock supplies time; nil uses the wall clock. Tests inject a
-	// FakeClock to make batching decisions reproducible.
-	Clock Clock
+	// clock.FakeClock to make batching decisions reproducible.
+	Clock clock.Clock
 	// Recorder, when non-nil, captures the decision log (tests only:
 	// recording allocates).
 	Recorder *Recorder
@@ -118,7 +119,7 @@ func (c Config) withDefaults() Config {
 		c.DegradeWatermark = 0.75
 	}
 	if c.Clock == nil {
-		c.Clock = WallClock()
+		c.Clock = clock.Wall()
 	}
 	return c
 }
@@ -244,7 +245,7 @@ const (
 type Front struct {
 	cfg       Config
 	be        Backend
-	clock     Clock
+	clock     clock.Clock
 	rec       *Recorder
 	shards    int
 	dropN     int     // shards dropped per degraded admission
@@ -259,7 +260,7 @@ type Front struct {
 	pendTail   *flight
 	npending   int // flights in the pending queue
 	inSystem   int // pending + batched-but-uncompleted flights
-	timer      Timer
+	timer      clock.Timer
 	timerAt    time.Time // zero: unarmed
 	degradeRot int
 	m          Metrics

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"boss/internal/clock"
 	"boss/internal/pool"
 	"boss/internal/topk"
 )
@@ -75,7 +76,7 @@ func start(t *testing.T, cfg Config, be Backend) *Front {
 
 func TestCoalescingFansOutOneExecution(t *testing.T) {
 	be := &fakeBackend{shards: 4}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 64, Clock: clk}, be)
 
 	// Equivalent expressions under DNF canonicalization must share a flight.
@@ -112,7 +113,7 @@ func TestCoalescingFansOutOneExecution(t *testing.T) {
 
 func TestSizeTargetFlush(t *testing.T) {
 	be := &fakeBackend{shards: 2}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 3, Clock: clk}, be)
 
 	exprs := []string{`"a"`, `"b"`, `"c"`, `"d"`}
@@ -145,7 +146,7 @@ func TestSizeTargetFlush(t *testing.T) {
 
 func TestDeadlineSlackFlush(t *testing.T) {
 	be := &fakeBackend{shards: 2}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{
 		BatchTarget: 64,
 		Timeout:     10 * time.Millisecond,
@@ -174,7 +175,7 @@ func TestDeadlineSlackFlush(t *testing.T) {
 
 func TestUrgentAttachTightensFlushTimer(t *testing.T) {
 	be := &fakeBackend{shards: 2}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{
 		BatchTarget: 64,
 		Timeout:     20 * time.Millisecond,
@@ -205,7 +206,7 @@ func TestUrgentAttachTightensFlushTimer(t *testing.T) {
 
 func TestOverloadRejectsWhenQueueFull(t *testing.T) {
 	be := &fakeBackend{shards: 2, block: make(chan struct{})}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 1, MaxQueue: 2, DegradeWatermark: 1, Clock: clk}, be)
 	defer close(be.block)
 
@@ -242,7 +243,7 @@ func TestOverloadRejectsWhenQueueFull(t *testing.T) {
 
 func TestTokenBucketShedsLowDegradesNormal(t *testing.T) {
 	be := &fakeBackend{shards: 4}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{
 		BatchTarget: 64,
 		Clock:       clk,
@@ -287,7 +288,7 @@ func TestTokenBucketShedsLowDegradesNormal(t *testing.T) {
 
 func TestPressureWatermarkDegradesAllButHigh(t *testing.T) {
 	be := &fakeBackend{shards: 4}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 64, MaxQueue: 4, DegradeWatermark: 0.5, Clock: clk}, be)
 
 	// Two full admissions reach the 0.5 × 4 watermark.
@@ -319,7 +320,7 @@ func TestPressureWatermarkDegradesAllButHigh(t *testing.T) {
 
 func TestDegradeMaskRotates(t *testing.T) {
 	be := &fakeBackend{shards: 4}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{
 		BatchTarget: 64,
 		Clock:       clk,
@@ -347,7 +348,7 @@ func TestDegradeMaskRotates(t *testing.T) {
 
 func TestSingleShardBackendCannotDegrade(t *testing.T) {
 	be := &fakeBackend{shards: 1}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{
 		BatchTarget: 64,
 		Clock:       clk,
@@ -365,7 +366,7 @@ func TestSingleShardBackendCannotDegrade(t *testing.T) {
 
 func TestCancelDeregistersWaiter(t *testing.T) {
 	be := &fakeBackend{shards: 2}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 64, Clock: clk}, be)
 
 	// Sole waiter cancelling withdraws the flight entirely.
@@ -396,7 +397,7 @@ func TestCancelDeregistersWaiter(t *testing.T) {
 
 func TestWaitHonorsContext(t *testing.T) {
 	be := &fakeBackend{shards: 2, block: make(chan struct{})}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 1, Clock: clk}, be)
 
 	tk, err := f.Submit(Request{Expr: `"a"`})
@@ -413,7 +414,7 @@ func TestWaitHonorsContext(t *testing.T) {
 
 func TestSubmitAfterClose(t *testing.T) {
 	be := &fakeBackend{shards: 2}
-	f, err := New(Config{Clock: NewFakeClock(time.Unix(0, 0))}, be)
+	f, err := New(Config{Clock: clock.NewFakeClock(time.Unix(0, 0))}, be)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -434,7 +435,7 @@ func TestSubmitAfterClose(t *testing.T) {
 
 func TestParseErrorSurfacesWithoutAdmission(t *testing.T) {
 	be := &fakeBackend{shards: 2}
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{Clock: clk}, be)
 	for i := 0; i < 2; i++ { // second hit exercises the cached negative entry
 		if _, err := f.Submit(Request{Expr: `"a" AND`}); err == nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"boss/internal/clock"
 )
 
 // TestKeyCacheBounded: the expression → canonical-key cache gains an entry
@@ -18,7 +20,7 @@ func TestKeyCacheBounded(t *testing.T) {
 		BatchTarget: 1 << 20, // nothing flushes until the test says so
 		MaxQueue:    8,
 		Timeout:     time.Hour,
-		Clock:       NewFakeClock(time.Unix(0, 0)),
+		Clock:       clock.NewFakeClock(time.Unix(0, 0)),
 	}, be)
 	keyCount := func() int {
 		f.mu.Lock()

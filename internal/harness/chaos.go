@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"boss/internal/clock"
 	"boss/internal/corpus"
 	"boss/internal/mem"
 	"boss/internal/pool"
@@ -15,7 +16,7 @@ import (
 // cluster serves the same Zipfian batch while the fault plan injects
 // transient and uncorrectable media errors at the given per-access rate,
 // and the point records how much of the workload survived and at what
-// wall-clock cost.
+// host cost.
 type ChaosPoint struct {
 	// FaultRate is the per-access probability applied to both transient
 	// read errors (retried transparently by the device layer) and
@@ -50,10 +51,10 @@ type ChaosPoint struct {
 	// Hedged counts shard attempts that fired a hedged backup replica
 	// (always zero on single-copy sweeps, where hedging is off).
 	Hedged int `json:"hedged"`
-	// QPS is real host-side throughput over the measured executions.
-	QPS float64 `json:"qps"`
-	// P50LatencyUS / P99LatencyUS are per-query wall-clock latency
-	// percentiles in microseconds.
+	// QPS is real host-side throughput and P50LatencyUS / P99LatencyUS
+	// per-query host latency percentiles in microseconds — of the work done:
+	// backoff waits are virtual. Only these three differ between two runs.
+	QPS          float64 `json:"qps"`
 	P50LatencyUS float64 `json:"p50_latency_us"`
 	P99LatencyUS float64 `json:"p99_latency_us"`
 }
@@ -91,6 +92,10 @@ const (
 // stragglers rather than doubling the whole workload.
 const chaosHedgeCutoff = 2 * time.Millisecond
 
+// chaosInterArrival is the virtual time between two queries (5k QPS
+// offered): with backoffs, all that moves the sweep's clock.
+const chaosInterArrival = 200 * time.Microsecond
+
 // chaosExprs samples the conjunctive Zipfian serving mix (Q2/Q4, the
 // decode-bound shapes) cycled up to n queries.
 func chaosExprs(c *corpus.Corpus, seed int64, n int) []string {
@@ -111,12 +116,14 @@ func chaosExprs(c *corpus.Corpus, seed int64, n int) []string {
 // chaosConfig is the sweep's cluster configuration: cache off (faults are
 // drawn on the decode path, so a warm decoded-block cache would absorb
 // the fault plan after the first pass and every point would trivially
-// report full availability), the requested replica count, and hedging
-// armed on replicated sweeps.
-func chaosConfig(replicas int) pool.Config {
+// report full availability), the requested replica count, hedging armed
+// on replicated sweeps, and a serial shard sweep on the given clock.
+func chaosConfig(replicas int, clk clock.Clock) pool.Config {
 	cfg := pool.DefaultConfig()
 	cfg.CacheBytes = 0
 	cfg.Replicas = replicas
+	cfg.Workers = 1
+	cfg.Clock = clk
 	if replicas > 1 {
 		// Replicated sweeps arm the full failover stack: retries (so a
 		// failed attempt rotates onto another copy instead of degrading)
@@ -132,12 +139,14 @@ func chaosConfig(replicas int) pool.Config {
 // chaosPoint measures one fault rate on a fresh serving state derived
 // from the base cluster (so breaker state and the decoded-block cache
 // never leak across points, while the expensive shard corpora and index
-// builds are shared), the rate's fault plan, and chaosPasses serial
-// passes over the batch.
+// builds are shared), its own fake clock, the rate's fault plan, and
+// chaosPasses serial passes over the batch. The cluster is returned for
+// tests that read its event logs.
 //
-//boss:wallclock this report intentionally measures real host-side latency.
-func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate float64, replicaKill bool) ChaosPoint {
-	cl, err := base.Fresh(chaosConfig(base.Replicas()))
+//boss:wallclock qps and the latency percentiles intentionally measure real host-side work.
+func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate float64, replicaKill bool) (ChaosPoint, *pool.Cluster) {
+	fake := clock.NewFakeClock(time.Unix(0, 0))
+	cl, err := base.Fresh(chaosConfig(base.Replicas(), fake))
 	if err != nil {
 		panic(err)
 	}
@@ -166,6 +175,7 @@ func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate floa
 			q0 := time.Now()
 			res, err := cl.SearchCtx(context.Background(), expr, k)
 			lat = append(lat, time.Since(q0))
+			fake.Advance(chaosInterArrival)
 			pt.Queries++
 			switch {
 			case err != nil:
@@ -202,21 +212,22 @@ func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate floa
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	pt.P50LatencyUS = latPercentileUS(lat, 0.50)
 	pt.P99LatencyUS = latPercentileUS(lat, 0.99)
-	return pt
+	return pt, cl
 }
 
 // Chaos sweeps the resilient serving path across fault-injection rates and
-// reports availability, retry/breaker activity, and wall-clock throughput
-// at each point. Rate zero serves as the control: it must report full
-// availability, zero retries and zero breaker opens (a replicated
-// control can still count a hedge when the host stalls past the cutoff:
-// the hedge timer reads the real clock). replicas > 1 serves every
-// point from replicated shards with hedging armed; replicaKill
-// additionally takes copy 0 of every shard down at every point (requires
-// replicas >= 2 — with one copy a whole-replica kill is just an outage).
-// The shard corpora and index builds are constructed once and shared
-// across points; only serving state (cache, breakers, fault plan) is
-// rebuilt per point.
+// reports availability, retry/breaker activity, and host throughput at
+// each point. Every point runs on a fake clock that moves by
+// chaosInterArrival per query and by each backoff's length, so breaker
+// cooldowns are functions of the query sequence and every outcome column
+// is byte-identical across runs; nothing moves the clock while an attempt
+// is in flight, so no hedge fires. Rate zero is the control: full
+// availability, zero retries, breaker opens and hedges. replicas > 1
+// serves every point from replicated shards with hedging armed;
+// replicaKill additionally takes copy 0 of every shard down at every point
+// (requires replicas >= 2 — with one copy a whole-replica kill is just an
+// outage). The shard corpora and index builds are shared across points;
+// only serving state (cache, breakers, fault plan, clock) is per point.
 func Chaos(ctx *Context, shards, replicas int, replicaKill bool) *ChaosReport {
 	if shards <= 0 {
 		shards = 4
@@ -232,7 +243,7 @@ func Chaos(ctx *Context, shards, replicas int, replicaKill bool) *ChaosReport {
 	seed := ctx.Cfg.Seed
 	exprs := chaosExprs(s.Corpus, seed, chaosBatch)
 
-	base, err := pool.NewCluster(chaosConfig(replicas), s.Corpus, shards)
+	base, err := pool.NewCluster(chaosConfig(replicas, nil), s.Corpus, shards)
 	if err != nil {
 		panic(err)
 	}
@@ -244,7 +255,8 @@ func Chaos(ctx *Context, shards, replicas int, replicaKill bool) *ChaosReport {
 		Batch:        len(exprs),
 	}
 	for _, rate := range chaosRates {
-		rep.Points = append(rep.Points, chaosPoint(base, seed, exprs, k, rate, replicaKill))
+		pt, _ := chaosPoint(base, seed, exprs, k, rate, replicaKill)
+		rep.Points = append(rep.Points, pt)
 	}
 	return rep
 }
@@ -284,9 +296,9 @@ func (r *ChaosReport) Table() *Table {
 			"fault-rate is the per-access probability of both transient and uncorrectable errors",
 			"availability counts degraded (partial) results as available",
 			"dead is whole shard copies killed by the plan (replica-kill mode: copy 0 of every shard)",
-			"wall-clock host throughput/latency (not simulated device latency)",
-			fmt.Sprintf("queries is fixed: %d serial passes over the batch", chaosPasses),
-			"past the rate-0 control, ok/degraded/failed are not bit-reproducible: breaker cooldowns and hedge timers read the host clock",
+			fmt.Sprintf("queries is fixed: %d serial passes over the batch; every column but qps and p99-us is reproducible bit for bit", chaosPasses),
+			fmt.Sprintf("breaker cooldowns and backoffs run on a virtual clock: %v per query plus each backoff's length", chaosInterArrival),
+			"qps and p99-us are host measurements of the work done (not simulated device latency); backoff waits are virtual and cost no host time",
 		},
 	}
 }

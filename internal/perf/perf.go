@@ -52,14 +52,6 @@ type Metrics struct {
 	PostingsDecoded  int64
 	MembershipProbes int64
 
-	// CacheHits and CacheSeqReadBytes model the what-if DRAM block cache
-	// (core.Options.ModelDRAMCache): blocks served decoded out of the
-	// device's DRAM tier, charged at DRAM sequential bandwidth instead of
-	// SCM. Both stay zero with the flag off, so every reproduction figure
-	// is unaffected by the host-side cache.
-	CacheHits         int64
-	CacheSeqReadBytes int64
-
 	// Resilience counters (PR 5). Both stay zero with an empty
 	// FaultPlan, so every reproduction figure is unaffected.
 	//
@@ -132,16 +124,6 @@ func (m *Metrics) AddHostWrite(size int64, category mem.Category) {
 	m.CatAcc[category]++
 }
 
-// AddCacheRead charges size bytes served decoded from the modeled DRAM
-// block cache (ModelDRAMCache hits). DRAM traffic occupies its own
-// channels, so it is kept out of the SCM byte counters and priced
-// separately by MemOccupancy.
-func (m *Metrics) AddCacheRead(size int64) {
-	m.CacheSeqReadBytes += size
-	m.Cat[mem.CatLoadList] += size
-	m.CatAcc[mem.CatLoadList]++
-}
-
 // AddCompute adds pipeline/CPU busy time.
 func (m *Metrics) AddCompute(d sim.Duration) { m.ComputeTime += d }
 
@@ -160,8 +142,6 @@ func (m *Metrics) Merge(other *Metrics) {
 	m.DocsEvaluated += other.DocsEvaluated
 	m.PostingsDecoded += other.PostingsDecoded
 	m.MembershipProbes += other.MembershipProbes
-	m.CacheHits += other.CacheHits
-	m.CacheSeqReadBytes += other.CacheSeqReadBytes
 	m.TransientRetries += other.TransientRetries
 	m.IntegrityFailures += other.IntegrityFailures
 	m.DocsFetched += other.DocsFetched
@@ -192,8 +172,6 @@ func (m *Metrics) Scale(n int64) {
 	m.DocsEvaluated /= n
 	m.PostingsDecoded /= n
 	m.MembershipProbes /= n
-	m.CacheHits /= n
-	m.CacheSeqReadBytes /= n
 	m.TransientRetries /= n
 	m.IntegrityFailures /= n
 	m.DocsFetched /= n
@@ -226,12 +204,6 @@ func (m *Metrics) MemOccupancy(cfg mem.Config) sim.Duration {
 	secs := float64(m.SeqReadBytes)/(cfg.SeqReadGBs*1e9) +
 		randEffective/(cfg.RandReadGBs*1e9) +
 		float64(m.WriteBytes)/(cfg.WriteGBs*1e9)
-	if m.CacheSeqReadBytes > 0 {
-		// Modeled DRAM block-cache hits stream from the DRAM tier, which
-		// has its own channels; they only matter when DRAM becomes the
-		// bottleneck, so charge them at DRAM sequential bandwidth.
-		secs += float64(m.CacheSeqReadBytes) / (mem.DRAM().SeqReadGBs * 1e9)
-	}
 	return sim.FromSeconds(secs)
 }
 

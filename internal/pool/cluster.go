@@ -7,9 +7,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"boss/internal/cache"
+	"boss/internal/clock"
 	"boss/internal/compress"
 	"boss/internal/core"
 	"boss/internal/corpus"
@@ -68,17 +68,13 @@ type Cluster struct {
 	faultPlan *mem.FaultPlan
 
 	// Resilience machinery (see resilient.go): normalized policy, one
-	// breaker + event log per shard replica, and injectable clock/sleep/
-	// timer hooks so breaker and hedge tests run on a fake clock.
-	res     Resilience
-	states  [][]*shardState
-	now     func() time.Time                                 //boss:wallclock serving-path breaker clock
-	sleepFn func(ctx context.Context, d time.Duration) error //boss:wallclock retry backoff
-	// timerFn arms the hedge-cutoff timer, returning the fire channel
-	// and a stop function; tests substitute a hand-fired channel.
-	timerFn func(d time.Duration) (<-chan time.Time, func() bool) //boss:wallclock hedge cutoff timer
-	// runFn issues one replica attempt on the hedged path; tests
-	// substitute it to script replica latencies deterministically.
+	// breaker + event log per shard replica, and the clock (Config.Clock)
+	// that breaker cooldowns, retry backoff and the hedge cutoff run on.
+	res    Resilience
+	states [][]*shardState
+	clock  clock.Clock
+	// runFn issues one replica attempt on the hedged path; tests substitute
+	// it to script a replica's latency (a copy that stalls), never time.
 	runFn func(ctx context.Context, w shardWork, si, ri int) shardOut
 }
 

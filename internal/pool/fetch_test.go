@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"boss/internal/clock"
 	"boss/internal/corpus"
 	"boss/internal/mem"
 )
@@ -274,26 +275,34 @@ func TestFetchCancelled(t *testing.T) {
 	}
 }
 
+// peakClock is the wall clock with a probe on Now: the breaker reads it on
+// the goroutine issuing each shard attempt, so it sees the goroutine peak.
+type peakClock struct {
+	clock.Clock
+	peak atomic.Int64
+}
+
+func (p *peakClock) Now() time.Time {
+	n := int64(runtime.NumGoroutine())
+	for old := p.peak.Load(); n > old && !p.peak.CompareAndSwap(old, n); old = p.peak.Load() {
+	}
+	return p.Clock.Now()
+}
+
 // TestBatchFetchSweepsSerially: a batch worker owns one in-flight query
 // and sweeps it across the shards itself, so fetches — and the fetch phase
 // of WithDocs searches — inside a batch must not spawn a shard fan-out of
-// their own (W workers, not up to W×W goroutines). The breaker clock runs
-// on the goroutine issuing each shard attempt, so it sees the peak.
+// their own (W workers, not up to W×W goroutines).
 func TestBatchFetchSweepsSerially(t *testing.T) {
 	const workers = 4
 	c := corpus.Generate(corpus.CCNewsLike(0.004))
+	probe := &peakClock{Clock: clock.Wall()}
 	cfg := DefaultConfig()
 	cfg.Workers = workers
+	cfg.Clock = probe
 	cl := mustCluster(t, cfg, c, 4)
 	if err := cl.EnsureDocs(); err != nil {
 		t.Fatal(err)
-	}
-	var peak atomic.Int64
-	cl.now = func() time.Time {
-		n := int64(runtime.NumGoroutine())
-		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-		}
-		return time.Now()
 	}
 	n := uint32(c.Spec.NumDocs)
 	everyShard := []uint32{0, n / 3, 2 * n / 3, n - 1, 1, n/3 + 1, 2*n/3 + 1, n - 2}
@@ -306,7 +315,7 @@ func TestBatchFetchSweepsSerially(t *testing.T) {
 	if br := cl.SearchBatchQueries(context.Background(), batch); br.Err != nil {
 		t.Fatal(br.Err)
 	}
-	if got := peak.Load(); got == 0 || got > int64(before+workers) {
+	if got := probe.peak.Load(); got == 0 || got > int64(before+workers) {
 		t.Fatalf("peak %d goroutines during the batch, want at most %d (the caller's %d + %d batch workers)",
 			got, before+workers, before, workers)
 	}

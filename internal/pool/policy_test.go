@@ -8,16 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"boss/internal/clock"
 	"boss/internal/corpus"
 	"boss/internal/mem"
 )
 
-// policyFixture is a Fresh two-shard, single-copy cluster on a hand-driven
-// clock whose backoff sleeps return at once; shard 1 is the one the tests
-// break.
+// policyFixture is a Fresh two-shard, single-copy cluster on a fake clock
+// (backoff sleeps advance it and return at once); shard 1 is the one the
+// tests break.
 type policyFixture struct {
 	cl    *Cluster
-	clock time.Time
+	clock *clock.FakeClock
 }
 
 const policyFaulty = 1
@@ -36,15 +37,15 @@ func policyConfig() Config {
 
 func newPolicyFixture(t *testing.T, base *Cluster, plan *mem.FaultPlan) *policyFixture {
 	t.Helper()
-	cl, err := base.Fresh(policyConfig())
+	cfg := policyConfig()
+	fake := clock.NewFakeClock(time.Unix(1000, 0))
+	cfg.Clock = fake
+	cl, err := base.Fresh(cfg)
 	if err != nil {
 		t.Fatalf("Fresh: %v", err)
 	}
-	f := &policyFixture{cl: cl, clock: time.Unix(1000, 0)}
-	cl.now = func() time.Time { return f.clock }
-	cl.sleepFn = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
 	cl.SetFaultPlan(plan)
-	return f
+	return &policyFixture{cl: cl, clock: fake}
 }
 
 // trace renders the faulty shard's event log as kind/attempt/backoff — the
@@ -65,7 +66,7 @@ func (f *policyFixture) drive(request func()) {
 	for i := 0; i < 7; i++ {
 		request()
 	}
-	f.clock = f.clock.Add(2 * time.Minute)
+	f.clock.Advance(2 * time.Minute)
 	request()
 	request()
 }

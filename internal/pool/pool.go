@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"boss/internal/clock"
 	"boss/internal/core"
 	"boss/internal/index"
 	"boss/internal/mem"
@@ -59,6 +60,10 @@ type Config struct {
 	// (every entry point runs under it). Zero fields take
 	// DefaultResilience values.
 	Resilience Resilience
+	// Clock supplies time to breaker cooldowns, retry backoff and the hedge
+	// cutoff; nil uses the wall clock. Tests and the chaos sweep inject a
+	// clock.FakeClock, the same one as the front door's when one sits on top.
+	Clock clock.Clock
 	// Faults, when non-empty, is the fault plan RunBatch applies to its
 	// simulated devices (shard si plays device si). Nil injects nothing
 	// and keeps every modeled figure byte-identical.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"boss/internal/clock"
 	"boss/internal/corpus"
 	"boss/internal/mem"
 )
@@ -150,6 +151,48 @@ func TestReplicaFailoverUncorrectable(t *testing.T) {
 	}
 }
 
+// TestMediaErrorIsNotACopyHealthSignal: with copy 0 dead and every block of
+// copy 1 uncorrectable, each query reads copy 1 exactly once — a
+// replica-permanent error is never retried on the copy that returned it,
+// and the loop stops when no other copy is allowed — and copy 1's breaker
+// stays closed however many queries fail on it: a bad block says nothing
+// about the copy's health. The dead copy's breaker still opens.
+func TestMediaErrorIsNotACopyHealthSignal(t *testing.T) {
+	c := replicaTestCorpus(t)
+	cfg := replicatedConfig(2)
+	cfg.CacheBytes = 0
+	cfg.Clock = clock.NewFakeClock(time.Unix(0, 0))
+	cl, err := NewCluster(cfg, c, 1)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	cl.SetFaultPlan(&mem.FaultPlan{Seed: 7, UncorrectableRate: 0.999999, DeadDevices: []int{cl.ReplicaDevice(0, 0)}})
+	const queries = 20
+	for i := 0; i < queries; i++ {
+		_, err := cl.SearchCtx(context.Background(), fmt.Sprintf(`"t%d"`, i+1), 10)
+		if !errors.Is(err, mem.ErrMediaUncorrectable) && !errors.Is(err, mem.ErrDeviceDown) {
+			t.Fatalf("query %d: err = %v, want the last copy's own failure", i, err)
+		}
+	}
+	count := func(ri int, kind EventKind) (n int) {
+		for _, ev := range cl.ReplicaEvents(0, ri) {
+			if ev.Kind == kind {
+				n++
+			}
+		}
+		return n
+	}
+	if a, f := count(1, EvAttempt), count(1, EvFailure); a != queries || f != queries {
+		t.Errorf("copy 1: %d attempts, %d failures over %d queries; want one of each per query", a, f, queries)
+	}
+	if n := count(1, EvBreakerOpen) + count(1, EvBreakerReject); n != 0 {
+		t.Errorf("copy 1's breaker opened or rejected %d times on media errors", n)
+	}
+	if count(0, EvBreakerOpen) == 0 {
+		t.Error("the dead copy's breaker never opened")
+	}
+}
+
 // TestFetchReplicaFailover: the fetch phase rides the same rotation — a
 // dead copy 0 must not cost a single document.
 func TestFetchReplicaFailover(t *testing.T) {
@@ -217,30 +260,21 @@ func TestFreshSharesArtifactsMatchesResults(t *testing.T) {
 	}
 }
 
-// hedgedCluster builds a 1-shard, 2-replica cluster with hedging armed
-// and a timer the test controls.
-func hedgedCluster(t *testing.T, c *corpus.Corpus) *Cluster {
+// hedgedCluster builds a 1-shard, 2-replica cluster with hedging armed on a
+// fake clock. Nobody advances that clock unless a test's runFn does, so the
+// cutoff fires exactly when the test says: never, by default.
+func hedgedCluster(t *testing.T, c *corpus.Corpus) (*Cluster, *clock.FakeClock) {
 	t.Helper()
+	fake := clock.NewFakeClock(time.Unix(0, 0))
 	cfg := replicatedConfig(2)
 	cfg.Resilience.HedgeEnabled = true
 	cfg.Resilience.HedgeCutoff = time.Millisecond
+	cfg.Clock = fake
 	cl, err := NewCluster(cfg, c, 1)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	return cl
-}
-
-// neverFire is a hedge timer that never fires.
-func neverFire(time.Duration) (<-chan time.Time, func() bool) {
-	return make(chan time.Time), func() bool { return true }
-}
-
-// firedTimer is a hedge timer that has already fired.
-func firedTimer(time.Duration) (<-chan time.Time, func() bool) {
-	ch := make(chan time.Time, 1)
-	ch <- time.Time{}
-	return ch, func() bool { return false }
+	return cl, fake
 }
 
 // eventTrace renders a shard's event log without wall-clock fields so
@@ -259,8 +293,7 @@ func eventTrace(cl *Cluster, si int) string {
 // timer fires, no backup is spawned and the result is unhedged.
 func TestHedgePrimaryWinsBeforeCutoff(t *testing.T) {
 	c := replicaTestCorpus(t)
-	cl := hedgedCluster(t, c)
-	cl.timerFn = neverFire
+	cl, _ := hedgedCluster(t, c) // the clock never moves: the cutoff never fires
 	res, err := cl.SearchCtx(context.Background(), `"t1"`, 15)
 	if err != nil {
 		t.Fatalf("SearchCtx: %v", err)
@@ -284,13 +317,16 @@ func hedgePrimary(cl *Cluster, expr string) int {
 	return int(replicaDraw(uint64(cl.res.Seed), mem.StableKey(expr), 0) % uint64(cl.Replicas()))
 }
 
-// stragglerRun returns a runFn that blocks the given replica until its
-// context dies (the straggling primary) and delegates every other call
-// to the real attempt path (the hedged backup).
-func stragglerRun(cl *Cluster, straggler int) (runFn func(context.Context, shardWork, int, int) shardOut, stalled *atomic.Int32) {
+// stragglerRun returns a runFn under which the given replica takes the
+// hedge cutoff — it advances the fake clock by it, firing the armed cutoff
+// inline — and then blocks until its context dies (the straggling
+// primary); every other call goes to the real attempt path (the hedged
+// backup).
+func stragglerRun(cl *Cluster, fake *clock.FakeClock, straggler int) (runFn func(context.Context, shardWork, int, int) shardOut, stalled *atomic.Int32) {
 	stalled = new(atomic.Int32)
 	return func(ctx context.Context, w shardWork, si, ri int) shardOut {
 		if ri == straggler {
+			fake.Advance(cl.res.HedgeCutoff)
 			<-ctx.Done()
 			stalled.Add(1)
 			return shardOut{err: shardError(si, ctx.Err())}
@@ -304,10 +340,9 @@ func stragglerRun(cl *Cluster, straggler int) (runFn func(context.Context, shard
 // abandoned primary never counts against its breaker.
 func TestHedgeBackupWins(t *testing.T) {
 	c := replicaTestCorpus(t)
-	cl := hedgedCluster(t, c)
-	cl.timerFn = firedTimer
+	cl, fake := hedgedCluster(t, c)
 	const expr = `"t1" AND "t2"`
-	run, stalled := stragglerRun(cl, hedgePrimary(cl, expr))
+	run, stalled := stragglerRun(cl, fake, hedgePrimary(cl, expr))
 	cl.runFn = run
 
 	node, dnf, err := cl.prepare(expr)
@@ -370,9 +405,8 @@ func TestHedgeBackupWins(t *testing.T) {
 func TestHedgeOrderingDeterministic(t *testing.T) {
 	c := replicaTestCorpus(t)
 	trace := func() string {
-		cl := hedgedCluster(t, c)
-		cl.timerFn = firedTimer
-		run, _ := stragglerRun(cl, hedgePrimary(cl, `"t2"`))
+		cl, fake := hedgedCluster(t, c)
+		run, _ := stragglerRun(cl, fake, hedgePrimary(cl, `"t2"`))
 		cl.runFn = run
 		if _, err := cl.SearchCtx(context.Background(), `"t2"`, 10); err != nil {
 			t.Fatalf("SearchCtx: %v", err)
@@ -396,9 +430,8 @@ func TestHedgeOrderingDeterministic(t *testing.T) {
 // goroutine count returns to its baseline.
 func TestHedgeLoserGoroutineExits(t *testing.T) {
 	c := replicaTestCorpus(t)
-	cl := hedgedCluster(t, c)
-	cl.timerFn = firedTimer
-	run, stalled := stragglerRun(cl, hedgePrimary(cl, `"t1"`))
+	cl, fake := hedgedCluster(t, c)
+	run, stalled := stragglerRun(cl, fake, hedgePrimary(cl, `"t1"`))
 	cl.runFn = run
 
 	before := runtime.NumGoroutine()
@@ -424,21 +457,29 @@ func TestHedgeLoserGoroutineExits(t *testing.T) {
 // failing, and nothing is recorded as hedged.
 func TestHedgeRidesPrimaryWhenBackupSick(t *testing.T) {
 	c := replicaTestCorpus(t)
-	cl := hedgedCluster(t, c)
-	cl.timerFn = firedTimer
-	// Open every non-primary breaker by failing it past the threshold,
-	// with a cooldown long enough that no half-open probe can sneak in.
-	cl.res.BreakerCooldown = time.Hour
-	now := time.Now()
+	cl, fake := hedgedCluster(t, c)
+	// Open the backup's breaker by failing it past the threshold; the fake
+	// clock moves by one cutoff only, so the cooldown never lets a half-open
+	// probe through.
 	primary := hedgePrimary(cl, `"t1"`)
-	for ri := 0; ri < cl.Replicas(); ri++ {
-		if ri == primary {
-			continue
+	backup := 1 - primary
+	for i := 0; i < cl.res.BreakerThreshold; i++ {
+		cl.states[0][backup].failure(0, fake.Now(), cl.res.BreakerThreshold, errors.New("seeded failure"))
+	}
+	// The primary takes the cutoff and answers only once the backup's
+	// breaker has logged a reject: runShardHedged has then taken the fire
+	// branch, looked for a backup and found none.
+	cl.runFn = func(ctx context.Context, w shardWork, si, ri int) shardOut {
+		fake.Advance(cl.res.HedgeCutoff)
+		for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
+			if evs := cl.ReplicaEvents(0, backup); evs[len(evs)-1].Kind == EvBreakerReject {
+				break
+			}
+			if time.Now().After(deadline) {
+				return shardOut{err: shardError(si, errors.New("the fired cutoff never probed the backup"))}
+			}
 		}
-		st := cl.states[0][ri]
-		for i := 0; i < cl.res.BreakerThreshold; i++ {
-			st.failure(0, now, cl.res.BreakerThreshold, errors.New("seeded failure"))
-		}
+		return cl.attempt(ctx, w, si, ri)
 	}
 	res, err := cl.SearchCtx(context.Background(), `"t1"`, 10)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"boss/internal/clock"
 	"boss/internal/core"
 	"boss/internal/mem"
 	"boss/internal/query"
@@ -230,10 +231,17 @@ func (s *shardState) success() {
 
 // failure records a failed attempt and opens the breaker when the
 // consecutive-failure threshold is reached (immediately in half-open).
+// An uncorrectable block is logged but counts for nothing (it only frees a
+// half-open probe claim): it is a fact about one block, not about the
+// copy's health, unlike a dead device or exhausted transient retries.
 func (s *shardState) failure(attempt int, now time.Time, threshold int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.record(EvFailure, attempt, 0, err)
+	if errors.Is(err, mem.ErrMediaUncorrectable) {
+		s.probing = false
+		return
+	}
 	if s.state == brHalfOpen {
 		s.state = brOpen
 		s.openedAt = now
@@ -249,10 +257,11 @@ func (s *shardState) failure(attempt int, now time.Time, threshold int, err erro
 	}
 }
 
-// abandon releases a hedge loser's claim on the breaker without
-// recording an outcome: losers never count against breakers, but a
-// half-open probe slot the loser claimed at selection time must be
-// freed or the replica's breaker would wedge half-open forever.
+// abandon releases a claim on the breaker without recording an outcome,
+// for a pick that was never adopted — a hedge loser, or a retry whose
+// backoff the context cut short. Neither counts against the breaker, but
+// a half-open probe slot claimed at selection time must be freed or the
+// replica's breaker would wedge half-open forever.
 func (s *shardState) abandon() {
 	s.mu.Lock()
 	s.probing = false
@@ -304,33 +313,11 @@ func (cl *Cluster) initResilience(r Resilience) {
 		}
 		cl.states[si] = reps
 	}
-	cl.now = time.Now
-	cl.sleepFn = sleepCtx
-	cl.timerFn = hedgeTimer
+	cl.clock = cl.cfg.Clock
+	if cl.clock == nil {
+		cl.clock = clock.Wall()
+	}
 	cl.runFn = cl.attempt
-}
-
-// hedgeTimer arms the production hedge-cutoff timer.
-//
-//boss:wallclock hedging claws back wall-clock tail latency by design.
-func hedgeTimer(d time.Duration) (<-chan time.Time, func() bool) {
-	t := time.NewTimer(d)
-	return t.C, t.Stop
-}
-
-// sleepCtx waits d or until the context is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // backoffDelay computes the jittered exponential backoff before retry
@@ -405,9 +392,9 @@ func retryable(err error) bool {
 
 // retryableOn is retryable under replication: failures that are
 // permanent for one copy (uncorrectable media, dead device) stay
-// retryable on replicated shards, because the attempt rotation lands
-// the retry on a different copy holding the same blocks. Context
-// cancellation is never retryable.
+// retryable on replicated shards, because the retry goes to a different
+// copy holding the same blocks (runShard never re-issues on the copy that
+// returned the error). Context cancellation is never retryable.
 func (cl *Cluster) retryableOn(err error, si int) bool {
 	if retryable(err) {
 		return true
@@ -455,24 +442,21 @@ func shardError(si int, err error) error {
 // stable key, the shard); the attempt index advances the rotation so
 // consecutive attempts land on different copies; and replicas whose
 // breakers reject are skipped at selection time, not after a failed
-// attempt. ok is false only when every replica rejected — the
-// all-copies-sick case, which degrades the query through the existing
-// breaker error path.
+// attempt, as are the copies in spent (bit ri: copy ri already returned
+// this request a replica-permanent error). ok is false when no copy is
+// left — on a first attempt the all-copies-sick case, which degrades the
+// query through the breaker error path.
 //
 //boss:hotpath one call per (query, shard, attempt).
-func (cl *Cluster) pickReplica(si int, qkey uint64, attempt int) (*shardState, int, bool) {
+func (cl *Cluster) pickReplica(si int, qkey uint64, attempt int, spent uint64) (*shardState, int, bool) {
 	sts := cl.states[si]
-	if len(sts) == 1 { // single copy: the breaker gate is the whole decision
-		st := sts[0]
-		if !st.allow(cl.now(), cl.res.BreakerCooldown) {
-			return nil, 0, false
-		}
-		return st, 0, true
+	start := 0
+	if len(sts) > 1 { // a single copy needs no draw: its breaker gate is the whole decision
+		start = int(replicaDraw(uint64(cl.res.Seed), qkey, si) % uint64(len(sts)))
 	}
-	start := int(replicaDraw(uint64(cl.res.Seed), qkey, si) % uint64(len(sts)))
 	for p := 0; p < len(sts); p++ {
 		ri := (start + attempt + p) % len(sts)
-		if sts[ri].allow(cl.now(), cl.res.BreakerCooldown) {
+		if spent&(1<<uint(ri)) == 0 && sts[ri].allow(cl.clock.Now(), cl.res.BreakerCooldown) {
 			return sts[ri], ri, true
 		}
 	}
@@ -484,19 +468,6 @@ func (cl *Cluster) pickReplica(si int, qkey uint64, attempt int) (*shardState, i
 // and no two shards share a rotation stream.
 func replicaDraw(seed, qkey uint64, si int) uint64 {
 	return splitmix64(seed ^ qkey ^ (uint64(si)+1)*0x94d049bb133111eb)
-}
-
-// pickBackup selects a hedge's backup copy: the next replica after the
-// primary in rotation order whose breaker admits an attempt.
-func (cl *Cluster) pickBackup(si, primary int) (*shardState, int, bool) {
-	sts := cl.states[si]
-	for p := 1; p < len(sts); p++ {
-		ri := (primary + p) % len(sts)
-		if sts[ri].allow(cl.now(), cl.res.BreakerCooldown) {
-			return sts[ri], ri, true
-		}
-	}
-	return nil, 0, false
 }
 
 // runShard is the one attempt loop, for searches and fetches alike: the
@@ -514,6 +485,11 @@ func (cl *Cluster) pickBackup(si, primary int) (*shardState, int, bool) {
 //   - fetches are never hedged: a fetch attempt writes payloads into the
 //     result's Docs in place, and two racing attempts would tear them.
 //
+// A retry's copy is picked before its backoff: when none is left — the
+// other breakers reject, and re-reading the copy that just returned a
+// replica-permanent error cannot succeed (BlockFault is a pure function of
+// key and block) — the loop stops with the failure it has.
+//
 // Event recording and error construction are outlined.
 //
 //boss:hotpath one call per (query, shard).
@@ -528,37 +504,41 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 	if w.node == nil {
 		qkey, hedge = fetchQueryKey(w.ids[si]), false
 	}
+	if cause := ctx.Err(); cause != nil {
+		return shardOut{err: shardError(si, cause)}
+	}
+	st, ri, ok := cl.pickReplica(si, qkey, 0, 0)
+	if !ok {
+		return shardOut{err: shardError(si, ErrShardUnavailable)}
+	}
+	var spent uint64 // copies that returned this request a replica-permanent error
 	for attempt := 0; ; attempt++ {
-		if cause := ctx.Err(); cause != nil {
-			return shardOut{err: shardError(si, cause)}
-		}
-		st, ri, ok := cl.pickReplica(si, qkey, attempt)
-		if !ok {
-			return shardOut{err: shardError(si, ErrShardUnavailable)}
-		}
-		recordAttempt(st, attempt)
+		logEvent(st, EvAttempt, attempt, 0)
 		var out shardOut
 		if hedge {
-			out = cl.runShardHedged(ctx, w, si, ri, attempt, st)
+			out = cl.runShardHedged(ctx, w, si, ri, attempt, st, spent)
 		} else {
 			out = cl.attempt(ctx, w, si, ri)
 			out.ri = ri
 			cl.settle(st, out.err, attempt)
 		}
-		if out.err == nil {
+		if out.err == nil || attempt >= cl.res.MaxRetries || !cl.retryableOn(out.err, si) || ctx.Err() != nil {
 			return out
 		}
-		if attempt >= cl.res.MaxRetries || !cl.retryableOn(out.err, si) {
-			return out
+		if !retryable(out.err) {
+			spent |= 1 << uint(out.ri)
 		}
-		if cause := ctx.Err(); cause != nil {
+		next, nri, ok := cl.pickReplica(si, qkey, attempt+1, spent)
+		if !ok {
 			return out
 		}
 		d := cl.res.backoffDelay(si, attempt)
-		recordBackoff(st, attempt, d)
-		if cl.sleepFn(ctx, d) != nil {
+		logEvent(st, EvBackoff, attempt, d)
+		if cl.clock.Sleep(ctx, d) != nil {
+			next.abandon()
 			return out // context died during backoff: report the last failure
 		}
+		st, ri = next, nri
 	}
 }
 
@@ -569,34 +549,37 @@ func (cl *Cluster) settle(st *shardState, err error, attempt int) {
 		st.success()
 		return
 	}
-	st.failure(attempt, cl.now(), cl.res.BreakerThreshold, err)
+	st.failure(attempt, cl.clock.Now(), cl.res.BreakerThreshold, err)
 }
 
-// runShardHedged issues the attempt on the primary replica and arms the
-// hedge timer: if the primary has not answered at the cutoff, a backup
-// attempt fires on the next healthy replica and the first result to
-// arrive wins (a first arrival carrying an error waits for the other
-// runner before giving up). The loser is cancelled, its outcome never
-// reaches any breaker — only the adopted result settles its replica —
-// and its claim on a half-open probe slot is released. Both runners
-// deliver into cap-1 buffered channels, so a cancelled loser's
-// goroutine always exits.
-func (cl *Cluster) runShardHedged(ctx context.Context, w shardWork, si, primary, attempt int, st *shardState) shardOut {
+// runShardHedged arms the hedge cutoff on the cluster clock and issues the
+// attempt on the primary replica: if the primary has not answered at the
+// cutoff, a backup attempt fires on the next copy the same rotation allows
+// (minus the primary and the spent copies) and the first result to arrive
+// wins (a first arrival carrying an error waits for the other runner). The
+// loser is cancelled, its outcome never reaches any breaker — only the
+// adopted result settles its replica — and its claim on a half-open probe
+// slot is released. Both runners deliver into cap-1 buffered channels, so
+// a cancelled loser's goroutine always exits.
+func (cl *Cluster) runShardHedged(ctx context.Context, w shardWork, si, primary, attempt int, st *shardState, spent uint64) shardOut {
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	pch := make(chan shardOut, 1)
+	// Armed before the primary is spawned, so the cutoff counts from
+	// dispatch; it fires once into a cap-1 channel, so the send never blocks.
+	fire := make(chan struct{}, 1)
+	cutoff := cl.clock.AfterFunc(cl.res.HedgeCutoff, func() { fire <- struct{}{} })
 	go cl.hedgeRun(pctx, w, si, primary, pch)
-	fire, stop := cl.timerFn(cl.res.HedgeCutoff)
 	var pout shardOut
 	select {
 	case pout = <-pch: // primary answered before the cutoff: no hedge
-		stop()
+		cutoff.Stop()
 		pout.ri = primary
 		cl.settle(st, pout.err, attempt)
 		return pout
 	case <-fire:
 	}
-	bst, bri, ok := cl.pickBackup(si, primary)
+	bst, bri, ok := cl.pickReplica(si, w.qkey, attempt, spent|1<<uint(primary))
 	if !ok {
 		// Every other copy is sick: ride the primary to completion.
 		pout = <-pch
@@ -604,7 +587,7 @@ func (cl *Cluster) runShardHedged(ctx context.Context, w shardWork, si, primary,
 		cl.settle(st, pout.err, attempt)
 		return pout
 	}
-	recordHedge(bst, attempt)
+	logEvent(bst, EvHedge, attempt, 0)
 	bctx, bcancel := context.WithCancel(ctx)
 	defer bcancel()
 	bch := make(chan shardOut, 1)
@@ -644,23 +627,11 @@ func (cl *Cluster) hedgeRun(ctx context.Context, w shardWork, si, ri int, ch cha
 	ch <- cl.runFn(ctx, w, si, ri)
 }
 
-// recordAttempt / recordBackoff / recordHedge are outlined from the retry
+// logEvent records one event on a replica's log; outlined from the retry
 // loop so the hot path stays free of composite construction.
-func recordAttempt(st *shardState, attempt int) {
+func logEvent(st *shardState, kind EventKind, attempt int, backoff time.Duration) {
 	st.mu.Lock()
-	st.record(EvAttempt, attempt, 0, nil)
-	st.mu.Unlock()
-}
-
-func recordBackoff(st *shardState, attempt int, d time.Duration) {
-	st.mu.Lock()
-	st.record(EvBackoff, attempt, d, nil)
-	st.mu.Unlock()
-}
-
-func recordHedge(st *shardState, attempt int) {
-	st.mu.Lock()
-	st.record(EvHedge, attempt, 0, nil)
+	st.record(kind, attempt, backoff, nil)
 	st.mu.Unlock()
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"boss/internal/clock"
 	"boss/internal/corpus"
 	"boss/internal/mem"
 )
@@ -250,9 +251,9 @@ func TestResilienceReplayDeterministic(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Workers = 1    // serial sweep: event order is the query order
 		cfg.CacheBytes = 0 // identical fetch sequences on both runs
+		cfg.Clock = clock.NewFakeClock(time.Unix(0, 0))
 		cl := mustCluster(t, cfg, c, 4)
 		cl.SetFaultPlan(plan)
-		cl.sleepFn = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
 		outs := make([]qOutcome, 0, len(exprs))
 		for _, expr := range exprs {
 			res, err := cl.SearchCtx(context.Background(), expr, 10)
@@ -306,10 +307,9 @@ func TestBreakerTransitions(t *testing.T) {
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Minute,
 	}
+	fake := clock.NewFakeClock(time.Unix(1000, 0))
+	cfg.Clock = fake
 	cl := mustCluster(t, cfg, c, 1)
-	clock := time.Unix(1000, 0)
-	cl.now = func() time.Time { return clock }
-	cl.sleepFn = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
 	cl.SetFaultPlan(&mem.FaultPlan{Seed: 1, DeadDevices: []int{0}})
 
 	ctx := context.Background()
@@ -325,7 +325,7 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 	// After the cooldown a probe goes through; the shard is still dead,
 	// so the breaker re-opens.
-	clock = clock.Add(2 * time.Minute)
+	fake.Advance(2 * time.Minute)
 	if _, err := cl.SearchCtx(ctx, `"t0"`, 5); !errors.Is(err, mem.ErrDeviceDown) {
 		t.Fatalf("half-open probe: %v", err)
 	}
@@ -334,7 +334,7 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 	// Heal the device; the next cooldown probe succeeds and closes it.
 	cl.SetFaultPlan(nil)
-	clock = clock.Add(2 * time.Minute)
+	fake.Advance(2 * time.Minute)
 	if _, err := cl.SearchCtx(ctx, `"t0"`, 5); err != nil {
 		t.Fatalf("healing probe: %v", err)
 	}
