@@ -1,0 +1,89 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"testing"
+
+	"boss/internal/cache"
+	"boss/internal/corpus"
+	"boss/internal/query"
+)
+
+// operatorChargesGolden is the SHA-256 of every TopK and every perf.Metrics
+// the sweep below produces, computed at commit 4f3b056 — the parent of the
+// change that moved the document-at-a-time operators onto one flat cursor
+// and listState's two maps onto a block-record slice. The bench/ workloads
+// pin sim_us_per_op for DefaultOptions at k = 10/100 only; this pins the
+// operators' answers and charges for every ablation, both cache arms and a
+// shallow and a deep k. A change that means to alter what the model charges
+// recomputes it and says so; any other change leaves it alone.
+const operatorChargesGolden = "8ae46546496af899ed35dab8185257f9c495f4d5dc969e72261d5afcba79b4c8"
+
+// TestOperatorChargesGolden runs a seeded Q1–Q7 sweep × four option sets ×
+// cache nil/attached × k ∈ {1, 10, 100} and hashes every result
+// (pool.TestDeviceReportGolden is the precedent).
+func TestOperatorChargesGolden(t *testing.T) {
+	c, idx := sparseFixture(t, 0.01)
+	type item struct {
+		node  *query.Node
+		terms []string // set for Q7, which runs through RunSparse
+	}
+	var items []item
+	for _, qt := range append(corpus.AllQueryTypes(), corpus.Q7) {
+		for _, q := range corpus.SampleQueries(c, qt, 200, 2718) {
+			it := item{node: query.MustParse(q.Expr)}
+			if qt == corpus.Q7 {
+				it.terms = q.Terms
+			}
+			items = append(items, it)
+		}
+	}
+	h := sha256.New()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	for _, opts := range []Options{DefaultOptions(), ExhaustiveOptions(), BlockOnlyOptions(), {DocET: true}} {
+		for _, cached := range []bool{false, true} {
+			acc := New(idx, opts)
+			if cached {
+				// Small enough that the sweep evicts: hits, misses and
+				// re-publishes all occur (asserted below).
+				acc.SetCache(cache.NewSharded(128<<10, 2))
+			}
+			for _, k := range []int{1, 10, 100} {
+				for _, it := range items {
+					var res Result
+					var err error
+					if it.terms != nil {
+						res, err = acc.RunSparse(it.terms, k)
+					} else {
+						res, err = acc.Run(it.node, k)
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", it.node, err)
+					}
+					put(uint64(len(res.TopK)))
+					for _, e := range res.TopK {
+						put(uint64(e.DocID))
+						put(math.Float64bits(e.Score))
+					}
+					fmt.Fprintf(h, "%+v\n", *res.M)
+				}
+			}
+			if cached {
+				if st := acc.Cache().Stats(); st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.PinnedEntries != 0 {
+					t.Fatalf("cache arm not exercised or left pinned: %+v", st)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != operatorChargesGolden {
+		t.Fatalf("operator answers or charges moved:\n got %s\nwant %s", got, operatorChargesGolden)
+	}
+}
