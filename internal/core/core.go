@@ -181,16 +181,51 @@ type blockData struct {
 
 var blockDataPool = sync.Pool{New: func() any { return new(blockData) }}
 
+// blockRec is one block of a posting list that the run has examined: its
+// metadata record has been charged, and bd is its decoded form once fetched
+// (bd == nil: metadata charged, block not loaded).
+type blockRec struct {
+	b  int
+	bd *blockData
+}
+
 // listState gathers all per-(run, posting-list) bookkeeping behind a single
-// map probe: decoded blocks, metadata-prefetch accounting, and the stream's
-// decode-cycle total (each posting-list stream owns a decompression unit —
-// the paper's intra-query limitation).
+// map probe: the examined blocks, and the stream's decode-cycle total (each
+// posting-list stream owns a decompression unit — the paper's intra-query
+// limitation).
 type listState struct {
-	blocks    map[int]*blockData
-	metaSeen  map[int]bool
-	metaCount int
-	cycles    float64
-	decoded   bool // the stream ran its decompression unit at least once
+	// recs holds one record per examined block, ascending by block index;
+	// len(recs) is therefore the list's metadata-prefetch count.
+	recs    []blockRec
+	cycles  float64
+	decoded bool // the stream ran its decompression unit at least once
+}
+
+// find returns the index of block b's record, or the index it would be
+// inserted at. Every operator walks a list's blocks in ascending order, so
+// the record is the last one or lies beyond it; the binary search serves the
+// one non-monotone access there is, a mixed query whose later conjunct
+// re-scans a shared term from its first block.
+//
+//boss:hotpath one call per examined block.
+func (ls *listState) find(b int) (int, bool) {
+	n := len(ls.recs)
+	if n == 0 || ls.recs[n-1].b < b {
+		return n, false
+	}
+	if ls.recs[n-1].b == b {
+		return n - 1, true
+	}
+	lo, hi := 0, n-1 // recs[n-1].b > b, so the answer is in [0, n-1]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ls.recs[mid].b < b {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, ls.recs[lo].b == b
 }
 
 // run tracks the state of one query execution on a BOSS core.
@@ -217,13 +252,15 @@ type run struct {
 	ctx context.Context
 	err error
 
-	// Union-path scratch, reused across intervals and across pooled runs
-	// (union.go). Nothing retained beyond a call references these.
-	ustreams []ustream
-	streams  []*ustream
-	covering []*ustream
-	active   []*ustream
-	matched  []*ustream
+	// Cursor scratch of the document-at-a-time operators (cursor.go): one
+	// cursor per posting list, shared by the union and sparse paths (a query
+	// runs one or the other), plus the union module's pointer views over it.
+	// Reused across pooled runs; releaseRun zeroes what the run wrote.
+	cursors  []cursor
+	streams  []*cursor
+	covering []*cursor
+	active   []*cursor
+	matched  []*cursor
 	terms    []termTF
 
 	// Intersection-path scratch (intersect.go). Match records carve their
@@ -244,11 +281,6 @@ type run struct {
 	scorer Scorer
 	bm25   bm25Scorer
 	impact impactScorer
-
-	// Sparse-path scratch (sparse.go), reused like the union scratch.
-	sstreams []sstream
-	sorder   []*sstream
-	sprefix  []float64
 }
 
 // allocTerms carves a zero-length termTF slice with capacity n out of the
@@ -320,7 +352,11 @@ func (a *Accelerator) newRun(k, nTerms int) *run {
 // zero allocations.
 func (a *Accelerator) releaseRun(r *run) {
 	for _, ls := range r.lists {
-		for _, bd := range ls.blocks {
+		for _, rec := range ls.recs {
+			bd := rec.bd
+			if bd == nil {
+				continue // examined on metadata only
+			}
 			if bd.ent != nil {
 				// Cache-backed block: unpin the entry and drop the aliases —
 				// the slab belongs to the cache, never to the pooled record.
@@ -335,9 +371,8 @@ func (a *Accelerator) releaseRun(r *run) {
 			}
 			blockDataPool.Put(bd)
 		}
-		clear(ls.blocks)
-		clear(ls.metaSeen)
-		ls.metaCount = 0
+		clear(ls.recs) // a free listState must not pin pooled blocks
+		ls.recs = ls.recs[:0]
 		ls.cycles = 0
 		ls.decoded = false
 		r.lsFree = append(r.lsFree, ls)
@@ -359,13 +394,16 @@ func (a *Accelerator) releaseRun(r *run) {
 	r.ctx = nil
 	r.err = nil
 	r.scorer = nil
-	// Sparse scratch holds posting-list pointers; clear so a pooled run
-	// never pins a previous query's lists.
-	clear(r.sstreams)
-	r.sstreams = r.sstreams[:0]
-	clear(r.sorder)
-	r.sorder = r.sorder[:0]
-	r.sprefix = r.sprefix[:0]
+	// Cursors hold posting lists and alias decoded blocks (cache slabs
+	// included); term records and the conjunct-order scratch hold posting
+	// lists: zero them so a pooled run never pins a previous query's lists
+	// or blocks. Each release clears what its run wrote, so the cursor
+	// capacity beyond stays zero; the other two hold at most one entry per
+	// query term.
+	clear(r.cursors)
+	r.cursors = r.cursors[:0]
+	clear(r.terms[:cap(r.terms)])
+	clear(r.ordScratch[:cap(r.ordScratch)])
 	r.fetchCycles, r.mergeCycles, r.scoreOps, r.topkInserts = 0, 0, 0, 0
 	a.runs.Put(r)
 }
@@ -398,10 +436,12 @@ func (a *Accelerator) RunDNFCtx(ctx context.Context, dnf [][]string, k int) (Res
 	return a.runDNF(ctx, dnf, k)
 }
 
-// RunSparse executes a sparse-dot (Q7) query over the given terms.
-// Callers that fan one sparse query out to several accelerators
-// (pool.Cluster) extract the term list once and share it; the term-count
-// limit is the caller's to enforce (Run checks it against the AST).
+// RunSparse executes a sparse-dot (Q7) query over the given terms, which
+// are distinct — a sparse query is a set (query.Sparse and the parser drop
+// repeats), and the operator opens one cursor per list. Callers that fan one
+// sparse query out to several accelerators (pool.Cluster) extract the term
+// list once and share it; the term-count limit is the caller's to enforce
+// (Run checks it against the AST).
 func (a *Accelerator) RunSparse(terms []string, k int) (Result, error) {
 	return a.runSparse(nil, terms, k)
 }
@@ -543,7 +583,7 @@ func (r *run) stateFor(pl *index.PostingList) *listState {
 			ls = r.lsFree[n-1]
 			r.lsFree = r.lsFree[:n-1]
 		} else {
-			ls = &listState{blocks: make(map[int]*blockData), metaSeen: make(map[int]bool)} //boss:escape-ok free-list miss: one listState per first-touched list, recycled via lsFree
+			ls = new(listState) //boss:escape-ok free-list miss: one listState per first-touched list, recycled via lsFree
 		}
 		r.lists[pl] = ls
 	}
@@ -555,16 +595,24 @@ func (r *run) stateFor(pl *index.PostingList) *listState {
 //
 //boss:hotpath one call per examined block, skipped or fetched.
 func (r *run) chargeMeta(ls *listState, b int) {
-	if ls.metaSeen[b] {
-		return
+	if i, seen := ls.find(b); !seen {
+		r.examine(ls, i, b)
 	}
-	ls.metaSeen[b] = true
+}
+
+// examine records block b as examined at index i of ls.recs (from find) and
+// charges its metadata read.
+//
+//boss:hotpath one call per examined block, skipped or fetched.
+func (r *run) examine(ls *listState, i, b int) {
 	// The first record of each chunk triggers one streaming prefetch of
 	// metaChunkEntries records.
-	if ls.metaCount%metaChunkEntries == 0 {
+	if len(ls.recs)%metaChunkEntries == 0 {
 		r.m.AddSeqRead(metaChunkEntries*index.BlockMetaBytes, mem.CatLoadList)
 	}
-	ls.metaCount++
+	ls.recs = append(ls.recs, blockRec{})
+	copy(ls.recs[i+1:], ls.recs[i:])
+	ls.recs[i] = blockRec{b: b}
 	r.fetchCycles += blockFetchCycles
 }
 
@@ -605,8 +653,9 @@ func (r *run) decoder(s compress.Scheme) *decomp.Module {
 //boss:hotpath one call per block examined; the per-block decode loop.
 //boss:pool-escapes decoded blocks live in r.lists until releaseRun pools them.
 func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData {
-	if bd, ok := ls.blocks[b]; ok {
-		return bd
+	ri, seen := ls.find(b)
+	if seen && ls.recs[ri].bd != nil {
+		return ls.recs[ri].bd
 	}
 	if r.ctx != nil {
 		if cause := r.ctx.Err(); cause != nil {
@@ -615,7 +664,10 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData
 		}
 	}
 	meta := pl.Blocks[b]
-	r.chargeMeta(ls, b)
+	if !seen {
+		r.examine(ls, ri, b)
+	}
+	// Nothing below touches ls.recs, so ri stays block b's record.
 
 	ch := r.acc.cache
 	var ent *cache.Entry
@@ -658,7 +710,7 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData
 		bd := blockDataPool.Get().(*blockData)
 		bd.ent = ent
 		bd.docs, bd.tfs = ent.Docs(), ent.Tfs()
-		ls.blocks[b] = bd
+		ls.recs[ri].bd = bd
 		return bd
 	}
 
@@ -701,7 +753,7 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData
 		docs, tfs = bd.ent.Docs(), bd.ent.Tfs()
 	}
 	bd.docs, bd.tfs = docs, tfs
-	ls.blocks[b] = bd
+	ls.recs[ri].bd = bd
 	return bd
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"boss/internal/cache"
 	"boss/internal/compress"
 	"boss/internal/corpus"
 	"boss/internal/engine"
@@ -262,6 +264,161 @@ func TestSharedTermChargedOnceInMixedQuery(t *testing.T) {
 	}
 }
 
+// TestSharedTermRescanFetchesSkippedBlock is the shape where the shared
+// term's block records are not simply appended and re-read: in
+// `"t0" AND ("t39" OR "t1")` the first conjunct (rare t39 leading) passes two
+// blocks of t0 on metadata alone, and the second conjunct (t1 leading)
+// re-scans t0 from its first block and needs those two decoded. The re-scan
+// must find each record without charging its metadata again, and load the
+// block into the record the skip left. The three figures are the parent
+// commit's (4f3b056, listState's two maps).
+func TestSharedTermRescanFetchesSkippedBlock(t *testing.T) {
+	f := newFixture(t)
+	acc := New(f.idx, DefaultOptions())
+	A, B, C := f.idx.MustList("t0"), f.idx.MustList("t39"), f.idx.MustList("t1")
+
+	// The shape itself, conjunct by conjunct.
+	r := acc.newRun(10, 3)
+	r.intersect([]*index.PostingList{A, B})
+	ls := r.stateFor(A)
+	var skipped []int
+	for _, rec := range ls.recs {
+		if rec.bd == nil {
+			skipped = append(skipped, rec.b)
+		}
+	}
+	if len(skipped) == 0 || r.m.BlocksSkipped == 0 {
+		t.Fatalf("first conjunct skipped no block of the shared list (records %+v)", ls.recs)
+	}
+	r.intersect([]*index.PostingList{A, C})
+	filled := 0
+	for _, b := range skipped {
+		if i, ok := ls.find(b); !ok {
+			t.Fatalf("block %d's record vanished", b)
+		} else if ls.recs[i].bd != nil {
+			filled++
+		}
+	}
+	if filled == 0 {
+		t.Fatal("second conjunct fetched none of the blocks the first one skipped: the test exercises nothing")
+	}
+	// Every examined block has one record and was charged once, re-scan or not.
+	records := 0
+	for _, st := range r.lists {
+		records += len(st.recs)
+		for i := 1; i < len(st.recs); i++ {
+			if st.recs[i-1].b >= st.recs[i].b {
+				t.Fatalf("records not strictly ascending: %+v", st.recs)
+			}
+		}
+	}
+	if r.fetchCycles != float64(records*blockFetchCycles) {
+		t.Fatalf("fetch cycles %v for %d block records, want %d each", r.fetchCycles, records, blockFetchCycles)
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	acc.releaseRun(r)
+
+	res, err := acc.Run(query.MustParse(`"t0" AND ("t39" OR "t1")`), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.M.BlocksFetched != 14 || res.M.BlocksSkipped != 2 || res.M.Cat[mem.CatLoadList] != 3120 {
+		t.Fatalf("fetched %d, skipped %d, LD List %d B; the parent charges 14, 2, 3120",
+			res.M.BlocksFetched, res.M.BlocksSkipped, res.M.Cat[mem.CatLoadList])
+	}
+}
+
+// TestBlockRecords walks listState's block-record slice through every
+// lookup shape: empty, the tail hit and ascending append every operator
+// makes, and the out-of-order insert only a re-scan could need.
+func TestBlockRecords(t *testing.T) {
+	f := newFixture(t)
+	acc := New(f.idx, DefaultOptions())
+	pl := f.idx.MustList("t0")
+	r := acc.newRun(10, 1)
+	ls := r.stateFor(pl)
+	blocks := func(ls *listState) []int {
+		out := make([]int, len(ls.recs))
+		for i, rec := range ls.recs {
+			out[i] = rec.b
+		}
+		return out
+	}
+	var pinned *blockData // block 7's decoded form, loaded midway
+	for _, st := range []struct {
+		name string
+		b    int
+		seen bool // already examined before this step
+		want []int
+	}{
+		{"empty", 3, false, []int{3}},
+		{"tail hit", 3, true, []int{3}},
+		{"ascending append", 7, false, []int{3, 7}},
+		{"ascending append again", 8, false, []int{3, 7, 8}},
+		{"insert in the middle", 5, false, []int{3, 5, 7, 8}},
+		{"lookup after insert: shifted record", 7, true, []int{3, 5, 7, 8}},
+		{"lookup after insert: inserted record", 5, true, []int{3, 5, 7, 8}},
+		{"insert at the front", 0, false, []int{0, 3, 5, 7, 8}},
+		{"tail still hits", 8, true, []int{0, 3, 5, 7, 8}},
+		{"absent between records", 4, false, []int{0, 3, 4, 5, 7, 8}},
+	} {
+		if _, seen := ls.find(st.b); seen != st.seen {
+			t.Fatalf("%s: find(%d) seen = %v, want %v", st.name, st.b, seen, st.seen)
+		}
+		before := r.fetchCycles
+		r.chargeMeta(ls, st.b)
+		if got := blocks(ls); !reflect.DeepEqual(got, st.want) {
+			t.Fatalf("%s: records %v, want %v", st.name, got, st.want)
+		}
+		if charged := r.fetchCycles != before; charged == st.seen {
+			t.Fatalf("%s: metadata charged = %v for a block with seen = %v", st.name, charged, st.seen)
+		}
+		if st.name == "ascending append" {
+			// Load block 7 so the inserts below shift a record that
+			// holds a decoded block.
+			if pinned = r.fetchBlock(ls, pl, 7); pinned == nil {
+				t.Fatal(r.err)
+			}
+		}
+		if pinned != nil {
+			if got := r.fetchBlock(ls, pl, 7); got != pinned || r.m.BlocksFetched != 1 {
+				t.Fatalf("%s: block 7 re-fetched (got %p, want %p, fetched %d)", st.name, got, pinned, r.m.BlocksFetched)
+			}
+		}
+	}
+	// One 32-record metadata chunk covers the six examined blocks.
+	if got, want := r.m.Cat[mem.CatLoadList], int64(metaChunkEntries*index.BlockMetaBytes)+int64(pl.Blocks[7].Length); got != want {
+		t.Fatalf("LD List = %d B, want one metadata chunk + block 7 = %d B", got, want)
+	}
+
+	// releaseRun truncates the records and drops their blocks; the recycled
+	// listState starts empty.
+	acc.releaseRun(r)
+	if len(ls.recs) != 0 {
+		t.Fatalf("released listState keeps %d records", len(ls.recs))
+	}
+	for i, rec := range ls.recs[:cap(ls.recs)] {
+		if rec.bd != nil {
+			t.Fatalf("released listState still holds a block at %d", i)
+		}
+	}
+	r2 := acc.newRun(10, 1)
+	defer acc.releaseRun(r2)
+	ls2 := r2.stateFor(pl)
+	if r2 == r && ls2 != ls {
+		t.Fatal("recycled run did not reuse its free listState")
+	}
+	if _, seen := ls2.find(5); seen {
+		t.Fatal("a fresh run sees the previous run's block 5")
+	}
+	r2.chargeMeta(ls2, 5)
+	if got := blocks(ls2); !reflect.DeepEqual(got, []int{5}) {
+		t.Fatalf("after reuse: records %v, want [5]", got)
+	}
+}
+
 func TestFixedPointApproximatesFloat(t *testing.T) {
 	f := newFixture(t)
 	fp := New(f.idx, Options{BlockET: true, DocET: true, FixedPoint: true})
@@ -412,5 +569,88 @@ func TestReleaseRunLeavesMatchBuffersPinFree(t *testing.T) {
 	}
 	if !grown {
 		t.Fatal("no match buffer ever grew: the test exercised nothing")
+	}
+}
+
+// The same hygiene for the cursor scratch of the document-at-a-time
+// operators and the block records beneath every operator: a released run
+// holds no posting list, no decoded block and no cache pin — over the full
+// capacity of each scratch slice, after a wide query and after the narrower
+// ones that follow it.
+func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
+	_, idx := sparseFixture(t, 0.004)
+	ch := cache.NewSharded(8<<20, 2)
+	acc := NewCached(idx, DefaultOptions(), ch)
+	lists := func(terms ...string) []*index.PostingList {
+		pls := make([]*index.PostingList, len(terms))
+		for i, tm := range terms {
+			pls[i] = idx.MustList(tm)
+		}
+		return pls
+	}
+	steps := []struct {
+		name string
+		run  func(r *run)
+	}{
+		{"sparse, 8 lists", func(r *run) {
+			r.scorer = &r.impact
+			r.sparse(lists("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"))
+		}},
+		{"union, 4 lists", func(r *run) { r.union(lists("t0", "t1", "t2", "t3")) }},
+		{"sparse, 2 lists", func(r *run) {
+			r.scorer = &r.impact
+			r.sparse(lists("t3", "t9"))
+		}},
+		{"conjunction, 3 lists", func(r *run) { r.scoreAll(r.intersect(lists("t0", "t1", "t2"))) }},
+		{"union, 1 list", func(r *run) { r.union(lists("t5")) }},
+	}
+	widest := 0
+	for pass := 0; pass < 2; pass++ { // the second pass runs on cache hits
+		for _, st := range steps {
+			r := acc.newRun(10, 8)
+			st.run(r)
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.m.BlocksFetched == 0 {
+				t.Fatalf("%s: fetched nothing", st.name)
+			}
+			acc.releaseRun(r)
+			widest = max(widest, cap(r.cursors))
+			for i, c := range r.cursors[:cap(r.cursors)] {
+				if c.pl != nil || c.ls != nil || c.docs != nil || c.tfs != nil || c.imps != nil {
+					t.Fatalf("%s: cursor %d of %d still references its list or block after releaseRun", st.name, i, cap(r.cursors))
+				}
+			}
+			for i, tt := range r.terms[:cap(r.terms)] {
+				if tt.pl != nil {
+					t.Fatalf("%s: term record %d still references a posting list", st.name, i)
+				}
+			}
+			for i, pl := range r.ordScratch[:cap(r.ordScratch)] {
+				if pl != nil {
+					t.Fatalf("%s: conjunct-order scratch %d still references a posting list", st.name, i)
+				}
+			}
+			if len(r.lists) != 0 {
+				t.Fatalf("%s: %d lists still mapped", st.name, len(r.lists))
+			}
+			for _, ls := range r.lsFree {
+				for i, rec := range ls.recs[:cap(ls.recs)] {
+					if rec.bd != nil {
+						t.Fatalf("%s: a free listState still holds a decoded block at record %d", st.name, i)
+					}
+				}
+			}
+			if p := ch.Stats().PinnedEntries; p != 0 {
+				t.Fatalf("%s: %d cache entries still pinned", st.name, p)
+			}
+		}
+	}
+	if widest < 8 {
+		t.Fatal("the cursor scratch never grew: the test exercised nothing")
+	}
+	if st := ch.Stats(); st.Hits == 0 {
+		t.Fatalf("no cache hit: the pinned-entry path was not exercised (%+v)", st)
 	}
 }

@@ -1,0 +1,159 @@
+package core
+
+import (
+	"boss/internal/index"
+	"boss/internal/score"
+)
+
+// noDoc is cursor.cur when no posting is under the cursor: block not loaded,
+// block consumed, or list exhausted. It exceeds every docID, so a minimum
+// over cursors ignores it and no candidate ever equals it.
+const noDoc = uint64(1) << 32
+
+// cursor is one posting list's position inside a document-at-a-time
+// operator: the union module's interval sweep (union.go) and the MaxScore
+// driver (sparse.go). The current block's decoded slices and the docID under
+// the cursor live in the record itself, so the per-posting loops compare
+// c.cur and index c.docs without walking cursor → blockData → slice header
+// for every stream on every candidate.
+//
+// Cursors are model-neutral by construction. Which blocks a run examines and
+// fetches is decided where it always was — load is called at the same
+// logical points, never ahead of need — and the cycle tallies the operators
+// keep (mergeCycles, scoreOps, fetchCycles, …) are sums of integers and
+// multiples of 0.5 far below 2^53, so charging a position delta at once, or
+// 1.5 × candidates at the end of a run, adds up to exactly what the
+// one-at-a-time increments did, in any order.
+type cursor struct {
+	cur  uint64   // docs[pos], or noDoc; seek keeps it in step with pos
+	docs []uint32 // current block, decoded; empty until loaded
+	tfs  []uint32
+	imps []byte // current block's impact codes (sparse only; aliases pl.Data)
+	pos  int    // position within docs
+	bi   int    // current block index
+
+	charged int    // last block index charged via chargeMeta (memo)
+	loaded  bool   // docs/tfs hold block bi
+	floor   uint32 // union: docIDs below floor were pruned by interval skipping
+	ord     int    // position in the query (keeps the union's score-sum order stable)
+
+	// Sparse only. A non-zero step also tells load to pick up the block's
+	// impact codes.
+	step   score.Fixed // the list's ImpactStep
+	ub     float64     // dequantized list-wide maximum impact
+	prefix float64     // cumulative ub of this and every lower-bound cursor
+
+	pl *index.PostingList
+	ls *listState // the run's bookkeeping record for pl
+}
+
+// openCursors readies one cursor per posting list, in query order, in the
+// run's scratch.
+func (r *run) openCursors(pls []*index.PostingList) []cursor {
+	if cap(r.cursors) < len(pls) {
+		r.cursors = make([]cursor, len(pls))
+	}
+	r.cursors = r.cursors[:len(pls)]
+	for i, pl := range pls {
+		r.cursors[i] = cursor{cur: noDoc, charged: -1, ord: i, pl: pl, ls: r.stateFor(pl)}
+	}
+	return r.cursors
+}
+
+// seek moves the cursor to position p of its block and refreshes cur. It is
+// the only code that writes pos.
+//
+//boss:hotpath one call per posting a cursor passes or matches.
+func (c *cursor) seek(p int) {
+	c.pos = p
+	if p < len(c.docs) {
+		c.cur = uint64(c.docs[p])
+	} else {
+		c.cur = noDoc
+	}
+}
+
+// seekGE moves the cursor to the block's first posting at or beyond bound
+// (the block's end if there is none) and returns how many postings it
+// passed — the count the merger's one-posting-at-a-time scan makes, which is
+// what callers charge. The search gallops, so a long skip costs its
+// logarithm on the host.
+//
+//boss:hotpath the in-block skip of probes, WAND pops and floor pruning.
+func (c *cursor) seekGE(bound uint64) int {
+	docs, from := c.docs, c.pos
+	if c.cur >= bound {
+		return 0
+	}
+	// docs[lo] < bound; hi is the first position not known to be below it.
+	lo, hi, step := from, from+1, 1
+	for hi < len(docs) && uint64(docs[hi]) < bound {
+		lo = hi
+		step <<= 1
+		hi += step
+	}
+	if hi > len(docs) {
+		hi = len(docs)
+	}
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if uint64(docs[mid]) < bound {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	c.seek(hi)
+	return hi - from
+}
+
+// curBlock returns the cursor's current block metadata, or nil at the end.
+//
+//boss:hotpath one call per cursor per operator step.
+func (c *cursor) curBlock() *index.BlockMeta {
+	if c.bi >= len(c.pl.Blocks) {
+		return nil
+	}
+	return &c.pl.Blocks[c.bi]
+}
+
+// visit charges the metadata read of the cursor's current block, once per
+// block the cursor stands on.
+//
+//boss:hotpath one call per cursor per operator step.
+func (r *run) visit(c *cursor) {
+	if c.bi != c.charged {
+		r.chargeMeta(c.ls, c.bi)
+		c.charged = c.bi
+	}
+}
+
+// load fetches and decodes the cursor's current block and stands the cursor
+// on its first posting. On failure r.err is latched and load returns false.
+//
+//boss:hotpath one call per fetched block.
+func (r *run) load(c *cursor) bool {
+	bd := r.fetchBlock(c.ls, c.pl, c.bi)
+	if bd == nil {
+		return false
+	}
+	c.docs, c.tfs, c.loaded = bd.docs, bd.tfs, true
+	if c.step != 0 {
+		c.imps = c.pl.BlockImpacts(c.bi)
+	}
+	c.seek(0)
+	return true
+}
+
+// advanceBlock moves to the next block, counting a skip if the current one
+// was never loaded.
+//
+//boss:hotpath one call per block a cursor leaves.
+func (r *run) advanceBlock(c *cursor) {
+	if !c.loaded {
+		r.m.BlocksSkipped++
+	}
+	c.bi++
+	c.docs, c.tfs, c.imps, c.loaded = nil, nil, nil, false
+	c.seek(0)
+}

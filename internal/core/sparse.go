@@ -22,18 +22,6 @@ import (
 // only when a strict upper bound on its total score is below the cutoff,
 // so the produced top-k is byte-identical to exhaustive evaluation.
 
-// sstream is one term's posting-list stream inside the sparse path.
-type sstream struct {
-	pl      *index.PostingList
-	ls      *listState // the run's bookkeeping record for pl
-	ub      float64    // dequantized list-wide maximum impact
-	bi      int        // current block index
-	bd      *blockData // decoded block, nil when not (yet) loaded
-	imps    []byte     // current block's impact codes (aliases pl.Data)
-	pos     int        // cursor within bd
-	charged int        // last block index charged via chargeMeta (memo)
-}
-
 // SparsePlan describes the essential/non-essential partition the MaxScore
 // operator would choose for a sparse query at a given top-k threshold —
 // the introspection cmd/bossquery prints. Terms are sorted by ascending
@@ -134,90 +122,91 @@ func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int) (Res
 	return Result{TopK: results, M: r.m}, nil
 }
 
-// sparse runs the MaxScore driver loop over the query's posting lists.
-// With DocET off (the exhaustive ablation) every list stays essential and
-// the loop degenerates to a full scoring merge — the comparison baseline
-// for the pruning bench.
+// sparse runs the MaxScore driver loop over the query's posting lists, one
+// cursor per list (the terms are distinct). With DocET off (the exhaustive
+// ablation) every list stays essential and the loop degenerates to a full
+// scoring merge — the comparison baseline for the pruning bench.
+//
+// The loop keeps the model's decisions where they were and moves only host
+// work. The partition is recomputed right after an insert moves the top-k
+// threshold, the only event that can change it. A cursor that consumed its
+// block is reloaded by the next select pass — after that partition, so only
+// if the list is still essential and only if the run did not end on
+// ess == n — which keeps the set of blocks examined and fetched exactly what
+// loading at every candidate selection produced. Between select passes the
+// pass that collects a candidate's essential matches also yields the next
+// candidate.
 //
 //boss:hotpath the sparse-path driver loop; scratch lives on the run record.
 func (r *run) sparse(pls []*index.PostingList) {
 	n := len(pls)
-	if cap(r.sstreams) < n {
-		r.sstreams = make([]sstream, n) //boss:escape-ok stream-scratch growth, amortized across queries on one run
+	cs := r.openCursors(pls)
+	for i := range cs {
+		c := &cs[i]
+		c.step = c.pl.ImpactStep
+		c.ub = score.Impact(c.pl.MaxImpact, c.step).Float()
 	}
-	if cap(r.sorder) < n {
-		r.sorder = make([]*sstream, 0, n) //boss:escape-ok stream-scratch growth, amortized across queries on one run
-	}
-	if cap(r.sprefix) < n {
-		r.sprefix = make([]float64, 0, n) //boss:escape-ok bound-scratch growth, amortized across queries on one run
-	}
-	r.sstreams = r.sstreams[:n]
-	order := r.sorder[:0]
-	for i, pl := range pls {
-		r.sstreams[i] = sstream{pl: pl, ls: r.stateFor(pl), ub: score.Impact(pl.MaxImpact, pl.ImpactStep).Float(), charged: -1} //boss:escape-ok free-list miss inside inlined stateFor, recycled via lsFree
-		order = append(order, &r.sstreams[i])
-	}
-	sortByBound(order)
-	r.sorder = order
-	// prefix[i] bounds the total contribution of order[:i+1]: the largest
+	sortByBound(cs)
+	// cs[i].prefix bounds the total contribution of cs[:i+1]: the largest
 	// score a document matching only those lists could reach. All bounds
 	// are dequantized Q16.16 values (dyadic rationals far below 2^53), so
 	// the float sums and comparisons below are exact.
-	prefix := r.sprefix[:n]
 	acc := 0.0
-	for i, s := range order {
-		acc += s.ub
-		prefix[i] = acc
+	for i := range cs {
+		acc += cs[i].ub
+		cs[i].prefix = acc
 	}
 
+	docET := r.acc.opts.DocET
+	// cs[:ess] are non-essential: their cumulative bound cannot reach the
+	// cutoff. cut is -Inf (nothing is prunable) until the top-k fills, and
+	// for the whole run with DocET off.
+	cut, ess := math.Inf(-1), 0
+	var candidates int64
+	next, rescan := noDoc, true
 	for {
-		// Partition against the current threshold: lists whose cumulative
-		// bound cannot reach the cutoff are non-essential. Strict <, so
-		// cutoff ties are never pruned (they are scored and lose the
-		// top-k tie-break exactly as in exhaustive order).
-		cut := math.Inf(-1)
-		ess := 0
-		if r.acc.opts.DocET && r.sel.Full() {
-			cut = r.cutoff()
-			for ess < n && prefix[ess] < cut {
-				ess++
-			}
-			if ess == n {
-				return // even all lists together cannot beat the cutoff
-			}
-		}
-
-		// The next candidate is the smallest upcoming docID across the
-		// essential streams; loading their current blocks is what keeps
-		// candidate selection exact.
-		d := uint32(math.MaxUint32)
-		live := false
-		for _, s := range order[ess:] {
-			if !r.sparseLoad(s) {
-				if r.err != nil {
-					return
+		if rescan {
+			// Select pass: reload essential cursors that consumed their
+			// block and take the smallest upcoming docID from scratch.
+			rescan = false
+			next = noDoc
+			for i := ess; i < n; i++ {
+				c := &cs[i]
+				if c.pos == len(c.docs) && !r.sparseLoad(c) {
+					if r.err != nil {
+						return
+					}
+					continue // list exhausted
 				}
-				continue
-			}
-			if nd := s.bd.docs[s.pos]; !live || nd < d {
-				d = nd
-				live = true
+				if c.cur < next {
+					next = c.cur
+				}
 			}
 		}
-		if !live {
-			return // essential streams exhausted; no remaining doc can win
+		if next == noDoc {
+			break // essential streams exhausted; no remaining doc can win
 		}
-		r.mergeCycles += 1.5 // one selector decision per candidate
+		d := uint32(next)
+		candidates++
 
-		// Essential contributions at d (integer accumulation).
+		// Essential contributions at d (integer accumulation), and the
+		// smallest docID left under the essential cursors.
 		terms := r.terms[:0]
 		var sum score.Fixed
-		for _, s := range order[ess:] {
-			if s.bd != nil && s.pos < len(s.bd.docs) && s.bd.docs[s.pos] == d {
-				code := s.imps[s.pos]
-				sum += score.Impact(code, s.pl.ImpactStep)
-				terms = append(terms, termTF{pl: s.pl, tf: s.bd.tfs[s.pos], imp: code})
-				s.pos++
+		next = noDoc
+		for i := ess; i < n; i++ {
+			c := &cs[i]
+			if c.cur == uint64(d) {
+				code := c.imps[c.pos]
+				sum += score.Impact(code, c.step)
+				terms = append(terms, termTF{pl: c.pl, tf: c.tfs[c.pos], imp: code})
+				c.seek(c.pos + 1)
+				if c.cur == noDoc {
+					rescan = true // block consumed: the next select pass reloads
+				}
+			}
+			if c.cur < next {
+				next = c.cur
 			}
 		}
 
@@ -226,135 +215,137 @@ func (r *run) sparse(pls []*index.PostingList) {
 		// could reach the cutoff; abandon the candidate the moment they
 		// cannot.
 		abandoned := false
-		for j := ess - 1; j >= 0; j-- {
-			if r.sel.Full() && sum.Float()+prefix[j] < cut {
+		for j := ess - 1; j >= 0 && !abandoned; j-- {
+			c := &cs[j]
+			if sum.Float()+c.prefix < cut {
 				abandoned = true
 				break
 			}
-			s := order[j]
-			rem := 0.0
-			if j > 0 {
-				rem = prefix[j-1]
-			}
-			code, abandon := r.sparseProbe(s, d, sum, rem, cut)
-			if r.err != nil {
-				return
-			}
-			if abandon {
-				abandoned = true
-				break
+			var code uint8
+			switch {
+			case c.cur == uint64(d):
+				code = c.imps[c.pos]
+			case c.cur > uint64(d) && c.cur != noDoc:
+				// The cursor already stands beyond d inside a loaded
+				// block: d is absent, and nothing is examined or charged.
+			default:
+				rem := 0.0
+				if j > 0 {
+					rem = cs[j-1].prefix
+				}
+				code, abandoned = r.sparseProbe(c, d, sum, rem, cut) // code is 0 on abandon
+				if r.err != nil {
+					return
+				}
 			}
 			if code != 0 {
-				sum += score.Impact(code, s.pl.ImpactStep)
-				terms = append(terms, termTF{pl: s.pl, tf: s.bd.tfs[s.pos], imp: code})
+				sum += score.Impact(code, c.step)
+				terms = append(terms, termTF{pl: c.pl, tf: c.tfs[c.pos], imp: code})
 			}
 		}
 		r.terms = terms
-		if !abandoned {
-			r.scoreDoc(d, terms)
-		}
-	}
-}
-
-// sparseLoad positions an essential stream on its next posting, fetching
-// and decoding the current block if needed. Returns false when the stream
-// is exhausted or the fetch failed (r.err latched).
-//
-//boss:hotpath once per essential stream per candidate selection.
-func (r *run) sparseLoad(s *sstream) bool {
-	for {
-		if s.bi >= len(s.pl.Blocks) {
-			return false
-		}
-		if s.bi != s.charged {
-			r.chargeMeta(s.ls, s.bi)
-			s.charged = s.bi
-		}
-		if s.bd == nil {
-			s.bd = r.fetchBlock(s.ls, s.pl, s.bi)
-			if s.bd == nil {
-				return false // r.err latched; sparse loop unwinds
-			}
-			s.imps = s.pl.BlockImpacts(s.bi)
-			s.pos = 0
-		}
-		if s.pos >= len(s.bd.docs) {
-			s.bi++
-			s.bd = nil
-			s.pos = 0
+		if abandoned {
 			continue
 		}
-		return true
+		r.scoreDoc(d, terms)
+		if !docET || r.cutoff() == cut {
+			continue
+		}
+		// The insert moved the threshold: re-partition. Strict <, so cutoff
+		// ties are never pruned (they are scored and lose the top-k
+		// tie-break exactly as in exhaustive order).
+		cut = r.cutoff()
+		e := ess
+		for e < n && cs[e].prefix < cut {
+			e++
+		}
+		if e == n {
+			break // even all lists together cannot beat the cutoff
+		}
+		if e != ess {
+			ess, rescan = e, true // the minimum may have sat on a demoted list
+		}
+	}
+	// One selector decision per candidate, added at once (exact: see cursor).
+	// The error returns above skip it; a failed run reports no metrics.
+	r.mergeCycles += 1.5 * float64(candidates)
+}
+
+// sparseLoad positions an essential cursor on its next posting, fetching
+// and decoding the current block if needed. Returns false when the list
+// is exhausted or the fetch failed (r.err latched).
+//
+//boss:hotpath once per consumed block of an essential list.
+func (r *run) sparseLoad(c *cursor) bool {
+	for {
+		if c.bi >= len(c.pl.Blocks) {
+			return false
+		}
+		r.visit(c)
+		if !c.loaded && !r.load(c) {
+			return false // r.err latched; sparse loop unwinds
+		}
+		if c.pos < len(c.docs) {
+			return true
+		}
+		r.advanceBlock(c) // consumed, so loaded: no skip is counted
 	}
 }
 
-// sparseProbe seeks a non-essential stream to candidate d and reads its
+// sparseProbe seeks a non-essential cursor to candidate d and reads its
 // impact code. Blocks wholly before d pass on metadata alone (counted
 // skipped when never loaded); when d falls inside a block's range, the
 // per-block maximum impact is checked first — if even it cannot lift the
 // candidate to the cutoff the probe reports abandon without fetching.
-// Returns (code, abandon); code 0 means d is absent from the list.
+// Returns (code, abandon); code 0 means d is absent from the list. The
+// caller answers probes whose cursor already stands at or beyond d itself.
 //
-//boss:hotpath once per non-essential stream per surviving candidate.
-func (r *run) sparseProbe(s *sstream, d uint32, sum score.Fixed, rem, cut float64) (uint8, bool) {
+//boss:hotpath once per non-essential list per surviving candidate that moves its cursor.
+func (r *run) sparseProbe(c *cursor, d uint32, sum score.Fixed, rem, cut float64) (uint8, bool) {
 	for {
-		if s.bi >= len(s.pl.Blocks) {
+		blk := c.curBlock()
+		if blk == nil {
 			return 0, false
 		}
-		if s.bi != s.charged {
-			r.chargeMeta(s.ls, s.bi)
-			s.charged = s.bi
-		}
-		blk := &s.pl.Blocks[s.bi]
+		r.visit(c)
 		if blk.LastDoc < d {
-			if s.bd == nil {
-				r.m.BlocksSkipped++
-			}
-			s.bi++
-			s.bd = nil
-			s.pos = 0
+			r.advanceBlock(c)
 			continue
 		}
 		if blk.FirstDoc > d {
 			return 0, false // d sits in the gap before this block
 		}
-		if s.bd == nil {
-			if r.acc.opts.BlockET && r.sel.Full() &&
-				sum.Float()+score.Impact(blk.MaxImpact, s.pl.ImpactStep).Float()+rem < cut {
+		if !c.loaded {
+			// A probe implies a full top-k (ess > 0), so cut is finite.
+			if r.acc.opts.BlockET &&
+				sum.Float()+score.Impact(blk.MaxImpact, c.step).Float()+rem < cut {
 				// Even this block's best impact plus every remaining
 				// list's bound cannot reach the cutoff: abandon the
 				// candidate without fetching the block.
 				return 0, true
 			}
-			s.bd = r.fetchBlock(s.ls, s.pl, s.bi)
-			if s.bd == nil {
+			if !r.load(c) {
 				return 0, false // r.err latched; sparse loop unwinds
 			}
-			s.imps = s.pl.BlockImpacts(s.bi)
-			s.pos = 0
 		}
-		var mc int64
-		for s.pos < len(s.bd.docs) && s.bd.docs[s.pos] < d {
-			s.pos++
-			mc++
-		}
-		r.mergeCycles += float64(mc)
-		if s.pos < len(s.bd.docs) && s.bd.docs[s.pos] == d {
-			return s.imps[s.pos], false
+		// The merger steps one posting per cycle; the gallop is the host's.
+		r.mergeCycles += float64(c.seekGE(uint64(d)))
+		if c.cur == uint64(d) {
+			return c.imps[c.pos], false
 		}
 		return 0, false
 	}
 }
 
-// sortByBound insertion-sorts streams by ascending list bound. Stable, so
+// sortByBound insertion-sorts cursors by ascending list bound. Stable, so
 // equal-bound terms keep query order and runs are deterministic; like the
 // union module's sorter it stays O(small²) and alloc-free.
 //
 //boss:hotpath called once per sparse query.
-func sortByBound(ss []*sstream) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j].ub < ss[j-1].ub; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
+func sortByBound(cs []cursor) {
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0 && cs[j].ub < cs[j-1].ub; j-- {
+			cs[j], cs[j-1] = cs[j-1], cs[j]
 		}
 	}
 }

@@ -219,3 +219,49 @@ func TestPlanSparse(t *testing.T) {
 		t.Fatal("raising the threshold above the weakest list's bound must demote it")
 	}
 }
+
+// BenchmarkRunSparse is the MaxScore operator's microbenchmark and, since
+// bench/ has no -cpuprofile flag, its profiling entry point:
+//
+//	go test -run NONE -bench RunSparse -cpuprofile cpu.out ./internal/core
+//
+// It replays the sparse-q7 workload's shape below the facade: the bench
+// corpus, Zipf-sampled 8-term Q7 queries, k = 10, a warm cache that holds
+// the working set. postings/op is PostingsDecoded, so ns/op ÷ postings/op
+// (reported as ns/posting) is the per-decoded-posting cost ROADMAP item 5(a)
+// tracks; docs/op is the candidates that survived to scoring.
+func BenchmarkRunSparse(b *testing.B) {
+	c := corpus.Generate(corpus.ClueWebLike(0.25))
+	idx := index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid, Impacts: true})
+	qs := corpus.SampleZipfQueries(c, corpus.Q7, 256, 1.07, 42)
+	for _, bc := range []struct {
+		name string
+		opts Options
+	}{
+		{"pruned", DefaultOptions()},
+		{"exhaustive", ExhaustiveOptions()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			acc := NewCached(idx, bc.opts, cache.NewSharded(256<<20, 2))
+			for _, q := range qs { // warm the cache and the pooled run
+				if _, err := acc.RunSparse(q.Terms, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var postings, docs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := acc.RunSparse(qs[i%len(qs)].Terms, 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				postings += res.M.PostingsDecoded
+				docs += res.M.DocsEvaluated
+			}
+			b.ReportMetric(float64(postings)/float64(b.N), "postings/op")
+			b.ReportMetric(float64(docs)/float64(b.N), "docs/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(postings), "ns/posting")
+		})
+	}
+}

@@ -6,60 +6,24 @@ import (
 	"boss/internal/index"
 )
 
-// ustream is one term's posting-list stream inside the union path.
-type ustream struct {
-	pl      *index.PostingList
-	ls      *listState // the run's bookkeeping record for pl
-	ord     int        // position in the query (keeps score-sum order stable)
-	bi      int        // current block index
-	bd      *blockData // decoded block, nil when not (yet) loaded
-	pos     int        // cursor within bd
-	floor   uint32     // docIDs below floor were pruned by interval skipping
-	charged int        // last block index charged via chargeMeta (memo)
-}
-
-// curBlock returns the stream's current block metadata, or nil at the end.
-func (s *ustream) curBlock() *index.BlockMeta {
-	if s.bi >= len(s.pl.Blocks) {
-		return nil
-	}
-	return &s.pl.Blocks[s.bi]
-}
-
-// advanceBlock moves to the next block, counting a skip if the current one
-// was never loaded.
-func (r *run) advanceBlock(s *ustream) {
-	if s.bd == nil {
-		r.m.BlocksSkipped++
-	}
-	s.bi++
-	s.bd = nil
-	s.pos = 0
-}
-
 // normalize discards blocks wholly below the stream's floor and positions
 // the cursor at the first un-pruned posting. Returns false when exhausted.
 //
 //boss:hotpath called once per stream per interval.
-func (r *run) normalize(s *ustream) bool {
+func (r *run) normalize(s *cursor) bool {
 	for {
 		blk := s.curBlock()
 		if blk == nil {
 			return false
 		}
-		if s.bi != s.charged {
-			r.chargeMeta(s.ls, s.bi)
-			s.charged = s.bi
-		}
+		r.visit(s)
 		if s.floor > blk.LastDoc {
 			r.advanceBlock(s)
 			continue
 		}
-		if s.bd != nil {
-			for s.pos < len(s.bd.docs) && s.bd.docs[s.pos] < s.floor {
-				s.pos++
-			}
-			if s.pos >= len(s.bd.docs) {
+		if s.loaded {
+			s.seekGE(uint64(s.floor)) // pruned by the block fetch module: no merger cycles
+			if s.cur == noDoc {
 				r.advanceBlock(s)
 				continue
 			}
@@ -68,10 +32,11 @@ func (r *run) normalize(s *ustream) bool {
 	}
 }
 
-// nextDoc reports the smallest docID the stream might produce next.
-func (s *ustream) nextDoc() uint32 {
-	if s.bd != nil {
-		return s.bd.docs[s.pos]
+// nextDoc reports the smallest docID the (normalized) stream might produce
+// next.
+func (s *cursor) nextDoc() uint32 {
+	if s.loaded {
+		return uint32(s.cur)
 	}
 	first := s.curBlock().FirstDoc
 	if s.floor > first {
@@ -86,20 +51,14 @@ func (s *ustream) nextDoc() uint32 {
 //
 //boss:hotpath the union-path driver loop; scratch lives on the run record.
 func (r *run) union(pls []*index.PostingList) {
-	// Stream records live in run-owned scratch; the pointer slice resizes
-	// only here, so the &r.ustreams[i] pointers below stay valid throughout.
-	if cap(r.ustreams) < len(pls) {
-		r.ustreams = make([]ustream, len(pls)) //boss:escape-ok stream-scratch growth, amortized across queries on one run
-	}
-	if cap(r.streams) < len(pls) {
-		r.streams = make([]*ustream, 0, len(pls)) //boss:escape-ok stream-scratch growth, amortized across queries on one run
-	}
-	r.ustreams = r.ustreams[:len(pls)]
+	// The cursors live in run-owned scratch that resizes only in
+	// openCursors, so the pointers below stay valid throughout.
+	cs := r.openCursors(pls)
 	streams := r.streams[:0]
-	for i, pl := range pls {
-		r.ustreams[i] = ustream{pl: pl, ls: r.stateFor(pl), ord: i, charged: -1} //boss:escape-ok free-list miss inside inlined stateFor, recycled via lsFree
-		streams = append(streams, &r.ustreams[i])
+	for i := range cs {
+		streams = append(streams, &cs[i])
 	}
+	r.streams = streams // keep the grown capacity for the next query
 	for {
 		// Keep only live streams, positioned past their floors.
 		live := streams[:0]
@@ -161,7 +120,7 @@ func (r *run) union(pls []*index.PostingList) {
 
 		// Streams whose block ended inside the interval move on.
 		for _, s := range covering {
-			if s.bd != nil && s.pos >= len(s.bd.docs) {
+			if s.loaded && s.cur == noDoc {
 				r.advanceBlock(s)
 			}
 		}
@@ -173,24 +132,20 @@ func (r *run) union(pls []*index.PostingList) {
 // k-way merge otherwise.
 //
 //boss:hotpath one call per interval; loops once per union-module decision.
-func (r *run) scanInterval(covering []*ustream, lo, hi uint32) {
+func (r *run) scanInterval(covering []*cursor, lo, hi uint32) {
 	for _, s := range covering {
-		if s.bd == nil {
-			s.bd = r.fetchBlock(s.ls, s.pl, s.bi)
-			if s.bd == nil {
+		if !s.loaded {
+			if !r.load(s) {
 				return // r.err latched; union loop unwinds
 			}
-			s.pos = 0
-			for s.pos < len(s.bd.docs) && s.bd.docs[s.pos] < s.floor {
-				s.pos++
-			}
+			s.seekGE(uint64(s.floor))
 		}
 	}
 
 	for {
 		active := r.active[:0]
 		for _, s := range covering {
-			if s.pos < len(s.bd.docs) && s.bd.docs[s.pos] <= hi {
+			if s.cur <= uint64(hi) {
 				active = append(active, s)
 			}
 		}
@@ -216,22 +171,22 @@ func (r *run) scanInterval(covering []*ustream, lo, hi uint32) {
 // document across active streams.
 //
 //boss:hotpath one call per merged document.
-func (r *run) mergeStep(active []*ustream) {
-	minDoc := active[0].bd.docs[active[0].pos]
+func (r *run) mergeStep(active []*cursor) {
+	minDoc := active[0].cur
 	for _, s := range active[1:] {
-		if d := s.bd.docs[s.pos]; d < minDoc {
-			minDoc = d
+		if s.cur < minDoc {
+			minDoc = s.cur
 		}
 	}
 	terms := r.terms[:0]
 	for _, s := range active {
-		if s.bd.docs[s.pos] == minDoc {
-			terms = append(terms, termTF{pl: s.pl, tf: s.bd.tfs[s.pos]})
-			s.pos++
+		if s.cur == minDoc {
+			terms = append(terms, termTF{pl: s.pl, tf: s.tfs[s.pos]})
+			s.seek(s.pos + 1)
 		}
 	}
 	r.terms = terms
-	r.scoreDoc(minDoc, terms)
+	r.scoreDoc(uint32(minDoc), terms)
 }
 
 // wandStep performs one WAND decision: pick the pivot by accumulating
@@ -240,7 +195,7 @@ func (r *run) mergeStep(active []*ustream) {
 // the whole remaining interval is hopeless.
 //
 //boss:hotpath one call per WAND decision.
-func (r *run) wandStep(active []*ustream, hi uint32) bool {
+func (r *run) wandStep(active []*cursor, hi uint32) bool {
 	sortByDoc(active)
 	cutoff := r.cutoff()
 	acc := 0.0
@@ -257,25 +212,22 @@ func (r *run) wandStep(active []*ustream, hi uint32) bool {
 	if pivot < 0 {
 		// Even all lists together cannot beat the cutoff: drain the
 		// interval without scoring anything.
-		var mc int64
+		var mc int
 		for _, s := range active {
-			for s.pos < len(s.bd.docs) && s.bd.docs[s.pos] <= hi {
-				s.pos++
-				mc++
-			}
+			mc += s.seekGE(uint64(hi) + 1)
 		}
 		r.mergeCycles += float64(mc)
 		return false
 	}
-	pivotDoc := active[pivot].bd.docs[active[pivot].pos]
-	if active[0].bd.docs[active[0].pos] == pivotDoc {
+	pivotDoc := active[pivot].cur
+	if active[0].cur == pivotDoc {
 		// Every stream before the pivot sits on the pivot document: score
 		// it with all matching streams. Matching streams are collected in
 		// query order so floating-point summation matches the exhaustive
 		// path bit for bit.
 		matched := r.matched[:0]
 		for _, s := range active {
-			if s.pos < len(s.bd.docs) && s.bd.docs[s.pos] == pivotDoc {
+			if s.cur == pivotDoc {
 				matched = append(matched, s)
 			}
 		}
@@ -283,20 +235,17 @@ func (r *run) wandStep(active []*ustream, hi uint32) bool {
 		sortByOrd(matched)
 		terms := r.terms[:0]
 		for _, s := range matched {
-			terms = append(terms, termTF{pl: s.pl, tf: s.bd.tfs[s.pos]})
-			s.pos++
+			terms = append(terms, termTF{pl: s.pl, tf: s.tfs[s.pos]})
+			s.seek(s.pos + 1)
 		}
 		r.terms = terms
-		r.scoreDoc(pivotDoc, terms)
+		r.scoreDoc(uint32(pivotDoc), terms)
 		return true
 	}
 	// Otherwise pop documents below the pivot — they cannot win.
-	var mc int64
+	var mc int
 	for _, s := range active[:pivot] {
-		for s.pos < len(s.bd.docs) && s.bd.docs[s.pos] < pivotDoc {
-			s.pos++
-			mc++
-		}
+		mc += s.seekGE(pivotDoc)
 	}
 	r.mergeCycles += float64(mc)
 	return true
@@ -307,9 +256,9 @@ func (r *run) wandStep(active []*ustream, hi uint32) bool {
 // WAND step, so this stays O(small²) and — unlike sort.Slice — alloc-free.
 //
 //boss:hotpath called once per WAND step.
-func sortByDoc(ss []*ustream) {
+func sortByDoc(ss []*cursor) {
 	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j].bd.docs[ss[j].pos] < ss[j-1].bd.docs[ss[j-1].pos]; j-- {
+		for j := i; j > 0 && ss[j].cur < ss[j-1].cur; j-- {
 			ss[j], ss[j-1] = ss[j-1], ss[j]
 		}
 	}
@@ -318,7 +267,7 @@ func sortByDoc(ss []*ustream) {
 // sortByOrd insertion-sorts streams by query position (see sortByDoc).
 //
 //boss:hotpath called once per scored pivot document.
-func sortByOrd(ss []*ustream) {
+func sortByOrd(ss []*cursor) {
 	for i := 1; i < len(ss); i++ {
 		for j := i; j > 0 && ss[j].ord < ss[j-1].ord; j-- {
 			ss[j], ss[j-1] = ss[j-1], ss[j]

@@ -19,6 +19,10 @@ func TestCanonical(t *testing.T) {
 		{`("a" AND "b") OR ("a" AND "c")`, "a&b|a&c"},
 		// Absorption is deliberately not applied.
 		{`"a" OR ("a" AND "b")`, "a|a&b"},
+		// Sparse keys: '~' + the sorted (distinct) terms.
+		{`SPARSE("b", "a")`, "~a&b"},
+		{`SPARSE("a", "b", "a", "a")`, "~a&b"},
+		{`SPARSE("a")`, "~a"},
 	}
 	for _, tc := range cases {
 		got := MustParse(tc.expr).Canonical()
@@ -46,7 +50,7 @@ func TestCanonicalEquivalenceClasses(t *testing.T) {
 			}
 		}
 	}
-	distinct := []string{`"x"`, `"y"`, `"x" AND "y"`, `"x" OR "y"`}
+	distinct := []string{`"x"`, `"y"`, `"x" AND "y"`, `"x" OR "y"`, `SPARSE("x")`, `SPARSE("x", "y")`}
 	seen := map[string]string{}
 	for _, e := range distinct {
 		key := MustParse(e).Canonical()

@@ -24,6 +24,10 @@ func FuzzParse(f *testing.F) {
 		`"a"AND"b"`,
 		`)(`,
 		`"a" ANDAND "b"`,
+		`SPARSE("a", "b", "a")`,
+		`sparse("x")`,
+		`SPARSE("a") OR "b"`,
+		`SPARSE(`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -41,11 +45,21 @@ func FuzzParse(f *testing.F) {
 		if again.String() != rendered {
 			t.Fatalf("String() not a fixed point: %q -> %q", rendered, again.String())
 		}
-		// DNF must terminate and produce only terms from the expression.
 		terms := map[string]bool{}
 		for _, term := range node.Terms() {
 			terms[term] = true
 		}
+		if node.Op == OpSparse {
+			// No DNF; the parsed terms are a set and the key names them.
+			if len(terms) != node.CountTerms() {
+				t.Fatalf("SPARSE kept a repeated term: %v", node.Terms())
+			}
+			if again.Canonical() != node.Canonical() {
+				t.Fatalf("Canonical() moved across the round trip: %q -> %q", node.Canonical(), again.Canonical())
+			}
+			return
+		}
+		// DNF must terminate and produce only terms from the expression.
 		for _, conj := range node.DNF() {
 			if len(conj) == 0 {
 				t.Fatal("empty conjunct in DNF")

@@ -24,7 +24,7 @@ const (
 
 // Node is a parsed query expression node. Term is set only for OpTerm;
 // Children only for OpAnd/OpOr (always ≥ 2 children, same-op children are
-// flattened) and OpSparse (≥ 1 term leaves). OpSparse is only ever the
+// flattened) and OpSparse (≥ 1 distinct term leaves). OpSparse is only ever the
 // root: `SPARSE("a", "b")` is a whole query family, not a boolean
 // operand, and the parser rejects it under AND/OR.
 type Node struct {
@@ -36,13 +36,50 @@ type Node struct {
 // Term returns a leaf node.
 func Term(name string) *Node { return &Node{Op: OpTerm, Term: name} }
 
-// Sparse returns a sparse-dot (Q7) query over the given terms.
+// Sparse returns a sparse-dot (Q7) query over the given terms. A sparse
+// query is a set of terms — that is what its Canonical key says, and what
+// the front door coalesces on — so a repeated term keeps only its first
+// occurrence; execution then scores each list once.
 func Sparse(terms ...string) *Node {
-	children := make([]*Node, len(terms))
-	for i, t := range terms {
-		children[i] = Term(t)
+	set := sparseSet{children: make([]*Node, 0, len(terms))}
+	for _, t := range terms {
+		set.add(t)
 	}
-	return &Node{Op: OpSparse, Children: children}
+	return &Node{Op: OpSparse, Children: set.children}
+}
+
+// sparseSet collects a SPARSE node's distinct terms in first-occurrence
+// order. Up to sparseScanMax terms it deduplicates by scanning what it
+// already holds, which allocates nothing (serving queries hold at most 16
+// terms); wider input — which every execution path rejects later — switches
+// to a map, so a hostile expression cannot make parsing quadratic.
+type sparseSet struct {
+	children []*Node
+	seen     map[string]struct{} // nil until len(children) reaches sparseScanMax
+}
+
+const sparseScanMax = 32
+
+func (s *sparseSet) add(term string) {
+	if s.seen == nil {
+		for _, c := range s.children {
+			if c.Term == term {
+				return
+			}
+		}
+		if len(s.children) < sparseScanMax {
+			s.children = append(s.children, Term(term))
+			return
+		}
+		s.seen = make(map[string]struct{}, 2*sparseScanMax)
+		for _, c := range s.children {
+			s.seen[c.Term] = struct{}{}
+		}
+	}
+	if _, dup := s.seen[term]; !dup {
+		s.seen[term] = struct{}{}
+		s.children = append(s.children, Term(term))
+	}
 }
 
 // And returns the intersection of nodes, flattening nested ANDs.
@@ -220,15 +257,16 @@ func (n *Node) DNF() [][]string {
 // (Absorption is not applied: `"a" OR ("a" AND "b")` keeps both conjuncts.
 // Keys are unambiguous for tokenized terms, which never contain '&'/'|'.)
 //
-// Sparse queries canonicalize to '~' plus their sorted, deduplicated
-// terms joined with '&'. Tokenized terms never contain '~', so sparse
-// keys can never collide with boolean keys: SPARSE("b", "a") → `~a&b`,
-// which the front door dedups exactly like boolean keys.
+// Sparse queries canonicalize to '~' plus their sorted terms joined with
+// '&' (Sparse and the parser already made them distinct, so the key names
+// exactly the lists execution scores). Tokenized terms never contain '~',
+// so sparse keys can never collide with boolean keys: SPARSE("b", "a") →
+// `~a&b`, which the front door dedups exactly like boolean keys.
 func (n *Node) Canonical() string {
 	if n.Op == OpSparse {
 		terms := n.Terms()
 		sort.Strings(terms)
-		return "~" + strings.Join(dedupSorted(terms), "&")
+		return "~" + strings.Join(terms, "&")
 	}
 	dnf := n.DNF()
 	conjs := make([]string, 0, len(dnf))
@@ -386,12 +424,12 @@ func (p *parser) parseSparse() (*Node, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	var children []*Node
+	var set sparseSet // drops repeated terms
 	for {
 		if p.tok.kind != tokTerm {
 			return nil, fmt.Errorf("query: SPARSE expects a quoted term at %d", p.tok.pos)
 		}
-		children = append(children, Term(p.tok.text))
+		set.add(p.tok.text)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -408,7 +446,7 @@ func (p *parser) parseSparse() (*Node, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	return &Node{Op: OpSparse, Children: children}, nil
+	return &Node{Op: OpSparse, Children: set.children}, nil
 }
 
 // MustParse is Parse that panics on error, for tests and examples.

@@ -2,6 +2,7 @@ package query
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -93,6 +94,9 @@ func TestStringRoundTrip(t *testing.T) {
 		`"a" AND "b" AND "c" AND "d"`,
 		`"a" AND ("b" OR "c" OR "d")`,
 		`("a" OR "b") AND ("c" OR "d")`,
+		`SPARSE("a")`,
+		`SPARSE("b", "a", "c")`,
+		`sparse("b","a","b")`,
 	}
 	for _, src := range cases {
 		n := MustParse(src)
@@ -147,6 +151,58 @@ func TestDNFShapes(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("DNF(%q) = %v, want %v", tc.src, got, tc.want)
 		}
+	}
+}
+
+// A SPARSE query is the set of terms its Canonical key names: the
+// constructor and the parser keep the first occurrence of each term, so
+// every entry point (engine, core, pool, facade, front door) executes and
+// coalesces the same lists, and the hardware term limit counts distinct
+// terms.
+func TestSparseTermsAreASet(t *testing.T) {
+	want := []string{"fox", "dog", "cat"}
+	if got := Sparse("fox", "dog", "dog", "fox", "cat", "dog").Terms(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Sparse(...).Terms() = %v, want %v", got, want)
+	}
+	rep := MustParse(`SPARSE("fox", "dog", "dog", "dog", "dog")`)
+	set := MustParse(`SPARSE("fox", "dog")`)
+	if !reflect.DeepEqual(rep, set) {
+		t.Fatalf("repeated terms parse to %s, want %s", rep, set)
+	}
+	if got := rep.String(); got != `SPARSE("fox", "dog")` {
+		t.Fatalf("String() = %s", got)
+	}
+	if got := rep.CountTerms(); got != 2 {
+		t.Fatalf("CountTerms() = %d, want 2 distinct terms", got)
+	}
+	if rep.Canonical() != "~dog&fox" || set.Canonical() != "~dog&fox" {
+		t.Fatalf("Canonical() = %q / %q, want ~dog&fox", rep.Canonical(), set.Canonical())
+	}
+	// 17 occurrences of 2 terms is a 2-term query, not an over-wide one.
+	wide := make([]string, 17)
+	for i := range wide {
+		wide[i] = []string{"a", "b"}[i%2]
+	}
+	if got := Sparse(wide...).CountTerms(); got != 2 {
+		t.Fatalf("CountTerms() = %d over repeated terms, want 2", got)
+	}
+	// Past sparseScanMax the set switches from scanning to a map; the
+	// result is the same on both sides of the switch.
+	var many, distinct []string
+	for i := 0; i < 3*sparseScanMax; i++ {
+		term := "t" + strconv.Itoa(i)
+		distinct = append(distinct, term)
+		many = append(many, term, "t"+strconv.Itoa(i/2)) // each term again, later
+	}
+	if got := Sparse(many...).Terms(); !reflect.DeepEqual(got, distinct) {
+		t.Fatalf("wide Sparse kept %d terms, want the %d distinct ones in first-occurrence order", len(got), len(distinct))
+	}
+	// Deduplicating a serving-width query costs no allocation beyond the
+	// nodes themselves.
+	eight := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	dup := append(append([]string(nil), eight...), eight...)
+	if plain, withDups := testing.AllocsPerRun(100, func() { Sparse(eight...) }), testing.AllocsPerRun(100, func() { Sparse(dup...) }); withDups > plain {
+		t.Fatalf("Sparse allocates %.0f with repeats vs %.0f without", withDups, plain)
 	}
 }
 

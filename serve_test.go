@@ -245,3 +245,88 @@ func TestServeFetchAccelerator(t *testing.T) {
 		t.Fatal("out-of-range served fetch succeeded")
 	}
 }
+
+// TestServeSparseRepeatedTermIsASet: a SPARSE query is the set of terms
+// its coalescing key names. A repeated term used to be scored once per
+// occurrence while the front door keyed on the deduplicated set, so
+// SPARSE("fox","dog","dog","dog","dog") ranked d1 first when served alone
+// and came back with SPARSE("fox","dog")'s answer (d0 first) when the two
+// shared a batch. Both spellings must return the same hits, alone, through
+// the accelerator's Search, and coalesced.
+func TestServeSparseRepeatedTermIsASet(t *testing.T) {
+	b := boss.NewBuilder()
+	b.EnableImpacts()
+	b.Add("d0", "fox fox fox fox cat")
+	b.Add("d1", "dog dog cat cat cat cat")
+	b.Add("d2", "cat bird bird")
+	b.Add("d3", "bird bird bird cat")
+	acc := b.Build().Accelerator(boss.AccelOptions{})
+	srv, err := acc.Serve(boss.FrontConfig{Timeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+
+	const (
+		set      = `SPARSE("fox", "dog")`
+		repeated = `SPARSE("fox", "dog", "dog", "dog", "dog")`
+		k        = 4
+	)
+	want, _, err := acc.Search(set, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 || want[0].Doc != "d0" || want[1].Doc != "d1" {
+		t.Fatalf("Search(%s) = %+v, want d0 then d1", set, want)
+	}
+	same := func(what string, got []boss.Hit) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d hits %+v, want %+v", what, len(got), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: hit %d = %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	direct, _, err := acc.Search(repeated, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("Accelerator.Search(repeated)", direct)
+
+	// Alone: each expression is the only request of its batch.
+	for _, e := range []string{set, repeated} {
+		res, err := srv.Search(context.Background(), boss.ServeRequest{Expr: e, K: k})
+		if err != nil {
+			t.Fatalf("Search(%s): %v", e, err)
+		}
+		same("served alone "+e, res.Hits)
+	}
+
+	// Coalesced: both in one batch, either order; the second rides the
+	// first's execution.
+	for _, order := range [][]string{{set, repeated}, {repeated, set}} {
+		before := srv.Stats().DedupHits
+		var tks []*boss.ServeTicket
+		for _, e := range order {
+			tk, err := srv.Submit(boss.ServeRequest{Expr: e, K: k})
+			if err != nil {
+				t.Fatalf("Submit(%s): %v", e, err)
+			}
+			tks = append(tks, tk)
+		}
+		srv.Flush()
+		for i, tk := range tks {
+			res, err := tk.Wait(context.Background())
+			if err != nil {
+				t.Fatalf("Wait(%s): %v", order[i], err)
+			}
+			same("served in one batch "+order[i], res.Hits)
+		}
+		if got := srv.Stats().DedupHits - before; got != 1 {
+			t.Fatalf("batch %v: %d dedup hits, want 1 (same canonical key)", order, got)
+		}
+	}
+}
