@@ -9,22 +9,29 @@ import (
 	"testing"
 
 	"boss/internal/cache"
+	"boss/internal/compress"
 	"boss/internal/corpus"
+	"boss/internal/index"
 	"boss/internal/query"
 )
 
 // operatorChargesGolden is the SHA-256 of every TopK and every perf.Metrics
-// the sweep below produces, computed at commit 4f3b056 — the parent of the
-// change that moved the document-at-a-time operators onto one flat cursor
-// and listState's two maps onto a block-record slice. The bench/ workloads
-// pin sim_us_per_op for DefaultOptions at k = 10/100 only; this pins the
-// operators' answers and charges for every ablation, both cache arms and a
-// shallow and a deep k. A change that means to alter what the model charges
-// recomputes it and says so; any other change leaves it alone.
-const operatorChargesGolden = "8ae46546496af899ed35dab8185257f9c495f4d5dc969e72261d5afcba79b4c8"
+// the sweep below produces. It was first computed at commit 4f3b056 — the
+// parent of the change that moved the document-at-a-time operators onto one
+// flat cursor — and recomputed at 1ed1d2d, on unchanged operators, when the
+// sweep gained its fixed-point and host-top-k arms and the dense unions:
+// the parent of the change that put a sorted frontier under the union
+// module. The bench/ workloads pin sim_us_per_op for DefaultOptions at
+// k = 10/100 only; this pins the operators' answers and charges for every
+// ablation, both arithmetic arms, both cache arms and a shallow and a deep
+// k. A change that means to alter what the model charges recomputes it and
+// says so; any other change leaves it alone.
+const operatorChargesGolden = "d2d4ae0cb2c472a40b1893b2b528236159f47b441f92dd2daff0930e85faf5c5"
 
-// TestOperatorChargesGolden runs a seeded Q1–Q7 sweep × four option sets ×
-// cache nil/attached × k ∈ {1, 10, 100} and hashes every result
+// TestOperatorChargesGolden runs a seeded Q1–Q7 sweep × six option sets ×
+// cache nil/attached × k ∈ {1, 10, 100}, then unions over a dense corpus
+// (most documents in three or more of the query's lists, query order ≠ DF
+// order) under the same option sets, and hashes every result
 // (pool.TestDeviceReportGolden is the precedent).
 func TestOperatorChargesGolden(t *testing.T) {
 	c, idx := sparseFixture(t, 0.01)
@@ -48,7 +55,20 @@ func TestOperatorChargesGolden(t *testing.T) {
 		binary.LittleEndian.PutUint64(word[:], v)
 		h.Write(word[:])
 	}
-	for _, opts := range []Options{DefaultOptions(), ExhaustiveOptions(), BlockOnlyOptions(), {DocET: true}} {
+	record := func(res Result) {
+		put(uint64(len(res.TopK)))
+		for _, e := range res.TopK {
+			put(uint64(e.DocID))
+			put(math.Float64bits(e.Score))
+		}
+		fmt.Fprintf(h, "%+v\n", *res.M)
+	}
+	optionSets := []Options{
+		DefaultOptions(), ExhaustiveOptions(), BlockOnlyOptions(), {DocET: true},
+		{BlockET: true, DocET: true, FixedPoint: true},
+		{BlockET: true, DocET: true, HostTopK: true},
+	}
+	for _, opts := range optionSets {
 		for _, cached := range []bool{false, true} {
 			acc := New(idx, opts)
 			if cached {
@@ -68,18 +88,27 @@ func TestOperatorChargesGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", it.node, err)
 					}
-					put(uint64(len(res.TopK)))
-					for _, e := range res.TopK {
-						put(uint64(e.DocID))
-						put(math.Float64bits(e.Score))
-					}
-					fmt.Fprintf(h, "%+v\n", *res.M)
+					record(res)
 				}
 			}
 			if cached {
 				if st := acc.Cache().Stats(); st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.PinnedEntries != 0 {
 					t.Fatalf("cache arm not exercised or left pinned: %+v", st)
 				}
+			}
+		}
+	}
+	dense := index.Build(corpus.Generate(denseUnionSpec(400, 8, 0xD35E)),
+		index.BuildOptions{Scheme: compress.SchemeHybrid, BlockSize: 16})
+	for _, opts := range optionSets {
+		acc := New(dense, opts)
+		for _, k := range []int{1, 10, 100} {
+			for _, expr := range denseUnionExprs {
+				res, err := acc.Run(query.MustParse(expr), k)
+				if err != nil {
+					t.Fatalf("%s: %v", expr, err)
+				}
+				record(res)
 			}
 		}
 	}

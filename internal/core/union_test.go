@@ -1,0 +1,238 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"boss/internal/compress"
+	"boss/internal/corpus"
+	"boss/internal/index"
+	"boss/internal/query"
+	"boss/internal/score"
+	"boss/internal/topk"
+)
+
+// denseUnionSpec is a hand-built corpus whose lists overlap heavily: a few
+// hundred documents, the most common term in 85% of them and a flat DF curve
+// below it, so most documents sit in three or more of a query's lists at
+// once. The default corpora make two thirds of their union decisions with a
+// single stream under the cursor; this one makes the union module's sorter
+// break docID ties and score multi-stream matches on nearly every decision.
+func denseUnionSpec(docs, terms int, seed int64) corpus.Spec {
+	return corpus.Spec{
+		Name:       "dense-union",
+		NumDocs:    docs,
+		NumTerms:   terms,
+		TopDF:      0.85,
+		ZipfS:      0.35,
+		MaxTF:      16,
+		Clustering: 0.2,
+		Seed:       seed,
+	}
+}
+
+// denseUnionExprs query denseUnionSpec(400, 8, …) deliberately out of DF
+// (= rank) order.
+var denseUnionExprs = []string{
+	unionExpr(5, 2, 7, 0, 3, 6, 1, 4),
+	unionExpr(7, 6, 5, 4, 3, 2, 1, 0),
+	unionExpr(3, 0, 6, 1, 5, 2),
+	unionExpr(4, 1, 7),
+	unionExpr(6, 0),
+}
+
+// unionExpr renders an OR over the given term ranks, in the given order.
+func unionExpr(ranks ...int) string {
+	terms := make([]string, len(ranks))
+	for i, r := range ranks {
+		terms[i] = fmt.Sprintf("%q", fmt.Sprintf("t%d", r))
+	}
+	return strings.Join(terms, " OR ")
+}
+
+// bruteForceUnion scores the union of the given terms straight from the
+// corpus, summing each document's term scores in query order, and selects the
+// top k with the software heap: the reference that shares no code with the
+// union module.
+func bruteForceUnion(c *corpus.Corpus, idx *index.Index, terms []string, k int, fixed bool) []topk.Entry {
+	scores := make([]float64, c.Spec.NumDocs)
+	hit := make([]bool, c.Spec.NumDocs)
+	for _, term := range terms {
+		pl := idx.MustList(term)
+		for _, p := range c.Term(term) {
+			hit[p.DocID] = true
+			if fixed {
+				fs := idx.Params.FixedTermScore(score.ToFixed(pl.IDF), p.TF, score.ToFixed(idx.DocNorms[p.DocID]))
+				scores[p.DocID] += fs.Float()
+			} else {
+				scores[p.DocID] += idx.TermScore(pl, p.DocID, p.TF)
+			}
+		}
+	}
+	sel := topk.NewHeap(k)
+	for d, ok := range hit {
+		if ok {
+			sel.Insert(uint32(d), scores[d])
+		}
+	}
+	return sel.Results()
+}
+
+// unionPruneArms are the early-termination settings a union can run under
+// besides the exhaustive one.
+var unionPruneArms = []struct {
+	name string
+	opts Options
+}{
+	{"boss", DefaultOptions()},
+	{"block-only", BlockOnlyOptions()},
+	{"doc-only", Options{DocET: true}},
+}
+
+// requireSameTopK requires two top-k lists to be equal entry by entry: same
+// docID, same score bit pattern, same order.
+func requireSameTopK(t testing.TB, what string, got, want []topk.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.DocID != w.DocID || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			t.Fatalf("%s: rank %d diverged: got %+v, want %+v", what, i, g, w)
+		}
+	}
+}
+
+// requireUnionByteIdentical runs node under opts and under the exhaustive
+// options with the same arithmetic, and requires the two top-k lists to be
+// equal (requireSameTopK).
+func requireUnionByteIdentical(t testing.TB, idx *index.Index, node *query.Node, opts Options, k int) (pruned, exhaustive Result) {
+	t.Helper()
+	po, err := New(idx, opts).Run(node, k)
+	if err != nil {
+		t.Fatalf("%s: %v", node, err)
+	}
+	eo, err := New(idx, Options{FixedPoint: opts.FixedPoint}).Run(node, k)
+	if err != nil {
+		t.Fatalf("%s: %v", node, err)
+	}
+	requireSameTopK(t, fmt.Sprintf("%s k=%d %+v pruned vs exhaustive", node, k, opts), po.TopK, eo.TopK)
+	return po, eo
+}
+
+// TestUnionPrunedByteIdentical: block-level and document-level early
+// termination are optimizations, not approximations. Over seeded Q1/Q3/Q5
+// sweeps and over a dense corpus queried out of DF order, every pruning arm
+// must return the exhaustive top-k exactly — in float64 and in Q16.16 — at a
+// shallow, the default and two deep k. (TestETIsSafeAcrossKValues checks
+// three expressions through the 1e-9-tolerant sameResults.) The union module
+// sums a document's term scores in query order whatever order its sorter
+// holds the streams in; that, the strict block-level comparison and WAND's
+// >= pivot test are what this pins.
+func TestUnionPrunedByteIdentical(t *testing.T) {
+	type sweep struct {
+		name  string
+		c     *corpus.Corpus // set when the exhaustive run is checked against bruteForceUnion
+		idx   *index.Index
+		nodes []*query.Node
+	}
+	var sweeps []sweep
+
+	c := corpus.Generate(corpus.CCNewsLike(0.004))
+	s := sweep{name: "ccnews", idx: index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid})}
+	for _, qt := range []corpus.QueryType{corpus.Q1, corpus.Q3, corpus.Q5} {
+		for _, q := range corpus.SampleQueries(c, qt, 40, 31337) {
+			s.nodes = append(s.nodes, query.MustParse(q.Expr))
+		}
+	}
+	sweeps = append(sweeps, s)
+
+	// Small blocks give the dense corpus many intervals per query.
+	dc := corpus.Generate(denseUnionSpec(400, 8, 0xD35E))
+	d := sweep{name: "dense", c: dc, idx: index.Build(dc, index.BuildOptions{Scheme: compress.SchemeHybrid, BlockSize: 16})}
+	for _, expr := range denseUnionExprs {
+		d.nodes = append(d.nodes, query.MustParse(expr))
+	}
+	sweeps = append(sweeps, d)
+
+	for _, sw := range sweeps {
+		var multi, skipped, fewer int64
+		for _, arm := range unionPruneArms {
+			for _, fixed := range []bool{false, true} {
+				opts := arm.opts
+				opts.FixedPoint = fixed
+				for _, k := range []int{1, 10, 100, 1000} {
+					for _, node := range sw.nodes {
+						po, eo := requireUnionByteIdentical(t, sw.idx, node, opts, k)
+						skipped += po.M.BlocksSkipped
+						if po.M.DocsEvaluated < eo.M.DocsEvaluated {
+							fewer++
+						}
+						if eo.M.DocsEvaluated > 0 && eo.M.PostingsDecoded >= 3*eo.M.DocsEvaluated {
+							multi++
+						}
+					}
+				}
+			}
+		}
+		if skipped == 0 || fewer == 0 {
+			t.Fatalf("%s: pruning never engaged (blocks skipped %d, runs evaluating fewer documents %d)", sw.name, skipped, fewer)
+		}
+		if sw.c != nil {
+			// The exhaustive reference itself, against a scorer that shares
+			// no code with it: query-order summation, bit for bit.
+			for _, fixed := range []bool{false, true} {
+				for _, node := range sw.nodes {
+					res, err := New(sw.idx, Options{FixedPoint: fixed}).Run(node, 50)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := bruteForceUnion(sw.c, sw.idx, node.Terms(), 50, fixed)
+					requireSameTopK(t, fmt.Sprintf("%s fixed=%v exhaustive vs brute force", node, fixed), res.TopK, want)
+				}
+			}
+		}
+		if sw.name == "dense" && multi == 0 {
+			t.Fatal("dense: no query averaged three matching lists per document; the multi-stream paths were not exercised")
+		}
+	}
+}
+
+// FuzzUnionPrunedVsExhaustive is TestUnionPrunedByteIdentical over corpora
+// the fuzzer picks: seed shapes a tiny dense corpus (64–319 documents, 2–8
+// terms, 4–35 postings per block) and shuffles the query's term order; k and
+// the option bits (1 BlockET, 2 DocET, 4 FixedPoint, 8 HostTopK) choose the
+// run. The pruned run must equal the exhaustive one and the brute-force
+// scorer entry by entry, and may not evaluate more documents.
+func FuzzUnionPrunedVsExhaustive(f *testing.F) {
+	f.Add(int64(1), uint16(10), uint8(3))
+	f.Add(int64(2), uint16(1), uint8(7))
+	f.Add(int64(0xB055), uint16(100), uint8(2))
+	f.Add(int64(-7), uint16(3), uint8(1))
+	f.Add(int64(977), uint16(1000), uint8(11))
+	f.Add(int64(42), uint16(5), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, k uint16, optionBits uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		nTerms := 2 + rng.Intn(7)
+		c := corpus.Generate(denseUnionSpec(64+rng.Intn(256), nTerms, seed))
+		idx := index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid, BlockSize: 4 + rng.Intn(32)})
+		node := query.MustParse(unionExpr(rng.Perm(nTerms)...))
+		opts := Options{
+			BlockET:    optionBits&1 != 0,
+			DocET:      optionBits&2 != 0,
+			FixedPoint: optionBits&4 != 0,
+			HostTopK:   optionBits&8 != 0,
+		}
+		kk := 1 + int(k)%1024
+		po, eo := requireUnionByteIdentical(t, idx, node, opts, kk)
+		if po.M.DocsEvaluated > eo.M.DocsEvaluated {
+			t.Fatalf("%s k=%d %+v: pruned evaluated %d documents, exhaustive %d", node, kk, opts, po.M.DocsEvaluated, eo.M.DocsEvaluated)
+		}
+		want := bruteForceUnion(c, idx, node.Terms(), kk, opts.FixedPoint)
+		requireSameTopK(t, fmt.Sprintf("%s k=%d fixed=%v exhaustive vs brute force", node, kk, opts.FixedPoint), eo.TopK, want)
+	})
+}
