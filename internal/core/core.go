@@ -252,25 +252,37 @@ type run struct {
 	ctx context.Context
 	err error
 
+	// The query plan (plan, resolveSparse): every conjunct's posting lists back
+	// to back in one arena — conjunct i is planLists[planEnd[i-1]:planEnd[i]],
+	// and a pure union's or a sparse query's arena is its stream list as it
+	// stands — plus the distinct lists among them, whose count sizes the
+	// scoring stage. releaseRun clears them: they pin posting lists.
+	planLists []*index.PostingList
+	planEnd   []int
+	distinct  []*index.PostingList
+
 	// Cursor scratch of the document-at-a-time operators (cursor.go): one
 	// cursor per posting list, shared by the union and sparse paths (a query
-	// runs one or the other), plus the union module's pointer views over it.
-	// Reused across pooled runs; releaseRun zeroes what the run wrote.
+	// runs one or the other), plus the union module's pointer views over it:
+	// the live streams, the ones covering the current interval, and that
+	// interval's sorted frontier (scanInterval). Reused across pooled runs;
+	// releaseRun zeroes what the run wrote.
 	cursors  []cursor
 	streams  []*cursor
 	covering []*cursor
-	active   []*cursor
-	matched  []*cursor
+	frontier []*cursor
 	terms    []termTF
 
 	// Intersection-path scratch (intersect.go). Match records carve their
 	// term slices out of termArena instead of allocating one tiny []termTF
 	// per matched document; filled chunks retire to termRetired until the
-	// run ends. matchBufs holds one reusable []match per conjunct.
+	// run ends. matchBufs holds one reusable []match per conjunct, and
+	// conjOut a mixed query's per-conjunct outputs (views of those buffers).
 	termArena   []termTF
 	termRetired [][]termTF
 	matchBufs   [][]match
 	matchBufN   int
+	conjOut     [][]match
 	ordScratch  []*index.PostingList
 	mergePos    []int
 
@@ -319,10 +331,10 @@ func (r *run) grabMatchBuf() (int, []match) {
 func (r *run) putMatchBuf(i int, m []match) { r.matchBufs[i] = m }
 
 // newRun takes a recycled run record (or builds a first one) and readies it
-// for a query.
+// for a query. Planning fills in nTerms.
 //
 //boss:pool-escapes releaseRun returns the run to a.runs via Run's defer.
-func (a *Accelerator) newRun(k, nTerms int) *run {
+func (a *Accelerator) newRun(k int) *run {
 	r, ok := a.runs.Get().(*run)
 	if !ok {
 		r = &run{
@@ -335,7 +347,7 @@ func (a *Accelerator) newRun(k, nTerms int) *run {
 	// Metrics escape in the Result, so every run gets a fresh record.
 	r.m = perf.NewMetrics()
 	r.sel.Reset(k)
-	r.nTerms = nTerms
+	r.nTerms = 0
 	r.ctx = nil
 	r.err = nil
 	// Default to the BM25-recompute scorer; the sparse path swaps in the
@@ -395,13 +407,20 @@ func (a *Accelerator) releaseRun(r *run) {
 	r.err = nil
 	r.scorer = nil
 	// Cursors hold posting lists and alias decoded blocks (cache slabs
-	// included); term records and the conjunct-order scratch hold posting
-	// lists: zero them so a pooled run never pins a previous query's lists
-	// or blocks. Each release clears what its run wrote, so the cursor
-	// capacity beyond stays zero; the other two hold at most one entry per
-	// query term.
+	// included); the plan, term records and the conjunct-order scratch hold
+	// posting lists; conjOut holds views of match buffers a later query may
+	// outgrow and abandon: zero them so a pooled run never pins a previous
+	// query's lists or blocks. Each release clears what its run wrote, so
+	// the cursor, plan and conjOut capacity beyond stays zero; the other two
+	// hold at most one entry per query term.
 	clear(r.cursors)
 	r.cursors = r.cursors[:0]
+	clear(r.planLists)
+	r.planLists, r.planEnd = r.planLists[:0], r.planEnd[:0]
+	clear(r.distinct)
+	r.distinct = r.distinct[:0]
+	clear(r.conjOut)
+	r.conjOut = r.conjOut[:0]
 	clear(r.terms[:cap(r.terms)])
 	clear(r.ordScratch[:cap(r.ordScratch)])
 	r.fetchCycles, r.mergeCycles, r.scoreOps, r.topkInserts = 0, 0, 0, 0
@@ -457,32 +476,27 @@ func (a *Accelerator) runDNF(ctx context.Context, dnf [][]string, k int) (Result
 			return Result{}, ctxError(cause)
 		}
 	}
-	conjuncts, lists, err := a.plan(dnf)
-	if err != nil {
-		return Result{}, err
-	}
-	r := a.newRun(k, len(lists))
+	r := a.newRun(k)
 	defer a.releaseRun(r)
 	r.ctx = ctx
+	if err := r.plan(dnf); err != nil {
+		return Result{}, err
+	}
 
 	switch {
-	case allSingleTerm(conjuncts):
+	case r.allSingleTerm():
 		// Pure union (or a single term): the union module path with both
-		// ET levels.
-		streams := make([]*index.PostingList, len(conjuncts))
-		for i, c := range conjuncts {
-			streams[i] = c[0]
-		}
-		r.union(streams)
-	case len(conjuncts) == 1:
+		// ET levels. The plan arena is the stream list.
+		r.union(r.planLists)
+	case len(r.planEnd) == 1:
 		// Pure conjunction: the pipelined intersection path.
-		if ms := r.intersect(conjuncts[0]); r.err == nil {
+		if ms := r.intersect(r.planLists); r.err == nil {
 			r.scoreAll(ms)
 		}
 	default:
 		// Mixed query: intersections first (the paper's execution order),
 		// then an on-chip union of the conjunct outputs.
-		r.mixed(conjuncts)
+		r.mixed()
 	}
 	if r.err != nil {
 		return Result{}, r.err
@@ -502,33 +516,49 @@ func (a *Accelerator) runDNF(ctx context.Context, dnf [][]string, k int) (Result
 	return Result{TopK: results, M: r.m}, nil
 }
 
-// plan resolves a DNF's terms to posting lists, checking they exist.
-func (a *Accelerator) plan(dnf [][]string) ([][]*index.PostingList, []*index.PostingList, error) {
-	var conjuncts [][]*index.PostingList
-	seen := make(map[string]*index.PostingList)
-	var lists []*index.PostingList
+// plan resolves a DNF's terms to posting lists, checking they exist, into
+// the run's plan scratch. Nothing here allocates once the scratch has grown:
+// a query holds at most MaxQueryTerms distinct lists, so the repeat probe is
+// a scan, not a map.
+func (r *run) plan(dnf [][]string) error {
 	for _, conj := range dnf {
-		pls := make([]*index.PostingList, 0, len(conj))
 		for _, term := range conj {
-			pl, ok := seen[term]
-			if !ok {
-				pl = a.idx.List(term)
-				if pl == nil {
-					return nil, nil, fmt.Errorf("core: term %q not indexed", term)
-				}
-				seen[term] = pl
-				lists = append(lists, pl)
+			pl := r.acc.idx.List(term)
+			if pl == nil {
+				return fmt.Errorf("core: term %q not indexed", term)
 			}
-			pls = append(pls, pl)
+			r.addPlanned(pl)
 		}
-		conjuncts = append(conjuncts, pls)
+		r.planEnd = append(r.planEnd, len(r.planLists))
 	}
-	return conjuncts, lists, nil
+	r.nTerms = len(r.distinct)
+	return nil
 }
 
-func allSingleTerm(conjuncts [][]*index.PostingList) bool {
-	for _, c := range conjuncts {
-		if len(c) != 1 {
+// addPlanned appends pl to the plan arena, noting it if it is a new list.
+func (r *run) addPlanned(pl *index.PostingList) {
+	r.planLists = append(r.planLists, pl)
+	for _, seen := range r.distinct {
+		if seen == pl {
+			return
+		}
+	}
+	r.distinct = append(r.distinct, pl)
+}
+
+// conjunct returns the i-th planned conjunct's posting lists.
+func (r *run) conjunct(i int) []*index.PostingList {
+	lo := 0
+	if i > 0 {
+		lo = r.planEnd[i-1]
+	}
+	return r.planLists[lo:r.planEnd[i]]
+}
+
+// allSingleTerm reports whether every planned conjunct is a single term.
+func (r *run) allSingleTerm() bool {
+	for i, end := range r.planEnd {
+		if end != i+1 {
 			return false
 		}
 	}

@@ -278,7 +278,7 @@ func TestSharedTermRescanFetchesSkippedBlock(t *testing.T) {
 	A, B, C := f.idx.MustList("t0"), f.idx.MustList("t39"), f.idx.MustList("t1")
 
 	// The shape itself, conjunct by conjunct.
-	r := acc.newRun(10, 3)
+	r := acc.newRun(10)
 	r.intersect([]*index.PostingList{A, B})
 	ls := r.stateFor(A)
 	var skipped []int
@@ -337,7 +337,7 @@ func TestBlockRecords(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	pl := f.idx.MustList("t0")
-	r := acc.newRun(10, 1)
+	r := acc.newRun(10)
 	ls := r.stateFor(pl)
 	blocks := func(ls *listState) []int {
 		out := make([]int, len(ls.recs))
@@ -404,7 +404,7 @@ func TestBlockRecords(t *testing.T) {
 			t.Fatalf("released listState still holds a block at %d", i)
 		}
 	}
-	r2 := acc.newRun(10, 1)
+	r2 := acc.newRun(10)
 	defer acc.releaseRun(r2)
 	ls2 := r2.stateFor(pl)
 	if r2 == r && ls2 != ls {
@@ -516,18 +516,6 @@ func TestBOSSMoreBandwidthEfficientThanExhaustive(t *testing.T) {
 	}
 }
 
-func BenchmarkBOSSQ5(b *testing.B) {
-	f := newFixture(b)
-	acc := New(f.idx, DefaultOptions())
-	node := query.MustParse(`"t0" OR "t1" OR "t2" OR "t3"`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := acc.Run(node, 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // releaseRun clears only the match records the finished run wrote, not each
 // buffer's whole capacity. The property that buys — a pooled run never pins
 // a previous query's term arena or posting lists — must still hold over the
@@ -536,24 +524,20 @@ func BenchmarkBOSSQ5(b *testing.B) {
 func TestReleaseRunLeavesMatchBuffersPinFree(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
-	conj := func(terms ...string) []*index.PostingList {
-		pls := make([]*index.PostingList, len(terms))
-		for i, tm := range terms {
-			pls[i] = f.idx.MustList(tm)
-		}
-		return pls
-	}
 	rare := f.c.Terms[len(f.c.Terms)-1].Term
-	steps := [][][]*index.PostingList{
-		{conj("t0", "t1")}, // large: grows buffer 0
-		{conj("t0", "t1", "t2"), conj("t3"), conj("t1", "t4")}, // three buffers; nextPass compacts in place
-		{conj("t0", rare)}, // small: most of buffer 0 untouched
-		{conj(rare)},
+	steps := [][][]string{
+		{{"t0", "t1"}}, // large: grows buffer 0
+		{{"t0", "t1", "t2"}, {"t3"}, {"t1", "t4"}}, // three buffers; nextPass compacts in place
+		{{"t0", rare}}, // small: most of buffer 0 untouched
+		{{rare}},
 	}
 	grown := false
-	for i, conjuncts := range steps {
-		r := acc.newRun(10, 4)
-		r.mixed(conjuncts)
+	for i, dnf := range steps {
+		r := acc.newRun(10)
+		if err := r.plan(dnf); err != nil {
+			t.Fatal(err)
+		}
+		r.mixed()
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
@@ -566,17 +550,22 @@ func TestReleaseRunLeavesMatchBuffersPinFree(t *testing.T) {
 				}
 			}
 		}
+		for ci, out := range r.conjOut[:cap(r.conjOut)] {
+			if out != nil {
+				t.Fatalf("step %d: conjunct output %d of %d still views a match buffer after releaseRun", i, ci, cap(r.conjOut))
+			}
+		}
 	}
 	if !grown {
 		t.Fatal("no match buffer ever grew: the test exercised nothing")
 	}
 }
 
-// The same hygiene for the cursor scratch of the document-at-a-time
-// operators and the block records beneath every operator: a released run
-// holds no posting list, no decoded block and no cache pin — over the full
-// capacity of each scratch slice, after a wide query and after the narrower
-// ones that follow it.
+// The same hygiene for the plan scratch, the cursor scratch of the
+// document-at-a-time operators and the block records beneath every operator:
+// a released run holds no posting list, no decoded block and no cache pin —
+// over the full capacity of each scratch slice, after a wide query and after
+// the narrower ones that follow it.
 func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 	_, idx := sparseFixture(t, 0.004)
 	ch := cache.NewSharded(8<<20, 2)
@@ -587,6 +576,11 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 			pls[i] = idx.MustList(tm)
 		}
 		return pls
+	}
+	planned := func(r *run, dnf [][]string) {
+		if err := r.plan(dnf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	steps := []struct {
 		name string
@@ -603,11 +597,31 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 		}},
 		{"conjunction, 3 lists", func(r *run) { r.scoreAll(r.intersect(lists("t0", "t1", "t2"))) }},
 		{"union, 1 list", func(r *run) { r.union(lists("t5")) }},
+		{"planned union, 5 lists", func(r *run) {
+			planned(r, [][]string{{"t4"}, {"t0"}, {"t8"}, {"t2"}, {"t6"}})
+			r.union(r.planLists)
+		}},
+		{"planned mixed, 3 conjuncts", func(r *run) {
+			planned(r, [][]string{{"t0", "t1"}, {"t0", "t2"}, {"t3"}})
+			r.mixed()
+		}},
+		{"planned sparse, 3 lists", func(r *run) {
+			var err error
+			if r.planLists, err = acc.resolveSparse(r.planLists, []string{"t1", "t2", "t3"}); err != nil {
+				t.Fatal(err)
+			}
+			r.scorer = &r.impact
+			r.sparse(r.planLists)
+		}},
+		{"planned single term", func(r *run) {
+			planned(r, [][]string{{"t7"}})
+			r.union(r.planLists)
+		}},
 	}
-	widest := 0
+	widest, widestPlan := 0, 0
 	for pass := 0; pass < 2; pass++ { // the second pass runs on cache hits
 		for _, st := range steps {
-			r := acc.newRun(10, 8)
+			r := acc.newRun(10)
 			st.run(r)
 			if r.err != nil {
 				t.Fatal(r.err)
@@ -632,6 +646,25 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 					t.Fatalf("%s: conjunct-order scratch %d still references a posting list", st.name, i)
 				}
 			}
+			widestPlan = max(widestPlan, cap(r.planLists))
+			for i, pl := range r.planLists[:cap(r.planLists)] {
+				if pl != nil {
+					t.Fatalf("%s: plan arena entry %d of %d still references a posting list", st.name, i, cap(r.planLists))
+				}
+			}
+			for i, pl := range r.distinct[:cap(r.distinct)] {
+				if pl != nil {
+					t.Fatalf("%s: distinct-list entry %d still references a posting list", st.name, i)
+				}
+			}
+			for i, out := range r.conjOut[:cap(r.conjOut)] {
+				if out != nil {
+					t.Fatalf("%s: conjunct output %d still views a match buffer", st.name, i)
+				}
+			}
+			if len(r.planEnd) != 0 {
+				t.Fatalf("%s: %d conjunct offsets left in the plan", st.name, len(r.planEnd))
+			}
 			if len(r.lists) != 0 {
 				t.Fatalf("%s: %d lists still mapped", st.name, len(r.lists))
 			}
@@ -647,8 +680,8 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 			}
 		}
 	}
-	if widest < 8 {
-		t.Fatal("the cursor scratch never grew: the test exercised nothing")
+	if widest < 8 || widestPlan < 5 {
+		t.Fatal("the cursor or plan scratch never grew: the test exercised nothing")
 	}
 	if st := ch.Stats(); st.Hits == 0 {
 		t.Fatalf("no cache hit: the pinned-entry path was not exercised (%+v)", st)

@@ -32,15 +32,24 @@ type cursor struct {
 	pos  int    // position within docs
 	bi   int    // current block index
 
-	charged int    // last block index charged via chargeMeta (memo)
-	loaded  bool   // docs/tfs hold block bi
-	floor   uint32 // union: docIDs below floor were pruned by interval skipping
-	ord     int    // position in the query (keeps the union's score-sum order stable)
+	charged int  // last block index charged via chargeMeta (memo)
+	loaded  bool // docs/tfs hold block bi
+	ord     int  // position in the query: the union frontier's tie-break
+
+	// ub is the list-wide score bound both pruning operators accumulate: the
+	// union's pl.MaxScore, the sparse driver's dequantized maximum impact.
+	ub float64
+
+	// Union only: the list's IDF in both arithmetics (idfQ is rounded once
+	// per query, and only when the run scores in Q16.16), and the docID
+	// below which interval skipping pruned the stream.
+	idf   float64
+	idfQ  score.Fixed
+	floor uint32
 
 	// Sparse only. A non-zero step also tells load to pick up the block's
 	// impact codes.
 	step   score.Fixed // the list's ImpactStep
-	ub     float64     // dequantized list-wide maximum impact
 	prefix float64     // cumulative ub of this and every lower-bound cursor
 
 	pl *index.PostingList

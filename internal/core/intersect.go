@@ -217,16 +217,16 @@ func (r *run) nextPass(candidates []match, c *index.PostingList) []match {
 	return out
 }
 
-// mixed executes a mixed query as the paper prescribes: intersections
-// first (one pipelined intersection per DNF conjunct, all sharing the block
-// cache so common terms load once), then an on-chip union of the conjunct
-// outputs with per-term de-duplication, then scoring and top-k.
-func (r *run) mixed(conjuncts [][]*index.PostingList) {
-	lists := make([][]match, 0, len(conjuncts))
+// mixed executes the planned mixed query as the paper prescribes:
+// intersections first (one pipelined intersection per DNF conjunct, all
+// sharing the block cache so common terms load once), then an on-chip union
+// of the conjunct outputs with per-term de-duplication, then scoring and
+// top-k.
+func (r *run) mixed() {
 	var maxMerge float64
-	for _, conj := range conjuncts {
+	for i := range r.planEnd {
 		before := r.mergeCycles
-		lists = append(lists, r.intersect(conj))
+		r.conjOut = append(r.conjOut, r.intersect(r.conjunct(i)))
 		// The intersection module's three units run conjuncts
 		// concurrently: the slowest one bounds the stage.
 		delta := r.mergeCycles - before
@@ -239,7 +239,7 @@ func (r *run) mixed(conjuncts [][]*index.PostingList) {
 		}
 	}
 	r.mergeCycles += maxMerge
-	r.mergeConjuncts(lists)
+	r.mergeConjuncts(r.conjOut)
 }
 
 // mergeConjuncts merges sorted conjunct outputs by docID, de-duplicating

@@ -42,7 +42,7 @@ type SparseTermInfo struct {
 // partition at the given threshold (use 0 for a cold top-k). Terms
 // missing impacts or not indexed fail exactly like RunSparse.
 func (a *Accelerator) PlanSparse(terms []string, threshold float64) (*SparsePlan, error) {
-	lists, err := a.planSparse(terms)
+	lists, err := a.resolveSparse(nil, terms)
 	if err != nil {
 		return nil, err
 	}
@@ -73,20 +73,22 @@ func (a *Accelerator) PlanSparse(terms []string, threshold float64) (*SparsePlan
 	return &SparsePlan{Terms: infos, Essential: ess}, nil
 }
 
-// planSparse resolves sparse-query terms to impact-enabled posting lists.
-func (a *Accelerator) planSparse(terms []string) ([]*index.PostingList, error) {
-	lists := make([]*index.PostingList, len(terms))
-	for i, t := range terms {
+// resolveSparse appends the sparse-query terms' impact-enabled posting lists
+// to dst, checking each exists and carries impacts. It returns the grown dst
+// on failure too, so a caller resolving into run scratch keeps — and
+// releaseRun clears — what was appended.
+func (a *Accelerator) resolveSparse(dst []*index.PostingList, terms []string) ([]*index.PostingList, error) {
+	for _, t := range terms {
 		pl := a.idx.List(t)
 		if pl == nil {
-			return nil, fmt.Errorf("core: term %q not indexed", t)
+			return dst, fmt.Errorf("core: term %q not indexed", t)
 		}
 		if !pl.HasImpacts() {
-			return nil, fmt.Errorf("core: term %q: %w", t, ErrNoImpacts)
+			return dst, fmt.Errorf("core: term %q: %w", t, ErrNoImpacts)
 		}
-		lists[i] = pl
+		dst = append(dst, pl)
 	}
-	return lists, nil
+	return dst, nil
 }
 
 // runSparse executes a sparse-dot query: resolve lists, swap in the
@@ -98,16 +100,18 @@ func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int) (Res
 			return Result{}, ctxError(cause)
 		}
 	}
-	lists, err := a.planSparse(terms)
-	if err != nil {
-		return Result{}, err
-	}
-	r := a.newRun(k, len(lists))
+	r := a.newRun(k)
 	defer a.releaseRun(r)
 	r.ctx = ctx
 	r.scorer = &r.impact
+	// The terms are distinct, so the plan arena alone is the plan.
+	var err error
+	if r.planLists, err = a.resolveSparse(r.planLists, terms); err != nil {
+		return Result{}, err
+	}
+	r.nTerms = len(r.planLists)
 
-	r.sparse(lists)
+	r.sparse(r.planLists)
 	if r.err != nil {
 		return Result{}, r.err
 	}

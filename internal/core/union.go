@@ -4,6 +4,8 @@ import (
 	"math"
 
 	"boss/internal/index"
+	"boss/internal/mem"
+	"boss/internal/score"
 )
 
 // normalize discards blocks wholly below the stream's floor and positions
@@ -56,7 +58,12 @@ func (r *run) union(pls []*index.PostingList) {
 	cs := r.openCursors(pls)
 	streams := r.streams[:0]
 	for i := range cs {
-		streams = append(streams, &cs[i])
+		c := &cs[i]
+		c.ub, c.idf = c.pl.MaxScore, c.pl.IDF
+		if r.acc.opts.FixedPoint {
+			c.idfQ = score.ToFixed(c.idf)
+		}
+		streams = append(streams, c)
 	}
 	r.streams = streams // keep the grown capacity for the next query
 	for {
@@ -113,7 +120,7 @@ func (r *run) union(pls []*index.PostingList) {
 			continue
 		}
 
-		r.scanInterval(covering, lo, hi)
+		r.scanInterval(covering, hi)
 		if r.err != nil {
 			return
 		}
@@ -128,149 +135,172 @@ func (r *run) union(pls []*index.PostingList) {
 }
 
 // scanInterval loads the covering blocks and runs the union module's
-// document loop over [lo, hi]: WAND pivoting when DocET is enabled, a plain
-// k-way merge otherwise.
+// document loop over the interval that ends at hi.
+//
+// The loop's state is the frontier: the covering cursors still standing
+// inside the interval, kept sorted by (cur, ord) — the order the module's
+// sorter holds its stream heads in. Each iteration is one decision of the
+// module. The pivot selector adds the lists' score bounds in frontier order
+// until they reach the cutoff; the cursor it stops on is the pivot. If the
+// frontier's head already stands on the pivot's document, the leading run of
+// cursors on that document is scored; otherwise the cursors before the pivot
+// cannot win and are popped up to it; with no pivot at all the rest of the
+// interval is hopeless and every cursor drains past hi. While the top-k
+// still has room, and always with DocET off, the cutoff is -Inf, the pivot is
+// the frontier's head, and the same loop is a plain k-way merge.
+//
+// Two properties of the order carry the exactness. A stable sort by cur of
+// the query-ordered streams — what the loop used to redo on every decision —
+// is the (cur, ord) order, so the bounds add up in the same sequence and
+// pick the same pivot bit for bit. And the run of cursors on one document is
+// a prefix already in query order, so its term scores add in the order the
+// exhaustive path adds them. Only cursors a decision moved are re-inserted
+// (they only move right), and the ones that left the interval fall off the
+// tail. A frontier of one cursor, two decisions in three on the served
+// workloads, runs as a straight loop over its block.
+//
+// Charges are tallied in locals and flushed once: sums of integers and
+// multiples of 0.5 far below 2^53, so exactly what per-decision increments
+// added up to (see cursor). Blocks are loaded here, on entry, and advanced
+// by the caller, as before, so the blocks examined and fetched cannot change.
 //
 //boss:hotpath one call per interval; loops once per union-module decision.
-func (r *run) scanInterval(covering []*cursor, lo, hi uint32) {
+func (r *run) scanInterval(covering []*cursor, hi uint32) {
+	f := r.frontier[:0]
 	for _, s := range covering {
 		if !s.loaded {
 			if !r.load(s) {
 				return // r.err latched; union loop unwinds
 			}
-			s.seekGE(uint64(s.floor))
+			s.seekGE(uint64(s.floor)) // pruned by the block fetch module: no merger cycles
 		}
-	}
-
-	for {
-		active := r.active[:0]
-		for _, s := range covering {
-			if s.cur <= uint64(hi) {
-				active = append(active, s)
-			}
-		}
-		r.active = active
-		if len(active) == 0 {
-			return
-		}
-		// One union-module decision per iteration: the sorter orders sIDs,
-		// then the pivot selector / merger issues its verdict.
-		r.mergeCycles += 1.5
-
-		if r.acc.opts.DocET && r.sel.Full() {
-			if !r.wandStep(active, hi) {
-				return
-			}
+		if s.cur > uint64(hi) {
 			continue
 		}
-		r.mergeStep(active)
+		// covering is in query order, so inserting behind every cursor at
+		// or before s.cur keeps ties in ord order.
+		j := len(f)
+		f = append(f, s)
+		for ; j > 0 && f[j-1].cur > s.cur; j-- {
+			f[j] = f[j-1]
+		}
+		f[j] = s
 	}
-}
+	r.frontier = f // keep the grown capacity for the next interval
 
-// mergeStep performs one plain k-way merge step: score the smallest
-// document across active streams.
-//
-//boss:hotpath one call per merged document.
-func (r *run) mergeStep(active []*cursor) {
-	minDoc := active[0].cur
-	for _, s := range active[1:] {
-		if s.cur < minDoc {
-			minDoc = s.cur
-		}
+	idx, sel := r.acc.idx, r.sel
+	params, norms, fixed := idx.Params, idx.DocNorms, r.acc.opts.FixedPoint
+	docET := r.acc.opts.DocET
+	// Threshold is -Inf until the top-k fills, so WAND engages by itself.
+	cutoff := math.Inf(-1)
+	if docET {
+		cutoff = sel.Threshold()
 	}
-	terms := r.terms[:0]
-	for _, s := range active {
-		if s.cur == minDoc {
-			terms = append(terms, termTF{pl: s.pl, tf: s.tfs[s.pos]})
-			s.seek(s.pos + 1)
-		}
-	}
-	r.terms = terms
-	r.scoreDoc(uint32(minDoc), terms)
-}
+	var decisions, passed, docs, ops int64
 
-// wandStep performs one WAND decision: pick the pivot by accumulating
-// list-level maximum scores in docID order; documents before the pivot
-// cannot beat the cutoff and are popped without scoring. Returns false when
-// the whole remaining interval is hopeless.
-//
-//boss:hotpath one call per WAND decision.
-func (r *run) wandStep(active []*cursor, hi uint32) bool {
-	sortByDoc(active)
-	cutoff := r.cutoff()
-	acc := 0.0
-	pivot := -1
-	for i, s := range active {
-		acc += s.pl.MaxScore
-		// >= rather than >: documents tying the cutoff must still be
-		// scored so tie-breaking stays identical to exhaustive execution.
-		if acc >= cutoff {
-			pivot = i
-			break
-		}
-	}
-	if pivot < 0 {
-		// Even all lists together cannot beat the cutoff: drain the
-		// interval without scoring anything.
-		var mc int
-		for _, s := range active {
-			mc += s.seekGE(uint64(hi) + 1)
-		}
-		r.mergeCycles += float64(mc)
-		return false
-	}
-	pivotDoc := active[pivot].cur
-	if active[0].cur == pivotDoc {
-		// Every stream before the pivot sits on the pivot document: score
-		// it with all matching streams. Matching streams are collected in
-		// query order so floating-point summation matches the exhaustive
-		// path bit for bit.
-		matched := r.matched[:0]
-		for _, s := range active {
-			if s.cur == pivotDoc {
-				matched = append(matched, s)
+	n := len(f)
+	for n > 1 {
+		decisions++
+		// >= rather than >: documents tying the cutoff must still be scored
+		// so tie-breaking stays identical to exhaustive execution.
+		acc, p := 0.0, 0
+		for ; p < n; p++ {
+			if acc += f[p].ub; acc >= cutoff {
+				break
 			}
 		}
-		r.matched = matched
-		sortByOrd(matched)
-		terms := r.terms[:0]
-		for _, s := range matched {
-			terms = append(terms, termTF{pl: s.pl, tf: s.tfs[s.pos]})
-			s.seek(s.pos + 1)
+		if p == n {
+			for _, c := range f[:n] {
+				passed += int64(c.seekGE(uint64(hi) + 1))
+			}
+			n = 0
+			break
 		}
-		r.terms = terms
-		r.scoreDoc(uint32(pivotDoc), terms)
-		return true
+		doc := f[p].cur
+		moved := p // cursors f[:moved] were advanced by this decision
+		if f[0].cur == doc {
+			norm := norms[doc]
+			sum := 0.0
+			for moved = 0; moved < n && f[moved].cur == doc; moved++ {
+				c := f[moved]
+				if tf := c.tfs[c.pos]; fixed {
+					sum += params.FixedTermScore(c.idfQ, tf, score.ToFixed(norm)).Float()
+				} else {
+					sum += params.TermScore(c.idf, tf, norm)
+				}
+				c.seek(c.pos + 1)
+			}
+			docs++
+			ops += int64(moved)
+			sel.Insert(uint32(doc), sum)
+			if docET {
+				cutoff = sel.Threshold()
+			}
+		} else {
+			for _, c := range f[:p] {
+				passed += int64(c.seekGE(doc))
+			}
+		}
+		// Restore the order: right to left, each moved cursor sinks into the
+		// sorted run behind it. Cursors past hi (noDoc included) sink to the
+		// tail and are cut off.
+		for i := moved - 1; i >= 0; i-- {
+			c, j := f[i], i
+			for ; j+1 < n && (f[j+1].cur < c.cur || f[j+1].cur == c.cur && f[j+1].ord < c.ord); j++ {
+				f[j] = f[j+1]
+			}
+			f[j] = c
+		}
+		for n > 0 && f[n-1].cur > uint64(hi) {
+			n--
+		}
 	}
-	// Otherwise pop documents below the pivot — they cannot win.
-	var mc int
-	for _, s := range active[:pivot] {
-		mc += s.seekGE(pivotDoc)
+	if n == 1 {
+		// One cursor left: every decision's pivot is that cursor (its bound
+		// alone, 0 + ub, against the cutoff) and every score is its one term
+		// (0 + x), both exact, so the block is walked in place.
+		c := f[0]
+		bdocs, btfs, pos := c.docs, c.tfs, c.pos
+		hopeless := false
+		for {
+			decisions++
+			if hopeless = !(c.ub >= cutoff); hopeless {
+				break
+			}
+			doc := bdocs[pos]
+			var s float64
+			if norm := norms[doc]; fixed {
+				s = params.FixedTermScore(c.idfQ, btfs[pos], score.ToFixed(norm)).Float()
+			} else {
+				s = params.TermScore(c.idf, btfs[pos], norm)
+			}
+			docs++
+			ops++
+			sel.Insert(doc, s)
+			if docET {
+				cutoff = sel.Threshold()
+			}
+			if pos++; pos == len(bdocs) || bdocs[pos] > hi {
+				break
+			}
+		}
+		c.seek(pos)
+		if hopeless {
+			passed += int64(c.seekGE(uint64(hi) + 1))
+		}
 	}
-	r.mergeCycles += float64(mc)
-	return true
-}
 
-// sortByDoc insertion-sorts streams by current docID. Hardware queries hold
-// at most MaxQueryTerms streams, and the union module's sorter runs every
-// WAND step, so this stays O(small²) and — unlike sort.Slice — alloc-free.
-//
-//boss:hotpath called once per WAND step.
-func sortByDoc(ss []*cursor) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j].cur < ss[j-1].cur; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
-}
-
-// sortByOrd insertion-sorts streams by query position (see sortByDoc).
-//
-//boss:hotpath called once per scored pivot document.
-func sortByOrd(ss []*cursor) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j].ord < ss[j-1].ord; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
+	// One sorter + pivot decision per 1.5 cycles, one cycle per posting the
+	// merger passed; one scoring op per matched posting; one top-k broadcast
+	// and one 4 B normalizer read per evaluated document. Scored docIDs
+	// ascend within a query, so the normalizer stream is prefetch-friendly
+	// and charged at sequential bandwidth — docs accesses of it, which is
+	// what AddSeqRead per document counted.
+	r.mergeCycles += 1.5*float64(decisions) + float64(passed)
+	r.scoreOps += float64(ops)
+	r.topkInserts += float64(docs)
+	r.m.DocsEvaluated += docs
+	r.m.SeqReadBytes += docs * index.DocNormBytes
+	r.m.Cat[mem.CatLoadScore] += docs * index.DocNormBytes
+	r.m.CatAcc[mem.CatLoadScore] += docs
 }

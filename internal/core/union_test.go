@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"boss/internal/cache"
 	"boss/internal/compress"
 	"boss/internal/corpus"
 	"boss/internal/index"
@@ -235,4 +236,106 @@ func FuzzUnionPrunedVsExhaustive(f *testing.F) {
 		want := bruteForceUnion(c, idx, node.Terms(), kk, opts.FixedPoint)
 		requireSameTopK(t, fmt.Sprintf("%s k=%d fixed=%v exhaustive vs brute force", node, kk, opts.FixedPoint), eo.TopK, want)
 	})
+}
+
+// BenchmarkRunUnion is the union module's microbenchmark and, since bench/
+// has no -cpuprofile flag, its profiling entry point:
+//
+//	go test -run NONE -bench RunUnion -cpuprofile cpu.out ./internal/core
+//
+// It replays the ranked-or workload's union shapes below the pool: the bench
+// corpus, Zipf-sampled Q1/Q3/Q5 queries, k = 100, a warm cache that holds the
+// working set. postings/op is PostingsDecoded, so ns/op ÷ postings/op
+// (reported as ns/posting) is the per-decoded-posting cost ROADMAP item 5(c)
+// tracks, the number to read beside BenchmarkRunSparse's; docs/op is the
+// documents the union module scored.
+func BenchmarkRunUnion(b *testing.B) {
+	c := corpus.Generate(corpus.ClueWebLike(0.25))
+	idx := index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid})
+	var dnfs [][][]string
+	for _, qt := range []corpus.QueryType{corpus.Q1, corpus.Q3, corpus.Q5} {
+		for _, q := range corpus.SampleZipfQueries(c, qt, 128, 1.07, 42) {
+			dnfs = append(dnfs, query.MustParse(q.Expr).DNF())
+		}
+	}
+	// Interleave the three shapes so any b.N sees the same mix.
+	rand.New(rand.NewSource(42)).Shuffle(len(dnfs), func(i, j int) { dnfs[i], dnfs[j] = dnfs[j], dnfs[i] })
+	for _, bc := range []struct {
+		name string
+		opts Options
+	}{
+		{"pruned", DefaultOptions()},
+		{"exhaustive", ExhaustiveOptions()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			acc := NewCached(idx, bc.opts, cache.NewSharded(256<<20, 2))
+			for _, dnf := range dnfs { // warm the cache and the pooled run
+				if _, err := acc.RunDNFCtx(nil, dnf, 100); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var postings, docs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := acc.RunDNFCtx(nil, dnfs[i%len(dnfs)], 100)
+				if err != nil {
+					b.Fatal(err)
+				}
+				postings += res.M.PostingsDecoded
+				docs += res.M.DocsEvaluated
+			}
+			b.ReportMetric(float64(postings)/float64(b.N), "postings/op")
+			b.ReportMetric(float64(docs)/float64(b.N), "docs/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(postings), "ns/posting")
+		})
+	}
+}
+
+// TestRunHitPathAllocs pins a warm boolean run's allocation envelope: the
+// metrics record and the result copy that escape in the Result, and nothing
+// else — the same constant for a 1-, 2- and 4-term union, a 2- and 4-term
+// conjunction and a two-conjunct mixed query. Planning, cursors, match
+// buffers and the top-k all live in the pooled run record, so the count
+// depends neither on the term count nor on the postings processed.
+func TestRunHitPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race randomizes sync.Pool reuse, defeating the warm envelope")
+	}
+	_, idx := sparseFixture(t, 0.01)
+	acc := NewCached(idx, DefaultOptions(), cache.NewSharded(64<<20, 2))
+	families := []struct {
+		name string
+		dnf  [][]string
+	}{
+		{"union-1", [][]string{{"t300"}}},
+		{"union-2", [][]string{{"t1"}, {"t40"}}},
+		{"union-4", [][]string{{"t0"}, {"t1"}, {"t2"}, {"t3"}}},
+		{"conj-2", [][]string{{"t0", "t1"}}},
+		{"conj-4", [][]string{{"t0", "t1", "t2", "t3"}}},
+		{"mixed-2x2", [][]string{{"t0", "t1"}, {"t0", "t2"}}},
+	}
+	run := func(dnf [][]string) {
+		if _, err := acc.RunDNFCtx(nil, dnf, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm the cache and every pooled scratch buffer
+		for _, f := range families {
+			run(f.dnf)
+		}
+	}
+	const envelope = 2 // perf.NewMetrics and sel.Results
+	first := -1.0
+	for _, f := range families {
+		got := testing.AllocsPerRun(200, func() { run(f.dnf) })
+		if got > envelope {
+			t.Errorf("%s: warm RunDNFCtx allocates %.2f allocs/op, want <= %d", f.name, got, envelope)
+		}
+		if first < 0 {
+			first = got
+		} else if got != first {
+			t.Errorf("%s: %.2f allocs/op, %s %.2f: the envelope must not depend on the query's shape", f.name, got, families[0].name, first)
+		}
+	}
 }

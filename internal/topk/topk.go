@@ -138,8 +138,12 @@ func (s *heapSelector) Results() []Entry {
 // last), and the slot at the insertion point loads the new entry. The model
 // keeps the same results as the heap while counting slot-shift activity.
 type ShiftRegisterQueue struct {
-	k       int
-	slots   []Entry // rank order, best first
+	k     int
+	slots []Entry // rank order, best first
+	// cutoff is Threshold(), kept current by insertSlow and Reset: the tail
+	// slot's score once full, -Inf before. Insert's inlined reject and the
+	// early-termination loops read it without touching the slots.
+	cutoff  float64
 	inserts int64
 	shifts  int64
 }
@@ -149,7 +153,7 @@ func NewShiftRegister(k int) *ShiftRegisterQueue {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
-	return &ShiftRegisterQueue{k: k, slots: make([]Entry, 0, k)}
+	return &ShiftRegisterQueue{k: k, slots: make([]Entry, 0, k), cutoff: math.Inf(-1)}
 }
 
 var _ Selector = (*ShiftRegisterQueue)(nil)
@@ -166,20 +170,39 @@ func (q *ShiftRegisterQueue) Reset(k int) {
 	} else {
 		q.slots = q.slots[:0]
 	}
+	q.cutoff = math.Inf(-1)
 	q.inserts = 0
 	q.shifts = 0
 }
 
 // Insert offers a scored document; each call models one broadcast cycle.
 //
+// It is split so the common case inlines into the operators' document loops:
+// an offer scoring strictly below the cutoff (a full queue's tail) cannot be
+// admitted, and on the ranked-or workload nine offers in ten end there.
+// Everything else — room left, a better score, a tie with the tail, a NaN on
+// either side — goes to insertSlow, which decides exactly as the one-piece
+// Insert did.
+//
 //boss:hotpath one call per scored document (the top-k module's broadcast).
 func (q *ShiftRegisterQueue) Insert(docID uint32, score float64) {
 	q.inserts++
+	if score < q.cutoff {
+		return
+	}
+	q.insertSlow(docID, score)
+}
+
+// insertSlow finds the offer's slot and shifts the ones below it tailward.
+//
+//boss:hotpath one call per offer the tail's score does not rule out.
+func (q *ShiftRegisterQueue) insertSlow(docID uint32, score float64) {
 	e := Entry{DocID: docID, Score: score}
-	// Fast reject: a full queue whose tail outranks e cannot admit it. This
-	// is exactly the binary search landing at pos == len(q.slots), so no
-	// shift count or slot state changes — it just skips the O(log k) probe
-	// for the overwhelmingly common below-threshold case.
+	// Reject: a full queue whose tail outranks e cannot admit it. This is
+	// exactly the binary search landing at pos == len(q.slots), so no shift
+	// count or slot state changes — it skips the O(log k) probe for docID
+	// ties, and keeps a NaN (which less never ranks above anything) from
+	// steering the search into the middle of the register.
 	if len(q.slots) == q.k && !less(e, q.slots[q.k-1]) {
 		return
 	}
@@ -197,28 +220,21 @@ func (q *ShiftRegisterQueue) Insert(docID uint32, score float64) {
 		}
 	}
 	pos := lo
-	if pos == len(q.slots) {
-		if len(q.slots) < q.k {
-			q.slots = append(q.slots, e)
-		}
-		return
-	}
 	if len(q.slots) < q.k {
 		q.slots = append(q.slots, Entry{})
 	}
-	// Slots from pos to the end shift one position tailward.
+	// Slots from pos to the end shift one position tailward (none when e
+	// lands on the fresh tail slot).
 	q.shifts += int64(len(q.slots) - pos - 1)
 	copy(q.slots[pos+1:], q.slots[pos:len(q.slots)-1])
 	q.slots[pos] = e
+	if len(q.slots) == q.k {
+		q.cutoff = q.slots[q.k-1].Score
+	}
 }
 
 // Threshold reports the cutoff score (see Selector).
-func (q *ShiftRegisterQueue) Threshold() float64 {
-	if len(q.slots) < q.k {
-		return math.Inf(-1)
-	}
-	return q.slots[len(q.slots)-1].Score
-}
+func (q *ShiftRegisterQueue) Threshold() float64 { return q.cutoff }
 
 // Full reports whether all k slots hold entries.
 func (q *ShiftRegisterQueue) Full() bool { return len(q.slots) >= q.k }

@@ -219,6 +219,81 @@ func TestThresholdNeverDecreases(t *testing.T) {
 	}
 }
 
+// onePieceQueue is ShiftRegisterQueue.Insert as it was before it was split
+// into an inlinable reject over insertSlow: the reference the split must
+// match slot for slot and count for count.
+type onePieceQueue struct {
+	k               int
+	slots           []Entry
+	inserts, shifts int64
+}
+
+func (q *onePieceQueue) insert(docID uint32, score float64) {
+	q.inserts++
+	e := Entry{DocID: docID, Score: score}
+	if len(q.slots) == q.k && !less(e, q.slots[q.k-1]) {
+		return
+	}
+	pos := sort.Search(len(q.slots), func(i int) bool { return less(e, q.slots[i]) })
+	if pos == len(q.slots) {
+		if len(q.slots) < q.k {
+			q.slots = append(q.slots, e)
+		}
+		return
+	}
+	if len(q.slots) < q.k {
+		q.slots = append(q.slots, Entry{})
+	}
+	q.shifts += int64(len(q.slots) - pos - 1)
+	copy(q.slots[pos+1:], q.slots[pos:len(q.slots)-1])
+	q.slots[pos] = e
+}
+
+func (q *onePieceQueue) threshold() float64 {
+	if len(q.slots) < q.k {
+		return math.Inf(-1)
+	}
+	return q.slots[len(q.slots)-1].Score
+}
+
+// TestInsertSplitMatchesOnePiece: after every offer of streams dense in score
+// ties, docID ties, infinities and NaNs, the split Insert leaves the same
+// slots (bit for bit), Inserts(), Shifts(), Threshold() and Full() as the
+// one-piece implementation — through Reset to other depths as well.
+func TestInsertSplitMatchesOnePiece(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	q := NewShiftRegister(1)
+	for _, k := range []int{1, 2, 7, 64} {
+		q.Reset(k)
+		ref := &onePieceQueue{k: k}
+		for i := 0; i < 4000; i++ {
+			s := float64(rng.Intn(12)) // few distinct scores: ties with the tail are common
+			switch r := rng.Intn(20); {
+			case r == 0:
+				s = special[rng.Intn(len(special))]
+			case r < 6:
+				s = rng.NormFloat64() * 4
+			}
+			d := uint32(rng.Intn(64))
+			q.Insert(d, s)
+			ref.insert(d, s)
+			if q.Inserts() != ref.inserts || q.Shifts() != ref.shifts || q.Len() != len(ref.slots) || q.Full() != (len(ref.slots) >= k) {
+				t.Fatalf("k=%d offer %d (%d, %v): counters diverged: inserts %d/%d shifts %d/%d len %d/%d",
+					k, i, d, s, q.Inserts(), ref.inserts, q.Shifts(), ref.shifts, q.Len(), len(ref.slots))
+			}
+			if math.Float64bits(q.Threshold()) != math.Float64bits(ref.threshold()) {
+				t.Fatalf("k=%d offer %d (%d, %v): threshold %v, one-piece %v", k, i, d, s, q.Threshold(), ref.threshold())
+			}
+			for j, e := range q.Results() {
+				if w := ref.slots[j]; e.DocID != w.DocID || math.Float64bits(e.Score) != math.Float64bits(w.Score) {
+					t.Fatalf("k=%d offer %d (%d, %v): slot %d holds %+v, one-piece %+v", k, i, d, s, j, e, w)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	scores := make([]float64, 4096)
