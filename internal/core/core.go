@@ -895,8 +895,10 @@ func (r *run) cutoff() float64 { return r.sel.Threshold() }
 // assembled from its matched postings, and what per-document scoring
 // metadata the family reads. It is resolved exactly once per run (both
 // implementations live on the run record, so the resolution allocates
-// nothing) and every scored document goes through it, which is what lets
-// new query families plug in without touching the execution operators.
+// nothing) and every document scored through scoreDoc goes through it, which
+// is what lets new query families plug in without touching the execution
+// operators. (The union module's frontier loop computes BM25 inline, in the
+// same arithmetic and order as bm25Scorer: scanInterval.)
 type Scorer interface {
 	// ScoreTerms computes one document's total score from its matched
 	// term postings.
