@@ -12,6 +12,7 @@ import (
 	"boss/internal/compress"
 	"boss/internal/corpus"
 	"boss/internal/index"
+	"boss/internal/mem"
 	"boss/internal/query"
 )
 
@@ -21,17 +22,22 @@ import (
 // flat cursor — and recomputed at 1ed1d2d, on unchanged operators, when the
 // sweep gained its fixed-point and host-top-k arms and the dense unions:
 // the parent of the change that put a sorted frontier under the union
-// module. The bench/ workloads pin sim_us_per_op for DefaultOptions at
+// module — and once more at 356a0d0, again on unchanged operators, when it
+// gained the SpillIntermediates arm (the one branch of the intersection that
+// charges from the candidate count) and the dense conjunctions and mixed
+// queries: the parent of the change that moved the intersection passes onto
+// the cursor. The bench/ workloads pin sim_us_per_op for DefaultOptions at
 // k = 10/100 only; this pins the operators' answers and charges for every
 // ablation, both arithmetic arms, both cache arms and a shallow and a deep
 // k. A change that means to alter what the model charges recomputes it and
 // says so; any other change leaves it alone.
-const operatorChargesGolden = "d2d4ae0cb2c472a40b1893b2b528236159f47b441f92dd2daff0930e85faf5c5"
+const operatorChargesGolden = "f22e601d26f2411546b63f24e86073c7dcde25fb199adf101ffb71f52f5e4423"
 
-// TestOperatorChargesGolden runs a seeded Q1–Q7 sweep × six option sets ×
-// cache nil/attached × k ∈ {1, 10, 100}, then unions over a dense corpus
-// (most documents in three or more of the query's lists, query order ≠ DF
-// order) under the same option sets, and hashes every result
+// TestOperatorChargesGolden runs a seeded Q1–Q7 sweep × seven option sets ×
+// cache nil/attached × k ∈ {1, 10, 100}, then unions, conjunctions and mixed
+// queries over a dense corpus (most documents in three or more of the query's
+// lists, query order ≠ DF order) under the same option sets, and hashes every
+// result
 // (pool.TestDeviceReportGolden is the precedent).
 func TestOperatorChargesGolden(t *testing.T) {
 	c, idx := sparseFixture(t, 0.01)
@@ -67,6 +73,7 @@ func TestOperatorChargesGolden(t *testing.T) {
 		DefaultOptions(), ExhaustiveOptions(), BlockOnlyOptions(), {DocET: true},
 		{BlockET: true, DocET: true, FixedPoint: true},
 		{BlockET: true, DocET: true, HostTopK: true},
+		{BlockET: true, DocET: true, SpillIntermediates: true},
 	}
 	for _, opts := range optionSets {
 		for _, cached := range []bool{false, true} {
@@ -100,17 +107,22 @@ func TestOperatorChargesGolden(t *testing.T) {
 	}
 	dense := index.Build(corpus.Generate(denseUnionSpec(400, 8, 0xD35E)),
 		index.BuildOptions{Scheme: compress.SchemeHybrid, BlockSize: 16})
+	spilled := false
 	for _, opts := range optionSets {
 		acc := New(dense, opts)
 		for _, k := range []int{1, 10, 100} {
-			for _, expr := range denseUnionExprs {
+			for _, expr := range append(denseUnionExprs[:len(denseUnionExprs):len(denseUnionExprs)], denseConjExprs...) {
 				res, err := acc.Run(query.MustParse(expr), k)
 				if err != nil {
 					t.Fatalf("%s: %v", expr, err)
 				}
 				record(res)
+				spilled = spilled || res.M.Cat[mem.CatStoreInter] > 0
 			}
 		}
+	}
+	if !spilled {
+		t.Fatal("no run spilled an intermediate: the SpillIntermediates arm charged nothing")
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != operatorChargesGolden {
 		t.Fatalf("operator answers or charges moved:\n got %s\nwant %s", got, operatorChargesGolden)

@@ -1,0 +1,284 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"boss/internal/cache"
+	"boss/internal/compress"
+	"boss/internal/corpus"
+	"boss/internal/index"
+	"boss/internal/query"
+	"boss/internal/score"
+	"boss/internal/topk"
+)
+
+// denseConjExprs are conjunctions and mixed queries over
+// denseUnionSpec(400, 8, …), every one out of DF (= rank) order: 2-, 3- and
+// 4-term ANDs, a term distributed over a union, a single-term conjunct beside
+// a conjunction, two conjuncts sharing a term that neither leads with, and a
+// repeated term — alone, where both cursors of the first pass stand on one
+// list, and behind a third list, where the later pass probes it again.
+var denseConjExprs = []string{
+	`"t5" AND "t2"`,
+	`"t7" AND "t0" AND "t3"`,
+	`"t6" AND "t1" AND "t4" AND "t2"`,
+	`"t3" AND ("t6" OR "t0" OR "t5")`,
+	`"t4" OR ("t7" AND "t1")`,
+	`("t5" AND "t1") OR ("t3" AND "t7" AND "t1")`,
+	`"t2" AND "t2"`,
+	`"t1" AND "t4" AND "t1"`,
+}
+
+// bruteForceDNF evaluates a DNF straight from the corpus: a document matches
+// a conjunct when every term of it holds the document, and its score adds the
+// term scores conjunct by conjunct, each conjunct's terms in stable DF order —
+// every occurrence for a lone conjunction, each distinct term once for a mixed
+// query. That is the summation order the intersection module is specified to
+// have; the evaluator shares no code with it, and selects with the software
+// heap.
+func bruteForceDNF(c *corpus.Corpus, idx *index.Index, dnf [][]string, k int, fixed bool) []topk.Entry {
+	tfs := make(map[string]map[uint32]uint32)
+	ordered := make([][]string, len(dnf))
+	for i, conj := range dnf {
+		for _, term := range conj {
+			if tfs[term] == nil {
+				m := make(map[uint32]uint32)
+				for _, p := range c.Term(term) {
+					m[p.DocID] = p.TF
+				}
+				tfs[term] = m
+			}
+		}
+		ordered[i] = append([]string(nil), conj...)
+		sort.SliceStable(ordered[i], func(a, b int) bool {
+			return len(tfs[ordered[i][a]]) < len(tfs[ordered[i][b]])
+		})
+	}
+	sel := topk.NewHeap(k)
+	for d := uint32(0); d < uint32(c.Spec.NumDocs); d++ {
+		sum, hit := 0.0, false
+		seen := make(map[string]bool)
+		for _, conj := range ordered {
+			all := true
+			for _, term := range conj {
+				if _, ok := tfs[term][d]; !ok {
+					all = false
+					break
+				}
+			}
+			if !all {
+				continue
+			}
+			hit = true
+			for _, term := range conj {
+				if len(dnf) > 1 && seen[term] {
+					continue
+				}
+				seen[term] = true
+				pl := idx.MustList(term)
+				if fixed {
+					sum += idx.Params.FixedTermScore(score.ToFixed(pl.IDF), tfs[term][d], score.ToFixed(idx.DocNorms[d])).Float()
+				} else {
+					sum += idx.TermScore(pl, d, tfs[term][d])
+				}
+			}
+		}
+		if hit {
+			sel.Insert(d, sum)
+		}
+	}
+	return sel.Results()
+}
+
+// TestIntersectByteIdentical holds the intersection module — pure
+// conjunctions and mixed queries — to bruteForceDNF entry by entry: same
+// docID, same score bit pattern, same order, in float64 and in Q16.16, at a
+// shallow, the benchmark's and the default k. The seeded Q2/Q4/Q6 sweep has
+// the skew that makes the passes skip blocks and drop candidates into gaps;
+// the dense corpus, queried out of DF order, makes nearly every posting a
+// match and every later pass keep most of its candidates.
+// (TestBOSSMatchesSoftwareEngine compares through the 1e-9-tolerant
+// sameResults, and against an engine that sums in its own order.)
+func TestIntersectByteIdentical(t *testing.T) {
+	type sweep struct {
+		name  string
+		c     *corpus.Corpus
+		idx   *index.Index
+		nodes []*query.Node
+	}
+	c := corpus.Generate(corpus.CCNewsLike(0.004))
+	s := sweep{name: "ccnews", c: c, idx: index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid})}
+	for _, qt := range []corpus.QueryType{corpus.Q2, corpus.Q4, corpus.Q6} {
+		for _, q := range corpus.SampleQueries(c, qt, 40, 31337) {
+			s.nodes = append(s.nodes, query.MustParse(q.Expr))
+		}
+	}
+	dc := corpus.Generate(denseUnionSpec(400, 8, 0xD35E))
+	d := sweep{name: "dense", c: dc, idx: index.Build(dc, index.BuildOptions{Scheme: compress.SchemeHybrid, BlockSize: 16})}
+	for _, expr := range denseConjExprs {
+		d.nodes = append(d.nodes, query.MustParse(expr))
+	}
+	for _, sw := range []sweep{s, d} {
+		var results, skipped int64
+		for _, fixed := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.FixedPoint = fixed
+			acc := New(sw.idx, opts)
+			for _, k := range []int{1, 10, 1000} {
+				for _, node := range sw.nodes {
+					res, err := acc.Run(node, k)
+					if err != nil {
+						t.Fatalf("%s: %v", node, err)
+					}
+					want := bruteForceDNF(sw.c, sw.idx, node.DNF(), k, fixed)
+					requireSameTopK(t, fmt.Sprintf("%s %s k=%d fixed=%v vs brute force", sw.name, node, k, fixed), res.TopK, want)
+					results += int64(len(res.TopK))
+					skipped += res.M.BlocksSkipped
+				}
+			}
+		}
+		if results == 0 {
+			t.Fatalf("%s: every query came back empty: the test compared nothing", sw.name)
+		}
+		if sw.name == "ccnews" && skipped == 0 {
+			t.Fatal("ccnews: no pass ever skipped a block")
+		}
+	}
+}
+
+// conjShapeExpr renders the fuzzer's query over the given term ranks: shape 0
+// a pure conjunction, 1 the first term distributed over a union of the rest,
+// 2 the first term alone beside a conjunction of the rest (the single-term
+// conjunct), 3 a conjunction whose last term repeats its first.
+func conjShapeExpr(shape int, ranks []int) string {
+	terms := make([]string, len(ranks))
+	for i, r := range ranks {
+		terms[i] = fmt.Sprintf("%q", fmt.Sprintf("t%d", r))
+	}
+	switch shape {
+	case 1:
+		return terms[0] + " AND (" + strings.Join(terms[1:], " OR ") + ")"
+	case 2:
+		return terms[0] + " OR (" + strings.Join(terms[1:], " AND ") + ")"
+	case 3:
+		terms[len(terms)-1] = terms[0]
+	}
+	return strings.Join(terms, " AND ")
+}
+
+// FuzzConjVsBruteForce is TestIntersectByteIdentical over corpora the fuzzer
+// picks: seed shapes a tiny dense corpus (64–319 documents, 4–8 terms, 4–35
+// postings per block) and shuffles the term order; shapeBits choose the term
+// count (bits 0–1: 2–4; a fourth value wraps to 2), the expression
+// (bits 2–3: conjShapeExpr), Q16.16 scoring (bit 4) and SpillIntermediates
+// (bit 5). The run must equal the brute-force evaluator entry by entry, and a
+// cached accelerator — cold, then warm — must return the same entries and
+// decode exactly the postings and blocks the uncached one does.
+func FuzzConjVsBruteForce(f *testing.F) {
+	f.Add(int64(1), uint16(10), uint8(0))
+	f.Add(int64(2), uint16(1), uint8(0b010110))
+	f.Add(int64(0xB055), uint16(100), uint8(0b101001))
+	f.Add(int64(-7), uint16(3), uint8(0b001100))
+	f.Add(int64(977), uint16(1000), uint8(0b111110))
+	f.Add(int64(42), uint16(5), uint8(0b000101))
+	f.Fuzz(func(t *testing.T, seed int64, k uint16, shapeBits uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		vocab := 4 + rng.Intn(5)
+		c := corpus.Generate(denseUnionSpec(64+rng.Intn(256), vocab, seed))
+		idx := index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid, BlockSize: 4 + rng.Intn(32)})
+		n := 2 + int(shapeBits&3)%3
+		node := query.MustParse(conjShapeExpr(int(shapeBits>>2&3), rng.Perm(vocab)[:n]))
+		opts := DefaultOptions()
+		opts.FixedPoint = shapeBits&16 != 0
+		opts.SpillIntermediates = shapeBits&32 != 0
+		kk := 1 + int(k)%1024
+
+		plain, err := New(idx, opts).Run(node, kk)
+		if err != nil {
+			t.Fatalf("%s: %v", node, err)
+		}
+		want := bruteForceDNF(c, idx, node.DNF(), kk, opts.FixedPoint)
+		requireSameTopK(t, fmt.Sprintf("%s k=%d %+v vs brute force", node, kk, opts), plain.TopK, want)
+
+		cached := NewCached(idx, opts, cache.NewSharded(1<<20, 2))
+		for _, pass := range []string{"cold", "warm"} {
+			res, err := cached.Run(node, kk)
+			if err != nil {
+				t.Fatalf("%s (%s cache): %v", node, pass, err)
+			}
+			requireSameTopK(t, fmt.Sprintf("%s k=%d %+v %s cache vs none", node, kk, opts, pass), res.TopK, plain.TopK)
+			if res.M.PostingsDecoded != plain.M.PostingsDecoded || res.M.BlocksFetched != plain.M.BlocksFetched {
+				t.Fatalf("%s %+v, %s cache: decoded %d postings in %d blocks, uncached %d in %d", node, opts, pass,
+					res.M.PostingsDecoded, res.M.BlocksFetched, plain.M.PostingsDecoded, plain.M.BlocksFetched)
+			}
+		}
+		if st := cached.Cache().Stats(); st.PinnedEntries != 0 {
+			t.Fatalf("%s: %d cache entries left pinned", node, st.PinnedEntries)
+		}
+	})
+}
+
+// BenchmarkRunConj is the intersection module's microbenchmark and, since
+// bench/ has no -cpuprofile flag, its profiling entry point:
+//
+//	go test -run NONE -bench RunConj -cpuprofile cpu.out ./internal/core
+//
+// It replays the conj-fit workload's shapes below the pool: the bench corpus,
+// Zipf-sampled Q2/Q4 conjunctions at k = 10, a warm cache that holds the
+// working set; the mixed sub-benchmark is ranked-or's Q6 share at its k = 100.
+// postings/op is PostingsDecoded, so ns/posting is the per-decoded-posting
+// cost ROADMAP item 5 tracks, the number to read beside BenchmarkRunUnion's
+// and BenchmarkRunSparse's; docs/op is the documents scored, blocks/op the
+// blocks fetched.
+func BenchmarkRunConj(b *testing.B) {
+	c := corpus.Generate(corpus.ClueWebLike(0.25))
+	idx := index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid})
+	stream := func(n int, qts ...corpus.QueryType) [][][]string {
+		var dnfs [][][]string
+		for _, qt := range qts {
+			for _, q := range corpus.SampleZipfQueries(c, qt, n, 1.07, 42) {
+				dnfs = append(dnfs, query.MustParse(q.Expr).DNF())
+			}
+		}
+		// Interleave the shapes so any b.N sees the same mix.
+		rand.New(rand.NewSource(42)).Shuffle(len(dnfs), func(i, j int) { dnfs[i], dnfs[j] = dnfs[j], dnfs[i] })
+		return dnfs
+	}
+	for _, bc := range []struct {
+		name string
+		dnfs [][][]string
+		k    int
+	}{
+		{"conj", stream(256, corpus.Q2, corpus.Q4), 10},
+		{"mixed", stream(256, corpus.Q6), 100},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			acc := NewCached(idx, DefaultOptions(), cache.NewSharded(256<<20, 2))
+			for _, dnf := range bc.dnfs { // warm the cache and the pooled run
+				if _, err := acc.RunDNFCtx(nil, dnf, bc.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var postings, docs, blocks int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := acc.RunDNFCtx(nil, bc.dnfs[i%len(bc.dnfs)], bc.k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				postings += res.M.PostingsDecoded
+				docs += res.M.DocsEvaluated
+				blocks += res.M.BlocksFetched
+			}
+			b.ReportMetric(float64(postings)/float64(b.N), "postings/op")
+			b.ReportMetric(float64(docs)/float64(b.N), "docs/op")
+			b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(postings), "ns/posting")
+		})
+	}
+}
