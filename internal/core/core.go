@@ -27,7 +27,6 @@ import (
 	"boss/internal/mem"
 	"boss/internal/perf"
 	"boss/internal/query"
-	"boss/internal/score"
 	"boss/internal/sim"
 	"boss/internal/topk"
 )
@@ -167,27 +166,34 @@ type Result struct {
 	M    *perf.Metrics
 }
 
-// blockData caches one decoded block so conjuncts sharing a term are
-// charged once. Decoded buffers recycle through blockDataPool; nothing that
-// escapes a run references them (matches copy termTF values, results copy
-// topk entries). When the block came from the cross-query cache, docs/tfs
-// alias the pinned entry ent (released by releaseRun) and the record's own
-// buffers are unused.
+// blockData is a pair of decode buffers for an accelerator without a
+// cross-query cache (with one, blocks decode straight into cache slabs). The
+// buffers recycle through blockDataPool; nothing that escapes a run
+// references them (the candidate table copies tfs, results copy topk
+// entries).
 type blockData struct {
 	docs []uint32
 	tfs  []uint32
-	ent  *cache.Entry
 }
 
 var blockDataPool = sync.Pool{New: func() any { return new(blockData) }}
 
 // blockRec is one block of a posting list that the run has examined: its
-// metadata record has been charged, and bd is its decoded form once fetched
-// (bd == nil: metadata charged, block not loaded).
+// metadata record has been charged, and once the block is fetched the record
+// carries its decoded form by value — docs/tfs alias the pinned cache entry
+// ent or, on an accelerator without a cache, the pooled decode buffers buf.
+// releaseRun unpins the one and pools the other. With neither set the block
+// was examined on metadata only.
 type blockRec struct {
-	b  int
-	bd *blockData
+	b    int
+	docs []uint32
+	tfs  []uint32
+	ent  *cache.Entry
+	buf  *blockData
 }
+
+// loaded reports whether the block has been fetched and decoded.
+func (rec *blockRec) loaded() bool { return rec.ent != nil || rec.buf != nil }
 
 // listState gathers all per-(run, posting-list) bookkeeping behind a single
 // map probe: the examined blocks, and the stream's decode-cycle total (each
@@ -261,9 +267,9 @@ type run struct {
 	planEnd   []int
 	distinct  []*index.PostingList
 
-	// Cursor scratch of the document-at-a-time operators (cursor.go): one
-	// cursor per posting list, shared by the union and sparse paths (a query
-	// runs one or the other), plus the union module's pointer views over it:
+	// Cursor scratch (cursor.go): one cursor per posting list of the operator
+	// that is running — the union, the sparse driver, or one conjunct's
+	// intersection passes — plus the union module's pointer views over it:
 	// the live streams, the ones covering the current interval, and that
 	// interval's sorted frontier (scanInterval). Reused across pooled runs;
 	// releaseRun zeroes what the run wrote.
@@ -271,64 +277,22 @@ type run struct {
 	streams  []*cursor
 	covering []*cursor
 	frontier []*cursor
-	terms    []termTF
 
-	// Intersection-path scratch (intersect.go). Match records carve their
-	// term slices out of termArena instead of allocating one tiny []termTF
-	// per matched document; filled chunks retire to termRetired until the
-	// run ends. matchBufs holds one reusable []match per conjunct, and
-	// conjOut a mixed query's per-conjunct outputs (views of those buffers).
-	termArena   []termTF
-	termRetired [][]termTF
-	matchBufs   [][]match
-	matchBufN   int
-	conjOut     [][]match
-	ordScratch  []*index.PostingList
-	mergePos    []int
-
-	// Per-family scoring strategy, resolved once per run: the boolean
-	// families (Q1–Q6) recompute BM25 through bm25, the sparse family
-	// (Q7) reads precomputed impacts through impact. Both live on the
-	// record so resolving the interface never allocates.
-	scorer Scorer
-	bm25   bm25Scorer
-	impact impactScorer
+	// The intersection module's candidate table (intersect.go): matched
+	// docIDs in candDocs and, in candTFs, one row of n tfs per candidate,
+	// n being the conjunct's list count and slot t its t-th list in stable DF
+	// order — the order intersect leaves the conjunct's stretch of planLists
+	// in. A mixed query's conjunct outputs lie back to back in the two
+	// arrays, located by conj. A candidate is 4 + 4n bytes of plain integers:
+	// nothing in the table can pin a list or a block, and releaseRun only
+	// truncates it. slots and seen are scoring scratch (scoreSlots,
+	// unionConjuncts).
+	candDocs []uint32
+	candTFs  []uint32
+	conj     []conjRows
+	slots    []slot
+	seen     []uint64
 }
-
-// allocTerms carves a zero-length termTF slice with capacity n out of the
-// run's arena. Appending up to n elements writes into the arena; the carved
-// slice stays valid until releaseRun.
-func (r *run) allocTerms(n int) []termTF {
-	if len(r.termArena)+n > cap(r.termArena) {
-		if cap(r.termArena) > 0 {
-			r.termRetired = append(r.termRetired, r.termArena)
-		}
-		c := 2 * cap(r.termArena)
-		if c < 1024 {
-			c = 1024
-		}
-		if c < n {
-			c = n
-		}
-		r.termArena = make([]termTF, 0, c)
-	}
-	base := len(r.termArena)
-	r.termArena = r.termArena[:base+n]
-	return r.termArena[base : base : base+n]
-}
-
-// grabMatchBuf hands out the next reusable match buffer; the caller stores
-// the grown slice back with putMatchBuf so the capacity survives the query.
-func (r *run) grabMatchBuf() (int, []match) {
-	i := r.matchBufN
-	r.matchBufN++
-	if i >= len(r.matchBufs) {
-		r.matchBufs = append(r.matchBufs, nil)
-	}
-	return i, r.matchBufs[i][:0]
-}
-
-func (r *run) putMatchBuf(i int, m []match) { r.matchBufs[i] = m }
 
 // newRun takes a recycled run record (or builds a first one) and readies it
 // for a query. Planning fills in nTerms.
@@ -350,11 +314,6 @@ func (a *Accelerator) newRun(k int) *run {
 	r.nTerms = 0
 	r.ctx = nil
 	r.err = nil
-	// Default to the BM25-recompute scorer; the sparse path swaps in the
-	// impact reader before executing.
-	r.bm25.idx = a.idx
-	r.bm25.fixedPoint = a.opts.FixedPoint
-	r.scorer = &r.bm25
 	return r
 }
 
@@ -364,65 +323,43 @@ func (a *Accelerator) newRun(k int) *run {
 // zero allocations.
 func (a *Accelerator) releaseRun(r *run) {
 	for _, ls := range r.lists {
-		for _, rec := range ls.recs {
-			bd := rec.bd
-			if bd == nil {
-				continue // examined on metadata only
-			}
-			if bd.ent != nil {
-				// Cache-backed block: unpin the entry and drop the aliases —
-				// the slab belongs to the cache, never to the pooled record.
-				a.cache.Release(bd.ent)
-				bd.ent = nil
-				bd.docs, bd.tfs = nil, nil
-			} else {
+		for i := range ls.recs {
+			rec := &ls.recs[i]
+			if rec.ent != nil {
+				// Cache-backed block: unpin the entry; the slab belongs to
+				// the cache.
+				a.cache.Release(rec.ent)
+			} else if buf := rec.buf; buf != nil {
 				// Truncate before pooling: DecodeInto overwrites via [:0] on
-				// reuse, but a recycled block must never expose the previous
+				// reuse, but a recycled buffer must never expose the previous
 				// query's postings to a future code path that forgets to.
-				bd.docs, bd.tfs = bd.docs[:0], bd.tfs[:0]
+				buf.docs, buf.tfs = buf.docs[:0], buf.tfs[:0]
+				blockDataPool.Put(buf)
 			}
-			blockDataPool.Put(bd)
 		}
-		clear(ls.recs) // a free listState must not pin pooled blocks
+		clear(ls.recs) // a free listState must not pin cache slabs or pooled buffers
 		ls.recs = ls.recs[:0]
 		ls.cycles = 0
 		ls.decoded = false
 		r.lsFree = append(r.lsFree, ls)
 	}
 	clear(r.lists)
-	// Reset the term arena (keeping the newest, largest chunk) and clear the
-	// match buffers so stale match records cannot pin retired arena chunks
-	// or posting lists across queries. Only what this run wrote needs it:
-	// the buffers it grabbed, up to the length putMatchBuf stored (nextPass
-	// compacts in place below it); past that, earlier releases left zeros.
-	r.termArena = r.termArena[:0]
-	clear(r.termRetired)
-	r.termRetired = r.termRetired[:0]
-	for _, b := range r.matchBufs[:r.matchBufN] {
-		clear(b)
-	}
-	r.matchBufN = 0
 	r.m = nil
 	r.ctx = nil
 	r.err = nil
-	r.scorer = nil
 	// Cursors hold posting lists and alias decoded blocks (cache slabs
-	// included); the plan, term records and the conjunct-order scratch hold
-	// posting lists; conjOut holds views of match buffers a later query may
-	// outgrow and abandon: zero them so a pooled run never pins a previous
-	// query's lists or blocks. Each release clears what its run wrote, so
-	// the cursor, plan and conjOut capacity beyond stays zero; the other two
-	// hold at most one entry per query term.
+	// included), and the plan holds posting lists: zero them so a pooled run
+	// never pins a previous query's lists or blocks. Each release clears what
+	// its run wrote (openCursors clears the cursors an earlier conjunct left),
+	// so the capacity beyond stays zero. The candidate table and the scoring
+	// scratch hold integers and floats only; truncating them is enough.
 	clear(r.cursors)
 	r.cursors = r.cursors[:0]
 	clear(r.planLists)
 	r.planLists, r.planEnd = r.planLists[:0], r.planEnd[:0]
 	clear(r.distinct)
 	r.distinct = r.distinct[:0]
-	clear(r.conjOut)
-	r.conjOut = r.conjOut[:0]
-	clear(r.terms[:cap(r.terms)])
-	clear(r.ordScratch[:cap(r.ordScratch)])
+	r.candDocs, r.candTFs, r.conj = r.candDocs[:0], r.candTFs[:0], r.conj[:0]
 	r.fetchCycles, r.mergeCycles, r.scoreOps, r.topkInserts = 0, 0, 0, 0
 	a.runs.Put(r)
 }
@@ -490,8 +427,8 @@ func (a *Accelerator) runDNF(ctx context.Context, dnf [][]string, k int) (Result
 		r.union(r.planLists)
 	case len(r.planEnd) == 1:
 		// Pure conjunction: the pipelined intersection path.
-		if ms := r.intersect(r.planLists); r.err == nil {
-			r.scoreAll(ms)
+		if r.intersect(r.planLists); r.err == nil {
+			r.scoreConjunct()
 		}
 	default:
 		// Mixed query: intersections first (the paper's execution order),
@@ -674,30 +611,35 @@ func (r *run) decoder(s compress.Scheme) *decomp.Module {
 }
 
 // fetchBlock loads and decodes a block through the programmable
-// decompression module, charging traffic and cycles once per query.
+// decompression module, charging traffic and cycles once per query, and
+// returns its decoded docIDs and tfs: views of the block's record, valid
+// until releaseRun, which callers keep by value (cursor.load).
 //
 // On any failure — expired context, injected device fault, checksum
 // mismatch, decode error — it latches a typed error on the run (r.err)
-// and returns nil; callers unwind on nil and RunDNFCtx surfaces the error.
+// and returns ok false; callers unwind on it and RunDNFCtx surfaces the
+// error.
 //
 //boss:hotpath one call per block examined; the per-block decode loop.
-//boss:pool-escapes decoded blocks live in r.lists until releaseRun pools them.
-func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData {
+func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs []uint32, ok bool) {
 	ri, seen := ls.find(b)
-	if seen && ls.recs[ri].bd != nil {
-		return ls.recs[ri].bd
+	if seen {
+		if rec := &ls.recs[ri]; rec.loaded() {
+			return rec.docs, rec.tfs, true
+		}
 	}
 	if r.ctx != nil {
 		if cause := r.ctx.Err(); cause != nil {
 			r.failCtx(cause)
-			return nil
+			return nil, nil, false
 		}
 	}
 	meta := pl.Blocks[b]
 	if !seen {
 		r.examine(ls, ri, b)
 	}
-	// Nothing below touches ls.recs, so ri stays block b's record.
+	// Nothing below touches ls.recs, so rec stays block b's record.
+	rec := &ls.recs[ri]
 
 	ch := r.acc.cache
 	var ent *cache.Entry
@@ -721,7 +663,7 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData
 			if ent != nil {
 				ch.Release(ent)
 			}
-			return nil
+			return nil, nil, false
 		}
 	} else {
 		r.m.AddSeqRead(int64(meta.Length), mem.CatLoadList)
@@ -737,11 +679,8 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData
 	if ent != nil {
 		ls.cycles += float64(ent.Cycles())
 		ls.decoded = true
-		bd := blockDataPool.Get().(*blockData)
-		bd.ent = ent
-		bd.docs, bd.tfs = ent.Docs(), ent.Tfs()
-		ls.recs[ri].bd = bd
-		return bd
+		rec.ent, rec.docs, rec.tfs = ent, ent.Docs(), ent.Tfs()
+		return rec.docs, rec.tfs, true
 	}
 
 	payload := pl.Data[meta.Offset : meta.Offset+meta.Length]
@@ -751,40 +690,46 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) *blockData
 	if meta.Checksum != 0 && index.ChecksumPayload(payload) != meta.Checksum {
 		r.m.IntegrityFailures++
 		r.failCorrupt(pl, b) //boss:escape-ok cold corrupt-block error path
-		return nil
+		return nil, nil, false
 	}
 	mod := r.decoder(pl.Scheme)
 	if mod == nil {
-		return nil // r.err latched by decoder
+		return nil, nil, false // r.err latched by decoder
 	}
-	bd := blockDataPool.Get().(*blockData)
-	docsBuf, tfsBuf := bd.docs[:0], bd.tfs[:0]
+	// Decode straight into a cache-owned slab, published below so the next
+	// query hits; without a cache, into pooled buffers the record keeps.
 	var e *cache.Entry
+	var buf *blockData
+	var docsBuf, tfsBuf []uint32
 	if ch != nil {
-		// Miss with a cache attached: decode straight into a cache-owned
-		// slab and publish so the next query hits.
 		n := int(meta.Count)
 		e = ch.Reserve(n)
 		docsBuf, tfsBuf = e.DocsBuf(n), e.TfsBuf(n)
+	} else {
+		buf = blockDataPool.Get().(*blockData)
+		docsBuf, tfsBuf = buf.docs[:0], buf.tfs[:0]
 	}
 	docs, tfs, cyc, err := r.decodeBlock(mod, pl, b, payload, docsBuf, tfsBuf)
 	if err != nil {
 		if e != nil {
 			ch.Release(e) // reserved, never published
+		} else {
+			buf.docs, buf.tfs = buf.docs[:0], buf.tfs[:0]
+			blockDataPool.Put(buf)
 		}
-		bd.docs, bd.tfs = bd.docs[:0], bd.tfs[:0]
-		blockDataPool.Put(bd)
-		return nil
+		return nil, nil, false
 	}
 	ls.cycles += float64(cyc)
 	ls.decoded = true
 	if e != nil {
-		bd.ent = ch.Publish(cache.Key{List: pl.ID(), Block: uint32(b)}, e, docs, tfs, int64(cyc))
-		docs, tfs = bd.ent.Docs(), bd.ent.Tfs()
+		rec.ent = ch.Publish(cache.Key{List: pl.ID(), Block: uint32(b)}, e, docs, tfs, int64(cyc))
+		docs, tfs = rec.ent.Docs(), rec.ent.Tfs()
+	} else {
+		buf.docs, buf.tfs = docs, tfs // keep what DecodeInto grew
+		rec.buf = buf
 	}
-	bd.docs, bd.tfs = docs, tfs
-	ls.recs[ri].bd = bd
-	return bd
+	rec.docs, rec.tfs = docs, tfs
+	return docs, tfs, true
 }
 
 // decodeBlock runs a block's docID stream (delta-coded from its first docID)
@@ -891,113 +836,19 @@ func (r *run) failDecode(what string, pl *index.PostingList, b int, err error) {
 // cutoff returns the current top-k threshold (-Inf while not full).
 func (r *run) cutoff() float64 { return r.sel.Threshold() }
 
-// Scorer is the per-family scoring strategy: how one document's score is
-// assembled from its matched postings, and what per-document scoring
-// metadata the family reads. It is resolved exactly once per run (both
-// implementations live on the run record, so the resolution allocates
-// nothing) and every document scored through scoreDoc goes through it, which
-// is what lets new query families plug in without touching the execution
-// operators. (The union module's frontier loop computes BM25 inline, in the
-// same arithmetic and order as bm25Scorer: scanInterval.)
-type Scorer interface {
-	// ScoreTerms computes one document's total score from its matched
-	// term postings.
-	ScoreTerms(doc uint32, terms []termTF) float64
-	// NormBytes is the per-document scoring-metadata traffic the family
-	// charges (BM25's 4 B document normalizer; 0 for impact-read, whose
-	// weights are precomputed into the posting payload).
-	NormBytes() int64
-}
-
-// bm25Scorer recomputes BM25 per posting — the Q1–Q6 strategy, float64
-// by default or Q16.16 like the synthesized hardware.
-type bm25Scorer struct {
-	idx        *index.Index
-	fixedPoint bool
-}
-
-// ScoreTerms sums the matched terms' BM25 contributions in query order,
-// bit-identical to the pre-Scorer inline loop.
+// chargeScored accounts docs documents scored with BM25 over ops matched
+// postings in all: one scoring op per posting, and per document one top-k
+// broadcast and one 4 B normalizer read. Scored docIDs ascend within a query,
+// so the normalizer stream is prefetch-friendly and charged at sequential
+// bandwidth — docs accesses of it, which is what AddSeqRead per document
+// counted. (The sparse family reads impacts and charges no normalizer.)
 //
-//boss:hotpath one call per evaluated document on the boolean paths.
-func (s *bm25Scorer) ScoreTerms(doc uint32, terms []termTF) float64 {
-	var sum float64
-	for _, tt := range terms {
-		if s.fixedPoint {
-			p := s.idx.Params
-			fs := p.FixedTermScore(
-				score.ToFixed(tt.pl.IDF),
-				tt.tf,
-				score.ToFixed(s.idx.DocNorms[doc]),
-			)
-			sum += fs.Float()
-		} else {
-			sum += s.idx.TermScore(tt.pl, doc, tt.tf)
-		}
-	}
-	return sum
-}
-
-func (s *bm25Scorer) NormBytes() int64 { return index.DocNormBytes }
-
-// impactScorer reads the 8-bit quantized impacts decoded with each block
-// — the Q7 strategy. Summation is pure integer arithmetic in Q16.16
-// (code × per-list step per posting), with a single exact float
-// conversion per document for the top-k module; no per-posting float
-// math and no per-document norm access.
-type impactScorer struct{}
-
-// ScoreTerms sums the matched terms' dequantized impacts. Fixed-point
-// addition is associative, so the result is independent of term order.
-//
-//boss:hotpath one call per evaluated document on the sparse path.
-func (impactScorer) ScoreTerms(doc uint32, terms []termTF) float64 {
-	var sum score.Fixed
-	for _, tt := range terms {
-		sum += score.Impact(tt.imp, tt.pl.ImpactStep)
-	}
-	return sum.Float()
-}
-
-func (impactScorer) NormBytes() int64 { return 0 }
-
-// scoreDoc scores one document given its matched term postings, charges
-// metadata traffic and scoring work per the run's Scorer, and offers it
-// to the top-k module.
-//
-//boss:hotpath one call per evaluated document.
-func (r *run) scoreDoc(doc uint32, terms []termTF) {
-	r.m.DocsEvaluated++
-	// One per-document scoring-metadata access (the paper's +4 B/doc BM25
-	// normalizer; nothing for impact-read). Scored docIDs ascend within a
-	// query, so the access stream is prefetch-friendly: charged at
-	// sequential bandwidth.
-	if nb := r.scorer.NormBytes(); nb != 0 {
-		r.m.AddSeqRead(nb, mem.CatLoadScore)
-	}
-	s := r.scorer.ScoreTerms(doc, terms)
-	r.scoreOps += float64(len(terms))
-	r.topkInserts++
-	r.sel.Insert(doc, s)
-}
-
-// termTF is one matched term's posting data for a document. imp is the
-// 8-bit quantized impact code, read only by the sparse family.
-type termTF struct {
-	pl  *index.PostingList
-	tf  uint32
-	imp uint8
-}
-
-// match is a matched document with all its term postings.
-type match struct {
-	doc   uint32
-	terms []termTF
-}
-
-// scoreAll scores a sorted match list.
-func (r *run) scoreAll(matches []match) {
-	for _, m := range matches {
-		r.scoreDoc(m.doc, m.terms)
-	}
+//boss:hotpath one call per scored interval or candidate table.
+func (r *run) chargeScored(docs, ops int64) {
+	r.scoreOps += float64(ops)
+	r.topkInserts += float64(docs)
+	r.m.DocsEvaluated += docs
+	r.m.SeqReadBytes += docs * index.DocNormBytes
+	r.m.Cat[mem.CatLoadScore] += docs * index.DocNormBytes
+	r.m.CatAcc[mem.CatLoadScore] += docs
 }

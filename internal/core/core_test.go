@@ -283,7 +283,7 @@ func TestSharedTermRescanFetchesSkippedBlock(t *testing.T) {
 	ls := r.stateFor(A)
 	var skipped []int
 	for _, rec := range ls.recs {
-		if rec.bd == nil {
+		if !rec.loaded() {
 			skipped = append(skipped, rec.b)
 		}
 	}
@@ -295,7 +295,7 @@ func TestSharedTermRescanFetchesSkippedBlock(t *testing.T) {
 	for _, b := range skipped {
 		if i, ok := ls.find(b); !ok {
 			t.Fatalf("block %d's record vanished", b)
-		} else if ls.recs[i].bd != nil {
+		} else if ls.recs[i].loaded() {
 			filled++
 		}
 	}
@@ -346,7 +346,7 @@ func TestBlockRecords(t *testing.T) {
 		}
 		return out
 	}
-	var pinned *blockData // block 7's decoded form, loaded midway
+	var pinned []uint32 // block 7's decoded docIDs, loaded midway
 	for _, st := range []struct {
 		name string
 		b    int
@@ -378,12 +378,12 @@ func TestBlockRecords(t *testing.T) {
 		if st.name == "ascending append" {
 			// Load block 7 so the inserts below shift a record that
 			// holds a decoded block.
-			if pinned = r.fetchBlock(ls, pl, 7); pinned == nil {
+			if pinned, _, _ = r.fetchBlock(ls, pl, 7); pinned == nil {
 				t.Fatal(r.err)
 			}
 		}
 		if pinned != nil {
-			if got := r.fetchBlock(ls, pl, 7); got != pinned || r.m.BlocksFetched != 1 {
+			if got, _, _ := r.fetchBlock(ls, pl, 7); &got[0] != &pinned[0] || r.m.BlocksFetched != 1 {
 				t.Fatalf("%s: block 7 re-fetched (got %p, want %p, fetched %d)", st.name, got, pinned, r.m.BlocksFetched)
 			}
 		}
@@ -400,7 +400,7 @@ func TestBlockRecords(t *testing.T) {
 		t.Fatalf("released listState keeps %d records", len(ls.recs))
 	}
 	for i, rec := range ls.recs[:cap(ls.recs)] {
-		if rec.bd != nil {
+		if holdsBlock(rec) {
 			t.Fatalf("released listState still holds a block at %d", i)
 		}
 	}
@@ -516,48 +516,67 @@ func TestBOSSMoreBandwidthEfficientThanExhaustive(t *testing.T) {
 	}
 }
 
-// releaseRun clears only the match records the finished run wrote, not each
-// buffer's whole capacity. The property that buys — a pooled run never pins
-// a previous query's term arena or posting lists — must still hold over the
-// full capacity, including the high-water region a large query grew and the
-// smaller ones after it never touch.
-func TestReleaseRunLeavesMatchBuffersPinFree(t *testing.T) {
+// holdsBlock reports whether a block record references decoded data in any
+// way: a pinned cache entry, pooled decode buffers, or the slices themselves.
+func holdsBlock(rec blockRec) bool {
+	return rec.ent != nil || rec.buf != nil || rec.docs != nil || rec.tfs != nil
+}
+
+// The candidate table holds docIDs and tfs only, so a pooled run has nothing
+// in it to un-pin; what a release must guarantee is that the rows a run left
+// behind are out of every later pass's reach. Over a large conjunction, a
+// mixed query of three conjuncts (a later pass compacting in place, a
+// single-term conjunct streaming its whole list) and small queries that touch
+// a fraction of the grown arrays: while a run holds its outputs, the
+// conjuncts' rows tile the table exactly — back to back, nothing beyond the
+// last — and after releaseRun both arrays and the conjunct offsets are empty.
+// The old match records made a single-term conjunct cost 48 bytes a posting,
+// which the pooled run then kept capacity for (a 60k-posting shard list:
+// 2.9 MB per run record); a table row of one slot is 8.
+func TestReleaseRunResetsCandidateTable(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	rare := f.c.Terms[len(f.c.Terms)-1].Term
 	steps := [][][]string{
-		{{"t0", "t1"}}, // large: grows buffer 0
-		{{"t0", "t1", "t2"}, {"t3"}, {"t1", "t4"}}, // three buffers; nextPass compacts in place
-		{{"t0", rare}}, // small: most of buffer 0 untouched
-		{{rare}},
+		{{"t0", "t1"}}, // large: grows the table
+		{{"t0", "t1", "t2"}, {"t3"}, {"t1", "t4"}}, // three conjuncts; probePass compacts in place
+		{{"t0", rare}}, // small: most of the table untouched
+		{{rare}, {"t0", rare}},
 	}
-	grown := false
+	grown := 0
 	for i, dnf := range steps {
 		r := acc.newRun(10)
 		if err := r.plan(dnf); err != nil {
 			t.Fatal(err)
 		}
-		r.mixed()
+		for ci := range r.planEnd {
+			r.intersect(r.conjunct(ci))
+		}
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
-		acc.releaseRun(r)
-		for bi, b := range r.matchBufs {
-			grown = grown || cap(b) > 0
-			for j, m := range b[:cap(b)] {
-				if m.terms != nil {
-					t.Fatalf("step %d: buffer %d (len %d, cap %d) still holds a match at %d after releaseRun", i, bi, len(b), cap(b), j)
-				}
-			}
+		if len(r.conj) != len(dnf) {
+			t.Fatalf("step %d: %d conjunct outputs for %d conjuncts", i, len(r.conj), len(dnf))
 		}
-		for ci, out := range r.conjOut[:cap(r.conjOut)] {
-			if out != nil {
-				t.Fatalf("step %d: conjunct output %d of %d still views a match buffer after releaseRun", i, ci, cap(r.conjOut))
+		lo, tf := 0, 0
+		for ci, c := range r.conj {
+			if c.lo != lo || c.tf != tf || c.n != len(dnf[ci]) || c.hi < c.lo {
+				t.Fatalf("step %d: conjunct %d's rows %+v do not start where the previous one's end (row %d, tf %d)", i, ci, c, lo, tf)
 			}
+			lo, tf = c.hi, c.tf+(c.hi-c.lo)*c.n
+		}
+		if lo != len(r.candDocs) || tf != len(r.candTFs) {
+			t.Fatalf("step %d: table holds %d docIDs and %d tfs, the conjuncts' rows end at %d and %d", i, len(r.candDocs), len(r.candTFs), lo, tf)
+		}
+		grown = max(grown, cap(r.candDocs))
+		r.unionConjuncts()
+		acc.releaseRun(r)
+		if len(r.candDocs) != 0 || len(r.candTFs) != 0 || len(r.conj) != 0 {
+			t.Fatalf("step %d: releaseRun left %d docIDs, %d tfs and %d conjunct offsets in the table", i, len(r.candDocs), len(r.candTFs), len(r.conj))
 		}
 	}
-	if !grown {
-		t.Fatal("no match buffer ever grew: the test exercised nothing")
+	if grown == 0 {
+		t.Fatal("the candidate table never grew: the test exercised nothing")
 	}
 }
 
@@ -586,23 +605,21 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 		name string
 		run  func(r *run)
 	}{
-		{"sparse, 8 lists", func(r *run) {
-			r.scorer = &r.impact
-			r.sparse(lists("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"))
-		}},
+		{"sparse, 8 lists", func(r *run) { r.sparse(lists("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7")) }},
 		{"union, 4 lists", func(r *run) { r.union(lists("t0", "t1", "t2", "t3")) }},
-		{"sparse, 2 lists", func(r *run) {
-			r.scorer = &r.impact
-			r.sparse(lists("t3", "t9"))
+		{"sparse, 2 lists", func(r *run) { r.sparse(lists("t3", "t9")) }},
+		{"planned conjunction, 3 lists", func(r *run) {
+			planned(r, [][]string{{"t0", "t1", "t2"}})
+			r.intersect(r.planLists)
+			r.scoreConjunct()
 		}},
-		{"conjunction, 3 lists", func(r *run) { r.scoreAll(r.intersect(lists("t0", "t1", "t2"))) }},
 		{"union, 1 list", func(r *run) { r.union(lists("t5")) }},
 		{"planned union, 5 lists", func(r *run) {
 			planned(r, [][]string{{"t4"}, {"t0"}, {"t8"}, {"t2"}, {"t6"}})
 			r.union(r.planLists)
 		}},
-		{"planned mixed, 3 conjuncts", func(r *run) {
-			planned(r, [][]string{{"t0", "t1"}, {"t0", "t2"}, {"t3"}})
+		{"planned mixed, a wide conjunct before narrower ones", func(r *run) {
+			planned(r, [][]string{{"t0", "t1", "t2", "t4"}, {"t0", "t2"}, {"t3"}})
 			r.mixed()
 		}},
 		{"planned sparse, 3 lists", func(r *run) {
@@ -610,7 +627,6 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 			if r.planLists, err = acc.resolveSparse(r.planLists, []string{"t1", "t2", "t3"}); err != nil {
 				t.Fatal(err)
 			}
-			r.scorer = &r.impact
 			r.sparse(r.planLists)
 		}},
 		{"planned single term", func(r *run) {
@@ -636,16 +652,6 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 					t.Fatalf("%s: cursor %d of %d still references its list or block after releaseRun", st.name, i, cap(r.cursors))
 				}
 			}
-			for i, tt := range r.terms[:cap(r.terms)] {
-				if tt.pl != nil {
-					t.Fatalf("%s: term record %d still references a posting list", st.name, i)
-				}
-			}
-			for i, pl := range r.ordScratch[:cap(r.ordScratch)] {
-				if pl != nil {
-					t.Fatalf("%s: conjunct-order scratch %d still references a posting list", st.name, i)
-				}
-			}
 			widestPlan = max(widestPlan, cap(r.planLists))
 			for i, pl := range r.planLists[:cap(r.planLists)] {
 				if pl != nil {
@@ -657,11 +663,6 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 					t.Fatalf("%s: distinct-list entry %d still references a posting list", st.name, i)
 				}
 			}
-			for i, out := range r.conjOut[:cap(r.conjOut)] {
-				if out != nil {
-					t.Fatalf("%s: conjunct output %d still views a match buffer", st.name, i)
-				}
-			}
 			if len(r.planEnd) != 0 {
 				t.Fatalf("%s: %d conjunct offsets left in the plan", st.name, len(r.planEnd))
 			}
@@ -670,7 +671,7 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 			}
 			for _, ls := range r.lsFree {
 				for i, rec := range ls.recs[:cap(ls.recs)] {
-					if rec.bd != nil {
+					if holdsBlock(rec) {
 						t.Fatalf("%s: a free listState still holds a decoded block at record %d", st.name, i)
 					}
 				}

@@ -10,12 +10,12 @@ import (
 // over cursors ignores it and no candidate ever equals it.
 const noDoc = uint64(1) << 32
 
-// cursor is one posting list's position inside a document-at-a-time
-// operator: the union module's interval sweep (union.go) and the MaxScore
-// driver (sparse.go). The current block's decoded slices and the docID under
-// the cursor live in the record itself, so the per-posting loops compare
-// c.cur and index c.docs without walking cursor → blockData → slice header
-// for every stream on every candidate.
+// cursor is one posting list's position inside an operator: the union
+// module's interval sweep (union.go), the MaxScore driver (sparse.go) and the
+// intersection passes (intersect.go). The current block's decoded slices and
+// the docID under the cursor live in the record itself, so the per-posting
+// loops compare c.cur and index c.docs without walking cursor → block record
+// → slice header for every stream on every candidate.
 //
 // Cursors are model-neutral by construction. Which blocks a run examines and
 // fetches is decided where it always was — load is called at the same
@@ -56,9 +56,11 @@ type cursor struct {
 	ls *listState // the run's bookkeeping record for pl
 }
 
-// openCursors readies one cursor per posting list, in query order, in the
-// run's scratch.
+// openCursors readies one cursor per posting list, in the given order, in the
+// run's scratch. A mixed query opens them once per conjunct: the previous
+// conjunct's are zeroed first, so releaseRun finds nothing beyond the last set.
 func (r *run) openCursors(pls []*index.PostingList) []cursor {
+	clear(r.cursors)
 	if cap(r.cursors) < len(pls) {
 		r.cursors = make([]cursor, len(pls))
 	}
@@ -85,15 +87,24 @@ func (c *cursor) seek(p int) {
 // seekGE moves the cursor to the block's first posting at or beyond bound
 // (the block's end if there is none) and returns how many postings it
 // passed — the count the merger's one-posting-at-a-time scan makes, which is
-// what callers charge. The search gallops, so a long skip costs its
-// logarithm on the host.
+// what callers charge.
 //
-//boss:hotpath the in-block skip of probes, WAND pops and floor pruning.
+//boss:hotpath the in-block skip of probes, WAND pops, floor pruning and intersection passes.
 func (c *cursor) seekGE(bound uint64) int {
-	docs, from := c.docs, c.pos
 	if c.cur >= bound {
 		return 0
 	}
+	from := c.pos
+	c.seek(gallopGE(c.docs, from, bound))
+	return c.pos - from
+}
+
+// gallopGE returns the first position beyond from whose docID is at or
+// beyond bound, len(docs) if there is none; docs[from] must lie below bound.
+// The search gallops, so a long skip costs its logarithm on the host.
+//
+//boss:hotpath seekGE's search, and the first intersection pass's by slice.
+func gallopGE(docs []uint32, from int, bound uint64) int {
 	// docs[lo] < bound; hi is the first position not known to be below it.
 	lo, hi, step := from, from+1, 1
 	for hi < len(docs) && uint64(docs[hi]) < bound {
@@ -112,8 +123,7 @@ func (c *cursor) seekGE(bound uint64) int {
 			hi = mid
 		}
 	}
-	c.seek(hi)
-	return hi - from
+	return hi
 }
 
 // curBlock returns the cursor's current block metadata, or nil at the end.
@@ -142,11 +152,11 @@ func (r *run) visit(c *cursor) {
 //
 //boss:hotpath one call per fetched block.
 func (r *run) load(c *cursor) bool {
-	bd := r.fetchBlock(c.ls, c.pl, c.bi)
-	if bd == nil {
+	docs, tfs, ok := r.fetchBlock(c.ls, c.pl, c.bi)
+	if !ok {
 		return false
 	}
-	c.docs, c.tfs, c.loaded = bd.docs, bd.tfs, true
+	c.docs, c.tfs, c.loaded = docs, tfs, true
 	if c.step != 0 {
 		c.imps = c.pl.BlockImpacts(c.bi)
 	}

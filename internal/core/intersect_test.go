@@ -150,15 +150,135 @@ func TestIntersectByteIdentical(t *testing.T) {
 	}
 }
 
+// stepPair is the reference the closed-form pair charge is held to: the
+// module's comparator as the paper draws it, consuming one posting of the
+// smaller head — or one of each on a match — per cycle until either block
+// ends. It returns where the two cursors stop, the cycles, and the matches.
+func stepPair(ad, bd []uint32, pa, pb int) (int, int, int64, []uint32) {
+	var cycles int64
+	var matches []uint32
+	for pa < len(ad) && pb < len(bd) {
+		cycles++
+		switch {
+		case ad[pa] < bd[pb]:
+			pa++
+		case ad[pa] > bd[pb]:
+			pb++
+		default:
+			matches = append(matches, ad[pa])
+			pa++
+			pb++
+		}
+	}
+	return pa, pb, cycles, matches
+}
+
+// TestPairBlocksMatchesStepper: the first pass searches inside a block pair
+// where the module steps, and charges from where the cursors land. Over the
+// edge cases of how two blocks can end against each other, and over random
+// sorted blocks from any pair of starting positions, pairBlocks must leave
+// both cursors exactly where stepPair does, charge its cycle count, and emit
+// its matches with each side's tf in slots 0 and 1.
+func TestPairBlocksMatchesStepper(t *testing.T) {
+	type pair struct {
+		name   string
+		a, b   []uint32
+		pa, pb int
+	}
+	seq := func(from, step uint32, n int) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = from + uint32(i)*step
+		}
+		return out
+	}
+	cases := []pair{
+		{"equal last docIDs", []uint32{3, 9, 20}, []uint32{1, 2, 9, 15, 20}, 0, 0},
+		{"every posting matching", seq(10, 3, 128), seq(10, 3, 128), 0, 0},
+		{"one-posting blocks, match", []uint32{7}, []uint32{7}, 0, 0},
+		{"one-posting blocks, driver below", []uint32{5}, []uint32{7}, 0, 0},
+		{"one-posting blocks, driver above", []uint32{9}, []uint32{7}, 0, 0},
+		{"one-posting driver inside a full block", []uint32{500}, seq(0, 7, 128), 0, 0},
+		{"driver ends before the other block's last posting", []uint32{4, 8, 12}, []uint32{1, 8, 13, 40, 41}, 0, 0},
+		{"driver ends after the other block's last posting", []uint32{4, 8, 50, 60}, []uint32{1, 8, 13, 40, 41}, 0, 0},
+		{"driver ends on the other block's last posting", []uint32{4, 8, 41}, []uint32{1, 8, 13, 40, 41}, 0, 0},
+		{"driver's first posting beyond the whole block", []uint32{900, 901}, seq(0, 7, 128), 0, 0},
+		{"driver wholly below the other block's head", seq(0, 1, 64), []uint32{100, 200}, 0, 0},
+		{"both cursors mid-block", seq(0, 2, 100), seq(1, 3, 100), 37, 21},
+		{"other cursor already beyond the driver's next postings", seq(0, 2, 100), seq(0, 3, 100), 5, 80},
+		{"long skip to a late match", []uint32{2, 889}, seq(0, 7, 128), 0, 0},
+	}
+	rng := rand.New(rand.NewSource(0x9A12))
+	for i := 0; i < 4000; i++ {
+		// Blocks of 1–128 postings whose gaps differ by up to 64×, so the
+		// search runs from single steps to most of a block.
+		gen := func() []uint32 {
+			n, gap := 1+rng.Intn(128), 1+rng.Intn(1<<uint(rng.Intn(7)))
+			out := make([]uint32, n)
+			d := uint32(rng.Intn(64))
+			for j := range out {
+				d += 1 + uint32(rng.Intn(gap))
+				out[j] = d
+			}
+			return out
+		}
+		p := pair{name: fmt.Sprintf("random %d", i), a: gen(), b: gen()}
+		p.pa, p.pb = rng.Intn(len(p.a)), rng.Intn(len(p.b))
+		cases = append(cases, p)
+	}
+	tfsOf := func(docs []uint32, salt uint32) []uint32 {
+		out := make([]uint32, len(docs))
+		for i, d := range docs {
+			out[i] = d*2 + salt
+		}
+		return out
+	}
+	var matched, whole int
+	for i, p := range cases {
+		n := 2 + i%3
+		wantA, wantB, wantCycles, wantDocs := stepPair(p.a, p.b, p.pa, p.pb)
+		r := &run{}
+		a, b := cursor{docs: p.a, tfs: tfsOf(p.a, 1)}, cursor{docs: p.b, tfs: tfsOf(p.b, 2)}
+		a.seek(p.pa)
+		b.seek(p.pb)
+		cycles := r.pairBlocks(&a, &b, n)
+		if a.pos != wantA || b.pos != wantB || cycles != wantCycles {
+			t.Fatalf("%s: cursors at %d/%d after %d cycles; the stepper stops at %d/%d after %d", p.name, a.pos, b.pos, cycles, wantA, wantB, wantCycles)
+		}
+		for _, c := range []*cursor{&a, &b} {
+			want := noDoc
+			if c.pos < len(c.docs) {
+				want = uint64(c.docs[c.pos])
+			}
+			if c.cur != want {
+				t.Fatalf("%s: cursor's docID %d out of step with position %d", p.name, c.cur, c.pos)
+			}
+		}
+		if len(r.candDocs) != len(wantDocs) || len(r.candTFs) != n*len(wantDocs) {
+			t.Fatalf("%s: %d rows over %d tfs, want %d rows of %d slots", p.name, len(r.candDocs), len(r.candTFs), len(wantDocs), n)
+		}
+		for k, d := range wantDocs {
+			row := r.candTFs[k*n : k*n+n]
+			if r.candDocs[k] != d || row[0] != d*2+1 || row[1] != d*2+2 {
+				t.Fatalf("%s: row %d is doc %d tfs %v, want doc %d tfs [%d %d …]", p.name, k, r.candDocs[k], row, d, d*2+1, d*2+2)
+			}
+		}
+		matched += len(wantDocs)
+		if wantB-p.pb > 64 {
+			whole++
+		}
+	}
+	if matched == 0 || whole == 0 {
+		t.Fatalf("the cases produced %d matches and %d long skips: the table exercised nothing", matched, whole)
+	}
+}
+
 // conjShapeExpr renders the fuzzer's query over the given term ranks: shape 0
 // a pure conjunction, 1 the first term distributed over a union of the rest,
 // 2 the first term alone beside a conjunction of the rest (the single-term
 // conjunct), 3 a conjunction whose last term repeats its first.
 func conjShapeExpr(shape int, ranks []int) string {
-	terms := make([]string, len(ranks))
-	for i, r := range ranks {
-		terms[i] = fmt.Sprintf("%q", fmt.Sprintf("t%d", r))
-	}
+	terms := quotedTerms(ranks)
 	switch shape {
 	case 1:
 		return terms[0] + " AND (" + strings.Join(terms[1:], " OR ") + ")"

@@ -91,9 +91,8 @@ func (a *Accelerator) resolveSparse(dst []*index.PostingList, terms []string) ([
 	return dst, nil
 }
 
-// runSparse executes a sparse-dot query: resolve lists, swap in the
-// impact-read scorer, and drive the MaxScore operator. The result-traffic
-// and compute charges mirror runDNF's.
+// runSparse executes a sparse-dot query: resolve lists and drive the MaxScore
+// operator. The result-traffic and compute charges mirror runDNF's.
 func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int) (Result, error) {
 	if ctx != nil {
 		if cause := ctx.Err(); cause != nil {
@@ -103,7 +102,6 @@ func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int) (Res
 	r := a.newRun(k)
 	defer a.releaseRun(r)
 	r.ctx = ctx
-	r.scorer = &r.impact
 	// The terms are distinct, so the plan arena alone is the plan.
 	var err error
 	if r.planLists, err = a.resolveSparse(r.planLists, terms); err != nil {
@@ -141,6 +139,13 @@ func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int) (Res
 // pass that collects a candidate's essential matches also yields the next
 // candidate.
 //
+// The family reads its scores instead of computing them: a document's score
+// is the sum of its postings' 8-bit impact codes, each dequantized by its
+// list's step — pure integer arithmetic in Q16.16 (associative, so the sum is
+// independent of term order), already accumulated in sum when the probes end,
+// with a single exact float conversion for the top-k module. No per-posting
+// float math, no per-document normalizer read.
+//
 //boss:hotpath the sparse-path driver loop; scratch lives on the run record.
 func (r *run) sparse(pls []*index.PostingList) {
 	n := len(pls)
@@ -166,7 +171,7 @@ func (r *run) sparse(pls []*index.PostingList) {
 	// cutoff. cut is -Inf (nothing is prunable) until the top-k fills, and
 	// for the whole run with DocET off.
 	cut, ess := math.Inf(-1), 0
-	var candidates int64
+	var candidates, docs, ops int64
 	next, rescan := noDoc, true
 	for {
 		if rescan {
@@ -193,17 +198,17 @@ func (r *run) sparse(pls []*index.PostingList) {
 		d := uint32(next)
 		candidates++
 
-		// Essential contributions at d (integer accumulation), and the
-		// smallest docID left under the essential cursors.
-		terms := r.terms[:0]
+		// Essential contributions at d (integer accumulation; matched counts
+		// the postings that add to it), and the smallest docID left under the
+		// essential cursors.
 		var sum score.Fixed
+		var matched int64
 		next = noDoc
 		for i := ess; i < n; i++ {
 			c := &cs[i]
 			if c.cur == uint64(d) {
-				code := c.imps[c.pos]
-				sum += score.Impact(code, c.step)
-				terms = append(terms, termTF{pl: c.pl, tf: c.tfs[c.pos], imp: code})
+				sum += score.Impact(c.imps[c.pos], c.step)
+				matched++
 				c.seek(c.pos + 1)
 				if c.cur == noDoc {
 					rescan = true // block consumed: the next select pass reloads
@@ -244,14 +249,15 @@ func (r *run) sparse(pls []*index.PostingList) {
 			}
 			if code != 0 {
 				sum += score.Impact(code, c.step)
-				terms = append(terms, termTF{pl: c.pl, tf: c.tfs[c.pos], imp: code})
+				matched++
 			}
 		}
-		r.terms = terms
 		if abandoned {
 			continue
 		}
-		r.scoreDoc(d, terms)
+		docs++
+		ops += matched
+		r.sel.Insert(d, sum.Float())
 		if !docET || r.cutoff() == cut {
 			continue
 		}
@@ -270,9 +276,14 @@ func (r *run) sparse(pls []*index.PostingList) {
 			ess, rescan = e, true // the minimum may have sat on a demoted list
 		}
 	}
-	// One selector decision per candidate, added at once (exact: see cursor).
-	// The error returns above skip it; a failed run reports no metrics.
+	// One selector decision per candidate, one scoring op per matched posting
+	// and one top-k broadcast per evaluated document, added at once (exact:
+	// see cursor). The error returns above skip it; a failed run reports no
+	// metrics.
 	r.mergeCycles += 1.5 * float64(candidates)
+	r.scoreOps += float64(ops)
+	r.topkInserts += float64(docs)
+	r.m.DocsEvaluated += docs
 }
 
 // sparseLoad positions an essential cursor on its next posting, fetching

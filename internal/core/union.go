@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"boss/internal/index"
-	"boss/internal/mem"
 	"boss/internal/score"
 )
 
@@ -291,16 +290,7 @@ func (r *run) scanInterval(covering []*cursor, hi uint32) {
 	}
 
 	// One sorter + pivot decision per 1.5 cycles, one cycle per posting the
-	// merger passed; one scoring op per matched posting; one top-k broadcast
-	// and one 4 B normalizer read per evaluated document. Scored docIDs
-	// ascend within a query, so the normalizer stream is prefetch-friendly
-	// and charged at sequential bandwidth — docs accesses of it, which is
-	// what AddSeqRead per document counted.
+	// merger passed; the scored documents' charges are chargeScored's.
 	r.mergeCycles += 1.5*float64(decisions) + float64(passed)
-	r.scoreOps += float64(ops)
-	r.topkInserts += float64(docs)
-	r.m.DocsEvaluated += docs
-	r.m.SeqReadBytes += docs * index.DocNormBytes
-	r.m.Cat[mem.CatLoadScore] += docs * index.DocNormBytes
-	r.m.CatAcc[mem.CatLoadScore] += docs
+	r.chargeScored(docs, ops)
 }

@@ -45,14 +45,17 @@ var denseUnionExprs = []string{
 	unionExpr(6, 0),
 }
 
-// unionExpr renders an OR over the given term ranks, in the given order.
-func unionExpr(ranks ...int) string {
+// quotedTerms renders the terms of the given ranks as the parser reads them.
+func quotedTerms(ranks []int) []string {
 	terms := make([]string, len(ranks))
 	for i, r := range ranks {
 		terms[i] = fmt.Sprintf("%q", fmt.Sprintf("t%d", r))
 	}
-	return strings.Join(terms, " OR ")
+	return terms
 }
+
+// unionExpr renders an OR over the given term ranks, in the given order.
+func unionExpr(ranks ...int) string { return strings.Join(quotedTerms(ranks), " OR ") }
 
 // bruteForceUnion scores the union of the given terms straight from the
 // corpus, summing each document's term scores in query order, and selects the
@@ -295,8 +298,8 @@ func BenchmarkRunUnion(b *testing.B) {
 // TestRunHitPathAllocs pins a warm boolean run's allocation envelope: the
 // metrics record and the result copy that escape in the Result, and nothing
 // else — the same constant for a 1-, 2- and 4-term union, a 2- and 4-term
-// conjunction and a two-conjunct mixed query. Planning, cursors, match
-// buffers and the top-k all live in the pooled run record, so the count
+// conjunction and a two-conjunct mixed query. Planning, cursors, the
+// candidate table and the top-k all live in the pooled run record, so the count
 // depends neither on the term count nor on the postings processed.
 func TestRunHitPathAllocs(t *testing.T) {
 	if raceEnabled {
