@@ -10,7 +10,9 @@ import (
 	"boss/internal/cache"
 	"boss/internal/compress"
 	"boss/internal/corpus"
+	"boss/internal/docstore"
 	"boss/internal/index"
+	"boss/internal/perf"
 	"boss/internal/query"
 	"boss/internal/score"
 	"boss/internal/topk"
@@ -295,6 +297,19 @@ func BenchmarkRunUnion(b *testing.B) {
 	}
 }
 
+// boolFamilies is one query of each boolean shape the allocation pins run.
+var boolFamilies = []struct {
+	name string
+	dnf  [][]string
+}{
+	{"union-1", [][]string{{"t300"}}},
+	{"union-2", [][]string{{"t1"}, {"t40"}}},
+	{"union-4", [][]string{{"t0"}, {"t1"}, {"t2"}, {"t3"}}},
+	{"conj-2", [][]string{{"t0", "t1"}}},
+	{"conj-4", [][]string{{"t0", "t1", "t2", "t3"}}},
+	{"mixed-2x2", [][]string{{"t0", "t1"}, {"t0", "t2"}}},
+}
+
 // TestRunHitPathAllocs pins a warm boolean run's allocation envelope: the
 // metrics record and the result copy that escape in the Result, and nothing
 // else — the same constant for a 1-, 2- and 4-term union, a 2- and 4-term
@@ -307,17 +322,7 @@ func TestRunHitPathAllocs(t *testing.T) {
 	}
 	_, idx := sparseFixture(t, 0.01)
 	acc := NewCached(idx, DefaultOptions(), cache.NewSharded(64<<20, 2))
-	families := []struct {
-		name string
-		dnf  [][]string
-	}{
-		{"union-1", [][]string{{"t300"}}},
-		{"union-2", [][]string{{"t1"}, {"t40"}}},
-		{"union-4", [][]string{{"t0"}, {"t1"}, {"t2"}, {"t3"}}},
-		{"conj-2", [][]string{{"t0", "t1"}}},
-		{"conj-4", [][]string{{"t0", "t1", "t2", "t3"}}},
-		{"mixed-2x2", [][]string{{"t0", "t1"}, {"t0", "t2"}}},
-	}
+	families := boolFamilies
 	run := func(dnf [][]string) {
 		if _, err := acc.RunDNFCtx(nil, dnf, 10); err != nil {
 			t.Fatal(err)
@@ -340,5 +345,54 @@ func TestRunHitPathAllocs(t *testing.T) {
 		} else if got != first {
 			t.Errorf("%s: %.2f allocs/op, %s %.2f: the envelope must not depend on the query's shape", f.name, got, families[0].name, first)
 		}
+	}
+}
+
+// TestUncachedRunAllocs pins the same envelope for an accelerator built
+// without a cache, where every run decodes every block it fetches into
+// recycled buffers: a warm run of each boolean family allocates what a cached
+// one does, and a warm FetchInto through one DocBuf allocates nothing. The
+// constants were measured on the tree before the uncached decode arm was
+// replaced; they are what the replacement has to match.
+func TestUncachedRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race randomizes sync.Pool reuse, defeating the warm envelope")
+	}
+	_, idx := sparseFixture(t, 0.01)
+	acc := New(idx, DefaultOptions())
+	run := func(dnf [][]string) {
+		if _, err := acc.RunDNFCtx(nil, dnf, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm every pooled buffer
+		for _, f := range boolFamilies {
+			run(f.dnf)
+		}
+	}
+	const runAllocs = 2 // perf.NewMetrics and sel.Results
+	for _, f := range boolFamilies {
+		if got := testing.AllocsPerRun(200, func() { run(f.dnf) }); got != runAllocs {
+			t.Errorf("%s: warm uncached RunDNFCtx allocates %.2f allocs/op, want %d", f.name, got, runAllocs)
+		}
+	}
+
+	ds, _ := buildDocs(t, 4*docstore.BlockDocs, 7)
+	eng := NewFetchEngine(ds, nil)
+	m := perf.NewMetrics()
+	var buf DocBuf
+	defer buf.Release()
+	fetch := func(id uint32) {
+		if err := eng.FetchInto(nil, id, m, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < ds.NumDocs; i++ { // warm the buffer for every block's size
+		fetch(uint32(i))
+	}
+	var j uint32
+	const fetchAllocs = 0
+	if got := testing.AllocsPerRun(400, func() { fetch(j * 37 % uint32(ds.NumDocs)); j++ }); got != fetchAllocs {
+		t.Errorf("warm uncached FetchInto allocates %.2f allocs/op, want %d", got, fetchAllocs)
 	}
 }
