@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"boss/internal/analysis"
-	"boss/internal/analysis/chargereplay"
 	"boss/internal/analysis/ctxflow"
 	"boss/internal/analysis/errpropagation"
 	"boss/internal/analysis/goroutineleak"
@@ -51,7 +50,6 @@ var suite = []*analysis.Analyzer{
 	hotpathalloc.Analyzer,
 	poolhygiene.Analyzer,
 	errpropagation.Analyzer,
-	chargereplay.Analyzer,
 	ctxflow.Analyzer,
 	lockorder.Analyzer,
 	goroutineleak.Analyzer,

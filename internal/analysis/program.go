@@ -12,10 +12,9 @@ import (
 // type-aware call graph plus one summary per declared function, built once
 // per Load and consumed by every analyzer. PR 3's analyzers were
 // per-function AST walks; the serving-path invariants PRs 4–7 introduced
-// (charge replay, context propagation, lock ordering, goroutine exits)
-// are cross-function properties, so the facts they need — who calls whom,
-// which mem.Category charges a call tree records, which mutex classes a
-// call tree acquires — are extracted here exactly once and memoized.
+// (context propagation, lock ordering, goroutine exits) are cross-function
+// properties, so the facts they need — who calls whom, which mutex classes
+// a call tree acquires — are extracted here exactly once and memoized.
 
 // Program is the whole loaded module: every target package, plus
 // per-function summaries and the call graph over them. Analyzers reach it
@@ -32,8 +31,7 @@ type Program struct {
 	// in the loaded packages.
 	Funcs map[string]*FuncInfo
 
-	chargeMemo map[string]map[string]bool
-	lockMemo   map[string]map[string]bool
+	lockMemo map[string]map[string]bool
 
 	escOnce sync.Once
 	escErr  error
@@ -52,9 +50,6 @@ type FuncInfo struct {
 	CtxParam *types.Var
 	// Calls are the statically resolvable call sites, in source order.
 	Calls []CallSite
-	// Charges are the direct simulated-SCM charge calls: perf.Metrics
-	// methods taking a mem.Category argument.
-	Charges []Charge
 	// Locks are the direct mutex operations, in source order.
 	Locks []LockOp
 	// Gos are the function's go statements, in source order.
@@ -68,20 +63,6 @@ type CallSite struct {
 	// Key is FuncKey(Callee), precomputed for summary lookups.
 	Key string
 }
-
-// Charge is one call that records a simulated memory-system charge: a
-// method on perf.Metrics whose signature takes a mem.Category parameter.
-type Charge struct {
-	Call   *ast.CallExpr
-	Method string
-	// Category is the mem.Category constant's name (e.g. "CatLoadDoc"),
-	// or "<dynamic>" when the argument is not a named constant.
-	Category string
-}
-
-// DynamicCategory marks a charge whose category argument could not be
-// resolved to a named constant.
-const DynamicCategory = "<dynamic>"
 
 // LockOp is one direct mutex operation.
 type LockOp struct {
@@ -162,12 +143,11 @@ func (p *Program) InfoForDecl(pkg *Package, decl *ast.FuncDecl) *FuncInfo {
 // buildProgram constructs the summary layer over freshly loaded packages.
 func buildProgram(dir string, patterns []string, pkgs []*Package) *Program {
 	p := &Program{
-		Dir:        dir,
-		Patterns:   patterns,
-		Pkgs:       pkgs,
-		Funcs:      make(map[string]*FuncInfo),
-		chargeMemo: make(map[string]map[string]bool),
-		lockMemo:   make(map[string]map[string]bool),
+		Dir:      dir,
+		Patterns: patterns,
+		Pkgs:     pkgs,
+		Funcs:    make(map[string]*FuncInfo),
+		lockMemo: make(map[string]map[string]bool),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -223,9 +203,6 @@ func summarize(pkg *Package, decl *ast.FuncDecl, obj *types.Func) *FuncInfo {
 			callee, _ := CalleeObj(ti, x).(*types.Func)
 			if callee != nil {
 				info.Calls = append(info.Calls, CallSite{Call: x, Callee: callee, Key: FuncKey(callee)})
-				if ch, ok := chargeOf(ti, x, callee); ok {
-					info.Charges = append(info.Charges, ch)
-				}
 				if op, ok := lockOf(ti, x, callee); ok {
 					op.Deferred = deferred[x]
 					info.Locks = append(info.Locks, op)
@@ -245,63 +222,6 @@ func IsContextType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// isCategoryType reports whether t is the memory model's Category enum
-// (any package whose path contains the internal/mem segment, so fixture
-// modules that replicate the package shape participate too).
-func isCategoryType(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "Category" && obj.Pkg() != nil && PkgPathHas(obj.Pkg().Path(), "internal/mem")
-}
-
-// chargeOf recognizes simulated-charge calls: methods declared in a
-// internal/perf package with at least one mem.Category parameter. The
-// category argument resolves to the constant's name when it is one.
-func chargeOf(ti *types.Info, call *ast.CallExpr, callee *types.Func) (Charge, bool) {
-	if callee.Pkg() == nil || !PkgPathHas(callee.Pkg().Path(), "internal/perf") {
-		return Charge{}, false
-	}
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return Charge{}, false
-	}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if !isCategoryType(params.At(i).Type()) {
-			continue
-		}
-		ch := Charge{Call: call, Method: callee.Name(), Category: DynamicCategory}
-		if i < len(call.Args) {
-			if c := constName(ti, call.Args[i]); c != "" {
-				ch.Category = c
-			}
-		}
-		return ch, true
-	}
-	return Charge{}, false
-}
-
-// constName resolves an expression to the name of the named constant it
-// denotes, or "".
-func constName(ti *types.Info, e ast.Expr) string {
-	var id *ast.Ident
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		id = x
-	case *ast.SelectorExpr:
-		id = x.Sel
-	default:
-		return ""
-	}
-	if c, ok := ti.Uses[id].(*types.Const); ok {
-		return c.Name()
-	}
-	return ""
 }
 
 // lockOf recognizes sync.Mutex / sync.RWMutex method calls and resolves
@@ -418,34 +338,6 @@ func qualify(obj types.Object) string {
 	return obj.Name()
 }
 
-// TransitiveCharges returns the set of mem.Category constant names the
-// function charges, directly or through any chain of statically resolved
-// callees declared in the loaded packages. Memoized; cycles in the call
-// graph are handled by fixing the in-progress set to its direct charges.
-func (p *Program) TransitiveCharges(key string) map[string]bool {
-	if memo, ok := p.chargeMemo[key]; ok {
-		return memo
-	}
-	info := p.Funcs[key]
-	if info == nil {
-		return nil
-	}
-	// Seed the memo before recursing so cycles terminate; the seeded map
-	// is mutated in place, so mutual recursion converges to the union of
-	// everything reachable (each edge is walked once).
-	set := make(map[string]bool)
-	p.chargeMemo[key] = set
-	for _, ch := range info.Charges {
-		set[ch.Category] = true
-	}
-	for _, cs := range info.Calls {
-		for c := range p.TransitiveCharges(cs.Key) {
-			set[c] = true
-		}
-	}
-	return set
-}
-
 // TransitiveLocks returns the set of mutex classes the function acquires,
 // directly or through statically resolved callees.
 func (p *Program) TransitiveLocks(key string) map[string]bool {
@@ -469,26 +361,6 @@ func (p *Program) TransitiveLocks(key string) map[string]bool {
 		}
 	}
 	return set
-}
-
-// SortedSet renders a set as a sorted, comma-separated list (for
-// deterministic diagnostics).
-func SortedSet(set map[string]bool) string {
-	if len(set) == 0 {
-		return "(none)"
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	// Insertion sort: the sets are tiny and this avoids importing sort
-	// just for diagnostics.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return strings.Join(keys, ", ")
 }
 
 // FileOf returns the syntax file of pkg containing pos, or nil.

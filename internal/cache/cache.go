@@ -17,19 +17,20 @@
 // caller un-inserted ("bypass"): the budget is a hard ceiling, never
 // exceeded.
 //
-// Invalidation is epoch-based: BumpEpoch (called on index reload) makes all
-// resident entries stale in O(1); stale entries read as misses and are
-// reclaimed lazily by the eviction scan. Readers that pinned an entry
-// before the bump keep a consistent view until they release it.
+// There is no invalidation: an index is immutable once built, and a key
+// names its container by a process-wide identity that is never reused, so an
+// entry can only become unwanted, never wrong.
+//
+// A nil *Cache is a cache that never admits: Get misses, Reserve hands out a
+// recycled slab, Publish returns the entry caller-owned exactly as a bypass
+// does, and Release recycles it when the last pin drops. A reader therefore
+// has one decode path whether or not it was given a cache.
 //
 // The cache stores whatever the publisher decoded, along with the decode
 // cycle count the publisher measured, so the accelerator model can charge
-// hits exactly as it charges misses (the simulated timings stay
-// bit-identical with or without the cache). Consequently a cache must not
-// be shared between engines whose decoders would report different cycle
-// counts for the same block (e.g. accelerators programmed with different
-// decompression configuration files); one cache per cluster — whose shards
-// all share one configuration — is the intended deployment.
+// a block exactly the same whether it was found or decoded (the simulated
+// timings stay bit-identical with or without the cache): every decoder of a
+// scheme reports the same cycle count for the same block.
 package cache
 
 import (
@@ -73,7 +74,6 @@ const slabQuantum = 256
 // must not be used.
 type Entry struct {
 	key    Key
-	epoch  uint64
 	docs   []uint32
 	tfs    []uint32
 	data   []byte   // published byte payload (doc-class entries)
@@ -101,8 +101,10 @@ func (e *Entry) Tfs() []uint32 { return e.tfs }
 // while the entry is pinned.
 func (e *Entry) Data() []byte { return e.data }
 
-// Cycles returns the decode cycle count recorded at publish time, so cache
-// hits can charge the simulated pipeline exactly as a fresh decode would.
+// Cycles returns the decode cycle count recorded at publish time, so a
+// posting block found in the cache charges the simulated pipeline exactly as
+// a fresh decode would. (A document block's cycles are a function of its raw
+// length; nothing is recorded for one.)
 func (e *Entry) Cycles() int64 { return e.cycles }
 
 // DocsBuf returns a zero-length decode destination for n docIDs inside the
@@ -127,15 +129,13 @@ type shard struct {
 	budget int64
 
 	// Counters live under the shard mutex so the hit path adds no extra
-	// cross-core atomic traffic. Lookup and served-traffic counters are
-	// split by Key.Class; evictions and bypasses are capacity effects of
-	// the shared budget and stay unsplit.
-	hits           [numClasses]int64
-	misses         [numClasses]int64
-	evictions      int64
-	bypasses       int64
-	servedBytes    [numClasses]int64
-	servedPostings int64
+	// cross-core atomic traffic. Lookup counters are split by Key.Class;
+	// evictions and bypasses are capacity effects of the shared budget and
+	// stay unsplit.
+	hits      [numClasses]int64
+	misses    [numClasses]int64
+	evictions int64
+	bypasses  int64
 
 	_ [64]byte // keep neighbouring shards off this shard's cache lines
 }
@@ -144,13 +144,16 @@ type shard struct {
 type Cache struct {
 	shards []shard
 	mask   uint64
-	epoch  atomic.Uint64
-	pool   sync.Pool // recycled *Entry slabs
 }
+
+// slabs recycles entries with their slabs. It belongs to the package, not to
+// a Cache, so that a nil *Cache reserves and releases through it too.
+var slabs sync.Pool // of *Entry
 
 // New returns a cache with the given byte budget, sharded to GOMAXPROCS
 // (rounded up to a power of two) so concurrent queries rarely contend on
-// one mutex. A nil *Cache is valid everywhere and behaves as "no cache".
+// one mutex. A nil *Cache is valid everywhere: it is a cache that never
+// admits (see the package comment).
 func New(budgetBytes int64) *Cache {
 	return NewSharded(budgetBytes, runtime.GOMAXPROCS(0))
 }
@@ -166,7 +169,6 @@ func NewSharded(budgetBytes int64, shards int) *Cache {
 		n <<= 1
 	}
 	c := &Cache{shards: make([]shard, n), mask: uint64(n - 1)}
-	c.epoch.Store(1)
 	for i := range c.shards {
 		c.shards[i].m = make(map[Key]*Entry)
 		c.shards[i].budget = budgetBytes / int64(n)
@@ -184,21 +186,19 @@ func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[h&c.mask]
 }
 
-// Get returns the pinned entry for k, or nil on a miss (including entries
-// staled by BumpEpoch). The caller must Release the entry when done with
-// its slices.
+// Get returns the pinned entry for k, or nil on a miss. The caller must
+// Release the entry when done with its slices.
 //
 //boss:hotpath the cross-query cache hit path; one probe per block fetch.
 func (c *Cache) Get(k Key) *Entry {
 	if c == nil {
 		return nil
 	}
-	epoch := c.epoch.Load()
 	s := c.shardFor(k)
 	cls := k.Class % numClasses
 	s.mu.Lock()
 	e := s.m[k]
-	if e == nil || e.epoch != epoch {
+	if e == nil {
 		s.misses[cls]++
 		s.mu.Unlock()
 		return nil
@@ -206,97 +206,79 @@ func (c *Cache) Get(k Key) *Entry {
 	e.refs.Add(1)
 	e.used.Store(true)
 	s.hits[cls]++
-	s.servedBytes[cls] += int64(len(e.docs)+len(e.tfs))*4 + int64(len(e.data))
-	s.servedPostings += int64(len(e.docs))
 	s.mu.Unlock()
 	return e
 }
 
 // Reserve returns a private, pinned entry whose slab holds n docIDs plus n
 // term frequencies. Decode into DocsBuf(n)/TfsBuf(n), then Publish.
+func (c *Cache) Reserve(n int) *Entry { return reserve(2*n, 0) }
+
+// ReserveBytes returns a private, pinned entry whose byte slab holds n
+// bytes. Decode into ByteBuf(n), then PublishBytes.
+func (c *Cache) ReserveBytes(n int) *Entry { return reserve(0, n) }
+
+// reserve takes a recycled entry (free left it blank) or makes a first one,
+// and grows whichever slab is too small for values uint32s and bytes bytes.
 //
 //boss:pool-escapes the slab leaves with the caller until Publish/Release (arena-slab publish pattern).
-func (c *Cache) Reserve(n int) *Entry {
-	e, _ := c.pool.Get().(*Entry)
+func reserve(values, bytes int) *Entry {
+	e, _ := slabs.Get().(*Entry)
 	if e == nil {
 		e = new(Entry)
 	}
-	if need := 2 * n; cap(e.buf) < need {
-		q := (need + slabQuantum - 1) / slabQuantum * slabQuantum
-		e.buf = make([]uint32, 0, q)
+	if cap(e.buf) < values {
+		e.buf = make([]uint32, 0, roundToQuantum(values))
 	}
-	e.docs, e.tfs, e.data = nil, nil, nil
-	e.cycles, e.bytes = 0, 0
-	e.resident = false
-	e.used.Store(false)
+	if cap(e.bbuf) < bytes {
+		e.bbuf = make([]byte, 0, roundToQuantum(bytes))
+	}
 	e.refs.Store(1)
 	return e
 }
 
-// ReserveBytes returns a private, pinned entry whose byte slab holds n
-// bytes. Decode into ByteBuf(n), then PublishBytes.
-//
-//boss:pool-escapes the slab leaves with the caller until Publish/Release (arena-slab publish pattern).
-func (c *Cache) ReserveBytes(n int) *Entry {
-	e, _ := c.pool.Get().(*Entry)
-	if e == nil {
-		e = new(Entry)
-	}
-	if cap(e.bbuf) < n {
-		q := (n + slabQuantum - 1) / slabQuantum * slabQuantum
-		e.bbuf = make([]byte, 0, q)
-	}
-	e.docs, e.tfs, e.data = nil, nil, nil
-	e.cycles, e.bytes = 0, 0
-	e.resident = false
-	e.used.Store(false)
-	e.refs.Store(1)
-	return e
-}
+func roundToQuantum(n int) int { return (n + slabQuantum - 1) / slabQuantum * slabQuantum }
 
 // Publish inserts a reserved, decoded entry under k and returns the entry
 // the caller should use — either e itself (now resident, still pinned) or,
 // if a concurrent publisher won the race, the already-resident entry
-// (pinned; e's slab is recycled). When the shard cannot make room — the
-// entry exceeds the shard budget, or everything resident is pinned — the
-// entry is returned un-inserted and stays caller-owned until Release. docs
-// and tfs must be slices of e's slab; cycles is the decode cycle count to
-// replay on hits.
+// (pinned; e's slab is recycled). When the cache cannot admit it — the
+// receiver is nil, the entry exceeds the shard budget, or everything
+// resident is pinned — the entry is returned un-inserted and stays
+// caller-owned until Release. docs and tfs must be slices of e's slab;
+// cycles is the decode cycle count Cycles reports from then on.
 func (c *Cache) Publish(k Key, e *Entry, docs, tfs []uint32, cycles int64) *Entry {
-	e.key = k
 	e.docs, e.tfs = docs, tfs
 	e.cycles = cycles
-	e.bytes = int64(cap(e.buf))*4 + int64(cap(e.bbuf)) + entryOverheadBytes
 	return c.insert(k, e)
 }
 
 // PublishBytes is Publish for a doc-class entry reserved with
-// ReserveBytes: data must be a slice of e's byte slab; cycles is the
-// decode cycle count to replay on hits.
-func (c *Cache) PublishBytes(k Key, e *Entry, data []byte, cycles int64) *Entry {
-	e.key = k
+// ReserveBytes: data must be a slice of e's byte slab.
+func (c *Cache) PublishBytes(k Key, e *Entry, data []byte) *Entry {
 	e.data = data
-	e.cycles = cycles
-	e.bytes = int64(cap(e.buf))*4 + int64(cap(e.bbuf)) + entryOverheadBytes
 	return c.insert(k, e)
 }
 
 // insert places a filled entry into its shard under the race/budget rules
 // described on Publish.
 func (c *Cache) insert(k Key, e *Entry) *Entry {
+	if c == nil {
+		return e
+	}
+	e.key = k
+	e.bytes = int64(cap(e.buf))*4 + int64(cap(e.bbuf)) + entryOverheadBytes
 	s := c.shardFor(k)
 	s.mu.Lock()
-	epoch := c.epoch.Load()
-	e.epoch = epoch
-	if old := s.m[k]; old != nil && old.epoch == epoch {
+	if old := s.m[k]; old != nil {
 		old.refs.Add(1)
 		old.used.Store(true)
 		s.mu.Unlock()
 		e.refs.Store(0)
-		c.free(e)
+		free(e)
 		return old
 	}
-	if e.bytes > s.budget || !s.makeRoom(c, e.bytes, epoch) {
+	if e.bytes > s.budget || !s.makeRoom(e.bytes) {
 		s.bypasses++
 		s.mu.Unlock()
 		return e
@@ -310,12 +292,13 @@ func (c *Cache) insert(k Key, e *Entry) *Entry {
 	return e
 }
 
-// Release drops one pin. Entries from Get/Publish become evictable again;
-// a bypass entry's slab returns to the slab pool when its last pin drops.
+// Release drops one pin. Resident entries become evictable again; an entry
+// that was never admitted (a bypass, or any entry of a nil cache) returns its
+// slab to the pool when its last pin drops.
 //
 //boss:hotpath one call per block a query finishes with.
 func (c *Cache) Release(e *Entry) {
-	if c == nil || e == nil {
+	if e == nil {
 		return
 	}
 	// Read resident before dropping the pin: while pinned the entry cannot
@@ -323,116 +306,64 @@ func (c *Cache) Release(e *Entry) {
 	// entry belongs to the evictor and must not be touched again here.
 	resident := e.resident
 	if e.refs.Add(-1) == 0 && !resident {
-		c.free(e)
+		free(e)
 	}
 }
 
-// free recycles an unreachable entry's slab. The entry must be unpinned and
-// either never resident or already removed from its shard.
-func (e *Entry) reset() {
+// free blanks an unreachable entry and recycles it with its slabs. The entry
+// must be unpinned and either never resident or already removed from its
+// shard.
+func free(e *Entry) {
 	e.key = Key{}
 	e.docs, e.tfs, e.data = nil, nil, nil
-	e.cycles, e.bytes, e.epoch = 0, 0, 0
+	e.cycles, e.bytes = 0, 0
 	e.resident = false
-}
-
-func (c *Cache) free(e *Entry) {
-	e.reset()
-	c.pool.Put(e)
+	e.used.Store(false)
+	slabs.Put(e)
 }
 
 // makeRoom evicts entries until need bytes fit under the shard budget.
 // Returns false when the budget cannot be met (all entries pinned). Caller
 // holds s.mu.
-func (s *shard) makeRoom(c *Cache, need int64, epoch uint64) bool {
+func (s *shard) makeRoom(need int64) bool {
 	for s.bytes+need > s.budget {
-		if !s.evictOne(c, epoch) {
+		if !s.evictOne() {
 			return false
 		}
 	}
 	return true
 }
 
-// evictOne runs the CLOCK hand: stale entries and second-chance losers with
-// no pins are evicted; referenced entries get their bit cleared; pinned
-// entries are skipped. Returns false when two full sweeps find nothing
-// evictable. Caller holds s.mu.
-func (s *shard) evictOne(c *Cache, epoch uint64) bool {
+// evictOne runs the CLOCK hand: second-chance losers with no pins are
+// evicted; referenced entries get their bit cleared; pinned entries are
+// skipped. Returns false when two full sweeps find nothing evictable. Caller
+// holds s.mu.
+func (s *shard) evictOne() bool {
 	for scanned := 0; scanned < 2*len(s.ring); scanned++ {
 		if s.hand >= len(s.ring) {
 			s.hand = 0
 		}
 		e := s.ring[s.hand]
-		if e.refs.Load() > 0 {
+		if e.refs.Load() > 0 || e.used.CompareAndSwap(true, false) {
 			s.hand++
 			continue
 		}
-		if e.epoch == epoch && e.used.CompareAndSwap(true, false) {
-			s.hand++
-			continue
-		}
-		// Unpinned and either stale or out of chances: evict. No new pin
-		// can appear — Get requires s.mu, which we hold.
-		if s.m[e.key] == e {
-			delete(s.m, e.key)
-		}
+		// Unpinned and out of chances: evict. No new pin can appear — Get
+		// requires s.mu, which we hold.
+		delete(s.m, e.key)
 		last := len(s.ring) - 1
 		s.ring[s.hand] = s.ring[last]
 		s.ring[last] = nil
 		s.ring = s.ring[:last]
 		s.bytes -= e.bytes
 		s.evictions++
-		c.free(e)
+		free(e)
 		return true
 	}
 	return false
 }
 
-// BumpEpoch invalidates every resident entry in O(resident): unpinned
-// entries are reclaimed immediately, pinned ones stay readable for their
-// current holders and are reclaimed by later eviction scans. Call on index
-// reload.
-func (c *Cache) BumpEpoch() {
-	if c == nil {
-		return
-	}
-	epoch := c.epoch.Add(1)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		kept := s.ring[:0]
-		for _, e := range s.ring {
-			if e.refs.Load() > 0 {
-				kept = append(kept, e) // stale but pinned: reclaim later
-				continue
-			}
-			if s.m[e.key] == e {
-				delete(s.m, e.key)
-			}
-			s.bytes -= e.bytes
-			s.evictions++
-			c.free(e)
-		}
-		for j := len(kept); j < len(s.ring); j++ {
-			s.ring[j] = nil
-		}
-		s.ring = kept
-		s.hand = 0
-		_ = epoch
-		s.mu.Unlock()
-	}
-}
-
-// Epoch returns the current epoch (starts at 1).
-func (c *Cache) Epoch() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.epoch.Load()
-}
-
-// Stats is a point-in-time snapshot of the cache's counters, reported by
-// the wall-clock harness and cmd/bossbench.
+// Stats is a point-in-time snapshot of the cache's counters.
 type Stats struct {
 	// Hits and Misses are totals across both client classes; the
 	// Posting*/Doc* fields below split them so a hit-rate regression in
@@ -456,16 +387,7 @@ type Stats struct {
 	PinnedEntries   int64 `json:"pinned_entries"`
 	BudgetBytes     int64 `json:"budget_bytes"`
 
-	// ServedBytes is the decoded bytes returned by hits — traffic the SCM
-	// device and the decode paths never saw. DocServedBytes is the
-	// doc-class share of it.
-	ServedBytes    int64 `json:"served_bytes"`
-	DocServedBytes int64 `json:"doc_served_bytes"`
-	// ServedPostings counts postings whose decode was avoided by a hit.
-	ServedPostings int64 `json:"served_postings"`
-
-	Epoch  uint64 `json:"epoch"`
-	Shards int    `json:"shards"`
+	Shards int `json:"shards"`
 }
 
 // HitRate returns hits / (hits + misses) across both classes, or 0
@@ -493,7 +415,7 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	st := Stats{Epoch: c.epoch.Load(), Shards: len(c.shards)}
+	st := Stats{Shards: len(c.shards)}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -508,9 +430,6 @@ func (c *Cache) Stats() Stats {
 		st.ResidentEntries += int64(len(s.ring))
 		st.ResidentBytes += s.bytes
 		st.BudgetBytes += s.budget
-		st.ServedBytes += s.servedBytes[ClassPosting] + s.servedBytes[ClassDoc]
-		st.DocServedBytes += s.servedBytes[ClassDoc]
-		st.ServedPostings += s.servedPostings
 		for _, e := range s.ring {
 			if e.refs.Load() > 0 {
 				st.PinnedEntries++
@@ -522,14 +441,13 @@ func (c *Cache) Stats() Stats {
 }
 
 // checkInvariants verifies per-shard accounting: resident bytes equal the
-// sum of entry charges, never exceed the budget, the ring and map agree,
-// and every fresh map entry is on the ring. Tests and the fuzz target call
-// it after every operation.
+// sum of entry charges, never exceed the budget, and the ring and the map
+// hold the same entries. Tests and the fuzz target call it after every
+// operation.
 func (c *Cache) checkInvariants() error {
 	if c == nil {
 		return nil
 	}
-	epoch := c.epoch.Load()
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -555,14 +473,18 @@ func (c *Cache) checkInvariants() error {
 			s.mu.Unlock()
 			return fmt.Errorf("shard %d: resident %d exceeds budget %d", i, s.bytes, s.budget)
 		}
+		if len(s.m) != len(s.ring) {
+			s.mu.Unlock()
+			return fmt.Errorf("shard %d: %d map entries but %d on the ring", i, len(s.m), len(s.ring))
+		}
 		for k, e := range s.m {
 			if e.key != k {
 				s.mu.Unlock()
 				return fmt.Errorf("shard %d: map key %v holds entry keyed %v", i, k, e.key)
 			}
-			if e.epoch == epoch && !onRing[e] {
+			if !onRing[e] {
 				s.mu.Unlock()
-				return fmt.Errorf("shard %d: fresh map entry %v missing from ring", i, k)
+				return fmt.Errorf("shard %d: map entry %v missing from ring", i, k)
 			}
 		}
 		s.mu.Unlock()

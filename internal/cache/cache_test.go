@@ -36,6 +36,14 @@ func mustInvariants(t *testing.T, c *Cache) {
 	}
 }
 
+// drainSlabs empties the package's slab pool. Tests whose arithmetic assumes
+// an entry is charged for exactly the slab it asked for start with it: a slab
+// recycled from an earlier test may be larger.
+func drainSlabs() {
+	for slabs.Get() != nil {
+	}
+}
+
 func publish(c *Cache, k Key, n int, cycles int64) *Entry {
 	e := c.Reserve(n)
 	docs, tfs := fill(e, k, n)
@@ -70,22 +78,56 @@ func TestHitMiss(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
-	if st.ServedPostings != 128 {
-		t.Fatalf("served postings = %d, want 128", st.ServedPostings)
-	}
 	if got := st.HitRate(); got != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5", got)
 	}
 	mustInvariants(t, c)
 }
 
+// TestNilCache checks a nil *Cache is a cache that never admits: the
+// reserve, decode, publish, release round trip works on it, hands the
+// publisher its own entry back, and recycles the slab.
 func TestNilCache(t *testing.T) {
 	var c *Cache
-	if c.Get(Key{}) != nil {
+	k := Key{List: 7, Block: 3}
+	if c.Get(k) != nil {
 		t.Fatal("nil cache Get should miss")
 	}
 	c.Release(nil)
-	c.BumpEpoch()
+
+	drainSlabs()
+	e := c.Reserve(128)
+	docs, tfs := fill(e, k, 128)
+	if got := c.Publish(k, e, docs, tfs, 42); got != e {
+		t.Fatal("nil cache Publish must return the publisher's own entry")
+	}
+	checkContent(t, e, k, 128)
+	if e.Cycles() != 42 {
+		t.Fatalf("cycles = %d, want 42", e.Cycles())
+	}
+	c.Release(e)
+	if c.Get(k) != nil {
+		t.Fatal("nil cache Get should miss after a Publish")
+	}
+	// Release recycled the slab and the next Reserve reuses it: the round
+	// trip allocates nothing in steady state.
+	if !raceEnabled { // -race randomizes sync.Pool reuse
+		avg := testing.AllocsPerRun(1000, func() {
+			e := c.Reserve(128)
+			docs, tfs := e.DocsBuf(128), e.TfsBuf(128)
+			c.Release(c.Publish(k, e, docs, tfs, 0))
+		})
+		if avg != 0 {
+			t.Fatalf("nil cache round trip allocates %v allocs/op, want 0", avg)
+		}
+	}
+
+	de := c.ReserveBytes(100)
+	if got := c.PublishBytes(Key{List: 7, Class: ClassDoc}, de, fillBytes(de, k, 100)); got != de || len(got.Data()) != 100 {
+		t.Fatal("nil cache PublishBytes must return the publisher's own entry")
+	}
+	c.Release(de)
+
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
@@ -97,6 +139,7 @@ func TestNilCache(t *testing.T) {
 // TestBudgetEviction checks the budget is a hard ceiling and CLOCK evicts
 // cold entries first.
 func TestBudgetEviction(t *testing.T) {
+	drainSlabs()
 	const n = 128
 	one := int64(2*n)*4 + entryOverheadBytes
 	c := NewSharded(3*one, 1) // room for exactly 3 resident entries
@@ -138,6 +181,7 @@ func TestBudgetEviction(t *testing.T) {
 // TestPinnedNotEvicted checks a pinned entry survives arbitrary insert
 // pressure and its contents stay intact.
 func TestPinnedNotEvicted(t *testing.T) {
+	drainSlabs()
 	const n = 128
 	one := int64(2*n)*4 + entryOverheadBytes
 	c := NewSharded(2*one, 1)
@@ -160,6 +204,7 @@ func TestPinnedNotEvicted(t *testing.T) {
 // TestBypass checks that when nothing can be evicted (all pinned), Publish
 // hands the entry back un-inserted and the budget still holds.
 func TestBypass(t *testing.T) {
+	drainSlabs()
 	const n = 128
 	one := int64(2*n)*4 + entryOverheadBytes
 	c := NewSharded(one, 1) // room for exactly 1 resident entry
@@ -217,42 +262,6 @@ func TestPublishRace(t *testing.T) {
 	}
 }
 
-// TestEpochInvalidation checks BumpEpoch makes entries invisible, reclaims
-// unpinned ones, and leaves pinned ones readable until released.
-func TestEpochInvalidation(t *testing.T) {
-	c := NewSharded(1<<20, 1)
-	cold := publish(c, Key{List: 1}, 16, 0)
-	c.Release(cold)
-	pinned := publish(c, Key{List: 2}, 16, 0)
-
-	c.BumpEpoch()
-	mustInvariants(t, c)
-	if c.Get(Key{List: 1}) != nil || c.Get(Key{List: 2}) != nil {
-		t.Fatal("stale entries must read as misses")
-	}
-	// The pinned entry's data must survive the bump while held.
-	checkContent(t, pinned, Key{List: 2}, 16)
-	c.Release(pinned)
-
-	st := c.Stats()
-	if st.Epoch != 2 {
-		t.Fatalf("epoch = %d, want 2", st.Epoch)
-	}
-	if st.ResidentEntries > 1 {
-		t.Fatalf("bump left %d residents", st.ResidentEntries)
-	}
-
-	// Publishing after the bump works in the new epoch.
-	e := publish(c, Key{List: 1}, 16, 0)
-	c.Release(e)
-	if h := c.Get(Key{List: 1}); h == nil {
-		t.Fatal("publish after bump should be visible")
-	} else {
-		c.Release(h)
-	}
-	mustInvariants(t, c)
-}
-
 // TestShardedSpread checks multi-shard construction distributes keys and
 // keeps the aggregate budget.
 func TestShardedSpread(t *testing.T) {
@@ -298,7 +307,7 @@ func TestHitPathAllocs(t *testing.T) {
 // bytes never exceed the budget, ring and map agree, and pinned entries
 // keep their published contents (no use-after-evict).
 func FuzzCLOCK(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 6, 7})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{10, 10, 10, 251, 10, 10})
 	f.Add([]byte{0, 0, 0, 0, 252, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -313,8 +322,6 @@ func FuzzCLOCK(f *testing.F) {
 		keyOf := func(b byte) Key { return Key{List: uint64(b % 8), Block: uint32(b / 8 % 4)} }
 		for _, op := range ops {
 			switch {
-			case op == 250: // bump epoch
-				c.BumpEpoch()
 			case op == 251: // release all pins
 				for _, p := range pins {
 					c.Release(p.e)

@@ -89,11 +89,6 @@ type Options struct {
 	// list crosses the interconnect for host-side selection (the ablation
 	// for the top-k design choice).
 	HostTopK bool
-
-	// decompConfigs, when non-nil, programs the decompression modules from
-	// a parsed configuration file instead of the built-in per-scheme
-	// programs (set via InitFromIndex).
-	decompConfigs map[compress.Scheme]*decomp.Config
 }
 
 // DefaultOptions is full BOSS: both ET mechanisms on.
@@ -116,17 +111,18 @@ func BlockOnlyOptions() Options { return Options{BlockET: true} }
 // drive it. TestAcceleratorParallelDeterminism enforces this contract under
 // the race detector.
 //
-// Run records (and their decoded-block buffers) recycle through sync.Pools;
-// every slice and counter in a pooled record is reset or fully overwritten
-// before reuse, so recycling changes allocation behaviour only, never
-// results.
+// Run records recycle through a sync.Pool; every slice and counter in a
+// pooled record is reset or fully overwritten before reuse, so recycling
+// changes allocation behaviour only, never results.
 type Accelerator struct {
 	idx  *index.Index
 	opts Options
 	runs sync.Pool // of *run
 
-	// cache, when non-nil, is the cross-query decoded-block cache shared by
-	// every run (and, in a cluster, by every shard's accelerator).
+	// cache is the cross-query decoded-block cache shared by every run (and,
+	// in a cluster, by every shard's accelerator). Nil is the cache that
+	// never admits: every block is decoded into a recycled slab the run
+	// holds until it ends.
 	cache *cache.Cache
 
 	// fault, when non-nil, injects the attached FaultPlan's read errors
@@ -166,34 +162,18 @@ type Result struct {
 	M    *perf.Metrics
 }
 
-// blockData is a pair of decode buffers for an accelerator without a
-// cross-query cache (with one, blocks decode straight into cache slabs). The
-// buffers recycle through blockDataPool; nothing that escapes a run
-// references them (the candidate table copies tfs, results copy topk
-// entries).
-type blockData struct {
-	docs []uint32
-	tfs  []uint32
-}
-
-var blockDataPool = sync.Pool{New: func() any { return new(blockData) }}
-
 // blockRec is one block of a posting list that the run has examined: its
 // metadata record has been charged, and once the block is fetched the record
-// carries its decoded form by value — docs/tfs alias the pinned cache entry
-// ent or, on an accelerator without a cache, the pooled decode buffers buf.
-// releaseRun unpins the one and pools the other. With neither set the block
-// was examined on metadata only.
+// carries its decoded form by value — docs/tfs alias the slab of the pinned
+// entry ent, which releaseRun unpins. Nothing that escapes a run references
+// the slab (the candidate table copies tfs, results copy topk entries). With
+// ent nil the block was examined on metadata only.
 type blockRec struct {
 	b    int
 	docs []uint32
 	tfs  []uint32
 	ent  *cache.Entry
-	buf  *blockData
 }
-
-// loaded reports whether the block has been fetched and decoded.
-func (rec *blockRec) loaded() bool { return rec.ent != nil || rec.buf != nil }
 
 // listState gathers all per-(run, posting-list) bookkeeping behind a single
 // map probe: the examined blocks, and the stream's decode-cycle total (each
@@ -317,27 +297,15 @@ func (a *Accelerator) newRun(k int) *run {
 	return r
 }
 
-// releaseRun returns a finished run's decoded blocks and the record itself
-// to their pools. The decoder modules stay attached: they are configured
-// per-Accelerator, and reusing a warm module is exactly what keeps decode at
-// zero allocations.
+// releaseRun unpins a finished run's decoded blocks and returns the record
+// to its pool. The decoder modules stay attached: reusing a warm module is
+// exactly what keeps decode at zero allocations.
 func (a *Accelerator) releaseRun(r *run) {
 	for _, ls := range r.lists {
 		for i := range ls.recs {
-			rec := &ls.recs[i]
-			if rec.ent != nil {
-				// Cache-backed block: unpin the entry; the slab belongs to
-				// the cache.
-				a.cache.Release(rec.ent)
-			} else if buf := rec.buf; buf != nil {
-				// Truncate before pooling: DecodeInto overwrites via [:0] on
-				// reuse, but a recycled buffer must never expose the previous
-				// query's postings to a future code path that forgets to.
-				buf.docs, buf.tfs = buf.docs[:0], buf.tfs[:0]
-				blockDataPool.Put(buf)
-			}
+			a.cache.Release(ls.recs[i].ent) // nil for a block examined on metadata only
 		}
-		clear(ls.recs) // a free listState must not pin cache slabs or pooled buffers
+		clear(ls.recs) // a free listState must not pin slabs
 		ls.recs = ls.recs[:0]
 		ls.cycles = 0
 		ls.decoded = false
@@ -583,48 +551,38 @@ func (r *run) examine(ls *listState, i, b int) {
 	r.fetchCycles += blockFetchCycles
 }
 
-// decoder returns the programmable decompression module configured for a
-// scheme (one per scheme per query, modeling reconfiguration at init()).
-// On a misconfiguration it latches a typed error on the run and returns
-// nil instead of panicking.
+// decoder returns the run's decompression module for a scheme, programmed
+// with the scheme's built-in configuration on first use (modeling
+// reconfiguration at init()) and kept with the pooled run record.
 func (r *run) decoder(s compress.Scheme) *decomp.Module {
 	d, ok := r.decoders[s]
 	if !ok {
-		if cfgs := r.acc.opts.decompConfigs; cfgs != nil {
-			cfg, ok := cfgs[s]
-			if !ok {
-				r.fail(fmt.Errorf("core: configuration file programs no decoder for scheme %s", s))
-				return nil
-			}
-			var err error
-			d, err = decomp.NewModule(cfg)
-			if err != nil {
-				r.fail(fmt.Errorf("core: bad decoder configuration for %s: %w", s, err))
-				return nil
-			}
-		} else {
-			d = decomp.NewModuleFor(s)
-		}
+		d = decomp.NewModuleFor(s)
 		r.decoders[s] = d
 	}
 	return d
 }
 
-// fetchBlock loads and decodes a block through the programmable
-// decompression module, charging traffic and cycles once per query, and
+// fetchBlock loads a block, charging traffic and cycles once per query, and
 // returns its decoded docIDs and tfs: views of the block's record, valid
 // until releaseRun, which callers keep by value (cursor.load).
+//
+// The modeled device has no DRAM block cache, so what a block costs does not
+// depend on where its decoded form comes from: the cache is asked first, then
+// every charge is made, and only then does a miss decode. Whether the entry
+// was found or freshly published, one tail takes the decode cycles from it.
+// Only host work differs.
 //
 // On any failure — expired context, injected device fault, checksum
 // mismatch, decode error — it latches a typed error on the run (r.err)
 // and returns ok false; callers unwind on it and RunDNFCtx surfaces the
 // error.
 //
-//boss:hotpath one call per block examined; the per-block decode loop.
+//boss:hotpath one call per block examined; the per-block fetch loop.
 func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs []uint32, ok bool) {
 	ri, seen := ls.find(b)
 	if seen {
-		if rec := &ls.recs[ri]; rec.loaded() {
+		if rec := &ls.recs[ri]; rec.ent != nil {
 			return rec.docs, rec.tfs, true
 		}
 	}
@@ -634,7 +592,7 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs
 			return nil, nil, false
 		}
 	}
-	meta := pl.Blocks[b]
+	meta := &pl.Blocks[b]
 	if !seen {
 		r.examine(ls, ri, b)
 	}
@@ -642,27 +600,19 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs
 	rec := &ls.recs[ri]
 
 	ch := r.acc.cache
-	var ent *cache.Entry
-	if ch != nil {
-		ent = ch.Get(cache.Key{List: pl.ID(), Block: uint32(b)})
-	}
-	// From here on every simulated charge is identical whether the decoded
-	// form comes from the cache or from a fresh decode: the modeled device
-	// has no DRAM block cache, so a host-side hit must replay the SCM fetch,
-	// the queue hop, and the decode cycles the entry recorded at publish
-	// time. Only host work is saved.
-	//
+	key := cache.Key{List: pl.ID(), Block: uint32(b)}
+	ent := ch.Get(key)
+
 	// BOSS fetches blocks in ascending docID order with look-ahead from
 	// the metadata scan, so even post-skip fetches stream at sequential
 	// bandwidth (Section V-B contrasts this with IIU's random access).
 	// With a fault injector attached, the stream charge goes through the
-	// fault-aware path (which may retry or fail the run); the nil branch
+	// fault-aware read (which may retry or fail the run); the nil branch
 	// is the byte-identical pristine model.
 	if inj := r.acc.fault; inj != nil {
-		if !r.chargeFaultyRead(inj, pl, meta, b) {
-			if ent != nil {
-				ch.Release(ent)
-			}
+		if f := chargeFaultyRead(inj, r.m, mem.StableKey(pl.Term), b, int64(meta.Length), mem.CatLoadList); f != mem.FaultNone {
+			ch.Release(ent)
+			r.failFault(f, pl, b)
 			return nil, nil, false
 		}
 	} else {
@@ -676,13 +626,27 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs
 	}
 	r.m.PostingsDecoded += int64(meta.Count)
 
-	if ent != nil {
-		ls.cycles += float64(ent.Cycles())
-		ls.decoded = true
-		rec.ent, rec.docs, rec.tfs = ent, ent.Docs(), ent.Tfs()
-		return rec.docs, rec.tfs, true
+	if ent == nil {
+		if ent = r.decodeBlock(pl, b, key); ent == nil {
+			return nil, nil, false
+		}
 	}
+	ls.cycles += float64(ent.Cycles())
+	ls.decoded = true
+	rec.ent, rec.docs, rec.tfs = ent, ent.Docs(), ent.Tfs()
+	return rec.docs, rec.tfs, true
+}
 
+// decodeBlock is fetchBlock's miss arm: it checks the block's payload, runs
+// the docID stream (delta-coded from the block's first docID) and then the tf
+// stream through the decompression module into a reserved slab, and publishes
+// the slab under key with the cycles the two streams took. It returns the
+// pinned entry to use — the cache's, or a caller-owned one when the cache
+// does not admit it — or nil with a typed error latched on the run.
+//
+//boss:hotpath the decode arm of the per-block fetch loop.
+func (r *run) decodeBlock(pl *index.PostingList, b int, key cache.Key) *cache.Entry {
+	meta := &pl.Blocks[b]
 	payload := pl.Data[meta.Offset : meta.Offset+meta.Length]
 	// Integrity gate: verify the payload CRC before decoding so real
 	// corruption is detected and typed instead of silently scored (and
@@ -690,102 +654,54 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs
 	if meta.Checksum != 0 && index.ChecksumPayload(payload) != meta.Checksum {
 		r.m.IntegrityFailures++
 		r.failCorrupt(pl, b) //boss:escape-ok cold corrupt-block error path
-		return nil, nil, false
+		return nil
 	}
 	mod := r.decoder(pl.Scheme)
-	if mod == nil {
-		return nil, nil, false // r.err latched by decoder
-	}
-	// Decode straight into a cache-owned slab, published below so the next
-	// query hits; without a cache, into pooled buffers the record keeps.
-	var e *cache.Entry
-	var buf *blockData
-	var docsBuf, tfsBuf []uint32
-	if ch != nil {
-		n := int(meta.Count)
-		e = ch.Reserve(n)
-		docsBuf, tfsBuf = e.DocsBuf(n), e.TfsBuf(n)
-	} else {
-		buf = blockDataPool.Get().(*blockData)
-		docsBuf, tfsBuf = buf.docs[:0], buf.tfs[:0]
-	}
-	docs, tfs, cyc, err := r.decodeBlock(mod, pl, b, payload, docsBuf, tfsBuf)
+	ch := r.acc.cache
+	n := int(meta.Count)
+	e := ch.Reserve(n)
+	docs, used, cyc1, err := mod.DecodeInto(e.DocsBuf(n), payload, n, meta.FirstDoc, true)
 	if err != nil {
-		if e != nil {
-			ch.Release(e) // reserved, never published
-		} else {
-			buf.docs, buf.tfs = buf.docs[:0], buf.tfs[:0]
-			blockDataPool.Put(buf)
-		}
-		return nil, nil, false
-	}
-	ls.cycles += float64(cyc)
-	ls.decoded = true
-	if e != nil {
-		rec.ent = ch.Publish(cache.Key{List: pl.ID(), Block: uint32(b)}, e, docs, tfs, int64(cyc))
-		docs, tfs = rec.ent.Docs(), rec.ent.Tfs()
-	} else {
-		buf.docs, buf.tfs = docs, tfs // keep what DecodeInto grew
-		rec.buf = buf
-	}
-	rec.docs, rec.tfs = docs, tfs
-	return docs, tfs, true
-}
-
-// decodeBlock runs a block's docID stream (delta-coded from its first docID)
-// and then its tf stream through the decompression module into the two
-// buffers. A decode error is latched on the run, typed, and returned.
-//
-//boss:hotpath the decode arm of the per-block fetch loop.
-func (r *run) decodeBlock(mod *decomp.Module, pl *index.PostingList, b int, payload []byte, docsBuf, tfsBuf []uint32) (docs, tfs []uint32, cycles int, err error) {
-	meta := &pl.Blocks[b]
-	docs, used, cyc1, err := mod.DecodeInto(docsBuf, payload, int(meta.Count), meta.FirstDoc, true)
-	if err != nil {
+		ch.Release(e) // reserved, never published
 		r.failDecode("decompression", pl, b, err)
-		return nil, nil, 0, err
+		return nil
 	}
-	tfs, _, cyc2, err := mod.DecodeInto(tfsBuf, payload[used:], int(meta.Count), 0, false)
+	tfs, _, cyc2, err := mod.DecodeInto(e.TfsBuf(n), payload[used:], n, 0, false)
 	if err != nil {
+		ch.Release(e)
 		r.failDecode("tf decompression", pl, b, err)
-		return nil, nil, 0, err
+		return nil
 	}
-	return docs, tfs, cyc1 + cyc2, nil
+	return ch.Publish(key, e, docs, tfs, int64(cyc1+cyc2))
 }
 
-// chargeFaultyRead streams one block from the device under the fault
-// injector, retrying transient faults inline: the device firmware
-// re-reads the block (each attempt re-charges its traffic) up to
-// maxFetchAttempts times. Returns false after latching a typed error on
-// an unrecoverable fault.
+// chargeFaultyRead streams one n-byte block from the device under the fault
+// injector, retrying transient faults inline: the device firmware re-reads
+// the block (each attempt re-charges its traffic) up to maxFetchAttempts
+// times. It returns the fault the read stopped on — FaultNone once an attempt
+// succeeds, FaultTransient when the attempts ran out — and the caller types
+// the error. key and b identify the block to the fault plan.
 //
-//boss:hotpath the fault-aware arm of the per-block fetch loop.
-func (r *run) chargeFaultyRead(inj *mem.Injector, pl *index.PostingList, meta index.BlockMeta, b int) bool {
+//boss:hotpath the fault-aware arm of the posting and document block fetches.
+func chargeFaultyRead(inj *mem.Injector, m *perf.Metrics, key uint64, b int, n int64, cat mem.Category) mem.Fault {
 	if inj.Dead() {
-		r.failDown(pl, b) //boss:escape-ok cold device-down error path
-		return false
+		return mem.FaultDeviceDown
 	}
-	key := mem.StableKey(pl.Term)
 	for attempt := uint32(0); ; attempt++ {
-		r.m.AddSeqRead(int64(meta.Length), mem.CatLoadList)
-		switch inj.BlockFault(key, uint32(b), attempt) {
-		case mem.FaultNone:
-			return true
+		m.AddSeqRead(n, cat)
+		f := inj.BlockFault(key, uint32(b), attempt)
+		switch f {
+		case mem.FaultTransient:
+			m.TransientRetries++
+			if attempt+1 < maxFetchAttempts {
+				continue
+			}
 		case mem.FaultUncorrectable:
 			// The device's own ECC/CRC detected an unrecoverable media
 			// error — same detection path as a host-side checksum miss.
-			r.m.IntegrityFailures++
-			r.failMedia(pl, b) //boss:escape-ok cold media-fault error path
-			return false
-		case mem.FaultDeviceDown:
-			r.failDown(pl, b) //boss:escape-ok cold device-down error path
-			return false
-		default: // mem.FaultTransient
-			r.m.TransientRetries++
-			if attempt+1 >= maxFetchAttempts {
-				r.failTransient(pl, b) //boss:escape-ok cold transient-exhausted error path
-				return false
-			}
+			m.IntegrityFailures++
 		}
+		return f
 	}
 }
 
@@ -817,16 +733,16 @@ func (r *run) failCorrupt(pl *index.PostingList, b int) {
 	r.fail(fmt.Errorf("core: list %q block %d: checksum mismatch: %w", pl.Term, b, mem.ErrMediaUncorrectable))
 }
 
-func (r *run) failMedia(pl *index.PostingList, b int) {
-	r.fail(fmt.Errorf("core: list %q block %d: %w", pl.Term, b, mem.ErrMediaUncorrectable))
-}
-
-func (r *run) failDown(pl *index.PostingList, b int) {
-	r.fail(fmt.Errorf("core: list %q block %d: %w", pl.Term, b, mem.ErrDeviceDown))
-}
-
-func (r *run) failTransient(pl *index.PostingList, b int) {
-	r.fail(fmt.Errorf("core: list %q block %d: retries exhausted: %w", pl.Term, b, mem.ErrTransientRead))
+// failFault types the fault chargeFaultyRead stopped on.
+func (r *run) failFault(f mem.Fault, pl *index.PostingList, b int) {
+	switch f {
+	case mem.FaultUncorrectable:
+		r.fail(fmt.Errorf("core: list %q block %d: %w", pl.Term, b, mem.ErrMediaUncorrectable))
+	case mem.FaultDeviceDown:
+		r.fail(fmt.Errorf("core: list %q block %d: %w", pl.Term, b, mem.ErrDeviceDown))
+	default: // mem.FaultTransient, out of attempts
+		r.fail(fmt.Errorf("core: list %q block %d: retries exhausted: %w", pl.Term, b, mem.ErrTransientRead))
+	}
 }
 
 func (r *run) failDecode(what string, pl *index.PostingList, b int, err error) {

@@ -283,7 +283,7 @@ func TestSharedTermRescanFetchesSkippedBlock(t *testing.T) {
 	ls := r.stateFor(A)
 	var skipped []int
 	for _, rec := range ls.recs {
-		if !rec.loaded() {
+		if rec.ent == nil {
 			skipped = append(skipped, rec.b)
 		}
 	}
@@ -295,7 +295,7 @@ func TestSharedTermRescanFetchesSkippedBlock(t *testing.T) {
 	for _, b := range skipped {
 		if i, ok := ls.find(b); !ok {
 			t.Fatalf("block %d's record vanished", b)
-		} else if ls.recs[i].loaded() {
+		} else if ls.recs[i].ent != nil {
 			filled++
 		}
 	}
@@ -517,9 +517,9 @@ func TestBOSSMoreBandwidthEfficientThanExhaustive(t *testing.T) {
 }
 
 // holdsBlock reports whether a block record references decoded data in any
-// way: a pinned cache entry, pooled decode buffers, or the slices themselves.
+// way: a pinned entry, or the slices themselves.
 func holdsBlock(rec blockRec) bool {
-	return rec.ent != nil || rec.buf != nil || rec.docs != nil || rec.tfs != nil
+	return rec.ent != nil || rec.docs != nil || rec.tfs != nil
 }
 
 // The candidate table holds docIDs and tfs only, so a pooled run has nothing

@@ -17,15 +17,15 @@ import (
 // SCM exactly as the posting path charges posting blocks — sequential
 // streams under mem.CatLoadDoc, one exposed device round trip per
 // fetch-queue window, decode cycles on the pipeline. Decoded doc blocks
-// are published to the shared block cache under cache.ClassDoc; a cache
-// hit replays the recorded charges, so modeled figures are byte-identical
-// with or without the host-side cache (only host work is saved), the
-// same invariant the posting path maintains.
+// are published to the shared block cache under cache.ClassDoc; every
+// charge is made before the cache's answer is looked at, so modeled figures
+// are byte-identical with or without the host-side cache (only host work is
+// saved), the same invariant the posting path maintains.
 
 // docDecodeBytesPerCycle prices the byte-oriented LZ decode on the
 // modeled pipeline: 8 decoded bytes per cycle (8 GB/s at the 1 GHz
-// clock). Deterministic in the block's raw length, so hit-path replay
-// and fresh decodes charge identically by construction.
+// clock). A function of the block's raw length alone, so it is charged
+// without decoding anything.
 const docDecodeBytesPerCycle = 8
 
 // docDecodeCycles returns the modeled decode cost of one raw block.
@@ -51,7 +51,7 @@ type FetchEngine struct {
 }
 
 // NewFetchEngine returns a fetch engine over ds, publishing decoded
-// blocks to c (nil c disables caching).
+// blocks to c (a nil c admits nothing: every fetch decodes its block).
 func NewFetchEngine(ds *docstore.Store, c *cache.Cache) *FetchEngine {
 	return &FetchEngine{ds: ds, cache: c, faultK: mem.StableKey("docstore")}
 }
@@ -71,7 +71,7 @@ func (e *FetchEngine) Store() *docstore.Store { return e.ds }
 func (e *FetchEngine) Cache() *cache.Cache { return e.cache }
 
 // DocBuf is a reusable, zero-copy view of one fetched document. Fields
-// alias either a pinned cache entry or the buffer's own scratch; they are
+// alias the pinned entry holding the document's decoded block; they are
 // valid until the next FetchInto with this buffer or Release, whichever
 // comes first. Release must be called when done (releasing the pin); a
 // DocBuf must not be shared across goroutines.
@@ -79,18 +79,15 @@ type DocBuf struct {
 	DocID  uint32
 	Fields [][]byte // one slice per store field, in field order
 
-	ent     *cache.Entry
-	c       *cache.Cache
-	scratch []byte // decode destination when the block isn't cache-resident
+	ent *cache.Entry
+	c   *cache.Cache
 }
 
-// Release drops the buffer's pin on the underlying cache entry, if any.
-// The Fields slices must not be used afterwards. Safe to call repeatedly.
+// Release drops the buffer's pin on the underlying entry, if any. The
+// Fields slices must not be used afterwards. Safe to call repeatedly.
 func (b *DocBuf) Release() {
-	if b.ent != nil {
-		b.c.Release(b.ent)
-		b.ent = nil
-	}
+	b.c.Release(b.ent)
+	b.ent = nil
 	b.Fields = b.Fields[:0]
 }
 
@@ -99,12 +96,10 @@ func (b *DocBuf) Release() {
 // slice per store field. Any prior pin held by buf is released first, so
 // a loop reusing one buffer holds at most one block pinned.
 //
-//boss:hotpath the per-document fetch loop; the cache-hit arm allocates nothing.
+//boss:hotpath the per-document fetch loop; a fetch that finds its block allocates nothing.
 func (e *FetchEngine) FetchInto(ctx context.Context, docID uint32, m *perf.Metrics, buf *DocBuf) error {
-	if buf.ent != nil {
-		buf.c.Release(buf.ent)
-		buf.ent = nil
-	}
+	buf.c.Release(buf.ent)
+	buf.ent = nil
 	if ctx != nil {
 		if cause := ctx.Err(); cause != nil {
 			return ctxError(cause)
@@ -119,22 +114,17 @@ func (e *FetchEngine) FetchInto(ctx context.Context, docID uint32, m *perf.Metri
 	m.DocsFetched++
 
 	ch := e.cache
-	var ent *cache.Entry
-	if ch != nil {
-		ent = ch.Get(cache.Key{List: ds.ID(), Block: uint32(bi), Class: cache.ClassDoc})
-	}
+	key := cache.Key{List: ds.ID(), Block: uint32(bi), Class: cache.ClassDoc}
+	ent := ch.Get(key)
 
-	// From here on every simulated charge is identical whether the decoded
-	// block comes from the cache or from a fresh decode: the modeled device
-	// has no DRAM block cache, so a host-side hit must replay the SCM
-	// stream, the queue hop, and the decode cycles. Only host work — the
-	// actual decompression — is saved.
+	// The modeled device has no DRAM block cache, so every simulated charge
+	// — the SCM stream, the queue hop, the decode cycles — is made here,
+	// before the cache's answer is looked at. Only host work, the actual
+	// decompression, depends on it.
 	if inj := e.fault; inj != nil {
-		if err := e.chargeFaultyDocRead(inj, meta, bi, m); err != nil {
-			if ent != nil {
-				ch.Release(ent)
-			}
-			return err
+		if f := chargeFaultyRead(inj, m, e.faultK, bi, int64(meta.CompLen), mem.CatLoadDoc); f != mem.FaultNone {
+			ch.Release(ent)
+			return failDocFault(f, bi)
 		}
 	} else {
 		m.AddSeqRead(int64(meta.CompLen), mem.CatLoadDoc)
@@ -145,13 +135,9 @@ func (e *FetchEngine) FetchInto(ctx context.Context, docID uint32, m *perf.Metri
 	if m.DocBlocksFetched%fetchQueueDepth == 0 {
 		m.SerialFetchHops++
 	}
+	cycles := cyclesDuration(docDecodeCycles(int64(meta.RawLen)))
 
-	var raw []byte
-	if ent != nil {
-		m.AddCompute(cyclesDuration(ent.Cycles()))
-		raw = ent.Data()
-		buf.ent, buf.c = ent, ch
-	} else {
+	if ent == nil {
 		payload := ds.BlockPayload(bi)
 		// Integrity gate: verify the payload CRC before decoding so media
 		// corruption is detected and typed instead of silently served (and
@@ -160,35 +146,22 @@ func (e *FetchEngine) FetchInto(ctx context.Context, docID uint32, m *perf.Metri
 			m.IntegrityFailures++
 			return failDocCorrupt(bi) //boss:escape-ok cold corruption error path
 		}
-		cyc := docDecodeCycles(int64(meta.RawLen))
+		// Decode straight into a reserved byte slab and publish it so the
+		// next fetch finds it. A failed decode releases the reserved (never
+		// published) entry.
 		n := int(meta.RawLen)
-		if ch != nil {
-			// Miss with a cache attached: decode straight into a cache-owned
-			// byte slab and publish so the next fetch hits. A failed decode
-			// releases the reserved (never published) entry.
-			ce := ch.ReserveBytes(n)
-			dst := ce.ByteBuf(n)
-			if err := ds.DecodeBlock(dst, payload); err != nil {
-				ch.Release(ce)
-				return failDocDecode(bi, err) //boss:escape-ok cold decode-failure error path
-			}
-			ce = ch.PublishBytes(cache.Key{List: ds.ID(), Block: uint32(bi), Class: cache.ClassDoc}, ce, dst, cyc)
-			raw = ce.Data()
-			buf.ent, buf.c = ce, ch
-		} else {
-			if cap(buf.scratch) < n {
-				buf.scratch = make([]byte, n) //boss:escape-ok scratch growth, amortized across fetches through one DocBuf
-			}
-			dst := buf.scratch[:n]
-			if err := ds.DecodeBlock(dst, payload); err != nil {
-				return failDocDecode(bi, err) //boss:escape-ok cold decode-failure error path
-			}
-			raw = dst
+		ent = ch.ReserveBytes(n)
+		dst := ent.ByteBuf(n)
+		if err := ds.DecodeBlock(dst, payload); err != nil {
+			ch.Release(ent)
+			return failDocDecode(bi, err) //boss:escape-ok cold decode-failure error path
 		}
-		m.AddCompute(cyclesDuration(cyc))
+		ent = ch.PublishBytes(key, ent, dst)
 	}
+	m.AddCompute(cycles)
+	buf.ent, buf.c = ent, ch
 
-	fields, err := ds.AppendDoc(buf.Fields[:0], raw, int(docID)-int(meta.FirstDoc))
+	fields, err := ds.AppendDoc(buf.Fields[:0], ent.Data(), int(docID)-int(meta.FirstDoc))
 	if err != nil {
 		buf.Release()
 		return err
@@ -196,34 +169,6 @@ func (e *FetchEngine) FetchInto(ctx context.Context, docID uint32, m *perf.Metri
 	buf.DocID = docID
 	buf.Fields = fields
 	return nil
-}
-
-// chargeFaultyDocRead streams one doc block from the device under the
-// fault injector, retrying transient faults inline exactly as the
-// posting path's chargeFaultyRead does.
-//
-//boss:hotpath the fault-aware arm of the per-block doc fetch.
-func (e *FetchEngine) chargeFaultyDocRead(inj *mem.Injector, meta *docstore.BlockMeta, b int, m *perf.Metrics) error {
-	if inj.Dead() {
-		return failDocDown(b) //boss:escape-ok cold device-down error path
-	}
-	for attempt := uint32(0); ; attempt++ {
-		m.AddSeqRead(int64(meta.CompLen), mem.CatLoadDoc)
-		switch inj.BlockFault(e.faultK, uint32(b), attempt) {
-		case mem.FaultNone:
-			return nil
-		case mem.FaultUncorrectable:
-			m.IntegrityFailures++
-			return failDocMedia(b) //boss:escape-ok cold media-fault error path
-		case mem.FaultDeviceDown:
-			return failDocDown(b) //boss:escape-ok cold device-down error path
-		default: // mem.FaultTransient
-			m.TransientRetries++
-			if attempt+1 >= maxFetchAttempts {
-				return failDocTransient(b) //boss:escape-ok cold transient-exhausted error path
-			}
-		}
-	}
 }
 
 // The failDoc* helpers build wrapped, typed errors. Outlined from the hot
@@ -242,14 +187,14 @@ func failDocDecode(b int, err error) error {
 	return fmt.Errorf("core: doc block %d decode failed: %w (%w)", b, err, mem.ErrMediaUncorrectable)
 }
 
-func failDocMedia(b int) error {
-	return fmt.Errorf("core: doc block %d: %w", b, mem.ErrMediaUncorrectable)
-}
-
-func failDocDown(b int) error {
-	return fmt.Errorf("core: doc block %d: %w", b, mem.ErrDeviceDown)
-}
-
-func failDocTransient(b int) error {
-	return fmt.Errorf("core: doc block %d: retries exhausted: %w", b, mem.ErrTransientRead)
+// failDocFault types the fault chargeFaultyRead stopped on.
+func failDocFault(f mem.Fault, b int) error {
+	switch f {
+	case mem.FaultUncorrectable:
+		return fmt.Errorf("core: doc block %d: %w", b, mem.ErrMediaUncorrectable)
+	case mem.FaultDeviceDown:
+		return fmt.Errorf("core: doc block %d: %w", b, mem.ErrDeviceDown)
+	default: // mem.FaultTransient, out of attempts
+		return fmt.Errorf("core: doc block %d: retries exhausted: %w", b, mem.ErrTransientRead)
+	}
 }

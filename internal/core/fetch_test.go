@@ -272,27 +272,3 @@ func TestFetchCtx(t *testing.T) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
 }
-
-// TestFetchEpochInvalidation: BumpEpoch forces re-decodes but leaves the
-// simulated charges untouched (replay invariant holds across epochs).
-func TestFetchEpochInvalidation(t *testing.T) {
-	ds, texts := buildDocs(t, docstore.BlockDocs, 23)
-	c := cache.NewSharded(16<<20, 1)
-	eng := NewFetchEngine(ds, c)
-	m := perf.NewMetrics()
-	var buf DocBuf
-	if err := eng.FetchInto(context.Background(), 1, m, &buf); err != nil {
-		t.Fatal(err)
-	}
-	c.BumpEpoch()
-	if err := eng.FetchInto(context.Background(), 1, m, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Fields[1], texts[1]) {
-		t.Fatal("payload mismatch after epoch bump")
-	}
-	buf.Release()
-	if st := c.Stats(); st.DocMisses != 2 || st.DocHits != 0 {
-		t.Fatalf("stats after bump: %+v", st)
-	}
-}
