@@ -479,7 +479,8 @@ type shardOut struct {
 // the prepared query, its shared DNF, depth and stable replica key) or a
 // fetch (node nil: the docIDs routed to each shard, where each goes back in
 // the input, and the result's Docs the attempts fill in place). It is passed
-// by value all the way down, so it never escapes to the heap.
+// by value all the way down, so it never escapes to the heap, and runShard
+// can narrow its own copy's node and dnf to the terms its shard holds.
 type shardWork struct {
 	node *query.Node
 	dnf  [][]string

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,6 +191,62 @@ func TestMediaErrorIsNotACopyHealthSignal(t *testing.T) {
 	}
 	if count(0, EvBreakerOpen) == 0 {
 		t.Error("the dead copy's breaker never opened")
+	}
+}
+
+// TestEmptyPruneIsNotACopyHealthSignal: a query whose terms a shard does not
+// hold never touches that shard's device, so it says nothing about any copy's
+// health. With copy 0 of shard 0 dead, its breaker open and the cooldown
+// over — the next attempt it is picked for would be its half-open probe —
+// queries that prune to nothing on shard 0 leave the copy exactly as it was:
+// no pick, no event, and above all no success closing the breaker.
+func TestEmptyPruneIsNotACopyHealthSignal(t *testing.T) {
+	c := replicaTestCorpus(t)
+	cfg := replicatedConfig(2)
+	fake := clock.NewFakeClock(time.Unix(0, 0))
+	cfg.Clock = fake
+	cl, err := NewCluster(cfg, c, 4)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	cl.SetFaultPlan(&mem.FaultPlan{Seed: 7, DeadDevices: []int{cl.ReplicaDevice(0, 0)}})
+	dead := cl.states[0][0]
+	for i := 0; dead.state != brOpen; i++ {
+		if i == 200 {
+			t.Fatal("the dead copy's breaker never opened")
+		}
+		if res, err := cl.SearchCtx(context.Background(), fmt.Sprintf(`"t%d"`, i%40+1), 10); err != nil || res.Degraded != 0 {
+			t.Fatalf("query %d did not fail over to copy 1: %v", i, err)
+		}
+	}
+	fake.Advance(2 * cfg.Resilience.BreakerCooldown)
+
+	var absent []string // terms some other shard holds and shard 0 does not
+	for term := range cl.shardTerms[1] {
+		if _, ok := cl.shardTerms[0][term]; !ok {
+			absent = append(absent, term)
+		}
+	}
+	sort.Strings(absent)
+	const queries = 32
+	if len(absent) < queries {
+		t.Fatalf("only %d terms are absent from shard 0; the corpus is too small for this test", len(absent))
+	}
+	before := len(cl.ReplicaEvents(0, 0))
+	for _, term := range absent[:queries] {
+		res, err := cl.SearchCtx(context.Background(), fmt.Sprintf("%q", term), 10)
+		if err != nil || res.Degraded != 0 || len(res.TopK) == 0 {
+			t.Fatalf("%q: err %v, result %+v; want a complete answer from the shards that hold it", term, err, res)
+		}
+		if res.ServedBy[0] != -1 || res.PerShard[0] != nil {
+			t.Fatalf("%q: shard 0 reports work (copy %d) for a term it does not hold", term, res.ServedBy[0])
+		}
+	}
+	if evs := cl.ReplicaEvents(0, 0); len(evs) != before {
+		t.Errorf("the dead copy's log gained %v from queries that never reached its shard", evs[before:])
+	}
+	if dead.state != brOpen {
+		t.Errorf("the dead copy's breaker left the open state (now %d) without a device read", dead.state)
 	}
 }
 

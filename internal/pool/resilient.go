@@ -403,25 +403,18 @@ func (cl *Cluster) retryableOn(err error, si int) bool {
 }
 
 // attempt issues one attempt of w on replica ri of shard si: the search
-// body or the fetch body (fetchShard, fetch.go).
+// body — w.node and w.dnf already pruned to the terms shard si holds
+// (runShard) — or the fetch body (fetchShard, fetch.go).
 func (cl *Cluster) attempt(ctx context.Context, w shardWork, si, ri int) shardOut {
 	if w.node == nil {
 		return cl.fetchShard(ctx, w, si, ri)
 	}
-	pruned := pruneForShard(w.node, cl.shardTerms[si])
-	if pruned == nil {
-		return shardOut{}
-	}
 	var out core.Result
 	var err error
-	if pruned.Op == query.OpSparse {
-		out, err = cl.accs[si][ri].RunSparseCtx(ctx, pruned.Terms(), w.k)
+	if w.node.Op == query.OpSparse {
+		out, err = cl.accs[si][ri].RunSparseCtx(ctx, w.node.Terms(), w.k)
 	} else {
-		dnf := w.dnf
-		if pruned != w.node {
-			dnf = pruned.DNF()
-		}
-		out, err = cl.accs[si][ri].RunDNFCtx(ctx, dnf, w.k)
+		out, err = cl.accs[si][ri].RunDNFCtx(ctx, w.dnf, w.k)
 	}
 	if err != nil {
 		return shardOut{err: shardError(si, err)}
@@ -476,9 +469,14 @@ func replicaDraw(seed, qkey uint64, si int) uint64 {
 // breaker-aware replica selection, bounded retry with jittered backoff,
 // hedged dispatch, parent-context awareness. Both kinds of work share the
 // per-replica breaker state, so a copy that fails searches also sheds
-// fetches. Three asymmetries are deliberate:
-//   - a fetch shard that owns none of the requested documents does nothing,
-//     masked or not;
+// fetches. A search is pruned to the terms the shard holds here, once for all
+// its attempts; when nothing is left the shard has no part in the answer and,
+// like a fetch shard that owns none of the requested documents, does nothing:
+// no copy is picked, no event logged, and no breaker hears of a success the
+// device never produced. Three asymmetries are deliberate:
+//   - the fetch shard with nothing to do is recognised before the mask is
+//     looked at, the search shard after it (a masked-out shard is reported
+//     shed without its query being examined);
 //   - a fetch's replica key is fetchQueryKey of the ids routed to this
 //     shard, not of the whole request, so a given shard's share routes to
 //     the same copy whatever else the request asked for;
@@ -506,6 +504,18 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 	}
 	if cause := ctx.Err(); cause != nil {
 		return shardOut{err: shardError(si, cause)}
+	}
+	if w.node != nil {
+		pruned := pruneForShard(w.node, cl.shardTerms[si])
+		if pruned == nil {
+			return shardOut{}
+		}
+		if pruned != w.node {
+			w.node = pruned
+			if pruned.Op != query.OpSparse {
+				w.dnf = pruned.DNF()
+			}
+		}
 	}
 	st, ri, ok := cl.pickReplica(si, qkey, 0, 0)
 	if !ok {
