@@ -210,17 +210,20 @@ type Hit struct {
 	Score float64
 }
 
-func (ix *Index) docName(id uint32) string {
-	if ix.names != nil && int(id) < len(ix.names) {
-		return ix.names[id]
+// docName resolves a docID against an optional name table (nil for
+// synthetic corpora, sharded deployments and deserialized indexes).
+func docName(names []string, id uint32) string {
+	if int(id) < len(names) {
+		return names[id]
 	}
 	return fmt.Sprintf("doc%d", id)
 }
 
-func (ix *Index) hits(entries []topk.Entry) []Hit {
+// hits names a ranking's documents.
+func hits(names []string, entries []topk.Entry) []Hit {
 	out := make([]Hit, len(entries))
 	for i, e := range entries {
-		out[i] = Hit{Doc: ix.docName(e.DocID), DocID: e.DocID, Score: e.Score}
+		out[i] = Hit{Doc: docName(names, e.DocID), DocID: e.DocID, Score: e.Score}
 	}
 	return out
 }
@@ -249,7 +252,7 @@ func (ix *Index) Search(expr string, k int) ([]Hit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ix.hits(res.TopK), nil
+	return hits(ix.names, res.TopK), nil
 }
 
 // BatchItem is one query's outcome in a batch search. A nil Err with empty
@@ -290,7 +293,7 @@ func (ix *Index) SearchBatch(exprs []string, k int) []BatchItem {
 			items[i].Err = err
 			continue
 		}
-		items[i].Hits = ix.hits(br.Results[j].TopK)
+		items[i].Hits = hits(ix.names, br.Results[j].TopK)
 	}
 	return items
 }
@@ -470,7 +473,7 @@ func (a *Accelerator) SearchFetch(expr string, k int) ([]Hit, []Doc, *SimStats, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return a.ix.hits(res.TopK), docs, simStats(res.M, a.dev, a.cores), nil
+	return hits(a.ix.names, res.TopK), docs, simStats(res.M, a.dev, a.cores), nil
 }
 
 // SimStats summarizes one simulated query execution.
@@ -519,7 +522,7 @@ func (a *Accelerator) Search(expr string, k int) ([]Hit, *SimStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return a.ix.hits(res.TopK), simStats(res.M, a.dev, a.cores), nil
+	return hits(a.ix.names, res.TopK), simStats(res.M, a.dev, a.cores), nil
 }
 
 // SearchBatch runs many queries concurrently on the simulated accelerator
@@ -546,7 +549,7 @@ func (a *Accelerator) SearchBatch(exprs []string, k int) []BatchItem {
 			continue
 		}
 		res := br.Results[j]
-		items[i].Hits = a.ix.hits(res.TopK)
+		items[i].Hits = hits(a.ix.names, res.TopK)
 		items[i].Stats = simStats(res.M, a.dev, a.cores)
 	}
 	return items
@@ -604,7 +607,6 @@ func (ix *Index) CommonTerm(rank int) string {
 // collection-global statistics, results are identical to a single index's.
 type ShardedIndex struct {
 	cluster *pool.Cluster
-	names   []string
 }
 
 // Shard builds a sharded deployment of a synthetic corpus over the given
@@ -807,16 +809,13 @@ func shardedResult(res *pool.ClusterResult, err error) (*ShardedResult, error) {
 		}
 	}
 	out := &ShardedResult{
-		Hits:      make([]Hit, len(res.TopK)),
+		Hits:      hits(nil, res.TopK),
 		Stats:     simStats(agg, mem.SCM(), 8),
 		Degraded:  res.Degraded,
 		Hedged:    res.Hedged,
 		HedgeWins: res.HedgeWins,
 		ServedBy:  res.ServedBy,
 		Docs:      docsFromFetched(res.Docs), // nil on search-only results
-	}
-	for i, e := range res.TopK {
-		out.Hits[i] = Hit{Doc: fmt.Sprintf("doc%d", e.DocID), DocID: e.DocID, Score: e.Score}
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package boss
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"boss/internal/core"
@@ -10,7 +9,6 @@ import (
 	"boss/internal/perf"
 	"boss/internal/pool"
 	"boss/internal/query"
-	"boss/internal/topk"
 )
 
 // Serving-tier admission errors, re-exported from the front door.
@@ -162,8 +160,8 @@ type ServeStats struct {
 // rejecting. Construct with ShardedIndex.Serve or Accelerator.Serve;
 // Close releases it.
 type Server struct {
-	f    *front.Front
-	hits func([]topk.Entry) []Hit
+	f     *front.Front
+	names []string // docID -> user-facing name; nil names documents "doc<id>"
 }
 
 // ServeTicket is one waiter's handle on a submitted request. Exactly one
@@ -182,13 +180,7 @@ func (s *ShardedIndex) Serve(cfg FrontConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{f: f, hits: func(entries []topk.Entry) []Hit {
-		out := make([]Hit, len(entries))
-		for i, e := range entries {
-			out[i] = Hit{Doc: docName(s.names, e.DocID), DocID: e.DocID, Score: e.Score}
-		}
-		return out
-	}}, nil
+	return &Server{f: f}, nil
 }
 
 // Serve starts a front-door serving tier over the single-device
@@ -200,7 +192,7 @@ func (a *Accelerator) Serve(cfg FrontConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{f: f, hits: a.ix.hits}, nil
+	return &Server{f: f, names: a.ix.names}, nil
 }
 
 // accelBackend adapts the single-device accelerator to the front door's
@@ -308,7 +300,7 @@ func servedResult(s *Server, res front.Result) (*ServedResult, error) {
 	if res.Docs != nil {
 		out.Docs = docsFromFetched(res.Docs)
 	} else {
-		out.Hits = s.hits(res.TopK)
+		out.Hits = hits(s.names, res.TopK)
 	}
 	return out, nil
 }
@@ -346,12 +338,4 @@ func (s *Server) Stats() ServeStats {
 		Executed:  m.Executed,
 		Hedged:    m.Hedged,
 	}
-}
-
-// docName resolves a docID against an optional name table.
-func docName(names []string, id uint32) string {
-	if names != nil && int(id) < len(names) {
-		return names[id]
-	}
-	return fmt.Sprintf("doc%d", id)
 }
