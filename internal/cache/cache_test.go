@@ -95,7 +95,6 @@ func TestNilCache(t *testing.T) {
 	}
 	c.Release(nil)
 
-	drainSlabs()
 	e := c.Reserve(128)
 	docs, tfs := fill(e, k, 128)
 	if got := c.Publish(k, e, docs, tfs, 42); got != e {

@@ -694,7 +694,7 @@ func chargeFaultyRead(inj *mem.Injector, m *perf.Metrics, key uint64, b int, n i
 		case mem.FaultTransient:
 			m.TransientRetries++
 			if attempt+1 < maxFetchAttempts {
-				continue
+				continue // the firmware re-reads the block
 			}
 		case mem.FaultUncorrectable:
 			// The device's own ECC/CRC detected an unrecoverable media

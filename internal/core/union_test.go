@@ -322,20 +322,19 @@ func TestRunHitPathAllocs(t *testing.T) {
 	}
 	_, idx := sparseFixture(t, 0.01)
 	acc := NewCached(idx, DefaultOptions(), cache.NewSharded(64<<20, 2))
-	families := boolFamilies
 	run := func(dnf [][]string) {
 		if _, err := acc.RunDNFCtx(nil, dnf, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ { // warm the cache and every pooled scratch buffer
-		for _, f := range families {
+		for _, f := range boolFamilies {
 			run(f.dnf)
 		}
 	}
 	const envelope = 2 // perf.NewMetrics and sel.Results
 	first := -1.0
-	for _, f := range families {
+	for _, f := range boolFamilies {
 		got := testing.AllocsPerRun(200, func() { run(f.dnf) })
 		if got > envelope {
 			t.Errorf("%s: warm RunDNFCtx allocates %.2f allocs/op, want <= %d", f.name, got, envelope)
@@ -343,7 +342,7 @@ func TestRunHitPathAllocs(t *testing.T) {
 		if first < 0 {
 			first = got
 		} else if got != first {
-			t.Errorf("%s: %.2f allocs/op, %s %.2f: the envelope must not depend on the query's shape", f.name, got, families[0].name, first)
+			t.Errorf("%s: %.2f allocs/op, %s %.2f: the envelope must not depend on the query's shape", f.name, got, boolFamilies[0].name, first)
 		}
 	}
 }
