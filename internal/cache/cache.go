@@ -3,28 +3,32 @@
 // distributed term popularity means nearly every query touches the same hot
 // posting lists; without cross-query reuse each query re-fetches and
 // re-decompresses the same blocks even though a single decode is cheap.
-// The cache closes that gap: entries are keyed by (posting-list identity,
-// block index), decoded values live in cache-owned slabs, and the hit path
-// is allocation-free — a shard-mutex map probe returning pinned doc/tf
-// slices.
+// The cache closes that gap: a block is found by position, the way the
+// paper's block-fetch module finds it — the cache keeps one Table per
+// container (posting list or document store), an array with one slot per
+// block — decoded values live in cache-owned slabs, and the hit path is
+// allocation-free and takes no lock: a slot load and an atomic pin returning
+// pinned doc/tf slices.
 //
 // Eviction is CLOCK (second chance): each shard keeps its resident entries
 // on a ring with a reference bit set on every hit; the hand clears bits on
 // the first pass and evicts the first unreferenced, unpinned entry. Pinned
-// entries (refcount > 0) are never evicted, so a reader can hold a block's
+// entries (pin count > 0) are never evicted, so a reader can hold a block's
 // slices across its whole scan without copying. When the byte budget cannot
 // be met because everything is pinned, Publish hands the entry back to the
 // caller un-inserted ("bypass"): the budget is a hard ceiling, never
 // exceeded.
 //
-// There is no invalidation: an index is immutable once built, and a key
+// There is no invalidation: an index is immutable once built, and a table
 // names its container by a process-wide identity that is never reused, so an
-// entry can only become unwanted, never wrong.
+// entry can only become unwanted, never wrong. A table lives as long as its
+// cache for the same reason: nothing retires a container.
 //
-// A nil *Cache is a cache that never admits: Get misses, Reserve hands out a
-// recycled slab, Publish returns the entry caller-owned exactly as a bypass
-// does, and Release recycles it when the last pin drops. A reader therefore
-// has one decode path whether or not it was given a cache.
+// A nil *Cache is a cache that never admits: its Table is nil, whose Get
+// misses and whose Publish returns the entry caller-owned exactly as a bypass
+// does; Reserve hands out a recycled slab and Release recycles it when the
+// last pin drops. A reader therefore has one decode path whether or not it
+// was given a cache.
 //
 // The cache stores whatever the publisher decoded, along with the decode
 // cycle count the publisher measured, so the accelerator model can charge
@@ -44,8 +48,9 @@ import (
 // identity (index.PostingList.ID or docstore.Store.ID), the block index
 // within it, and the client class. Class keeps the two ID namespaces from
 // colliding now that the cache serves both posting blocks and document
-// blocks; its zero value is ClassPosting, so posting-path call sites are
-// unchanged and hash to the same shards as before.
+// blocks; its zero value is ClassPosting. Readers address blocks through a
+// Table; the key is what an entry carries to say whose block it holds, and
+// what picks its shard.
 type Key struct {
 	List  uint64
 	Block uint32
@@ -61,12 +66,21 @@ const (
 )
 
 // entryOverheadBytes approximates the budget charge of one resident entry
-// beyond its slab: the Entry struct, its map slot, and its ring slot.
+// beyond its slab: the Entry struct, its table slot, and its ring slot.
 const entryOverheadBytes = 128
 
 // slabQuantum rounds slab capacities so recycled slabs fit most blocks
 // (2 values per posting × the default 128-posting block).
 const slabQuantum = 256
+
+// An entry's state word holds its pin count and, above it, the resident
+// flag: set while the entry sits in a table slot and on its shard's ring
+// (recycled only by the evictor), clear for an entry that is private to a
+// publisher, was never admitted (recycled by Release when the last pin
+// drops) or is free. The two share one atomic word so that a reader, who
+// holds no lock, can take a pin only while the entry is resident, and the
+// evictor can claim an entry only while it has no pins.
+const residentBit = 1 << 31
 
 // Entry is one decoded block. Between Get/Publish and Release the entry is
 // pinned and Docs/Tfs (posting class) or Data (doc class) return stable,
@@ -74,6 +88,7 @@ const slabQuantum = 256
 // must not be used.
 type Entry struct {
 	key    Key
+	tab    *Table // the table whose slot key.Block holds a resident entry
 	docs   []uint32
 	tfs    []uint32
 	data   []byte   // published byte payload (doc-class entries)
@@ -82,13 +97,8 @@ type Entry struct {
 	cycles int64
 	bytes  int64 // budget charge: slab capacities + entryOverheadBytes
 
-	// resident is true for entries inserted into a shard (recycled only by
-	// the evictor) and false for bypass entries (recycled by Release when
-	// the last pin drops). Written before the entry is shared.
-	resident bool
-
-	used atomic.Bool  // CLOCK reference bit
-	refs atomic.Int32 // pin count; the evictor skips entries with refs > 0
+	used  atomic.Bool   // CLOCK reference bit
+	state atomic.Uint32 // pin count | residentBit
 }
 
 // Docs returns the decoded docIDs. Valid only while the entry is pinned.
@@ -119,31 +129,89 @@ func (e *Entry) TfsBuf(n int) []uint32 { return e.buf[n : n : 2*n] }
 // entry obtained from ReserveBytes.
 func (e *Entry) ByteBuf(n int) []byte { return e.bbuf[:n] }
 
-// shard is one lock domain of the cache.
+// pin takes one pin on e if e is resident, and reports whether it did. Every
+// pin on an entry that someone else can reach is taken here: the CAS succeeds
+// only on a state that had the resident bit, so a stale pointer to an entry
+// that has since been evicted (and perhaps recycled as a publisher's private
+// entry) can never add a pin to it.
+func (e *Entry) pin() bool {
+	for {
+		s := e.state.Load()
+		if s&residentBit == 0 {
+			return false
+		}
+		if e.state.CompareAndSwap(s, s+1) {
+			return true
+		}
+	}
+}
+
+// touch sets the CLOCK reference bit, without dirtying a hot entry's cache
+// line when it is already set.
+func (e *Entry) touch() {
+	if !e.used.Load() {
+		e.used.Store(true)
+	}
+}
+
+// shard is one lock domain of the cache: everything that changes which
+// entries are resident — the CLOCK ring, the byte budget, publish and
+// eviction. Looking a block up needs none of it (Table.Get).
 type shard struct {
 	mu     sync.Mutex
-	m      map[Key]*Entry
 	ring   []*Entry // CLOCK ring of resident entries
 	hand   int
 	bytes  int64 // resident budget charge; never exceeds budget
 	budget int64
 
-	// Counters live under the shard mutex so the hit path adds no extra
-	// cross-core atomic traffic. Lookup counters are split by Key.Class;
-	// evictions and bypasses are capacity effects of the shared budget and
-	// stay unsplit.
-	hits      [numClasses]int64
-	misses    [numClasses]int64
+	// Evictions and bypasses are capacity effects of the shared budget,
+	// counted under the mutex and not split by class.
 	evictions int64
 	bypasses  int64
+
+	_ [64]byte // keep the lookup counters off the mutex's cache line
+
+	// Lookup counters, split by Key.Class. Lookups hold no lock, so these are
+	// atomics on a line of their own.
+	hits   [numClasses]atomic.Int64
+	misses [numClasses]atomic.Int64
 
 	_ [64]byte // keep neighbouring shards off this shard's cache lines
 }
 
-// Cache is a sharded decoded-block cache with a hard byte budget.
+// tableID names a container to the table registry.
+type tableID struct {
+	list  uint64
+	class uint8
+}
+
+// Table is the cache's block table for one container: one slot per block,
+// holding the block's resident entry or nil. It belongs to the cache, not to
+// the container — several caches can serve one set of posting lists at once
+// (pool.Cluster.Fresh) — and a reader resolves it once (Cache.Table) and then
+// finds each block by position.
+type Table struct {
+	c     *Cache
+	list  uint64
+	class uint8
+
+	// slots is written under the slot's shard mutex (publish stores an entry,
+	// eviction stores nil) and read without one. The array is exact-size for a
+	// container whose block count was declared and never replaced then; only a
+	// Key-addressed publish beyond the end regrows it (grow), and a reader that
+	// still holds the old array is safe for the reason any reader of a stale
+	// slot is (Get).
+	slots atomic.Pointer[[]atomic.Pointer[Entry]]
+}
+
+// Cache is a decoded-block cache with a hard byte budget: a registry of
+// per-container block tables over sharded CLOCK rings.
 type Cache struct {
 	shards []shard
 	mask   uint64
+
+	mu     sync.RWMutex // guards tables; taken before any shard mutex
+	tables map[tableID]*Table
 }
 
 // slabs recycles entries with their slabs. It belongs to the package, not to
@@ -151,7 +219,7 @@ type Cache struct {
 var slabs sync.Pool // of *Entry
 
 // New returns a cache with the given byte budget, sharded to GOMAXPROCS
-// (rounded up to a power of two) so concurrent queries rarely contend on
+// (rounded up to a power of two) so concurrent publishers rarely contend on
 // one mutex. A nil *Cache is valid everywhere: it is a cache that never
 // admits (see the package comment).
 func New(budgetBytes int64) *Cache {
@@ -168,9 +236,8 @@ func NewSharded(budgetBytes int64, shards int) *Cache {
 	for n < shards {
 		n <<= 1
 	}
-	c := &Cache{shards: make([]shard, n), mask: uint64(n - 1)}
+	c := &Cache{shards: make([]shard, n), mask: uint64(n - 1), tables: make(map[tableID]*Table)}
 	for i := range c.shards {
-		c.shards[i].m = make(map[Key]*Entry)
 		c.shards[i].budget = budgetBytes / int64(n)
 	}
 	return c
@@ -186,28 +253,105 @@ func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[h&c.mask]
 }
 
-// Get returns the pinned entry for k, or nil on a miss. The caller must
-// Release the entry when done with its slices.
-//
-//boss:hotpath the cross-query cache hit path; one probe per block fetch.
-func (c *Cache) Get(k Key) *Entry {
+// Table returns the cache's block table for the container with the given
+// identity and class, creating it on first use with exactly blocks slots. A
+// caller that knows its container's block count declares it here and may then
+// address any block below it; a nil cache has a nil table.
+func (c *Cache) Table(list uint64, class uint8, blocks int) *Table {
 	if c == nil {
 		return nil
 	}
-	s := c.shardFor(k)
-	cls := k.Class % numClasses
-	s.mu.Lock()
-	e := s.m[k]
-	if e == nil {
-		s.misses[cls]++
-		s.mu.Unlock()
+	id := tableID{list, class}
+	c.mu.RLock()
+	t := c.tables[id]
+	c.mu.RUnlock()
+	if t == nil {
+		c.mu.Lock()
+		if t = c.tables[id]; t == nil {
+			t = &Table{c: c, list: list, class: class}
+			slots := make([]atomic.Pointer[Entry], blocks)
+			t.slots.Store(&slots)
+			c.tables[id] = t
+		}
+		c.mu.Unlock()
+	}
+	if blocks > len(*t.slots.Load()) {
+		t.grow(blocks)
+	}
+	return t
+}
+
+// grow replaces the slot array with one of at least blocks slots, at least
+// doubling it: the Key-addressed wrappers never declare a block count and
+// extend their table a block at a time. Slots are written under shard
+// mutexes, so moving them takes every shard's, in index order.
+func (t *Table) grow(blocks int) {
+	shards := t.c.shards
+	for i := range shards {
+		shards[i].mu.Lock()
+	}
+	if old := *t.slots.Load(); len(old) < blocks {
+		grown := make([]atomic.Pointer[Entry], max(blocks, 2*len(old)))
+		for i := range old {
+			grown[i].Store(old[i].Load())
+		}
+		t.slots.Store(&grown)
+	}
+	for i := range shards {
+		shards[i].mu.Unlock()
+	}
+}
+
+// Get returns the pinned entry for block b, or nil on a miss. The caller must
+// Release the entry when done with its slices. A nil table always misses.
+//
+// Get takes no lock, so the pointer it loads from the slot may be stale by
+// the time it is used: the evictor may have claimed the entry, cleared the
+// slot and recycled entry and slab. Hence the order — pin, then check the
+// key, then read. The pin succeeds only on a resident entry, which cannot be
+// recycled while pinned, so whatever is read after it is stable; and a
+// resident entry's key says whose block it holds, so an entry recycled for
+// another block shows the wrong key, is released and reported as a miss. No
+// field of the entry but its state word is touched before both succeed.
+//
+//boss:hotpath the cross-query cache hit path; one call per block fetch.
+func (t *Table) Get(b int) *Entry {
+	if t == nil {
 		return nil
 	}
-	e.refs.Add(1)
-	e.used.Store(true)
-	s.hits[cls]++
-	s.mu.Unlock()
-	return e
+	k := Key{List: t.list, Block: uint32(b), Class: t.class}
+	s := t.c.shardFor(k)
+	cls := k.Class % numClasses
+	if slots := *t.slots.Load(); uint(b) < uint(len(slots)) {
+		if e := slots[b].Load(); e != nil && e.pin() {
+			if e.key == k {
+				e.touch()
+				s.hits[cls].Add(1)
+				return e
+			}
+			t.c.Release(e)
+		}
+	}
+	s.misses[cls].Add(1)
+	return nil
+}
+
+// Get, Publish and PublishBytes address a block by Key: wrappers over the
+// key's table for callers that hold no handle (bench/'s cache kernels, tests).
+// They declare no block count, so a publish extends the table to reach its
+// block. Nothing on the serving path uses them.
+func (c *Cache) Get(k Key) *Entry {
+	return c.Table(k.List, k.Class, 0).Get(int(k.Block))
+}
+
+// Publish is Table.Publish by Key.
+func (c *Cache) Publish(k Key, e *Entry, docs, tfs []uint32, cycles int64) *Entry {
+	return c.Table(k.List, k.Class, int(k.Block)+1).Publish(int(k.Block), e, docs, tfs, cycles)
+}
+
+// PublishBytes is Table.PublishBytes by Key.
+func (c *Cache) PublishBytes(k Key, e *Entry, data []byte) *Entry {
+	return c.Table(k.List, k.Class, int(k.Block)+1).PublishBytes(int(k.Block), e, data)
 }
 
 // Reserve returns a private, pinned entry whose slab holds n docIDs plus n
@@ -233,49 +377,55 @@ func reserve(values, bytes int) *Entry {
 	if cap(e.bbuf) < bytes {
 		e.bbuf = make([]byte, 0, roundToQuantum(bytes))
 	}
-	e.refs.Store(1)
+	// A free entry's state is zero and nobody changes it: pin requires the
+	// resident bit. So the first pin is a plain store.
+	e.state.Store(1)
 	return e
 }
 
 func roundToQuantum(n int) int { return (n + slabQuantum - 1) / slabQuantum * slabQuantum }
 
-// Publish inserts a reserved, decoded entry under k and returns the entry
+// Publish inserts a reserved, decoded entry as block b and returns the entry
 // the caller should use — either e itself (now resident, still pinned) or,
 // if a concurrent publisher won the race, the already-resident entry
 // (pinned; e's slab is recycled). When the cache cannot admit it — the
-// receiver is nil, the entry exceeds the shard budget, or everything
+// table is nil, the entry exceeds the shard budget, or everything
 // resident is pinned — the entry is returned un-inserted and stays
 // caller-owned until Release. docs and tfs must be slices of e's slab;
 // cycles is the decode cycle count Cycles reports from then on.
-func (c *Cache) Publish(k Key, e *Entry, docs, tfs []uint32, cycles int64) *Entry {
+func (t *Table) Publish(b int, e *Entry, docs, tfs []uint32, cycles int64) *Entry {
 	e.docs, e.tfs = docs, tfs
 	e.cycles = cycles
-	return c.insert(k, e)
+	return t.insert(b, e)
 }
 
 // PublishBytes is Publish for a doc-class entry reserved with
 // ReserveBytes: data must be a slice of e's byte slab.
-func (c *Cache) PublishBytes(k Key, e *Entry, data []byte) *Entry {
+func (t *Table) PublishBytes(b int, e *Entry, data []byte) *Entry {
 	e.data = data
-	return c.insert(k, e)
+	return t.insert(b, e)
 }
 
-// insert places a filled entry into its shard under the race/budget rules
-// described on Publish.
-func (c *Cache) insert(k Key, e *Entry) *Entry {
-	if c == nil {
+// insert places a filled entry into slot b and its shard under the
+// race/budget rules described on Publish.
+func (t *Table) insert(b int, e *Entry) *Entry {
+	if t == nil {
 		return e
 	}
-	e.key = k
+	e.key = Key{List: t.list, Block: uint32(b), Class: t.class}
+	e.tab = t
 	e.bytes = int64(cap(e.buf))*4 + int64(cap(e.bbuf)) + entryOverheadBytes
-	s := c.shardFor(k)
+	s := t.c.shardFor(e.key)
 	s.mu.Lock()
-	if old := s.m[k]; old != nil {
-		old.refs.Add(1)
-		old.used.Store(true)
+	slot := &(*t.slots.Load())[b]
+	// Only the holder of s.mu clears a resident bit or a slot, so the pin on an
+	// entry found in the slot cannot fail.
+	if old := slot.Load(); old != nil && old.pin() {
+		// A concurrent publisher won. e was never admitted: dropping its one
+		// pin recycles it.
+		old.touch()
 		s.mu.Unlock()
-		e.refs.Store(0)
-		free(e)
+		t.c.Release(e)
 		return old
 	}
 	if e.bytes > s.budget || !s.makeRoom(e.bytes) {
@@ -283,9 +433,11 @@ func (c *Cache) insert(k Key, e *Entry) *Entry {
 		s.mu.Unlock()
 		return e
 	}
-	e.resident = true
+	// The key is in place before the resident bit, the resident bit before
+	// the slot: a reader that can pin e can trust its key.
 	e.used.Store(true)
-	s.m[k] = e
+	e.state.Add(residentBit)
+	slot.Store(e)
 	s.ring = append(s.ring, e)
 	s.bytes += e.bytes
 	s.mu.Unlock()
@@ -301,23 +453,22 @@ func (c *Cache) Release(e *Entry) {
 	if e == nil {
 		return
 	}
-	// Read resident before dropping the pin: while pinned the entry cannot
-	// be freed, so the flag is stable; the instant the pin drops, a resident
-	// entry belongs to the evictor and must not be touched again here.
-	resident := e.resident
-	if e.refs.Add(-1) == 0 && !resident {
+	// The state the drop leaves decides, not a field read afterwards: the
+	// instant its pin drops a resident entry belongs to the evictor and must
+	// not be touched again here, while a state of zero — no pins, not
+	// resident, so no slot holds it and nobody can pin it — is ours to free.
+	if e.state.Add(^uint32(0)) == 0 {
 		free(e)
 	}
 }
 
-// free blanks an unreachable entry and recycles it with its slabs. The entry
-// must be unpinned and either never resident or already removed from its
-// shard.
+// free blanks an unreachable entry and recycles it with its slabs. The
+// entry's state must be zero: unpinned, and either never resident or claimed
+// by the evictor and already cleared from its slot.
 func free(e *Entry) {
-	e.key = Key{}
+	e.key, e.tab = Key{}, nil
 	e.docs, e.tfs, e.data = nil, nil, nil
 	e.cycles, e.bytes = 0, 0
-	e.resident = false
 	e.used.Store(false)
 	slabs.Put(e)
 }
@@ -344,13 +495,17 @@ func (s *shard) evictOne() bool {
 			s.hand = 0
 		}
 		e := s.ring[s.hand]
-		if e.refs.Load() > 0 || e.used.CompareAndSwap(true, false) {
+		// Unpinned and out of chances is not enough without a lock on the
+		// readers: the entry is claimed by taking its state from "resident, no
+		// pins" to zero in one step, which fails if a reader pinned it since
+		// the load and after which no reader can.
+		if e.state.Load() != residentBit || e.used.CompareAndSwap(true, false) || !e.state.CompareAndSwap(residentBit, 0) {
 			s.hand++
 			continue
 		}
-		// Unpinned and out of chances: evict. No new pin can appear — Get
-		// requires s.mu, which we hold.
-		delete(s.m, e.key)
+		// Clear the slot before the entry can be recycled, so the slot never
+		// names a free entry.
+		(*e.tab.slots.Load())[e.key.Block].Store(nil)
 		last := len(s.ring) - 1
 		s.ring[s.hand] = s.ring[last]
 		s.ring[last] = nil
@@ -419,75 +574,90 @@ func (c *Cache) Stats() Stats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.PostingHits += s.hits[ClassPosting]
-		st.PostingMisses += s.misses[ClassPosting]
-		st.DocHits += s.hits[ClassDoc]
-		st.DocMisses += s.misses[ClassDoc]
-		st.Hits += s.hits[ClassPosting] + s.hits[ClassDoc]
-		st.Misses += s.misses[ClassPosting] + s.misses[ClassDoc]
+		st.PostingHits += s.hits[ClassPosting].Load()
+		st.PostingMisses += s.misses[ClassPosting].Load()
+		st.DocHits += s.hits[ClassDoc].Load()
+		st.DocMisses += s.misses[ClassDoc].Load()
 		st.Evictions += s.evictions
 		st.Bypasses += s.bypasses
 		st.ResidentEntries += int64(len(s.ring))
 		st.ResidentBytes += s.bytes
 		st.BudgetBytes += s.budget
 		for _, e := range s.ring {
-			if e.refs.Load() > 0 {
+			if e.state.Load() != residentBit {
 				st.PinnedEntries++
 			}
 		}
 		s.mu.Unlock()
 	}
+	st.Hits = st.PostingHits + st.DocHits
+	st.Misses = st.PostingMisses + st.DocMisses
 	return st
 }
 
-// checkInvariants verifies per-shard accounting: resident bytes equal the
-// sum of entry charges, never exceed the budget, and the ring and the map
-// hold the same entries. Tests and the fuzz target call it after every
-// operation.
+// checkInvariants verifies the accounting and the structure, with every
+// shard locked: per shard, resident bytes equal the sum of entry charges and
+// never exceed the budget; every ring entry is on one ring once, on the
+// shard its key hashes to, has the resident bit set and sits in the slot its
+// key names; and every non-nil slot of every table holds an entry that is on
+// a ring (so no slot names a free or never-admitted entry). Tests and the
+// fuzz target call it after every operation.
 func (c *Cache) checkInvariants() error {
 	if c == nil {
 		return nil
 	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+		defer c.shards[i].mu.Unlock()
+	}
+	onRing := make(map[*Entry]bool)
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
 		var sum int64
-		onRing := make(map[*Entry]bool, len(s.ring))
 		for _, e := range s.ring {
 			sum += e.bytes
 			if onRing[e] {
-				s.mu.Unlock()
-				return fmt.Errorf("shard %d: entry %v on ring twice", i, e.key)
+				return fmt.Errorf("shard %d: entry %v on a ring twice", i, e.key)
 			}
 			onRing[e] = true
-			if !e.resident {
-				s.mu.Unlock()
+			if e.state.Load()&residentBit == 0 {
 				return fmt.Errorf("shard %d: non-resident entry %v on ring", i, e.key)
+			}
+			if c.shardFor(e.key) != s {
+				return fmt.Errorf("shard %d: entry %v belongs to another shard", i, e.key)
+			}
+			t := e.tab
+			if t == nil || t != c.tables[tableID{e.key.List, e.key.Class}] {
+				return fmt.Errorf("shard %d: ring entry %v is not under its cache's table", i, e.key)
+			}
+			if slots := *t.slots.Load(); int(e.key.Block) >= len(slots) || slots[e.key.Block].Load() != e {
+				return fmt.Errorf("shard %d: ring entry %v is not in its table slot", i, e.key)
 			}
 		}
 		if sum != s.bytes {
-			s.mu.Unlock()
 			return fmt.Errorf("shard %d: bytes=%d but ring sums to %d", i, s.bytes, sum)
 		}
 		if s.bytes > s.budget {
-			s.mu.Unlock()
 			return fmt.Errorf("shard %d: resident %d exceeds budget %d", i, s.bytes, s.budget)
 		}
-		if len(s.m) != len(s.ring) {
-			s.mu.Unlock()
-			return fmt.Errorf("shard %d: %d map entries but %d on the ring", i, len(s.m), len(s.ring))
-		}
-		for k, e := range s.m {
-			if e.key != k {
-				s.mu.Unlock()
-				return fmt.Errorf("shard %d: map key %v holds entry keyed %v", i, k, e.key)
+	}
+	// A ring entry sits in the one slot its key names, so a slot entry that is
+	// on a ring at all is on exactly one, and in no other slot.
+	for id, t := range c.tables {
+		for b, slots := 0, *t.slots.Load(); b < len(slots); b++ {
+			e := slots[b].Load()
+			if e == nil {
+				continue
 			}
 			if !onRing[e] {
-				s.mu.Unlock()
-				return fmt.Errorf("shard %d: map entry %v missing from ring", i, k)
+				return fmt.Errorf("table %v slot %d holds an entry (keyed %v) that is on no ring", id, b, e.key)
+			}
+			if want := (Key{List: id.list, Block: uint32(b), Class: id.class}); e.key != want {
+				return fmt.Errorf("table %v slot %d holds entry keyed %v", id, b, e.key)
 			}
 		}
-		s.mu.Unlock()
 	}
 	return nil
 }

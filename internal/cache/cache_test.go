@@ -283,28 +283,158 @@ func TestShardedSpread(t *testing.T) {
 }
 
 // TestHitPathAllocs pins the zero-allocation guarantee of the hit path:
-// Get + Release on a resident entry must not allocate.
+// Get + Release on a resident entry must not allocate, through a resolved
+// table handle or through the Key wrapper (which probes the registry first).
 func TestHitPathAllocs(t *testing.T) {
 	c := New(1 << 20)
 	k := Key{List: 1, Block: 0}
 	e := publish(c, k, 128, 0)
 	c.Release(e)
-	avg := testing.AllocsPerRun(1000, func() {
-		h := c.Get(k)
-		if h == nil {
-			t.Fatal("unexpected miss")
+	tab := c.Table(k.List, k.Class, 1)
+	for name, get := range map[string]func() *Entry{
+		"handle": func() *Entry { return tab.Get(0) },
+		"key":    func() *Entry { return c.Get(k) },
+	} {
+		avg := testing.AllocsPerRun(1000, func() {
+			h := get()
+			if h == nil {
+				t.Fatal("unexpected miss")
+			}
+			c.Release(h)
+		})
+		if avg != 0 {
+			t.Fatalf("%s hit path allocates %v allocs/op, want 0", name, avg)
 		}
-		c.Release(h)
-	})
-	if avg != 0 {
-		t.Fatalf("hit path allocates %v allocs/op, want 0", avg)
 	}
 }
 
+// TestKeyWrappers drives Get/Publish by Key in the shape bench/'s cache
+// kernels use them: 20,000 blocks published under one list id, in order, with
+// no block count ever declared — so the table is regrown under the publisher
+// some fifteen times — and each then hit through Get. A handle resolved
+// before the first publish stays good across every regrowth.
+func TestKeyWrappers(t *testing.T) {
+	const (
+		blocks = 20000
+		n      = 8
+		list   = uint64(1) << 40
+	)
+	c := NewSharded(64<<20, 2) // holds every entry: no evictions
+	tab := c.Table(list, ClassPosting, 0)
+	for i := 0; i < blocks; i++ {
+		k := Key{List: list, Block: uint32(i)}
+		e := publish(c, k, n, int64(i))
+		checkContent(t, e, k, n)
+		c.Release(e)
+	}
+	mustInvariants(t, c)
+	if got := c.Table(list, ClassPosting, 0); got != tab {
+		t.Fatal("regrowing a table must not change its handle")
+	}
+	for i := 0; i < blocks; i++ {
+		k := Key{List: list, Block: uint32(i)}
+		for _, h := range []*Entry{c.Get(k), tab.Get(i)} {
+			if h == nil {
+				t.Fatalf("block %d missing", i)
+			}
+			checkContent(t, h, k, n)
+			if h.Cycles() != int64(i) {
+				t.Fatalf("block %d cycles = %d", i, h.Cycles())
+			}
+			c.Release(h)
+		}
+	}
+	// Past the end of the table and on a list never published: misses, and a
+	// lookup does not extend anything.
+	if c.Get(Key{List: list, Block: 1 << 30}) != nil || tab.Get(-1) != nil || c.Get(Key{List: list + 1}) != nil {
+		t.Fatal("lookups outside the table must miss")
+	}
+	st := c.Stats()
+	if st.Hits != 2*blocks || st.Misses != 3 || st.ResidentEntries != blocks || st.Evictions != 0 || st.PinnedEntries != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	mustInvariants(t, c)
+}
+
+// TestStaleSlotPointer plays the reader that loaded a slot just before the
+// evictor cleared it, by planting in block 0's slot, one after another, a
+// pointer to what that reader may find behind it: a resident entry of another
+// block, a publisher's private entry, and a free one. Each Get must miss and
+// leave the entry's state word exactly as it found it.
+func TestStaleSlotPointer(t *testing.T) {
+	c := NewSharded(1<<20, 1)
+	tab := c.Table(5, ClassPosting, 2)
+	slot := &(*tab.slots.Load())[0]
+	k1 := Key{List: 5, Block: 1}
+
+	resident := publish(c, k1, 16, 0)
+	c.Release(resident)
+	private := c.Reserve(16)
+	free := c.Reserve(16)
+	c.Release(free) // never admitted, last pin: recycled
+
+	for name, e := range map[string]*Entry{"resident under another key": resident, "private": private, "free": free} {
+		before := e.state.Load()
+		slot.Store(e)
+		if h := tab.Get(0); h != nil {
+			t.Fatalf("%s entry returned for a block it does not hold", name)
+		}
+		if got := e.state.Load(); got != before {
+			t.Fatalf("%s entry: state %#x after the miss, was %#x", name, got, before)
+		}
+	}
+	slot.Store(nil)
+	c.Release(private)
+
+	// Block 1 is still where it was, and still evictable.
+	h := tab.Get(1)
+	if h != resident {
+		t.Fatal("the resident entry must still hit under its own key")
+	}
+	checkContent(t, h, k1, 16)
+	c.Release(h)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || st.PinnedEntries != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	mustInvariants(t, c)
+}
+
+// TestTablePerCache: a table belongs to its cache. Two caches asked for the
+// same container hand out different tables, and a block published in one is
+// a miss in the other.
+func TestTablePerCache(t *testing.T) {
+	a, b := NewSharded(1<<20, 1), NewSharded(1<<20, 1)
+	ta, tb := a.Table(7, ClassPosting, 4), b.Table(7, ClassPosting, 4)
+	if ta == tb || ta != a.Table(7, ClassPosting, 4) {
+		t.Fatal("a cache must own one table per container")
+	}
+	k := Key{List: 7, Block: 3}
+	e := a.Reserve(16)
+	docs, tfs := fill(e, k, 16)
+	a.Release(ta.Publish(3, e, docs, tfs, 0))
+	if tb.Get(3) != nil {
+		t.Fatal("block published in one cache found in another")
+	}
+	h := ta.Get(3)
+	if h == nil {
+		t.Fatal("published block missing from its own cache")
+	}
+	checkContent(t, h, k, 16)
+	a.Release(h)
+	if sa, sb := a.Stats(), b.Stats(); sa.Hits != 1 || sa.Misses != 0 || sb.Hits != 0 || sb.Misses != 1 {
+		t.Fatalf("stats: %+v / %+v", sa, sb)
+	}
+	mustInvariants(t, a)
+	mustInvariants(t, b)
+}
+
 // FuzzCLOCK drives a single-shard cache through a byte-coded op sequence
-// and checks the accounting invariants after every operation: resident
-// bytes never exceed the budget, ring and map agree, and pinned entries
-// keep their published contents (no use-after-evict).
+// and checks the invariants after every operation: resident bytes never
+// exceed the budget; every ring entry sits in its table slot with the
+// resident bit set and every non-nil slot is on exactly one ring
+// (checkInvariants); no entry off the ring — free, bypassed or still private
+// — has the resident bit; and pinned entries keep their published contents
+// (no use-after-evict).
 func FuzzCLOCK(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{10, 10, 10, 251, 10, 10})
@@ -318,6 +448,7 @@ func FuzzCLOCK(f *testing.F) {
 			k Key
 		}
 		var pins []pin
+		seen := make(map[*Entry]bool) // every entry the cache has handed out
 		keyOf := func(b byte) Key { return Key{List: uint64(b % 8), Block: uint32(b / 8 % 4)} }
 		for _, op := range ops {
 			switch {
@@ -339,6 +470,7 @@ func FuzzCLOCK(f *testing.F) {
 			default: // publish (keep pinned)
 				k := keyOf(op)
 				e := c.Reserve(n)
+				seen[e] = true
 				docs := e.DocsBuf(n)
 				tfs := e.TfsBuf(n)
 				for i := 0; i < n; i++ {
@@ -350,6 +482,15 @@ func FuzzCLOCK(f *testing.F) {
 			}
 			if err := c.checkInvariants(); err != nil {
 				t.Fatal(err)
+			}
+			onRing := make(map[*Entry]bool)
+			for _, e := range c.shards[0].ring {
+				onRing[e] = true
+			}
+			for e := range seen {
+				if !onRing[e] && e.state.Load()&residentBit != 0 {
+					t.Fatalf("entry keyed %v is off the ring with the resident bit set", e.key)
+				}
 			}
 			// Every live pin must still read its published contents — an
 			// evicted-and-recycled slab would show another key's pattern.

@@ -176,10 +176,13 @@ type blockRec struct {
 }
 
 // listState gathers all per-(run, posting-list) bookkeeping behind a single
-// map probe: the examined blocks, and the stream's decode-cycle total (each
-// posting-list stream owns a decompression unit — the paper's intra-query
-// limitation).
+// map probe: the list's block table in the accelerator's cache, the examined
+// blocks, and the stream's decode-cycle total (each posting-list stream owns
+// a decompression unit — the paper's intra-query limitation).
 type listState struct {
+	// tab is resolved on the run's first touch of the list (stateFor), so a
+	// block lookup is an index, not a probe; nil under a nil cache.
+	tab *cache.Table
 	// recs holds one record per examined block, ascending by block index;
 	// len(recs) is therefore the list's metadata-prefetch count.
 	recs    []blockRec
@@ -307,6 +310,7 @@ func (a *Accelerator) releaseRun(r *run) {
 		}
 		clear(ls.recs) // a free listState must not pin slabs
 		ls.recs = ls.recs[:0]
+		ls.tab = nil // nor carry another cache's table (SetCache)
 		ls.cycles = 0
 		ls.decoded = false
 		r.lsFree = append(r.lsFree, ls)
@@ -507,8 +511,9 @@ func (r *run) computeTime() sim.Duration {
 }
 
 // stateFor returns (creating on first touch) the run's bookkeeping record
-// for a posting list. Cleared records recycle through lsFree so steady-state
-// queries probe one map and allocate nothing.
+// for a posting list, resolving the list's block table on the way: one
+// registry probe per (run, list). Cleared records recycle through lsFree so
+// steady-state queries allocate nothing.
 //
 //boss:hotpath one call per (list, pass) on each execution path.
 func (r *run) stateFor(pl *index.PostingList) *listState {
@@ -520,6 +525,7 @@ func (r *run) stateFor(pl *index.PostingList) *listState {
 		} else {
 			ls = new(listState) //boss:escape-ok free-list miss: one listState per first-touched list, recycled via lsFree
 		}
+		ls.tab = r.acc.cache.Table(pl.ID(), cache.ClassPosting, len(pl.Blocks))
 		r.lists[pl] = ls
 	}
 	return ls
@@ -600,8 +606,7 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs
 	rec := &ls.recs[ri]
 
 	ch := r.acc.cache
-	key := cache.Key{List: pl.ID(), Block: uint32(b)}
-	ent := ch.Get(key)
+	ent := ls.tab.Get(b)
 
 	// BOSS fetches blocks in ascending docID order with look-ahead from
 	// the metadata scan, so even post-skip fetches stream at sequential
@@ -627,7 +632,7 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs
 	r.m.PostingsDecoded += int64(meta.Count)
 
 	if ent == nil {
-		if ent = r.decodeBlock(pl, b, key); ent == nil {
+		if ent = r.decodeBlock(ls, pl, b); ent == nil {
 			return nil, nil, false
 		}
 	}
@@ -640,12 +645,12 @@ func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs
 // decodeBlock is fetchBlock's miss arm: it checks the block's payload, runs
 // the docID stream (delta-coded from the block's first docID) and then the tf
 // stream through the decompression module into a reserved slab, and publishes
-// the slab under key with the cycles the two streams took. It returns the
-// pinned entry to use — the cache's, or a caller-owned one when the cache
-// does not admit it — or nil with a typed error latched on the run.
+// the slab through the list's table with the cycles the two streams took. It
+// returns the pinned entry to use — the cache's, or a caller-owned one when
+// the cache does not admit it — or nil with a typed error latched on the run.
 //
 //boss:hotpath the decode arm of the per-block fetch loop.
-func (r *run) decodeBlock(pl *index.PostingList, b int, key cache.Key) *cache.Entry {
+func (r *run) decodeBlock(ls *listState, pl *index.PostingList, b int) *cache.Entry {
 	meta := &pl.Blocks[b]
 	payload := pl.Data[meta.Offset : meta.Offset+meta.Length]
 	// Integrity gate: verify the payload CRC before decoding so real
@@ -672,7 +677,7 @@ func (r *run) decodeBlock(pl *index.PostingList, b int, key cache.Key) *cache.En
 		r.failDecode("tf decompression", pl, b, err)
 		return nil
 	}
-	return ch.Publish(key, e, docs, tfs, int64(cyc1+cyc2))
+	return ls.tab.Publish(b, e, docs, tfs, int64(cyc1+cyc2))
 }
 
 // chargeFaultyRead streams one n-byte block from the device under the fault

@@ -46,6 +46,7 @@ func cyclesDuration(cyc int64) sim.Duration {
 type FetchEngine struct {
 	ds     *docstore.Store
 	cache  *cache.Cache
+	tab    *cache.Table // the store's block table in cache, resolved by SetCache
 	fault  *mem.Injector
 	faultK uint64 // fault-injection namespace for this store's blocks
 }
@@ -53,7 +54,9 @@ type FetchEngine struct {
 // NewFetchEngine returns a fetch engine over ds, publishing decoded
 // blocks to c (a nil c admits nothing: every fetch decodes its block).
 func NewFetchEngine(ds *docstore.Store, c *cache.Cache) *FetchEngine {
-	return &FetchEngine{ds: ds, cache: c, faultK: mem.StableKey("docstore")}
+	e := &FetchEngine{ds: ds, faultK: mem.StableKey("docstore")}
+	e.SetCache(c)
+	return e
 }
 
 // SetFault attaches a fault injector; doc-block reads then go through the
@@ -62,7 +65,10 @@ func (e *FetchEngine) SetFault(inj *mem.Injector) { e.fault = inj }
 
 // SetCache replaces the engine's decoded-block cache (nil disables
 // caching). Not safe concurrently with fetches; setup-time only.
-func (e *FetchEngine) SetCache(c *cache.Cache) { e.cache = c }
+func (e *FetchEngine) SetCache(c *cache.Cache) {
+	e.cache = c
+	e.tab = c.Table(e.ds.ID(), cache.ClassDoc, e.ds.NumBlocks())
+}
 
 // Store returns the underlying document store.
 func (e *FetchEngine) Store() *docstore.Store { return e.ds }
@@ -114,8 +120,7 @@ func (e *FetchEngine) FetchInto(ctx context.Context, docID uint32, m *perf.Metri
 	m.DocsFetched++
 
 	ch := e.cache
-	key := cache.Key{List: ds.ID(), Block: uint32(bi), Class: cache.ClassDoc}
-	ent := ch.Get(key)
+	ent := e.tab.Get(bi)
 
 	// The modeled device has no DRAM block cache, so every simulated charge
 	// — the SCM stream, the queue hop, the decode cycles — is made here,
@@ -156,7 +161,7 @@ func (e *FetchEngine) FetchInto(ctx context.Context, docID uint32, m *perf.Metri
 			ch.Release(ent)
 			return failDocDecode(bi, err) //boss:escape-ok cold decode-failure error path
 		}
-		ent = ch.PublishBytes(key, ent, dst)
+		ent = e.tab.PublishBytes(bi, ent, dst)
 	}
 	m.AddCompute(cycles)
 	buf.ent, buf.c = ent, ch
