@@ -646,7 +646,8 @@ func (c *Cache) checkInvariants() error {
 	// A ring entry sits in the one slot its key names, so a slot entry that is
 	// on a ring at all is on exactly one, and in no other slot.
 	for id, t := range c.tables {
-		for b, slots := 0, *t.slots.Load(); b < len(slots); b++ {
+		slots := *t.slots.Load()
+		for b := range slots {
 			e := slots[b].Load()
 			if e == nil {
 				continue

@@ -91,6 +91,18 @@ func TestTorture(t *testing.T) {
 		st.Hits, st.Misses, st.Evictions, st.Bypasses)
 }
 
+// decodeBlock plays a publisher's decode: a reserved entry whose slab holds n
+// docIDs first, first+1, … and n copies of tf.
+func decodeBlock(c *cache.Cache, n int, first, tf uint32) (e *cache.Entry, docs, tfs []uint32) {
+	e = c.Reserve(n)
+	docs, tfs = e.DocsBuf(n), e.TfsBuf(n)
+	for i := 0; i < n; i++ {
+		docs = append(docs, first+uint32(i))
+		tfs = append(tfs, tf)
+	}
+	return e, docs, tfs
+}
+
 // TestTableTorture aims at the one place the lock-free hit arm can break: a
 // reader holding a pointer to an entry that is evicted, recycled and
 // republished under another key while the reader is between its slot load and
@@ -148,12 +160,7 @@ func TestTableTorture(t *testing.T) {
 					}
 					continue
 				}
-				e := c.Reserve(blockLen)
-				docs, tfs := e.DocsBuf(blockLen), e.TfsBuf(blockLen)
-				for i := 0; i < blockLen; i++ {
-					docs = append(docs, pattern(list, b, i))
-					tfs = append(tfs, uint32(list))
-				}
+				e, docs, tfs := decodeBlock(c, blockLen, pattern(list, b, 0), uint32(list))
 				got := tab.Publish(b, e, docs, tfs, 0)
 				check(got, list, b)
 				c.Release(got)
@@ -234,12 +241,7 @@ func TestRegrowTorture(t *testing.T) {
 		}(g)
 	}
 	for b := 0; b < blocks; b++ {
-		e := c.Reserve(blockLen)
-		docs, tfs := e.DocsBuf(blockLen), e.TfsBuf(blockLen)
-		for i := 0; i < blockLen; i++ {
-			docs = append(docs, uint32(b+i))
-			tfs = append(tfs, 1)
-		}
+		e, docs, tfs := decodeBlock(c, blockLen, uint32(b), 1)
 		c.Release(c.Publish(cache.Key{List: list, Block: uint32(b)}, e, docs, tfs, 0))
 		published.Store(int64(b + 1))
 	}
