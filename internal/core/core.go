@@ -67,8 +67,9 @@ const maxFetchAttempts = 4
 
 // MaxQueryTerms is the largest term count the device handles in hardware
 // (four BOSS cores with chained mergers, Section IV-D); wider queries are
-// split into subqueries by the host.
-const MaxQueryTerms = 16
+// split into subqueries by the host. query.Prepare refuses them for the
+// serving path, RunCtx for callers that bring a tree.
+const MaxQueryTerms = query.MaxTerms
 
 // Options selects the early-termination features, reproducing the paper's
 // ablation variants.

@@ -376,6 +376,61 @@ func pruneForShard(node *query.Node, has map[string]struct{}) *query.Node {
 	}
 }
 
+// filterDNF narrows a query's shared normal form to one shard: a conjunct
+// survives iff idx — the shard's index — holds every term in it (a
+// conjunction with an absent term matches nothing there; a disjunction just
+// loses the branch). When nothing drops it returns dnf itself, so the common
+// case allocates nothing; it never writes through dnf, which every shard run
+// of the query reads. A zero-length result: the shard has no part in the
+// answer. This is exactly pruning the expression tree and normalising what is
+// left — Node.DNF is an order-preserving cross product with no absorption, so
+// the surviving conjuncts are the pruned tree's, in its order
+// (TestFilterMatchesPrune, FuzzFilterVsPrune) — and every shard runs the same
+// conjuncts in the same order whichever way it is computed.
+func filterDNF(dnf [][]string, idx *index.Index) [][]string {
+	for i := range dnf {
+		if holdsAll(idx, dnf[i]) {
+			continue
+		}
+		kept := append(make([][]string, 0, len(dnf)-1), dnf[:i]...)
+		for _, conj := range dnf[i+1:] {
+			if holdsAll(idx, conj) {
+				kept = append(kept, conj)
+			}
+		}
+		return kept
+	}
+	return dnf
+}
+
+// holdsAll reports whether idx indexes every one of terms.
+func holdsAll(idx *index.Index, terms []string) bool {
+	for _, term := range terms {
+		if idx.List(term) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// filterTerms is filterDNF for a sparse query's term set: a term the shard
+// lacks contributes no impact there and drops out, the rest keep their order.
+func filterTerms(terms []string, idx *index.Index) []string {
+	for i := range terms {
+		if idx.List(terms[i]) != nil {
+			continue
+		}
+		kept := append(make([]string, 0, len(terms)-1), terms[:i]...)
+		for _, term := range terms[i+1:] {
+			if idx.List(term) != nil {
+				kept = append(kept, term)
+			}
+		}
+		return kept
+	}
+	return terms
+}
+
 // ClusterResult is a fanned-out query's outcome.
 type ClusterResult struct {
 	// TopK is the root-merged global ranking.

@@ -1,9 +1,32 @@
 package query
 
-import "testing"
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// andOfOrs is ("a0" OR "b0") AND … AND ("a<n-1>" OR "b<n-1>"): 2n terms
+// whose normal form has 2^n conjuncts.
+func andOfOrs(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString(" AND ")
+		}
+		fmt.Fprintf(&b, `("a%d" OR "b%d")`, i, i)
+	}
+	return b.String()
+}
 
 // FuzzParse checks the expression parser never panics on arbitrary input,
-// and that everything it accepts round-trips stably through String().
+// that everything it accepts round-trips stably through String(), and that
+// Prepare is the per-method derivations gathered once: within the term limit
+// its fields are Node.Terms, Node.DNF and Node.Canonical; over it, a
+// TermLimitError and no normal form (the seeds hold one of 2^32 conjuncts,
+// which no run that built it would survive).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`"a"`,
@@ -28,14 +51,37 @@ func FuzzParse(f *testing.F) {
 		`sparse("x")`,
 		`SPARSE("a") OR "b"`,
 		`SPARSE(`,
+		andOfOrs(8),  // 16 terms: at the limit, 256 conjuncts
+		andOfOrs(9),  // 18: refused
+		andOfOrs(32), // 64: refused before anyone normalises it
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		node, err := Parse(src)
+		p, perr := Prepare(src)
 		if err != nil {
+			if perr == nil || p != nil {
+				t.Fatalf("Prepare accepted what Parse refuses (%v)", err)
+			}
 			return // rejection is fine; panics are not
+		}
+		if n := node.CountTerms(); n > MaxTerms {
+			var lim *TermLimitError
+			if p != nil || !errors.As(perr, &lim) || lim.Terms != n {
+				t.Fatalf("%d terms: Prepare = %v, %v; want a TermLimitError naming the count", n, p, perr)
+			}
+			return // and nothing below may normalise it either
+		}
+		if perr != nil {
+			t.Fatalf("Prepare refused %d terms: %v", node.CountTerms(), perr)
+		}
+		if !reflect.DeepEqual(p.Terms, node.Terms()) || p.Key != node.Canonical() {
+			t.Fatalf("Prepare = %q %v, want Canonical %q and Terms %v", p.Key, p.Terms, node.Canonical(), node.Terms())
+		}
+		if sparse := node.Op == OpSparse; p.Sparse() != sparse || (!sparse && !reflect.DeepEqual(p.DNF, node.DNF())) {
+			t.Fatalf("Prepare's DNF = %v (sparse %v), want %v", p.DNF, p.Sparse(), node)
 		}
 		rendered := node.String()
 		again, err := Parse(rendered)
