@@ -29,7 +29,8 @@ type Out struct {
 }
 
 // Backend executes a formed batch. Implementations must fill out[i] for
-// every qs[i] before returning; out has exactly len(qs) entries.
+// every qs[i] before returning; out has exactly len(qs) entries. Every search
+// arrives with Prepared set: the key cache's shared value, read, never written.
 type Backend interface {
 	// Shards reports the backend's shard count, used to size degradation
 	// masks. A single-device backend reports 1.

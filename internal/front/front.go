@@ -198,11 +198,10 @@ type Ticket struct {
 // executes once and fans its result out to all waiters.
 type flight struct {
 	key      flightKey
-	expr     string   // representative expression to execute
-	fetchIDs []uint32 // non-empty: a document-fetch flight (expr is empty)
-	k        int
-	mask     uint64
-	deadline time.Time // earliest deadline among waiters
+	expr     string          // representative expression to execute
+	prep     *query.Prepared // expr prepared: the key cache's value (nil for a fetch)
+	fetchIDs []uint32        // non-empty: a document-fetch flight (expr is empty)
+	deadline time.Time       // earliest deadline among waiters
 	waiters  *Ticket
 	nwait    int
 	pending  bool
@@ -218,11 +217,11 @@ type batch struct {
 	free    *batch
 }
 
-// keyEntry caches one expression's canonicalization so repeated
-// submissions of the same expression never re-parse.
+// keyEntry caches one expression's preparation — or its refusal — so
+// repeated submissions of the same expression never parse again.
 type keyEntry struct {
-	canon string
-	err   error
+	prep *query.Prepared
+	err  error
 }
 
 // bucket is one tenant's token bucket, refilled lazily off the clock.
@@ -336,7 +335,7 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 		f.mu.Unlock()
 		return nil, ErrClosed
 	}
-	canon, err := f.canonRequestLocked(&req)
+	canon, prep, err := f.prepareLocked(&req)
 	if err != nil {
 		f.mu.Unlock()
 		return nil, err
@@ -405,9 +404,8 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 	fl := f.getFlightLocked() //boss:escape-ok free-list miss inside inlined getFlightLocked
 	fl.key = key
 	fl.expr = req.Expr
+	fl.prep = prep
 	fl.fetchIDs = append(fl.fetchIDs[:0], req.FetchIDs...)
-	fl.k = k
-	fl.mask = mask
 	fl.deadline = deadline
 	f.flights[key] = fl
 	f.pushPendingLocked(fl)
@@ -533,43 +531,42 @@ func (t *Ticket) cancel(cause error) Result {
 // string ever submitted — malformed, rejected and shed ones included — so
 // unbounded it grows with the server's lifetime; when full it is cleared
 // and refills from the live stream. In-flight twins still coalesce across
-// a clear: flights are keyed by the canonical string, which a re-parse
-// reproduces. The largest bench/ stream has 8,000 distinct expressions.
+// a clear: flights are keyed by the canonical string, which preparing the
+// expression again reproduces, and each flight keeps its own prepared query.
+// An entry is a whole prepared query: 340–450 bytes on the bench/ streams
+// (map slot, expression, key, terms, normal form), so 21–28 MiB at maxKeys
+// and 2.7–3.6 MB at the largest stream's 8,000 distinct expressions; 53 KB at
+// the widest the term limit admits (3·3·3·3·2·2 = 324 conjuncts of 6 terms),
+// 3.3 GiB at maxKeys.
 const maxKeys = 1 << 16
 
-// canonLocked resolves an expression to its canonical DNF key through
-// the key cache; only the first sighting of an expression parses.
+// prepareLocked resolves a request to its coalescing key and, for a search,
+// the prepared query its flight will carry: the key cache's value, whose Key
+// is the canonical DNF. Only an expression's first sighting is parsed, held
+// to the term limit and normalised (query.Prepare, in that order: the limit,
+// not the expression, bounds the work done under the mutex); a refusal is
+// cached like a success. A fetch's key is its rendered id list.
 //
-//boss:hotpath one map probe per request in steady state.
-func (f *Front) canonLocked(expr string) (string, error) {
-	if e, ok := f.keys[expr]; ok {
-		return e.canon, e.err
+//boss:hotpath one map probe per search request in steady state; fetch keys are built by the outlined fetchCanon.
+func (f *Front) prepareLocked(req *Request) (string, *query.Prepared, error) {
+	if len(req.FetchIDs) > 0 {
+		if req.Expr != "" {
+			return "", nil, ErrMixedRequest
+		}
+		return fetchCanon(req.FetchIDs), nil, nil
 	}
-	if len(f.keys) >= maxKeys {
-		clear(f.keys)
+	e, ok := f.keys[req.Expr]
+	if !ok {
+		if len(f.keys) >= maxKeys {
+			clear(f.keys)
+		}
+		e.prep, e.err = query.Prepare(req.Expr)
+		f.keys[req.Expr] = e
 	}
-	node, err := query.Parse(expr)
-	if err != nil {
-		f.keys[expr] = keyEntry{err: err}
-		return "", err
+	if e.err != nil {
+		return "", nil, e.err
 	}
-	canon := node.Canonical()
-	f.keys[expr] = keyEntry{canon: canon}
-	return canon, nil
-}
-
-// canonRequestLocked resolves a request to its coalescing key: the
-// canonical DNF for queries, a rendered id-list key for fetches.
-//
-//boss:hotpath one branch plus canonLocked per search request; fetch keys are built by the outlined fetchCanon.
-func (f *Front) canonRequestLocked(req *Request) (string, error) {
-	if len(req.FetchIDs) == 0 {
-		return f.canonLocked(req.Expr)
-	}
-	if req.Expr != "" {
-		return "", ErrMixedRequest
-	}
-	return fetchCanon(req.FetchIDs), nil
+	return e.prep.Key, e.prep, nil
 }
 
 // fetchCanon renders a fetch request's coalescing key. The leading NUL
@@ -706,7 +703,7 @@ func (f *Front) flushLocked(reason int) {
 		fl.next = nil
 		fl.pending = false
 		bt.flights = append(bt.flights, fl)
-		bt.qs = append(bt.qs, pool.BatchQuery{Expr: fl.expr, FetchIDs: fl.fetchIDs, K: fl.k, ShardMask: fl.mask})
+		bt.qs = append(bt.qs, pool.BatchQuery{Expr: fl.expr, Prepared: fl.prep, FetchIDs: fl.fetchIDs, K: fl.key.k, ShardMask: fl.key.mask})
 		bt.outs = append(bt.outs, Out{})
 		fl = next
 	}
@@ -895,9 +892,8 @@ func (f *Front) getFlightLocked() *flight {
 func (f *Front) putFlightLocked(fl *flight) {
 	fl.key = flightKey{}
 	fl.expr = ""
+	fl.prep = nil
 	fl.fetchIDs = fl.fetchIDs[:0]
-	fl.k = 0
-	fl.mask = 0
 	fl.deadline = time.Time{}
 	fl.waiters = nil
 	fl.nwait = 0

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -40,13 +41,6 @@ type Cluster struct {
 	// through pickReplica; with Replicas == 1 that is always replica 0,
 	// byte-identical to single-copy serving.
 	accs [][]*core.Accelerator
-	// present is the cluster-level term-presence set, built once so query
-	// validation does not rescan every shard's dictionary per term.
-	present map[string]struct{}
-	// shardTerms[si] is shard si's term-presence set, built once so the
-	// query path prunes with map probes instead of re-deriving a presence
-	// closure from the shard dictionary on every Search.
-	shardTerms []map[string]struct{}
 	// cache is the cross-query decoded-block cache shared by every shard's
 	// wall-clock accelerator (nil when Config.CacheBytes <= 0).
 	cache *cache.Cache
@@ -174,16 +168,6 @@ func NewCluster(cfg Config, c *corpus.Corpus, shards int) (*Cluster, error) {
 		// follows the workload's skew instead of splitting it evenly.
 		cl.accs = append(cl.accs, cl.buildReplicas(idx))
 	}
-	cl.present = make(map[string]struct{}, len(c.Terms))
-	cl.shardTerms = make([]map[string]struct{}, len(cl.shards))
-	for si, idx := range cl.shards {
-		terms := make(map[string]struct{}, len(idx.Lists))
-		for term := range idx.Lists {
-			terms[term] = struct{}{}
-			cl.present[term] = struct{}{}
-		}
-		cl.shardTerms[si] = terms
-	}
 	cl.initResilience(cfg.Resilience)
 	return cl, nil
 }
@@ -203,8 +187,8 @@ func (cl *Cluster) buildReplicas(idx *index.Index) []*core.Accelerator {
 // Fresh returns a new cluster over the same built shard indexes with
 // fresh serving state: its own decoded-block cache, accelerators,
 // breaker/event state, no fault plan, and an unbuilt fetch phase. The
-// expensive immutable artifacts — shard corpora, index builds, presence
-// sets — are shared with the receiver, so sweeps that need per-point
+// expensive immutable artifacts — shard corpora, index builds — are
+// shared with the receiver, so sweeps that need per-point
 // state isolation (the chaos harness) pay index construction once
 // instead of once per sweep point. cfg may differ from the receiver's
 // (a different cache budget, replica count, or resilience policy).
@@ -213,14 +197,12 @@ func (cl *Cluster) Fresh(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	nc := &Cluster{
-		cfg:        cfg,
-		shards:     cl.shards,
-		offsets:    cl.offsets,
-		present:    cl.present,
-		shardTerms: cl.shardTerms,
-		cache:      cache.New(cfg.CacheBytes),
-		spec:       cl.spec,
-		docLens:    cl.docLens,
+		cfg:     cfg,
+		shards:  cl.shards,
+		offsets: cl.offsets,
+		cache:   cache.New(cfg.CacheBytes),
+		spec:    cl.spec,
+		docLens: cl.docLens,
 	}
 	for _, idx := range nc.shards {
 		nc.accs = append(nc.accs, nc.buildReplicas(idx))
@@ -299,138 +281,6 @@ func shardCorpus(c *corpus.Corpus, lo, hi uint32) *corpus.Corpus {
 // Shards reports the number of populated memory nodes.
 func (cl *Cluster) Shards() int { return len(cl.shards) }
 
-// pruneForShard rewrites a query for a shard where some terms may be
-// absent: a conjunction containing an absent term matches nothing; a
-// disjunction drops absent branches. Returns nil when the shard cannot
-// match anything. has is the shard's presence set from Cluster.shardTerms,
-// built once at construction.
-func pruneForShard(node *query.Node, has map[string]struct{}) *query.Node {
-	switch node.Op {
-	case query.OpTerm:
-		if _, ok := has[node.Term]; ok {
-			return node
-		}
-		return nil
-	case query.OpAnd:
-		kept := make([]*query.Node, 0, len(node.Children))
-		changed := false
-		for _, c := range node.Children {
-			p := pruneForShard(c, has)
-			if p == nil {
-				return nil // one empty operand empties the conjunction
-			}
-			if p != c {
-				changed = true
-			}
-			kept = append(kept, p)
-		}
-		if !changed {
-			// Nothing pruned: hand back the original node so the caller can
-			// recognize the query survived intact and reuse its shared DNF.
-			return node
-		}
-		return query.And(kept...)
-	case query.OpOr:
-		kept := make([]*query.Node, 0, len(node.Children))
-		changed := false
-		for _, c := range node.Children {
-			p := pruneForShard(c, has)
-			if p == nil {
-				changed = true
-				continue
-			}
-			if p != c {
-				changed = true
-			}
-			kept = append(kept, p)
-		}
-		if len(kept) == 0 {
-			return nil
-		}
-		if !changed {
-			return node
-		}
-		return query.Or(kept...)
-	case query.OpSparse:
-		// Sparse queries drop absent terms per shard (a missing term just
-		// contributes no impact); a shard holding none of them cannot
-		// match anything.
-		kept := make([]*query.Node, 0, len(node.Children))
-		changed := false
-		for _, c := range node.Children {
-			if _, ok := has[c.Term]; ok {
-				kept = append(kept, c)
-			} else {
-				changed = true
-			}
-		}
-		if len(kept) == 0 {
-			return nil
-		}
-		if !changed {
-			return node
-		}
-		return &query.Node{Op: query.OpSparse, Children: kept}
-	default:
-		return nil
-	}
-}
-
-// filterDNF narrows a query's shared normal form to one shard: a conjunct
-// survives iff idx — the shard's index — holds every term in it (a
-// conjunction with an absent term matches nothing there; a disjunction just
-// loses the branch). When nothing drops it returns dnf itself, so the common
-// case allocates nothing; it never writes through dnf, which every shard run
-// of the query reads. A zero-length result: the shard has no part in the
-// answer. This is exactly pruning the expression tree and normalising what is
-// left — Node.DNF is an order-preserving cross product with no absorption, so
-// the surviving conjuncts are the pruned tree's, in its order
-// (TestFilterMatchesPrune, FuzzFilterVsPrune) — and every shard runs the same
-// conjuncts in the same order whichever way it is computed.
-func filterDNF(dnf [][]string, idx *index.Index) [][]string {
-	for i := range dnf {
-		if holdsAll(idx, dnf[i]) {
-			continue
-		}
-		kept := append(make([][]string, 0, len(dnf)-1), dnf[:i]...)
-		for _, conj := range dnf[i+1:] {
-			if holdsAll(idx, conj) {
-				kept = append(kept, conj)
-			}
-		}
-		return kept
-	}
-	return dnf
-}
-
-// holdsAll reports whether idx indexes every one of terms.
-func holdsAll(idx *index.Index, terms []string) bool {
-	for _, term := range terms {
-		if idx.List(term) == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// filterTerms is filterDNF for a sparse query's term set: a term the shard
-// lacks contributes no impact there and drops out, the rest keep their order.
-func filterTerms(terms []string, idx *index.Index) []string {
-	for i := range terms {
-		if idx.List(terms[i]) != nil {
-			continue
-		}
-		kept := append(make([]string, 0, len(terms)-1), terms[:i]...)
-		for _, term := range terms[i+1:] {
-			if idx.List(term) != nil {
-				kept = append(kept, term)
-			}
-		}
-		return kept
-	}
-	return terms
-}
-
 // ClusterResult is a fanned-out query's outcome.
 type ClusterResult struct {
 	// TopK is the root-merged global ranking.
@@ -467,39 +317,15 @@ type ClusterResult struct {
 	ServedBy []int
 }
 
-// validate parses the expression and rejects terms entirely absent from the
-// collection, matching the single-node engines. The presence set is built
-// once in NewCluster, so validation is one map probe per term instead of a
-// scan over every shard.
-func (cl *Cluster) validate(expr string) (*query.Node, error) {
-	node, err := query.Parse(expr)
-	if err != nil {
-		return nil, err
+// prepare is query.Prepare for the entry points handed a string and nothing
+// prepared (exec, RunBatch, Device.Submit), refusing in the pool's name.
+func prepare(expr string) (*query.Prepared, error) {
+	p, err := query.Prepare(expr)
+	var lim *query.TermLimitError
+	if errors.As(err, &lim) {
+		return nil, fmt.Errorf("pool: %w", lim)
 	}
-	if n := node.CountTerms(); n > core.MaxQueryTerms {
-		return nil, fmt.Errorf("pool: query has %d terms; hardware handles up to %d", n, core.MaxQueryTerms)
-	}
-	for _, term := range node.Terms() {
-		if _, ok := cl.present[term]; !ok {
-			return nil, fmt.Errorf("pool: term %q not indexed on any shard", term)
-		}
-	}
-	return node, nil
-}
-
-// prepare validates the expression and normalizes it to DNF once, so the
-// per-shard runs share one normalization instead of re-deriving it.
-// Sparse queries have no DNF; their shared normalization is the term
-// list, re-extracted per shard only when pruning changed the query.
-func (cl *Cluster) prepare(expr string) (*query.Node, [][]string, error) {
-	node, err := cl.validate(expr)
-	if err != nil {
-		return nil, nil, err
-	}
-	if node.Op == query.OpSparse {
-		return node, nil, nil
-	}
-	return node, node.DNF(), nil
+	return p, err
 }
 
 // workers resolves the host-side fan-out width: cfg.Workers, capped at n,
@@ -530,15 +356,74 @@ type shardOut struct {
 	hedgeWin bool
 }
 
-// shardWork is what one request asks of every shard: a search (node set:
-// the prepared query, its shared DNF, depth and stable replica key) or a
-// fetch (node nil: the docIDs routed to each shard, where each goes back in
-// the input, and the result's Docs the attempts fill in place). It is passed
-// by value all the way down, so it never escapes to the heap, and runShard
-// can narrow its own copy's node and dnf to the terms its shard holds.
+// plan is what a search asks of one accelerator, in query.Prepared's terms:
+// a normal form or, when dnf is nil (a sparse query), a term set. It starts as
+// the prepared query's own slices, which every run shares and none may write.
+type plan struct {
+	dnf   [][]string
+	terms []string
+}
+
+// narrow restricts pl to what one shard can answer: a conjunct survives iff
+// idx holds all its terms, a sparse term iff idx holds it; ok is false when
+// none does and the shard has no part in the answer. This is exactly pruning
+// the expression and normalising the rest: Node.DNF is an order-preserving
+// cross product (TestFilterMatchesPrune, FuzzFilterVsPrune).
+func (pl plan) narrow(idx *index.Index) (_ plan, ok bool) {
+	if pl.dnf != nil {
+		pl.dnf = filter(pl.dnf, idx, holdsAll)
+		return pl, len(pl.dnf) > 0
+	}
+	pl.terms = filter(pl.terms, idx, holds)
+	return pl, len(pl.terms) > 0
+}
+
+// run executes pl on acc under ctx (nil: none).
+func (pl plan) run(ctx context.Context, acc *core.Accelerator, k int) (core.Result, error) {
+	if pl.dnf != nil {
+		return acc.RunDNFCtx(ctx, pl.dnf, k)
+	}
+	return acc.RunSparseCtx(ctx, pl.terms, k)
+}
+
+// filter returns the xs that idx holds: xs itself when that is all of them
+// (the common case allocates nothing), else a copy — xs is shared.
+func filter[T any](xs []T, idx *index.Index, held func(*index.Index, T) bool) []T {
+	n := 0
+	for n < len(xs) && held(idx, xs[n]) {
+		n++
+	}
+	if n == len(xs) {
+		return xs
+	}
+	kept := append(make([]T, 0, len(xs)-1), xs[:n]...)
+	for _, x := range xs[n+1:] {
+		if held(idx, x) {
+			kept = append(kept, x)
+		}
+	}
+	return kept
+}
+
+func holds(idx *index.Index, term string) bool { return idx.List(term) != nil }
+
+func holdsAll(idx *index.Index, conj []string) bool {
+	for _, term := range conj {
+		if !holds(idx, term) {
+			return false
+		}
+	}
+	return true
+}
+
+// shardWork is what one request asks of every shard: a search (ids nil: the
+// query's plan, depth and stable replica key) or a fetch (the docIDs routed
+// to each shard, where each goes back in the input, and the result's Docs the
+// attempts fill in place). It is passed by value all the way down, so it
+// never escapes to the heap, and runShard can narrow its own copy's plan to
+// the terms its shard holds.
 type shardWork struct {
-	node *query.Node
-	dnf  [][]string
+	plan
 	k    int
 	qkey uint64
 
@@ -554,6 +439,10 @@ type shardWork struct {
 type BatchQuery struct {
 	// Expr is the boolean query expression (search queries).
 	Expr string
+	// Prepared, when non-nil, is query.Prepare(Expr)'s value, carried by a
+	// caller that holds it already (the front door's key cache) and only
+	// read; nil has exec prepare Expr. Expr is the replica key either way.
+	Prepared *query.Prepared
 	// K is the query's top-k depth (<= 0 uses the cluster config's K).
 	K int
 	// ShardMask, when non-zero, restricts execution to the shards whose
@@ -621,7 +510,8 @@ dispatch:
 	return dispatched
 }
 
-// exec is the cluster's one request path: it prepares the query, sweeps
+// exec is the cluster's one request path: it prepares the query unless the
+// caller carried it prepared, checks its terms are indexed somewhere, sweeps
 // it across the shards (sweep), folds the survivors (mergePartial) and,
 // for WithDocs, chains into the fetch arm; fetch queries go straight
 // there. shardWorkers is the shard fan-out width: 1 sweeps the shards on
@@ -638,12 +528,22 @@ func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	node, dnf, err := cl.prepare(q.Expr)
-	if err != nil {
-		return nil, err
+	p := q.Prepared
+	if p == nil {
+		var err error
+		if p, err = prepare(q.Expr); err != nil {
+			return nil, err
+		}
+	}
+	// A term no shard indexes is an error, as on the single-node engines;
+	// nearly every term is on the first shard asked.
+	for _, term := range p.Terms {
+		if !slices.ContainsFunc(cl.shards, func(idx *index.Index) bool { return holds(idx, term) }) {
+			return nil, fmt.Errorf("pool: term %q not indexed on any shard", term)
+		}
 	}
 	k := cl.depth(q.K)
-	outs := cl.sweep(ctx, shardWork{node: node, dnf: dnf, k: k, qkey: mem.StableKey(q.Expr)}, q.ShardMask, shardWorkers)
+	outs := cl.sweep(ctx, shardWork{plan: plan{p.DNF, p.Terms}, k: k, qkey: mem.StableKey(q.Expr)}, q.ShardMask, shardWorkers)
 	// A context that died mid-sweep fails the query, whatever shards ran.
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -805,17 +705,17 @@ func (cl *Cluster) RunBatch(exprs []string, gap sim.Duration, cfg Config) (*Clus
 		}
 	}
 	for qi, expr := range exprs {
-		node, err := query.Parse(expr)
+		p, err := prepare(expr)
 		if err != nil {
 			return nil, err
 		}
 		at := sim.Time(qi) * gap
 		for si, d := range devices {
-			pruned := pruneForShard(node, cl.shardTerms[si])
-			if pruned == nil {
+			pl, ok := plan{p.DNF, p.Terms}.narrow(cl.shards[si])
+			if !ok {
 				continue
 			}
-			if err := d.Submit(pruned.String(), at); err != nil {
+			if err := d.enqueue(pl, at); err != nil {
 				return nil, fmt.Errorf("pool: node %d: %w", si, err)
 			}
 		}

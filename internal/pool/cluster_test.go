@@ -142,35 +142,6 @@ func TestClusterLinkTrafficIsPerShardTopK(t *testing.T) {
 	}
 }
 
-func TestPruneForShard(t *testing.T) {
-	has := map[string]struct{}{"a": {}, "b": {}}
-	cases := []struct {
-		expr string
-		want string // "" means pruned to nothing
-	}{
-		{`"a"`, `"a"`},
-		{`"z"`, ``},
-		{`"a" AND "b"`, `"a" AND "b"`},
-		{`"a" AND "z"`, ``},
-		{`"a" OR "z"`, `"a"`},
-		{`"z" OR "y"`, ``},
-		{`"a" AND ("b" OR "z")`, `"a" AND "b"`},
-		{`"z" AND ("a" OR "b")`, ``},
-	}
-	for _, tc := range cases {
-		got := pruneForShard(query.MustParse(tc.expr), has)
-		if tc.want == "" {
-			if got != nil {
-				t.Errorf("prune(%s) = %s, want nil", tc.expr, got)
-			}
-			continue
-		}
-		if got == nil || got.String() != tc.want {
-			t.Errorf("prune(%s) = %v, want %s", tc.expr, got, tc.want)
-		}
-	}
-}
-
 func TestClusterGlobalStatsMatter(t *testing.T) {
 	// Building shards WITHOUT global stats must (in general) change
 	// scores: this guards against silently dropping the global-stats

@@ -33,35 +33,45 @@ func renderDNF(dnf [][]string) string {
 	return strings.Join(conjs, "|")
 }
 
-// TestFilterDNF: what narrowing a query to a shard holding only "a" and "b"
-// leaves of it, conjunct by conjunct and in order.
-func TestFilterDNF(t *testing.T) {
-	idx, _ := dictIndex("a", "b")
+// TestPruneForShard: what a shard holding only "a" and "b" keeps of a query,
+// by the reference prune of the tree and, conjunct by conjunct and in order,
+// by the filter over the prepared normal form.
+func TestPruneForShard(t *testing.T) {
+	idx, has := dictIndex("a", "b")
 	cases := []struct {
 		expr string
-		want string // "" means the shard has no part in the answer
+		want string // "" means pruned to nothing
+		dnf  string // the filtered normal form
 	}{
-		{`"a"`, `a`},
-		{`"z"`, ``},
-		{`"a" AND "b"`, `a&b`},
-		{`"a" AND "z"`, ``},
-		{`"a" OR "z"`, `a`},
-		{`"z" OR "y"`, ``},
-		{`"a" AND ("b" OR "z")`, `a&b`},
-		{`"z" AND ("a" OR "b")`, ``},
-		{`("z" OR "b") AND ("a" OR "y") AND "b"`, `b&a&b`},
-		{`"b" OR ("a" AND "z") OR "a"`, `b|a`},
+		{`"a"`, `"a"`, `a`},
+		{`"z"`, ``, ``},
+		{`"a" AND "b"`, `"a" AND "b"`, `a&b`},
+		{`"a" AND "z"`, ``, ``},
+		{`"a" OR "z"`, `"a"`, `a`},
+		{`"z" OR "y"`, ``, ``},
+		{`"a" AND ("b" OR "z")`, `"a" AND "b"`, `a&b`},
+		{`"z" AND ("a" OR "b")`, ``, ``},
+		{`("z" OR "b") AND ("a" OR "y") AND "b"`, `"b" AND "a" AND "b"`, `b&a&b`},
+		{`"b" OR ("a" AND "z") OR "a"`, `"b" OR "a"`, `b|a`},
 	}
 	for _, tc := range cases {
+		got := pruneForShard(query.MustParse(tc.expr), has)
+		if tc.want == "" {
+			if got != nil {
+				t.Errorf("prune(%s) = %s, want nil", tc.expr, got)
+			}
+		} else if got == nil || got.String() != tc.want {
+			t.Errorf("prune(%s) = %v, want %s", tc.expr, got, tc.want)
+		}
 		p, err := query.Prepare(tc.expr)
 		if err != nil {
 			t.Fatalf("Prepare(%s): %v", tc.expr, err)
 		}
-		got := filterDNF(p.DNF, idx)
-		if renderDNF(got) != tc.want {
-			t.Errorf("filter(%s) = %q, want %q", tc.expr, renderDNF(got), tc.want)
+		kept := filter(p.DNF, idx, holdsAll)
+		if renderDNF(kept) != tc.dnf {
+			t.Errorf("filter(%s) = %q, want %q", tc.expr, renderDNF(kept), tc.dnf)
 		}
-		if dropped := len(got) != len(p.DNF); !dropped && &got[0] != &p.DNF[0] {
+		if len(kept) == len(p.DNF) && &kept[0] != &p.DNF[0] {
 			t.Errorf("filter(%s) dropped nothing but did not hand back the shared slice", tc.expr)
 		}
 	}
@@ -73,18 +83,18 @@ func TestFilterDNF(t *testing.T) {
 func TestFilterTerms(t *testing.T) {
 	idx, _ := dictIndex("a", "b", "c")
 	all := []string{"c", "a", "b"}
-	if got := filterTerms(all, idx); len(got) != 3 || &got[0] != &all[0] {
+	if got := filter(all, idx, holds); len(got) != 3 || &got[0] != &all[0] {
 		t.Fatalf("all present: got %v, want the input slice itself", got)
 	}
 	some := []string{"z", "c", "y", "a", "x"}
 	before := append([]string(nil), some...)
-	if got := filterTerms(some, idx); !reflect.DeepEqual(got, []string{"c", "a"}) {
+	if got := filter(some, idx, holds); !reflect.DeepEqual(got, []string{"c", "a"}) {
 		t.Fatalf("some absent: got %v, want [c a]", got)
 	}
 	if !reflect.DeepEqual(some, before) {
 		t.Fatalf("the shared term set was written: %v", some)
 	}
-	if got := filterTerms([]string{"z", "y"}, idx); len(got) != 0 {
+	if got := filter([]string{"z", "y"}, idx, holds); len(got) != 0 {
 		t.Fatalf("none present: got %v, want nothing", got)
 	}
 }
@@ -119,13 +129,13 @@ func checkFilterVsPrune(t *testing.T, node *query.Node, dict []string) (dropped,
 	if node.Op == query.OpSparse {
 		terms := node.Terms()
 		before := append([]string(nil), terms...)
-		got := filterTerms(terms, idx)
+		got := filter(terms, idx, holds)
 		var want []string
 		if pruned != nil {
 			want = pruned.Terms()
 		}
 		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("%s over %v: filterTerms = %v, pruned tree's terms = %v", node, dict, got, want)
+			t.Fatalf("%s over %v: filter = %v, pruned tree's terms = %v", node, dict, got, want)
 		}
 		if !reflect.DeepEqual(terms, before) {
 			t.Fatalf("%s over %v: the shared term set was written", node, dict)
@@ -134,7 +144,7 @@ func checkFilterVsPrune(t *testing.T, node *query.Node, dict []string) (dropped,
 	}
 	dnf := node.DNF()
 	before := node.DNF()
-	got := filterDNF(dnf, idx)
+	got := filter(dnf, idx, holdsAll)
 	var want [][]string
 	if pruned != nil {
 		want = pruned.DNF()
@@ -209,4 +219,81 @@ func FuzzFilterVsPrune(f *testing.F) {
 		}
 		checkFilterVsPrune(t, node, dict)
 	})
+}
+
+// pruneForShard is the reference the filters are held to, and until they
+// replaced it what runShard ran: it rewrites the expression tree for a shard
+// where some terms may be absent — a conjunction containing an absent term
+// matches nothing, a disjunction drops absent branches — and returns nil when
+// the shard cannot match anything, the node itself when nothing was pruned.
+func pruneForShard(node *query.Node, has map[string]struct{}) *query.Node {
+	switch node.Op {
+	case query.OpTerm:
+		if _, ok := has[node.Term]; ok {
+			return node
+		}
+		return nil
+	case query.OpAnd:
+		kept := make([]*query.Node, 0, len(node.Children))
+		changed := false
+		for _, c := range node.Children {
+			p := pruneForShard(c, has)
+			if p == nil {
+				return nil // one empty operand empties the conjunction
+			}
+			if p != c {
+				changed = true
+			}
+			kept = append(kept, p)
+		}
+		if !changed {
+			// Nothing pruned: hand back the original node so the caller can
+			// recognize the query survived intact and reuse its shared DNF.
+			return node
+		}
+		return query.And(kept...)
+	case query.OpOr:
+		kept := make([]*query.Node, 0, len(node.Children))
+		changed := false
+		for _, c := range node.Children {
+			p := pruneForShard(c, has)
+			if p == nil {
+				changed = true
+				continue
+			}
+			if p != c {
+				changed = true
+			}
+			kept = append(kept, p)
+		}
+		if len(kept) == 0 {
+			return nil
+		}
+		if !changed {
+			return node
+		}
+		return query.Or(kept...)
+	case query.OpSparse:
+		// Sparse queries drop absent terms per shard (a missing term just
+		// contributes no impact); a shard holding none of them cannot
+		// match anything.
+		kept := make([]*query.Node, 0, len(node.Children))
+		changed := false
+		for _, c := range node.Children {
+			if _, ok := has[c.Term]; ok {
+				kept = append(kept, c)
+			} else {
+				changed = true
+			}
+		}
+		if len(kept) == 0 {
+			return nil
+		}
+		if !changed {
+			return node
+		}
+		return &query.Node{Op: query.OpSparse, Children: kept}
+	default:
+		return nil
+	}
 }

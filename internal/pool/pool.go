@@ -20,7 +20,6 @@ import (
 	"boss/internal/index"
 	"boss/internal/mem"
 	"boss/internal/perf"
-	"boss/internal/query"
 	"boss/internal/sim"
 )
 
@@ -91,8 +90,6 @@ func DefaultConfig() Config {
 
 // Job is one query flowing through the device.
 type Job struct {
-	Expr   string
-	node   *query.Node
 	m      *perf.Metrics
 	Submit sim.Time
 	Start  sim.Time
@@ -159,19 +156,26 @@ func (d *Device) SetFault(inj *mem.Injector) {
 }
 
 // Submit enqueues a query at the given simulated arrival time. It returns
-// an error if the expression does not parse or references unknown terms.
+// an error if the expression does not parse, is over the term limit or
+// references unknown terms.
 func (d *Device) Submit(expr string, at sim.Time) error {
-	node, err := query.Parse(expr)
+	p, err := prepare(expr)
 	if err != nil {
 		return err
 	}
+	return d.enqueue(plan{p.DNF, p.Terms}, at)
+}
+
+// enqueue is Submit for a prepared query's plan, whole or narrowed to this
+// device's shard (Cluster.RunBatch).
+func (d *Device) enqueue(pl plan, at sim.Time) error {
 	// Pre-flight the query on the core model: this yields the work metrics
 	// whose traffic the event simulation replays under contention.
-	res, err := d.acc.Run(node, d.cfg.K)
+	res, err := pl.run(nil, d.acc, d.cfg.K)
 	if err != nil {
 		return err
 	}
-	j := &Job{Expr: expr, node: node, m: res.M, Submit: at}
+	j := &Job{m: res.M, Submit: at}
 	d.jobs = append(d.jobs, j)
 	d.queue = append(d.queue, j)
 	return nil

@@ -222,8 +222,8 @@ func TestEmptyPruneIsNotACopyHealthSignal(t *testing.T) {
 	fake.Advance(2 * cfg.Resilience.BreakerCooldown)
 
 	var absent []string // terms some other shard holds and shard 0 does not
-	for term := range cl.shardTerms[1] {
-		if _, ok := cl.shardTerms[0][term]; !ok {
+	for term := range cl.shards[1].Lists {
+		if _, ok := cl.shards[0].Lists[term]; !ok {
 			absent = append(absent, term)
 		}
 	}
@@ -402,11 +402,11 @@ func TestHedgeBackupWins(t *testing.T) {
 	run, stalled := stragglerRun(cl, fake, hedgePrimary(cl, expr))
 	cl.runFn = run
 
-	node, dnf, err := cl.prepare(expr)
+	p, err := prepare(expr)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	want := cl.attempt(context.Background(), shardWork{node: node, dnf: dnf, k: 15}, 0, 0)
+	want := cl.attempt(context.Background(), shardWork{plan: plan{p.DNF, p.Terms}, k: 15}, 0, 0)
 	if want.err != nil {
 		t.Fatalf("direct attempt: %v", want.err)
 	}

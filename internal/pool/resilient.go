@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"boss/internal/clock"
-	"boss/internal/core"
 	"boss/internal/mem"
-	"boss/internal/query"
 	"boss/internal/topk"
 )
 
@@ -403,19 +401,13 @@ func (cl *Cluster) retryableOn(err error, si int) bool {
 }
 
 // attempt issues one attempt of w on replica ri of shard si: the search
-// body — w.node and w.dnf already pruned to the terms shard si holds
-// (runShard) — or the fetch body (fetchShard, fetch.go).
+// body — w's plan already narrowed to the terms shard si holds (runShard) —
+// or the fetch body (fetchShard, fetch.go).
 func (cl *Cluster) attempt(ctx context.Context, w shardWork, si, ri int) shardOut {
-	if w.node == nil {
+	if w.ids != nil {
 		return cl.fetchShard(ctx, w, si, ri)
 	}
-	var out core.Result
-	var err error
-	if w.node.Op == query.OpSparse {
-		out, err = cl.accs[si][ri].RunSparseCtx(ctx, w.node.Terms(), w.k)
-	} else {
-		out, err = cl.accs[si][ri].RunDNFCtx(ctx, w.dnf, w.k)
-	}
+	out, err := w.plan.run(ctx, cl.accs[si][ri], w.k)
 	if err != nil {
 		return shardOut{err: shardError(si, err)}
 	}
@@ -469,8 +461,8 @@ func replicaDraw(seed, qkey uint64, si int) uint64 {
 // breaker-aware replica selection, bounded retry with jittered backoff,
 // hedged dispatch, parent-context awareness. Both kinds of work share the
 // per-replica breaker state, so a copy that fails searches also sheds
-// fetches. A search is pruned to the terms the shard holds here, once for all
-// its attempts; when nothing is left the shard has no part in the answer and,
+// fetches. A search's plan is narrowed to the terms the shard holds here, once
+// for all its attempts; when nothing is left the shard has no part in the answer and,
 // like a fetch shard that owns none of the requested documents, does nothing:
 // no copy is picked, no event logged, and no breaker hears of a success the
 // device never produced. Three asymmetries are deliberate:
@@ -492,29 +484,24 @@ func replicaDraw(seed, qkey uint64, si int) uint64 {
 //
 //boss:hotpath one call per (query, shard).
 func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint64) shardOut {
-	if w.node == nil && len(w.ids[si]) == 0 {
+	fetch := w.ids != nil
+	if fetch && len(w.ids[si]) == 0 {
 		return shardOut{}
 	}
 	if !maskHas(mask, si) {
 		return shardOut{err: shardError(si, ErrShardShed)}
 	}
 	qkey, hedge := w.qkey, cl.res.HedgeEnabled && len(cl.states[si]) > 1
-	if w.node == nil {
+	if fetch {
 		qkey, hedge = fetchQueryKey(w.ids[si]), false
 	}
 	if cause := ctx.Err(); cause != nil {
 		return shardOut{err: shardError(si, cause)}
 	}
-	if w.node != nil {
-		pruned := pruneForShard(w.node, cl.shardTerms[si])
-		if pruned == nil {
+	if !fetch {
+		var ok bool
+		if w.plan, ok = w.plan.narrow(cl.shards[si]); !ok {
 			return shardOut{}
-		}
-		if pruned != w.node {
-			w.node = pruned
-			if pruned.Op != query.OpSparse {
-				w.dnf = pruned.DNF()
-			}
 		}
 	}
 	st, ri, ok := cl.pickReplica(si, qkey, 0, 0)

@@ -80,8 +80,8 @@ func FuzzParse(f *testing.F) {
 		if !reflect.DeepEqual(p.Terms, node.Terms()) || p.Key != node.Canonical() {
 			t.Fatalf("Prepare = %q %v, want Canonical %q and Terms %v", p.Key, p.Terms, node.Canonical(), node.Terms())
 		}
-		if sparse := node.Op == OpSparse; p.Sparse() != sparse || (!sparse && !reflect.DeepEqual(p.DNF, node.DNF())) {
-			t.Fatalf("Prepare's DNF = %v (sparse %v), want %v", p.DNF, p.Sparse(), node)
+		if sparse := node.Op == OpSparse; (p.DNF == nil) != sparse || (!sparse && !reflect.DeepEqual(p.DNF, node.DNF())) {
+			t.Fatalf("Prepare's DNF = %v, want %s's", p.DNF, node)
 		}
 		rendered := node.String()
 		again, err := Parse(rendered)

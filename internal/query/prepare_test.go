@@ -24,7 +24,7 @@ func TestPrepare(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Prepare(%s): %v", tc.expr, err)
 		}
-		if p.Key != tc.key || !reflect.DeepEqual(p.Terms, tc.terms) || !reflect.DeepEqual(p.DNF, tc.dnf) || p.Sparse() != (tc.dnf == nil) {
+		if p.Key != tc.key || !reflect.DeepEqual(p.Terms, tc.terms) || !reflect.DeepEqual(p.DNF, tc.dnf) {
 			t.Errorf("Prepare(%s) = %+v, want key %q terms %v dnf %v", tc.expr, *p, tc.key, tc.terms, tc.dnf)
 		}
 	}

@@ -122,12 +122,8 @@ func (n *Node) walk(fn func(*Node)) {
 	}
 }
 
-// NumTerms reports the number of term occurrences.
-func (n *Node) NumTerms() int { return len(n.Terms()) }
-
 // CountTerms reports the number of term occurrences without materializing
-// them (NumTerms allocates the term slice): what Prepare and core.RunCtx hold
-// against the term limit.
+// them: what Prepare and core.RunCtx hold against the term limit.
 func (n *Node) CountTerms() int {
 	c := 0
 	if n.Op == OpTerm {
@@ -295,50 +291,36 @@ func dedupSorted(s []string) []string {
 	return s[:w]
 }
 
-// MaxTerms is the most term occurrences (as CountTerms counts them) one
-// expression may hold: what the device handles in hardware — four BOSS cores
-// with chained mergers, Section IV-D. Wider queries are the host's to split.
+// MaxTerms is the most term occurrences (as CountTerms counts them) the
+// device handles in hardware: four BOSS cores with chained mergers, Section
+// IV-D. Wider queries are the host's to split.
 const MaxTerms = 16
 
-// TermLimitError is Prepare's refusal of an expression with more than
-// MaxTerms term occurrences.
-type TermLimitError struct {
-	Terms int // occurrences counted
-}
+// TermLimitError is Prepare's refusal of an expression holding Terms term
+// occurrences, more than MaxTerms.
+type TermLimitError struct{ Terms int }
 
 func (e *TermLimitError) Error() string {
-	return fmt.Sprintf("query: expression has %d terms; the device handles up to %d (split wider queries on the host, Section IV-D)", e.Terms, MaxTerms)
+	return fmt.Sprintf("query has %d terms; hardware handles up to %d", e.Terms, MaxTerms)
 }
 
-// Prepared is an expression ready to execute: parsed, within the device's
-// term limit and normalised, once. It is the only form of a query the
-// serving path knows below the front door — the key cache holds it, a flight
-// hands it to the backend, each shard narrows its normal form to the terms it
-// holds — so nothing there parses or normalises a second time. It keeps none
-// of the syntax tree. A Prepared is immutable once returned: it is shared by
-// every submission of its expression and by every shard run of every one of
-// them, so readers never write through its slices (narrowing copies what it
-// keeps).
+// Prepared is an expression ready to execute — parsed, within the term limit,
+// normalised — and the only form of a query the serving path knows below the
+// front door: the key cache holds it, a flight hands it to the backend, each
+// shard narrows it to the terms it holds. It keeps none of the syntax tree and
+// is immutable once returned: every submission of the expression and every
+// shard run shares it, so nobody writes through its slices.
 type Prepared struct {
-	// Key is the canonical coalescing key (Node.Canonical), rendered from DNF.
-	Key string
-	// Terms is every term occurrence in appearance order (Node.Terms): what a
-	// dictionary check probes. For a SPARSE query — a set, so each term occurs
-	// once — it is also the list the sparse operator runs over.
+	Key string // the canonical coalescing key (Node.Canonical), rendered from DNF
+	// Terms is every term occurrence in appearance order (Node.Terms), what a
+	// dictionary check probes; a SPARSE query, a set, runs over it.
 	Terms []string
-	// DNF is the disjunctive normal form (Node.DNF); nil for a SPARSE query,
-	// which has none.
-	DNF [][]string
+	DNF   [][]string // the normal form (Node.DNF); nil for a SPARSE query, which has none
 }
 
-// Sparse reports whether p is a sparse-dot (Q7) query, which runs over Terms.
-func (p *Prepared) Sparse() bool { return p.DNF == nil }
-
-// Prepare parses expr and, unless it holds more than MaxTerms term
-// occurrences (a *TermLimitError), normalises it. The limit is checked on the
-// parsed tree, before the cross product: an AND of n two-way ORs has 2^n
-// conjuncts, so normalising first would let one short expression cost
-// gigabytes.
+// Prepare parses expr, refuses more than MaxTerms term occurrences (a
+// *TermLimitError), then normalises — in that order: an AND of n two-way ORs
+// has 2^n conjuncts.
 func Prepare(expr string) (*Prepared, error) {
 	n, err := Parse(expr)
 	if err != nil {

@@ -207,8 +207,8 @@ func TestSparseTermsAreASet(t *testing.T) {
 }
 
 func TestNumTerms(t *testing.T) {
-	if got := MustParse(`"a" AND ("b" OR "c" OR "d")`).NumTerms(); got != 4 {
-		t.Fatalf("NumTerms = %d, want 4", got)
+	if got := MustParse(`"a" AND ("b" OR "c" OR "a")`).CountTerms(); got != 4 {
+		t.Fatalf("CountTerms = %d, want 4 occurrences", got)
 	}
 }
 

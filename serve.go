@@ -8,7 +8,6 @@ import (
 	"boss/internal/front"
 	"boss/internal/perf"
 	"boss/internal/pool"
-	"boss/internal/query"
 )
 
 // Serving-tier admission errors, re-exported from the front door.
@@ -211,16 +210,18 @@ func (b accelBackend) ExecuteBatch(ctx context.Context, qs []pool.BatchQuery, ou
 			out[i] = b.fetchOut(ctx, q.FetchIDs)
 			continue
 		}
-		node, err := query.Parse(q.Expr)
-		if err != nil {
-			out[i] = front.Out{Err: err}
-			continue
-		}
 		k := q.K
 		if k <= 0 {
 			k = core.DefaultK
 		}
-		res, err := b.a.acc.RunCtx(ctx, node, k)
+		// Prepared at admission: front.Backend's contract for a search.
+		var res core.Result
+		var err error
+		if p := q.Prepared; p.DNF == nil {
+			res, err = b.a.acc.RunSparseCtx(ctx, p.Terms, k)
+		} else {
+			res, err = b.a.acc.RunDNFCtx(ctx, p.DNF, k)
+		}
 		if err != nil {
 			out[i] = front.Out{Err: err}
 			continue
@@ -257,7 +258,8 @@ func (b accelBackend) fetchOut(ctx context.Context, ids []uint32) front.Out {
 // Submit admits one request asynchronously, returning a ticket to wait
 // on. Identical concurrent queries (same canonical boolean form, same k)
 // coalesce into one execution. Admission failures return ErrShed,
-// ErrOverloaded, or the expression's parse error.
+// ErrOverloaded, or the expression's own error: it does not parse, or holds
+// more terms than the device handles.
 func (s *Server) Submit(req ServeRequest) (*ServeTicket, error) {
 	t, err := s.f.Submit(front.Request{
 		Expr:     req.Expr,
