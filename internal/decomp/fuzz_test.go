@@ -1,8 +1,10 @@
 package decomp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"boss/internal/compress"
@@ -161,15 +163,26 @@ func FuzzModuleDecode(f *testing.F) {
 	})
 }
 
+// vbNearMisses are programs one edit away from the Figure 8 accumulator,
+// each of which the VB kernel must refuse: a shift that is not 7, a
+// register that never resets, and stage 3 switched on.
+var vbNearMisses = []string{
+	strings.Replace(ConfigText(compress.VB), "SHL(Reg, 7)", "SHL(Reg, 8)", 1),
+	strings.Replace(ConfigText(compress.VB), "reset := SHR(Input, 0x7)\n", "", 1),
+	strings.Replace(ConfigText(compress.VB), "ExceptionValue = ExceptionIndex = 0", "UseExceptions = 1", 1),
+}
+
 // fastVsNetlistConfigs are the module configurations the differential
-// fuzzer drives: the six built-in schemes (VB rides along as a control —
-// both of its sides run the netlist) plus passthrough user programs that
-// reach corners no built-in does.
+// fuzzer drives: the six built-in schemes, the near misses of VB's
+// accumulator (which must stay on the netlist, so both sides simulate
+// them), plus passthrough user programs that reach corners no built-in
+// does.
 var fastVsNetlistConfigs = func() []string {
 	var cfgs []string
 	for _, s := range compress.AllSchemes() {
 		cfgs = append(cfgs, ConfigText(s))
 	}
+	cfgs = append(cfgs, vbNearMisses...)
 	return append(cfgs,
 		// a two-byte width header
 		"Extractor[0].use = 1\nExtractor[0].headerLength = 16\n"+identityNetlist+"UseDelta = 1",
@@ -217,8 +230,15 @@ func FuzzDecodeFastVsNetlist(f *testing.F) {
 	f.Add(uint8(4), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x02}, uint16(2), uint32(0), true)                                         // S16 second word truncated
 	f.Add(uint8(5), []byte{0, 0, 0, 0, 0, 0, 0, 0x00}, uint16(256), uint32(3), true)                                                // S8b run of 240 zeros, then truncated
 	f.Add(uint8(5), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(1), uint32(1), true)                             // S8b 60-bit field
+	f.Add(uint8(1), []byte{0x7F, 0x7F, 0x7F, 0x7F, 0xFF, 0x81}, uint16(2), uint32(9), true)                                         // VB 5-byte value 2^35-1, above 2^32
+	f.Add(uint8(1), append(bytes.Repeat([]byte{0x55}, 11), 0xAA, 0x83), uint16(2), uint32(0), false)                                // VB 11 continuation bytes: 84 bits through a 64-bit register
+	f.Add(uint8(1), []byte{0x85, 0x86, 0x87, 0x01, 0x02}, uint16(2), uint32(4), true)                                               // VB trailing bytes after value n
+	f.Add(uint8(1), []byte{0x01, 0x02, 0x85, 0x03}, uint16(0), uint32(0), true)                                                     // VB n = 0, a terminated value in the payload
+	f.Add(uint8(1), []byte{0x01, 0x02, 0x03}, uint16(0), uint32(0), true)                                                           // VB n = 0, no terminated value
+	vbPayload := compress.ForScheme(compress.VB).Encode(nil, vals[:40])
 	for i := len(compress.AllSchemes()); i < len(fastVsNetlistConfigs); i++ {
 		f.Add(uint8(i), []byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, uint16(5), uint32(2), true)
+		f.Add(uint8(i), vbPayload, uint16(40), uint32(3), true)
 	}
 	f.Fuzz(func(t *testing.T, cfgSeed uint8, payload []byte, nSeed uint16, base uint32, applyDelta bool) {
 		src := fastVsNetlistConfigs[int(cfgSeed)%len(fastVsNetlistConfigs)]
