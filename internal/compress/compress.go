@@ -27,7 +27,9 @@ const (
 	OptPFD
 	S16
 	S8b
-	numSchemes
+	// NumSchemes counts the concrete schemes, so a concrete Scheme indexes
+	// a [NumSchemes] array.
+	NumSchemes
 
 	SchemeHybrid Scheme = 0xFF
 )

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -238,6 +240,83 @@ func TestS16PacksDenseOnes(t *testing.T) {
 	enc := ForScheme(S16).Encode(nil, values)
 	if len(enc) != 40 {
 		t.Fatalf("S16 encoded 280 1-bit values in %d bytes, want 40", len(enc))
+	}
+}
+
+// TestDecodeS16EveryMode holds each written-out case of DecodeS16 to the
+// s16Modes table: for every mode, a word of random fields (each mode's
+// widest values included) decodes to the fields the table's widths name,
+// for every count from one value to the whole word, appended after a
+// prefix and with exactly one word consumed.
+func TestDecodeS16EveryMode(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for m, widths := range s16Modes {
+		for trial := 0; trial < 20; trial++ {
+			word, shift := uint32(m)<<28, 0
+			fields := make([]uint32, len(widths))
+			for j, w := range widths {
+				fields[j] = rng.Uint32() & (1<<uint(w) - 1)
+				if trial == 0 {
+					fields[j] = 1<<uint(w) - 1
+				}
+				word |= fields[j] << uint(shift)
+				shift += w
+			}
+			src := binary.LittleEndian.AppendUint32(nil, word)
+			for k := 1; k <= len(widths); k++ {
+				got, used, f := DecodeS16([]uint32{7}, src, k)
+				if f.Kind != FaultNone || used != 4 {
+					t.Fatalf("mode %d, %d values: fault %v, %d bytes", m, k, f, used)
+				}
+				if !reflect.DeepEqual(got, append([]uint32{7}, fields[:k]...)) {
+					t.Fatalf("mode %d, %d values: got %v, want %v", m, k, got[1:], fields[:k])
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeVBWideValues: a value of five groups above 2^32, and one of
+// twelve that overflows even a 64-bit accumulator, keep their low 32 bits
+// (what the decompression module's register truncated to 32 bits holds).
+func TestDecodeVBWideValues(t *testing.T) {
+	long := append(bytes.Repeat([]byte{0x55}, 11), 0xAA)
+	src := append([]byte{0x7F, 0x7F, 0x7F, 0x7F, 0xFF}, long...)
+	src = append(src, 0x83, 0x01) // a third value, then a trailing byte
+	var wide uint64
+	for _, b := range long {
+		wide = wide<<7 | uint64(b&0x7F)
+	}
+	got, used, f := DecodeVB(nil, src, 3)
+	if f.Kind != FaultNone || used != len(src)-1 {
+		t.Fatalf("fault %v, %d bytes consumed of %d", f, used, len(src))
+	}
+	if want := []uint32{0xFFFFFFFF, uint32(wide), 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %#x, want %#x", got, want)
+	}
+}
+
+// TestVBDecodeTruncatedPanics: Codec.Decode has no error result, so a
+// truncated VB payload panics with mustDecode's message, as every codec's
+// does, rather than indexing past the payload.
+func TestVBDecodeTruncatedPanics(t *testing.T) {
+	enc := ForScheme(VB).Encode(nil, []uint32{300, 5}) // 0x02 0xAC 0x85
+	for _, tc := range []struct {
+		src  []byte
+		n    int
+		want string
+	}{
+		{enc[:1], 1, "compress: VB decode: VB payload truncated after 0 of 1 values"},
+		{enc, 3, "compress: VB decode: VB payload truncated after 2 of 3 values"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Errorf("Decode(% x, %d) panicked with %v, want %q", tc.src, tc.n, r, tc.want)
+				}
+			}()
+			ForScheme(VB).Decode(nil, tc.src, tc.n)
+		}()
 	}
 }
 

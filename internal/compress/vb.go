@@ -53,18 +53,7 @@ func vbLen(v uint32) int {
 }
 
 func (vbCodec) Decode(dst []uint32, src []byte, n int) ([]uint32, int) {
-	pos := 0
-	for i := 0; i < n; i++ {
-		var v uint32
-		for {
-			b := src[pos]
-			pos++
-			v = v<<7 | uint32(b&0x7F)
-			if b&0x80 != 0 {
-				break
-			}
-		}
-		dst = append(dst, v)
-	}
-	return dst, pos
+	out, used, f := DecodeVB(dst, src, n)
+	mustDecode(VB, f)
+	return out, used
 }

@@ -224,7 +224,7 @@ type run struct {
 	m   *perf.Metrics
 	sel *topk.ShiftRegisterQueue
 
-	decoders map[compress.Scheme]*decomp.Module
+	decoders [compress.NumSchemes]*decomp.Module
 	lists    map[*index.PostingList]*listState
 	lsFree   []*listState // cleared listState records awaiting reuse
 
@@ -286,10 +286,9 @@ func (a *Accelerator) newRun(k int) *run {
 	r, ok := a.runs.Get().(*run)
 	if !ok {
 		r = &run{
-			acc:      a,
-			sel:      topk.NewShiftRegister(k),
-			decoders: make(map[compress.Scheme]*decomp.Module),
-			lists:    make(map[*index.PostingList]*listState),
+			acc:   a,
+			sel:   topk.NewShiftRegister(k),
+			lists: make(map[*index.PostingList]*listState),
 		}
 	}
 	// Metrics escape in the Result, so every run gets a fresh record.
@@ -562,8 +561,8 @@ func (r *run) examine(ls *listState, i, b int) {
 // with the scheme's built-in configuration on first use (modeling
 // reconfiguration at init()) and kept with the pooled run record.
 func (r *run) decoder(s compress.Scheme) *decomp.Module {
-	d, ok := r.decoders[s]
-	if !ok {
+	d := r.decoders[s]
+	if d == nil {
 		d = decomp.NewModuleFor(s)
 		r.decoders[s] = d
 	}

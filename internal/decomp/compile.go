@@ -1,6 +1,9 @@
 package decomp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file compiles a stage-2 netlist into a slot-indexed program once at
 // module-configuration time. The interpreter in netlist.go evaluates the
@@ -178,6 +181,17 @@ func (p *program) isIdentity() bool {
 	}
 	return out.op == opNone && out.a.kind == srcInput &&
 		valid.op == opNone && valid.a.kind == srcLit && valid.a.lit != 0
+}
+
+// equal reports whether p is the circuit q is: the same ops over the same
+// slots, the same latches and power-on values, the same output ports. Names
+// are gone after compilation, so renaming a wire changes nothing here. q
+// must have compiled without a static error.
+func (p *program) equal(q *program) bool {
+	return p.staticErr == nil && p.nRegs == q.nRegs && p.nWires == q.nWires &&
+		p.outSlot == q.outSlot && p.validSlot == q.validSlot &&
+		slices.Equal(p.ops, q.ops) && slices.Equal(p.latch, q.latch) &&
+		slices.Equal(p.regInit, q.regInit)
 }
 
 // resolveSrc maps an operand to its slot, in the interpreter's resolution

@@ -226,7 +226,7 @@ func TestCompiledRunIsAllocFree(t *testing.T) {
 // TestDecodeIntoAllocFree pins the same property on the path serving takes:
 // the fused kernels write into the caller's buffer and own no scratch.
 func TestDecodeIntoAllocFree(t *testing.T) {
-	schemes := []compress.Scheme{compress.BP, compress.PFD, compress.OptPFD, compress.S16, compress.S8b}
+	schemes := compress.AllSchemes()
 	for _, s := range schemes {
 		if NewModuleFor(s).kernel == kernelNetlist {
 			t.Fatalf("%s: not on the fast path", s)

@@ -14,8 +14,8 @@ const pipelineDepth = 4
 
 // extractLanes is the number of payloads stage 1 extracts per cycle for
 // field-structured schemes (Figure 6 shows multiple parallel extractor
-// units). The byte-serial VariableByte netlist cannot use the lanes: its
-// stage-2 register carries a dependency from one byte to the next.
+// units). The byte-serial VariableByte accumulator cannot use the lanes:
+// its stage-2 register carries a dependency from one byte to the next.
 const extractLanes = 2
 
 // exception is a stage-3 patch produced by the PFD extractor: value at
@@ -37,10 +37,10 @@ type Module struct {
 	// bit-identical in values, cycle counts, and errors.
 	prog *program
 
-	// kernel is decided once at configuration time: when the compiled
-	// program is statically the identity, stage 2 can change neither a
-	// value nor a cycle count, so DecodeInto skips the simulation and runs
-	// the fused extract kernel for the configured layout. kernelNetlist
+	// kernel is decided once at configuration time (kernelFor): when the
+	// compiled program is statically the identity, or is the Figure 8
+	// accumulator on the byte extractor, DecodeInto skips the simulation
+	// and runs the fused kernel for the configured layout. kernelNetlist
 	// (the zero value) simulates every stage.
 	kernel kernelKind
 
@@ -86,21 +86,33 @@ type kernelKind uint8
 
 const (
 	kernelNetlist kernelKind = iota // simulate all four stages
+	kernelVB
 	kernelFixedWidth
 	kernelPFD
 	kernelS16
 	kernelS8b
 )
 
-// kernelFor applies the elision rule: stage 2 is simulated only when it can
-// change a value or a cycle count. For an identity program it can do
-// neither — the field extractors emit exactly n tokens, each passes through
-// unchanged and valid, the program cannot fail, and a field-structured
-// block's cycle count is the extractor's alone. The byte extractor is
-// excluded: there the netlist's cycle count is the block's cycle count. So
-// is PFD framing with stage 3 switched off, which no built-in scheme uses
-// and the fused kernel (which always patches) does not model.
+// kernelFor applies the elision rule: stage 2 is simulated only when a
+// kernel cannot reproduce it. For an identity program on a field extractor
+// it can change neither a value nor a cycle count — the extractor emits
+// exactly n tokens, each passes through unchanged and valid, the program
+// cannot fail, and the block's cycle count is the extractor's alone. On the
+// byte extractor the netlist's cycle count is the block's, so only one
+// program qualifies there: the built-in VB accumulator (compiled programs
+// are name-free, so the test is structural and a user config of the same
+// circuit qualifies too), with stage 3 off. Its count is one cycle per byte
+// up to the byte completing value n, which compress.DecodeVB reports as
+// the bytes it consumed. PFD framing with stage 3 switched off, which no
+// built-in scheme uses and the fused kernel (which always patches) does not
+// model, stays on the netlist as well.
 func kernelFor(cfg *Config, p *program) kernelKind {
+	if cfg.Extractor == ExtractByte {
+		if !cfg.UseExceptions && p.equal(vbProgram) {
+			return kernelVB
+		}
+		return kernelNetlist
+	}
 	if !p.isIdentity() {
 		return kernelNetlist
 	}
@@ -116,6 +128,10 @@ func kernelFor(cfg *Config, p *program) kernelKind {
 	}
 	return kernelNetlist
 }
+
+// vbProgram is the built-in VB configuration's compiled stage 2, the paper's
+// Figure 8 accumulator: the one byte-extractor program with a kernel.
+var vbProgram = compile(ConfigFor(compress.VB).Netlist)
 
 // NewModuleFor builds a module from the built-in configuration of a scheme.
 func NewModuleFor(s compress.Scheme) *Module {
@@ -150,17 +166,20 @@ func (m *Module) Decode(payload []byte, n int, base uint32, applyDelta bool) (va
 //
 //boss:hotpath the per-block decode loop; error construction is outlined.
 func (m *Module) DecodeInto(dst []uint32, payload []byte, n int, base uint32, applyDelta bool) (values []uint32, bytesConsumed int, cycles int, err error) {
-	if m.kernel == kernelNetlist || n < 0 {
+	if m.kernel == kernelNetlist || n <= 0 {
 		return m.decodeNetlist(dst, payload, n, base, applyDelta)
 	}
-	// Stages 1, 3 and 4 fused: the kernel writes final values into dst, the
-	// delta pass runs in place, and stage 2 — the identity — is elided.
+	// Stages 1, 3 and 4 fused: the kernel writes final values into dst and
+	// the delta pass runs in place. Stage 2 is not simulated: it is the
+	// identity, or for VB the accumulator DecodeVB computes.
 	var (
 		used, nExc int
 		f          compress.Fault
 	)
 	start := len(dst)
 	switch m.kernel {
+	case kernelVB:
+		values, used, f = compress.DecodeVB(dst, payload, n)
 	case kernelPFD:
 		values, used, nExc, f = compress.DecodePFD(dst, payload, n)
 	case kernelS16:
@@ -181,7 +200,11 @@ func (m *Module) DecodeInto(dst []uint32, payload []byte, n int, base uint32, ap
 	if applyDelta {
 		compress.DeltaDecode(values[start:], base)
 	}
-	cycles = (n+extractLanes-1)/extractLanes + nExc + pipelineDepth
+	if m.kernel == kernelVB {
+		cycles = used + pipelineDepth // one byte a cycle
+	} else {
+		cycles = (n+extractLanes-1)/extractLanes + nExc + pipelineDepth
+	}
 	m.cycles += int64(cycles)
 	m.blocks++
 	m.values += int64(n)
@@ -189,9 +212,10 @@ func (m *Module) DecodeInto(dst []uint32, payload []byte, n int, base uint32, ap
 }
 
 // decodeNetlist simulates the full four-stage datapath. It is the engine
-// for every program stage 2 can observe (VB's Figure 8 accumulator, any
-// user scheme that is not a passthrough) and the reference the fused
-// kernels are differentially fuzzed against (FuzzDecodeFastVsNetlist).
+// for every program no kernel reproduces (any user scheme that is neither
+// a passthrough nor the Figure 8 accumulator), for degenerate value counts,
+// and the reference the fused kernels are differentially fuzzed against
+// (FuzzDecodeFastVsNetlist).
 //
 //boss:hotpath the per-block decode loop; error construction is outlined.
 func (m *Module) decodeNetlist(dst []uint32, payload []byte, n int, base uint32, applyDelta bool) (values []uint32, bytesConsumed int, cycles int, err error) {
@@ -255,7 +279,7 @@ func (m *Module) decodeNetlist(dst []uint32, payload []byte, n int, base uint32,
 	}
 
 	// Field-structured schemes flow through the lanes end to end (stage 2
-	// is stateless for them); the byte-serial VB netlist is bound by its
+	// is stateless for them); a byte-serial netlist is bound by its
 	// one-byte-per-cycle register dependency.
 	if m.cfg.Extractor == ExtractByte {
 		cycles = netCycles
@@ -279,11 +303,16 @@ func errValueCount(got, want int) error {
 // errFault turns a stage-1 or stage-3 refusal into the module's error. The
 // fused kernels report a compress.Fault and the netlist path's extractors
 // build the same Fault, so the two paths cannot drift apart in text (core
-// wraps it into the typed error callers see). Kept out of line so the hot
+// wraps it into the typed error callers see). A VB payload that runs out is
+// no stage-1 refusal on the netlist — the byte stream just ends — so its
+// fault takes the netlist's value-count text. Kept out of line so the hot
 // decode loops carry no allocation site (hotpathescape).
 //
 //go:noinline
 func errFault(f compress.Fault) error {
+	if f.Kind == compress.FaultVBTruncated {
+		return errValueCount(f.A, f.B)
+	}
 	return errors.New("decomp: " + f.String())
 }
 
@@ -306,7 +335,7 @@ func widthHeader(payload []byte, headerLength int) (headerBytes, width int, err 
 
 // extract runs the configured stage-1 unit, reusing the module's token and
 // exception scratch across blocks. The byte extractor never reaches here:
-// DecodeInto streams bytes straight into the compiled netlist.
+// decodeNetlist streams bytes straight into the compiled netlist.
 func (m *Module) extract(payload []byte, n int) (tokens []uint64, exceptions []exception, used, cycles int, err error) {
 	switch m.cfg.Extractor {
 	case ExtractFixedWidth:
