@@ -453,7 +453,7 @@ func fetchDocsInto(eng *core.FetchEngine, ids []uint32, m *perf.Metrics) ([]Doc,
 // stats cover both phases — posting traffic plus document-store traffic —
 // on one simulated device.
 func (a *Accelerator) SearchFetch(expr string, k int) ([]Hit, []Doc, *SimStats, error) {
-	node, err := query.Parse(expr)
+	p, err := query.Prepare(expr)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -461,7 +461,7 @@ func (a *Accelerator) SearchFetch(expr string, k int) ([]Hit, []Doc, *SimStats, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	res, err := a.acc.Run(node, k)
+	res, err := a.acc.Exec(nil, p.Plan, k)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -512,13 +512,15 @@ func simStats(m *perf.Metrics, dev mem.Config, cores int) *SimStats {
 }
 
 // Search executes a query on the simulated accelerator, returning the
-// top-k hits and the execution's simulated statistics.
+// top-k hits and the execution's simulated statistics. The expression is
+// prepared as Server.Submit prepares it, so one of more than 16 term
+// occurrences is refused with the same error before anything runs.
 func (a *Accelerator) Search(expr string, k int) ([]Hit, *SimStats, error) {
-	node, err := query.Parse(expr)
+	p, err := query.Prepare(expr)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := a.acc.Run(node, k)
+	res, err := a.acc.Exec(nil, p.Plan, k)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -531,18 +533,18 @@ func (a *Accelerator) Search(expr string, k int) ([]Hit, *SimStats, error) {
 // Search per query: the device model is stateless.
 func (a *Accelerator) SearchBatch(exprs []string, k int) []BatchItem {
 	items := make([]BatchItem, len(exprs))
-	nodes := make([]*query.Node, 0, len(exprs))
+	plans := make([]query.Plan, 0, len(exprs))
 	slots := make([]int, 0, len(exprs))
 	for i, expr := range exprs {
-		node, err := query.Parse(expr)
+		p, err := query.Prepare(expr)
 		if err != nil {
 			items[i].Err = err
 			continue
 		}
-		nodes = append(nodes, node)
+		plans = append(plans, p.Plan)
 		slots = append(slots, i)
 	}
-	br := a.acc.RunBatch(nodes, k, 0)
+	br := a.acc.RunBatch(plans, k, 0)
 	for j, i := range slots {
 		if err := br.Errs[j]; err != nil {
 			items[i].Err = err

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"boss/internal/query"
 )
 
 // sampleIndex builds a small hand-written document collection.
@@ -86,6 +89,33 @@ func TestSearchErrors(t *testing.T) {
 	}
 	if _, err := ix.Search(`"absentterm"`, 5); err == nil {
 		t.Fatal("unknown term should error")
+	}
+}
+
+// TestAcceleratorTermLimit: the accelerator facade prepares a query as its
+// Server does, so an expression of 17 term occurrences fails Search,
+// SearchFetch and SearchBatch with the *query.TermLimitError Submit refuses
+// it with, before anything runs.
+func TestAcceleratorTermLimit(t *testing.T) {
+	acc := sampleIndex(t).Accelerator(AccelOptions{})
+	expr := `"dog"` + strings.Repeat(` AND "dog"`, query.MaxTerms)
+	srv, err := acc.Serve(FrontConfig{BatchTarget: 1, Timeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	_, submitErr := srv.Submit(ServeRequest{Expr: expr, K: 5})
+	_, _, searchErr := acc.Search(expr, 5)
+	_, _, _, fetchErr := acc.SearchFetch(expr, 5)
+	batch := acc.SearchBatch([]string{`"dog"`, expr}, 5)
+	for name, err := range map[string]error{"Server.Submit": submitErr, "Search": searchErr, "SearchFetch": fetchErr, "SearchBatch": batch[1].Err} {
+		var lim *query.TermLimitError
+		if !errors.As(err, &lim) || lim.Terms != query.MaxTerms+1 {
+			t.Errorf("%s(%d terms) = %v; want a *query.TermLimitError naming the count", name, query.MaxTerms+1, err)
+		}
+	}
+	if batch[0].Err != nil || len(batch[0].Hits) == 0 {
+		t.Errorf("SearchBatch's in-limit neighbour = %+v; want hits", batch[0])
 	}
 }
 

@@ -99,7 +99,7 @@ func main() {
 		}
 	}
 	acc := core.New(hybrid, core.DefaultOptions())
-	if res, err := acc.Run(node, *k); err != nil {
+	if res, err := acc.Exec(nil, node.Plan(), *k); err != nil {
 		fmt.Fprintf(os.Stderr, "boss: %v\n", err)
 		os.Exit(1)
 	} else {

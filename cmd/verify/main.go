@@ -62,15 +62,15 @@ func main() {
 			return r.TopK, err
 		}},
 		{"boss", func(n *query.Node) ([]topk.Entry, error) {
-			r, err := core.New(hybrid, core.DefaultOptions()).Run(n, *k)
+			r, err := core.New(hybrid, core.DefaultOptions()).Exec(nil, n.Plan(), *k)
 			return r.TopK, err
 		}},
 		{"boss-exhaustive", func(n *query.Node) ([]topk.Entry, error) {
-			r, err := core.New(hybrid, core.ExhaustiveOptions()).Run(n, *k)
+			r, err := core.New(hybrid, core.ExhaustiveOptions()).Exec(nil, n.Plan(), *k)
 			return r.TopK, err
 		}},
 		{"boss-block-only", func(n *query.Node) ([]topk.Entry, error) {
-			r, err := core.New(hybrid, core.BlockOnlyOptions()).Run(n, *k)
+			r, err := core.New(hybrid, core.BlockOnlyOptions()).Exec(nil, n.Plan(), *k)
 			return r.TopK, err
 		}},
 		{"cluster", func(n *query.Node) ([]topk.Entry, error) {

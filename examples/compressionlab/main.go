@@ -79,7 +79,7 @@ func main() {
 		}
 		payload := codec.Encode(nil, deltas)
 		mod := decomp.NewModuleFor(s)
-		out, used, cycles, err := mod.Decode(payload, len(deltas), 0, false)
+		out, used, cycles, err := mod.DecodeInto(nil, payload, len(deltas), 0, false)
 		if err != nil {
 			log.Fatalf("%s: %v", s, err)
 		}

@@ -29,19 +29,19 @@ type BatchResult struct {
 // in-flight query. Results preserve input order and are bit-identical to
 // running each query serially: the accelerator is stateless, so concurrent
 // runs cannot observe each other.
-func (a *Accelerator) RunBatch(nodes []*query.Node, k, workers int) *BatchResult {
+func (a *Accelerator) RunBatch(plans []query.Plan, k, workers int) *BatchResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(nodes) {
-		workers = len(nodes)
+	if workers > len(plans) {
+		workers = len(plans)
 	}
 	if workers < 1 {
 		workers = 1
 	}
 	br := &BatchResult{
-		Results:   make([]Result, len(nodes)),
-		Errs:      make([]error, len(nodes)),
+		Results:   make([]Result, len(plans)),
+		Errs:      make([]error, len(plans)),
 		Aggregate: perf.NewMetrics(),
 	}
 	var wg sync.WaitGroup
@@ -52,11 +52,11 @@ func (a *Accelerator) RunBatch(nodes []*query.Node, k, workers int) *BatchResult
 			defer wg.Done()
 			// Workers write only their own indices, so no lock is needed.
 			for i := range next {
-				br.Results[i], br.Errs[i] = a.Run(nodes[i], k)
+				br.Results[i], br.Errs[i] = a.Exec(nil, plans[i], k)
 			}
 		}()
 	}
-	for i := range nodes {
+	for i := range plans {
 		next <- i
 	}
 	close(next)

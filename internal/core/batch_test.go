@@ -11,9 +11,9 @@ import (
 )
 
 // TestAcceleratorParallelDeterminism is the concurrency contract the
-// Accelerator doc comment promises: N goroutines hammering Run on one
+// Accelerator doc comment promises: N goroutines hammering Exec on one
 // shared Accelerator must each observe exactly the serial result — same
-// top-k, same metrics — because Run keeps all mutable state on its own
+// top-k, same metrics — because Exec keeps all mutable state on its own
 // stack. Run under -race this also proves the absence of data races.
 func TestAcceleratorParallelDeterminism(t *testing.T) {
 	f := newFixture(t)
@@ -30,7 +30,7 @@ func TestAcceleratorParallelDeterminism(t *testing.T) {
 	// Serial baseline, computed once up front.
 	want := make([]Result, len(nodes))
 	for i, n := range nodes {
-		r, err := acc.Run(n, k)
+		r, err := acc.Exec(nil, n.Plan(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestAcceleratorParallelDeterminism(t *testing.T) {
 			// queries rather than marching in lockstep.
 			for off := 0; off < len(nodes); off++ {
 				i := (off + g*3) % len(nodes)
-				r, err := acc.Run(nodes[i], k)
+				r, err := acc.Exec(nil, nodes[i].Plan(), k)
 				if err != nil {
 					errs[g] = err
 					return
@@ -76,18 +76,18 @@ func TestAcceleratorRunBatchMatchesSerial(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 
-	var nodes []*query.Node
+	var plans []query.Plan
 	for _, qt := range corpus.AllQueryTypes() {
 		for _, q := range corpus.SampleQueries(f.c, qt, 3, 7) {
-			nodes = append(nodes, query.MustParse(q.Expr))
+			plans = append(plans, query.MustParse(q.Expr).Plan())
 		}
 	}
 	const k = 30
 
 	wantAgg := perf.NewMetrics()
-	want := make([]Result, len(nodes))
-	for i, n := range nodes {
-		r, err := acc.Run(n, k)
+	want := make([]Result, len(plans))
+	for i, pl := range plans {
+		r, err := acc.Exec(nil, pl, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,14 +96,14 @@ func TestAcceleratorRunBatchMatchesSerial(t *testing.T) {
 	}
 
 	for _, workers := range []int{0, 1, 3, 16} {
-		br := acc.RunBatch(nodes, k, workers)
+		br := acc.RunBatch(plans, k, workers)
 		if br.Err != nil {
 			t.Fatalf("workers=%d: %v", workers, br.Err)
 		}
-		if len(br.Results) != len(nodes) || len(br.Errs) != len(nodes) {
+		if len(br.Results) != len(plans) || len(br.Errs) != len(plans) {
 			t.Fatalf("workers=%d: result/err count mismatch", workers)
 		}
-		for i := range nodes {
+		for i := range plans {
 			if br.Errs[i] != nil {
 				t.Fatalf("workers=%d query %d: %v", workers, i, br.Errs[i])
 			}
@@ -124,9 +124,9 @@ func TestAcceleratorRunBatchErrors(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 
-	good := query.MustParse(`"t0"`)
-	bad := query.MustParse(`"nosuchtermzz"`)
-	br := acc.RunBatch([]*query.Node{good, bad, good}, 10, 2)
+	good := query.MustParse(`"t0"`).Plan()
+	bad := query.MustParse(`"nosuchtermzz"`).Plan()
+	br := acc.RunBatch([]query.Plan{good, bad, good}, 10, 2)
 	if br.Err == nil {
 		t.Fatal("batch with an unknown term should surface an error")
 	}

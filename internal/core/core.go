@@ -65,12 +65,6 @@ var ErrNoImpacts = errors.New("core: posting list carries no quantized impacts (
 // budget).
 const maxFetchAttempts = 4
 
-// MaxQueryTerms is the largest term count the device handles in hardware
-// (four BOSS cores with chained mergers, Section IV-D); wider queries are
-// split into subqueries by the host. query.Prepare refuses them for the
-// serving path, RunCtx for callers that bring a tree.
-const MaxQueryTerms = query.MaxTerms
-
 // Options selects the early-termination features, reproducing the paper's
 // ablation variants.
 type Options struct {
@@ -104,10 +98,10 @@ func BlockOnlyOptions() Options { return Options{BlockET: true} }
 
 // Accelerator is a BOSS device model over one index shard.
 //
-// An Accelerator is stateless after construction: Run takes all mutable
+// An Accelerator is stateless after construction: Exec takes all mutable
 // per-query state from a run record it owns exclusively for the duration of
 // the query and only reads the (immutable) index and options. It is
-// therefore safe — and deterministic — to call Run concurrently from many
+// therefore safe — and deterministic — to call Exec concurrently from many
 // goroutines, which is how the pool's parallel shard fan-out and RunBatch
 // drive it. TestAcceleratorParallelDeterminism enforces this contract under
 // the race detector.
@@ -144,14 +138,14 @@ func NewCached(idx *index.Index, opts Options, c *cache.Cache) *Accelerator {
 }
 
 // SetCache attaches (or, with nil, detaches) the decoded-block cache. Not
-// safe concurrently with Run; meant for setup time and benchmarks.
+// safe concurrently with Exec; meant for setup time and benchmarks.
 func (a *Accelerator) SetCache(c *cache.Cache) { a.cache = c }
 
 // Cache returns the attached decoded-block cache, or nil.
 func (a *Accelerator) Cache() *cache.Cache { return a.cache }
 
 // SetFault attaches a fault injector (nil restores the pristine model).
-// Not safe concurrently with Run; meant for setup time and chaos tests.
+// Not safe concurrently with Exec; meant for setup time and chaos tests.
 func (a *Accelerator) SetFault(inj *mem.Injector) { a.fault = inj }
 
 // Fault returns the attached injector, or nil.
@@ -238,7 +232,7 @@ type run struct {
 	// ctx, when non-nil, is the query's deadline/cancellation context,
 	// checked once per block fetch. err latches the first failure on
 	// any execution path; once set, the paths unwind without further
-	// fetches and RunDNFCtx returns it instead of a Result.
+	// fetches and Exec returns it instead of a Result.
 	ctx context.Context
 	err error
 
@@ -281,7 +275,7 @@ type run struct {
 // newRun takes a recycled run record (or builds a first one) and readies it
 // for a query. Planning fills in nTerms.
 //
-//boss:pool-escapes releaseRun returns the run to a.runs via Run's defer.
+//boss:pool-escapes releaseRun returns the run to a.runs via runDNF/runSparse's defer.
 func (a *Accelerator) newRun(k int) *run {
 	r, ok := a.runs.Get().(*run)
 	if !ok {
@@ -336,47 +330,38 @@ func (a *Accelerator) releaseRun(r *run) {
 	a.runs.Put(r)
 }
 
-// Run executes a query with the given top-k depth.
-func (a *Accelerator) Run(node *query.Node, k int) (Result, error) {
-	return a.RunCtx(nil, node, k)
-}
-
-// RunCtx executes a query under a context: the pipeline checks for
+// Exec executes a plan with the given top-k depth under a context (nil means
+// none): a normal form on the boolean pipeline, a term set (nil DNF) on the
+// sparse-dot operator, which opens one cursor per term — a sparse query is a
+// set (query.Sparse and the parser drop repeats). The pipeline checks for
 // cancellation once per block fetch and returns an error wrapping
-// ErrDeadlineExceeded (deadline) or context.Canceled (cancellation)
-// instead of a result. A nil context behaves exactly like Run.
+// ErrDeadlineExceeded (deadline) or context.Canceled (cancellation) instead
+// of a result. The term limit is the host's, held by query.Prepare; a plan is
+// only read, so callers that fan one query out to several accelerators
+// (pool.Cluster) share it.
+func (a *Accelerator) Exec(ctx context.Context, pl query.Plan, k int) (Result, error) {
+	if pl.DNF == nil {
+		return a.runSparse(ctx, pl.Terms, k)
+	}
+	return a.runDNF(ctx, pl.DNF, k)
+}
+
+// RunCtx is Exec on a syntax tree's plan. bench/ is its only caller; the next
+// benchmark PR deletes it.
 func (a *Accelerator) RunCtx(ctx context.Context, node *query.Node, k int) (Result, error) {
-	if n := node.CountTerms(); n > MaxQueryTerms {
-		return Result{}, fmt.Errorf("core: query has %d terms; hardware handles up to %d (split into subqueries on the host, Section IV-D)", n, MaxQueryTerms)
-	}
-	if node.Op == query.OpSparse {
-		return a.runSparse(ctx, node.Terms(), k)
-	}
-	return a.runDNF(ctx, node.DNF(), k)
+	return a.Exec(ctx, node.Plan(), k)
 }
 
-// RunDNFCtx executes a query already normalized to disjunctive normal
-// form, under a deadline/cancellation context (nil means none). Callers
-// that fan one query out to several accelerators (pool.Cluster) normalize
-// once and share the DNF; the term-count limit is the caller's to enforce
-// (Run checks it against the AST).
-func (a *Accelerator) RunDNFCtx(ctx context.Context, dnf [][]string, k int) (Result, error) {
-	return a.runDNF(ctx, dnf, k)
-}
-
-// RunSparse executes a sparse-dot (Q7) query over the given terms, which
-// are distinct — a sparse query is a set (query.Sparse and the parser drop
-// repeats), and the operator opens one cursor per list. Callers that fan one
-// sparse query out to several accelerators (pool.Cluster) extract the term
-// list once and share it; the term-count limit is the caller's to enforce
-// (Run checks it against the AST).
-func (a *Accelerator) RunSparse(terms []string, k int) (Result, error) {
-	return a.runSparse(nil, terms, k)
-}
-
-// RunSparseCtx is RunSparse under a deadline/cancellation context.
+// RunSparseCtx is Exec on a sparse term set. bench/ is its only caller; the
+// next benchmark PR deletes it.
 func (a *Accelerator) RunSparseCtx(ctx context.Context, terms []string, k int) (Result, error) {
-	return a.runSparse(ctx, terms, k)
+	return a.Exec(ctx, query.Plan{Terms: terms}, k)
+}
+
+// RunSparse is Exec on a sparse term set, without a context. bench/ is its
+// only caller; the next benchmark PR deletes it.
+func (a *Accelerator) RunSparse(terms []string, k int) (Result, error) {
+	return a.Exec(nil, query.Plan{Terms: terms}, k)
 }
 
 func (a *Accelerator) runDNF(ctx context.Context, dnf [][]string, k int) (Result, error) {
@@ -427,7 +412,7 @@ func (a *Accelerator) runDNF(ctx context.Context, dnf [][]string, k int) (Result
 
 // plan resolves a DNF's terms to posting lists, checking they exist, into
 // the run's plan scratch. Nothing here allocates once the scratch has grown:
-// a query holds at most MaxQueryTerms distinct lists, so the repeat probe is
+// a query holds at most query.MaxTerms distinct lists, so the repeat probe is
 // a scan, not a map.
 func (r *run) plan(dnf [][]string) error {
 	for _, conj := range dnf {
@@ -581,8 +566,7 @@ func (r *run) decoder(s compress.Scheme) *decomp.Module {
 //
 // On any failure — expired context, injected device fault, checksum
 // mismatch, decode error — it latches a typed error on the run (r.err)
-// and returns ok false; callers unwind on it and RunDNFCtx surfaces the
-// error.
+// and returns ok false; callers unwind on it and Exec surfaces the error.
 //
 //boss:hotpath one call per block examined; the per-block fetch loop.
 func (r *run) fetchBlock(ls *listState, pl *index.PostingList, b int) (docs, tfs []uint32, ok bool) {

@@ -73,7 +73,7 @@ func TestBOSSMatchesSoftwareEngine(t *testing.T) {
 			for _, qt := range corpus.AllQueryTypes() {
 				for _, q := range corpus.SampleQueries(f.c, qt, 6, 1234) {
 					node := query.MustParse(q.Expr)
-					got, err := acc.Run(node, 20)
+					got, err := acc.Exec(nil, node.Plan(), 20)
 					if err != nil {
 						t.Fatalf("%s: %v", q.Expr, err)
 					}
@@ -105,11 +105,11 @@ func TestETIsSafeAcrossKValues(t *testing.T) {
 	for _, expr := range exprs {
 		node := query.MustParse(expr)
 		for _, k := range []int{1, 3, 10, 100} {
-			a, err := boss.Run(node, k)
+			a, err := boss.Exec(nil, node.Plan(), k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := exh.Run(node, k)
+			b, err := exh.Exec(nil, node.Plan(), k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestETIsSafeAcrossKValues(t *testing.T) {
 func TestUnknownTermErrors(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
-	if _, err := acc.Run(query.MustParse(`"zzz"`), 10); err == nil {
+	if _, err := acc.Exec(nil, query.MustParse(`"zzz"`).Plan(), 10); err == nil {
 		t.Fatal("expected error for unknown term")
 	}
 }
@@ -136,11 +136,11 @@ func TestBlockETSkipsBlocks(t *testing.T) {
 	boss := New(f.idx, DefaultOptions())
 	exh := New(f.idx, ExhaustiveOptions())
 	node := query.MustParse(`"t0"`)
-	a, err := boss.Run(node, 5)
+	a, err := boss.Exec(nil, node.Plan(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := exh.Run(node, 5)
+	b, err := exh.Exec(nil, node.Plan(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +161,11 @@ func TestWANDReducesEvaluatedDocs(t *testing.T) {
 	blockOnly := New(f.idx, BlockOnlyOptions())
 	full := New(f.idx, DefaultOptions())
 	node := query.MustParse(`"t0" OR "t1" OR "t2" OR "t3"`)
-	a, err := blockOnly.Run(node, 10)
+	a, err := blockOnly.Exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := full.Run(node, 10)
+	b, err := full.Exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestExhaustiveEvaluatesUnionFully(t *testing.T) {
 	f := newFixture(t)
 	exh := New(f.idx, ExhaustiveOptions())
 	node := query.MustParse(`"t4" OR "t7"`)
-	res, err := exh.Run(node, 10)
+	res, err := exh.Exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestIntersectionSkipsNonOverlappingBlocks(t *testing.T) {
 	acc := New(f.idx, DefaultOptions())
 	rare := f.c.Terms[len(f.c.Terms)-1].Term
 	common := f.c.Terms[0].Term
-	res, err := acc.Run(query.MustParse(`"`+common+`" AND "`+rare+`"`), 10)
+	res, err := acc.Exec(nil, query.MustParse(`"`+common+`" AND "`+rare+`"`).Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestNoIntermediateSpills(t *testing.T) {
 		`"t0" AND ("t1" OR "t2" OR "t3")`,
 	}
 	for _, expr := range exprs {
-		res, err := acc.Run(query.MustParse(expr), 10)
+		res, err := acc.Exec(nil, query.MustParse(expr).Plan(), 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestHardwareTopKLimitsHostTraffic(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	k := 25
-	res, err := acc.Run(query.MustParse(`"t0" OR "t1"`), k)
+	res, err := acc.Exec(nil, query.MustParse(`"t0" OR "t1"`).Plan(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestSharedTermChargedOnceInMixedQuery(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	a := f.c.Terms[5].Term
-	res, err := acc.Run(query.MustParse(`"`+a+`" AND ("t1" OR "t2" OR "t3")`), 10)
+	res, err := acc.Exec(nil, query.MustParse(`"`+a+`" AND ("t1" OR "t2" OR "t3")`).Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestSharedTermRescanFetchesSkippedBlock(t *testing.T) {
 	}
 	acc.releaseRun(r)
 
-	res, err := acc.Run(query.MustParse(`"t0" AND ("t39" OR "t1")`), 10)
+	res, err := acc.Exec(nil, query.MustParse(`"t0" AND ("t39" OR "t1")`).Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,11 +424,11 @@ func TestFixedPointApproximatesFloat(t *testing.T) {
 	fp := New(f.idx, Options{BlockET: true, DocET: true, FixedPoint: true})
 	fl := New(f.idx, DefaultOptions())
 	node := query.MustParse(`"t1" OR "t4"`)
-	a, err := fp.Run(node, 50)
+	a, err := fp.Exec(nil, node.Plan(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fl.Run(node, 50)
+	b, err := fl.Exec(nil, node.Plan(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,11 +452,11 @@ func TestComputeTimePositiveAndDeterministic(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	node := query.MustParse(`"t2" AND ("t5" OR "t6" OR "t8")`)
-	r1, err := acc.Run(node, 10)
+	r1, err := acc.Exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := acc.Run(node, 10)
+	r2, err := acc.Exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestBOSSBeatsEngineOnLatency(t *testing.T) {
 	}
 	for _, expr := range exprs {
 		node := query.MustParse(expr)
-		b, err := acc.Run(node, 100)
+		b, err := acc.Exec(nil, node.Plan(), 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,11 +503,11 @@ func TestBOSSMoreBandwidthEfficientThanExhaustive(t *testing.T) {
 	boss := New(f.idx, DefaultOptions())
 	exh := New(f.idx, ExhaustiveOptions())
 	node := query.MustParse(`"t0" OR "t1" OR "t4" OR "t6"`)
-	a, err := boss.Run(node, 10)
+	a, err := boss.Exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := exh.Run(node, 10)
+	b, err := exh.Exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestRunCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, node := range sampleNodes(t, f) {
-		_, err := acc.RunCtx(ctx, node, 10)
+		_, err := acc.Exec(ctx, node.Plan(), 10)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled ctx: got %v, want context.Canceled", err)
 		}
@@ -49,7 +49,7 @@ func TestRunCtxDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	node := sampleNodes(t, f)[0]
-	_, err := acc.RunCtx(ctx, node, 10)
+	_, err := acc.Exec(ctx, node.Plan(), 10)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired deadline: got %v, want ErrDeadlineExceeded", err)
 	}
@@ -58,21 +58,21 @@ func TestRunCtxDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// A nil context must behave exactly like Run.
+// A nil context must behave exactly like one that never expires.
 func TestRunCtxNilContext(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	for _, node := range sampleNodes(t, f) {
-		a, err := acc.RunCtx(nil, node, 10) //nolint:staticcheck // nil ctx is part of the contract
+		a, err := acc.Exec(nil, node.Plan(), 10) //nolint:staticcheck // nil ctx is part of the contract
 		if err != nil {
-			t.Fatalf("RunCtx(nil): %v", err)
+			t.Fatalf("Exec(nil): %v", err)
 		}
-		b, err := acc.Run(node, 10)
+		b, err := acc.Exec(context.Background(), node.Plan(), 10)
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("Exec(Background): %v", err)
 		}
 		if !sameResults(a.TopK, b.TopK) {
-			t.Fatal("RunCtx(nil) diverged from Run")
+			t.Fatal("Exec(nil) diverged from Exec(Background)")
 		}
 	}
 }
@@ -94,7 +94,7 @@ func TestCorruptBlockReturnsTypedError(t *testing.T) {
 	}
 	pl.Data[pl.Blocks[0].Offset] ^= 0x5a
 
-	_, err := acc.RunDNFCtx(context.Background(), [][]string{{term}}, 10)
+	_, err := acc.Exec(context.Background(), query.Plan{DNF: [][]string{{term}}}, 10)
 	if err == nil {
 		t.Fatal("query over corrupt block succeeded")
 	}
@@ -104,7 +104,7 @@ func TestCorruptBlockReturnsTypedError(t *testing.T) {
 
 	// Restore and confirm the accelerator recovers fully.
 	pl.Data[pl.Blocks[0].Offset] ^= 0x5a
-	if _, err := acc.RunDNFCtx(context.Background(), [][]string{{term}}, 10); err != nil {
+	if _, err := acc.Exec(context.Background(), query.Plan{DNF: [][]string{{term}}}, 10); err != nil {
 		t.Fatalf("after restore: %v", err)
 	}
 }
@@ -141,7 +141,7 @@ func TestMalformedUnchecksummedBlockFailsTyped(t *testing.T) {
 			}
 			acc := NewCached(idx, DefaultOptions(), ch)
 			node := query.MustParse(`"t0"`)
-			_, err := acc.RunCtx(context.Background(), node, 10)
+			_, err := acc.Exec(context.Background(), node.Plan(), 10)
 			prefix := `core: decompression of list "t0" block 0 failed: `
 			if err == nil || !strings.HasPrefix(err.Error(), prefix+tc.want) {
 				t.Fatalf("%s (cached=%v): got %v, want %s%s…", tc.name, cached, err, prefix, tc.want)
@@ -154,7 +154,7 @@ func TestMalformedUnchecksummedBlockFailsTyped(t *testing.T) {
 
 			// Restore and confirm the accelerator recovers fully.
 			pl.Blocks[0], pl.Data[saved.Offset] = saved, first
-			if _, err := acc.RunCtx(context.Background(), node, 10); err != nil {
+			if _, err := acc.Exec(context.Background(), node.Plan(), 10); err != nil {
 				t.Fatalf("%s (cached=%v): after restore: %v", tc.name, cached, err)
 			}
 			if st := ch.Stats(); st.PinnedEntries != 0 {
@@ -176,11 +176,11 @@ func TestTransientFaultsRetriedTransparently(t *testing.T) {
 
 	var retries int64
 	for _, node := range sampleNodes(t, f) {
-		want, err := clean.RunCtx(nil, node, 10)
+		want, err := clean.Exec(nil, node.Plan(), 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := faulty.RunCtx(nil, node, 10)
+		got, err := faulty.Exec(nil, node.Plan(), 10)
 		if err != nil {
 			t.Fatalf("transient plan must be survivable: %v", err)
 		}
@@ -207,7 +207,7 @@ func TestUncorrectableFaultReturnsTypedError(t *testing.T) {
 
 	sawTyped := false
 	for _, node := range sampleNodes(t, f) {
-		_, err := acc.RunCtx(nil, node, 10)
+		_, err := acc.Exec(nil, node.Plan(), 10)
 		if err != nil {
 			if !errors.Is(err, mem.ErrMediaUncorrectable) {
 				t.Fatalf("failure is not typed: %v", err)
@@ -226,7 +226,7 @@ func TestDeadDeviceReturnsErrDeviceDown(t *testing.T) {
 	plan := &mem.FaultPlan{Seed: 1, DeadDevices: []int{0}}
 	acc.SetFault(plan.InjectorFor(0))
 	node := sampleNodes(t, f)[0]
-	_, err := acc.RunCtx(nil, node, 10)
+	_, err := acc.Exec(nil, node.Plan(), 10)
 	if !errors.Is(err, mem.ErrDeviceDown) {
 		t.Fatalf("dead device: got %v, want wrap of mem.ErrDeviceDown", err)
 	}
@@ -248,7 +248,7 @@ func TestFaultReplayDeterministic(t *testing.T) {
 		acc.SetFault(plan.InjectorFor(0))
 		out := make([]outcome, 0, len(nodes))
 		for _, node := range nodes {
-			res, err := acc.RunCtx(nil, node, 10)
+			res, err := acc.Exec(nil, node.Plan(), 10)
 			o := outcome{}
 			if err != nil {
 				o.errText = err.Error()

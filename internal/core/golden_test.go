@@ -43,7 +43,7 @@ func TestOperatorChargesGolden(t *testing.T) {
 	c, idx := sparseFixture(t, 0.01)
 	type item struct {
 		node  *query.Node
-		terms []string // set for Q7, which runs through RunSparse
+		terms []string // set for Q7, which runs as a term set
 	}
 	var items []item
 	for _, qt := range append(corpus.AllQueryTypes(), corpus.Q7) {
@@ -88,9 +88,9 @@ func TestOperatorChargesGolden(t *testing.T) {
 					var res Result
 					var err error
 					if it.terms != nil {
-						res, err = acc.RunSparse(it.terms, k)
+						res, err = acc.Exec(nil, query.Plan{Terms: it.terms}, k)
 					} else {
-						res, err = acc.Run(it.node, k)
+						res, err = acc.Exec(nil, it.node.Plan(), k)
 					}
 					if err != nil {
 						t.Fatalf("%s: %v", it.node, err)
@@ -112,7 +112,7 @@ func TestOperatorChargesGolden(t *testing.T) {
 		acc := New(dense, opts)
 		for _, k := range []int{1, 10, 100} {
 			for _, expr := range append(denseUnionExprs[:len(denseUnionExprs):len(denseUnionExprs)], denseConjExprs...) {
-				res, err := acc.Run(query.MustParse(expr), k)
+				res, err := acc.Exec(nil, query.MustParse(expr).Plan(), k)
 				if err != nil {
 					t.Fatalf("%s: %v", expr, err)
 				}

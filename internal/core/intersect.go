@@ -38,7 +38,7 @@ type conjRows struct{ lo, hi, tf, n int }
 // are appended to the candidate table and located by a new entry of r.conj.
 // pls is left in pass order, which is the table's slot order.
 func (r *run) intersect(pls []*index.PostingList) {
-	// Stable insertion sort by DF: conjuncts hold at most MaxQueryTerms
+	// Stable insertion sort by DF: conjuncts hold at most query.MaxTerms
 	// lists, and — unlike sort.SliceStable — this never allocates.
 	for i := 1; i < len(pls); i++ {
 		for j := i; j > 0 && pls[j].DF < pls[j-1].DF; j-- {

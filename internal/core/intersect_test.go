@@ -130,7 +130,7 @@ func TestIntersectByteIdentical(t *testing.T) {
 			acc := New(sw.idx, opts)
 			for _, k := range []int{1, 10, 1000} {
 				for _, node := range sw.nodes {
-					res, err := acc.Run(node, k)
+					res, err := acc.Exec(nil, node.Plan(), k)
 					if err != nil {
 						t.Fatalf("%s: %v", node, err)
 					}
@@ -317,7 +317,7 @@ func FuzzConjVsBruteForce(f *testing.F) {
 		opts.SpillIntermediates = shapeBits&32 != 0
 		kk := 1 + int(k)%1024
 
-		plain, err := New(idx, opts).Run(node, kk)
+		plain, err := New(idx, opts).Exec(nil, node.Plan(), kk)
 		if err != nil {
 			t.Fatalf("%s: %v", node, err)
 		}
@@ -326,7 +326,7 @@ func FuzzConjVsBruteForce(f *testing.F) {
 
 		cached := NewCached(idx, opts, cache.NewSharded(1<<20, 2))
 		for _, pass := range []string{"cold", "warm"} {
-			res, err := cached.Run(node, kk)
+			res, err := cached.Exec(nil, node.Plan(), kk)
 			if err != nil {
 				t.Fatalf("%s (%s cache): %v", node, pass, err)
 			}
@@ -379,7 +379,7 @@ func BenchmarkRunConj(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			acc := NewCached(idx, DefaultOptions(), cache.NewSharded(256<<20, 2))
 			for _, dnf := range bc.dnfs { // warm the cache and the pooled run
-				if _, err := acc.RunDNFCtx(nil, dnf, bc.k); err != nil {
+				if _, err := acc.Exec(nil, query.Plan{DNF: dnf}, bc.k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -387,7 +387,7 @@ func BenchmarkRunConj(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := acc.RunDNFCtx(nil, bc.dnfs[i%len(bc.dnfs)], bc.k)
+				res, err := acc.Exec(nil, query.Plan{DNF: bc.dnfs[i%len(bc.dnfs)]}, bc.k)
 				if err != nil {
 					b.Fatal(err)
 				}

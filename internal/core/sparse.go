@@ -40,7 +40,7 @@ type SparseTermInfo struct {
 
 // PlanSparse resolves a sparse query's terms and reports the MaxScore
 // partition at the given threshold (use 0 for a cold top-k). Terms
-// missing impacts or not indexed fail exactly like RunSparse.
+// missing impacts or not indexed fail exactly as they do in Exec.
 func (a *Accelerator) PlanSparse(terms []string, threshold float64) (*SparsePlan, error) {
 	lists, err := a.resolveSparse(nil, terms)
 	if err != nil {

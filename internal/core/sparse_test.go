@@ -35,7 +35,7 @@ func TestSparseOverlapWithFloatBM25(t *testing.T) {
 	var common, total int
 	for _, q := range qs {
 		node := query.MustParse(q.Expr)
-		got, err := acc.Run(node, k)
+		got, err := acc.Exec(nil, node.Plan(), k)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Expr, err)
 		}
@@ -77,11 +77,11 @@ func TestSparsePrunedByteIdentical(t *testing.T) {
 	qs := corpus.SampleQueries(c, corpus.Q7, 1000, 99)
 	var skipped int64
 	for _, q := range qs {
-		po, err := pruned.RunSparse(q.Terms, k)
+		po, err := pruned.Exec(nil, query.Plan{Terms: q.Terms}, k)
 		if err != nil {
 			t.Fatalf("%v: %v", q.Terms, err)
 		}
-		eo, err := exh.RunSparse(q.Terms, k)
+		eo, err := exh.Exec(nil, query.Plan{Terms: q.Terms}, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestSparseChargesCacheIndependent(t *testing.T) {
 		total := perf.NewMetrics()
 		for pass := 0; pass < 2; pass++ { // second pass hits the warm cache
 			for _, q := range qs {
-				out, err := acc.RunSparse(q.Terms, 10)
+				out, err := acc.Exec(nil, query.Plan{Terms: q.Terms}, 10)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,7 +133,7 @@ func TestSparseChargesCacheIndependent(t *testing.T) {
 }
 
 // TestSparseHitPathAllocs pins the Q7 cache-hit path's allocation budget:
-// a warm RunSparse performs exactly the constant per-query envelope
+// a warm sparse Exec performs exactly the constant per-query envelope
 // (metrics record, selector results, Result copy) and the per-posting /
 // per-block hot path contributes zero — the count must not move when the
 // query processes an order of magnitude more postings.
@@ -146,26 +146,26 @@ func TestSparseHitPathAllocs(t *testing.T) {
 	short := []string{"t300"}
 	long := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
 	for i := 0; i < 3; i++ { // warm the cache and every pooled scratch buffer
-		if _, err := acc.RunSparse(short, 10); err != nil {
+		if _, err := acc.Exec(nil, query.Plan{Terms: short}, 10); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := acc.RunSparse(long, 10); err != nil {
+		if _, err := acc.Exec(nil, query.Plan{Terms: long}, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a := testing.AllocsPerRun(400, func() {
-		if _, err := acc.RunSparse(short, 10); err != nil {
+		if _, err := acc.Exec(nil, query.Plan{Terms: short}, 10); err != nil {
 			t.Fatal(err)
 		}
 	})
 	b := testing.AllocsPerRun(400, func() {
-		if _, err := acc.RunSparse(long, 10); err != nil {
+		if _, err := acc.Exec(nil, query.Plan{Terms: long}, 10); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const envelope = 3
 	if a > envelope || b > envelope {
-		t.Fatalf("warm RunSparse allocates %.2f (1 term) / %.2f (8 terms) allocs/op, want <= %d", a, b, envelope)
+		t.Fatalf("warm sparse Exec allocates %.2f (1 term) / %.2f (8 terms) allocs/op, want <= %d", a, b, envelope)
 	}
 	if b != a {
 		t.Fatalf("allocs scale with postings processed (%.2f vs %.2f); hot path must contribute 0", a, b)
@@ -178,10 +178,10 @@ func TestSparseErrNoImpacts(t *testing.T) {
 	c := corpus.Generate(corpus.CCNewsLike(0.004))
 	idx := index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid}) // no Impacts
 	acc := New(idx, DefaultOptions())
-	if _, err := acc.RunSparse([]string{"t1", "t2"}, 10); !errors.Is(err, ErrNoImpacts) {
+	if _, err := acc.Exec(nil, query.Plan{Terms: []string{"t1", "t2"}}, 10); !errors.Is(err, ErrNoImpacts) {
 		t.Fatalf("err = %v, want ErrNoImpacts", err)
 	}
-	if _, err := acc.RunSparse([]string{"zzz-missing"}, 10); err == nil {
+	if _, err := acc.Exec(nil, query.Plan{Terms: []string{"zzz-missing"}}, 10); err == nil {
 		t.Fatal("expected error for unknown term")
 	}
 }
@@ -244,7 +244,7 @@ func BenchmarkRunSparse(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			acc := NewCached(idx, bc.opts, cache.NewSharded(256<<20, 2))
 			for _, q := range qs { // warm the cache and the pooled run
-				if _, err := acc.RunSparse(q.Terms, 10); err != nil {
+				if _, err := acc.Exec(nil, query.Plan{Terms: q.Terms}, 10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -252,7 +252,7 @@ func BenchmarkRunSparse(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := acc.RunSparse(qs[i%len(qs)].Terms, 10)
+				res, err := acc.Exec(nil, query.Plan{Terms: qs[i%len(qs)].Terms}, 10)
 				if err != nil {
 					b.Fatal(err)
 				}

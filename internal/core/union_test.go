@@ -118,11 +118,11 @@ func requireSameTopK(t testing.TB, what string, got, want []topk.Entry) {
 // equal (requireSameTopK).
 func requireUnionByteIdentical(t testing.TB, idx *index.Index, node *query.Node, opts Options, k int) (pruned, exhaustive Result) {
 	t.Helper()
-	po, err := New(idx, opts).Run(node, k)
+	po, err := New(idx, opts).Exec(nil, node.Plan(), k)
 	if err != nil {
 		t.Fatalf("%s: %v", node, err)
 	}
-	eo, err := New(idx, Options{FixedPoint: opts.FixedPoint}).Run(node, k)
+	eo, err := New(idx, Options{FixedPoint: opts.FixedPoint}).Exec(nil, node.Plan(), k)
 	if err != nil {
 		t.Fatalf("%s: %v", node, err)
 	}
@@ -193,7 +193,7 @@ func TestUnionPrunedByteIdentical(t *testing.T) {
 			// no code with it: query-order summation, bit for bit.
 			for _, fixed := range []bool{false, true} {
 				for _, node := range sw.nodes {
-					res, err := New(sw.idx, Options{FixedPoint: fixed}).Run(node, 50)
+					res, err := New(sw.idx, Options{FixedPoint: fixed}).Exec(nil, node.Plan(), 50)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -275,7 +275,7 @@ func BenchmarkRunUnion(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			acc := NewCached(idx, bc.opts, cache.NewSharded(256<<20, 2))
 			for _, dnf := range dnfs { // warm the cache and the pooled run
-				if _, err := acc.RunDNFCtx(nil, dnf, 100); err != nil {
+				if _, err := acc.Exec(nil, query.Plan{DNF: dnf}, 100); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -283,7 +283,7 @@ func BenchmarkRunUnion(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := acc.RunDNFCtx(nil, dnfs[i%len(dnfs)], 100)
+				res, err := acc.Exec(nil, query.Plan{DNF: dnfs[i%len(dnfs)]}, 100)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -323,7 +323,7 @@ func TestRunHitPathAllocs(t *testing.T) {
 	_, idx := sparseFixture(t, 0.01)
 	acc := NewCached(idx, DefaultOptions(), cache.NewSharded(64<<20, 2))
 	run := func(dnf [][]string) {
-		if _, err := acc.RunDNFCtx(nil, dnf, 10); err != nil {
+		if _, err := acc.Exec(nil, query.Plan{DNF: dnf}, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +337,7 @@ func TestRunHitPathAllocs(t *testing.T) {
 	for _, f := range boolFamilies {
 		got := testing.AllocsPerRun(200, func() { run(f.dnf) })
 		if got > envelope {
-			t.Errorf("%s: warm RunDNFCtx allocates %.2f allocs/op, want <= %d", f.name, got, envelope)
+			t.Errorf("%s: warm Exec allocates %.2f allocs/op, want <= %d", f.name, got, envelope)
 		}
 		if first < 0 {
 			first = got
@@ -360,7 +360,7 @@ func TestUncachedRunAllocs(t *testing.T) {
 	_, idx := sparseFixture(t, 0.01)
 	acc := New(idx, DefaultOptions())
 	run := func(dnf [][]string) {
-		if _, err := acc.RunDNFCtx(nil, dnf, 10); err != nil {
+		if _, err := acc.Exec(nil, query.Plan{DNF: dnf}, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,7 +372,7 @@ func TestUncachedRunAllocs(t *testing.T) {
 	const runAllocs = 2 // perf.NewMetrics and sel.Results
 	for _, f := range boolFamilies {
 		if got := testing.AllocsPerRun(200, func() { run(f.dnf) }); got != runAllocs {
-			t.Errorf("%s: warm uncached RunDNFCtx allocates %.2f allocs/op, want %d", f.name, got, runAllocs)
+			t.Errorf("%s: warm uncached Exec allocates %.2f allocs/op, want %d", f.name, got, runAllocs)
 		}
 	}
 

@@ -61,7 +61,7 @@ func TestModuleDecodesAllSchemes(t *testing.T) {
 					}
 				}
 				payload := codec.Encode(nil, values)
-				got, used, cycles, err := mod.Decode(payload, n, 0, false)
+				got, used, cycles, err := mod.DecodeInto(nil, payload, n, 0, false)
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -84,7 +84,7 @@ func TestModuleDeltaStage(t *testing.T) {
 	deltas := []uint32{0, 3, 1, 10}
 	payload := codec.Encode(nil, deltas)
 	mod := NewModuleFor(compress.BP)
-	got, _, _, err := mod.Decode(payload, len(deltas), 100, true)
+	got, _, _, err := mod.DecodeInto(nil, payload, len(deltas), 100, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestModuleMatchesCodecWithDelta(t *testing.T) {
 
 		// Hardware path.
 		mod := NewModuleFor(scheme)
-		hard, _, _, err := mod.Decode(payload, n, base, true)
+		hard, _, _, err := mod.DecodeInto(nil, payload, n, base, true)
 		if err != nil {
 			return false
 		}
@@ -140,7 +140,7 @@ func TestVBConsumptionIsExact(t *testing.T) {
 	payload = codec.Encode(payload, b)
 
 	mod := NewModuleFor(compress.VB)
-	gotA, usedA, _, err := mod.Decode(payload, len(a), 0, false)
+	gotA, usedA, _, err := mod.DecodeInto(nil, payload, len(a), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestVBConsumptionIsExact(t *testing.T) {
 	if !reflect.DeepEqual(gotA, a) {
 		t.Fatalf("first stream = %v", gotA)
 	}
-	gotB, _, _, err := mod.Decode(payload[usedA:], len(b), 0, false)
+	gotB, _, _, err := mod.DecodeInto(nil, payload[usedA:], len(b), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestModuleStatistics(t *testing.T) {
 	mod := NewModuleFor(compress.BP)
 	codec := compress.ForScheme(compress.BP)
 	payload := codec.Encode(nil, []uint32{1, 2, 3})
-	mod.Decode(payload, 3, 0, false)
-	mod.Decode(payload, 3, 0, false)
+	mod.DecodeInto(nil, payload, 3, 0, false)
+	mod.DecodeInto(nil, payload, 3, 0, false)
 	if mod.Blocks() != 2 {
 		t.Fatalf("blocks = %d", mod.Blocks())
 	}
@@ -186,7 +186,7 @@ func TestPFDExceptionsPatchedByStage3(t *testing.T) {
 	values[99] = 1 << 22
 	payload := codec.Encode(nil, values)
 	mod := NewModuleFor(compress.OptPFD)
-	got, _, _, err := mod.Decode(payload, len(values), 0, false)
+	got, _, _, err := mod.DecodeInto(nil, payload, len(values), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,12 +287,12 @@ func TestDecodeErrorsOnTruncatedPayload(t *testing.T) {
 	codec := compress.ForScheme(compress.BP)
 	payload := codec.Encode(nil, []uint32{1000, 2000, 3000})
 	mod := NewModuleFor(compress.BP)
-	if _, _, _, err := mod.Decode(payload[:1], 3, 0, false); err == nil {
+	if _, _, _, err := mod.DecodeInto(nil, payload[:1], 3, 0, false); err == nil {
 		t.Fatal("truncated BP payload should error")
 	}
 	for _, s := range []compress.Scheme{compress.S16, compress.S8b, compress.OptPFD} {
 		mod := NewModuleFor(s)
-		if _, _, _, err := mod.Decode([]byte{1}, 10, 0, false); err == nil {
+		if _, _, _, err := mod.DecodeInto(nil, []byte{1}, 10, 0, false); err == nil {
 			t.Errorf("%s: truncated payload should error", s)
 		}
 	}
@@ -310,7 +310,7 @@ func TestDecodeErrorsOnTruncatedPayload(t *testing.T) {
 		{"ends after k < n values", vb, 3, "decomp: produced 2 values, want 3"},
 	} {
 		mod := NewModuleFor(compress.VB)
-		if _, _, _, err := mod.Decode(tc.payload, tc.n, 0, true); err == nil || err.Error() != tc.want {
+		if _, _, _, err := mod.DecodeInto(nil, tc.payload, tc.n, 0, true); err == nil || err.Error() != tc.want {
 			t.Errorf("VB %s: err = %v, want %q", tc.name, err, tc.want)
 		}
 		if mod.Blocks() != 0 || mod.Cycles() != 0 {

@@ -107,7 +107,7 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 		}
 		payload := codec.Encode(nil, values)
 		mod := NewModuleFor(scheme)
-		got, used, cycles, err := mod.Decode(payload, n, 0, false)
+		got, used, cycles, err := mod.DecodeInto(nil, payload, n, 0, false)
 		if err != nil {
 			t.Fatalf("%s: decode of valid payload failed: %v", scheme, err)
 		}
@@ -158,7 +158,7 @@ func FuzzModuleDecode(f *testing.F) {
 				t.Fatalf("%s: Decode panicked on corrupt payload: %v", scheme, r)
 			}
 		}()
-		mod.Decode(payload, n, 0, true)
+		mod.DecodeInto(nil, payload, n, 0, true)
 		mod.decodeNetlist(nil, payload, n, 0, true)
 	})
 }

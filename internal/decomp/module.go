@@ -151,18 +151,12 @@ func (m *Module) Blocks() int64 { return m.blocks }
 // Values reports how many values were produced.
 func (m *Module) Values() int64 { return m.values }
 
-// Decode runs the four-stage datapath over a block payload, producing n
-// values. base and applyDelta drive stage 4 (docID streams use delta with
-// the block's first docID as base; tf streams do not). It returns the
-// decoded values, the number of payload bytes consumed, and the cycles the
-// block occupied the datapath.
-func (m *Module) Decode(payload []byte, n int, base uint32, applyDelta bool) (values []uint32, bytesConsumed int, cycles int, err error) {
-	return m.DecodeInto(nil, payload, n, base, applyDelta)
-}
-
-// DecodeInto is Decode with a caller-provided destination: the n values are
-// appended to dst (which may be nil) and the extended slice returned, so
-// callers that recycle buffers decode without allocating.
+// DecodeInto runs the four-stage datapath over a block payload, producing n
+// values appended to dst (which may be nil; callers that recycle buffers
+// decode without allocating). base and applyDelta drive stage 4 (docID
+// streams use delta with the block's first docID as base; tf streams do
+// not). It returns the extended slice, the number of payload bytes consumed,
+// and the cycles the block occupied the datapath.
 //
 //boss:hotpath the per-block decode loop; error construction is outlined.
 func (m *Module) DecodeInto(dst []uint32, payload []byte, n int, base uint32, applyDelta bool) (values []uint32, bytesConsumed int, cycles int, err error) {

@@ -441,7 +441,7 @@ func AblationET(ctx *Context) []*Table {
 		for vi, v := range variants {
 			sum := newZeroMetrics()
 			for _, q := range s.Workload[qt] {
-				res, err := core.New(s.Hybrid, v.opts).Run(query.MustParse(q.Expr), s.Cfg.K)
+				res, err := core.New(s.Hybrid, v.opts).Exec(nil, query.MustParse(q.Expr).Plan(), s.Cfg.K)
 				if err != nil {
 					panic(err)
 				}
@@ -491,7 +491,7 @@ func AblationPipeline(ctx *Context) []*Table {
 		opts.SpillIntermediates = v.spill
 		n := 0
 		for _, expr := range exprs {
-			res, err := core.New(s.Hybrid, opts).Run(query.MustParse(expr), s.Cfg.K)
+			res, err := core.New(s.Hybrid, opts).Exec(nil, query.MustParse(expr).Plan(), s.Cfg.K)
 			if err != nil {
 				panic(err)
 			}
@@ -531,7 +531,7 @@ func AblationTopK(ctx *Context) []*Table {
 		var qps float64
 		n := 0
 		for _, q := range s.Workload[corpus.Q5] {
-			res, err := core.New(s.Hybrid, opts).Run(query.MustParse(q.Expr), s.Cfg.K)
+			res, err := core.New(s.Hybrid, opts).Exec(nil, query.MustParse(q.Expr).Plan(), s.Cfg.K)
 			if err != nil {
 				panic(err)
 			}
@@ -562,7 +562,7 @@ func AblationHybrid(ctx *Context) []*Table {
 		sum := 0.0
 		n := 0
 		for _, q := range s.Workload[corpus.Q3] {
-			res, err := core.New(idx, core.DefaultOptions()).Run(query.MustParse(q.Expr), s.Cfg.K)
+			res, err := core.New(idx, core.DefaultOptions()).Exec(nil, query.MustParse(q.Expr).Plan(), s.Cfg.K)
 			if err != nil {
 				panic(err)
 			}

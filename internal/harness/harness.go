@@ -112,7 +112,7 @@ func (s *Setup) runOne(sys System, q corpus.Query) *perf.Metrics {
 		if sys == BOSSBlock {
 			opts = core.BlockOnlyOptions()
 		}
-		res, err := core.New(s.Hybrid, opts).Run(node, s.Cfg.K)
+		res, err := core.New(s.Hybrid, opts).Exec(nil, node.Plan(), s.Cfg.K)
 		if err != nil {
 			panic(err)
 		}

@@ -317,8 +317,9 @@ type ClusterResult struct {
 	ServedBy []int
 }
 
-// prepare is query.Prepare for the entry points handed a string and nothing
-// prepared (exec, RunBatch, Device.Submit), refusing in the pool's name.
+// prepare is query.Prepare for the pool's entry points handed a string and
+// nothing prepared (exec, Cluster.RunBatch, Device.Submit), refusing in the
+// pool's name.
 func prepare(expr string) (*query.Prepared, error) {
 	p, err := query.Prepare(expr)
 	var lim *query.TermLimitError
@@ -356,34 +357,19 @@ type shardOut struct {
 	hedgeWin bool
 }
 
-// plan is what a search asks of one accelerator, in query.Prepared's terms:
-// a normal form or, when dnf is nil (a sparse query), a term set. It starts as
-// the prepared query's own slices, which every run shares and none may write.
-type plan struct {
-	dnf   [][]string
-	terms []string
-}
-
-// narrow restricts pl to what one shard can answer: a conjunct survives iff
-// idx holds all its terms, a sparse term iff idx holds it; ok is false when
-// none does and the shard has no part in the answer. This is exactly pruning
-// the expression and normalising the rest: Node.DNF is an order-preserving
-// cross product (TestFilterMatchesPrune, FuzzFilterVsPrune).
-func (pl plan) narrow(idx *index.Index) (_ plan, ok bool) {
-	if pl.dnf != nil {
-		pl.dnf = filter(pl.dnf, idx, holdsAll)
-		return pl, len(pl.dnf) > 0
+// narrow restricts pl, a prepared query's plan or a copy of it, to what one
+// shard can answer: a conjunct survives iff idx holds all its terms, a sparse
+// term iff idx holds it; ok is false when none does and the shard has no part
+// in the answer. This is exactly pruning the expression and normalising the
+// rest: Node.DNF is an order-preserving cross product (TestFilterMatchesPrune,
+// FuzzFilterVsPrune). The prepared slices are shared, so it writes none.
+func narrow(pl query.Plan, idx *index.Index) (_ query.Plan, ok bool) {
+	if pl.DNF != nil {
+		pl.DNF = filter(pl.DNF, idx, holdsAll)
+		return pl, len(pl.DNF) > 0
 	}
-	pl.terms = filter(pl.terms, idx, holds)
-	return pl, len(pl.terms) > 0
-}
-
-// run executes pl on acc under ctx (nil: none).
-func (pl plan) run(ctx context.Context, acc *core.Accelerator, k int) (core.Result, error) {
-	if pl.dnf != nil {
-		return acc.RunDNFCtx(ctx, pl.dnf, k)
-	}
-	return acc.RunSparseCtx(ctx, pl.terms, k)
+	pl.Terms = filter(pl.Terms, idx, holds)
+	return pl, len(pl.Terms) > 0
 }
 
 // filter returns the xs that idx holds: xs itself when that is all of them
@@ -423,7 +409,7 @@ func holdsAll(idx *index.Index, conj []string) bool {
 // never escapes to the heap, and runShard can narrow its own copy's plan to
 // the terms its shard holds.
 type shardWork struct {
-	plan
+	query.Plan
 	k    int
 	qkey uint64
 
@@ -543,7 +529,7 @@ func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) 
 		}
 	}
 	k := cl.depth(q.K)
-	outs := cl.sweep(ctx, shardWork{plan: plan{p.DNF, p.Terms}, k: k, qkey: mem.StableKey(q.Expr)}, q.ShardMask, shardWorkers)
+	outs := cl.sweep(ctx, shardWork{Plan: p.Plan, k: k, qkey: mem.StableKey(q.Expr)}, q.ShardMask, shardWorkers)
 	// A context that died mid-sweep fails the query, whatever shards ran.
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -711,7 +697,7 @@ func (cl *Cluster) RunBatch(exprs []string, gap sim.Duration, cfg Config) (*Clus
 		}
 		at := sim.Time(qi) * gap
 		for si, d := range devices {
-			pl, ok := plan{p.DNF, p.Terms}.narrow(cl.shards[si])
+			pl, ok := narrow(p.Plan, cl.shards[si])
 			if !ok {
 				continue
 			}

@@ -20,6 +20,7 @@ import (
 	"boss/internal/index"
 	"boss/internal/mem"
 	"boss/internal/perf"
+	"boss/internal/query"
 	"boss/internal/sim"
 )
 
@@ -163,15 +164,15 @@ func (d *Device) Submit(expr string, at sim.Time) error {
 	if err != nil {
 		return err
 	}
-	return d.enqueue(plan{p.DNF, p.Terms}, at)
+	return d.enqueue(p.Plan, at)
 }
 
 // enqueue is Submit for a prepared query's plan, whole or narrowed to this
 // device's shard (Cluster.RunBatch).
-func (d *Device) enqueue(pl plan, at sim.Time) error {
+func (d *Device) enqueue(pl query.Plan, at sim.Time) error {
 	// Pre-flight the query on the core model: this yields the work metrics
 	// whose traffic the event simulation replays under contention.
-	res, err := pl.run(nil, d.acc, d.cfg.K)
+	res, err := d.acc.Exec(nil, pl, d.cfg.K)
 	if err != nil {
 		return err
 	}

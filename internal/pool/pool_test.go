@@ -92,7 +92,7 @@ func TestEventSimAgreesWithAnalyticModel(t *testing.T) {
 	acc := core.New(idx, core.DefaultOptions())
 	avg := perf.NewMetrics()
 	for _, q := range queries {
-		res, err := acc.Run(query.MustParse(q.Expr), cfg.K)
+		res, err := acc.Exec(nil, query.MustParse(q.Expr).Plan(), cfg.K)
 		if err != nil {
 			t.Fatal(err)
 		}

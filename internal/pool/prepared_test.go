@@ -39,7 +39,7 @@ func TestPreparedIsSharedNotWritten(t *testing.T) {
 	}
 	narrowed := 0
 	for _, idx := range cl.shards {
-		if pl, _ := (plan{p.DNF, p.Terms}).narrow(idx); len(pl.dnf) < len(p.DNF) {
+		if pl, _ := narrow(p.Plan, idx); len(pl.DNF) < len(p.DNF) {
 			narrowed++
 		}
 	}

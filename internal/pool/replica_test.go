@@ -406,7 +406,7 @@ func TestHedgeBackupWins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	want := cl.attempt(context.Background(), shardWork{plan: plan{p.DNF, p.Terms}, k: 15}, 0, 0)
+	want := cl.attempt(context.Background(), shardWork{Plan: p.Plan, k: 15}, 0, 0)
 	if want.err != nil {
 		t.Fatalf("direct attempt: %v", want.err)
 	}

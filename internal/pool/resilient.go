@@ -407,7 +407,7 @@ func (cl *Cluster) attempt(ctx context.Context, w shardWork, si, ri int) shardOu
 	if w.ids != nil {
 		return cl.fetchShard(ctx, w, si, ri)
 	}
-	out, err := w.plan.run(ctx, cl.accs[si][ri], w.k)
+	out, err := cl.accs[si][ri].Exec(ctx, w.Plan, w.k)
 	if err != nil {
 		return shardOut{err: shardError(si, err)}
 	}
@@ -500,7 +500,7 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 	}
 	if !fetch {
 		var ok bool
-		if w.plan, ok = w.plan.narrow(cl.shards[si]); !ok {
+		if w.Plan, ok = narrow(w.Plan, cl.shards[si]); !ok {
 			return shardOut{}
 		}
 	}

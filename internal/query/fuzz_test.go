@@ -24,7 +24,8 @@ func andOfOrs(n int) string {
 // FuzzParse checks the expression parser never panics on arbitrary input,
 // that everything it accepts round-trips stably through String(), and that
 // Prepare is the per-method derivations gathered once: within the term limit
-// its fields are Node.Terms, Node.DNF and Node.Canonical; over it, a
+// its fields are Node.Terms, Node.DNF and Node.Canonical, and its Plan is the
+// one Node.Plan builds, nil DNF for SPARSE included; over it, a
 // TermLimitError and no normal form (the seeds hold one of 2^32 conjuncts,
 // which no run that built it would survive).
 func FuzzParse(f *testing.F) {
@@ -51,6 +52,8 @@ func FuzzParse(f *testing.F) {
 		`sparse("x")`,
 		`SPARSE("a") OR "b"`,
 		`SPARSE(`,
+		`SPARSE("d", "c", "b", "a")`,
+		`"a" AND ("b" OR "c") OR "d" AND "e"`,
 		andOfOrs(8),  // 16 terms: at the limit, 256 conjuncts
 		andOfOrs(9),  // 18: refused
 		andOfOrs(32), // 64: refused before anyone normalises it
@@ -82,6 +85,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if sparse := node.Op == OpSparse; (p.DNF == nil) != sparse || (!sparse && !reflect.DeepEqual(p.DNF, node.DNF())) {
 			t.Fatalf("Prepare's DNF = %v, want %s's", p.DNF, node)
+		}
+		if pl := MustParse(src).Plan(); !reflect.DeepEqual(pl, p.Plan) {
+			t.Fatalf("Node.Plan = %#v, Prepare's = %#v", pl, p.Plan)
 		}
 		rendered := node.String()
 		again, err := Parse(rendered)

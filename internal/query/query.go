@@ -123,7 +123,7 @@ func (n *Node) walk(fn func(*Node)) {
 }
 
 // CountTerms reports the number of term occurrences without materializing
-// them: what Prepare and core.RunCtx hold against the term limit.
+// them: what Prepare holds against the term limit.
 func (n *Node) CountTerms() int {
 	c := 0
 	if n.Op == OpTerm {
@@ -304,18 +304,33 @@ func (e *TermLimitError) Error() string {
 	return fmt.Sprintf("query has %d terms; hardware handles up to %d", e.Terms, MaxTerms)
 }
 
+// Plan is what the device executes: a normal form or, when DNF is nil (a
+// SPARSE query, which has none), the term set in Terms. Terms is every term
+// occurrence in appearance order (Node.Terms), what a dictionary check
+// probes; DNF is Node.DNF.
+type Plan struct {
+	Terms []string
+	DNF   [][]string
+}
+
+// Plan is the one place a syntax tree becomes a plan. It holds no term limit:
+// Prepare checks that before it normalises.
+func (n *Node) Plan() Plan {
+	if n.Op == OpSparse {
+		return Plan{Terms: n.Terms()}
+	}
+	return Plan{Terms: n.Terms(), DNF: n.DNF()}
+}
+
 // Prepared is an expression ready to execute — parsed, within the term limit,
 // normalised — and the only form of a query the serving path knows below the
 // front door: the key cache holds it, a flight hands it to the backend, each
-// shard narrows it to the terms it holds. It keeps none of the syntax tree and
-// is immutable once returned: every submission of the expression and every
-// shard run shares it, so nobody writes through its slices.
+// shard narrows its plan to the terms it holds. It keeps none of the syntax
+// tree and is immutable once returned: every submission of the expression and
+// every shard run shares it, so nobody writes through its slices.
 type Prepared struct {
 	Key string // the canonical coalescing key (Node.Canonical), rendered from DNF
-	// Terms is every term occurrence in appearance order (Node.Terms), what a
-	// dictionary check probes; a SPARSE query, a set, runs over it.
-	Terms []string
-	DNF   [][]string // the normal form (Node.DNF); nil for a SPARSE query, which has none
+	Plan
 }
 
 // Prepare parses expr, refuses more than MaxTerms term occurrences (a
@@ -329,11 +344,13 @@ func Prepare(expr string) (*Prepared, error) {
 	if c := n.CountTerms(); c > MaxTerms {
 		return nil, &TermLimitError{Terms: c}
 	}
-	if n.Op == OpSparse {
-		return &Prepared{Key: n.Canonical(), Terms: n.Terms()}, nil
+	p := &Prepared{Plan: n.Plan()}
+	if p.DNF == nil {
+		p.Key = n.Canonical()
+	} else {
+		p.Key = canonicalDNF(p.DNF)
 	}
-	dnf := n.DNF()
-	return &Prepared{Key: canonicalDNF(dnf), Terms: n.Terms(), DNF: dnf}, nil
+	return p, nil
 }
 
 // --- parser ---

@@ -54,6 +54,16 @@ func benchWorkload() ([]string, []*query.Node) {
 	return exprs, nodes
 }
 
+// benchPlans is benchWorkload's queries as the plans the accelerator runs.
+func benchPlans() []query.Plan {
+	_, nodes := benchWorkload()
+	plans := make([]query.Plan, len(nodes))
+	for i, n := range nodes {
+		plans[i] = n.Plan()
+	}
+	return plans
+}
+
 // heavyExpr returns a Q5-style union, the workload's most expensive shape —
 // every shard participates, so shard fan-out has real work to parallelize.
 func heavyExpr() string {
@@ -184,17 +194,17 @@ func BenchmarkEngineRunBatch(b *testing.B) {
 
 func BenchmarkAcceleratorRun(b *testing.B) {
 	acc := core.New(sharedCtx().ClueWeb().Hybrid, core.DefaultOptions())
-	_, nodes := benchWorkload()
+	plans := benchPlans()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, n := range nodes {
-			if _, err := acc.Run(n, benchCfg.K); err != nil {
+		for _, pl := range plans {
+			if _, err := acc.Exec(nil, pl, benchCfg.K); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.ReportMetric(float64(len(nodes)), "queries/op")
+	b.ReportMetric(float64(len(plans)), "queries/op")
 }
 
 // BenchmarkBOSSQuery is the single-query allocation benchmark for the BOSS
@@ -203,11 +213,11 @@ func BenchmarkAcceleratorRun(b *testing.B) {
 // against (CHANGES.md records before/after).
 func BenchmarkBOSSQuery(b *testing.B) {
 	acc := core.New(sharedCtx().ClueWeb().Hybrid, core.DefaultOptions())
-	node := query.MustParse(heavyExpr())
+	pl := query.MustParse(heavyExpr()).Plan()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := acc.Run(node, benchCfg.K); err != nil {
+		if _, err := acc.Exec(nil, pl, benchCfg.K); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,13 +225,13 @@ func BenchmarkBOSSQuery(b *testing.B) {
 
 func BenchmarkAcceleratorRunBatch(b *testing.B) {
 	acc := core.New(sharedCtx().ClueWeb().Hybrid, core.DefaultOptions())
-	_, nodes := benchWorkload()
+	plans := benchPlans()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if br := acc.RunBatch(nodes, benchCfg.K, 0); br.Err != nil {
+		if br := acc.RunBatch(plans, benchCfg.K, 0); br.Err != nil {
 			b.Fatal(br.Err)
 		}
 	}
-	b.ReportMetric(float64(len(nodes)), "queries/op")
+	b.ReportMetric(float64(len(plans)), "queries/op")
 }

@@ -215,13 +215,7 @@ func (b accelBackend) ExecuteBatch(ctx context.Context, qs []pool.BatchQuery, ou
 			k = core.DefaultK
 		}
 		// Prepared at admission: front.Backend's contract for a search.
-		var res core.Result
-		var err error
-		if p := q.Prepared; p.DNF == nil {
-			res, err = b.a.acc.RunSparseCtx(ctx, p.Terms, k)
-		} else {
-			res, err = b.a.acc.RunDNFCtx(ctx, p.DNF, k)
-		}
+		res, err := b.a.acc.Exec(ctx, q.Prepared.Plan, k)
 		if err != nil {
 			out[i] = front.Out{Err: err}
 			continue
