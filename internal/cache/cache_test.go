@@ -135,8 +135,10 @@ func TestNilCache(t *testing.T) {
 	}
 }
 
-// TestBudgetEviction checks the budget is a hard ceiling and CLOCK evicts
-// cold entries first.
+// TestBudgetEviction checks the budget is a hard ceiling, the admission rule
+// (a first publish is admitted at once below the budget, and on its second
+// miss once admitting it would evict), and that CLOCK evicts cold entries
+// first.
 func TestBudgetEviction(t *testing.T) {
 	drainSlabs()
 	const n = 128
@@ -147,33 +149,69 @@ func TestBudgetEviction(t *testing.T) {
 		c.Release(e)
 	}
 	mustInvariants(t, c)
-	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 0 {
-		t.Fatalf("warm stats = %+v", st)
+	// Below the budget every first publish is admitted at once.
+	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 0 || st.Bypasses != 0 {
+		t.Fatalf("warm stats = %+v, want 3 resident / 0 evictions / 0 bypasses", st)
 	}
 
 	// Touch list 1 so its reference bit survives the first hand pass.
 	h := c.Get(Key{List: 1})
 	c.Release(h)
 
-	// Inserting a 4th entry must evict exactly one. The hand starts at
-	// list 0 (bit set at insert): it clears 0's bit, clears 1's freshly
-	// re-set bit... second pass evicts 0 first.
+	// The cache is full: the 4th key's first publish would evict, so it is
+	// declined — handed back caller-owned, nothing evicted — and a Get of it
+	// misses.
 	e := publish(c, Key{List: 3}, n, 0)
+	if st := e.state.Load(); st != 1 {
+		t.Fatalf("declined entry state %#x, want one pin and not resident (caller-owned)", st)
+	}
+	checkContent(t, e, Key{List: 3}, n)
+	c.Release(e)
+	mustInvariants(t, c)
+	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 0 || st.Bypasses != 1 {
+		t.Fatalf("after first miss stats = %+v, want 3 resident / 0 evictions / 1 bypass", st)
+	}
+	if h := c.Get(Key{List: 3}); h != nil {
+		t.Fatal("a block declined on its first miss must not be findable")
+	}
+
+	// Its second publish is admitted and evicts exactly one. The hand starts
+	// at list 0 (bit set at insert): it clears 0's bit, clears 1's freshly
+	// re-set bit... second pass evicts 0 first.
+	e = publish(c, Key{List: 3}, n, 0)
 	c.Release(e)
 	mustInvariants(t, c)
 	st := c.Stats()
-	if st.ResidentEntries != 3 || st.Evictions != 1 {
-		t.Fatalf("after insert stats = %+v, want 3 resident / 1 eviction", st)
+	if st.ResidentEntries != 3 || st.Evictions != 1 || st.Bypasses != 1 {
+		t.Fatalf("after second miss stats = %+v, want 3 resident / 1 eviction / 1 bypass", st)
 	}
 	if st.ResidentBytes > st.BudgetBytes {
 		t.Fatalf("resident %d exceeds budget %d", st.ResidentBytes, st.BudgetBytes)
 	}
-	// The recently-touched entry must still be resident (second chance).
-	if h := c.Get(Key{List: 1}); h == nil {
-		t.Fatal("recently-used entry was evicted; CLOCK second chance broken")
-	} else {
-		checkContent(t, h, Key{List: 1}, n)
-		c.Release(h)
+	if h := c.Get(Key{List: 0}); h != nil {
+		t.Fatal("list 0 should have been the one evicted")
+	}
+	// The recently-touched entry must still be resident (second chance), and
+	// so must the block just admitted.
+	for _, k := range []Key{{List: 1}, {List: 3}} {
+		if h := c.Get(k); h == nil {
+			t.Fatalf("%v was evicted; CLOCK second chance broken", k)
+		} else {
+			checkContent(t, h, k, n)
+			c.Release(h)
+		}
+	}
+
+	// Eviction drops a block's mark with it: the evicted list 0's next first
+	// miss is declined again.
+	e = publish(c, Key{List: 0}, n, 0)
+	c.Release(e)
+	mustInvariants(t, c)
+	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 1 || st.Bypasses != 2 {
+		t.Fatalf("after the evicted block's first miss stats = %+v, want 3 resident / 1 eviction / 2 bypasses", st)
+	}
+	if h := c.Get(Key{List: 0}); h != nil {
+		t.Fatal("an evicted block must be declined again on its next first miss")
 	}
 }
 
@@ -359,8 +397,9 @@ func TestKeyWrappers(t *testing.T) {
 // TestStaleSlotPointer plays the reader that loaded a slot just before the
 // evictor cleared it, by planting in block 0's slot, one after another, a
 // pointer to what that reader may find behind it: a resident entry of another
-// block, a publisher's private entry, and a free one. Each Get must miss and
-// leave the entry's state word exactly as it found it.
+// block, a publisher's private entry, a free one, and the missedOnce mark.
+// Each Get must miss and leave the entry's state word exactly as it found it
+// (the mark's at zero).
 func TestStaleSlotPointer(t *testing.T) {
 	c := NewSharded(1<<20, 1)
 	tab := c.Table(5, ClassPosting, 2)
@@ -373,7 +412,7 @@ func TestStaleSlotPointer(t *testing.T) {
 	free := c.Reserve(16)
 	c.Release(free) // never admitted, last pin: recycled
 
-	for name, e := range map[string]*Entry{"resident under another key": resident, "private": private, "free": free} {
+	for name, e := range map[string]*Entry{"resident under another key": resident, "private": private, "free": free, "missed once": &missedOnce} {
 		before := e.state.Load()
 		slot.Store(e)
 		if h := tab.Get(0); h != nil {
@@ -393,7 +432,7 @@ func TestStaleSlotPointer(t *testing.T) {
 	}
 	checkContent(t, h, k1, 16)
 	c.Release(h)
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || st.PinnedEntries != 0 {
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 4 || st.PinnedEntries != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	mustInvariants(t, c)
@@ -431,10 +470,13 @@ func TestTablePerCache(t *testing.T) {
 // FuzzCLOCK drives a single-shard cache through a byte-coded op sequence
 // and checks the invariants after every operation: resident bytes never
 // exceed the budget; every ring entry sits in its table slot with the
-// resident bit set and every non-nil slot is on exactly one ring
+// resident bit set, every non-nil slot but a missedOnce mark is on exactly
+// one ring, and the mark is on none with its state at zero
 // (checkInvariants); no entry off the ring — free, bypassed or still private
-// — has the resident bit; and pinned entries keep their published contents
-// (no use-after-evict).
+// — has the resident bit; a publish to an empty slot is admitted exactly
+// when it fits without evicting and otherwise leaves the mark, a publish to
+// a marked slot is admitted unless nothing can be evicted; and pinned
+// entries keep their published contents (no use-after-evict).
 func FuzzCLOCK(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{10, 10, 10, 251, 10, 10})
@@ -477,8 +519,21 @@ func FuzzCLOCK(f *testing.F) {
 					docs = append(docs, uint32(k.List)*1000+k.Block*100+uint32(i))
 					tfs = append(tfs, uint32(k.List)+k.Block+uint32(i))
 				}
+				slot := &(*c.Table(k.List, k.Class, int(k.Block)+1).slots.Load())[k.Block]
+				prev, used := slot.Load(), c.shards[0].bytes
 				got := c.Publish(k, e, docs, tfs, int64(op))
 				pins = append(pins, pin{got, k})
+				// Admission. Only a resident prev makes got another entry, so
+				// in the arms checked here e is still pinned and its charge
+				// still set.
+				now := slot.Load()
+				admitted, fits := now == e, used+e.bytes <= c.shards[0].budget
+				switch {
+				case prev == nil && (admitted != fits || !admitted && now != &missedOnce):
+					t.Fatalf("first miss of %v (fits: %v): admitted %v, slot marked %v", k, fits, admitted, now == &missedOnce)
+				case prev == &missedOnce && !admitted && (got != e || now != &missedOnce):
+					t.Fatalf("declined second miss of %v must keep its mark and hand e back", k)
+				}
 			}
 			if err := c.checkInvariants(); err != nil {
 				t.Fatal(err)

@@ -189,9 +189,10 @@ func TestTableTorture(t *testing.T) {
 
 // TestRegrowTorture is TestTableTorture for a table nobody declared a size
 // for: one publisher extends a list a block at a time through the Key
-// wrapper, regrowing the table under three readers that chase it — through
-// the wrapper and through a handle resolved before the first publish — while
-// a budget of four entries keeps evicting what they look for. A reader that
+// wrapper (each block twice, the second publish admitting it), regrowing the
+// table under three readers that chase it — through the wrapper and through
+// a handle resolved before the first publish — while a budget of four
+// entries keeps evicting what they look for. A reader that
 // loaded the slot array just before it was replaced reads a slot nobody
 // clears any more; the key check is what makes that a miss.
 func TestRegrowTorture(t *testing.T) {
@@ -241,8 +242,12 @@ func TestRegrowTorture(t *testing.T) {
 		}(g)
 	}
 	for b := 0; b < blocks; b++ {
-		e, docs, tfs := decodeBlock(c, blockLen, uint32(b), 1)
-		c.Release(c.Publish(cache.Key{List: list, Block: uint32(b)}, e, docs, tfs, 0))
+		// Twice: once the cache is full a block is admitted on its second
+		// miss, and that admission is what evicts.
+		for range 2 {
+			e, docs, tfs := decodeBlock(c, blockLen, uint32(b), 1)
+			c.Release(c.Publish(cache.Key{List: list, Block: uint32(b)}, e, docs, tfs, 0))
+		}
 		published.Store(int64(b + 1))
 	}
 	wg.Wait()
