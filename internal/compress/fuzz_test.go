@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -50,6 +51,7 @@ func FuzzRoundTrip(f *testing.F) {
 // FuzzDeltaCodec checks DeltaEncode/DeltaDecode inverses on sorted streams.
 func FuzzDeltaCodec(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint32(0))
+	f.Add([]byte{'0'}, uint32(27)) // under two bytes: no values, and a nil copy
 	f.Fuzz(func(t *testing.T, raw []byte, base uint32) {
 		base %= 1 << 20
 		values := make([]uint32, len(raw)/2)
@@ -61,7 +63,7 @@ func FuzzDeltaCodec(f *testing.F) {
 		orig := append([]uint32(nil), values...)
 		DeltaEncode(values, base)
 		DeltaDecode(values, base)
-		if !reflect.DeepEqual(values, orig) {
+		if !slices.Equal(values, orig) {
 			t.Fatal("delta round trip mismatch")
 		}
 	})
