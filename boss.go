@@ -659,7 +659,6 @@ func ShardReplicated(kind SyntheticKind, scale float64, nodes int, opt ReplicaOp
 		cfg.Resilience = pool.DefaultResilience()
 	}
 	if opt.HedgeCutoff > 0 {
-		cfg.Resilience.HedgeEnabled = true
 		cfg.Resilience.HedgeCutoff = opt.HedgeCutoff
 	}
 	cl, err := pool.NewCluster(cfg, c, nodes)

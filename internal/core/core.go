@@ -137,10 +137,6 @@ func NewCached(idx *index.Index, opts Options, c *cache.Cache) *Accelerator {
 	return &Accelerator{idx: idx, opts: opts, cache: c}
 }
 
-// SetCache attaches (or, with nil, detaches) the decoded-block cache. Not
-// safe concurrently with Exec; meant for setup time and benchmarks.
-func (a *Accelerator) SetCache(c *cache.Cache) { a.cache = c }
-
 // Cache returns the attached decoded-block cache, or nil.
 func (a *Accelerator) Cache() *cache.Cache { return a.cache }
 
@@ -304,7 +300,7 @@ func (a *Accelerator) releaseRun(r *run) {
 		}
 		clear(ls.recs) // a free listState must not pin slabs
 		ls.recs = ls.recs[:0]
-		ls.tab = nil // nor carry another cache's table (SetCache)
+		ls.tab = nil // nor carry a table past its run
 		ls.cycles = 0
 		ls.decoded = false
 		r.lsFree = append(r.lsFree, ls)

@@ -46,7 +46,7 @@ func cyclesDuration(cyc int64) sim.Duration {
 type FetchEngine struct {
 	ds     *docstore.Store
 	cache  *cache.Cache
-	tab    *cache.Table // the store's block table in cache, resolved by SetCache
+	tab    *cache.Table // the store's block table in cache, resolved at construction
 	fault  *mem.Injector
 	faultK uint64 // fault-injection namespace for this store's blocks
 }
@@ -54,21 +54,17 @@ type FetchEngine struct {
 // NewFetchEngine returns a fetch engine over ds, publishing decoded
 // blocks to c (a nil c admits nothing: every fetch decodes its block).
 func NewFetchEngine(ds *docstore.Store, c *cache.Cache) *FetchEngine {
-	e := &FetchEngine{ds: ds, faultK: mem.StableKey("docstore")}
-	e.SetCache(c)
-	return e
+	return &FetchEngine{
+		ds:     ds,
+		cache:  c,
+		tab:    c.Table(ds.ID(), cache.ClassDoc, ds.NumBlocks()),
+		faultK: mem.StableKey("docstore"),
+	}
 }
 
 // SetFault attaches a fault injector; doc-block reads then go through the
 // same seeded fault model as posting-block reads.
 func (e *FetchEngine) SetFault(inj *mem.Injector) { e.fault = inj }
-
-// SetCache replaces the engine's decoded-block cache (nil disables
-// caching). Not safe concurrently with fetches; setup-time only.
-func (e *FetchEngine) SetCache(c *cache.Cache) {
-	e.cache = c
-	e.tab = c.Table(e.ds.ID(), cache.ClassDoc, e.ds.NumBlocks())
-}
 
 // Store returns the underlying document store.
 func (e *FetchEngine) Store() *docstore.Store { return e.ds }

@@ -77,12 +77,13 @@ func TestOperatorChargesGolden(t *testing.T) {
 	}
 	for _, opts := range optionSets {
 		for _, cached := range []bool{false, true} {
-			acc := New(idx, opts)
+			var ch *cache.Cache
 			if cached {
 				// Small enough that the sweep evicts: hits, misses and
 				// re-publishes all occur (asserted below).
-				acc.SetCache(cache.NewSharded(128<<10, 2))
+				ch = cache.NewSharded(128<<10, 2)
 			}
+			acc := NewCached(idx, opts, ch)
 			for _, k := range []int{1, 10, 100} {
 				for _, it := range items {
 					var res Result

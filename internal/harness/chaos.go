@@ -130,7 +130,6 @@ func chaosConfig(replicas int, clk clock.Clock) pool.Config {
 		// and hedged requests. Single-copy sweeps keep the zero policy:
 		// no retries, so an uncorrectable error degrades the result.
 		cfg.Resilience = pool.DefaultResilience()
-		cfg.Resilience.HedgeEnabled = true
 		cfg.Resilience.HedgeCutoff = chaosHedgeCutoff
 	}
 	return cfg

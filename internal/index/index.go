@@ -109,14 +109,6 @@ func (pl *PostingList) Codec() compress.Codec {
 	return pl.codec
 }
 
-// BlockAddr reports the simulated memory address of block b's payload.
-func (pl *PostingList) BlockAddr(b int) uint64 {
-	return pl.BaseAddr + uint64(pl.Blocks[b].Offset)
-}
-
-// CompressedBytes reports the total payload size of the list.
-func (pl *PostingList) CompressedBytes() int { return len(pl.Data) }
-
 // MetadataBytes reports the size of the list's block metadata as laid out
 // by the paper (19 B per block).
 func (pl *PostingList) MetadataBytes() int { return BlockMetaBytes * len(pl.Blocks) }

@@ -1,20 +1,16 @@
 package mem
 
-import (
-	"errors"
-
-	"boss/internal/sim"
-)
+import "errors"
 
 // Fault injection for the memory substrate.
 //
-// Real SCM pool nodes degrade: channels slow down as media wears, reads
-// fail transiently under thermal stress, blocks go uncorrectable past the
-// device's ECC budget, and whole nodes drop off the fabric. A FaultPlan
-// describes such a regime; an Injector applies it to one device (shard).
+// Real SCM pool nodes degrade: reads fail transiently under thermal
+// stress, blocks go uncorrectable past the device's ECC budget, and whole
+// nodes drop off the fabric. A FaultPlan describes such a regime; an
+// Injector applies it to one device (shard).
 //
-// Every decision is a pure function of (plan seed, device, access
-// identity, attempt) via splitmix64 mixing — never of wall-clock time,
+// Every decision is a pure function of (plan seed, device, term key,
+// block, attempt) via splitmix64 mixing — never of wall-clock time,
 // goroutine scheduling, or global counters — so a chaos run replays
 // event-for-event under any concurrency, and `go test -race` schedules
 // cannot change outcomes. With a nil Injector every code path is
@@ -60,20 +56,6 @@ func (f Fault) String() string {
 	}
 }
 
-// ChannelDegradation slows one channel (or all) of one device.
-type ChannelDegradation struct {
-	// Device is the shard/device index the degradation applies to.
-	Device int
-	// Channel is the channel index; -1 degrades every channel.
-	Channel int
-	// BandwidthMult scales effective channel bandwidth (0 < m <= 1
-	// slows transfers; 0 or 1 means unchanged).
-	BandwidthMult float64
-	// LatencyMult scales fixed per-access latency (m >= 1 inflates it;
-	// 0 or 1 means unchanged).
-	LatencyMult float64
-}
-
 // FaultPlan is a deterministic, seeded description of the faults to
 // inject across a cluster of devices. The zero value injects nothing.
 type FaultPlan struct {
@@ -86,8 +68,6 @@ type FaultPlan struct {
 	// UncorrectableRate is the per-access probability of a permanent
 	// media error in [0, 1).
 	UncorrectableRate float64
-	// Degraded lists channel slowdowns.
-	Degraded []ChannelDegradation
 	// DeadDevices lists device indices that never answer.
 	DeadDevices []int
 }
@@ -96,7 +76,7 @@ type FaultPlan struct {
 func (p *FaultPlan) Empty() bool {
 	return p == nil ||
 		(p.TransientRate == 0 && p.UncorrectableRate == 0 &&
-			len(p.Degraded) == 0 && len(p.DeadDevices) == 0)
+			len(p.DeadDevices) == 0)
 }
 
 // InjectorFor builds the injector applying this plan to one device.
@@ -116,12 +96,6 @@ func (p *FaultPlan) InjectorFor(device int) *Injector {
 			in.dead = true
 		}
 	}
-	for _, d := range p.Degraded {
-		if d.Device != device {
-			continue
-		}
-		in.degraded = append(in.degraded, d)
-	}
 	return in
 }
 
@@ -132,7 +106,6 @@ type Injector struct {
 	transient     float64
 	uncorrectable float64
 	dead          bool
-	degraded      []ChannelDegradation
 }
 
 // Dead reports whether the whole device is down.
@@ -164,61 +137,6 @@ func (in *Injector) BlockFault(key uint64, block uint32, attempt uint32) Fault {
 		return FaultTransient
 	}
 	return FaultNone
-}
-
-// AccessFault decides the outcome of the n'th access on the device —
-// the identity is the caller-maintained access ordinal, for replay
-// paths that are single-threaded in simulated time.
-func (in *Injector) AccessFault(ordinal uint64) Fault {
-	if in.dead {
-		return FaultDeviceDown
-	}
-	if in.transient == 0 && in.uncorrectable == 0 {
-		return FaultNone
-	}
-	u := uniform01(mix64(in.seed + ordinal*0x94d049bb133111eb))
-	if u < in.uncorrectable {
-		return FaultUncorrectable
-	}
-	if u < in.uncorrectable+in.transient {
-		return FaultTransient
-	}
-	return FaultNone
-}
-
-// ChannelScale returns the bandwidth and latency multipliers for channel
-// ch (1, 1 when undegraded).
-func (in *Injector) ChannelScale(ch int) (bw, lat float64) {
-	bw, lat = 1, 1
-	for _, d := range in.degraded {
-		if d.Channel != ch && d.Channel != -1 {
-			continue
-		}
-		if d.BandwidthMult > 0 && d.BandwidthMult != 1 {
-			bw *= d.BandwidthMult
-		}
-		if d.LatencyMult > 0 && d.LatencyMult != 1 {
-			lat *= d.LatencyMult
-		}
-	}
-	return bw, lat
-}
-
-// degrade applies channel ch's degradation to an access's channel
-// occupancy and fixed latency: halved bandwidth doubles occupancy,
-// latency scales directly.
-func (in *Injector) degrade(ch int, occupancy, latency sim.Duration) (sim.Duration, sim.Duration) {
-	if len(in.degraded) == 0 {
-		return occupancy, latency
-	}
-	bw, lat := in.ChannelScale(ch)
-	if bw != 1 && bw > 0 {
-		occupancy = sim.Duration(float64(occupancy) / bw)
-	}
-	if lat != 1 {
-		latency = sim.Duration(float64(latency) * lat)
-	}
-	return occupancy, latency
 }
 
 // StableKey hashes an identifying string (e.g. a posting-list term) to

@@ -81,27 +81,17 @@ func NewMAI(node *Node) *MAI {
 	return &MAI{node: node, tlb: NewTLB(DefaultTLBEntries, DefaultPageBits)}
 }
 
-// Node returns the underlying memory node.
-func (m *MAI) Node() *Node { return m.node }
-
 // TLB returns the interface's translation buffer.
 func (m *MAI) TLB() *TLB { return m.tlb }
 
 // Read translates and issues a read, returning completion time.
-func (m *MAI) Read(at sim.Time, addr uint64, size int, pattern Pattern, category Category) sim.Time {
+func (m *MAI) Read(at sim.Time, addr uint64, size int, pattern Pattern) sim.Time {
 	at += m.tlb.Lookup(addr)
-	return m.node.Read(at, addr, size, pattern, category)
-}
-
-// ReadChecked translates and issues a read under the node's fault
-// injector, returning completion time and any injected error.
-func (m *MAI) ReadChecked(at sim.Time, addr uint64, size int, pattern Pattern, category Category, ordinal uint64) (sim.Time, error) {
-	at += m.tlb.Lookup(addr)
-	return m.node.ReadChecked(at, addr, size, pattern, category, ordinal)
+	return m.node.Read(at, addr, size, pattern)
 }
 
 // Write translates and issues a write, returning completion time.
-func (m *MAI) Write(at sim.Time, addr uint64, size int, category Category) sim.Time {
+func (m *MAI) Write(at sim.Time, addr uint64, size int) sim.Time {
 	at += m.tlb.Lookup(addr)
-	return m.node.Write(at, addr, size, category)
+	return m.node.Write(at, addr, size)
 }

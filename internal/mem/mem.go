@@ -163,13 +163,10 @@ const stripeBytes = 4096
 
 // Node is one memory node: a set of channels sharing a device config.
 type Node struct {
-	cfg      Config
-	channels []*sim.Resource
-	stats    *sim.Stats
-	// fault, when non-nil, degrades channels and injects read errors.
-	// Nil keeps every timing computation byte-identical to the
-	// fault-free model.
-	fault *Injector
+	cfg        Config
+	channels   []*sim.Resource
+	readBytes  int64
+	writeBytes int64
 }
 
 // NewNode builds a memory node from cfg.
@@ -177,7 +174,7 @@ func NewNode(cfg Config) *Node {
 	if cfg.Channels <= 0 {
 		panic("mem: node needs at least one channel")
 	}
-	n := &Node{cfg: cfg, stats: sim.NewStats()}
+	n := &Node{cfg: cfg}
 	for i := 0; i < cfg.Channels; i++ {
 		n.channels = append(n.channels, sim.NewResource(fmt.Sprintf("%s-ch%d", cfg.Name, i)))
 	}
@@ -187,25 +184,9 @@ func NewNode(cfg Config) *Node {
 // Config returns the node's device configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// SetFault attaches a fault injector (nil restores the pristine model).
-func (n *Node) SetFault(inj *Injector) { n.fault = inj }
-
-// Fault returns the attached injector, nil when none.
-func (n *Node) Fault() *Injector { return n.fault }
-
-// Stats returns the node's traffic counters. Byte counts are kept per
-// category under "<cat> bytes" and per direction under "read bytes" /
-// "write bytes"; access counts under "<cat> accesses".
-func (n *Node) Stats() *sim.Stats { return n.stats }
-
-// channelIndex picks the channel serving addr (page-stripe interleaving).
-func (n *Node) channelIndex(addr uint64) int {
-	return int((addr / stripeBytes) % uint64(len(n.channels)))
-}
-
 // channelFor picks the channel serving addr (page-stripe interleaving).
 func (n *Node) channelFor(addr uint64) *sim.Resource {
-	return n.channels[n.channelIndex(addr)]
+	return n.channels[(addr/stripeBytes)%uint64(len(n.channels))]
 }
 
 // transferTime computes channel occupancy for size bytes at an aggregate
@@ -217,9 +198,8 @@ func (n *Node) transferTime(size int, gbs float64) sim.Duration {
 }
 
 // Read performs a read of size bytes at addr starting no earlier than `at`,
-// returning the completion time. pattern selects the bandwidth class;
-// category attributes the traffic for Figure 15-style breakdowns.
-func (n *Node) Read(at sim.Time, addr uint64, size int, pattern Pattern, category Category) sim.Time {
+// returning the completion time. pattern selects the bandwidth class.
+func (n *Node) Read(at sim.Time, addr uint64, size int, pattern Pattern) sim.Time {
 	if size <= 0 {
 		return at
 	}
@@ -231,66 +211,24 @@ func (n *Node) Read(at sim.Time, addr uint64, size int, pattern Pattern, categor
 			effective = size + n.cfg.Granularity - rem
 		}
 	}
-	ci := n.channelIndex(addr)
-	occupancy := n.transferTime(effective, bw)
-	latency := n.cfg.ReadLatency
-	if n.fault != nil {
-		occupancy, latency = n.fault.degrade(ci, occupancy, latency)
-	}
-	done := n.channels[ci].Acquire(at, occupancy)
-	n.account(category, size, true)
-	return done + latency
-}
-
-// ReadChecked is Read plus fault-plan error injection: the channel time
-// for the access is still charged (a failed read occupies the bus), and
-// the injected outcome for the access ordinal decides the error. Callers
-// that retry should re-issue with a fresh ordinal.
-func (n *Node) ReadChecked(at sim.Time, addr uint64, size int, pattern Pattern, category Category, ordinal uint64) (sim.Time, error) {
-	if n.fault != nil {
-		switch n.fault.AccessFault(ordinal) {
-		case FaultDeviceDown:
-			// A dead device does not answer: no traffic moves.
-			return at, ErrDeviceDown
-		case FaultTransient:
-			return n.Read(at, addr, size, pattern, category), ErrTransientRead
-		case FaultUncorrectable:
-			return n.Read(at, addr, size, pattern, category), ErrMediaUncorrectable
-		}
-	}
-	return n.Read(at, addr, size, pattern, category), nil
+	done := n.channelFor(addr).Acquire(at, n.transferTime(effective, bw))
+	n.readBytes += int64(size)
+	return done + n.cfg.ReadLatency
 }
 
 // Write performs a write of size bytes at addr, returning completion time.
-func (n *Node) Write(at sim.Time, addr uint64, size int, category Category) sim.Time {
+func (n *Node) Write(at sim.Time, addr uint64, size int) sim.Time {
 	if size <= 0 {
 		return at
 	}
-	ci := n.channelIndex(addr)
-	occupancy := n.transferTime(size, n.cfg.WriteGBs)
-	latency := n.cfg.WriteLatency
-	if n.fault != nil {
-		occupancy, latency = n.fault.degrade(ci, occupancy, latency)
-	}
-	done := n.channels[ci].Acquire(at, occupancy)
-	n.account(category, size, false)
-	return done + latency
+	done := n.channelFor(addr).Acquire(at, n.transferTime(size, n.cfg.WriteGBs))
+	n.writeBytes += int64(size)
+	return done + n.cfg.WriteLatency
 }
 
-func (n *Node) account(category Category, size int, read bool) {
-	n.stats.Add(category.String()+" bytes", int64(size))
-	n.stats.Add(category.String()+" accesses", 1)
-	if read {
-		n.stats.Add("read bytes", int64(size))
-	} else {
-		n.stats.Add("write bytes", int64(size))
-	}
-}
-
-// TotalBytes reports all bytes moved (reads + writes).
-func (n *Node) TotalBytes() int64 {
-	return n.stats.Get("read bytes") + n.stats.Get("write bytes")
-}
+// TotalBytes reports all bytes moved (reads + writes), counting a random
+// read at its requested size, not its granularity-rounded channel time.
+func (n *Node) TotalBytes() int64 { return n.readBytes + n.writeBytes }
 
 // BusyTime reports the maximum busy time over channels — the node's
 // bandwidth-limiting critical path.
@@ -317,15 +255,14 @@ func (n *Node) Reset() {
 	for _, ch := range n.channels {
 		ch.Reset()
 	}
-	n.stats.Reset()
+	n.readBytes, n.writeBytes = 0, 0
 }
 
 // Link models the shared byte-addressable interconnect between the memory
 // pool and the host CPU (e.g. one CXL link, 64 GB/s).
 type Link struct {
-	res   *sim.Resource
-	gbs   float64
-	stats *sim.Stats
+	res *sim.Resource
+	gbs float64
 }
 
 // DefaultLinkGBs is the paper's single-CXL-link bandwidth.
@@ -333,35 +270,22 @@ const DefaultLinkGBs = 64.0
 
 // NewLink returns a shared link with the given bandwidth in GB/s.
 func NewLink(gbs float64) *Link {
-	return &Link{res: sim.NewResource("host-link"), gbs: gbs, stats: sim.NewStats()}
+	return &Link{res: sim.NewResource("host-link"), gbs: gbs}
 }
 
 // Transfer moves size bytes across the link starting no earlier than `at`,
 // returning the completion time.
-func (l *Link) Transfer(at sim.Time, size int, category Category) sim.Time {
+func (l *Link) Transfer(at sim.Time, size int) sim.Time {
 	if size <= 0 {
 		return at
 	}
-	d := sim.FromSeconds(float64(size) / (l.gbs * 1e9))
-	done := l.res.Acquire(at, d)
-	l.stats.Add(category.String()+" bytes", int64(size))
-	l.stats.Add("bytes", int64(size))
-	return done
+	return l.res.Acquire(at, sim.FromSeconds(float64(size)/(l.gbs*1e9)))
 }
-
-// Stats returns the link's traffic counters.
-func (l *Link) Stats() *sim.Stats { return l.stats }
-
-// Bytes reports total bytes moved over the link.
-func (l *Link) Bytes() int64 { return l.stats.Get("bytes") }
 
 // Utilization reports link busy fraction over elapsed.
 func (l *Link) Utilization(elapsed sim.Duration) float64 {
 	return l.res.Utilization(elapsed)
 }
 
-// Reset clears link state and counters.
-func (l *Link) Reset() {
-	l.res.Reset()
-	l.stats.Reset()
-}
+// Reset clears link state.
+func (l *Link) Reset() { l.res.Reset() }

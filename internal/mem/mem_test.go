@@ -11,7 +11,7 @@ func TestSequentialReadBandwidth(t *testing.T) {
 	n := NewNode(SCM())
 	// Read 1 MB sequentially from one channel's address range.
 	size := 1 << 20
-	done := n.Read(0, 0, size, Sequential, CatLoadList)
+	done := n.Read(0, 0, size, Sequential)
 	// Per-channel sequential bandwidth is 25.6/4 = 6.4 GB/s.
 	wantTransfer := sim.FromSeconds(float64(size) / (6.4 * 1e9))
 	want := wantTransfer + SCM().ReadLatency
@@ -24,8 +24,8 @@ func TestRandomReadSlowerThanSequential(t *testing.T) {
 	a := NewNode(SCM())
 	b := NewNode(SCM())
 	size := 1 << 16
-	seqDone := a.Read(0, 0, size, Sequential, CatLoadList)
-	randDone := b.Read(0, 0, size, Random, CatLoadList)
+	seqDone := a.Read(0, 0, size, Sequential)
+	randDone := b.Read(0, 0, size, Random)
 	if randDone <= seqDone {
 		t.Fatalf("random read (%d) should be slower than sequential (%d)", randDone, seqDone)
 	}
@@ -39,24 +39,24 @@ func TestRandomReadSlowerThanSequential(t *testing.T) {
 func TestRandomReadRoundsToGranularity(t *testing.T) {
 	n := NewNode(SCM())
 	// A 4-byte random read still occupies the channel for a full 256 B line.
-	done4 := n.Read(0, 0, 4, Random, CatLoadScore)
+	done4 := n.Read(0, 0, 4, Random)
 	m := NewNode(SCM())
-	done256 := m.Read(0, 0, 256, Random, CatLoadScore)
+	done256 := m.Read(0, 0, 256, Random)
 	if done4 != done256 {
 		t.Fatalf("4B random read (%d) should cost the same as 256B (%d)", done4, done256)
 	}
 	// But accounting records the requested 4 bytes.
-	if n.Stats().Get(CatLoadScore.String()+" bytes") != 4 {
-		t.Fatalf("accounted %d bytes", n.Stats().Get(CatLoadScore.String()+" bytes"))
+	if got := n.TotalBytes(); got != 4 {
+		t.Fatalf("accounted %d bytes", got)
 	}
 }
 
 func TestWritesAreSlowestOnSCM(t *testing.T) {
 	n := NewNode(SCM())
 	size := 1 << 16
-	rEnd := n.Read(0, 0, size, Sequential, CatLoadList)
+	rEnd := n.Read(0, 0, size, Sequential)
 	m := NewNode(SCM())
-	wEnd := m.Write(0, 0, size, CatStoreInter)
+	wEnd := m.Write(0, 0, size)
 	rTime := rEnd - SCM().ReadLatency
 	wTime := wEnd - SCM().WriteLatency
 	if float64(wTime)/float64(rTime) < 25.6/9.2*0.9 {
@@ -68,12 +68,12 @@ func TestDRAMFasterThanSCM(t *testing.T) {
 	scm := NewNode(SCM())
 	dram := NewNode(DRAM())
 	size := 1 << 20
-	if dram.Read(0, 0, size, Sequential, CatLoadList) >= scm.Read(0, 0, size, Sequential, CatLoadList) {
+	if dram.Read(0, 0, size, Sequential) >= scm.Read(0, 0, size, Sequential) {
 		t.Fatal("DRAM sequential read should beat SCM")
 	}
 	scm.Reset()
 	dram.Reset()
-	if dram.Read(0, 0, size, Random, CatLoadList) >= scm.Read(0, 0, size, Random, CatLoadList) {
+	if dram.Read(0, 0, size, Random) >= scm.Read(0, 0, size, Random) {
 		t.Fatal("DRAM random read should beat SCM")
 	}
 }
@@ -83,15 +83,15 @@ func TestChannelStriping(t *testing.T) {
 	size := 64 << 10
 	// Two concurrent reads to different stripes should overlap (different
 	// channels), so the max completion is about one transfer, not two.
-	d1 := n.Read(0, 0, size, Sequential, CatLoadList)
-	d2 := n.Read(0, stripeBytes, size, Sequential, CatLoadList)
+	d1 := n.Read(0, 0, size, Sequential)
+	d2 := n.Read(0, stripeBytes, size, Sequential)
 	if d2 != d1 {
 		t.Fatalf("reads on different channels should complete together: %d vs %d", d1, d2)
 	}
 	// Same stripe: the second queues behind the first.
 	m := NewNode(SCM())
-	e1 := m.Read(0, 0, size, Sequential, CatLoadList)
-	e2 := m.Read(0, 0, size, Sequential, CatLoadList)
+	e1 := m.Read(0, 0, size, Sequential)
+	e2 := m.Read(0, 0, size, Sequential)
 	if e2 <= e1 {
 		t.Fatal("reads on the same channel must serialize")
 	}
@@ -105,7 +105,7 @@ func TestQueueingUnderContention(t *testing.T) {
 	var last sim.Time
 	for i := 0; i < 8; i++ {
 		addr := uint64(i) * stripeBytes
-		done := n.Read(0, addr, size, Sequential, CatLoadList)
+		done := n.Read(0, addr, size, Sequential)
 		if done > last {
 			last = done
 		}
@@ -121,15 +121,9 @@ func TestQueueingUnderContention(t *testing.T) {
 
 func TestNodeAccounting(t *testing.T) {
 	n := NewNode(SCM())
-	n.Read(0, 0, 1000, Sequential, CatLoadList)
-	n.Read(0, 0, 500, Random, CatLoadScore)
-	n.Write(0, 0, 200, CatStoreResult)
-	if got := n.Stats().Get(CatLoadList.String() + " bytes"); got != 1000 {
-		t.Fatalf("LD List bytes = %d", got)
-	}
-	if got := n.Stats().Get(CatLoadScore.String() + " accesses"); got != 1 {
-		t.Fatalf("LD Score accesses = %d", got)
-	}
+	n.Read(0, 0, 1000, Sequential)
+	n.Read(0, 0, 500, Random)
+	n.Write(0, 0, 200)
 	if got := n.TotalBytes(); got != 1700 {
 		t.Fatalf("total bytes = %d", got)
 	}
@@ -144,10 +138,10 @@ func TestNodeAccounting(t *testing.T) {
 
 func TestZeroSizeAccessesAreFree(t *testing.T) {
 	n := NewNode(SCM())
-	if n.Read(100, 0, 0, Sequential, CatLoadList) != 100 {
+	if n.Read(100, 0, 0, Sequential) != 100 {
 		t.Fatal("zero-size read should be instantaneous")
 	}
-	if n.Write(100, 0, 0, CatStoreInter) != 100 {
+	if n.Write(100, 0, 0) != 100 {
 		t.Fatal("zero-size write should be instantaneous")
 	}
 	if n.TotalBytes() != 0 {
@@ -158,16 +152,13 @@ func TestZeroSizeAccessesAreFree(t *testing.T) {
 func TestLinkTransfer(t *testing.T) {
 	l := NewLink(64)
 	size := 64_000_000 // 64 MB over 64 GB/s = 1 ms
-	done := l.Transfer(0, size, CatStoreResult)
+	done := l.Transfer(0, size)
 	want := sim.Millisecond
 	if math.Abs(float64(done-want))/float64(want) > 0.01 {
 		t.Fatalf("link transfer = %d, want ~%d", done, want)
 	}
-	if l.Bytes() != int64(size) {
-		t.Fatalf("link bytes = %d", l.Bytes())
-	}
 	// Transfers serialize on the shared link.
-	d2 := l.Transfer(0, size, CatStoreResult)
+	d2 := l.Transfer(0, size)
 	if d2 <= done {
 		t.Fatal("link transfers must serialize")
 	}
@@ -175,7 +166,7 @@ func TestLinkTransfer(t *testing.T) {
 		t.Fatalf("fully queued link utilization = %v", u)
 	}
 	l.Reset()
-	if l.Bytes() != 0 {
+	if l.Utilization(d2) != 0 {
 		t.Fatal("link reset failed")
 	}
 }
@@ -214,13 +205,13 @@ func TestMAIChargesTLBAndMemory(t *testing.T) {
 	node := NewNode(SCM())
 	mai := NewMAI(node)
 	// First access: cold TLB miss penalty applies.
-	done := mai.Read(0, 0, 256, Sequential, CatLoadList)
+	done := mai.Read(0, 0, 256, Sequential)
 	wantMin := TLBMissPenalty + SCM().ReadLatency
 	if done < wantMin {
 		t.Fatalf("cold MAI read = %d, want >= %d", done, wantMin)
 	}
 	// Warm access to the same page: no TLB penalty.
-	warm := mai.Read(done, 0, 256, Sequential, CatLoadList)
+	warm := mai.Read(done, 0, 256, Sequential)
 	if warm-done >= wantMin {
 		t.Fatal("warm MAI read should skip the TLB penalty")
 	}
@@ -228,9 +219,9 @@ func TestMAIChargesTLBAndMemory(t *testing.T) {
 		t.Fatalf("tlb hits=%d misses=%d", mai.TLB().Hits(), mai.TLB().Misses())
 	}
 	// Writes also flow through the MAI.
-	mai.Write(warm, 0, 64, CatStoreResult)
-	if node.Stats().Get(CatStoreResult.String()+" bytes") != 64 {
-		t.Fatal("MAI write not accounted")
+	mai.Write(warm, 0, 64)
+	if got := node.TotalBytes(); got != 256+256+64 {
+		t.Fatalf("MAI traffic accounted %d bytes, want 576", got)
 	}
 }
 

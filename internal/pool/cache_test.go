@@ -52,7 +52,11 @@ func TestClusterCacheDeterminism(t *testing.T) {
 
 	base := run()
 
-	cl.SetCacheBytes(DefaultCacheBytes)
+	// The same shards behind the default cache budget; run reads cl.
+	cl, err := cl.Fresh(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cold := run()
 	warm := run() // second pass over the same queries: hits guaranteed
 

@@ -19,7 +19,6 @@ import (
 	"boss/internal/mem"
 	"boss/internal/perf"
 	"boss/internal/query"
-	"boss/internal/sim"
 	"boss/internal/topk"
 )
 
@@ -96,8 +95,8 @@ func validateConfig(cfg Config) error {
 	if cfg.Replicas < 1 {
 		return fmt.Errorf("%w: Replicas %d (every shard needs at least one copy; DefaultConfig sets 1)", ErrBadConfig, cfg.Replicas)
 	}
-	if cfg.Resilience.HedgeEnabled && cfg.Resilience.HedgeCutoff <= 0 {
-		return fmt.Errorf("%w: hedging enabled with non-positive HedgeCutoff %v", ErrBadConfig, cfg.Resilience.HedgeCutoff)
+	if cfg.Resilience.HedgeCutoff < 0 {
+		return fmt.Errorf("%w: negative HedgeCutoff %v (use 0 to disable hedging)", ErrBadConfig, cfg.Resilience.HedgeCutoff)
 	}
 	return nil
 }
@@ -233,24 +232,6 @@ func (cl *Cluster) Cache() *cache.Cache { return cl.cache }
 // cache is disabled).
 func (cl *Cluster) CacheStats() cache.Stats { return cl.cache.Stats() }
 
-// SetCacheBytes replaces the cluster's decoded-block cache with one of the
-// given budget (<= 0 disables caching). Not safe concurrently with queries;
-// meant for setup time and benchmark toggling.
-func (cl *Cluster) SetCacheBytes(budget int64) {
-	cl.cfg.CacheBytes = budget
-	cl.cache = cache.New(budget)
-	for _, reps := range cl.accs {
-		for _, acc := range reps {
-			acc.SetCache(cl.cache)
-		}
-	}
-	for _, reps := range cl.fetchers {
-		for _, eng := range reps {
-			eng.SetCache(cl.cache)
-		}
-	}
-}
-
 // shardCorpus extracts the docID interval [lo, hi) with docIDs remapped to
 // shard-local space.
 func shardCorpus(c *corpus.Corpus, lo, hi uint32) *corpus.Corpus {
@@ -318,8 +299,7 @@ type ClusterResult struct {
 }
 
 // prepare is query.Prepare for the pool's entry points handed a string and
-// nothing prepared (exec, Cluster.RunBatch, Device.Submit), refusing in the
-// pool's name.
+// nothing prepared (exec, Device.Submit), refusing in the pool's name.
 func prepare(expr string) (*query.Prepared, error) {
 	p, err := query.Prepare(expr)
 	var lim *query.TermLimitError
@@ -657,66 +637,4 @@ func (cl *Cluster) SearchBatchQueries(parent context.Context, qs []BatchQuery) *
 		}
 	}
 	return br
-}
-
-// ClusterReport summarizes an event-driven batch run across all nodes.
-type ClusterReport struct {
-	// PerNode holds each node's device report.
-	PerNode []*Report
-	// QPS is the batch throughput gated by the slowest node (every query
-	// fans out to every node, so the pool finishes when the last node
-	// does).
-	QPS float64
-}
-
-// RunBatch executes a query batch event-driven on every node's device:
-// each query is submitted to all nodes at its arrival time, nodes schedule
-// their own cores and contend on their own SCM channels, and the pool's
-// completion is gated by the slowest node.
-func (cl *Cluster) RunBatch(exprs []string, gap sim.Duration, cfg Config) (*ClusterReport, error) {
-	if err := validateConfig(cfg); err != nil {
-		return nil, err
-	}
-	if cfg.Cores == 0 {
-		// The event-driven Device needs a real core count; zero means
-		// "default" everywhere else, so resolve it here instead of letting
-		// pool.New panic.
-		cfg.Cores = DefaultConfig().Cores
-	}
-	devices := make([]*Device, len(cl.shards))
-	for i, idx := range cl.shards {
-		devices[i] = New(cfg, idx)
-		if !cfg.Faults.Empty() {
-			devices[i].SetFault(cfg.Faults.InjectorFor(i))
-		}
-	}
-	for qi, expr := range exprs {
-		p, err := prepare(expr)
-		if err != nil {
-			return nil, err
-		}
-		at := sim.Time(qi) * gap
-		for si, d := range devices {
-			pl, ok := narrow(p.Plan, cl.shards[si])
-			if !ok {
-				continue
-			}
-			if err := d.enqueue(pl, at); err != nil {
-				return nil, fmt.Errorf("pool: node %d: %w", si, err)
-			}
-		}
-	}
-	rep := &ClusterReport{}
-	var slowest sim.Duration
-	for _, d := range devices {
-		r := d.Run()
-		rep.PerNode = append(rep.PerNode, r)
-		if r.Makespan > slowest {
-			slowest = r.Makespan
-		}
-	}
-	if slowest > 0 {
-		rep.QPS = float64(len(exprs)) / sim.Seconds(slowest)
-	}
-	return rep, nil
 }

@@ -167,40 +167,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-func TestClusterRunBatch(t *testing.T) {
-	c, _, cl := clusterFixture(t, 3)
-	var exprs []string
-	for _, q := range corpus.SampleQueries(c, corpus.Q3, 12, 21) {
-		exprs = append(exprs, q.Expr)
-	}
-	cfg := DefaultConfig()
-	cfg.K = 50
-	rep, err := cl.RunBatch(exprs, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.PerNode) != cl.Shards() {
-		t.Fatalf("reports for %d nodes, want %d", len(rep.PerNode), cl.Shards())
-	}
-	if rep.QPS <= 0 {
-		t.Fatal("no throughput measured")
-	}
-	// Sharding the work should let the pool beat a single node holding
-	// everything (each shard processes ~1/3 of the postings per query).
-	single := mustCluster(t, DefaultConfig(), c, 1)
-	sRep, err := single.RunBatch(exprs, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.QPS <= sRep.QPS {
-		t.Fatalf("3-node pool (%.0f qps) should beat 1 node (%.0f qps)", rep.QPS, sRep.QPS)
-	}
-}
-
-func TestClusterRunBatchErrors(t *testing.T) {
-	_, _, cl := clusterFixture(t, 2)
-	if _, err := cl.RunBatch([]string{`bad`}, 0, DefaultConfig()); err == nil {
-		t.Fatal("malformed query accepted")
-	}
-}

@@ -25,24 +25,24 @@ func TestNewClusterRejectsBadConfig(t *testing.T) {
 		{"negative Workers", func() Config { c := DefaultConfig(); c.Workers = -2; return c }()},
 		{"zero Replicas", func() Config { c := DefaultConfig(); c.Replicas = 0; return c }()},
 		{"negative Replicas", func() Config { c := DefaultConfig(); c.Replicas = -2; return c }()},
-		{"hedging without cutoff", func() Config {
-			c := DefaultConfig()
-			c.Replicas = 2
-			c.Resilience.HedgeEnabled = true // HedgeCutoff left zero
-			return c
-		}()},
 		{"hedging with negative cutoff", func() Config {
 			c := DefaultConfig()
 			c.Replicas = 2
-			c.Resilience.HedgeEnabled = true
 			c.Resilience.HedgeCutoff = -time.Millisecond
 			return c
 		}()},
+	}
+	base, err := NewCluster(DefaultConfig(), c, 2)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := NewCluster(tc.cfg, c, 2); !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("NewCluster(%s): err = %v, want ErrBadConfig", tc.name, err)
+			}
+			if _, err := base.Fresh(tc.cfg); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("Fresh(%s): err = %v, want ErrBadConfig", tc.name, err)
 			}
 		})
 	}
@@ -59,32 +59,6 @@ func TestNewClusterRejectsBadConfig(t *testing.T) {
 	repl.Replicas = 2
 	if _, err := NewCluster(repl, c, 0); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("NewCluster(replicas=2, shards=0): err = %v, want ErrBadConfig", err)
-	}
-}
-
-// TestRunBatchValidatesConfig verifies the event-driven path applies the
-// same validation, and resolves the zero-Cores default instead of letting
-// the device constructor panic.
-func TestRunBatchValidatesConfig(t *testing.T) {
-	c := corpus.Generate(corpus.ClueWebLike(0.005))
-	cl, err := NewCluster(DefaultConfig(), c, 2)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	bad := DefaultConfig()
-	bad.Cores = -1
-	if _, err := cl.RunBatch([]string{`"t1"`}, 0, bad); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("RunBatch(negative Cores): err = %v, want ErrBadConfig", err)
-	}
-	zero := DefaultConfig()
-	zero.Cores = 0 // "default", must not panic in pool.New
-	zero.CacheBytes = 0
-	rep, err := cl.RunBatch([]string{`"t1"`}, 0, zero)
-	if err != nil {
-		t.Fatalf("RunBatch(zero Cores): %v", err)
-	}
-	if rep.QPS <= 0 {
-		t.Fatalf("RunBatch(zero Cores): QPS = %v, want > 0", rep.QPS)
 	}
 }
 

@@ -30,20 +30,11 @@ import (
 // the fold are its own.
 
 // FetchedDoc is one fetched document at the cluster boundary. Fields are
-// copies (one per DocFields entry, in order), so the caller owns them
-// outright — no pins or aliases into shard caches escape the cluster.
+// copies (name, then text: the stores' field order), so the caller owns
+// them outright — no pins or aliases into shard caches escape the cluster.
 type FetchedDoc struct {
 	DocID  uint32
 	Fields [][]byte
-}
-
-// DocFields returns the document stores' field names, in the order
-// FetchedDoc.Fields uses. Builds the stores if they don't exist yet.
-func (cl *Cluster) DocFields() ([]string, error) {
-	if err := cl.EnsureDocs(); err != nil {
-		return nil, err
-	}
-	return cl.docs[0].Fields, nil
 }
 
 // EnsureDocs builds the per-shard document stores and fetch engines if

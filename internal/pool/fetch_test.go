@@ -42,13 +42,6 @@ func TestFetchBatchRoundTrip(t *testing.T) {
 	if len(res.Docs) != len(ids) {
 		t.Fatalf("got %d docs for %d ids", len(res.Docs), len(ids))
 	}
-	fields, err := cl.DocFields()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fields) != 2 || fields[0] != "name" || fields[1] != "text" {
-		t.Fatalf("DocFields = %v", fields)
-	}
 	for i, id := range ids {
 		d := res.Docs[i]
 		if d.DocID != id || len(d.Fields) != 2 {

@@ -11,7 +11,6 @@
 package pool
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -20,7 +19,6 @@ import (
 	"boss/internal/index"
 	"boss/internal/mem"
 	"boss/internal/perf"
-	"boss/internal/query"
 	"boss/internal/sim"
 )
 
@@ -44,8 +42,8 @@ type Config struct {
 	// block cache, shared by all shards' wall-clock accelerators (every
 	// Search* entry point). 0 disables the cache; negative values are
 	// rejected by NewCluster with ErrBadConfig. It never touches the
-	// event-driven simulated Device (RunBatch), whose modeled figures
-	// must not depend on host-side caching.
+	// event-driven simulated Device, whose modeled figures must not depend
+	// on host-side caching.
 	CacheBytes int64
 	// Replicas is the number of independently-faultable copies of each
 	// shard the cluster keeps (R-way replication). Each replica has its
@@ -64,10 +62,6 @@ type Config struct {
 	// cutoff; nil uses the wall clock. Tests and the chaos sweep inject a
 	// clock.FakeClock, the same one as the front door's when one sits on top.
 	Clock clock.Clock
-	// Faults, when non-empty, is the fault plan RunBatch applies to its
-	// simulated devices (shard si plays device si). Nil injects nothing
-	// and keeps every modeled figure byte-identical.
-	Faults *mem.FaultPlan
 }
 
 // DefaultCacheBytes is the default decoded-block cache budget for wall-
@@ -95,33 +89,18 @@ type Job struct {
 	Submit sim.Time
 	Start  sim.Time
 	Done   sim.Time
-	// Err is the typed fault that killed the job's replay, nil on
-	// success. Always nil when the device has no fault injector.
-	Err error
 }
 
 // Latency reports the job's queueing + execution time.
 func (j *Job) Latency() sim.Duration { return j.Done - j.Submit }
 
-// ServiceTime reports execution time excluding command-queue wait.
-func (j *Job) ServiceTime() sim.Duration { return j.Done - j.Start }
-
 // Device is one simulated memory node with its BOSS accelerator.
 type Device struct {
 	cfg  Config
-	idx  *index.Index
 	node *mem.Node
 	mai  *mem.MAI
 	link *mem.Link
 	acc  *core.Accelerator
-
-	// inj, when non-nil, injects faults into the replay: degraded
-	// channels slow reads via the node model, and per-access fault draws
-	// can fail a job with a typed error.
-	inj *mem.Injector
-	// ordinal numbers the device's checked accesses so fault draws are a
-	// pure function of the (deterministic) replay order.
-	ordinal uint64
 
 	// command queue (Figure 4's front end)
 	queue []*Job
@@ -140,20 +119,12 @@ func New(cfg Config, idx *index.Index) *Device {
 	node := mem.NewNode(cfg.Mem)
 	return &Device{
 		cfg:      cfg,
-		idx:      idx,
 		node:     node,
 		mai:      mem.NewMAI(node),
 		link:     mem.NewLink(cfg.LinkGBs),
 		acc:      core.New(idx, cfg.Opts),
 		coreFree: make([]sim.Time, cfg.Cores),
 	}
-}
-
-// SetFault attaches a fault injector to the device's replay (nil
-// restores the pristine model). Setup-time only.
-func (d *Device) SetFault(inj *mem.Injector) {
-	d.inj = inj
-	d.node.SetFault(inj)
 }
 
 // Submit enqueues a query at the given simulated arrival time. It returns
@@ -164,15 +135,9 @@ func (d *Device) Submit(expr string, at sim.Time) error {
 	if err != nil {
 		return err
 	}
-	return d.enqueue(p.Plan, at)
-}
-
-// enqueue is Submit for a prepared query's plan, whole or narrowed to this
-// device's shard (Cluster.RunBatch).
-func (d *Device) enqueue(pl query.Plan, at sim.Time) error {
 	// Pre-flight the query on the core model: this yields the work metrics
 	// whose traffic the event simulation replays under contention.
-	res, err := d.acc.Exec(nil, pl, d.cfg.K)
+	res, err := d.acc.Exec(nil, p.Plan, d.cfg.K)
 	if err != nil {
 		return err
 	}
@@ -216,21 +181,9 @@ func (d *Device) nextFreeCore() int {
 	return best
 }
 
-// replayMaxAttempts bounds the device's simulated re-reads of a
-// transiently-failing access (matches the core model's fetch retry).
-const replayMaxAttempts = 4
-
 // execute replays one job's traffic against the shared node starting at
-// start and returns its completion time. Reads go through the checked
-// path: under an attached fault injector transient errors retry
-// (re-charging channel time) and a permanent fault kills the job with a
-// typed error. With no injector every checked read is a plain read and
-// j.Err is never set, so fault-free figures stay byte-identical.
+// start and returns its completion time.
 func (d *Device) execute(j *Job, start sim.Time) sim.Time {
-	if d.inj.Dead() {
-		j.Err = mem.ErrDeviceDown
-		return start
-	}
 	m := j.m
 	// Memory traffic: sequential bytes stream in stripe-sized chunks,
 	// random accesses go one device line at a time, writes in chunks.
@@ -243,60 +196,37 @@ func (d *Device) execute(j *Job, start sim.Time) sim.Time {
 			memDone = done
 		}
 	}
-	read := func(a uint64, size int, pattern mem.Pattern) bool {
-		for attempt := 0; ; attempt++ {
-			d.ordinal++
-			done, err := d.mai.ReadChecked(issue, a, size, pattern, mem.CatLoadList, d.ordinal)
-			charge(done)
-			if err == nil {
-				return true
-			}
-			if errors.Is(err, mem.ErrTransientRead) && attempt+1 < replayMaxAttempts {
-				continue // re-read: the retry recharges the channel
-			}
-			j.Err = err
-			return false
-		}
-	}
-	ok := true
-	for remaining := m.SeqReadBytes; ok && remaining > 0; remaining -= chunkBytes {
+	for remaining := m.SeqReadBytes; remaining > 0; remaining -= chunkBytes {
 		size := int64(chunkBytes)
 		if remaining < size {
 			size = remaining
 		}
-		ok = read(addr, int(size), mem.Sequential)
+		charge(d.mai.Read(issue, addr, int(size), mem.Sequential))
 		addr += chunkBytes
 	}
-	if ok && m.RandAccesses > 0 {
+	if m.RandAccesses > 0 {
 		per := m.RandReadBytes / m.RandAccesses
 		if per <= 0 {
 			per = 1
 		}
-		for i := int64(0); ok && i < m.RandAccesses; i++ {
+		for i := int64(0); i < m.RandAccesses; i++ {
 			addr = addr*6364136223846793005 + 1442695040888963407 // LCG scatter
-			ok = read(addr%(1<<41), int(per), mem.Random)
+			charge(d.mai.Read(issue, addr%(1<<41), int(per), mem.Random))
 		}
-	}
-	// Pipeline: compute overlaps memory.
-	computeDone := start + m.ComputeTime
-	if !ok {
-		// The job died mid-replay: it occupied the node until the failing
-		// access returned, but ships no results over the link.
-		return maxTime(computeDone, memDone)
 	}
 	for remaining := m.WriteBytes; remaining > 0; remaining -= chunkBytes {
 		size := int64(chunkBytes)
 		if remaining < size {
 			size = remaining
 		}
-		charge(d.mai.Write(issue, addr, int(size), mem.CatStoreResult))
+		charge(d.mai.Write(issue, addr, int(size)))
 		addr += chunkBytes
 	}
 	// Results cross the shared link.
-	charge(d.link.Transfer(issue, int(m.HostBytes), mem.CatStoreResult))
-	// Serialized fetch hops and dependent random accesses extend the
-	// critical path.
-	done := maxTime(computeDone, memDone)
+	charge(d.link.Transfer(issue, int(m.HostBytes)))
+	// Pipeline: compute overlaps memory. Serialized fetch hops and
+	// dependent random accesses extend the critical path.
+	done := maxTime(start+m.ComputeTime, memDone)
 	done += sim.Duration(m.DependentRandAccesses+m.SerialFetchHops) * d.cfg.Mem.ReadLatency
 	return done
 }
@@ -306,11 +236,6 @@ func maxTime(a, b sim.Time) sim.Time {
 		return a
 	}
 	return b
-}
-
-// TLBStats reports the device MAI's translation counters.
-func (d *Device) TLBStats() (hits, misses int64) {
-	return d.mai.TLB().Hits(), d.mai.TLB().Misses()
 }
 
 // Report summarizes a Run.
@@ -327,11 +252,6 @@ type Report struct {
 	LinkUtilization float64
 	// PeakChannelUtilization is the busiest channel's utilization.
 	PeakChannelUtilization float64
-	// Failed counts jobs whose replay died on an injected fault;
-	// Availability is the surviving fraction. Failed is always 0 (and
-	// Availability 1) without a fault injector.
-	Failed       int
-	Availability float64
 }
 
 func (d *Device) report() *Report {
@@ -343,9 +263,6 @@ func (d *Device) report() *Report {
 	var sumLat sim.Duration
 	var makespan sim.Time
 	for _, j := range d.jobs {
-		if j.Err != nil {
-			r.Failed++
-		}
 		l := j.Latency()
 		lats = append(lats, l)
 		sumLat += l
@@ -353,7 +270,6 @@ func (d *Device) report() *Report {
 			makespan = j.Done
 		}
 	}
-	r.Availability = float64(len(d.jobs)-r.Failed) / float64(len(d.jobs))
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	r.Makespan = makespan
 	r.MeanLatency = sumLat / sim.Duration(len(lats))
@@ -368,16 +284,11 @@ func (d *Device) report() *Report {
 	return r
 }
 
-// String renders the report. Fault fields appear only when something
-// failed, so fault-free output stays byte-identical to earlier versions.
+// String renders the report.
 func (r *Report) String() string {
-	s := fmt.Sprintf(
+	return fmt.Sprintf(
 		"jobs=%d makespan=%.3fms qps=%.0f latency(mean/p50/p99)=%.1f/%.1f/%.1fus node=%.2fGB/s link=%.1f%% peak-channel=%.1f%%",
 		r.Jobs, sim.Seconds(r.Makespan)*1e3, r.QPS,
 		sim.Seconds(r.MeanLatency)*1e6, sim.Seconds(r.P50Latency)*1e6, sim.Seconds(r.P99Latency)*1e6,
 		r.NodeBandwidthGBs, 100*r.LinkUtilization, 100*r.PeakChannelUtilization)
-	if r.Failed > 0 {
-		s += fmt.Sprintf(" failed=%d avail=%.3f", r.Failed, r.Availability)
-	}
-	return s
 }

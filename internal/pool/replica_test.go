@@ -317,15 +317,15 @@ func TestFreshSharesArtifactsMatchesResults(t *testing.T) {
 	}
 }
 
-// hedgedCluster builds a 1-shard, 2-replica cluster with hedging armed on a
-// fake clock. Nobody advances that clock unless a test's runFn does, so the
-// cutoff fires exactly when the test says: never, by default.
-func hedgedCluster(t *testing.T, c *corpus.Corpus) (*Cluster, *clock.FakeClock) {
+// hedgedCluster builds a 1-shard, 2-replica cluster with the given hedge
+// cutoff on a fake clock (a positive cutoff arms hedging, 0 leaves it off).
+// Nobody advances that clock unless a test's runFn does, so the cutoff fires
+// exactly when the test says: never, by default.
+func hedgedCluster(t *testing.T, c *corpus.Corpus, cutoff time.Duration) (*Cluster, *clock.FakeClock) {
 	t.Helper()
 	fake := clock.NewFakeClock(time.Unix(0, 0))
 	cfg := replicatedConfig(2)
-	cfg.Resilience.HedgeEnabled = true
-	cfg.Resilience.HedgeCutoff = time.Millisecond
+	cfg.Resilience.HedgeCutoff = cutoff
 	cfg.Clock = fake
 	cl, err := NewCluster(cfg, c, 1)
 	if err != nil {
@@ -350,7 +350,7 @@ func eventTrace(cl *Cluster, si int) string {
 // timer fires, no backup is spawned and the result is unhedged.
 func TestHedgePrimaryWinsBeforeCutoff(t *testing.T) {
 	c := replicaTestCorpus(t)
-	cl, _ := hedgedCluster(t, c) // the clock never moves: the cutoff never fires
+	cl, _ := hedgedCluster(t, c, time.Millisecond) // the clock never moves: the cutoff never fires
 	res, err := cl.SearchCtx(context.Background(), `"t1"`, 15)
 	if err != nil {
 		t.Fatalf("SearchCtx: %v", err)
@@ -392,14 +392,43 @@ func stragglerRun(cl *Cluster, fake *clock.FakeClock, straggler int) (runFn func
 	}, stalled
 }
 
+// hedgeEvents counts the EvHedge entries in shard 0's replica logs.
+func hedgeEvents(cl *Cluster) int {
+	hedges := 0
+	for _, ev := range cl.Events(0) {
+		if ev.Kind == EvHedge {
+			hedges++
+		}
+	}
+	return hedges
+}
+
 // TestHedgeBackupWins: a straggling primary is hedged; the backup's
 // result is adopted, the loser is cancelled, and — critically — the
-// abandoned primary never counts against its breaker.
+// abandoned primary never counts against its breaker. With HedgeCutoff 0
+// the same straggler is never hedged: hedging is off, so the attempt runs
+// on the primary directly and never reaches the stalling runFn.
 func TestHedgeBackupWins(t *testing.T) {
 	c := replicaTestCorpus(t)
-	cl, fake := hedgedCluster(t, c)
 	const expr = `"t1" AND "t2"`
-	run, stalled := stragglerRun(cl, fake, hedgePrimary(cl, expr))
+
+	off, fake := hedgedCluster(t, c, 0)
+	run, stalled := stragglerRun(off, fake, hedgePrimary(off, expr))
+	off.runFn = run
+	// Bounded, so a stall reached by mistake fails the test instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := off.SearchCtx(ctx, expr, 15)
+	if err != nil {
+		t.Fatalf("HedgeCutoff 0: SearchCtx: %v", err)
+	}
+	if res.Hedged != 0 || res.HedgeWins != 0 || hedgeEvents(off) != 0 || stalled.Load() != 0 {
+		t.Fatalf("HedgeCutoff 0: Hedged=%d HedgeWins=%d, %d EvHedge, %d stalls; want none",
+			res.Hedged, res.HedgeWins, hedgeEvents(off), stalled.Load())
+	}
+
+	cl, fake := hedgedCluster(t, c, time.Millisecond)
+	run, stalled = stragglerRun(cl, fake, hedgePrimary(cl, expr))
 	cl.runFn = run
 
 	p, err := prepare(expr)
@@ -410,7 +439,7 @@ func TestHedgeBackupWins(t *testing.T) {
 	if want.err != nil {
 		t.Fatalf("direct attempt: %v", want.err)
 	}
-	res, err := cl.SearchCtx(context.Background(), expr, 15)
+	res, err = cl.SearchCtx(context.Background(), expr, 15)
 	if err != nil {
 		t.Fatalf("SearchCtx: %v", err)
 	}
@@ -443,15 +472,7 @@ func TestHedgeBackupWins(t *testing.T) {
 		}
 	}
 	// Exactly one EvHedge, on the backup.
-	hedges := 0
-	for ri := 0; ri < cl.Replicas(); ri++ {
-		for _, ev := range cl.ReplicaEvents(0, ri) {
-			if ev.Kind == EvHedge {
-				hedges++
-			}
-		}
-	}
-	if hedges != 1 {
+	if hedges := hedgeEvents(cl); hedges != 1 {
 		t.Fatalf("EvHedge count = %d, want 1", hedges)
 	}
 }
@@ -462,7 +483,7 @@ func TestHedgeBackupWins(t *testing.T) {
 func TestHedgeOrderingDeterministic(t *testing.T) {
 	c := replicaTestCorpus(t)
 	trace := func() string {
-		cl, fake := hedgedCluster(t, c)
+		cl, fake := hedgedCluster(t, c, time.Millisecond)
 		run, _ := stragglerRun(cl, fake, hedgePrimary(cl, `"t2"`))
 		cl.runFn = run
 		if _, err := cl.SearchCtx(context.Background(), `"t2"`, 10); err != nil {
@@ -487,7 +508,7 @@ func TestHedgeOrderingDeterministic(t *testing.T) {
 // goroutine count returns to its baseline.
 func TestHedgeLoserGoroutineExits(t *testing.T) {
 	c := replicaTestCorpus(t)
-	cl, fake := hedgedCluster(t, c)
+	cl, fake := hedgedCluster(t, c, time.Millisecond)
 	run, stalled := stragglerRun(cl, fake, hedgePrimary(cl, `"t1"`))
 	cl.runFn = run
 
@@ -514,7 +535,7 @@ func TestHedgeLoserGoroutineExits(t *testing.T) {
 // failing, and nothing is recorded as hedged.
 func TestHedgeRidesPrimaryWhenBackupSick(t *testing.T) {
 	c := replicaTestCorpus(t)
-	cl, fake := hedgedCluster(t, c)
+	cl, fake := hedgedCluster(t, c, time.Millisecond)
 	// Open the backup's breaker by failing it past the threshold; the fake
 	// clock moves by one cutoff only, so the cooldown never lets a half-open
 	// probe through.

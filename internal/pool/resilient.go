@@ -35,16 +35,14 @@ type Resilience struct {
 	// BreakerCooldown is how long an open breaker rejects attempts
 	// before letting a half-open probe through.
 	BreakerCooldown time.Duration
-	// HedgeEnabled arms hedged requests on replicated clusters
-	// (Config.Replicas > 1): when the primary replica has not answered
-	// HedgeCutoff after dispatch, a backup attempt fires on the next
-	// healthy replica and the first result to arrive wins; the loser is
-	// cancelled and never counts against any breaker. Requires a
-	// positive HedgeCutoff (NewCluster rejects the combination
-	// otherwise) and does nothing on single-copy shards.
-	HedgeEnabled bool
-	// HedgeCutoff is the backup-fire latency. Set it near the serving
-	// path's p99 so only tail stragglers pay the duplicated work.
+	// HedgeCutoff, when positive, arms hedged requests on replicated
+	// clusters (Config.Replicas > 1): when the primary replica has not
+	// answered HedgeCutoff after dispatch, a backup attempt fires on the
+	// next healthy replica and the first result to arrive wins; the loser
+	// is cancelled and never counts against any breaker. Set it near the
+	// serving path's p99 so only tail stragglers pay the duplicated work.
+	// Zero disables hedging, it does nothing on single-copy shards, and
+	// NewCluster rejects a negative cutoff with ErrBadConfig.
 	HedgeCutoff time.Duration
 }
 
@@ -491,7 +489,7 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 	if !maskHas(mask, si) {
 		return shardOut{err: shardError(si, ErrShardShed)}
 	}
-	qkey, hedge := w.qkey, cl.res.HedgeEnabled && len(cl.states[si]) > 1
+	qkey, hedge := w.qkey, cl.res.HedgeCutoff > 0 && len(cl.states[si]) > 1
 	if fetch {
 		qkey, hedge = fetchQueryKey(w.ids[si]), false
 	}

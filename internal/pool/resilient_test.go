@@ -392,38 +392,6 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-// RunBatch under a fault plan reports failed jobs and availability;
-// a dead device fails everything, and the pristine path reports none.
-func TestRunBatchFaultReporting(t *testing.T) {
-	c := corpus.Generate(corpus.CCNewsLike(0.004))
-	cfg := DefaultConfig()
-	cl := mustCluster(t, cfg, c, 2)
-	exprs := chaosExprs(c, 20)
-
-	rep, err := cl.RunBatch(exprs, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ni, r := range rep.PerNode {
-		if r.Failed != 0 || r.Availability != 1 {
-			t.Fatalf("pristine node %d: failed=%d avail=%v", ni, r.Failed, r.Availability)
-		}
-	}
-
-	cfg.Faults = &mem.FaultPlan{Seed: 8, DeadDevices: []int{1}}
-	rep, err = cl.RunBatch(exprs, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PerNode[0].Failed != 0 {
-		t.Fatalf("live node failed %d jobs", rep.PerNode[0].Failed)
-	}
-	dead := rep.PerNode[1]
-	if dead.Jobs > 0 && (dead.Failed != dead.Jobs || dead.Availability != 0) {
-		t.Fatalf("dead node: failed=%d/%d avail=%v", dead.Failed, dead.Jobs, dead.Availability)
-	}
-}
-
 // The event log is a ring: a serving process logs one event per clean
 // (query, shard) attempt forever, so the log keeps the newest eventLogCap
 // per replica and drops the oldest.

@@ -84,38 +84,6 @@ func TestResourceMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	s := NewStats()
-	s.Add("a", 5)
-	s.Add("a", 3)
-	s.Counter("b").Inc()
-	if s.Get("a") != 8 || s.Get("b") != 1 {
-		t.Fatalf("stats wrong: %s", s)
-	}
-	if s.Get("missing") != 0 {
-		t.Fatal("missing counter should read zero")
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-
-	other := NewStats()
-	other.Add("a", 2)
-	other.Add("c", 7)
-	s.Merge(other)
-	if s.Get("a") != 10 || s.Get("c") != 7 {
-		t.Fatalf("merge wrong: %s", s)
-	}
-	if got := s.String(); got != "a=10 b=1 c=7" {
-		t.Fatalf("String() = %q", got)
-	}
-	s.Reset()
-	if s.Get("a") != 0 || s.Get("c") != 0 {
-		t.Fatal("reset did not zero counters")
-	}
-}
-
 func TestTimeConversions(t *testing.T) {
 	if Seconds(Second) != 1.0 {
 		t.Fatal("Seconds(Second) != 1")

@@ -135,7 +135,7 @@ const batchK = 10
 // only — results and simulated metrics are bit-identical either way
 // (TestClusterCacheDeterminism).
 func BenchmarkClusterSearchBatch(b *testing.B) {
-	cl := sharedCluster()
+	shared := sharedCluster()
 	batch := pool.Queries(zipfExprs(1000), batchK)
 	for _, bc := range []struct {
 		name  string
@@ -145,7 +145,14 @@ func BenchmarkClusterSearchBatch(b *testing.B) {
 		{"cache=on", pool.DefaultCacheBytes},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			cl.SetCacheBytes(bc.bytes)
+			// The shared shards behind this arm's cache: every run starts
+			// cold, and the shared cluster's cache is left as it was.
+			cfg := pool.DefaultConfig()
+			cfg.CacheBytes = bc.bytes
+			cl, err := shared.Fresh(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -160,8 +167,6 @@ func BenchmarkClusterSearchBatch(b *testing.B) {
 			}
 		})
 	}
-	// Other benchmarks share this cluster: restore the default-on cache.
-	cl.SetCacheBytes(pool.DefaultCacheBytes)
 }
 
 func BenchmarkEngineRun(b *testing.B) {
