@@ -7,7 +7,7 @@
 //
 //   - sort.Slice / sort.SliceStable / sort.Sort / sort.Stable (closure +
 //     interface boxing per call; use an insertion sort over the bounded
-//     stream set, see core.sortByBound);
+//     stream set, see core.rankByBound);
 //   - any call into fmt (interface boxing of every operand; outline cold
 //     error construction into an unannotated helper);
 //   - string concatenation (allocates the result);

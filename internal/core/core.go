@@ -27,6 +27,7 @@ import (
 	"boss/internal/mem"
 	"boss/internal/perf"
 	"boss/internal/query"
+	"boss/internal/score"
 	"boss/internal/sim"
 	"boss/internal/topk"
 )
@@ -266,6 +267,15 @@ type run struct {
 	conj     []conjRows
 	slots    []slot
 	seen     []uint64
+
+	// The sparse driver's docID window (sparse.go): per offset from the
+	// window's first docID, the Q16.16 sum and the count of the essential
+	// postings on that document, and a bitmap of the offsets holding any.
+	// Arrays, so they come with the record and the hot loop allocates
+	// nothing; the driver leaves all three zero whenever it returns.
+	winSum  [sparseSpan]score.Fixed
+	winCnt  [sparseSpan]uint8
+	winBits [sparseSpan / 64]uint64
 }
 
 // newRun takes a recycled run record (or builds a first one) and readies it
@@ -281,19 +291,31 @@ func (a *Accelerator) newRun(k int) *run {
 			lists: make(map[*index.PostingList]*listState),
 		}
 	}
+	r.begin(k)
+	return r
+}
+
+// begin readies a run record for a query.
+func (r *run) begin(k int) {
 	// Metrics escape in the Result, so every run gets a fresh record.
 	r.m = perf.NewMetrics()
 	r.sel.Reset(k)
 	r.nTerms = 0
 	r.ctx = nil
 	r.err = nil
-	return r
 }
 
-// releaseRun unpins a finished run's decoded blocks and returns the record
-// to its pool. The decoder modules stay attached: reusing a warm module is
-// exactly what keeps decode at zero allocations.
+// releaseRun returns a finished run's record to its pool.
 func (a *Accelerator) releaseRun(r *run) {
+	r.release()
+	a.runs.Put(r)
+}
+
+// release unpins a finished run's decoded blocks and readies the record for
+// reuse. The decoder modules stay attached: reusing a warm module is exactly
+// what keeps decode at zero allocations.
+func (r *run) release() {
+	a := r.acc
 	for _, ls := range r.lists {
 		for i := range ls.recs {
 			a.cache.Release(ls.recs[i].ent) // nil for a block examined on metadata only
@@ -323,7 +345,6 @@ func (a *Accelerator) releaseRun(r *run) {
 	r.distinct = r.distinct[:0]
 	r.candDocs, r.candTFs, r.conj = r.candDocs[:0], r.candTFs[:0], r.conj[:0]
 	r.fetchCycles, r.mergeCycles, r.scoreOps, r.topkInserts = 0, 0, 0, 0
-	a.runs.Put(r)
 }
 
 // Exec executes a plan with the given top-k depth under a context (nil means

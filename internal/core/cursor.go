@@ -51,6 +51,7 @@ type cursor struct {
 	// impact codes.
 	step   score.Fixed // the list's ImpactStep
 	prefix float64     // cumulative ub of this and every lower-bound cursor
+	wend   int         // past the last posting in the driver's window (essential lists)
 
 	pl *index.PostingList
 	ls *listState // the run's bookkeeping record for pl
@@ -134,6 +135,15 @@ func (c *cursor) curBlock() *index.BlockMeta {
 		return nil
 	}
 	return &c.pl.Blocks[c.bi]
+}
+
+// spans reports whether d lies in the docID range the metadata gives the
+// cursor's current block; the cursor must stand on a block.
+//
+//boss:hotpath the sparse driver's in-block probe test.
+func (c *cursor) spans(d uint32) bool {
+	blk := &c.pl.Blocks[c.bi]
+	return blk.FirstDoc <= d && d <= blk.LastDoc
 }
 
 // visit charges the metadata read of the cursor's current block, once per

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"boss/internal/index"
 	"boss/internal/mem"
@@ -40,37 +41,24 @@ type SparseTermInfo struct {
 
 // PlanSparse resolves a sparse query's terms and reports the MaxScore
 // partition at the given threshold (use 0 for a cold top-k). Terms
-// missing impacts or not indexed fail exactly as they do in Exec.
+// missing impacts or not indexed fail exactly as they do in Exec. The
+// ranking and the partition are the operator's own (rankByBound,
+// essentialFrom), over cursors that never load a block.
 func (a *Accelerator) PlanSparse(terms []string, threshold float64) (*SparsePlan, error) {
 	lists, err := a.resolveSparse(nil, terms)
 	if err != nil {
 		return nil, err
 	}
-	infos := make([]SparseTermInfo, len(lists))
+	cs := make([]cursor, len(lists))
 	for i, pl := range lists {
-		infos[i] = SparseTermInfo{
-			Term:      pl.Term,
-			MaxImpact: score.Impact(pl.MaxImpact, pl.ImpactStep).Float(),
-		}
+		cs[i].pl = pl
 	}
-	sort := func(s []SparseTermInfo) {
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j].MaxImpact < s[j-1].MaxImpact; j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
+	rankByBound(cs)
+	infos := make([]SparseTermInfo, len(cs))
+	for i := range cs {
+		infos[i] = SparseTermInfo{Term: cs[i].pl.Term, MaxImpact: cs[i].ub, Prefix: cs[i].prefix}
 	}
-	sort(infos)
-	acc := 0.0
-	ess := 0
-	for i := range infos {
-		acc += infos[i].MaxImpact
-		infos[i].Prefix = acc
-		if infos[i].Prefix < threshold {
-			ess = i + 1
-		}
-	}
-	return &SparsePlan{Terms: infos, Essential: ess}, nil
+	return &SparsePlan{Terms: infos, Essential: essentialFrom(cs, 0, threshold)}, nil
 }
 
 // resolveSparse appends the sparse-query terms' impact-enabled posting lists
@@ -107,6 +95,9 @@ func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int) (Res
 	if r.planLists, err = a.resolveSparse(r.planLists, terms); err != nil {
 		return Result{}, err
 	}
+	if len(r.planLists) > maxSparseLists {
+		return Result{}, fmt.Errorf("core: sparse query over %d lists, more than %d", len(r.planLists), maxSparseLists)
+	}
 	r.nTerms = len(r.planLists)
 
 	r.sparse(r.planLists)
@@ -124,20 +115,48 @@ func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int) (Res
 	return Result{TopK: results, M: r.m}, nil
 }
 
+// sparseSpan is the widest docID window the sparse driver accumulates the
+// essential lists over at once; it sizes the run record's window scratch.
+const sparseSpan = 4096
+
+// maxSparseLists bounds a sparse query's lists: the window counts a
+// document's essential postings in a byte. query.Prepare already holds a
+// query to query.MaxTerms, far below it.
+const maxSparseLists = math.MaxUint8
+
 // sparse runs the MaxScore driver loop over the query's posting lists, one
 // cursor per list (the terms are distinct). With DocET off (the exhaustive
 // ablation) every list stays essential and the loop degenerates to a full
 // scoring merge — the comparison baseline for the pruning bench.
 //
-// The loop keeps the model's decisions where they were and moves only host
-// work. The partition is recomputed right after an insert moves the top-k
-// threshold, the only event that can change it. A cursor that consumed its
-// block is reloaded by the next select pass — after that partition, so only
-// if the list is still essential and only if the run did not end on
-// ess == n — which keeps the set of blocks examined and fetched exactly what
-// loading at every candidate selection produced. Between select passes the
-// pass that collects a candidate's essential matches also yields the next
-// candidate.
+// The loop takes the essential lists a docID window at a time. A select pass
+// reloads the essential cursors that consumed their block and opens the
+// window [lo, hi] at the smallest docID under them; hi is sparseSpan − 1
+// beyond lo or the earliest last decoded docID of an essential cursor's
+// block, whichever is smaller, so no essential cursor runs out of block
+// inside the window. Every essential posting in it is added into the run's
+// window scratch — its dequantized impact into the document's Q16.16 sum,
+// one into its count, its bit into the bitmap — and the set bits, walked in
+// ascending docID, are the candidates: the docIDs a one-at-a-time merge of
+// the essential cursors yields, each with the sum and the matched count that
+// merge collects (integer additions commute).
+//
+// Each candidate runs the non-essential probes, the insert and, when the
+// insert moved the top-k threshold — the only event that can change the
+// partition — the re-partition. A partition change at d demotes the
+// lowest-bound essential lists: each demoted cursor is stood on its first
+// posting beyond d, where the merge leaves it, and its postings in (d, hi]
+// are taken back out of the window, so later candidates carry only the
+// essential lists' sums and a document no essential list still holds is no
+// candidate. At the window's end the essential cursors seek past hi. A block
+// can only run out there, so the next select pass reloads it after every
+// partition up to hi — only if its list is still essential, and not at all
+// if the run ended on ess == n — which is exactly the set and order of
+// blocks loading at every candidate selection examines and fetches. The
+// model's decisions (candidates, probes, inserts, partitions) thus happen at
+// the same docIDs in the same order as in the one-at-a-time merge; only host
+// work is batched. A run that leaves a window early (the ess == n stop, a
+// failed fetch) clears the scratch first.
 //
 // The family reads its scores instead of computing them: a document's score
 // is the sum of its postings' 8-bit impact codes, each dequantized by its
@@ -150,140 +169,171 @@ func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int) (Res
 func (r *run) sparse(pls []*index.PostingList) {
 	n := len(pls)
 	cs := r.openCursors(pls)
-	for i := range cs {
-		c := &cs[i]
-		c.step = c.pl.ImpactStep
-		c.ub = score.Impact(c.pl.MaxImpact, c.step).Float()
-	}
-	sortByBound(cs)
-	// cs[i].prefix bounds the total contribution of cs[:i+1]: the largest
-	// score a document matching only those lists could reach. All bounds
-	// are dequantized Q16.16 values (dyadic rationals far below 2^53), so
-	// the float sums and comparisons below are exact.
-	acc := 0.0
-	for i := range cs {
-		acc += cs[i].ub
-		cs[i].prefix = acc
-	}
+	rankByBound(cs)
 
 	docET := r.acc.opts.DocET
 	// cs[:ess] are non-essential: their cumulative bound cannot reach the
 	// cutoff. cut is -Inf (nothing is prunable) until the top-k fills, and
 	// for the whole run with DocET off.
 	cut, ess := math.Inf(-1), 0
-	var candidates, docs, ops int64
-	next, rescan := noDoc, true
+	var candidates, docs, ops, seeks int64
+windows:
 	for {
-		if rescan {
-			// Select pass: reload essential cursors that consumed their
-			// block and take the smallest upcoming docID from scratch.
-			rescan = false
-			next = noDoc
-			for i := ess; i < n; i++ {
-				c := &cs[i]
-				if c.pos == len(c.docs) && !r.sparseLoad(c) {
-					if r.err != nil {
-						return
-					}
-					continue // list exhausted
-				}
-				if c.cur < next {
-					next = c.cur
-				}
-			}
-		}
-		if next == noDoc {
-			break // essential streams exhausted; no remaining doc can win
-		}
-		d := uint32(next)
-		candidates++
-
-		// Essential contributions at d (integer accumulation; matched counts
-		// the postings that add to it), and the smallest docID left under the
-		// essential cursors.
-		var sum score.Fixed
-		var matched int64
-		next = noDoc
+		// Select pass: reload essential cursors that consumed their block,
+		// then bound the window by the smallest docID under them and by the
+		// earliest end of their blocks.
+		lo, hi := noDoc, noDoc
 		for i := ess; i < n; i++ {
 			c := &cs[i]
-			if c.cur == uint64(d) {
-				sum += score.Impact(c.imps[c.pos], c.step)
-				matched++
-				c.seek(c.pos + 1)
-				if c.cur == noDoc {
-					rescan = true // block consumed: the next select pass reloads
-				}
-			}
-			if c.cur < next {
-				next = c.cur
-			}
-		}
-
-		// Non-essential probes in descending-bound order: before each,
-		// check whether even perfect matches in every remaining list
-		// could reach the cutoff; abandon the candidate the moment they
-		// cannot.
-		abandoned := false
-		for j := ess - 1; j >= 0 && !abandoned; j-- {
-			c := &cs[j]
-			if sum.Float()+c.prefix < cut {
-				abandoned = true
-				break
-			}
-			var code uint8
-			switch {
-			case c.cur == uint64(d):
-				code = c.imps[c.pos]
-			case c.cur > uint64(d) && c.cur != noDoc:
-				// The cursor already stands beyond d inside a loaded
-				// block: d is absent, and nothing is examined or charged.
-			default:
-				rem := 0.0
-				if j > 0 {
-					rem = cs[j-1].prefix
-				}
-				code, abandoned = r.sparseProbe(c, d, sum, rem, cut) // code is 0 on abandon
+			if c.pos == len(c.docs) && !r.sparseLoad(c) {
 				if r.err != nil {
 					return
 				}
+				continue // list exhausted
 			}
-			if code != 0 {
-				sum += score.Impact(code, c.step)
-				matched++
+			lo = min(lo, c.cur)
+			hi = min(hi, uint64(c.docs[len(c.docs)-1]))
+		}
+		if lo == noDoc {
+			break // essential streams exhausted; no remaining doc can win
+		}
+		hi = min(hi, lo+sparseSpan-1)
+		base, last := uint32(lo), uint32(hi)
+
+		// Accumulate: every essential posting in [lo, hi].
+		for i := ess; i < n; i++ {
+			c := &cs[i]
+			docs := c.docs[c.pos:]
+			imps := c.imps[c.pos:][:len(docs)]
+			m := 0
+			for ; m < len(docs) && docs[m] <= last; m++ {
+				off := docs[m] - base
+				r.winSum[off] += score.Impact(imps[m], c.step)
+				r.winCnt[off]++
+				r.winBits[off>>6] |= 1 << (off & 63)
+			}
+			c.wend = c.pos + m
+		}
+
+		// Walk: one candidate per set bit, ascending; each is cleared from the
+		// scratch as it is taken.
+		set := r.winBits[:(last-base)>>6+1]
+		for w := range set {
+			for set[w] != 0 {
+				off := w<<6 | bits.TrailingZeros64(set[w])
+				set[w] &= set[w] - 1
+				sum, matched := r.winSum[off], int64(r.winCnt[off])
+				r.winSum[off], r.winCnt[off] = 0, 0
+				d := base + uint32(off)
+				candidates++
+
+				// Non-essential probes in descending-bound order: before each,
+				// check whether even perfect matches in every remaining list
+				// could reach the cutoff; abandon the candidate the moment
+				// they cannot.
+				abandoned := false
+				for j := ess - 1; j >= 0 && !abandoned; j-- {
+					c := &cs[j]
+					if sum.Float()+c.prefix < cut {
+						abandoned = true
+						break
+					}
+					var code uint8
+					switch {
+					case c.cur == uint64(d):
+						code = c.imps[c.pos]
+					case c.cur > uint64(d) && c.cur != noDoc:
+						// The cursor already stands beyond d inside a loaded
+						// block: d is absent, and nothing is examined or
+						// charged.
+					case c.cur < uint64(d) && c.spans(d):
+						// d lies ahead of the cursor inside its loaded block:
+						// the probe is the in-block seek sparseProbe would
+						// make there, charged the same.
+						seeks += int64(c.seekGE(uint64(d)))
+						if c.cur == uint64(d) {
+							code = c.imps[c.pos]
+						}
+					default:
+						rem := 0.0
+						if j > 0 {
+							rem = cs[j-1].prefix
+						}
+						code, abandoned = r.sparseProbe(c, d, sum, rem, cut) // code is 0 on abandon
+						if r.err != nil {
+							r.clearWindow()
+							return
+						}
+					}
+					if code != 0 {
+						sum += score.Impact(code, c.step)
+						matched++
+					}
+				}
+				if abandoned {
+					continue
+				}
+				docs++
+				ops += matched
+				r.sel.Insert(d, sum.Float())
+				if !docET || r.cutoff() == cut {
+					continue
+				}
+				// The insert moved the threshold: re-partition. Strict <, so
+				// cutoff ties are never pruned (they are scored and lose the
+				// top-k tie-break exactly as in exhaustive order).
+				cut = r.cutoff()
+				e := essentialFrom(cs, ess, cut)
+				if e == n {
+					// Even all lists together cannot beat the cutoff. Only a
+					// list bound that understates its impacts gets here.
+					r.clearWindow()
+					break windows
+				}
+				for ; ess < e; ess++ {
+					r.demote(&cs[ess], d, base)
+				}
 			}
 		}
-		if abandoned {
-			continue
-		}
-		docs++
-		ops += matched
-		r.sel.Insert(d, sum.Float())
-		if !docET || r.cutoff() == cut {
-			continue
-		}
-		// The insert moved the threshold: re-partition. Strict <, so cutoff
-		// ties are never pruned (they are scored and lose the top-k
-		// tie-break exactly as in exhaustive order).
-		cut = r.cutoff()
-		e := ess
-		for e < n && cs[e].prefix < cut {
-			e++
-		}
-		if e == n {
-			break // even all lists together cannot beat the cutoff
-		}
-		if e != ess {
-			ess, rescan = e, true // the minimum may have sat on a demoted list
+		for i := ess; i < n; i++ {
+			cs[i].seek(cs[i].wend)
 		}
 	}
-	// One selector decision per candidate, one scoring op per matched posting
-	// and one top-k broadcast per evaluated document, added at once (exact:
-	// see cursor). The error returns above skip it; a failed run reports no
-	// metrics.
-	r.mergeCycles += 1.5 * float64(candidates)
+	// One selector decision per candidate, one merger step per posting an
+	// in-block probe passed, one scoring op per matched posting and one top-k
+	// broadcast per evaluated document, added at once (exact: see cursor).
+	// The error returns above skip it; a failed run reports no metrics.
+	r.mergeCycles += 1.5*float64(candidates) + float64(seeks)
 	r.scoreOps += float64(ops)
 	r.topkInserts += float64(docs)
 	r.m.DocsEvaluated += docs
+}
+
+// demote moves essential cursor c to the non-essential side at candidate d
+// of the window based at base: it stands the cursor on its first posting
+// beyond d and takes its postings in (d, hi] back out of the window,
+// clearing the bit of a document no essential list holds any more.
+//
+//boss:hotpath once per list demoted, at most once per list per query.
+func (r *run) demote(c *cursor, d, base uint32) {
+	c.seekGE(uint64(d) + 1) // uncharged: the merge charges per candidate, not per posting
+	for p := c.pos; p < c.wend; p++ {
+		off := c.docs[p] - base
+		r.winSum[off] -= score.Impact(c.imps[p], c.step)
+		if r.winCnt[off]--; r.winCnt[off] == 0 {
+			r.winBits[off>>6] &^= 1 << (off & 63)
+		}
+	}
+}
+
+// clearWindow zeroes the window scratch for a run that leaves a window
+// before walking it to its end.
+//
+//boss:hotpath at most once per sparse query, on its early exits.
+func (r *run) clearWindow() {
+	clear(r.winSum[:])
+	clear(r.winCnt[:])
+	clear(r.winBits[:])
 }
 
 // sparseLoad positions an essential cursor on its next posting, fetching
@@ -352,15 +402,44 @@ func (r *run) sparseProbe(c *cursor, d uint32, sum score.Fixed, rem, cut float64
 	}
 }
 
-// sortByBound insertion-sorts cursors by ascending list bound. Stable, so
+// rankByBound readies sparse cursors over impact lists: each list's step
+// and dequantized bound, the cursors in ascending bound order — stable, so
 // equal-bound terms keep query order and runs are deterministic; like the
-// union module's sorter it stays O(small²) and alloc-free.
+// union module's sorter an O(small²) insertion sort, alloc-free — and each
+// cursor's prefix, the cumulative bound of it and every lower-bound cursor:
+// the largest score a document matching only those lists could reach. All
+// bounds are dequantized Q16.16 values (dyadic rationals far below 2^53),
+// so the float sums and the comparisons against them are exact.
 //
 //boss:hotpath called once per sparse query.
-func sortByBound(cs []cursor) {
+func rankByBound(cs []cursor) {
+	for i := range cs {
+		c := &cs[i]
+		c.step = c.pl.ImpactStep
+		c.ub = score.Impact(c.pl.MaxImpact, c.step).Float()
+	}
 	for i := 1; i < len(cs); i++ {
 		for j := i; j > 0 && cs[j].ub < cs[j-1].ub; j-- {
 			cs[j], cs[j-1] = cs[j-1], cs[j]
 		}
 	}
+	acc := 0.0
+	for i := range cs {
+		acc += cs[i].ub
+		cs[i].prefix = acc
+	}
+}
+
+// essentialFrom is the one definition of "essential at threshold t" over
+// cursors in rankByBound order: it returns the index of the first cursor
+// whose prefix bound reaches t, searching up from e, the partition at a
+// lower threshold. The cursors below it cannot together lift a document to
+// t; strict <, so a document tying t is never pruned.
+//
+//boss:hotpath once per threshold move.
+func essentialFrom(cs []cursor, e int, t float64) int {
+	for e < len(cs) && cs[e].prefix < t {
+		e++
+	}
+	return e
 }
