@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -184,17 +185,7 @@ func (ix *Index) ensureDocs() (*docstore.Store, error) {
 			ix.docsErr = ErrNoDocStore
 			return
 		}
-		db := docstore.NewBuilder("name", "text")
-		var name, text []byte
-		for id := 0; id < ix.idx.NumDocs; id++ {
-			name = corpus.DocName(name[:0], uint32(id))
-			text = corpus.DocText(ix.spec.Seed, uint32(id), ix.docLens[id], ix.spec.NumTerms, text[:0])
-			if err := db.Add(name, text); err != nil {
-				ix.docsErr = err
-				return
-			}
-		}
-		ix.docs = db.Build()
+		ix.docs, ix.docsErr = corpus.DocStore(*ix.spec, ix.docLens, 0, uint32(ix.idx.NumDocs))
 	})
 	return ix.docs, ix.docsErr
 }
@@ -272,31 +263,19 @@ type BatchItem struct {
 }
 
 // SearchBatch runs many queries concurrently on the software engine (one
-// worker per CPU) and returns one item per query, in input order. Results
-// are identical to calling Search per query.
+// worker per CPU) and returns one item per query, in input order. Each item
+// is what Search returns for its query.
 func (ix *Index) SearchBatch(exprs []string, k int) []BatchItem {
 	items := make([]BatchItem, len(exprs))
-	nodes := make([]*query.Node, 0, len(exprs))
-	slots := make([]int, 0, len(exprs))
-	for i, expr := range exprs {
-		node, err := query.Parse(expr)
-		if err != nil {
-			items[i].Err = err
-			continue
-		}
-		nodes = append(nodes, node)
-		slots = append(slots, i)
-	}
-	br := engine.New(ix.idx).RunBatch(nodes, k, 0)
-	for j, i := range slots {
-		if err := br.Errs[j]; err != nil {
-			items[i].Err = err
-			continue
-		}
-		items[i].Hits = hits(ix.names, br.Results[j].TopK)
-	}
+	pool.ForEach(context.Background(), len(exprs), batchWorkers(len(exprs)), func(i int) {
+		items[i].Hits, items[i].Err = ix.Search(exprs[i], k)
+	})
 	return items
 }
+
+// batchWorkers is the facade batches' width: one worker per CPU, and no more
+// workers than queries.
+func batchWorkers(n int) int { return min(runtime.GOMAXPROCS(0), n) }
 
 // WriteTo serializes the index (document names are not serialized; a
 // re-read index reports synthetic names).
@@ -425,24 +404,30 @@ func (a *Accelerator) FetchDocs(ids []uint32) ([]Doc, *SimStats, error) {
 		return nil, nil, err
 	}
 	m := perf.NewMetrics()
-	docs, err := fetchDocsInto(eng, ids, m)
+	docs, err := fetchDocs(nil, eng, ids, m)
 	if err != nil {
 		return nil, nil, err
 	}
-	return docs, simStats(m, a.dev, a.cores), nil
+	return docsFromFetched(docs), simStats(m, a.dev, a.cores), nil
 }
 
-// fetchDocsInto runs the fetch loop shared by FetchDocs and SearchFetch,
-// accumulating simulated charges into m.
-func fetchDocsInto(eng *core.FetchEngine, ids []uint32, m *perf.Metrics) ([]Doc, error) {
+// fetchDocs is the single device's fetch loop, shared by FetchDocs,
+// SearchFetch and Serve's fetch requests. It charges m, and copies each
+// payload out of the zero-copy fetch buffer before the next fetch
+// invalidates it.
+func fetchDocs(ctx context.Context, eng *core.FetchEngine, ids []uint32, m *perf.Metrics) ([]pool.FetchedDoc, error) {
 	var buf core.DocBuf
 	defer buf.Release()
-	docs := make([]Doc, len(ids))
+	docs := make([]pool.FetchedDoc, len(ids))
 	for i, id := range ids {
-		if err := eng.FetchInto(nil, id, m, &buf); err != nil {
+		if err := eng.FetchInto(ctx, id, m, &buf); err != nil {
 			return nil, err
 		}
-		docs[i] = Doc{DocID: id, Name: string(buf.Fields[0]), Text: string(buf.Fields[1])}
+		fields := make([][]byte, len(buf.Fields))
+		for j, f := range buf.Fields {
+			fields[j] = append([]byte(nil), f...)
+		}
+		docs[i] = pool.FetchedDoc{DocID: id, Fields: fields}
 	}
 	return docs, nil
 }
@@ -469,11 +454,11 @@ func (a *Accelerator) SearchFetch(expr string, k int) ([]Hit, []Doc, *SimStats, 
 	for i, e := range res.TopK {
 		ids[i] = e.DocID
 	}
-	docs, err := fetchDocsInto(eng, ids, res.M)
+	docs, err := fetchDocs(nil, eng, ids, res.M)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return hits(a.ix.names, res.TopK), docs, simStats(res.M, a.dev, a.cores), nil
+	return hits(a.ix.names, res.TopK), docsFromFetched(docs), simStats(res.M, a.dev, a.cores), nil
 }
 
 // SimStats summarizes one simulated query execution.
@@ -529,31 +514,13 @@ func (a *Accelerator) Search(expr string, k int) ([]Hit, *SimStats, error) {
 
 // SearchBatch runs many queries concurrently on the simulated accelerator
 // (one worker per CPU) and returns one item per query, in input order, each
-// with its own simulated statistics. Results are identical to calling
-// Search per query: the device model is stateless.
+// with its own simulated statistics. Each item is what Search returns for
+// its query: the device model is stateless.
 func (a *Accelerator) SearchBatch(exprs []string, k int) []BatchItem {
 	items := make([]BatchItem, len(exprs))
-	plans := make([]query.Plan, 0, len(exprs))
-	slots := make([]int, 0, len(exprs))
-	for i, expr := range exprs {
-		p, err := query.Prepare(expr)
-		if err != nil {
-			items[i].Err = err
-			continue
-		}
-		plans = append(plans, p.Plan)
-		slots = append(slots, i)
-	}
-	br := a.acc.RunBatch(plans, k, 0)
-	for j, i := range slots {
-		if err := br.Errs[j]; err != nil {
-			items[i].Err = err
-			continue
-		}
-		res := br.Results[j]
-		items[i].Hits = hits(a.ix.names, res.TopK)
-		items[i].Stats = simStats(res.M, a.dev, a.cores)
-	}
+	pool.ForEach(context.Background(), len(exprs), batchWorkers(len(exprs)), func(i int) {
+		items[i].Hits, items[i].Stats, items[i].Err = a.Search(exprs[i], k)
+	})
 	return items
 }
 
@@ -566,19 +533,25 @@ const (
 	CCNewsLike
 )
 
+// spec returns the kind's corpus profile at scale.
+func (kind SyntheticKind) spec(scale float64) (corpus.Spec, error) {
+	switch kind {
+	case ClueWebLike:
+		return corpus.ClueWebLike(scale), nil
+	case CCNewsLike:
+		return corpus.CCNewsLike(scale), nil
+	}
+	return corpus.Spec{}, fmt.Errorf("boss: unknown synthetic corpus kind %d", kind)
+}
+
 // BuildSynthetic generates a synthetic corpus with realistic posting-list
 // statistics (Zipf document frequencies, clustered docIDs) and indexes it
 // with hybrid compression. scale in (0, 1] controls size; see
 // internal/corpus for the profiles. Terms are named "t<rank>" by descending
 // document frequency.
 func BuildSynthetic(kind SyntheticKind, scale float64) *Index {
-	var spec corpus.Spec
-	switch kind {
-	case ClueWebLike:
-		spec = corpus.ClueWebLike(scale)
-	case CCNewsLike:
-		spec = corpus.CCNewsLike(scale)
-	default:
+	spec, err := kind.spec(scale)
+	if err != nil {
 		panic("boss: unknown synthetic corpus kind")
 	}
 	c := corpus.Generate(spec)
@@ -637,14 +610,9 @@ type ReplicaOptions struct {
 // error on one copy is served from another). With opt.HedgeCutoff set,
 // tail-latency stragglers are hedged onto a second copy.
 func ShardReplicated(kind SyntheticKind, scale float64, nodes int, opt ReplicaOptions) (*ShardedIndex, error) {
-	var spec corpus.Spec
-	switch kind {
-	case ClueWebLike:
-		spec = corpus.ClueWebLike(scale)
-	case CCNewsLike:
-		spec = corpus.CCNewsLike(scale)
-	default:
-		return nil, fmt.Errorf("boss: unknown synthetic corpus kind %d", kind)
+	spec, err := kind.spec(scale)
+	if err != nil {
+		return nil, err
 	}
 	c := corpus.Generate(spec)
 	cfg := pool.DefaultConfig()
@@ -821,8 +789,8 @@ func shardedResult(res *pool.ClusterResult, err error) (*ShardedResult, error) {
 	return out, nil
 }
 
-// docsFromFetched converts pool-layer fetched payloads (already copied
-// at the cluster boundary) into facade Docs. A degraded fetch leaves a
+// docsFromFetched converts fetched payloads (already copied at the cluster
+// boundary or by fetchDocs) into facade Docs. A degraded fetch leaves a
 // document's Fields empty; the Doc keeps its id with empty payloads.
 func docsFromFetched(fds []pool.FetchedDoc) []Doc {
 	if fds == nil {

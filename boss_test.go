@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"boss/internal/compress"
+	"boss/internal/corpus"
+	"boss/internal/index"
 	"boss/internal/query"
 )
 
@@ -116,6 +121,79 @@ func TestAcceleratorTermLimit(t *testing.T) {
 	}
 	if batch[0].Err != nil || len(batch[0].Hits) == 0 {
 		t.Errorf("SearchBatch's in-limit neighbour = %+v; want hits", batch[0])
+	}
+}
+
+// TestSearchBatchMatchesSearch: on every deployment each SearchBatch item is
+// what Search returns for its query — hits, *SimStats and error — over a
+// mixed batch of Q1–Q6, SPARSE where the deployment serves it, and an
+// unknown term and a 17-term expression in the middle, whose failures leave
+// their neighbours' answers alone. The batch runs on GOMAXPROCS workers, so
+// CI runs this at -cpu 1,2,8 for the one-worker, exact and oversubscribed
+// widths.
+func TestSearchBatchMatchesSearch(t *testing.T) {
+	const k = 20
+	c := corpus.Generate(corpus.CCNewsLike(0.004))
+	var exprs []string
+	for _, qt := range corpus.AllQueryTypes() {
+		for _, q := range corpus.SampleQueries(c, qt, 3, 7) {
+			exprs = append(exprs, q.Expr)
+		}
+	}
+	mid := len(exprs) / 2
+	exprs = slices.Insert(exprs, mid, `"nosuchtermzz"`, `"t0"`+strings.Repeat(` AND "t0"`, query.MaxTerms))
+	withSparse := append([]string{`SPARSE("t1", "t5", "t20")`}, exprs...)
+
+	// The single-device deployments run over an impact index, which serves
+	// SPARSE; the cluster builds its shards without impacts (ROADMAP 3).
+	ix := &Index{idx: index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid, Impacts: true})}
+	acc := ix.Accelerator(AccelOptions{})
+	sx, err := Shard(CCNewsLike, 0.004, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []struct {
+		name   string
+		exprs  []string
+		search func(expr string) ([]Hit, *SimStats, error)
+		batch  func(exprs []string) []BatchItem
+	}{
+		{"Index", withSparse, func(e string) ([]Hit, *SimStats, error) {
+			hits, err := ix.Search(e, k)
+			return hits, nil, err
+		}, func(es []string) []BatchItem { return ix.SearchBatch(es, k) }},
+		{"Accelerator", withSparse, func(e string) ([]Hit, *SimStats, error) { return acc.Search(e, k) },
+			func(es []string) []BatchItem { return acc.SearchBatch(es, k) }},
+		{"ShardedIndex", exprs, func(e string) ([]Hit, *SimStats, error) { return sx.Search(e, k) },
+			func(es []string) []BatchItem { return sx.SearchBatch(es, k) }},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			items := d.batch(d.exprs)
+			if len(items) != len(d.exprs) {
+				t.Fatalf("%d items for %d queries", len(items), len(d.exprs))
+			}
+			for i, expr := range d.exprs {
+				hits, stats, err := d.search(expr)
+				got := items[i]
+				if !reflect.DeepEqual(got.Hits, hits) || !reflect.DeepEqual(got.Stats, stats) ||
+					fmt.Sprint(got.Err) != fmt.Sprint(err) || got.Degraded != 0 {
+					t.Errorf("item %d (%s) = %+v\nwant Search's hits=%v stats=%+v err=%v", i, expr, got, hits, stats, err)
+				}
+			}
+			// The unknown term is at off, the 17-term expression at off+1.
+			off := len(d.exprs) - len(exprs) + mid
+			if items[off].Err == nil {
+				t.Errorf("unknown term: no error")
+			}
+			for i, it := range items {
+				if i != off && i != off+1 && it.Err != nil {
+					t.Errorf("item %d (%s) beside the failing pair: %v", i, d.exprs[i], it.Err)
+				}
+			}
+			if items := d.batch(nil); len(items) != 0 {
+				t.Errorf("empty batch returned %d items", len(items))
+			}
+		})
 	}
 }
 

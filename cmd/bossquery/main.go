@@ -37,14 +37,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var spec corpus.Spec
-	switch *corpusName {
-	case "clueweb":
-		spec = corpus.ClueWebLike(*scale)
-	case "ccnews":
-		spec = corpus.CCNewsLike(*scale)
-	default:
-		fmt.Fprintf(os.Stderr, "bossquery: unknown corpus %q\n", *corpusName)
+	spec, err := corpus.ByName(*corpusName, *scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bossquery: %v\n", err)
 		os.Exit(1)
 	}
 

@@ -47,14 +47,9 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		var spec corpus.Spec
-		switch *corpusName {
-		case "clueweb":
-			spec = corpus.ClueWebLike(*scale)
-		case "ccnews":
-			spec = corpus.CCNewsLike(*scale)
-		default:
-			fmt.Fprintf(os.Stderr, "indexstat: unknown corpus %q\n", *corpusName)
+		spec, err := corpus.ByName(*corpusName, *scale)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "indexstat: %v\n", err)
 			os.Exit(1)
 		}
 		c = corpus.Generate(spec)

@@ -38,14 +38,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var spec corpus.Spec
-	switch *corpusName {
-	case "clueweb":
-		spec = corpus.ClueWebLike(*scale)
-	case "ccnews":
-		spec = corpus.CCNewsLike(*scale)
-	default:
-		fmt.Fprintf(os.Stderr, "poolsim: unknown corpus %q\n", *corpusName)
+	spec, err := corpus.ByName(*corpusName, *scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "poolsim: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -53,7 +48,7 @@ func main() {
 	c := corpus.Generate(spec)
 	idx := index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid})
 
-	cfg := pool.DefaultConfig()
+	cfg := pool.DefaultDeviceConfig()
 	cfg.Cores = *cores
 	cfg.K = *k
 	if *useDRAM {

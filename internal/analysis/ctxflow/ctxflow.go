@@ -27,9 +27,9 @@
 //     with no condition, inside a function that received a context, must
 //     check ctx.Err() or select on ctx.Done() somewhere in its body —
 //     otherwise a dead deadline spins the loop (breaker/backoff loops
-//     regressing this way survive every happy-path test). time.Sleep is
-//     likewise banned in scope: sleeping must select on ctx.Done() (see
-//     clock.Clock.Sleep).
+//     regressing this way survive every happy-path test). A raw time.Sleep
+//     is simdeterminism's finding: serving code waits on clock.Clock.Sleep,
+//     which selects on ctx.Done().
 package ctxflow
 
 import (
@@ -107,7 +107,6 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 			if ctxParam != nil {
 				checkSibling(pass, x)
 			}
-			checkSleep(pass, info, x)
 		case *ast.ForStmt:
 			if ctxParam != nil && x.Cond == nil {
 				checkRetryLoop(pass, fn, x)
@@ -203,18 +202,6 @@ func hasCtxParam(sig *types.Signature) bool {
 		}
 	}
 	return false
-}
-
-// checkSleep bans time.Sleep in the serving path: a raw sleep cannot be
-// cancelled.
-func checkSleep(pass *analysis.Pass, info *types.Info, call *ast.CallExpr) {
-	obj, ok := analysis.CalleeObj(info, call).(*types.Func)
-	if !ok || obj.Pkg() == nil {
-		return
-	}
-	if obj.Pkg().Path() == "time" && obj.Name() == "Sleep" {
-		pass.Reportf(call.Pos(), "time.Sleep in a serving path cannot be cancelled; wait in a select on a timer and ctx.Done()")
-	}
 }
 
 // checkRetryLoop requires an unbounded loop in a context-receiving

@@ -1,10 +1,7 @@
 // Package core exercises ctxflow inside a serving-path package.
 package core
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 type Model struct{}
 
@@ -71,11 +68,6 @@ func threaded(ctx context.Context, m *Model, q string) int {
 // apply (there is nothing to thread).
 func blindCaller(m *Model, q string) int {
 	return m.Search(q)
-}
-
-// sleeps blocks uncancellably in a serving path.
-func sleeps(ctx context.Context) {
-	time.Sleep(time.Millisecond) // want `time\.Sleep in a serving path cannot be cancelled`
 }
 
 // spinsBlind retries forever without observing cancellation.

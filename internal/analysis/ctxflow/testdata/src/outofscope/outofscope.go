@@ -1,13 +1,9 @@
 // Package outofscope is not a serving-path package: ctxflow ignores it.
 package outofscope
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
-// Setup may build root contexts and sleep freely — offline tooling.
+// Setup may build root contexts freely — offline tooling.
 func Setup() context.Context {
-	time.Sleep(time.Millisecond)
 	return context.Background()
 }

@@ -46,3 +46,15 @@ func retryRawTimer(ctx context.Context, attempt func() error, backoff time.Durat
 		backoff *= 2
 	}
 }
+
+// retrySleep backs off on a raw sleep, which no context can cut short.
+func retrySleep(attempt func() error, backoff time.Duration) error {
+	for {
+		err := attempt()
+		if err == nil {
+			return nil
+		}
+		time.Sleep(backoff) // want `wall-clock call time\.Sleep`
+		backoff *= 2
+	}
+}

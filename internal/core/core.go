@@ -103,8 +103,8 @@ func BlockOnlyOptions() Options { return Options{BlockET: true} }
 // per-query state from a run record it owns exclusively for the duration of
 // the query and only reads the (immutable) index and options. It is
 // therefore safe — and deterministic — to call Exec concurrently from many
-// goroutines, which is how the pool's parallel shard fan-out and RunBatch
-// drive it. TestAcceleratorParallelDeterminism enforces this contract under
+// goroutines, which is how the pool's parallel shard fan-out and the
+// facade's Accelerator.SearchBatch drive it. TestAcceleratorParallelDeterminism enforces this contract under
 // the race detector.
 //
 // Run records recycle through a sync.Pool; every slice and counter in a

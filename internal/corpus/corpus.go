@@ -63,6 +63,18 @@ func CCNewsLike(scale float64) Spec {
 	}
 }
 
+// ByName returns the profile the command-line tools' -corpus flag names,
+// "clueweb" or "ccnews", at scale.
+func ByName(name string, scale float64) (Spec, error) {
+	switch name {
+	case "clueweb":
+		return ClueWebLike(scale), nil
+	case "ccnews":
+		return CCNewsLike(scale), nil
+	}
+	return Spec{}, fmt.Errorf("unknown corpus %q", name)
+}
+
 func scaled(base int, scale float64) int {
 	n := int(float64(base) * scale)
 	if n < 64 {

@@ -1,5 +1,7 @@
 package corpus
 
+import "boss/internal/docstore"
+
 // Synthetic document payloads for the fetch phase. The posting sampler
 // generates term statistics but no document bytes; DocText synthesizes
 // them on demand — deterministically from (seed, docID) so every shard,
@@ -54,6 +56,23 @@ func DocText(seed int64, docID uint32, docLen uint32, vocab int, dst []byte) []b
 		dst = append(dst, ' ')
 	}
 	return dst
+}
+
+// DocStore packs the synthetic documents [lo, hi) of a corpus generated
+// from spec, whose per-document lengths are docLens (indexed by global
+// docID), into a document store with fields "name" and "text": local
+// document i is global docID lo+i.
+func DocStore(spec Spec, docLens []uint32, lo, hi uint32) (*docstore.Store, error) {
+	b := docstore.NewBuilder("name", "text")
+	var name, text []byte
+	for id := lo; id < hi; id++ {
+		name = DocName(name[:0], id)
+		text = DocText(spec.Seed, id, docLens[id], spec.NumTerms, text[:0])
+		if err := b.Add(name, text); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build(), nil
 }
 
 // DocName appends the canonical synthetic name for docID ("doc<id>").

@@ -6,10 +6,11 @@ import (
 )
 
 // This file compiles a stage-2 netlist into a slot-indexed program once at
-// module-configuration time. The interpreter in netlist.go evaluates the
-// assignment list with string-keyed maps — two map clears plus one lookup
-// per operand per assignment per cycle, which for the byte-serial
-// VariableByte program means a full map-interpreter pass per payload byte.
+// module-configuration time. The reference interpreter (interp_test.go,
+// test-only) evaluates the assignment list with string-keyed maps — two map
+// clears plus one lookup per operand per assignment per cycle, which for the
+// byte-serial VariableByte program means a full map-interpreter pass per
+// payload byte.
 // The compiled form resolves every signal name to an integer slot up front,
 // validates wire-use-before-assignment once instead of every cycle, and
 // evaluates a cycle as a linear pass over a flat op list. Compilation
@@ -306,8 +307,8 @@ func (p *program) step(s *progState, input uint64) (out uint64, valid bool) {
 	return out, valid
 }
 
-// run is the compiled equivalent of Netlist.runInto: identical values,
-// cycle counts, and errors, with no allocation beyond dst growth.
+// run is the compiled equivalent of the test-only Netlist.Run: identical
+// values, cycle counts, and errors, with no allocation beyond dst growth.
 //
 //boss:hotpath
 func (p *program) run(s *progState, dst []uint64, tokens []uint64, max int) (values []uint64, cycles int, err error) {

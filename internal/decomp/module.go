@@ -32,8 +32,8 @@ type Module struct {
 	cfg *Config
 
 	// prog is the stage-2 netlist compiled to slot-indexed form at
-	// configuration time (see compile.go). The interpreter in netlist.go
-	// remains the fuzz-checked reference; the compiled program is
+	// configuration time (see compile.go). The interpreter in interp_test.go
+	// is the fuzz-checked reference; the compiled program is
 	// bit-identical in values, cycle counts, and errors.
 	prog *program
 

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"boss/internal/corpus"
+	"boss/internal/pool"
 	"boss/internal/query"
 )
 
@@ -17,43 +19,40 @@ func batchNodes(f *testFixture) []*query.Node {
 	return nodes
 }
 
+// runBatch runs nodes as the facade's Index.SearchBatch does: each slot is
+// run on the shared Engine by a pool.ForEach worker, and keeps its own
+// result and error.
+func runBatch(t *testing.T, e *Engine, nodes []*query.Node, k, workers int) ([]Result, []error) {
+	t.Helper()
+	res := make([]Result, len(nodes))
+	errs := make([]error, len(nodes))
+	n := pool.ForEach(context.Background(), len(nodes), workers, func(i int) {
+		res[i], errs[i] = e.Run(nodes[i], k)
+	})
+	if n != len(nodes) {
+		t.Fatalf("workers=%d: dispatched %d of %d queries", workers, n, len(nodes))
+	}
+	return res, errs
+}
+
 func TestRunBatchMatchesSequential(t *testing.T) {
 	f := newFixture(t)
 	nodes := batchNodes(f)
-	br := f.eng.RunBatch(nodes, 25, 8)
-	if br.Err != nil {
-		t.Fatal(br.Err)
-	}
-	if len(br.Results) != len(nodes) {
-		t.Fatalf("got %d results for %d queries", len(br.Results), len(nodes))
-	}
+	res, errs := runBatch(t, f.eng, nodes, 25, 8)
 	for i, node := range nodes {
+		if errs[i] != nil {
+			t.Fatalf("query %d: %v", i, errs[i])
+		}
 		want, err := f.eng.Run(node, 25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameEntries(br.Results[i].TopK, want.TopK) {
+		if !sameEntries(res[i].TopK, want.TopK) {
 			t.Fatalf("query %d: batch result differs from sequential", i)
 		}
-		if br.Results[i].M.ComputeTime != want.M.ComputeTime {
+		if res[i].M.ComputeTime != want.M.ComputeTime {
 			t.Fatalf("query %d: batch metrics differ from sequential", i)
 		}
-	}
-}
-
-func TestRunBatchAggregates(t *testing.T) {
-	f := newFixture(t)
-	nodes := batchNodes(f)[:6]
-	br := f.eng.RunBatch(nodes, 10, 3)
-	if br.Err != nil {
-		t.Fatal(br.Err)
-	}
-	var wantDocs int64
-	for _, r := range br.Results {
-		wantDocs += r.M.DocsEvaluated
-	}
-	if br.Aggregate.DocsEvaluated != wantDocs {
-		t.Fatalf("aggregate docs = %d, sum = %d", br.Aggregate.DocsEvaluated, wantDocs)
 	}
 }
 
@@ -64,34 +63,33 @@ func TestRunBatchPropagatesErrors(t *testing.T) {
 		query.MustParse(`"notaterm"`),
 		query.MustParse(`"t1"`),
 	}
-	br := f.eng.RunBatch(nodes, 10, 2)
-	if br.Err == nil {
-		t.Fatal("batch should report the unknown-term error")
+	res, errs := runBatch(t, f.eng, nodes, 10, 2)
+	// Per-query attribution: exactly the failing query has an error, and
+	// it is the error a sequential Run reports.
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatal("valid queries must have nil errors")
 	}
-	// Per-query attribution: exactly the failing query has an Errs entry,
-	// and Err is that entry (first failure in input order).
-	if len(br.Errs) != len(nodes) {
-		t.Fatalf("Errs has %d entries for %d queries", len(br.Errs), len(nodes))
-	}
-	if br.Errs[0] != nil || br.Errs[2] != nil {
-		t.Fatal("valid queries must have nil Errs entries")
-	}
-	if br.Errs[1] == nil || br.Err != br.Errs[1] {
-		t.Fatal("Err should be the failing query's own error")
+	_, wantErr := f.eng.Run(nodes[1], 10)
+	if wantErr == nil || errs[1] == nil || errs[1].Error() != wantErr.Error() {
+		t.Fatalf("failing query's error = %v, want its sequential error %v", errs[1], wantErr)
 	}
 	// The valid queries still produced results.
-	if len(br.Results[0].TopK) == 0 || len(br.Results[2].TopK) == 0 {
+	if len(res[0].TopK) == 0 || len(res[2].TopK) == 0 {
 		t.Fatal("valid queries in a failing batch should still complete")
 	}
 }
 
+// TestRunBatchWorkerClamping runs a batch with one worker, one worker per
+// query and more workers than queries: every width runs each query once.
 func TestRunBatchWorkerClamping(t *testing.T) {
 	f := newFixture(t)
 	nodes := batchNodes(f)[:2]
-	for _, workers := range []int{0, 1, 100} {
-		br := f.eng.RunBatch(nodes, 5, workers)
-		if br.Err != nil || len(br.Results) != 2 {
-			t.Fatalf("workers=%d: batch failed", workers)
+	for _, workers := range []int{1, 2, 100} {
+		res, errs := runBatch(t, f.eng, nodes, 5, workers)
+		for i := range nodes {
+			if errs[i] != nil || len(res[i].TopK) == 0 {
+				t.Fatalf("workers=%d query %d: batch failed: %v", workers, i, errs[i])
+			}
 		}
 	}
 }

@@ -120,13 +120,6 @@ func (r *Recorder) record(d Decision) {
 	r.mu.Unlock()
 }
 
-// Decisions snapshots the log.
-func (r *Recorder) Decisions() []Decision {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Decision(nil), r.ds...)
-}
-
 // Render serializes the log into a canonical byte form, one decision per
 // line. Two runs that made identical decisions render identically.
 func (r *Recorder) Render() []byte {

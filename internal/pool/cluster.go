@@ -14,7 +14,6 @@ import (
 	"boss/internal/compress"
 	"boss/internal/core"
 	"boss/internal/corpus"
-	"boss/internal/docstore"
 	"boss/internal/index"
 	"boss/internal/mem"
 	"boss/internal/perf"
@@ -53,7 +52,6 @@ type Cluster struct {
 	docLens  []uint32
 	docsOnce sync.Once
 	docsErr  error
-	docs     []*docstore.Store
 	// fetchers[si][ri] is replica ri's fetch engine over a
 	// docstore.ReplicaView of the shard's store (replica 0 serves the
 	// base store), mirroring accs' replica layout.
@@ -78,13 +76,10 @@ var ErrBadConfig = errors.New("pool: invalid cluster configuration")
 // validateConfig rejects nonsense field values that every construction
 // path must refuse consistently (PR 5 fixed the zero-shard panic for
 // NewCluster; this audits the remaining fields). Zero values stay legal —
-// they mean "default" (Cores, K, Workers) or "disabled" (CacheBytes).
+// they mean "default" (K, Workers) or "disabled" (CacheBytes).
 func validateConfig(cfg Config) error {
 	if cfg.CacheBytes < 0 {
 		return fmt.Errorf("%w: negative CacheBytes %d (use 0 to disable the cache)", ErrBadConfig, cfg.CacheBytes)
-	}
-	if cfg.Cores < 0 {
-		return fmt.Errorf("%w: negative Cores %d", ErrBadConfig, cfg.Cores)
 	}
 	if cfg.K < 0 {
 		return fmt.Errorf("%w: negative K %d", ErrBadConfig, cfg.K)
@@ -446,11 +441,12 @@ func liveCtx(ctx context.Context) context.Context {
 	return ctx
 }
 
-// forEach runs fn(i) for every i in [0, n) on `workers` goroutines and
+// ForEach runs fn(i) for every i in [0, n) on `workers` goroutines and
 // returns once they have all exited. A dead context stops the hand-out:
-// fn ran for the first `dispatched` indices only. It is the only place
-// the cluster spawns workers.
-func forEach(ctx context.Context, n, workers int, fn func(i int)) (dispatched int) {
+// fn ran for the first `dispatched` indices only. workers must be at least
+// 1 when n is. It is the tree's one batch worker pool: the cluster's shard
+// fan-out and query pipeline, and the facade's single-device batches.
+func ForEach(ctx context.Context, n, workers int, fn func(i int)) (dispatched int) {
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -533,13 +529,13 @@ func (cl *Cluster) sweep(ctx context.Context, w shardWork, mask uint64, shardWor
 	// reassigned capture is heap-boxed on every query, serial ones included.
 	outs := make([]shardOut, len(cl.shards))
 	if shardWorkers == 1 {
-		// A plain loop: forEach's closure is a heap allocation per query.
+		// A plain loop: ForEach's closure is a heap allocation per query.
 		for si := range outs {
 			outs[si] = cl.runShard(ctx, w, si, mask)
 		}
 		return outs
 	}
-	forEach(ctx, len(outs), shardWorkers, func(si int) {
+	ForEach(ctx, len(outs), shardWorkers, func(si int) {
 		outs[si] = cl.runShard(ctx, w, si, mask)
 	})
 	return outs
@@ -624,7 +620,7 @@ func (cl *Cluster) SearchBatchQueries(parent context.Context, qs []BatchQuery) *
 		Results: make([]*ClusterResult, len(qs)),
 		Errs:    make([]error, len(qs)),
 	}
-	dispatched := forEach(ctx, len(qs), cl.workers(len(qs)), func(qi int) {
+	dispatched := ForEach(ctx, len(qs), cl.workers(len(qs)), func(qi int) {
 		br.Results[qi], br.Errs[qi] = cl.exec(ctx, qs[qi], 1)
 	})
 	for qi := dispatched; qi < len(qs); qi++ {

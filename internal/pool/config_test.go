@@ -20,7 +20,6 @@ func TestNewClusterRejectsBadConfig(t *testing.T) {
 		cfg  Config
 	}{
 		{"negative CacheBytes", func() Config { c := DefaultConfig(); c.CacheBytes = -1; return c }()},
-		{"negative Cores", func() Config { c := DefaultConfig(); c.Cores = -4; return c }()},
 		{"negative K", func() Config { c := DefaultConfig(); c.K = -10; return c }()},
 		{"negative Workers", func() Config { c := DefaultConfig(); c.Workers = -2; return c }()},
 		{"zero Replicas", func() Config { c := DefaultConfig(); c.Replicas = 0; return c }()},

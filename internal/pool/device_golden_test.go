@@ -15,7 +15,7 @@ import (
 func goldenDeviceRun(t *testing.T) (report, jobs string) {
 	t.Helper()
 	c, idx := testIndex(t)
-	d := New(DefaultConfig(), idx)
+	d := New(DefaultDeviceConfig(), idx)
 	types := corpus.AllQueryTypes()
 	for n := 0; n < 64; n++ {
 		q := corpus.SampleQueries(c, types[n%len(types)], 1, int64(100+n))[0]

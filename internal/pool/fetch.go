@@ -7,7 +7,6 @@ import (
 
 	"boss/internal/core"
 	"boss/internal/corpus"
-	"boss/internal/docstore"
 	"boss/internal/mem"
 	"boss/internal/perf"
 )
@@ -52,28 +51,20 @@ func (cl *Cluster) EnsureDocs() error {
 // their own injector domain, mirroring buildReplicas. Runs under
 // docsOnce.
 func (cl *Cluster) buildDocs() {
-	cl.docs = make([]*docstore.Store, len(cl.shards))
 	cl.fetchers = make([][]*core.FetchEngine, len(cl.shards))
-	var name, text []byte
 	for si := range cl.shards {
-		lo := cl.offsets[si]
 		hi := uint32(cl.spec.NumDocs)
 		if si+1 < len(cl.offsets) {
 			hi = cl.offsets[si+1]
 		}
-		b := docstore.NewBuilder("name", "text")
-		for g := lo; g < hi; g++ {
-			name = corpus.DocName(name[:0], g)
-			text = corpus.DocText(cl.spec.Seed, g, cl.docLens[g], cl.spec.NumTerms, text[:0])
-			if err := b.Add(name, text); err != nil {
-				cl.docsErr = err
-				return
-			}
+		base, err := corpus.DocStore(cl.spec, cl.docLens, cl.offsets[si], hi)
+		if err != nil {
+			cl.docsErr = err
+			return
 		}
-		cl.docs[si] = b.Build()
 		reps := make([]*core.FetchEngine, cl.Replicas())
 		for ri := range reps {
-			store := cl.docs[si]
+			store := base
 			if ri > 0 {
 				store = store.ReplicaView()
 			}

@@ -1,9 +1,17 @@
-// Package pool is the device-level, event-driven simulation of the paper's
-// Figure 4 system: a memory node holding an index shard, several BOSS cores
-// fed by a command queue and query scheduler, the node's SCM channels (with
-// real queueing contention between cores), and the shared host
+// Package pool holds the paper's two system levels, each with its own
+// config.
+//
+// The sharded Cluster (cluster.go, Config) is the Figure 1(b) pooled-memory
+// deployment that serves queries: docID-interval shards on wall-clock
+// accelerators behind one request path, with replication, resilience and
+// the fetch phase.
+//
+// The Device (this file, DeviceConfig) is the event-driven simulation of
+// the Figure 4 system: a memory node holding an index shard, several BOSS
+// cores fed by a command queue and query scheduler, the node's SCM channels
+// (with real queueing contention between cores), and the shared host
 // interconnect. Where internal/perf composes per-query metrics analytically
-// into a throughput roofline, this package replays each query's traffic
+// into a throughput roofline, the Device replays each query's traffic
 // through sim.Resource bandwidth servers (the channels and the link; time
 // advances only through Resource.Acquire, there is no event queue) and
 // measures throughput, latency percentiles and utilization directly — the
@@ -22,8 +30,9 @@ import (
 	"boss/internal/sim"
 )
 
-// Config describes one simulated memory node.
-type Config struct {
+// DeviceConfig describes one simulated memory node for the event-driven
+// replay (New).
+type DeviceConfig struct {
 	// Cores is the number of BOSS cores on the node (the paper uses 8).
 	Cores int
 	// Mem is the node's device configuration (mem.SCM() or mem.DRAM()).
@@ -34,16 +43,34 @@ type Config struct {
 	K int
 	// Opts configures the cores' early-termination features.
 	Opts core.Options
+}
+
+// DefaultDeviceConfig is the paper's node: 8 cores over SCM, one CXL-class
+// link.
+func DefaultDeviceConfig() DeviceConfig {
+	return DeviceConfig{
+		Cores:   8,
+		Mem:     mem.SCM(),
+		LinkGBs: mem.DefaultLinkGBs,
+		K:       core.DefaultK,
+		Opts:    core.DefaultOptions(),
+	}
+}
+
+// Config describes a sharded Cluster: what NewCluster and Fresh read.
+type Config struct {
+	// K is the top-k depth of queries that name none.
+	K int
+	// Opts configures the shard accelerators' early-termination features.
+	Opts core.Options
 	// Workers bounds the host-side goroutines a single query's shard
 	// fan-out and Cluster.SearchBatchQueries' query pipeline run on
-	// (0 = GOMAXPROCS). It does not affect the simulated device models.
+	// (0 = GOMAXPROCS).
 	Workers int
 	// CacheBytes is the byte budget of the cluster's cross-query decoded-
 	// block cache, shared by all shards' wall-clock accelerators (every
 	// Search* entry point). 0 disables the cache; negative values are
-	// rejected by NewCluster with ErrBadConfig. It never touches the
-	// event-driven simulated Device, whose modeled figures must not depend
-	// on host-side caching.
+	// rejected by NewCluster with ErrBadConfig.
 	CacheBytes int64
 	// Replicas is the number of independently-faultable copies of each
 	// shard the cluster keeps (R-way replication). Each replica has its
@@ -69,13 +96,9 @@ type Config struct {
 // harness corpora without approaching the index's own footprint.
 const DefaultCacheBytes = 64 << 20
 
-// DefaultConfig is the paper's node: 8 cores over SCM, one CXL-class link.
-// Wall-clock serving APIs get the decoded-block cache by default.
+// DefaultConfig is single-copy serving with the decoded-block cache on.
 func DefaultConfig() Config {
 	return Config{
-		Cores:      8,
-		Mem:        mem.SCM(),
-		LinkGBs:    mem.DefaultLinkGBs,
 		K:          core.DefaultK,
 		Opts:       core.DefaultOptions(),
 		CacheBytes: DefaultCacheBytes,
@@ -96,7 +119,7 @@ func (j *Job) Latency() sim.Duration { return j.Done - j.Submit }
 
 // Device is one simulated memory node with its BOSS accelerator.
 type Device struct {
-	cfg  Config
+	cfg  DeviceConfig
 	node *mem.Node
 	mai  *mem.MAI
 	link *mem.Link
@@ -112,7 +135,7 @@ type Device struct {
 }
 
 // New builds a device over an index shard.
-func New(cfg Config, idx *index.Index) *Device {
+func New(cfg DeviceConfig, idx *index.Index) *Device {
 	if cfg.Cores <= 0 {
 		panic("pool: need at least one core")
 	}

@@ -31,7 +31,7 @@ func submitBatch(t *testing.T, d *Device, c *corpus.Corpus, qt corpus.QueryType,
 
 func TestDeviceRunsBatch(t *testing.T) {
 	c, idx := testIndex(t)
-	d := New(DefaultConfig(), idx)
+	d := New(DefaultDeviceConfig(), idx)
 	submitBatch(t, d, c, corpus.Q3, 24)
 	r := d.Run()
 	if r.Jobs != 24 {
@@ -50,7 +50,7 @@ func TestDeviceRunsBatch(t *testing.T) {
 
 func TestSubmitErrors(t *testing.T) {
 	_, idx := testIndex(t)
-	d := New(DefaultConfig(), idx)
+	d := New(DefaultDeviceConfig(), idx)
 	if err := d.Submit(`broken`, 0); err == nil {
 		t.Fatal("malformed query accepted")
 	}
@@ -63,7 +63,7 @@ func TestMoreCoresMoreThroughput(t *testing.T) {
 	c, idx := testIndex(t)
 	var qps [2]float64
 	for i, cores := range []int{1, 8} {
-		cfg := DefaultConfig()
+		cfg := DefaultDeviceConfig()
 		cfg.Cores = cores
 		d := New(cfg, idx)
 		submitBatch(t, d, c, corpus.Q5, 32)
@@ -79,7 +79,7 @@ func TestEventSimAgreesWithAnalyticModel(t *testing.T) {
 	// same model; on a saturating batch they must agree within a modest
 	// factor.
 	c, idx := testIndex(t)
-	cfg := DefaultConfig()
+	cfg := DefaultDeviceConfig()
 	cfg.K = 100
 	d := New(cfg, idx)
 	queries := corpus.SampleQueries(c, corpus.Q3, 40, 11)
@@ -115,13 +115,13 @@ func TestContentionRaisesLatency(t *testing.T) {
 	c, idx := testIndex(t)
 	q := corpus.SampleQueries(c, corpus.Q5, 1, 3)[0]
 
-	solo := New(DefaultConfig(), idx)
+	solo := New(DefaultDeviceConfig(), idx)
 	if err := solo.Submit(q.Expr, 0); err != nil {
 		t.Fatal(err)
 	}
 	soloLat := solo.Run().MeanLatency
 
-	cfg := DefaultConfig()
+	cfg := DefaultDeviceConfig()
 	cfg.Cores = 2 // few cores, deep queue
 	busy := New(cfg, idx)
 	for i := 0; i < 40; i++ {
@@ -140,7 +140,7 @@ func TestHostTopKSaturatesLink(t *testing.T) {
 	// narrow link becomes visibly utilized; with hardware top-k it idles.
 	c, idx := testIndex(t)
 	mk := func(hostTopK bool) *Report {
-		cfg := DefaultConfig()
+		cfg := DefaultDeviceConfig()
 		cfg.LinkGBs = 0.05 // deliberately narrow link
 		cfg.K = 100
 		cfg.Opts = core.DefaultOptions()
@@ -164,7 +164,7 @@ func TestHostTopKSaturatesLink(t *testing.T) {
 func TestDRAMNodeFasterThanSCM(t *testing.T) {
 	c, idx := testIndex(t)
 	run := func(cfg mem.Config) float64 {
-		dc := DefaultConfig()
+		dc := DefaultDeviceConfig()
 		dc.Mem = cfg
 		d := New(dc, idx)
 		submitBatch(t, d, c, corpus.Q2, 20)
@@ -177,7 +177,7 @@ func TestDRAMNodeFasterThanSCM(t *testing.T) {
 
 func TestStaggeredArrivals(t *testing.T) {
 	c, idx := testIndex(t)
-	d := New(DefaultConfig(), idx)
+	d := New(DefaultDeviceConfig(), idx)
 	queries := corpus.SampleQueries(c, corpus.Q1, 10, 5)
 	gap := 50 * sim.Microsecond
 	for i, q := range queries {
@@ -194,7 +194,7 @@ func TestStaggeredArrivals(t *testing.T) {
 
 func TestEmptyRun(t *testing.T) {
 	_, idx := testIndex(t)
-	d := New(DefaultConfig(), idx)
+	d := New(DefaultDeviceConfig(), idx)
 	r := d.Run()
 	if r.Jobs != 0 || r.QPS != 0 {
 		t.Fatalf("empty run report: %s", r)
@@ -203,7 +203,7 @@ func TestEmptyRun(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	c, idx := testIndex(t)
-	d := New(DefaultConfig(), idx)
+	d := New(DefaultDeviceConfig(), idx)
 	submitBatch(t, d, c, corpus.Q1, 4)
 	s := d.Run().String()
 	if len(s) == 0 || s[0] != 'j' {

@@ -184,17 +184,21 @@ func BenchmarkEngineRun(b *testing.B) {
 	b.ReportMetric(float64(len(nodes)), "queries/op")
 }
 
-func BenchmarkEngineRunBatch(b *testing.B) {
-	eng := engine.New(sharedCtx().ClueWeb().Hybrid)
-	_, nodes := benchWorkload()
+// BenchmarkIndexSearchBatch is BenchmarkEngineRun's workload through the
+// facade's batch, which fans the queries over pool.ForEach.
+func BenchmarkIndexSearchBatch(b *testing.B) {
+	ix := &Index{idx: sharedCtx().ClueWeb().Hybrid}
+	exprs, _ := benchWorkload()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if br := eng.RunBatch(nodes, benchCfg.K, 0); br.Err != nil {
-			b.Fatal(br.Err)
+		for _, it := range ix.SearchBatch(exprs, benchCfg.K) {
+			if it.Err != nil {
+				b.Fatal(it.Err)
+			}
 		}
 	}
-	b.ReportMetric(float64(len(nodes)), "queries/op")
+	b.ReportMetric(float64(len(exprs)), "queries/op")
 }
 
 func BenchmarkAcceleratorRun(b *testing.B) {
@@ -228,15 +232,19 @@ func BenchmarkBOSSQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkAcceleratorRunBatch(b *testing.B) {
-	acc := core.New(sharedCtx().ClueWeb().Hybrid, core.DefaultOptions())
-	plans := benchPlans()
+// BenchmarkAcceleratorSearchBatch is BenchmarkAcceleratorRun's workload
+// through the facade's batch, cache off like the core.New it is compared with.
+func BenchmarkAcceleratorSearchBatch(b *testing.B) {
+	acc := (&Index{idx: sharedCtx().ClueWeb().Hybrid}).Accelerator(AccelOptions{CacheBytes: -1})
+	exprs, _ := benchWorkload()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if br := acc.RunBatch(plans, benchCfg.K, 0); br.Err != nil {
-			b.Fatal(br.Err)
+		for _, it := range acc.SearchBatch(exprs, benchCfg.K) {
+			if it.Err != nil {
+				b.Fatal(it.Err)
+			}
 		}
 	}
-	b.ReportMetric(float64(len(plans)), "queries/op")
+	b.ReportMetric(float64(len(exprs)), "queries/op")
 }

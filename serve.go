@@ -224,29 +224,14 @@ func (b accelBackend) ExecuteBatch(ctx context.Context, qs []pool.BatchQuery, ou
 	}
 }
 
-// fetchOut serves one document-fetch batch query on the single device,
-// copying each payload out of the zero-copy fetch buffer before the next
-// fetch invalidates it.
+// fetchOut serves one document-fetch batch query on the single device.
 func (b accelBackend) fetchOut(ctx context.Context, ids []uint32) front.Out {
 	eng, err := b.a.fetchEngine()
 	if err != nil {
 		return front.Out{Err: err}
 	}
-	m := perf.NewMetrics()
-	var buf core.DocBuf
-	defer buf.Release()
-	docs := make([]pool.FetchedDoc, len(ids))
-	for i, id := range ids {
-		if err := eng.FetchInto(ctx, id, m, &buf); err != nil {
-			return front.Out{Err: err}
-		}
-		fields := make([][]byte, len(buf.Fields))
-		for j, fb := range buf.Fields {
-			fields[j] = append([]byte(nil), fb...)
-		}
-		docs[i] = pool.FetchedDoc{DocID: id, Fields: fields}
-	}
-	return front.Out{Docs: docs}
+	docs, err := fetchDocs(ctx, eng, ids, perf.NewMetrics())
+	return front.Out{Docs: docs, Err: err}
 }
 
 // Submit admits one request asynchronously, returning a ticket to wait
