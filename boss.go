@@ -593,13 +593,15 @@ func Shard(kind SyntheticKind, scale float64, nodes int) (*ShardedIndex, error) 
 
 // ReplicaOptions configures shard replication for ShardReplicated. The
 // zero value means single-copy shards with hedging off — exactly Shard.
+// Negative values are refused with an error wrapping pool.ErrBadConfig.
 type ReplicaOptions struct {
 	// Replicas is the number of independently-faultable copies of every
 	// shard (0 or 1 = single copy).
 	Replicas int
 	// HedgeCutoff, when positive, arms hedged requests: a backup attempt
 	// fires on another replica when the primary has not answered within
-	// the cutoff. Requires Replicas > 1 to have any effect.
+	// the cutoff (0 = hedging off). Requires Replicas > 1 to have any
+	// effect.
 	HedgeCutoff time.Duration
 }
 
@@ -616,7 +618,7 @@ func ShardReplicated(kind SyntheticKind, scale float64, nodes int, opt ReplicaOp
 	}
 	c := corpus.Generate(spec)
 	cfg := pool.DefaultConfig()
-	if opt.Replicas > 0 {
+	if opt.Replicas != 0 {
 		cfg.Replicas = opt.Replicas
 	}
 	if opt.Replicas > 1 {
@@ -626,9 +628,8 @@ func ShardReplicated(kind SyntheticKind, scale float64, nodes int, opt ReplicaOp
 		// zero-valued (retry-free) resilience Shard always had.
 		cfg.Resilience = pool.DefaultResilience()
 	}
-	if opt.HedgeCutoff > 0 {
-		cfg.Resilience.HedgeCutoff = opt.HedgeCutoff
-	}
+	// Both values pass through as given: NewCluster refuses negative ones.
+	cfg.Resilience.HedgeCutoff = opt.HedgeCutoff
 	cl, err := pool.NewCluster(cfg, c, nodes)
 	if err != nil {
 		return nil, err

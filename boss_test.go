@@ -14,6 +14,7 @@ import (
 	"boss/internal/compress"
 	"boss/internal/corpus"
 	"boss/internal/index"
+	"boss/internal/pool"
 	"boss/internal/query"
 )
 
@@ -215,38 +216,6 @@ func TestScoresRankRareTermsHigher(t *testing.T) {
 	}
 }
 
-func TestAcceleratorMatchesEngine(t *testing.T) {
-	ix := sampleIndex(t)
-	acc := ix.Accelerator(AccelOptions{})
-	for _, expr := range []string{
-		`"memory"`,
-		`"storage" AND "search"`,
-		`"lazy" OR "memory"`,
-		`"memory" AND ("accelerator" OR "economics")`,
-	} {
-		want, err := ix.Search(expr, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := acc.Search(expr, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: accelerator hits differ\n got %v\nwant %v", expr, got, want)
-		}
-		if stats.SimulatedLatency <= 0 {
-			t.Fatalf("%s: no simulated latency", expr)
-		}
-		if stats.DocsEvaluated <= 0 || stats.BlocksFetched <= 0 {
-			t.Fatalf("%s: empty stats %+v", expr, stats)
-		}
-		if stats.ThroughputQPS <= 0 {
-			t.Fatalf("%s: no throughput", expr)
-		}
-	}
-}
-
 func TestAcceleratorOptionVariants(t *testing.T) {
 	ix := BuildSynthetic(CCNewsLike, 0.005)
 	expr := `"t0" OR "t1"`
@@ -369,43 +338,6 @@ func TestSetBM25(t *testing.T) {
 	}
 	if len(hits) != 1 || hits[0].Doc != "a" {
 		t.Fatalf("hits = %v", hits)
-	}
-}
-
-func TestShardedIndexMatchesSingleNode(t *testing.T) {
-	single := BuildSynthetic(CCNewsLike, 0.006)
-	sharded, err := Shard(CCNewsLike, 0.006, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Nodes() != 4 {
-		t.Fatalf("nodes = %d", sharded.Nodes())
-	}
-	for _, expr := range []string{
-		`"t0"`,
-		`"t1" AND "t3"`,
-		`"t0" OR "t2" OR "t5"`,
-		`"t1" AND ("t4" OR "t6")`,
-	} {
-		want, err := single.Search(expr, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := sharded.Search(expr, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d hits vs %d", expr, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].DocID != want[i].DocID {
-				t.Fatalf("%s: hit %d differs (%d vs %d)", expr, i, got[i].DocID, want[i].DocID)
-			}
-		}
-		if stats.DocsEvaluated == 0 {
-			t.Fatalf("%s: no aggregate stats", expr)
-		}
 	}
 }
 
@@ -550,5 +482,16 @@ func TestShardReplicatedFailsOver(t *testing.T) {
 	single.InjectFaults(FaultConfig{Seed: 42, DeadNodes: []int{0, 1, 2, 3}})
 	if _, err := single.SearchCtx(context.Background(), expr, 20); err == nil {
 		t.Fatal("single-copy all-dead search unexpectedly succeeded")
+	}
+}
+
+// TestShardReplicatedRejectsNegativeOptions: a negative replica count or
+// hedge cutoff is refused with the cluster's ErrBadConfig, not read as one
+// copy or as hedging off.
+func TestShardReplicatedRejectsNegativeOptions(t *testing.T) {
+	for _, opt := range []ReplicaOptions{{Replicas: -1}, {HedgeCutoff: -time.Millisecond}} {
+		if _, err := ShardReplicated(CCNewsLike, 0.004, 2, opt); !errors.Is(err, pool.ErrBadConfig) {
+			t.Errorf("ShardReplicated(%+v): err = %v, want pool.ErrBadConfig", opt, err)
+		}
 	}
 }

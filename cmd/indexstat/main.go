@@ -10,10 +10,11 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"boss/internal/compress"
 	"boss/internal/corpus"
@@ -76,7 +77,9 @@ func main() {
 	for s, n := range hist {
 		kvs = append(kvs, kv{s, n})
 	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].n > kvs[j].n })
+	// By count, most lists first; tied counts by scheme, so the output does
+	// not follow map order.
+	slices.SortFunc(kvs, func(a, b kv) int { return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.s, b.s)) })
 	for _, e := range kvs {
 		fmt.Printf("  %-8s %7d lists (%.1f%%)\n", e.s, e.n, 100*float64(e.n)/float64(st.NumTerms))
 	}

@@ -237,14 +237,3 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	}
 	return nil
 }
-
-// CalleeIsPkgFunc reports whether the call invokes the named package-level
-// function (or method) from the package with the given path.
-func CalleeIsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	obj := CalleeObj(info, call)
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}

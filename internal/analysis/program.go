@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 	"sync"
@@ -361,14 +360,4 @@ func (p *Program) TransitiveLocks(key string) map[string]bool {
 		}
 	}
 	return set
-}
-
-// FileOf returns the syntax file of pkg containing pos, or nil.
-func (pkg *Package) FileOf(pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

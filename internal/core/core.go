@@ -145,9 +145,6 @@ func (a *Accelerator) Cache() *cache.Cache { return a.cache }
 // Not safe concurrently with Exec; meant for setup time and chaos tests.
 func (a *Accelerator) SetFault(inj *mem.Injector) { a.fault = inj }
 
-// Fault returns the attached injector, or nil.
-func (a *Accelerator) Fault() *mem.Injector { return a.fault }
-
 // Result is the outcome of one query.
 type Result struct {
 	TopK []topk.Entry

@@ -12,6 +12,7 @@ import (
 	"boss/internal/corpus"
 	"boss/internal/index"
 	"boss/internal/mem"
+	"boss/internal/oracle"
 	"boss/internal/query"
 )
 
@@ -71,8 +72,8 @@ func TestRunCtxNilContext(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Exec(Background): %v", err)
 		}
-		if !sameResults(a.TopK, b.TopK) {
-			t.Fatal("Exec(nil) diverged from Exec(Background)")
+		if err := oracle.Same(a.TopK, b.TopK); err != nil {
+			t.Fatalf("Exec(nil) diverged from Exec(Background): %v", err)
 		}
 	}
 }
@@ -184,8 +185,8 @@ func TestTransientFaultsRetriedTransparently(t *testing.T) {
 		if err != nil {
 			t.Fatalf("transient plan must be survivable: %v", err)
 		}
-		if !sameResults(got.TopK, want.TopK) {
-			t.Fatal("results diverged under transient faults")
+		if err := oracle.Same(got.TopK, want.TopK); err != nil {
+			t.Fatalf("results diverged under transient faults: %v", err)
 		}
 		retries += got.M.TransientRetries
 		if got.M.IntegrityFailures != 0 {

@@ -66,9 +66,6 @@ func NewFetchEngine(ds *docstore.Store, c *cache.Cache) *FetchEngine {
 // same seeded fault model as posting-block reads.
 func (e *FetchEngine) SetFault(inj *mem.Injector) { e.fault = inj }
 
-// Store returns the underlying document store.
-func (e *FetchEngine) Store() *docstore.Store { return e.ds }
-
 // Cache returns the attached cache (nil when uncached).
 func (e *FetchEngine) Cache() *cache.Cache { return e.cache }
 

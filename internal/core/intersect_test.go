@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -11,9 +10,8 @@ import (
 	"boss/internal/compress"
 	"boss/internal/corpus"
 	"boss/internal/index"
+	"boss/internal/oracle"
 	"boss/internal/query"
-	"boss/internal/score"
-	"boss/internal/topk"
 )
 
 // denseConjExprs are conjunctions and mixed queries over
@@ -33,76 +31,13 @@ var denseConjExprs = []string{
 	`"t1" AND "t4" AND "t1"`,
 }
 
-// bruteForceDNF evaluates a DNF straight from the corpus: a document matches
-// a conjunct when every term of it holds the document, and its score adds the
-// term scores conjunct by conjunct, each conjunct's terms in stable DF order —
-// every occurrence for a lone conjunction, each distinct term once for a mixed
-// query. That is the summation order the intersection module is specified to
-// have; the evaluator shares no code with it, and selects with the software
-// heap.
-func bruteForceDNF(c *corpus.Corpus, idx *index.Index, dnf [][]string, k int, fixed bool) []topk.Entry {
-	tfs := make(map[string]map[uint32]uint32)
-	ordered := make([][]string, len(dnf))
-	for i, conj := range dnf {
-		for _, term := range conj {
-			if tfs[term] == nil {
-				m := make(map[uint32]uint32)
-				for _, p := range c.Term(term) {
-					m[p.DocID] = p.TF
-				}
-				tfs[term] = m
-			}
-		}
-		ordered[i] = append([]string(nil), conj...)
-		sort.SliceStable(ordered[i], func(a, b int) bool {
-			return len(tfs[ordered[i][a]]) < len(tfs[ordered[i][b]])
-		})
-	}
-	sel := topk.NewHeap(k)
-	for d := uint32(0); d < uint32(c.Spec.NumDocs); d++ {
-		sum, hit := 0.0, false
-		seen := make(map[string]bool)
-		for _, conj := range ordered {
-			all := true
-			for _, term := range conj {
-				if _, ok := tfs[term][d]; !ok {
-					all = false
-					break
-				}
-			}
-			if !all {
-				continue
-			}
-			hit = true
-			for _, term := range conj {
-				if len(dnf) > 1 && seen[term] {
-					continue
-				}
-				seen[term] = true
-				pl := idx.MustList(term)
-				if fixed {
-					sum += idx.Params.FixedTermScore(score.ToFixed(pl.IDF), tfs[term][d], score.ToFixed(idx.DocNorms[d])).Float()
-				} else {
-					sum += idx.TermScore(pl, d, tfs[term][d])
-				}
-			}
-		}
-		if hit {
-			sel.Insert(d, sum)
-		}
-	}
-	return sel.Results()
-}
-
 // TestIntersectByteIdentical holds the intersection module — pure
-// conjunctions and mixed queries — to bruteForceDNF entry by entry: same
+// conjunctions and mixed queries — to oracle.Eval entry by entry: same
 // docID, same score bit pattern, same order, in float64 and in Q16.16, at a
 // shallow, the benchmark's and the default k. The seeded Q2/Q4/Q6 sweep has
 // the skew that makes the passes skip blocks and drop candidates into gaps;
 // the dense corpus, queried out of DF order, makes nearly every posting a
 // match and every later pass keep most of its candidates.
-// (TestBOSSMatchesSoftwareEngine compares through the 1e-9-tolerant
-// sameResults, and against an engine that sums in its own order.)
 func TestIntersectByteIdentical(t *testing.T) {
 	type sweep struct {
 		name  string
@@ -134,7 +69,7 @@ func TestIntersectByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", node, err)
 					}
-					want := bruteForceDNF(sw.c, sw.idx, node.DNF(), k, fixed)
+					want := oracle.Eval(sw.c, sw.idx, node.Plan(), k, fixed)
 					requireSameTopK(t, fmt.Sprintf("%s %s k=%d fixed=%v vs brute force", sw.name, node, k, fixed), res.TopK, want)
 					results += int64(len(res.TopK))
 					skipped += res.M.BlocksSkipped
@@ -321,7 +256,7 @@ func FuzzConjVsBruteForce(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: %v", node, err)
 		}
-		want := bruteForceDNF(c, idx, node.DNF(), kk, opts.FixedPoint)
+		want := oracle.Eval(c, idx, node.Plan(), kk, opts.FixedPoint)
 		requireSameTopK(t, fmt.Sprintf("%s k=%d %+v vs brute force", node, kk, opts), plain.TopK, want)
 
 		cached := NewCached(idx, opts, cache.NewSharded(1<<20, 2))

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"boss/internal/cache"
@@ -13,6 +15,7 @@ import (
 	"boss/internal/engine"
 	"boss/internal/index"
 	"boss/internal/mem"
+	"boss/internal/oracle"
 	"boss/internal/perf"
 	"boss/internal/query"
 	"boss/internal/score"
@@ -70,43 +73,10 @@ func TestSparseOverlapWithFloatBM25(t *testing.T) {
 	}
 }
 
-// sparseSums is the sparse family's reference scorer: it decodes every block
-// of every term's list with the index's software codec and adds each
-// document's dequantized impact codes in Q16.16. hit marks the documents in
-// any of the lists. It shares no code with the MaxScore driver.
-func sparseSums(idx *index.Index, terms []string) (sums []score.Fixed, hit []bool) {
-	sums = make([]score.Fixed, idx.NumDocs)
-	hit = make([]bool, idx.NumDocs)
-	for _, term := range terms {
-		pl := idx.MustList(term)
-		for b := range pl.Blocks {
-			docs, _ := idx.DecodeBlock(pl, b, nil, nil)
-			for i, code := range pl.BlockImpacts(b) {
-				sums[docs[i]] += score.Impact(code, pl.ImpactStep)
-				hit[docs[i]] = true
-			}
-		}
-	}
-	return sums, hit
-}
-
-// bruteForceSparse ranks sparseSums with the software heap (the top-k
-// tie-break: higher score, then smaller docID).
-func bruteForceSparse(idx *index.Index, terms []string, k int) []topk.Entry {
-	sums, hit := sparseSums(idx, terms)
-	sel := topk.NewHeap(k)
-	for d, ok := range hit {
-		if ok {
-			sel.Insert(uint32(d), sums[d].Float())
-		}
-	}
-	return sel.Results()
-}
-
 // TestSparsePrunedByteIdentical: MaxScore pruning is an optimization, not
 // an approximation. Across a seeded 1000-query sweep the pruned top-k must
 // equal the exhaustive top-k exactly — same docIDs, same score bits, same
-// order — and the exhaustive top-k must equal bruteForceSparse's. (Strict-<
+// order — and the exhaustive top-k must equal oracle.Eval's. (Strict-<
 // pruning never abandons a cutoff tie, and both runs visit candidates in
 // ascending docID with the same tie-break.) Both runs take the essential
 // lists a docID window at a time, so the fixture's docIDs span at least four
@@ -131,7 +101,7 @@ func TestSparsePrunedByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameTopK(t, fmt.Sprintf("%v pruned vs exhaustive", q.Terms), po.TopK, eo.TopK)
-		requireSameTopK(t, fmt.Sprintf("%v exhaustive vs brute force", q.Terms), eo.TopK, bruteForceSparse(idx, q.Terms, k))
+		requireSameTopK(t, fmt.Sprintf("%v exhaustive vs brute force", q.Terms), eo.TopK, oracle.Eval(nil, idx, query.Plan{Terms: q.Terms}, k, false))
 		if po.M.PostingsDecoded > eo.M.PostingsDecoded {
 			t.Fatalf("%v: pruned decoded more postings (%d) than exhaustive (%d)",
 				q.Terms, po.M.PostingsDecoded, eo.M.PostingsDecoded)
@@ -174,7 +144,7 @@ func sparseTerms(ranks []int) []string {
 // 20,479 documents, 2–8 terms, the most common in 0.1–63% of the documents,
 // 4–35 postings per block) and shuffles the query's term order; k and the
 // option bits (1 BlockET, 2 DocET, 4 HostTopK) choose the run. The run must
-// equal the exhaustive one and bruteForceSparse entry by entry, docID and
+// equal the exhaustive one and oracle.Eval entry by entry, docID and
 // score bits, and may not score more documents than the exhaustive one.
 func FuzzSparseVsBruteForce(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint8(3))
@@ -207,7 +177,7 @@ func FuzzSparseVsBruteForce(f *testing.F) {
 		}
 		what := fmt.Sprintf("%v k=%d %+v", terms, kk, opts)
 		requireSameTopK(t, what+" pruned vs exhaustive", po.TopK, eo.TopK)
-		requireSameTopK(t, what+" exhaustive vs brute force", eo.TopK, bruteForceSparse(idx, terms, kk))
+		requireSameTopK(t, what+" exhaustive vs brute force", eo.TopK, oracle.Eval(nil, idx, query.Plan{Terms: terms}, kk, false))
 		if po.M.DocsEvaluated > eo.M.DocsEvaluated {
 			t.Fatalf("%s: pruned scored %d documents, exhaustive %d", what, po.M.DocsEvaluated, eo.M.DocsEvaluated)
 		}
@@ -245,20 +215,19 @@ func windowClean(r *run) bool {
 // each candidate the top-k holds exactly the best k documents so far — or
 // false if it never does.
 func thresholdPasses(idx *index.Index, terms []string, k int, bound float64) (uint32, bool) {
-	sums, hit := sparseSums(idx, terms)
+	all := oracle.Eval(nil, idx, query.Plan{Terms: terms}, idx.NumDocs, false)
+	slices.SortFunc(all, func(a, b topk.Entry) int { return cmp.Compare(a.DocID, b.DocID) })
 	sel := topk.NewHeap(k)
-	for d, ok := range hit {
-		if ok {
-			if sel.Insert(uint32(d), sums[d].Float()); sel.Threshold() > bound {
-				return uint32(d), true
-			}
+	for _, e := range all {
+		if sel.Insert(e.DocID, e.Score); sel.Threshold() > bound {
+			return e.DocID, true
 		}
 	}
 	return 0, false
 }
 
 // TestSparseWindowEdges drives the sparse driver's window code down each of
-// its edges and holds every answer to bruteForceSparse:
+// its edges and holds every answer to oracle.Eval:
 //
 //   - span: lists so sparse that every block spans more docIDs than a
 //     window, so windows end at the span, not at a block end;
@@ -280,7 +249,7 @@ func TestSparseWindowEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", terms, err)
 		}
-		requireSameTopK(t, fmt.Sprintf("%v k=%d %+v vs brute force", terms, k, acc.opts), res.TopK, bruteForceSparse(idx, terms, k))
+		requireSameTopK(t, fmt.Sprintf("%v k=%d %+v vs brute force", terms, k, acc.opts), res.TopK, oracle.Eval(nil, idx, query.Plan{Terms: terms}, k, false))
 		return res
 	}
 	build := func(spec corpus.Spec, blockSize int) *index.Index {
@@ -343,7 +312,7 @@ func TestSparseWindowEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if all := len(bruteForceSparse(idx, first, idx.NumDocs)); stopped.M.DocsEvaluated >= int64(all) {
+		if all := len(oracle.Eval(nil, idx, query.Plan{Terms: first}, idx.NumDocs, false)); stopped.M.DocsEvaluated >= int64(all) {
 			t.Fatalf("the understated run scored %d of %d documents: it did not stop mid-window", stopped.M.DocsEvaluated, all)
 		}
 		if !windowClean(r) {
@@ -353,7 +322,7 @@ func TestSparseWindowEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameTopK(t, fmt.Sprintf("%v on the stopped run's record vs brute force", second), got.TopK, bruteForceSparse(idx, second, idx.NumDocs))
+		requireSameTopK(t, fmt.Sprintf("%v on the stopped run's record vs brute force", second), got.TopK, oracle.Eval(nil, idx, query.Plan{Terms: second}, idx.NumDocs, false))
 	})
 
 	t.Run("fault", func(t *testing.T) {
@@ -403,7 +372,7 @@ func TestSparseWindowEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameTopK(t, fmt.Sprintf("%v on the failed run's record vs brute force", terms), got.TopK, bruteForceSparse(idx, terms, idx.NumDocs))
+			requireSameTopK(t, fmt.Sprintf("%v on the failed run's record vs brute force", terms), got.TopK, oracle.Eval(nil, idx, query.Plan{Terms: terms}, idx.NumDocs, false))
 			check(t, acc, idx, terms, k)
 			return
 		}
@@ -507,7 +476,7 @@ func TestSparseListLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameTopK(t, "a plan at the list limit vs brute force", res.TopK, bruteForceSparse(idx, terms[:maxSparseLists], 10))
+	requireSameTopK(t, "a plan at the list limit vs brute force", res.TopK, oracle.Eval(nil, idx, query.Plan{Terms: terms[:maxSparseLists]}, 10, false))
 }
 
 // TestPlanSparse: the introspection API reports lists sorted ascending by

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,9 +11,9 @@ import (
 	"boss/internal/corpus"
 	"boss/internal/docstore"
 	"boss/internal/index"
+	"boss/internal/oracle"
 	"boss/internal/perf"
 	"boss/internal/query"
-	"boss/internal/score"
 	"boss/internal/topk"
 )
 
@@ -59,34 +58,6 @@ func quotedTerms(ranks []int) []string {
 // unionExpr renders an OR over the given term ranks, in the given order.
 func unionExpr(ranks ...int) string { return strings.Join(quotedTerms(ranks), " OR ") }
 
-// bruteForceUnion scores the union of the given terms straight from the
-// corpus, summing each document's term scores in query order, and selects the
-// top k with the software heap: the reference that shares no code with the
-// union module.
-func bruteForceUnion(c *corpus.Corpus, idx *index.Index, terms []string, k int, fixed bool) []topk.Entry {
-	scores := make([]float64, c.Spec.NumDocs)
-	hit := make([]bool, c.Spec.NumDocs)
-	for _, term := range terms {
-		pl := idx.MustList(term)
-		for _, p := range c.Term(term) {
-			hit[p.DocID] = true
-			if fixed {
-				fs := idx.Params.FixedTermScore(score.ToFixed(pl.IDF), p.TF, score.ToFixed(idx.DocNorms[p.DocID]))
-				scores[p.DocID] += fs.Float()
-			} else {
-				scores[p.DocID] += idx.TermScore(pl, p.DocID, p.TF)
-			}
-		}
-	}
-	sel := topk.NewHeap(k)
-	for d, ok := range hit {
-		if ok {
-			sel.Insert(uint32(d), scores[d])
-		}
-	}
-	return sel.Results()
-}
-
 // unionPruneArms are the early-termination settings a union can run under
 // besides the exhaustive one.
 var unionPruneArms = []struct {
@@ -99,17 +70,11 @@ var unionPruneArms = []struct {
 }
 
 // requireSameTopK requires two top-k lists to be equal entry by entry: same
-// docID, same score bit pattern, same order.
+// docID, same score bit pattern, same order (oracle.Same).
 func requireSameTopK(t testing.TB, what string, got, want []topk.Entry) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.DocID != w.DocID || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
-			t.Fatalf("%s: rank %d diverged: got %+v, want %+v", what, i, g, w)
-		}
+	if err := oracle.Same(got, want); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 }
 
@@ -134,15 +99,15 @@ func requireUnionByteIdentical(t testing.TB, idx *index.Index, node *query.Node,
 // termination are optimizations, not approximations. Over seeded Q1/Q3/Q5
 // sweeps and over a dense corpus queried out of DF order, every pruning arm
 // must return the exhaustive top-k exactly — in float64 and in Q16.16 — at a
-// shallow, the default and two deep k. (TestETIsSafeAcrossKValues checks
-// three expressions through the 1e-9-tolerant sameResults.) The union module
-// sums a document's term scores in query order whatever order its sorter
-// holds the streams in; that, the strict block-level comparison and WAND's
-// >= pivot test are what this pins.
+// shallow, the default and two deep k. (TestETIsSafeAcrossKValues adds
+// k = 3 for three expressions.) The union module sums a document's term
+// scores in query order whatever order its sorter holds the streams in;
+// that, the strict block-level comparison and WAND's >= pivot test are what
+// this pins.
 func TestUnionPrunedByteIdentical(t *testing.T) {
 	type sweep struct {
 		name  string
-		c     *corpus.Corpus // set when the exhaustive run is checked against bruteForceUnion
+		c     *corpus.Corpus // set when the exhaustive run is checked against oracle.Eval
 		idx   *index.Index
 		nodes []*query.Node
 	}
@@ -197,7 +162,7 @@ func TestUnionPrunedByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := bruteForceUnion(sw.c, sw.idx, node.Terms(), 50, fixed)
+					want := oracle.Eval(sw.c, sw.idx, node.Plan(), 50, fixed)
 					requireSameTopK(t, fmt.Sprintf("%s fixed=%v exhaustive vs brute force", node, fixed), res.TopK, want)
 				}
 			}
@@ -238,7 +203,7 @@ func FuzzUnionPrunedVsExhaustive(f *testing.F) {
 		if po.M.DocsEvaluated > eo.M.DocsEvaluated {
 			t.Fatalf("%s k=%d %+v: pruned evaluated %d documents, exhaustive %d", node, kk, opts, po.M.DocsEvaluated, eo.M.DocsEvaluated)
 		}
-		want := bruteForceUnion(c, idx, node.Terms(), kk, opts.FixedPoint)
+		want := oracle.Eval(c, idx, node.Plan(), kk, opts.FixedPoint)
 		requireSameTopK(t, fmt.Sprintf("%s k=%d fixed=%v exhaustive vs brute force", node, kk, opts.FixedPoint), eo.TopK, want)
 	})
 }

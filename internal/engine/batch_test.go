@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"boss/internal/corpus"
+	"boss/internal/oracle"
 	"boss/internal/pool"
 	"boss/internal/query"
 )
@@ -47,8 +48,8 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameEntries(res[i].TopK, want.TopK) {
-			t.Fatalf("query %d: batch result differs from sequential", i)
+		if err := oracle.Same(res[i].TopK, want.TopK); err != nil {
+			t.Fatalf("query %d: batch result differs from sequential: %v", i, err)
 		}
 		if res[i].M.ComputeTime != want.M.ComputeTime {
 			t.Fatalf("query %d: batch metrics differ from sequential", i)

@@ -1,16 +1,14 @@
 package engine
 
 import (
-	"math"
-	"sort"
 	"testing"
 
 	"boss/internal/compress"
 	"boss/internal/corpus"
 	"boss/internal/index"
 	"boss/internal/mem"
+	"boss/internal/oracle"
 	"boss/internal/query"
-	"boss/internal/topk"
 )
 
 // testFixture builds a small corpus + index shared across tests.
@@ -27,79 +25,6 @@ func newFixture(t testing.TB) *testFixture {
 	return &testFixture{c: c, idx: idx, eng: New(idx)}
 }
 
-// refEval evaluates a query AST by brute force directly over the corpus
-// postings, returning the exact top-k. This is the ground truth every
-// engine model in the repository is tested against.
-func refEval(c *corpus.Corpus, idx *index.Index, node *query.Node, k int) []topk.Entry {
-	scores := refScores(c, idx, node)
-	entries := make([]topk.Entry, 0, len(scores))
-	for doc, s := range scores {
-		entries = append(entries, topk.Entry{DocID: doc, Score: s})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Score != entries[j].Score {
-			return entries[i].Score > entries[j].Score
-		}
-		return entries[i].DocID < entries[j].DocID
-	})
-	if len(entries) > k {
-		entries = entries[:k]
-	}
-	return entries
-}
-
-// refScores returns docID -> query score for all matching documents.
-func refScores(c *corpus.Corpus, idx *index.Index, node *query.Node) map[uint32]float64 {
-	switch node.Op {
-	case query.OpTerm:
-		pl := idx.MustList(node.Term)
-		out := make(map[uint32]float64)
-		for _, p := range c.Term(node.Term) {
-			out[p.DocID] = idx.TermScore(pl, p.DocID, p.TF)
-		}
-		return out
-	case query.OpAnd:
-		result := refScores(c, idx, node.Children[0])
-		for _, child := range node.Children[1:] {
-			cs := refScores(c, idx, child)
-			for doc := range result {
-				if add, ok := cs[doc]; ok {
-					result[doc] += add
-				} else {
-					delete(result, doc)
-				}
-			}
-		}
-		return result
-	case query.OpOr:
-		result := make(map[uint32]float64)
-		for _, child := range node.Children {
-			for doc, s := range refScores(c, idx, child) {
-				result[doc] += s
-			}
-		}
-		return result
-	default:
-		panic("unknown op")
-	}
-}
-
-// sameEntries compares two top-k lists allowing tiny float drift.
-func sameEntries(a, b []topk.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].DocID != b[i].DocID {
-			return false
-		}
-		if math.Abs(a[i].Score-b[i].Score) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
 func queryExprsForTests(c *corpus.Corpus) []string {
 	var exprs []string
 	for _, qt := range corpus.AllQueryTypes() {
@@ -108,22 +33,6 @@ func queryExprsForTests(c *corpus.Corpus) []string {
 		}
 	}
 	return exprs
-}
-
-func TestEngineMatchesBruteForce(t *testing.T) {
-	f := newFixture(t)
-	for _, expr := range queryExprsForTests(f.c) {
-		node := query.MustParse(expr)
-		res, err := f.eng.Run(node, 50)
-		if err != nil {
-			t.Fatalf("%s: %v", expr, err)
-		}
-		want := refEval(f.c, f.idx, node, 50)
-		if !sameEntries(res.TopK, want) {
-			t.Fatalf("query %s: engine disagrees with brute force\n got %v\nwant %v",
-				expr, res.TopK[:min(5, len(res.TopK))], want[:min(5, len(want))])
-		}
-	}
 }
 
 func TestEngineUnknownTerm(t *testing.T) {
@@ -142,7 +51,7 @@ func TestUnionEvaluatesEveryMatchingDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(refScores(f.c, f.idx, node))
+	want := len(oracle.Eval(f.c, f.idx, node.Plan(), f.idx.NumDocs, false))
 	if res.M.DocsEvaluated != int64(want) {
 		t.Fatalf("evaluated %d docs, union has %d", res.M.DocsEvaluated, want)
 	}
@@ -244,19 +153,12 @@ func TestDeterministicRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameEntries(r1.TopK, r2.TopK) {
-		t.Fatal("same query produced different results")
+	if err := oracle.Same(r1.TopK, r2.TopK); err != nil {
+		t.Fatalf("same query produced different results: %v", err)
 	}
 	if r1.M.ComputeTime != r2.M.ComputeTime || r1.M.SeqReadBytes != r2.M.SeqReadBytes {
 		t.Fatal("same query produced different metrics")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func BenchmarkEngineQ3(b *testing.B) {
@@ -286,8 +188,8 @@ func TestWANDEngineMatchesExhaustive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameEntries(a.TopK, b.TopK) {
-					t.Fatalf("%s k=%d: WAND engine changed the result set", q.Expr, k)
+				if err := oracle.Same(a.TopK, b.TopK); err != nil {
+					t.Fatalf("%s k=%d: WAND engine changed the result set: %v", q.Expr, k, err)
 				}
 			}
 		}
@@ -326,8 +228,8 @@ func TestWANDEngineFallsBackOnNonUnions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameEntries(a.TopK, b.TopK) {
-			t.Fatalf("%s: WAND mode changed non-union results", expr)
+		if err := oracle.Same(a.TopK, b.TopK); err != nil {
+			t.Fatalf("%s: WAND mode changed non-union results: %v", expr, err)
 		}
 	}
 }

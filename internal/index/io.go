@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"boss/internal/compress"
 	"boss/internal/score"
@@ -49,12 +50,17 @@ const (
 )
 
 // Structural sanity bounds: a corrupt length field must produce
-// ErrCorrupt, not a multi-gigabyte allocation.
+// ErrCorrupt, not a multi-gigabyte allocation. One that passes them still
+// costs no more than the stream holds: Read allocates at most maxPrealloc
+// bytes ahead of those it has read (readN).
 const (
 	maxLists     = 1 << 26
 	maxBlocks    = 1 << 26
 	maxDataBytes = 1 << 30
 	maxDocs      = 1 << 30
+	maxPrealloc  = 1 << 20
+
+	blockWireBytes = 4 + 4 + 4 + 4 + 4 + 2 + 4 // first, last, maxScore, offset, length, count, checksum
 )
 
 // ErrCorrupt reports a structurally invalid, truncated, or
@@ -191,21 +197,28 @@ func Read(r io.Reader) (*Index, error) {
 		if numBlocks > maxBlocks {
 			return nil, fmt.Errorf("%w: list %q: implausible block count %d", ErrCorrupt, pl.Term, numBlocks)
 		}
+		if compress.Scheme(scheme) >= compress.NumSchemes {
+			return nil, fmt.Errorf("%w: list %q: unknown scheme %d", ErrCorrupt, pl.Term, scheme)
+		}
 		pl.Scheme = compress.Scheme(scheme)
 		pl.codec = compress.ForScheme(pl.Scheme)
 		pl.DF = int(df)
+		var raw []byte
+		if raw, err = readN(cr, int(numBlocks)*blockWireBytes); err != nil {
+			return nil, fmt.Errorf("%w: list %q blocks: %w", ErrCorrupt, pl.Term, err)
+		}
 		pl.Blocks = make([]BlockMeta, numBlocks)
 		for bi := range pl.Blocks {
-			b := &pl.Blocks[bi]
-			var ms float32
-			read(&b.FirstDoc)
-			read(&b.LastDoc)
-			read(&ms)
-			read(&b.Offset)
-			read(&b.Length)
-			read(&b.Count)
-			read(&b.Checksum)
-			b.MaxScore = float64(ms)
+			w := raw[bi*blockWireBytes:]
+			pl.Blocks[bi] = BlockMeta{
+				FirstDoc: binary.LittleEndian.Uint32(w),
+				LastDoc:  binary.LittleEndian.Uint32(w[4:]),
+				MaxScore: float64(math.Float32frombits(binary.LittleEndian.Uint32(w[8:]))),
+				Offset:   binary.LittleEndian.Uint32(w[12:]),
+				Length:   binary.LittleEndian.Uint32(w[16:]),
+				Count:    binary.LittleEndian.Uint16(w[20:]),
+				Checksum: binary.LittleEndian.Uint32(w[22:]),
+			}
 		}
 		read(&dataLen)
 		if err != nil {
@@ -214,8 +227,7 @@ func Read(r io.Reader) (*Index, error) {
 		if dataLen > maxDataBytes {
 			return nil, fmt.Errorf("%w: list %q: implausible data length %d", ErrCorrupt, pl.Term, dataLen)
 		}
-		pl.Data = make([]byte, dataLen)
-		if _, err = io.ReadFull(cr, pl.Data); err != nil {
+		if pl.Data, err = readN(cr, int(dataLen)); err != nil {
 			return nil, fmt.Errorf("%w: list %q data: %w", ErrCorrupt, pl.Term, err)
 		}
 		for bi := range pl.Blocks {
@@ -227,14 +239,16 @@ func Read(r io.Reader) (*Index, error) {
 		idx.Lists[pl.Term] = pl
 	}
 	read(&idx.NormBaseAddr)
-	idx.DocNorms = make([]float64, idx.NumDocs)
-	for d := range idx.DocNorms {
-		var n float32
-		read(&n)
-		idx.DocNorms[d] = float64(n)
+	var norms []byte
+	if err == nil {
+		norms, err = readN(cr, 4*idx.NumDocs) // float32 each
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading norms: %w", ErrCorrupt, err)
+	}
+	idx.DocNorms = make([]float64, idx.NumDocs)
+	for d := range idx.DocNorms {
+		idx.DocNorms[d] = float64(math.Float32frombits(binary.LittleEndian.Uint32(norms[4*d:])))
 	}
 	// Section sniff: the eight bytes after the norms are either the
 	// optional impact section's magic or the footer's. Anything else is
@@ -280,6 +294,23 @@ func Read(r io.Reader) (*Index, error) {
 	}
 	idx.TotalBytes = idx.NormBaseAddr + uint64(idx.NumDocs*DocNormBytes)
 	return idx, nil
+}
+
+// readN reads exactly n bytes, allocating at most maxPrealloc of them
+// before they have arrived.
+func readN(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, maxPrealloc))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n, 2*len(buf))-len(buf))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // countingWriter tracks bytes written, the running stream CRC, and the

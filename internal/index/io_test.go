@@ -10,7 +10,7 @@ import (
 	"boss/internal/corpus"
 )
 
-func serialized(t *testing.T) ([]byte, *Index) {
+func serialized(t testing.TB) ([]byte, *Index) {
 	t.Helper()
 	idx := Build(corpus.Generate(corpus.CCNewsLike(0.003)), BuildOptions{Scheme: compress.SchemeHybrid})
 	var buf bytes.Buffer
@@ -62,14 +62,24 @@ func TestVerifyBlockDetectsCorruption(t *testing.T) {
 	}
 }
 
+// flipped returns data with the byte at pos xor mask.
+func flipped(data []byte, pos int, mask byte) []byte {
+	mut := bytes.Clone(data)
+	mut[pos] ^= mask
+	return mut
+}
+
+// bitFlips and truncations are where TestReadRejectsBitFlips flips a byte of
+// a serialized index of n bytes and where TestReadRejectsTruncation cuts it.
+func bitFlips(n int) []int    { return []int{0, 11, n / 3, n / 2, n - 20, n - 1} }
+func truncations(n int) []int { return []int{0, 4, n / 4, n / 2, n - 5, n - 1} }
+
 // Flipping any single byte anywhere in the file must yield ErrCorrupt —
 // the footer stream CRC seals regions no structural check covers.
 func TestReadRejectsBitFlips(t *testing.T) {
 	data, _ := serialized(t)
-	for _, pos := range []int{0, 11, len(data) / 3, len(data) / 2, len(data) - 20, len(data) - 1} {
-		mut := bytes.Clone(data)
-		mut[pos] ^= 0x01
-		_, err := Read(bytes.NewReader(mut))
+	for _, pos := range bitFlips(len(data)) {
+		_, err := Read(bytes.NewReader(flipped(data, pos, 0x01)))
 		if err == nil {
 			t.Fatalf("byte flip at %d/%d went undetected", pos, len(data))
 		}
@@ -81,7 +91,7 @@ func TestReadRejectsBitFlips(t *testing.T) {
 
 func TestReadRejectsTruncation(t *testing.T) {
 	data, _ := serialized(t)
-	for _, keep := range []int{0, 4, len(data) / 4, len(data) / 2, len(data) - 5, len(data) - 1} {
+	for _, keep := range truncations(len(data)) {
 		_, err := Read(bytes.NewReader(data[:keep]))
 		if err == nil {
 			t.Fatalf("truncation to %d/%d bytes went undetected", keep, len(data))
@@ -92,15 +102,18 @@ func TestReadRejectsTruncation(t *testing.T) {
 	}
 }
 
+// implausibleLists returns data with its list count blasted to the maximum.
+func implausibleLists(data []byte) []byte {
+	// numLists lives right after magic(8) + numDocs(4) + avgDocLen(8) +
+	// k1(8) + b(8) = offset 36.
+	mut := bytes.Clone(data)
+	copy(mut[36:], []byte{0xff, 0xff, 0xff, 0xff})
+	return mut
+}
+
 func TestReadRejectsImplausibleLengths(t *testing.T) {
 	data, _ := serialized(t)
-	// numLists lives right after magic(8) + numDocs(4) + avgDocLen(8) +
-	// k1(8) + b(8) = offset 36. Blast it to the maximum.
-	mut := bytes.Clone(data)
-	for i := 0; i < 4; i++ {
-		mut[36+i] = 0xff
-	}
-	_, err := Read(bytes.NewReader(mut))
+	_, err := Read(bytes.NewReader(implausibleLists(data)))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("implausible list count: error %v does not wrap ErrCorrupt", err)
 	}
@@ -142,7 +155,7 @@ func TestCursorStopsOnCorruptBlock(t *testing.T) {
 
 // serializedImpacts is serialized with quantized impacts in the payloads
 // and the "BOSSIMP1" section between norms and footer.
-func serializedImpacts(t *testing.T) ([]byte, *Index) {
+func serializedImpacts(t testing.TB) ([]byte, *Index) {
 	t.Helper()
 	idx := Build(corpus.Generate(corpus.CCNewsLike(0.003)),
 		BuildOptions{Scheme: compress.SchemeHybrid, Impacts: true})
@@ -208,19 +221,23 @@ func TestReadOldFormatWithoutImpacts(t *testing.T) {
 // operator diffing old and new binaries knows which section to suspect.
 func TestReadBadImpactMagic(t *testing.T) {
 	data, _ := serializedImpacts(t)
-	at := bytes.Index(data, []byte("BOSSIMP1"))
-	if at < 0 {
-		t.Fatal("serialized impact index carries no section magic")
-	}
-	mut := bytes.Clone(data)
-	mut[at] ^= 0x04
-	_, err := Read(bytes.NewReader(mut))
+	_, err := Read(bytes.NewReader(badImpactMagic(t, data)))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad section magic: error %v does not wrap ErrCorrupt", err)
 	}
 	if !strings.Contains(err.Error(), "impact section") {
 		t.Fatalf("error %q does not name the impact section", err)
 	}
+}
+
+// badImpactMagic returns a serialized impact index with a bit of its impact
+// section's magic flipped.
+func badImpactMagic(t testing.TB, data []byte) []byte {
+	at := bytes.Index(data, []byte("BOSSIMP1"))
+	if at < 0 {
+		t.Fatal("serialized impact index carries no section magic")
+	}
+	return flipped(data, at, 0x04)
 }
 
 // TestReadRejectsImpactBitFlips extends the corrupt-file sweep into the
@@ -244,4 +261,41 @@ func TestReadRejectsImpactBitFlips(t *testing.T) {
 			t.Fatalf("impact-section byte flip at %d: error %v does not wrap ErrCorrupt", pos, err)
 		}
 	}
+}
+
+// FuzzIndexRead feeds arbitrary bytes to Read, as FuzzDocstoreOpen does the
+// document store's. Every load error must wrap ErrCorrupt. An index that
+// loads must survive a walk of every block through VerifyBlock and
+// DecodeBlock: a mutant can reseal the footer CRC over a bad block, so a
+// block that fails its checksum is a detection, as it is at fetch time — a
+// panic or a runaway allocation is not. The seeds are the files the Read
+// tests above build: both valid forms and every corruption they try.
+func FuzzIndexRead(f *testing.F) {
+	data, _ := serialized(f)
+	imp, _ := serializedImpacts(f)
+	for _, seed := range [][]byte{data, imp, implausibleLists(data), badImpactMagic(f, imp)} {
+		f.Add(seed)
+	}
+	for _, pos := range bitFlips(len(data)) {
+		f.Add(flipped(data, pos, 0x01))
+	}
+	for _, keep := range truncations(len(data)) {
+		f.Add(data[:keep])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		idx, err := Read(bytes.NewReader(in))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("load error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		for _, pl := range idx.Lists {
+			for b := range pl.Blocks {
+				if pl.VerifyBlock(b) {
+					idx.DecodeBlock(pl, b, nil, nil)
+				}
+			}
+		}
+	})
 }

@@ -181,9 +181,6 @@ func NewNode(cfg Config) *Node {
 	return n
 }
 
-// Config returns the node's device configuration.
-func (n *Node) Config() Config { return n.cfg }
-
 // channelFor picks the channel serving addr (page-stripe interleaving).
 func (n *Node) channelFor(addr uint64) *sim.Resource {
 	return n.channels[(addr/stripeBytes)%uint64(len(n.channels))]

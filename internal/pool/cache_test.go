@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -84,29 +83,6 @@ func TestClusterCacheDeterminism(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestClusterCacheBatchMatchesSearch checks a batch with the default-on
-// cache returns exactly what per-query Search returns.
-func TestClusterCacheBatchMatchesSearch(t *testing.T) {
-	cl, exprs := cacheTestCluster(t, DefaultConfig())
-	k := 20
-	br := cl.SearchBatchQueries(context.Background(), Queries(exprs, k))
-	if br.Err != nil {
-		t.Fatal(br.Err)
-	}
-	for qi, e := range exprs {
-		want, err := cl.Search(e, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.TopK, br.Results[qi].TopK) {
-			t.Fatalf("query %d: batch TopK differs from Search", qi)
-		}
-	}
-	if cl.CacheStats().Hits == 0 {
-		t.Fatal("no hits across batch + repeated Search")
 	}
 }
 

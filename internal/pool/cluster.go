@@ -504,6 +504,11 @@ func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) 
 			return nil, fmt.Errorf("pool: term %q not indexed on any shard", term)
 		}
 	}
+	// NewCluster builds no shard with impacts, so SPARSE is refused here:
+	// a refusal on the shards would count against their breakers.
+	if p.DNF == nil {
+		return nil, fmt.Errorf("pool: %w", core.ErrNoImpacts)
+	}
 	k := cl.depth(q.K)
 	outs := cl.sweep(ctx, shardWork{Plan: p.Plan, k: k, qkey: mem.StableKey(q.Expr)}, q.ShardMask, shardWorkers)
 	// A context that died mid-sweep fails the query, whatever shards ran.

@@ -1,15 +1,16 @@
 package pool
 
 import (
-	"math"
+	"context"
+	"errors"
 	"testing"
 
 	"boss/internal/compress"
+	"boss/internal/core"
 	"boss/internal/corpus"
-	"boss/internal/engine"
 	"boss/internal/index"
+	"boss/internal/oracle"
 	"boss/internal/query"
-	"boss/internal/topk"
 )
 
 func clusterFixture(t testing.TB, shards int) (*corpus.Corpus, *index.Index, *Cluster) {
@@ -27,42 +28,6 @@ func mustCluster(t testing.TB, cfg Config, c *corpus.Corpus, shards int) *Cluste
 		t.Fatal(err)
 	}
 	return cl
-}
-
-func entriesEqual(a, b []topk.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].DocID != b[i].DocID || math.Abs(a[i].Score-b[i].Score) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-// TestClusterMatchesGlobalIndex is the central sharding property: a query
-// fanned over docID-interval shards with global statistics must return
-// exactly what one monolithic index returns.
-func TestClusterMatchesGlobalIndex(t *testing.T) {
-	c, global, cl := clusterFixture(t, 4)
-	eng := engine.New(global)
-	for _, qt := range corpus.AllQueryTypes() {
-		for _, q := range corpus.SampleQueries(c, qt, 5, 333) {
-			want, err := eng.Run(query.MustParse(q.Expr), 30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := cl.Search(q.Expr, 30)
-			if err != nil {
-				t.Fatalf("%s: %v", q.Expr, err)
-			}
-			if !entriesEqual(got.TopK, want.TopK) {
-				t.Fatalf("%s (%s): cluster result differs from global index\n got %v\nwant %v",
-					qt, q.Expr, got.TopK[:min(5, len(got.TopK))], want.TopK[:min(5, len(want.TopK))])
-			}
-		}
-	}
 }
 
 func TestClusterShardCounts(t *testing.T) {
@@ -106,16 +71,13 @@ func TestClusterHandlesTermsMissingOnSomeShards(t *testing.T) {
 		`"` + common + `" AND "` + rare + `"`,
 		`"` + common + `" OR "` + rare + `"`,
 	} {
-		want, err := engine.New(global).Run(query.MustParse(expr), 20)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle.Eval(c, global, query.MustParse(expr).Plan(), 20, false)
 		got, err := cl.Search(expr, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !entriesEqual(got.TopK, want.TopK) {
-			t.Fatalf("%s: sharded result differs from global", expr)
+		if err := oracle.Agree(got.TopK, want); err != nil {
+			t.Fatalf("%s: sharded result differs from global: %v", expr, err)
 		}
 	}
 }
@@ -161,9 +123,18 @@ func TestClusterGlobalStatsMatter(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// TestSparseRefusedBeforeTheShards: no shard carries impacts, so SPARSE is
+// refused with core.ErrNoImpacts before it reaches one. Refused on the
+// shards, it counted against their breakers, which opened on the queries
+// after it.
+func TestSparseRefusedBeforeTheShards(t *testing.T) {
+	_, _, cl := clusterFixture(t, 2)
+	for i := 0; i < 2*DefaultResilience().BreakerThreshold; i++ {
+		if _, err := cl.SearchCtx(context.Background(), `SPARSE("t1", "t2")`, 10); !errors.Is(err, core.ErrNoImpacts) {
+			t.Fatalf("SPARSE query %d: err = %v, want core.ErrNoImpacts", i, err)
+		}
 	}
-	return b
+	if _, err := cl.Search(`"t1" AND "t2"`, 10); err != nil || len(cl.Events(0)) != 1 {
+		t.Fatalf("boolean query after the refusals: %v, shard 0 events %v", err, cl.Events(0))
+	}
 }

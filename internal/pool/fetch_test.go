@@ -12,6 +12,7 @@ import (
 	"boss/internal/clock"
 	"boss/internal/corpus"
 	"boss/internal/mem"
+	"boss/internal/oracle"
 )
 
 // fetchFixture builds a small cluster and the set of all docIDs.
@@ -124,8 +125,8 @@ func TestSearchFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !entriesEqual(res.TopK, plain.TopK) {
-		t.Fatal("fetch phase perturbed the ranking")
+	if err := oracle.Same(res.TopK, plain.TopK); err != nil {
+		t.Fatalf("fetch phase perturbed the ranking: %v", err)
 	}
 }
 

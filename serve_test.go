@@ -10,57 +10,6 @@ import (
 	"boss"
 )
 
-// TestShardedIndexServeMatchesSearchCtx verifies the serving tier is
-// transparent over a sharded deployment: results arriving through
-// admission, batching, and coalescing match direct resilient searches.
-func TestShardedIndexServeMatchesSearchCtx(t *testing.T) {
-	sh, err := boss.Shard(boss.ClueWebLike, 0.01, 4)
-	if err != nil {
-		t.Fatalf("Shard: %v", err)
-	}
-	srv, err := sh.Serve(boss.FrontConfig{BatchTarget: 8, Timeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	defer srv.Close()
-
-	exprs := []string{`"t1"`, `"t2" AND "t3"`, `"t3" AND "t2"`, `"t0" OR "t5"`}
-	const k = 40
-	tickets := make([]*boss.ServeTicket, len(exprs))
-	for i, e := range exprs {
-		tickets[i], err = srv.Submit(boss.ServeRequest{Expr: e, K: k})
-		if err != nil {
-			t.Fatalf("Submit(%q): %v", e, err)
-		}
-	}
-	srv.Flush()
-	for i, e := range exprs {
-		got, err := tickets[i].Wait(context.Background())
-		if err != nil {
-			t.Fatalf("Wait(%q): %v", e, err)
-		}
-		if got.Degraded != 0 {
-			t.Fatalf("%q degraded: %04b", e, got.Degraded)
-		}
-		want, err := sh.SearchCtx(context.Background(), e, k)
-		if err != nil {
-			t.Fatalf("SearchCtx(%q): %v", e, err)
-		}
-		if len(got.Hits) != len(want.Hits) {
-			t.Fatalf("%q: served %d hits, direct %d", e, len(got.Hits), len(want.Hits))
-		}
-		for j := range want.Hits {
-			if got.Hits[j] != want.Hits[j] {
-				t.Fatalf("%q hit %d: served %+v, direct %+v", e, j, got.Hits[j], want.Hits[j])
-			}
-		}
-	}
-	st := srv.Stats()
-	if st.DedupHits != 1 || st.Admitted != 3 {
-		t.Fatalf("stats = %+v, want 3 admissions and 1 dedup hit", st)
-	}
-}
-
 // TestServeShedAndDegrade exercises the facade's shedding ladder: an
 // exhausted tenant bucket sheds low-priority requests with ErrShed and
 // degrades normal ones to partial-node answers.
