@@ -446,19 +446,20 @@ func (a *Accelerator) SearchFetch(expr string, k int) ([]Hit, []Doc, *SimStats, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	res, err := a.acc.Exec(nil, p.Plan, k)
+	m := perf.NewMetrics()
+	top, err := a.acc.Exec(nil, p.Plan, k, m, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ids := make([]uint32, len(res.TopK))
-	for i, e := range res.TopK {
+	ids := make([]uint32, len(top))
+	for i, e := range top {
 		ids[i] = e.DocID
 	}
-	docs, err := fetchDocs(nil, eng, ids, res.M)
+	docs, err := fetchDocs(nil, eng, ids, m)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return hits(a.ix.names, res.TopK), docsFromFetched(docs), simStats(res.M, a.dev, a.cores), nil
+	return hits(a.ix.names, top), docsFromFetched(docs), simStats(m, a.dev, a.cores), nil
 }
 
 // SimStats summarizes one simulated query execution.
@@ -505,11 +506,12 @@ func (a *Accelerator) Search(expr string, k int) ([]Hit, *SimStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := a.acc.Exec(nil, p.Plan, k)
+	m := perf.NewMetrics()
+	top, err := a.acc.Exec(nil, p.Plan, k, m, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return hits(a.ix.names, res.TopK), simStats(res.M, a.dev, a.cores), nil
+	return hits(a.ix.names, top), simStats(m, a.dev, a.cores), nil
 }
 
 // SearchBatch runs many queries concurrently on the simulated accelerator

@@ -94,11 +94,12 @@ func main() {
 		}
 	}
 	acc := core.New(hybrid, core.DefaultOptions())
-	if res, err := acc.Exec(nil, node.Plan(), *k); err != nil {
+	m := perf.NewMetrics()
+	if top, err := acc.Exec(nil, node.Plan(), *k, m, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "boss: %v\n", err)
 		os.Exit(1)
 	} else {
-		outcomes = append(outcomes, outcome{"BOSS", res.TopK, res.M, dev, mem.DefaultLinkGBs})
+		outcomes = append(outcomes, outcome{"BOSS", top, m, dev, mem.DefaultLinkGBs})
 	}
 
 	fmt.Printf("query: %s  (top-%d)\n\n", node, *k)

@@ -536,8 +536,8 @@ func (s *stream) facade(m *matrix, peer string) error {
 func coreSurface(acc *core.Accelerator, fe *core.FetchEngine) surface {
 	return surface{sparse: true, fetch: true, send: func(_ int, q pool.BatchQuery) func() answer {
 		if q.FetchIDs == nil {
-			res, err := acc.Exec(context.Background(), query.MustParse(q.Expr).Plan(), q.K)
-			return ready(answer{hits: res.TopK, err: err})
+			hits, err := acc.Exec(context.Background(), query.MustParse(q.Expr).Plan(), q.K, perf.NewMetrics(), nil)
+			return ready(answer{hits: hits, err: err})
 		}
 		var buf core.DocBuf
 		defer buf.Release()

@@ -9,9 +9,21 @@ import (
 	"boss/internal/core"
 	"boss/internal/corpus"
 	"boss/internal/index"
+	"boss/internal/perf"
 	"boss/internal/pool"
 	"boss/internal/query"
+	"boss/internal/topk"
 )
+
+// execResult is Exec into fresh storage, as a core.Result.
+func execResult(acc *core.Accelerator, pl query.Plan, k int) (core.Result, error) {
+	m := perf.NewMetrics()
+	top, err := acc.Exec(nil, pl, k, m, []topk.Entry{})
+	if err != nil {
+		return core.Result{}, err
+	}
+	return core.Result{TopK: top, M: m}, nil
+}
 
 // runBatch runs exprs as the facade's Accelerator.SearchBatch does: each
 // slot is prepared and executed on the shared Accelerator by a pool.ForEach
@@ -26,7 +38,7 @@ func runBatch(t *testing.T, acc *core.Accelerator, exprs []string, k, workers in
 			errs[i] = err
 			return
 		}
-		res[i], errs[i] = acc.Exec(nil, p.Plan, k)
+		res[i], errs[i] = execResult(acc, p.Plan, k)
 	})
 	if n != len(exprs) {
 		t.Fatalf("workers=%d: dispatched %d of %d queries", workers, n, len(exprs))
@@ -54,7 +66,7 @@ func TestAcceleratorRunBatchMatchesSerial(t *testing.T) {
 
 	want := make([]core.Result, len(exprs))
 	for i, e := range exprs {
-		r, err := acc.Exec(nil, query.MustParse(e).Plan(), k)
+		r, err := execResult(acc, query.MustParse(e).Plan(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +97,7 @@ func TestAcceleratorRunBatchErrors(t *testing.T) {
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatal("good queries must not be poisoned by a failing neighbor")
 	}
-	_, wantErr := acc.Exec(nil, query.MustParse(exprs[1]).Plan(), 10)
+	_, wantErr := execResult(acc, query.MustParse(exprs[1]).Plan(), 10)
 	if wantErr == nil || errs[1] == nil || errs[1].Error() != wantErr.Error() {
 		t.Fatalf("failing query's error = %v, want its serial error %v", errs[1], wantErr)
 	}

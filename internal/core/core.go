@@ -145,7 +145,8 @@ func (a *Accelerator) Cache() *cache.Cache { return a.cache }
 // Not safe concurrently with Exec; meant for setup time and chaos tests.
 func (a *Accelerator) SetFault(inj *mem.Injector) { a.fault = inj }
 
-// Result is the outcome of one query.
+// Result is one query's outcome in storage of its own, what the bench-only
+// adapters RunCtx, RunSparseCtx and RunSparse return.
 type Result struct {
 	TopK []topk.Entry
 	M    *perf.Metrics
@@ -276,10 +277,10 @@ type run struct {
 }
 
 // newRun takes a recycled run record (or builds a first one) and readies it
-// for a query. Planning fills in nTerms.
+// for a query that charges m. Planning fills in nTerms.
 //
 //boss:pool-escapes releaseRun returns the run to a.runs via runDNF/runSparse's defer.
-func (a *Accelerator) newRun(k int) *run {
+func (a *Accelerator) newRun(k int, m *perf.Metrics) *run {
 	r, ok := a.runs.Get().(*run)
 	if !ok {
 		r = &run{
@@ -288,14 +289,14 @@ func (a *Accelerator) newRun(k int) *run {
 			lists: make(map[*index.PostingList]*listState),
 		}
 	}
-	r.begin(k)
+	r.begin(k, m)
 	return r
 }
 
-// begin readies a run record for a query.
-func (r *run) begin(k int) {
-	// Metrics escape in the Result, so every run gets a fresh record.
-	r.m = perf.NewMetrics()
+// begin readies a run record for a query that charges m, which it zeroes.
+func (r *run) begin(k int, m *perf.Metrics) {
+	*m = perf.Metrics{}
+	r.m = m
 	r.sel.Reset(k)
 	r.nTerms = 0
 	r.ctx = nil
@@ -353,42 +354,58 @@ func (r *run) release() {
 // of a result. The term limit is the host's, held by query.Prepare; a plan is
 // only read, so callers that fan one query out to several accelerators
 // (pool.Cluster) share it.
-func (a *Accelerator) Exec(ctx context.Context, pl query.Plan, k int) (Result, error) {
+//
+// The output is the caller's: Exec zeroes *m and charges the query's work to
+// it, and appends the top-k, best first, to dst, returning the extended
+// slice. Nothing it returns aliases the run record, so a warm run allocates
+// nothing beyond what growing dst takes. On error *m holds whatever the run
+// charged before it failed, and dst comes back unextended.
+func (a *Accelerator) Exec(ctx context.Context, pl query.Plan, k int, m *perf.Metrics, dst []topk.Entry) ([]topk.Entry, error) {
 	if pl.DNF == nil {
-		return a.runSparse(ctx, pl.Terms, k)
+		return a.runSparse(ctx, pl.Terms, k, m, dst)
 	}
-	return a.runDNF(ctx, pl.DNF, k)
+	return a.runDNF(ctx, pl.DNF, k, m, dst)
 }
 
-// RunCtx is Exec on a syntax tree's plan. bench/ is its only caller; the next
-// benchmark PR deletes it.
-func (a *Accelerator) RunCtx(ctx context.Context, node *query.Node, k int) (Result, error) {
-	return a.Exec(ctx, node.Plan(), k)
+// exec is Exec into fresh storage, as a Result whose TopK is never nil.
+func (a *Accelerator) exec(ctx context.Context, pl query.Plan, k int) (Result, error) {
+	m := perf.NewMetrics()
+	top, err := a.Exec(ctx, pl, k, m, []topk.Entry{})
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{TopK: top, M: m}, nil
 }
 
-// RunSparseCtx is Exec on a sparse term set. bench/ is its only caller; the
-// next benchmark PR deletes it.
-func (a *Accelerator) RunSparseCtx(ctx context.Context, terms []string, k int) (Result, error) {
-	return a.Exec(ctx, query.Plan{Terms: terms}, k)
-}
-
-// RunSparse is Exec on a sparse term set, without a context. bench/ is its
+// RunCtx is Exec on a syntax tree's plan, into fresh storage. bench/ is its
 // only caller; the next benchmark PR deletes it.
-func (a *Accelerator) RunSparse(terms []string, k int) (Result, error) {
-	return a.Exec(nil, query.Plan{Terms: terms}, k)
+func (a *Accelerator) RunCtx(ctx context.Context, node *query.Node, k int) (Result, error) {
+	return a.exec(ctx, node.Plan(), k)
 }
 
-func (a *Accelerator) runDNF(ctx context.Context, dnf [][]string, k int) (Result, error) {
+// RunSparseCtx is Exec on a sparse term set, into fresh storage. bench/ is
+// its only caller; the next benchmark PR deletes it.
+func (a *Accelerator) RunSparseCtx(ctx context.Context, terms []string, k int) (Result, error) {
+	return a.exec(ctx, query.Plan{Terms: terms}, k)
+}
+
+// RunSparse is RunSparseCtx without a context. bench/ is its only caller;
+// the next benchmark PR deletes it.
+func (a *Accelerator) RunSparse(terms []string, k int) (Result, error) {
+	return a.exec(nil, query.Plan{Terms: terms}, k)
+}
+
+func (a *Accelerator) runDNF(ctx context.Context, dnf [][]string, k int, m *perf.Metrics, dst []topk.Entry) ([]topk.Entry, error) {
 	if ctx != nil {
 		if cause := ctx.Err(); cause != nil {
-			return Result{}, ctxError(cause)
+			return dst, ctxError(cause)
 		}
 	}
-	r := a.newRun(k)
+	r := a.newRun(k, m)
 	defer a.releaseRun(r)
 	r.ctx = ctx
 	if err := r.plan(dnf); err != nil {
-		return Result{}, err
+		return dst, err
 	}
 
 	switch {
@@ -407,21 +424,24 @@ func (a *Accelerator) runDNF(ctx context.Context, dnf [][]string, k int) (Result
 		r.mixed()
 	}
 	if r.err != nil {
-		return Result{}, r.err
+		return dst, r.err
 	}
+	return r.finish(dst), nil
+}
 
-	// The hardware top-k module hands exactly k entries to the host over
-	// the shared interconnect; nothing is staged in SCM. With the module
-	// ablated (HostTopK), every scored document crosses instead.
-	results := r.sel.Results()
-	outBytes := int64(len(results)) * resultEntryBytes
-	if a.opts.HostTopK {
+// finish charges a successful run's result hand-off and pipeline time, and
+// appends its top-k to dst. The hardware top-k module hands exactly k
+// entries to the host over the shared interconnect; nothing is staged in
+// SCM. With the module ablated (HostTopK), every scored document crosses
+// instead.
+func (r *run) finish(dst []topk.Entry) []topk.Entry {
+	outBytes := int64(r.sel.Len()) * resultEntryBytes
+	if r.acc.opts.HostTopK {
 		outBytes = r.m.DocsEvaluated * resultEntryBytes
 	}
 	r.m.AddHostWrite(outBytes, mem.CatStoreResult)
-
 	r.m.AddCompute(r.computeTime())
-	return Result{TopK: results, M: r.m}, nil
+	return r.sel.AppendResults(dst)
 }
 
 // plan resolves a DNF's terms to posting lists, checking they exist, into

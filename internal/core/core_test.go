@@ -11,6 +11,7 @@ import (
 	"boss/internal/index"
 	"boss/internal/mem"
 	"boss/internal/oracle"
+	"boss/internal/perf"
 	"boss/internal/query"
 )
 
@@ -41,11 +42,11 @@ func TestETIsSafeAcrossKValues(t *testing.T) {
 	for _, expr := range exprs {
 		node := query.MustParse(expr)
 		for _, k := range []int{1, 3, 10, 100} {
-			a, err := boss.Exec(nil, node.Plan(), k)
+			a, err := boss.exec(nil, node.Plan(), k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := exh.Exec(nil, node.Plan(), k)
+			b, err := exh.exec(nil, node.Plan(), k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +60,7 @@ func TestETIsSafeAcrossKValues(t *testing.T) {
 func TestUnknownTermErrors(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
-	if _, err := acc.Exec(nil, query.MustParse(`"zzz"`).Plan(), 10); err == nil {
+	if _, err := acc.exec(nil, query.MustParse(`"zzz"`).Plan(), 10); err == nil {
 		t.Fatal("expected error for unknown term")
 	}
 }
@@ -72,11 +73,11 @@ func TestBlockETSkipsBlocks(t *testing.T) {
 	boss := New(f.idx, DefaultOptions())
 	exh := New(f.idx, ExhaustiveOptions())
 	node := query.MustParse(`"t0"`)
-	a, err := boss.Exec(nil, node.Plan(), 5)
+	a, err := boss.exec(nil, node.Plan(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := exh.Exec(nil, node.Plan(), 5)
+	b, err := exh.exec(nil, node.Plan(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,11 @@ func TestWANDReducesEvaluatedDocs(t *testing.T) {
 	blockOnly := New(f.idx, BlockOnlyOptions())
 	full := New(f.idx, DefaultOptions())
 	node := query.MustParse(`"t0" OR "t1" OR "t2" OR "t3"`)
-	a, err := blockOnly.Exec(nil, node.Plan(), 10)
+	a, err := blockOnly.exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := full.Exec(nil, node.Plan(), 10)
+	b, err := full.exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestExhaustiveEvaluatesUnionFully(t *testing.T) {
 	f := newFixture(t)
 	exh := New(f.idx, ExhaustiveOptions())
 	node := query.MustParse(`"t4" OR "t7"`)
-	res, err := exh.Exec(nil, node.Plan(), 10)
+	res, err := exh.exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestIntersectionSkipsNonOverlappingBlocks(t *testing.T) {
 	acc := New(f.idx, DefaultOptions())
 	rare := f.c.Terms[len(f.c.Terms)-1].Term
 	common := f.c.Terms[0].Term
-	res, err := acc.Exec(nil, query.MustParse(`"`+common+`" AND "`+rare+`"`).Plan(), 10)
+	res, err := acc.exec(nil, query.MustParse(`"`+common+`" AND "`+rare+`"`).Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestNoIntermediateSpills(t *testing.T) {
 		`"t0" AND ("t1" OR "t2" OR "t3")`,
 	}
 	for _, expr := range exprs {
-		res, err := acc.Exec(nil, query.MustParse(expr).Plan(), 10)
+		res, err := acc.exec(nil, query.MustParse(expr).Plan(), 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func TestHardwareTopKLimitsHostTraffic(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	k := 25
-	res, err := acc.Exec(nil, query.MustParse(`"t0" OR "t1"`).Plan(), k)
+	res, err := acc.exec(nil, query.MustParse(`"t0" OR "t1"`).Plan(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestSharedTermChargedOnceInMixedQuery(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	a := f.c.Terms[5].Term
-	res, err := acc.Exec(nil, query.MustParse(`"`+a+`" AND ("t1" OR "t2" OR "t3")`).Plan(), 10)
+	res, err := acc.exec(nil, query.MustParse(`"`+a+`" AND ("t1" OR "t2" OR "t3")`).Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestSharedTermRescanFetchesSkippedBlock(t *testing.T) {
 	A, B, C := f.idx.MustList("t0"), f.idx.MustList("t39"), f.idx.MustList("t1")
 
 	// The shape itself, conjunct by conjunct.
-	r := acc.newRun(10)
+	r := acc.newRun(10, new(perf.Metrics))
 	r.intersect([]*index.PostingList{A, B})
 	ls := r.stateFor(A)
 	var skipped []int
@@ -256,7 +257,7 @@ func TestSharedTermRescanFetchesSkippedBlock(t *testing.T) {
 	}
 	acc.releaseRun(r)
 
-	res, err := acc.Exec(nil, query.MustParse(`"t0" AND ("t39" OR "t1")`).Plan(), 10)
+	res, err := acc.exec(nil, query.MustParse(`"t0" AND ("t39" OR "t1")`).Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestBlockRecords(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	pl := f.idx.MustList("t0")
-	r := acc.newRun(10)
+	r := acc.newRun(10, new(perf.Metrics))
 	ls := r.stateFor(pl)
 	blocks := func(ls *listState) []int {
 		out := make([]int, len(ls.recs))
@@ -340,7 +341,7 @@ func TestBlockRecords(t *testing.T) {
 			t.Fatalf("released listState still holds a block at %d", i)
 		}
 	}
-	r2 := acc.newRun(10)
+	r2 := acc.newRun(10, new(perf.Metrics))
 	defer acc.releaseRun(r2)
 	ls2 := r2.stateFor(pl)
 	if r2 == r && ls2 != ls {
@@ -360,11 +361,11 @@ func TestFixedPointApproximatesFloat(t *testing.T) {
 	fp := New(f.idx, Options{BlockET: true, DocET: true, FixedPoint: true})
 	fl := New(f.idx, DefaultOptions())
 	node := query.MustParse(`"t1" OR "t4"`)
-	a, err := fp.Exec(nil, node.Plan(), 50)
+	a, err := fp.exec(nil, node.Plan(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fl.Exec(nil, node.Plan(), 50)
+	b, err := fl.exec(nil, node.Plan(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,11 +389,11 @@ func TestComputeTimePositiveAndDeterministic(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	node := query.MustParse(`"t2" AND ("t5" OR "t6" OR "t8")`)
-	r1, err := acc.Exec(nil, node.Plan(), 10)
+	r1, err := acc.exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := acc.Exec(nil, node.Plan(), 10)
+	r2, err := acc.exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestBOSSBeatsEngineOnLatency(t *testing.T) {
 	}
 	for _, expr := range exprs {
 		node := query.MustParse(expr)
-		b, err := acc.Exec(nil, node.Plan(), 100)
+		b, err := acc.exec(nil, node.Plan(), 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,11 +440,11 @@ func TestBOSSMoreBandwidthEfficientThanExhaustive(t *testing.T) {
 	boss := New(f.idx, DefaultOptions())
 	exh := New(f.idx, ExhaustiveOptions())
 	node := query.MustParse(`"t0" OR "t1" OR "t4" OR "t6"`)
-	a, err := boss.Exec(nil, node.Plan(), 10)
+	a, err := boss.exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := exh.Exec(nil, node.Plan(), 10)
+	b, err := exh.exec(nil, node.Plan(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +482,7 @@ func TestReleaseRunResetsCandidateTable(t *testing.T) {
 	}
 	grown := 0
 	for i, dnf := range steps {
-		r := acc.newRun(10)
+		r := acc.newRun(10, new(perf.Metrics))
 		if err := r.plan(dnf); err != nil {
 			t.Fatal(err)
 		}
@@ -573,7 +574,7 @@ func TestReleaseRunLeavesCursorScratchPinFree(t *testing.T) {
 	widest, widestPlan := 0, 0
 	for pass := 0; pass < 2; pass++ { // the second pass runs on cache hits
 		for _, st := range steps {
-			r := acc.newRun(10)
+			r := acc.newRun(10, new(perf.Metrics))
 			st.run(r)
 			if r.err != nil {
 				t.Fatal(r.err)

@@ -37,7 +37,7 @@ func TestRunCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, node := range sampleNodes(t, f) {
-		_, err := acc.Exec(ctx, node.Plan(), 10)
+		_, err := acc.exec(ctx, node.Plan(), 10)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled ctx: got %v, want context.Canceled", err)
 		}
@@ -50,7 +50,7 @@ func TestRunCtxDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	node := sampleNodes(t, f)[0]
-	_, err := acc.Exec(ctx, node.Plan(), 10)
+	_, err := acc.exec(ctx, node.Plan(), 10)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired deadline: got %v, want ErrDeadlineExceeded", err)
 	}
@@ -64,11 +64,11 @@ func TestRunCtxNilContext(t *testing.T) {
 	f := newFixture(t)
 	acc := New(f.idx, DefaultOptions())
 	for _, node := range sampleNodes(t, f) {
-		a, err := acc.Exec(nil, node.Plan(), 10) //nolint:staticcheck // nil ctx is part of the contract
+		a, err := acc.exec(nil, node.Plan(), 10) //nolint:staticcheck // nil ctx is part of the contract
 		if err != nil {
 			t.Fatalf("Exec(nil): %v", err)
 		}
-		b, err := acc.Exec(context.Background(), node.Plan(), 10)
+		b, err := acc.exec(context.Background(), node.Plan(), 10)
 		if err != nil {
 			t.Fatalf("Exec(Background): %v", err)
 		}
@@ -95,7 +95,7 @@ func TestCorruptBlockReturnsTypedError(t *testing.T) {
 	}
 	pl.Data[pl.Blocks[0].Offset] ^= 0x5a
 
-	_, err := acc.Exec(context.Background(), query.Plan{DNF: [][]string{{term}}}, 10)
+	_, err := acc.exec(context.Background(), query.Plan{DNF: [][]string{{term}}}, 10)
 	if err == nil {
 		t.Fatal("query over corrupt block succeeded")
 	}
@@ -105,7 +105,7 @@ func TestCorruptBlockReturnsTypedError(t *testing.T) {
 
 	// Restore and confirm the accelerator recovers fully.
 	pl.Data[pl.Blocks[0].Offset] ^= 0x5a
-	if _, err := acc.Exec(context.Background(), query.Plan{DNF: [][]string{{term}}}, 10); err != nil {
+	if _, err := acc.exec(context.Background(), query.Plan{DNF: [][]string{{term}}}, 10); err != nil {
 		t.Fatalf("after restore: %v", err)
 	}
 }
@@ -142,7 +142,7 @@ func TestMalformedUnchecksummedBlockFailsTyped(t *testing.T) {
 			}
 			acc := NewCached(idx, DefaultOptions(), ch)
 			node := query.MustParse(`"t0"`)
-			_, err := acc.Exec(context.Background(), node.Plan(), 10)
+			_, err := acc.exec(context.Background(), node.Plan(), 10)
 			prefix := `core: decompression of list "t0" block 0 failed: `
 			if err == nil || !strings.HasPrefix(err.Error(), prefix+tc.want) {
 				t.Fatalf("%s (cached=%v): got %v, want %s%s…", tc.name, cached, err, prefix, tc.want)
@@ -155,7 +155,7 @@ func TestMalformedUnchecksummedBlockFailsTyped(t *testing.T) {
 
 			// Restore and confirm the accelerator recovers fully.
 			pl.Blocks[0], pl.Data[saved.Offset] = saved, first
-			if _, err := acc.Exec(context.Background(), node.Plan(), 10); err != nil {
+			if _, err := acc.exec(context.Background(), node.Plan(), 10); err != nil {
 				t.Fatalf("%s (cached=%v): after restore: %v", tc.name, cached, err)
 			}
 			if st := ch.Stats(); st.PinnedEntries != 0 {
@@ -177,11 +177,11 @@ func TestTransientFaultsRetriedTransparently(t *testing.T) {
 
 	var retries int64
 	for _, node := range sampleNodes(t, f) {
-		want, err := clean.Exec(nil, node.Plan(), 10)
+		want, err := clean.exec(nil, node.Plan(), 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := faulty.Exec(nil, node.Plan(), 10)
+		got, err := faulty.exec(nil, node.Plan(), 10)
 		if err != nil {
 			t.Fatalf("transient plan must be survivable: %v", err)
 		}
@@ -208,7 +208,7 @@ func TestUncorrectableFaultReturnsTypedError(t *testing.T) {
 
 	sawTyped := false
 	for _, node := range sampleNodes(t, f) {
-		_, err := acc.Exec(nil, node.Plan(), 10)
+		_, err := acc.exec(nil, node.Plan(), 10)
 		if err != nil {
 			if !errors.Is(err, mem.ErrMediaUncorrectable) {
 				t.Fatalf("failure is not typed: %v", err)
@@ -227,7 +227,7 @@ func TestDeadDeviceReturnsErrDeviceDown(t *testing.T) {
 	plan := &mem.FaultPlan{Seed: 1, DeadDevices: []int{0}}
 	acc.SetFault(plan.InjectorFor(0))
 	node := sampleNodes(t, f)[0]
-	_, err := acc.Exec(nil, node.Plan(), 10)
+	_, err := acc.exec(nil, node.Plan(), 10)
 	if !errors.Is(err, mem.ErrDeviceDown) {
 		t.Fatalf("dead device: got %v, want wrap of mem.ErrDeviceDown", err)
 	}
@@ -249,7 +249,7 @@ func TestFaultReplayDeterministic(t *testing.T) {
 		acc.SetFault(plan.InjectorFor(0))
 		out := make([]outcome, 0, len(nodes))
 		for _, node := range nodes {
-			res, err := acc.Exec(nil, node.Plan(), 10)
+			res, err := acc.exec(nil, node.Plan(), 10)
 			o := outcome{}
 			if err != nil {
 				o.errText = err.Error()

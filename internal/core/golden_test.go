@@ -89,9 +89,9 @@ func TestOperatorChargesGolden(t *testing.T) {
 					var res Result
 					var err error
 					if it.terms != nil {
-						res, err = acc.Exec(nil, query.Plan{Terms: it.terms}, k)
+						res, err = acc.exec(nil, query.Plan{Terms: it.terms}, k)
 					} else {
-						res, err = acc.Exec(nil, it.node.Plan(), k)
+						res, err = acc.exec(nil, it.node.Plan(), k)
 					}
 					if err != nil {
 						t.Fatalf("%s: %v", it.node, err)
@@ -113,7 +113,7 @@ func TestOperatorChargesGolden(t *testing.T) {
 		acc := New(dense, opts)
 		for _, k := range []int{1, 10, 100} {
 			for _, expr := range append(denseUnionExprs[:len(denseUnionExprs):len(denseUnionExprs)], denseConjExprs...) {
-				res, err := acc.Exec(nil, query.MustParse(expr).Plan(), k)
+				res, err := acc.exec(nil, query.MustParse(expr).Plan(), k)
 				if err != nil {
 					t.Fatalf("%s: %v", expr, err)
 				}

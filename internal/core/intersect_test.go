@@ -11,7 +11,9 @@ import (
 	"boss/internal/corpus"
 	"boss/internal/index"
 	"boss/internal/oracle"
+	"boss/internal/perf"
 	"boss/internal/query"
+	"boss/internal/topk"
 )
 
 // denseConjExprs are conjunctions and mixed queries over
@@ -65,7 +67,7 @@ func TestIntersectByteIdentical(t *testing.T) {
 			acc := New(sw.idx, opts)
 			for _, k := range []int{1, 10, 1000} {
 				for _, node := range sw.nodes {
-					res, err := acc.Exec(nil, node.Plan(), k)
+					res, err := acc.exec(nil, node.Plan(), k)
 					if err != nil {
 						t.Fatalf("%s: %v", node, err)
 					}
@@ -252,7 +254,7 @@ func FuzzConjVsBruteForce(f *testing.F) {
 		opts.SpillIntermediates = shapeBits&32 != 0
 		kk := 1 + int(k)%1024
 
-		plain, err := New(idx, opts).Exec(nil, node.Plan(), kk)
+		plain, err := New(idx, opts).exec(nil, node.Plan(), kk)
 		if err != nil {
 			t.Fatalf("%s: %v", node, err)
 		}
@@ -261,7 +263,7 @@ func FuzzConjVsBruteForce(f *testing.F) {
 
 		cached := NewCached(idx, opts, cache.NewSharded(1<<20, 2))
 		for _, pass := range []string{"cold", "warm"} {
-			res, err := cached.Exec(nil, node.Plan(), kk)
+			res, err := cached.exec(nil, node.Plan(), kk)
 			if err != nil {
 				t.Fatalf("%s (%s cache): %v", node, pass, err)
 			}
@@ -313,8 +315,11 @@ func BenchmarkRunConj(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			acc := NewCached(idx, DefaultOptions(), cache.NewSharded(256<<20, 2))
+			var m perf.Metrics
+			var top []topk.Entry
+			var err error
 			for _, dnf := range bc.dnfs { // warm the cache and the pooled run
-				if _, err := acc.Exec(nil, query.Plan{DNF: dnf}, bc.k); err != nil {
+				if top, err = acc.Exec(nil, query.Plan{DNF: dnf}, bc.k, &m, top[:0]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -322,13 +327,12 @@ func BenchmarkRunConj(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := acc.Exec(nil, query.Plan{DNF: bc.dnfs[i%len(bc.dnfs)]}, bc.k)
-				if err != nil {
+				if top, err = acc.Exec(nil, query.Plan{DNF: bc.dnfs[i%len(bc.dnfs)]}, bc.k, &m, top[:0]); err != nil {
 					b.Fatal(err)
 				}
-				postings += res.M.PostingsDecoded
-				docs += res.M.DocsEvaluated
-				blocks += res.M.BlocksFetched
+				postings += m.PostingsDecoded
+				docs += m.DocsEvaluated
+				blocks += m.BlocksFetched
 			}
 			b.ReportMetric(float64(postings)/float64(b.N), "postings/op")
 			b.ReportMetric(float64(docs)/float64(b.N), "docs/op")

@@ -29,7 +29,7 @@ func TestAcceleratorParallelDeterminism(t *testing.T) {
 	// Serial baseline, computed once up front.
 	want := make([]Result, len(nodes))
 	for i, n := range nodes {
-		r, err := acc.Exec(nil, n.Plan(), k)
+		r, err := acc.exec(nil, n.Plan(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestAcceleratorParallelDeterminism(t *testing.T) {
 			// queries rather than marching in lockstep.
 			for off := 0; off < len(nodes); off++ {
 				i := (off + g*3) % len(nodes)
-				r, err := acc.Exec(nil, nodes[i].Plan(), k)
+				r, err := acc.exec(nil, nodes[i].Plan(), k)
 				if err != nil {
 					errs[g] = err
 					return

@@ -7,8 +7,9 @@ import (
 	"math/bits"
 
 	"boss/internal/index"
-	"boss/internal/mem"
+	"boss/internal/perf"
 	"boss/internal/score"
+	"boss/internal/topk"
 )
 
 // The sparse-dot (Q7) family executes with the MaxScore pruning operator:
@@ -80,39 +81,31 @@ func (a *Accelerator) resolveSparse(dst []*index.PostingList, terms []string) ([
 }
 
 // runSparse executes a sparse-dot query: resolve lists and drive the MaxScore
-// operator. The result-traffic and compute charges mirror runDNF's.
-func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int) (Result, error) {
+// operator. The result-traffic and compute charges are runDNF's (finish).
+func (a *Accelerator) runSparse(ctx context.Context, terms []string, k int, m *perf.Metrics, dst []topk.Entry) ([]topk.Entry, error) {
 	if ctx != nil {
 		if cause := ctx.Err(); cause != nil {
-			return Result{}, ctxError(cause)
+			return dst, ctxError(cause)
 		}
 	}
-	r := a.newRun(k)
+	r := a.newRun(k, m)
 	defer a.releaseRun(r)
 	r.ctx = ctx
 	// The terms are distinct, so the plan arena alone is the plan.
 	var err error
 	if r.planLists, err = a.resolveSparse(r.planLists, terms); err != nil {
-		return Result{}, err
+		return dst, err
 	}
 	if len(r.planLists) > maxSparseLists {
-		return Result{}, fmt.Errorf("core: sparse query over %d lists, more than %d", len(r.planLists), maxSparseLists)
+		return dst, fmt.Errorf("core: sparse query over %d lists, more than %d", len(r.planLists), maxSparseLists)
 	}
 	r.nTerms = len(r.planLists)
 
 	r.sparse(r.planLists)
 	if r.err != nil {
-		return Result{}, r.err
+		return dst, r.err
 	}
-
-	results := r.sel.Results()
-	outBytes := int64(len(results)) * resultEntryBytes
-	if a.opts.HostTopK {
-		outBytes = r.m.DocsEvaluated * resultEntryBytes
-	}
-	r.m.AddHostWrite(outBytes, mem.CatStoreResult)
-	r.m.AddCompute(r.computeTime())
-	return Result{TopK: results, M: r.m}, nil
+	return r.finish(dst), nil
 }
 
 // sparseSpan is the widest docID window the sparse driver accumulates the

@@ -441,13 +441,10 @@ func AblationET(ctx *Context) []*Table {
 		for vi, v := range variants {
 			sum := newZeroMetrics()
 			for _, q := range s.Workload[qt] {
-				res, err := core.New(s.Hybrid, v.opts).Exec(nil, query.MustParse(q.Expr).Plan(), s.Cfg.K)
-				if err != nil {
-					panic(err)
-				}
-				sum.docs += float64(res.M.DocsEvaluated)
-				sum.blocks += float64(res.M.BlocksFetched)
-				sum.bytes += float64(res.M.DeviceBytes())
+				m := bossMetrics(core.New(s.Hybrid, v.opts), query.MustParse(q.Expr).Plan(), s.Cfg.K)
+				sum.docs += float64(m.DocsEvaluated)
+				sum.blocks += float64(m.BlocksFetched)
+				sum.bytes += float64(m.DeviceBytes())
 			}
 			if vi == 0 {
 				baseDocs, baseBlocks, baseBytes = sum.docs, sum.blocks, sum.bytes
@@ -491,14 +488,11 @@ func AblationPipeline(ctx *Context) []*Table {
 		opts.SpillIntermediates = v.spill
 		n := 0
 		for _, expr := range exprs {
-			res, err := core.New(s.Hybrid, opts).Exec(nil, query.MustParse(expr).Plan(), s.Cfg.K)
-			if err != nil {
-				panic(err)
-			}
-			bytes += float64(res.M.DeviceBytes())
-			inter += float64(res.M.Cat[mem.CatStoreInter] + res.M.Cat[mem.CatLoadInter])
-			lat += res.M.Latency(mem.SCM())
-			qps += res.M.Throughput(8, mem.SCM(), mem.DefaultLinkGBs)
+			m := bossMetrics(core.New(s.Hybrid, opts), query.MustParse(expr).Plan(), s.Cfg.K)
+			bytes += float64(m.DeviceBytes())
+			inter += float64(m.Cat[mem.CatStoreInter] + m.Cat[mem.CatLoadInter])
+			lat += m.Latency(mem.SCM())
+			qps += m.Throughput(8, mem.SCM(), mem.DefaultLinkGBs)
 			n++
 		}
 		t.Rows = append(t.Rows, []string{
@@ -531,12 +525,9 @@ func AblationTopK(ctx *Context) []*Table {
 		var qps float64
 		n := 0
 		for _, q := range s.Workload[corpus.Q5] {
-			res, err := core.New(s.Hybrid, opts).Exec(nil, query.MustParse(q.Expr).Plan(), s.Cfg.K)
-			if err != nil {
-				panic(err)
-			}
-			hostBytes += float64(res.M.HostBytes)
-			qps = res.M.Throughput(8, mem.SCM(), 0) // node-local ceiling, no link
+			m := bossMetrics(core.New(s.Hybrid, opts), query.MustParse(q.Expr).Plan(), s.Cfg.K)
+			hostBytes += float64(m.HostBytes)
+			qps = m.Throughput(8, mem.SCM(), 0) // node-local ceiling, no link
 			n++
 		}
 		avgHost := hostBytes / float64(n)
@@ -562,11 +553,8 @@ func AblationHybrid(ctx *Context) []*Table {
 		sum := 0.0
 		n := 0
 		for _, q := range s.Workload[corpus.Q3] {
-			res, err := core.New(idx, core.DefaultOptions()).Exec(nil, query.MustParse(q.Expr).Plan(), s.Cfg.K)
-			if err != nil {
-				panic(err)
-			}
-			sum += res.M.Throughput(8, mem.SCM(), mem.DefaultLinkGBs)
+			m := bossMetrics(core.New(idx, core.DefaultOptions()), query.MustParse(q.Expr).Plan(), s.Cfg.K)
+			sum += m.Throughput(8, mem.SCM(), mem.DefaultLinkGBs)
 			n++
 		}
 		return sum / float64(n)

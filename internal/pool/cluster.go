@@ -67,6 +67,13 @@ type Cluster struct {
 	// runFn issues one replica attempt on the hedged path; tests substitute
 	// it to script a replica's latency (a copy that stalls), never time.
 	runFn func(ctx context.Context, w shardWork, si, ri int) shardOut
+
+	// records recycles the per-request records exec runs on (queryRec). A
+	// non-nil poison is handed every record as it is released, before it is
+	// recycled: tests overwrite it there, so a result that still pointed into
+	// a record would read garbage.
+	records sync.Pool
+	poison  func(*queryRec)
 }
 
 // ErrBadConfig reports an invalid cluster construction request. All
@@ -162,7 +169,7 @@ func NewCluster(cfg Config, c *corpus.Corpus, shards int) (*Cluster, error) {
 		// follows the workload's skew instead of splitting it evenly.
 		cl.accs = append(cl.accs, cl.buildReplicas(idx))
 	}
-	cl.initResilience(cfg.Resilience)
+	cl.initServing()
 	return cl, nil
 }
 
@@ -201,8 +208,15 @@ func (cl *Cluster) Fresh(cfg Config) (*Cluster, error) {
 	for _, idx := range nc.shards {
 		nc.accs = append(nc.accs, nc.buildReplicas(idx))
 	}
-	nc.initResilience(cfg.Resilience)
+	nc.initServing()
 	return nc, nil
+}
+
+// initServing wires the per-request machinery once the shards exist: the
+// resilience state and the record pool. NewCluster and Fresh call it.
+func (cl *Cluster) initServing() {
+	cl.initResilience(cl.cfg.Resilience)
+	cl.records.New = func() any { return newRecord(len(cl.shards)) }
 }
 
 // Replicas reports the number of independently-faultable copies each
@@ -291,6 +305,23 @@ type ClusterResult struct {
 	// shards that failed or could not match). Single-copy clusters leave
 	// it nil so the default serving path allocates nothing extra.
 	ServedBy []int
+
+	// metrics is PerShard's backing: every shard's record in one
+	// allocation, addressed only through PerShard.
+	metrics []perf.Metrics
+}
+
+// addShard folds shard si's work into the result: a copy into the result's
+// own record on the shard's first contribution, a merge into it after (a
+// WithDocs search's fetch).
+func (res *ClusterResult) addShard(si int, m *perf.Metrics) {
+	res.LinkBytes += m.HostBytes
+	if p := res.PerShard[si]; p != nil {
+		p.Merge(m)
+		return
+	}
+	res.metrics[si] = *m
+	res.PerShard[si] = &res.metrics[si]
 }
 
 // prepare is query.Prepare for the pool's entry points handed a string and
@@ -320,7 +351,9 @@ func (cl *Cluster) workers(n int) int {
 	return w
 }
 
-// shardOut is one node's contribution to a fanned-out query.
+// shardOut is one node's contribution to a fanned-out query. m and topk
+// point into the request's record (queryRec) or, on a hedged shard, into an
+// attempt's own storage; the fold copies both out.
 type shardOut struct {
 	m    *perf.Metrics
 	topk []topk.Entry
@@ -337,19 +370,44 @@ type shardOut struct {
 // term iff idx holds it; ok is false when none does and the shard has no part
 // in the answer. This is exactly pruning the expression and normalising the
 // rest: Node.DNF is an order-preserving cross product (TestFilterMatchesPrune,
-// FuzzFilterVsPrune). The prepared slices are shared, so it writes none.
+// FuzzFilterVsPrune). The prepared slices are shared, so it writes none: a
+// narrowed copy goes into fresh storage here, into a request's record through
+// planBuf.narrow.
 func narrow(pl query.Plan, idx *index.Index) (_ query.Plan, ok bool) {
+	var b planBuf
+	return b.narrow(pl, idx)
+}
+
+// planBuf is the storage a narrowed plan is copied into: the conjuncts or
+// terms that survive when narrowing drops some. A request's record keeps one
+// per shard; the zero value is empty.
+type planBuf struct {
+	dnf   [][]string
+	terms []string
+}
+
+// narrow is narrow into b's storage.
+func (b *planBuf) narrow(pl query.Plan, idx *index.Index) (_ query.Plan, ok bool) {
 	if pl.DNF != nil {
-		pl.DNF = filter(pl.DNF, idx, holdsAll)
+		pl.DNF = filter(pl.DNF, idx, holdsAll, &b.dnf)
 		return pl, len(pl.DNF) > 0
 	}
-	pl.Terms = filter(pl.Terms, idx, holds)
+	pl.Terms = filter(pl.Terms, idx, holds, &b.terms)
 	return pl, len(pl.Terms) > 0
 }
 
+// reset drops the references b holds into the query it last narrowed.
+func (b *planBuf) reset() {
+	clear(b.dnf)
+	clear(b.terms)
+	b.dnf, b.terms = b.dnf[:0], b.terms[:0]
+}
+
 // filter returns the xs that idx holds: xs itself when that is all of them
-// (the common case allocates nothing), else a copy — xs is shared.
-func filter[T any](xs []T, idx *index.Index, held func(*index.Index, T) bool) []T {
+// (the common case copies nothing), else a copy — xs is shared — in *buf's
+// storage, grown on first use to hold every survivor count xs allows and
+// left in *buf for the next call.
+func filter[T any](xs []T, idx *index.Index, held func(*index.Index, T) bool, buf *[]T) []T {
 	n := 0
 	for n < len(xs) && held(idx, xs[n]) {
 		n++
@@ -357,12 +415,17 @@ func filter[T any](xs []T, idx *index.Index, held func(*index.Index, T) bool) []
 	if n == len(xs) {
 		return xs
 	}
-	kept := append(make([]T, 0, len(xs)-1), xs[:n]...)
+	kept := (*buf)[:0]
+	if cap(kept) < len(xs)-1 {
+		kept = make([]T, 0, len(xs)-1)
+	}
+	kept = append(kept, xs[:n]...)
 	for _, x := range xs[n+1:] {
 		if held(idx, x) {
 			kept = append(kept, x)
 		}
 	}
+	*buf = kept
 	return kept
 }
 
@@ -377,20 +440,41 @@ func holdsAll(idx *index.Index, conj []string) bool {
 	return true
 }
 
-// shardWork is what one request asks of every shard: a search (ids nil: the
-// query's plan, depth and stable replica key) or a fetch (the docIDs routed
-// to each shard, where each goes back in the input, and the result's Docs the
-// attempts fill in place). It is passed by value all the way down, so it
-// never escapes to the heap, and runShard can narrow its own copy's plan to
-// the terms its shard holds.
+// shardWork is what one request asks of every shard: a search (docs nil: the
+// query's plan, depth and stable replica key) or a fetch (the result's Docs,
+// which the attempts fill in place, with the docIDs routed to each shard in
+// the record). It is passed by value all the way down, so it never escapes to
+// the heap, and runShard can narrow its own copy's plan to the terms its
+// shard holds.
 type shardWork struct {
 	query.Plan
 	k    int
 	qkey uint64
+	// rec is the request's record, which an attempt narrows, charges and
+	// ranks into; nil on a hedged search shard, whose losing runner may
+	// outlive the request and so must touch nothing that is recycled.
+	rec *queryRec
 
-	ids  [][]uint32
-	pos  [][]int
 	docs []FetchedDoc
+}
+
+// narrow is narrow for shard si: into the record's storage for the shard, or
+// fresh storage without a record.
+func (w *shardWork) narrow(si int, idx *index.Index) (query.Plan, bool) {
+	if w.rec == nil {
+		return narrow(w.Plan, idx)
+	}
+	return w.rec.plans[si].narrow(w.Plan, idx)
+}
+
+// out returns where a search attempt on shard si charges its work and ranks
+// its top-k: the record's metrics and slab region for the shard, or fresh
+// storage without a record.
+func (w *shardWork) out(si int) (*perf.Metrics, []topk.Entry) {
+	if w.rec == nil {
+		return new(perf.Metrics), nil
+	}
+	return &w.rec.ms[si], w.rec.region(si, w.k)
 }
 
 // BatchQuery is one request to the cluster: either a search (Expr),
@@ -472,20 +556,33 @@ dispatch:
 	return dispatched
 }
 
-// exec is the cluster's one request path: it prepares the query unless the
-// caller carried it prepared, checks its terms are indexed somewhere, sweeps
-// it across the shards (sweep), folds the survivors (mergePartial) and,
-// for WithDocs, chains into the fetch arm; fetch queries go straight
-// there. shardWorkers is the shard fan-out width: 1 sweeps the shards on
-// the calling goroutine, as a batch worker (which owns one in-flight
-// query) must. Results are bit-identical at every width.
+// exec is the cluster's one request path. It runs the request (serve) on a
+// per-request record from the cluster's pool, which holds everything the
+// request needs below it and nothing it returns, and recycles the record.
+// shardWorkers is the shard fan-out width: 1 sweeps the shards on the calling
+// goroutine, as a batch worker (which owns one in-flight query) must.
+// Results are bit-identical at every width.
+//
+//boss:hotpath once per request: the record's get and put around serve.
 func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) (*ClusterResult, error) {
+	rec := cl.records.Get().(*queryRec)
+	res, err := cl.serve(parent, rec, q, shardWorkers)
+	rec.reset(cl.poison)
+	cl.records.Put(rec)
+	return res, err
+}
+
+// serve is exec's body: it prepares the query unless the caller carried it
+// prepared, checks its terms are indexed somewhere, sweeps it across the
+// shards (sweep), folds the survivors (mergePartial) and, for WithDocs,
+// chains into the fetch arm; fetch queries go straight there.
+func (cl *Cluster) serve(parent context.Context, rec *queryRec, q BatchQuery, shardWorkers int) (*ClusterResult, error) {
 	ctx := liveCtx(parent)
 	if len(q.FetchIDs) > 0 {
 		if q.Expr != "" {
 			return nil, errExprAndFetch
 		}
-		return cl.fetch(ctx, cl.newResult(), q.FetchIDs, q.ShardMask, shardWorkers)
+		return cl.fetch(ctx, rec, cl.newResult(), q.FetchIDs, q.ShardMask, shardWorkers)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -510,7 +607,8 @@ func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) 
 		return nil, fmt.Errorf("pool: %w", core.ErrNoImpacts)
 	}
 	k := cl.depth(q.K)
-	outs := cl.sweep(ctx, shardWork{Plan: p.Plan, k: k, qkey: mem.StableKey(q.Expr)}, q.ShardMask, shardWorkers)
+	rec.sizeSlab(k)
+	outs := cl.sweep(ctx, shardWork{Plan: p.Plan, k: k, qkey: mem.StableKey(q.Expr), rec: rec}, q.ShardMask, shardWorkers)
 	// A context that died mid-sweep fails the query, whatever shards ran.
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -519,36 +617,45 @@ func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) 
 	if err != nil || !q.WithDocs {
 		return res, err
 	}
-	ids := make([]uint32, len(res.TopK))
-	for i, e := range res.TopK {
-		ids[i] = e.DocID
+	for _, e := range res.TopK {
+		rec.hits = append(rec.hits, e.DocID)
 	}
-	return cl.fetch(ctx, res, ids, q.ShardMask, shardWorkers)
+	return cl.fetch(ctx, rec, res, rec.hits, q.ShardMask, shardWorkers)
 }
 
 // sweep is the one shard fan-out, for searches and fetches alike: it runs
 // w on every shard under the front-door mask with the full resilience
-// machinery (runShard) and returns the per-shard outcomes in shard order.
+// machinery (runShard) and returns the per-shard outcomes, in shard order,
+// in the record's outs.
+//
+//boss:hotpath once per request: the shard fan-out.
 func (cl *Cluster) sweep(ctx context.Context, w shardWork, mask uint64, shardWorkers int) []shardOut {
-	// Nothing the parallel branch's closure captures may be reassigned: a
-	// reassigned capture is heap-boxed on every query, serial ones included.
-	outs := make([]shardOut, len(cl.shards))
-	if shardWorkers == 1 {
-		// A plain loop: ForEach's closure is a heap allocation per query.
-		for si := range outs {
-			outs[si] = cl.runShard(ctx, w, si, mask)
-		}
+	outs := w.rec.outs
+	if shardWorkers > 1 {
+		cl.fanOut(ctx, w, mask, shardWorkers)
 		return outs
 	}
-	ForEach(ctx, len(outs), shardWorkers, func(si int) {
+	for si := range outs {
 		outs[si] = cl.runShard(ctx, w, si, mask)
-	})
+	}
 	return outs
 }
 
-// newResult is an empty result sized for this cluster.
+// fanOut is sweep on shardWorkers goroutines. It is sweep's parallel branch,
+// kept apart because its closure is a heap allocation per call: a serial
+// sweep, as every batch worker's is, makes none.
+func (cl *Cluster) fanOut(ctx context.Context, w shardWork, mask uint64, shardWorkers int) {
+	outs := w.rec.outs
+	ForEach(ctx, len(outs), shardWorkers, func(si int) {
+		outs[si] = cl.runShard(ctx, w, si, mask)
+	})
+}
+
+// newResult is an empty result sized for this cluster: PerShard and the
+// records it points into.
 func (cl *Cluster) newResult() *ClusterResult {
-	return &ClusterResult{PerShard: make([]*perf.Metrics, len(cl.shards))}
+	n := len(cl.shards)
+	return &ClusterResult{PerShard: make([]*perf.Metrics, n), metrics: make([]perf.Metrics, n)}
 }
 
 // depth resolves a query's top-k depth (<= 0 means the config's K).

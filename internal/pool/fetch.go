@@ -96,9 +96,13 @@ func fetchRangeError(id uint32, n int) error {
 // ShardErrs. The call errors only on invalid ids, a dead context, or
 // when every involved shard failed.
 func (cl *Cluster) FetchBatch(ctx context.Context, ids []uint32) (*ClusterResult, error) {
-	// Straight to exec's fetch arm: BatchQuery spells a fetch as a
+	// exec, straight into its fetch arm: BatchQuery spells a fetch as a
 	// non-empty FetchIDs, and an empty id list is still a (vacuous) fetch.
-	return cl.fetch(liveCtx(ctx), cl.newResult(), ids, 0, cl.workers(len(cl.shards)))
+	rec := cl.records.Get().(*queryRec)
+	res, err := cl.fetch(liveCtx(ctx), rec, cl.newResult(), ids, 0, cl.workers(len(cl.shards)))
+	rec.reset(cl.poison)
+	cl.records.Put(rec)
+	return res, err
 }
 
 // fetch is exec's fetch arm. It routes each docID to its owning shard,
@@ -107,9 +111,9 @@ func (cl *Cluster) FetchBatch(ctx context.Context, ids []uint32) (*ClusterResult
 // holds one entry per id, the fetch work merges into PerShard and
 // LinkBytes, and fetch failures join the Degraded mask. The fold is not
 // mergePartial's: only the shards that own a requested document are
-// involved, and the call fails when every one of *them* did. shardWorkers
-// is exec's.
-func (cl *Cluster) fetch(ctx context.Context, res *ClusterResult, ids []uint32, mask uint64, shardWorkers int) (*ClusterResult, error) {
+// involved, and the call fails when every one of *them* did. rec is the
+// request's record, which routes the ids; shardWorkers is exec's.
+func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult, ids []uint32, mask uint64, shardWorkers int) (*ClusterResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -122,19 +126,15 @@ func (cl *Cluster) fetch(ctx context.Context, res *ClusterResult, ids []uint32, 
 	}
 	// Route each requested docID to its owning shard, remembering where in
 	// the input it goes back.
-	w := shardWork{
-		ids:  make([][]uint32, len(cl.shards)),
-		pos:  make([][]int, len(cl.shards)),
-		docs: res.Docs,
-	}
 	for i, id := range ids {
 		if int(id) >= cl.spec.NumDocs {
 			return nil, fetchRangeError(id, cl.spec.NumDocs)
 		}
 		si := cl.shardOfDoc(id)
-		w.ids[si] = append(w.ids[si], id)
-		w.pos[si] = append(w.pos[si], i)
+		rec.ids[si] = append(rec.ids[si], id)
+		rec.pos[si] = append(rec.pos[si], i)
 	}
+	w := shardWork{rec: rec, docs: res.Docs}
 	outs := cl.sweep(ctx, w, mask, shardWorkers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -142,7 +142,7 @@ func (cl *Cluster) fetch(ctx context.Context, res *ClusterResult, ids []uint32, 
 	involved, failed := 0, 0
 	var firstErr error
 	for si, out := range outs {
-		if len(w.ids[si]) == 0 {
+		if len(rec.ids[si]) == 0 {
 			continue
 		}
 		involved++
@@ -154,17 +154,12 @@ func (cl *Cluster) fetch(ctx context.Context, res *ClusterResult, ids []uint32, 
 			res.fail(si, out.err)
 			// A failed attempt may have partially populated its documents;
 			// zero them so degraded entries are unambiguous.
-			for _, p := range w.pos[si] {
+			for _, p := range rec.pos[si] {
 				res.Docs[p] = FetchedDoc{}
 			}
 			continue
 		}
-		res.LinkBytes += out.m.HostBytes
-		if res.PerShard[si] == nil {
-			res.PerShard[si] = out.m
-		} else {
-			res.PerShard[si].Merge(out.m)
-		}
+		res.addShard(si, out.m)
 	}
 	if failed == involved {
 		return nil, firstErr
@@ -184,39 +179,52 @@ func fetchQueryKey(ids []uint32) uint64 {
 }
 
 // fetchShard is attempt's fetch body: every document routed to shard si
-// streams through replica ri's fetch engine, and the payloads are copied
-// into w.docs at their input positions. A fresh Metrics per attempt keeps
-// retried attempts from double-charging the recorded shard work.
+// streams through replica ri's fetch engine into the record's buffer for
+// the shard, and the payloads are copied into w.docs at their input
+// positions. The shard's metrics record is zeroed per attempt, so a retried
+// attempt does not double-charge the recorded shard work.
 func (cl *Cluster) fetchShard(ctx context.Context, w shardWork, si, ri int) shardOut {
 	eng := cl.fetchers[si][ri]
 	off := cl.offsets[si]
-	pos := w.pos[si]
-	m := perf.NewMetrics()
-	var buf core.DocBuf
+	pos := w.rec.pos[si]
+	m := &w.rec.ms[si]
+	*m = perf.Metrics{}
+	buf := &w.rec.bufs[si]
 	defer buf.Release()
-	for j, id := range w.ids[si] {
-		if err := eng.FetchInto(ctx, id-off, m, &buf); err != nil {
+	for j, id := range w.rec.ids[si] {
+		if err := eng.FetchInto(ctx, id-off, m, buf); err != nil {
 			return shardOut{err: shardError(si, err)}
+		}
+		var n int
+		for _, f := range buf.Fields {
+			n += len(f)
 		}
 		d := &w.docs[pos[j]]
 		d.DocID = id
-		d.Fields = copyFields(d.Fields, buf.Fields)
-		var n int64
-		for _, f := range buf.Fields {
-			n += int64(len(f))
-		}
+		d.Fields = copyFields(d.Fields, buf.Fields, n)
 		// The returned payload crosses the shared interconnect to the root.
-		m.AddHost(n, mem.CatLoadDoc)
+		m.AddHost(int64(n), mem.CatLoadDoc)
 	}
 	return shardOut{m: m}
 }
 
-// copyFields replaces dst with copies of src's field slices, reusing
-// dst's backing array across calls.
-func copyFields(dst, src [][]byte) [][]byte {
-	dst = dst[:0]
-	for _, f := range src {
-		dst = append(dst, append([]byte(nil), f...))
+// copyFields replaces dst with copies of src's field slices, whose lengths
+// sum to n: the bytes of every field in one allocation, each field capped at
+// its own length so that an append to one cannot reach the next (an empty
+// field is nil), in dst's backing array when it has room — a retried
+// attempt's — else in one of exactly len(src).
+func copyFields(dst, src [][]byte, n int) [][]byte {
+	if cap(dst) < len(src) {
+		dst = make([][]byte, len(src))
+	}
+	dst = dst[:len(src)]
+	b := make([]byte, n)
+	for i, f := range src {
+		dst[i] = nil
+		if len(f) > 0 {
+			dst[i], b = b[:len(f):len(f)], b[len(f):]
+			copy(dst[i], f)
+		}
 	}
 	return dst
 }

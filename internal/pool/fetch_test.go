@@ -29,6 +29,31 @@ func expectedDoc(c *corpus.Corpus, id uint32) (name, text []byte) {
 	return
 }
 
+// TestFetchPathAllocs pins what a warm fetch by id costs SearchBatchQueries
+// at 4 shards: the batch's 7 (TestClusterPathAllocs), the result's 3 (the
+// result, its PerShard and the metrics records behind it) and Docs, and per
+// document 2, its Fields and one slice holding all its fields' bytes. The
+// routing, the shard outcomes, their metrics and the document buffers come
+// from the request's record.
+func TestFetchPathAllocs(t *testing.T) {
+	skipUnderRace(t)
+	c, cl := fetchFixture(t, 4)
+	n := uint32(c.Spec.NumDocs)
+	ids := []uint32{0, n - 1, n / 2, 1, n/2 + 1, n / 3, 7, n / 4, 3 * n / 4, n - 2}
+	for _, docs := range []int{1, len(ids)} {
+		qs := []BatchQuery{{FetchIDs: ids[:docs]}}
+		run := func() {
+			if br := cl.SearchBatchQueries(context.Background(), qs); br.Err != nil {
+				t.Fatal(br.Err)
+			}
+		}
+		run() // build the stores, warm the cache and the records
+		if got, want := testing.AllocsPerRun(100, run), 7+4+2*docs; got != float64(want) {
+			t.Errorf("a warm fetch of %d documents allocates %.2f, want %d", docs, got, want)
+		}
+	}
+}
+
 func TestFetchBatchRoundTrip(t *testing.T) {
 	c, cl := fetchFixture(t, 4)
 	n := uint32(c.Spec.NumDocs)

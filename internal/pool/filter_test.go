@@ -67,7 +67,7 @@ func TestPruneForShard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Prepare(%s): %v", tc.expr, err)
 		}
-		kept := filter(p.DNF, idx, holdsAll)
+		kept := filter(p.DNF, idx, holdsAll, new([][]string))
 		if renderDNF(kept) != tc.dnf {
 			t.Errorf("filter(%s) = %q, want %q", tc.expr, renderDNF(kept), tc.dnf)
 		}
@@ -83,18 +83,18 @@ func TestPruneForShard(t *testing.T) {
 func TestFilterTerms(t *testing.T) {
 	idx, _ := dictIndex("a", "b", "c")
 	all := []string{"c", "a", "b"}
-	if got := filter(all, idx, holds); len(got) != 3 || &got[0] != &all[0] {
+	if got := filter(all, idx, holds, new([]string)); len(got) != 3 || &got[0] != &all[0] {
 		t.Fatalf("all present: got %v, want the input slice itself", got)
 	}
 	some := []string{"z", "c", "y", "a", "x"}
 	before := append([]string(nil), some...)
-	if got := filter(some, idx, holds); !reflect.DeepEqual(got, []string{"c", "a"}) {
+	if got := filter(some, idx, holds, new([]string)); !reflect.DeepEqual(got, []string{"c", "a"}) {
 		t.Fatalf("some absent: got %v, want [c a]", got)
 	}
 	if !reflect.DeepEqual(some, before) {
 		t.Fatalf("the shared term set was written: %v", some)
 	}
-	if got := filter([]string{"z", "y"}, idx, holds); len(got) != 0 {
+	if got := filter([]string{"z", "y"}, idx, holds, new([]string)); len(got) != 0 {
 		t.Fatalf("none present: got %v, want nothing", got)
 	}
 }
@@ -129,7 +129,7 @@ func checkFilterVsPrune(t *testing.T, node *query.Node, dict []string) (dropped,
 	if node.Op == query.OpSparse {
 		terms := node.Terms()
 		before := append([]string(nil), terms...)
-		got := filter(terms, idx, holds)
+		got := filter(terms, idx, holds, new([]string))
 		var want []string
 		if pruned != nil {
 			want = pruned.Terms()
@@ -144,7 +144,7 @@ func checkFilterVsPrune(t *testing.T, node *query.Node, dict []string) (dropped,
 	}
 	dnf := node.DNF()
 	before := node.DNF()
-	got := filter(dnf, idx, holdsAll)
+	got := filter(dnf, idx, holdsAll, new([][]string))
 	var want [][]string
 	if pruned != nil {
 		want = pruned.DNF()

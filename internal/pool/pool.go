@@ -160,11 +160,11 @@ func (d *Device) Submit(expr string, at sim.Time) error {
 	}
 	// Pre-flight the query on the core model: this yields the work metrics
 	// whose traffic the event simulation replays under contention.
-	res, err := d.acc.Exec(nil, p.Plan, d.cfg.K)
-	if err != nil {
+	m := perf.NewMetrics()
+	if _, err := d.acc.Exec(nil, p.Plan, d.cfg.K, m, nil); err != nil {
 		return err
 	}
-	j := &Job{m: res.M, Submit: at}
+	j := &Job{m: m, Submit: at}
 	d.jobs = append(d.jobs, j)
 	d.queue = append(d.queue, j)
 	return nil

@@ -92,11 +92,11 @@ func TestEventSimAgreesWithAnalyticModel(t *testing.T) {
 	acc := core.New(idx, core.DefaultOptions())
 	avg := perf.NewMetrics()
 	for _, q := range queries {
-		res, err := acc.Exec(nil, query.MustParse(q.Expr).Plan(), cfg.K)
-		if err != nil {
+		m := perf.NewMetrics()
+		if _, err := acc.Exec(nil, query.MustParse(q.Expr).Plan(), cfg.K, m, nil); err != nil {
 			t.Fatal(err)
 		}
-		avg.Merge(res.M)
+		avg.Merge(m)
 	}
 	avg.Scale(int64(len(queries)))
 	analytic := avg.Throughput(cfg.Cores, cfg.Mem, cfg.LinkGBs)

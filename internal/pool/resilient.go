@@ -399,17 +399,19 @@ func (cl *Cluster) retryableOn(err error, si int) bool {
 }
 
 // attempt issues one attempt of w on replica ri of shard si: the search
-// body — w's plan already narrowed to the terms shard si holds (runShard) —
-// or the fetch body (fetchShard, fetch.go).
+// body — w's plan already narrowed to the terms shard si holds (runShard),
+// charging and ranking where w.out says — or the fetch body (fetchShard,
+// fetch.go).
 func (cl *Cluster) attempt(ctx context.Context, w shardWork, si, ri int) shardOut {
-	if w.ids != nil {
+	if w.docs != nil {
 		return cl.fetchShard(ctx, w, si, ri)
 	}
-	out, err := cl.accs[si][ri].Exec(ctx, w.Plan, w.k)
+	m, dst := w.out(si)
+	top, err := cl.accs[si][ri].Exec(ctx, w.Plan, w.k, m, dst)
 	if err != nil {
 		return shardOut{err: shardError(si, err)}
 	}
-	return shardOut{m: out.M, topk: out.TopK}
+	return shardOut{m: m, topk: top}
 }
 
 // shardError tags an error with its shard. Kept out of line so the attempt
@@ -482,8 +484,8 @@ func replicaDraw(seed, qkey uint64, si int) uint64 {
 //
 //boss:hotpath one call per (query, shard).
 func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint64) shardOut {
-	fetch := w.ids != nil
-	if fetch && len(w.ids[si]) == 0 {
+	fetch := w.docs != nil
+	if fetch && len(w.rec.ids[si]) == 0 {
 		return shardOut{}
 	}
 	if !maskHas(mask, si) {
@@ -491,14 +493,17 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 	}
 	qkey, hedge := w.qkey, cl.res.HedgeCutoff > 0 && len(cl.states[si]) > 1
 	if fetch {
-		qkey, hedge = fetchQueryKey(w.ids[si]), false
+		qkey, hedge = fetchQueryKey(w.rec.ids[si]), false
 	}
 	if cause := ctx.Err(); cause != nil {
 		return shardOut{err: shardError(si, cause)}
 	}
 	if !fetch {
+		if hedge {
+			w.rec = nil // a losing runner may outlive the request
+		}
 		var ok bool
-		if w.Plan, ok = narrow(w.Plan, cl.shards[si]); !ok {
+		if w.Plan, ok = w.narrow(si, cl.shards[si]); !ok {
 			return shardOut{}
 		}
 	}
@@ -641,11 +646,11 @@ func (res *ClusterResult) fail(si int, err error) {
 }
 
 // mergePartial is the one search fold: per-shard results merge into the
-// root ranking in ascending shard order — so the result is bit-identical
-// however the shard runs were scheduled — degrading gracefully: failed
-// shards set their bit in Degraded and park their error in ShardErrs
-// instead of failing the query. Only when every shard failed does the
-// query itself error.
+// root ranking (mergeTopK) — bit-identical however the shard runs were
+// scheduled — degrading gracefully: failed shards set their bit in Degraded
+// and park their error in ShardErrs instead of failing the query. Only when
+// every shard failed does the query itself error. What the result keeps is
+// copied out of the outcomes, into storage allocated once at its final size.
 func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) {
 	res := cl.newResult()
 	if cl.Replicas() > 1 {
@@ -653,8 +658,7 @@ func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) 
 		// single-copy serving pays nothing new.
 		res.ServedBy = make([]int, len(outs))
 	}
-	merged := topk.NewHeap(k)
-	failed := 0
+	failed, hits := 0, 0
 	var firstErr error
 	for si, out := range outs {
 		res.Hedged += out.hedged
@@ -679,16 +683,13 @@ func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) 
 		if out.m == nil {
 			continue
 		}
-		res.PerShard[si] = out.m
-		res.LinkBytes += out.m.HostBytes
-		for _, e := range out.topk {
-			merged.Insert(e.DocID+cl.offsets[si], e.Score)
-		}
+		res.addShard(si, out.m)
+		hits += len(out.topk)
 	}
 	if failed == len(outs) && failed > 0 {
 		return nil, firstErr
 	}
-	res.TopK = merged.Results()
+	res.TopK = mergeTopK(make([]topk.Entry, min(hits, k)), outs, cl.offsets)
 	return res, nil
 }
 

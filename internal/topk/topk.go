@@ -2,8 +2,7 @@
 // (what a host CPU runs, and what the Lucene baseline uses) and a model of
 // BOSS's shift-register hardware priority queue, where an inserted entry is
 // broadcast to all k slots and each slot locally decides to keep, shift, or
-// load (Section IV-C, Top-k Module). Both produce identical results; the
-// hardware model additionally counts shift activity for the energy model.
+// load (Section IV-C, Top-k Module). Both produce identical results.
 //
 // Ordering: higher score first; ties broken toward the smaller docID so
 // every implementation in the repository agrees on the exact result set.
@@ -11,7 +10,7 @@ package topk
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Entry is one scored document.
@@ -20,12 +19,25 @@ type Entry struct {
 	Score float64
 }
 
-// less reports whether a ranks strictly better than b.
-func less(a, b Entry) bool {
+// Less reports whether a ranks strictly better than b: the one order every
+// selector, root merge and reference in the repository ranks by.
+func Less(a, b Entry) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
 	return a.DocID < b.DocID
+}
+
+// compare is Less as a three-way comparator for slices.SortFunc. DocIDs in
+// one ranking are distinct, so no two entries compare equal.
+func compare(a, b Entry) int {
+	if Less(a, b) {
+		return -1
+	}
+	if Less(b, a) {
+		return 1
+	}
+	return 0
 }
 
 // Selector accumulates scored documents and retains the best k.
@@ -68,7 +80,7 @@ func NewHeap(k int) Selector {
 type entryHeap []Entry
 
 // worse reports whether h[i] ranks strictly worse than h[j].
-func (h entryHeap) worse(i, j int) bool { return less(h[j], h[i]) }
+func (h entryHeap) worse(i, j int) bool { return Less(h[j], h[i]) }
 
 func (h entryHeap) up(i int) {
 	for i > 0 {
@@ -107,7 +119,7 @@ func (s *heapSelector) Insert(docID uint32, score float64) {
 		s.entries.up(len(s.entries) - 1)
 		return
 	}
-	if less(e, s.entries[0]) {
+	if Less(e, s.entries[0]) {
 		s.entries[0] = e
 		s.entries.down(0)
 	}
@@ -124,9 +136,8 @@ func (s *heapSelector) Full() bool { return len(s.entries) >= s.k }
 func (s *heapSelector) Len() int   { return len(s.entries) }
 
 func (s *heapSelector) Results() []Entry {
-	out := make([]Entry, len(s.entries))
-	copy(out, s.entries)
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	out := slices.Clone(s.entries)
+	slices.SortFunc(out, compare)
 	return out
 }
 
@@ -136,16 +147,14 @@ func (s *heapSelector) Results() []Entry {
 // in rank order in a shift register. An insertion is broadcast to every
 // slot; slots below the insertion point shift toward the tail (dropping the
 // last), and the slot at the insertion point loads the new entry. The model
-// keeps the same results as the heap while counting slot-shift activity.
+// keeps the same results as the heap.
 type ShiftRegisterQueue struct {
 	k     int
 	slots []Entry // rank order, best first
 	// cutoff is Threshold(), kept current by insertSlow and Reset: the tail
 	// slot's score once full, -Inf before. Insert's inlined reject and the
 	// early-termination loops read it without touching the slots.
-	cutoff  float64
-	inserts int64
-	shifts  int64
+	cutoff float64
 }
 
 // NewShiftRegister returns a hardware-model top-k queue with k slots.
@@ -171,8 +180,6 @@ func (q *ShiftRegisterQueue) Reset(k int) {
 		q.slots = q.slots[:0]
 	}
 	q.cutoff = math.Inf(-1)
-	q.inserts = 0
-	q.shifts = 0
 }
 
 // Insert offers a scored document; each call models one broadcast cycle.
@@ -186,7 +193,6 @@ func (q *ShiftRegisterQueue) Reset(k int) {
 //
 //boss:hotpath one call per scored document (the top-k module's broadcast).
 func (q *ShiftRegisterQueue) Insert(docID uint32, score float64) {
-	q.inserts++
 	if score < q.cutoff {
 		return
 	}
@@ -199,11 +205,11 @@ func (q *ShiftRegisterQueue) Insert(docID uint32, score float64) {
 func (q *ShiftRegisterQueue) insertSlow(docID uint32, score float64) {
 	e := Entry{DocID: docID, Score: score}
 	// Reject: a full queue whose tail outranks e cannot admit it. This is
-	// exactly the binary search landing at pos == len(q.slots), so no shift
-	// count or slot state changes — it skips the O(log k) probe for docID
-	// ties, and keeps a NaN (which less never ranks above anything) from
-	// steering the search into the middle of the register.
-	if len(q.slots) == q.k && !less(e, q.slots[q.k-1]) {
+	// exactly the binary search landing at pos == len(q.slots), so no slot
+	// state changes — it skips the O(log k) probe for docID ties, and keeps
+	// a NaN (which Less never ranks above anything) from steering the search
+	// into the middle of the register.
+	if len(q.slots) == q.k && !Less(e, q.slots[q.k-1]) {
 		return
 	}
 	// Find insertion point: the first slot that e outranks. Open-coded
@@ -213,7 +219,7 @@ func (q *ShiftRegisterQueue) insertSlow(docID uint32, score float64) {
 	lo, hi := 0, len(q.slots)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if less(e, q.slots[mid]) {
+		if Less(e, q.slots[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -225,7 +231,6 @@ func (q *ShiftRegisterQueue) insertSlow(docID uint32, score float64) {
 	}
 	// Slots from pos to the end shift one position tailward (none when e
 	// lands on the fresh tail slot).
-	q.shifts += int64(len(q.slots) - pos - 1)
 	copy(q.slots[pos+1:], q.slots[pos:len(q.slots)-1])
 	q.slots[pos] = e
 	if len(q.slots) == q.k {
@@ -242,16 +247,15 @@ func (q *ShiftRegisterQueue) Full() bool { return len(q.slots) >= q.k }
 // Len reports the number of occupied slots.
 func (q *ShiftRegisterQueue) Len() int { return len(q.slots) }
 
-// Results returns the retained entries, best first.
+// Results returns the retained entries, best first, in a fresh slice.
 func (q *ShiftRegisterQueue) Results() []Entry {
-	out := make([]Entry, len(q.slots))
-	copy(out, q.slots)
-	return out
+	return q.AppendResults(make([]Entry, 0, len(q.slots)))
 }
 
-// Inserts reports how many entries were offered (broadcast cycles).
-func (q *ShiftRegisterQueue) Inserts() int64 { return q.inserts }
-
-// Shifts reports the total number of slot shifts, a proxy for the module's
-// dynamic switching activity.
-func (q *ShiftRegisterQueue) Shifts() int64 { return q.shifts }
+// AppendResults appends the retained entries, best first, to dst and returns
+// the extended slice: the module's hand-off into storage its caller owns.
+//
+//boss:hotpath once per query, into the caller's storage.
+func (q *ShiftRegisterQueue) AppendResults(dst []Entry) []Entry {
+	return append(dst, q.slots...)
+}

@@ -120,7 +120,7 @@ func TestFewerThanKInsertions(t *testing.T) {
 // referenceTopK computes top-k by full sort, the ground truth.
 func referenceTopK(entries []Entry, k int) []Entry {
 	sorted := append([]Entry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
+	sort.Slice(sorted, func(i, j int) bool { return Less(sorted[i], sorted[j]) })
 	if len(sorted) > k {
 		sorted = sorted[:k]
 	}
@@ -177,26 +177,6 @@ func TestHeapAndShiftAgreeOnRandomStreams(t *testing.T) {
 	}
 }
 
-func TestShiftRegisterActivityCounters(t *testing.T) {
-	q := NewShiftRegister(4)
-	// Ascending scores: every insert lands at the head and shifts the rest.
-	for i := 0; i < 4; i++ {
-		q.Insert(uint32(i), float64(i))
-	}
-	if q.Inserts() != 4 {
-		t.Fatalf("inserts = %d", q.Inserts())
-	}
-	if q.Shifts() == 0 {
-		t.Fatal("ascending insertions must cause shifts")
-	}
-	// An insert below the threshold causes no shifts.
-	before := q.Shifts()
-	q.Insert(99, -1)
-	if q.Shifts() != before {
-		t.Fatal("rejected insert should not shift")
-	}
-}
-
 func TestThresholdNeverDecreases(t *testing.T) {
 	f := func(scores []float64) bool {
 		q := NewShiftRegister(8)
@@ -221,20 +201,18 @@ func TestThresholdNeverDecreases(t *testing.T) {
 
 // onePieceQueue is ShiftRegisterQueue.Insert as it was before it was split
 // into an inlinable reject over insertSlow: the reference the split must
-// match slot for slot and count for count.
+// match slot for slot.
 type onePieceQueue struct {
-	k               int
-	slots           []Entry
-	inserts, shifts int64
+	k     int
+	slots []Entry
 }
 
 func (q *onePieceQueue) insert(docID uint32, score float64) {
-	q.inserts++
 	e := Entry{DocID: docID, Score: score}
-	if len(q.slots) == q.k && !less(e, q.slots[q.k-1]) {
+	if len(q.slots) == q.k && !Less(e, q.slots[q.k-1]) {
 		return
 	}
-	pos := sort.Search(len(q.slots), func(i int) bool { return less(e, q.slots[i]) })
+	pos := sort.Search(len(q.slots), func(i int) bool { return Less(e, q.slots[i]) })
 	if pos == len(q.slots) {
 		if len(q.slots) < q.k {
 			q.slots = append(q.slots, e)
@@ -244,7 +222,6 @@ func (q *onePieceQueue) insert(docID uint32, score float64) {
 	if len(q.slots) < q.k {
 		q.slots = append(q.slots, Entry{})
 	}
-	q.shifts += int64(len(q.slots) - pos - 1)
 	copy(q.slots[pos+1:], q.slots[pos:len(q.slots)-1])
 	q.slots[pos] = e
 }
@@ -258,7 +235,7 @@ func (q *onePieceQueue) threshold() float64 {
 
 // TestInsertSplitMatchesOnePiece: after every offer of streams dense in score
 // ties, docID ties, infinities and NaNs, the split Insert leaves the same
-// slots (bit for bit), Inserts(), Shifts(), Threshold() and Full() as the
+// slots (bit for bit), Len(), Threshold() and Full() as the
 // one-piece implementation — through Reset to other depths as well.
 func TestInsertSplitMatchesOnePiece(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -278,9 +255,8 @@ func TestInsertSplitMatchesOnePiece(t *testing.T) {
 			d := uint32(rng.Intn(64))
 			q.Insert(d, s)
 			ref.insert(d, s)
-			if q.Inserts() != ref.inserts || q.Shifts() != ref.shifts || q.Len() != len(ref.slots) || q.Full() != (len(ref.slots) >= k) {
-				t.Fatalf("k=%d offer %d (%d, %v): counters diverged: inserts %d/%d shifts %d/%d len %d/%d",
-					k, i, d, s, q.Inserts(), ref.inserts, q.Shifts(), ref.shifts, q.Len(), len(ref.slots))
+			if q.Len() != len(ref.slots) || q.Full() != (len(ref.slots) >= k) {
+				t.Fatalf("k=%d offer %d (%d, %v): len %d/%d full %v", k, i, d, s, q.Len(), len(ref.slots), q.Full())
 			}
 			if math.Float64bits(q.Threshold()) != math.Float64bits(ref.threshold()) {
 				t.Fatalf("k=%d offer %d (%d, %v): threshold %v, one-piece %v", k, i, d, s, q.Threshold(), ref.threshold())

@@ -15,8 +15,10 @@ import (
 	"boss/internal/core"
 	"boss/internal/corpus"
 	"boss/internal/engine"
+	"boss/internal/perf"
 	"boss/internal/pool"
 	"boss/internal/query"
+	"boss/internal/topk"
 )
 
 const benchShards = 4
@@ -204,11 +206,14 @@ func BenchmarkIndexSearchBatch(b *testing.B) {
 func BenchmarkAcceleratorRun(b *testing.B) {
 	acc := core.New(sharedCtx().ClueWeb().Hybrid, core.DefaultOptions())
 	plans := benchPlans()
+	var m perf.Metrics
+	var top []topk.Entry
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pl := range plans {
-			if _, err := acc.Exec(nil, pl, benchCfg.K); err != nil {
+			if top, err = acc.Exec(nil, pl, benchCfg.K, &m, top[:0]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -223,10 +228,13 @@ func BenchmarkAcceleratorRun(b *testing.B) {
 func BenchmarkBOSSQuery(b *testing.B) {
 	acc := core.New(sharedCtx().ClueWeb().Hybrid, core.DefaultOptions())
 	pl := query.MustParse(heavyExpr()).Plan()
+	var m perf.Metrics
+	var top []topk.Entry
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := acc.Exec(nil, pl, benchCfg.K); err != nil {
+		if top, err = acc.Exec(nil, pl, benchCfg.K, &m, top[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

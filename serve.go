@@ -205,6 +205,9 @@ type accelBackend struct {
 func (b accelBackend) Shards() int { return 1 }
 
 func (b accelBackend) ExecuteBatch(ctx context.Context, qs []pool.BatchQuery, out []front.Out) {
+	// The front door reads a search's answer, not its work: one record takes
+	// every search's charges in turn.
+	m := new(perf.Metrics)
 	for i, q := range qs {
 		if len(q.FetchIDs) > 0 {
 			out[i] = b.fetchOut(ctx, q.FetchIDs)
@@ -215,12 +218,12 @@ func (b accelBackend) ExecuteBatch(ctx context.Context, qs []pool.BatchQuery, ou
 			k = core.DefaultK
 		}
 		// Prepared at admission: front.Backend's contract for a search.
-		res, err := b.a.acc.Exec(ctx, q.Prepared.Plan, k)
+		top, err := b.a.acc.Exec(ctx, q.Prepared.Plan, k, m, nil)
 		if err != nil {
 			out[i] = front.Out{Err: err}
 			continue
 		}
-		out[i] = front.Out{TopK: res.TopK}
+		out[i] = front.Out{TopK: top}
 	}
 }
 
