@@ -201,20 +201,36 @@ type Hit struct {
 	Score float64
 }
 
-// docName resolves a docID against an optional name table (nil for
-// synthetic corpora, sharded deployments and deserialized indexes).
-func docName(names []string, id uint32) string {
-	if int(id) < len(names) {
-		return names[id]
-	}
-	return fmt.Sprintf("doc%d", id)
-}
+// maxDocName is the longest synthetic document name, "doc4294967295".
+const maxDocName = len("doc") + 10
 
-// hits names a ranking's documents.
+// hits names a ranking's documents from an optional name table (nil for
+// synthetic corpora, sharded deployments and deserialized indexes); a
+// document the table does not name is "doc<N>" (corpus.DocName). The
+// synthetic names are written into one buffer that becomes one string, which
+// each hit's name slices, so a ranking costs two allocations however long it
+// is: its hits and their names.
 func hits(names []string, entries []topk.Entry) []Hit {
 	out := make([]Hit, len(entries))
+	var all strings.Builder
+	var name [maxDocName]byte
 	for i, e := range entries {
-		out[i] = Hit{Doc: docName(names, e.DocID), DocID: e.DocID, Score: e.Score}
+		out[i] = Hit{DocID: e.DocID, Score: e.Score}
+		if int(e.DocID) < len(names) {
+			out[i].Doc = names[e.DocID]
+			continue
+		}
+		if all.Cap() == 0 {
+			all.Grow(maxDocName * (len(entries) - i))
+		}
+		all.Write(corpus.DocName(name[:0], e.DocID))
+	}
+	rest := all.String()
+	for i := range out {
+		if int(out[i].DocID) >= len(names) {
+			n := len(corpus.DocName(name[:0], out[i].DocID))
+			out[i].Doc, rest = rest[:n], rest[n:]
+		}
 	}
 	return out
 }
@@ -670,16 +686,18 @@ func (s *ShardedIndex) Search(expr string, k int) ([]Hit, *SimStats, error) {
 // different queries occupy different nodes concurrently. Items preserve
 // input order and match Search query for query.
 func (s *ShardedIndex) SearchBatch(exprs []string, k int) []BatchItem {
-	return batchItems(s.cluster.SearchBatchQueries(context.Background(), pool.Queries(exprs, k)), true)
+	return s.batchItems(context.Background(), exprs, k, true)
 }
 
-// batchItems converts a cluster batch into facade items. strict is
-// SearchBatch's contract, matching Search: a node failure fails the item
+// batchItems runs a cluster batch and converts it into facade items. strict
+// is SearchBatch's contract, matching Search: a node failure fails the item
 // instead of degrading it.
-func batchItems(br *pool.BatchResult, strict bool) []BatchItem {
+func (s *ShardedIndex) batchItems(ctx context.Context, exprs []string, k int, strict bool) []BatchItem {
+	var br pool.BatchResult
+	s.cluster.SearchBatchQueries(ctx, pool.Queries(exprs, k), &br)
 	items := make([]BatchItem, len(br.Results))
-	for i, res := range br.Results {
-		err := br.Errs[i]
+	for i := range br.Results {
+		res, err := &br.Results[i], br.Errs[i]
 		if err == nil && strict {
 			for _, e := range res.ShardErrs {
 				if e != nil {
@@ -842,5 +860,5 @@ func (s *ShardedIndex) SearchCtx(ctx context.Context, expr string, k int) (*Shar
 // failing them, and cancelling the context fails the remaining queries
 // promptly.
 func (s *ShardedIndex) SearchBatchCtx(ctx context.Context, exprs []string, k int) []BatchItem {
-	return batchItems(s.cluster.SearchBatchQueries(ctx, pool.Queries(exprs, k)), false)
+	return s.batchItems(ctx, exprs, k, false)
 }

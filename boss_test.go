@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"boss/internal/index"
 	"boss/internal/pool"
 	"boss/internal/query"
+	"boss/internal/topk"
 )
 
 // sampleIndex builds a small hand-written document collection.
@@ -494,4 +497,53 @@ func TestShardReplicatedRejectsNegativeOptions(t *testing.T) {
 			t.Errorf("ShardReplicated(%+v): err = %v, want pool.ErrBadConfig", opt, err)
 		}
 	}
+}
+
+// TestHitsAllocs: an unnamed ranking is named in two allocations, its hits
+// and one string their names slice (a Sprintf per hit cost 21 for ten), with
+// every name byte-equal to "doc<id>"; a Builder index keeps its own names.
+func TestHitsAllocs(t *testing.T) {
+	ids := []uint32{0, 9, 10, math.MaxUint32, 7, 123456, 99, 100, 1000, 3}
+	ranking := make([]topk.Entry, len(ids))
+	for i, id := range ids {
+		ranking[i] = topk.Entry{DocID: id, Score: float64(len(ids) - i)}
+	}
+	for i, h := range hits(nil, ranking) {
+		if want := fmt.Sprintf("doc%d", ids[i]); h.Doc != want || h.DocID != ids[i] || h.Score != ranking[i].Score {
+			t.Errorf("hit %d: %+v, want %s", i, h, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { hits(nil, ranking) }); allocs > 2 && !raceEnabled() {
+		t.Errorf("naming a 10-hit ranking allocates %.2f, want at most 2", allocs)
+	}
+
+	names := []string{"alpha", "beta"}
+	got := hits(names, []topk.Entry{{DocID: 1}, {DocID: 5}, {DocID: 0}})
+	if got[0].Doc != "beta" || got[1].Doc != "doc5" || got[2].Doc != "alpha" {
+		t.Errorf("a partial name table: %+v", got)
+	}
+	b := NewBuilder()
+	b.Add("first", "the quick brown fox")
+	b.Add("second", "the lazy dog")
+	hs, err := b.Build().Search(`"the"`, 10)
+	if err != nil || len(hs) != 2 {
+		t.Fatalf("Builder index: %v, %v", hs, err)
+	}
+	for _, h := range hs {
+		if want := []string{"first", "second"}[h.DocID]; h.Doc != want {
+			t.Errorf("Builder index: doc %d named %q, want %q", h.DocID, h.Doc, want)
+		}
+	}
+}
+
+// raceEnabled reports a -race build, which instruments allocations.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
 }

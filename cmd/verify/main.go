@@ -36,6 +36,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -553,31 +554,52 @@ func coreSurface(acc *core.Accelerator, fe *core.FetchEngine) surface {
 }
 
 // clusterSurface runs a row through the cluster's single-request entry
-// points, or through one SearchBatchQueries batch, checking each search's
-// replica attribution into c: none on a single copy, a copy per shard on a
-// replicated cluster.
+// points, or through SearchBatchQueries, checking each search's replica
+// attribution into c: none on a single copy, a copy per shard on a
+// replicated cluster. A batch row runs its stream twice through one
+// BatchResult, the second time in reverse order, and holds the second
+// batch's answers to the first's; the row is judged on the first batch's
+// answers, read after the second batch ran, so a TopK or Docs that the
+// second batch overwrote fails it.
 func clusterSurface(c *cell, cl *pool.Cluster, replicas int, batch bool) surface {
 	ctx := context.Background()
+	// keep is an answer as a caller keeps it: the TopK and Docs the cluster
+	// hands off, and copies of the rest.
+	type kept struct {
+		a    answer
+		docs []pool.FetchedDoc
+	}
+	keep := func(f int, res *pool.ClusterResult, err error) kept {
+		if res == nil {
+			return kept{a: answer{err: err}}
+		}
+		if f == search {
+			c.check(cl.Replicas() == replicas && (res.ServedBy == nil) == (replicas == 1) && (res.ServedBy == nil || len(res.ServedBy) == cl.Shards()),
+				"%d replicas, ServedBy %v", cl.Replicas(), res.ServedBy)
+		}
+		return kept{answer{hits: res.TopK, degraded: res.Degraded, err: errors.Join(append([]error{err}, res.ShardErrs...)...)}, res.Docs}
+	}
+	read := func(k kept) answer {
+		k.a.docs = docsOf(k.docs)
+		return k.a
+	}
+	slot := func(br *pool.BatchResult, i int) (*pool.ClusterResult, error) {
+		if err := br.Errs[i]; err != nil {
+			return nil, err
+		}
+		return &br.Results[i], nil
+	}
 	var qs []pool.BatchQuery
-	var br *pool.BatchResult
+	var fs []int
+	var first []kept
 	sf := surface{sparse: true, fetch: true, chained: true, send: func(f int, q pool.BatchQuery) func() answer {
 		var res *pool.ClusterResult
 		var err error
-		read := func() answer {
-			if f == search && res != nil {
-				c.check(cl.Replicas() == replicas && (res.ServedBy == nil) == (replicas == 1) && (res.ServedBy == nil || len(res.ServedBy) == cl.Shards()),
-					"%d replicas, ServedBy %v", cl.Replicas(), res.ServedBy)
-			}
-			if res == nil {
-				return answer{err: err}
-			}
-			return answer{hits: res.TopK, docs: docsOf(res.Docs), degraded: res.Degraded, err: errors.Join(append([]error{err}, res.ShardErrs...)...)}
-		}
 		switch {
 		case batch:
-			qs = append(qs, q)
+			qs, fs = append(qs, q), append(fs, f)
 			i := len(qs) - 1
-			return func() answer { res, err = br.Results[i], br.Errs[i]; return read() }
+			return func() answer { return read(first[i]) }
 		case q.FetchIDs != nil:
 			res, err = cl.FetchBatch(ctx, q.FetchIDs)
 		case q.WithDocs:
@@ -585,10 +607,29 @@ func clusterSurface(c *cell, cl *pool.Cluster, replicas int, batch bool) surface
 		default:
 			res, err = cl.Search(q.Expr, q.K)
 		}
-		return ready(read())
+		return ready(read(keep(f, res, err)))
 	}}
 	if batch {
-		sf.flush = func() { br = cl.SearchBatchQueries(ctx, qs) }
+		sf.flush = func() {
+			var br pool.BatchResult
+			cl.SearchBatchQueries(ctx, qs, &br)
+			first = make([]kept, len(qs))
+			for i := range qs {
+				res, err := slot(&br, i)
+				first[i] = keep(fs[i], res, err)
+			}
+			rev := slices.Clone(qs)
+			slices.Reverse(rev)
+			cl.SearchBatchQueries(ctx, rev, &br)
+			for i := range rev {
+				qi := len(qs) - 1 - i
+				res, err := slot(&br, i)
+				got, want := read(keep(fs[qi], res, err)), read(first[qi])
+				c.check(reflect.DeepEqual(got.hits, want.hits) && reflect.DeepEqual(got.docs, want.docs) &&
+					got.degraded == want.degraded && fmt.Sprint(got.err) == fmt.Sprint(want.err),
+					"%+v: a second batch through the same BatchResult answers differently", qs[qi])
+			}
+		}
 	}
 	return sf
 }

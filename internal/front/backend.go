@@ -42,9 +42,13 @@ type Backend interface {
 
 // ClusterBackend adapts a pool.Cluster to the Backend interface, passing
 // per-query shard masks through so degraded admissions execute on a
-// subset of shards.
+// subset of shards. It keeps one pool.BatchResult across batches, so a warm
+// batch allocates only the answers it hands off (each query's TopK, a
+// fetch's Docs). ExecuteBatch calls must not overlap; a Front makes them one
+// at a time, from its executor goroutine.
 type ClusterBackend struct {
 	cl *pool.Cluster
+	br pool.BatchResult
 }
 
 // NewClusterBackend wraps a cluster for use as a front-door backend.
@@ -55,15 +59,19 @@ func NewClusterBackend(cl *pool.Cluster) *ClusterBackend {
 // Shards reports the cluster's shard count.
 func (b *ClusterBackend) Shards() int { return b.cl.Shards() }
 
-// ExecuteBatch runs the batch through the cluster's resilient batch path.
+// ExecuteBatch runs the batch through the cluster's resilient batch path,
+// into the backend's reused BatchResult, and hands each query's TopK and
+// Docs — the only storage the next batch does not overwrite — to out.
+//
+//boss:hotpath once per flushed batch.
 func (b *ClusterBackend) ExecuteBatch(ctx context.Context, qs []pool.BatchQuery, out []Out) {
-	br := b.cl.SearchBatchQueries(ctx, qs)
+	b.cl.SearchBatchQueries(ctx, qs, &b.br)
 	for i := range qs {
-		if err := br.Errs[i]; err != nil {
+		if err := b.br.Errs[i]; err != nil {
 			out[i] = Out{Err: err}
 			continue
 		}
-		res := br.Results[i]
+		res := &b.br.Results[i]
 		out[i] = Out{TopK: res.TopK, Docs: res.Docs, Degraded: res.Degraded, Hedged: res.Hedged}
 	}
 }

@@ -3,8 +3,11 @@ package front
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"boss/internal/corpus"
 	"boss/internal/mem"
 	"boss/internal/oracle"
+	"boss/internal/perf"
 	"boss/internal/pool"
 )
 
@@ -61,12 +65,12 @@ func TestClusterDegradedExecutesPartialShards(t *testing.T) {
 	}
 	// The partial answer must equal a direct masked execution.
 	mask := (uint64(1)<<4 - 1) &^ res.Degraded
-	br := cl.SearchBatchQueries(context.Background(),
-		[]pool.BatchQuery{{Expr: `"t1"`, K: 20, ShardMask: mask}})
+	var br pool.BatchResult
+	cl.SearchBatchQueries(context.Background(), []pool.BatchQuery{{Expr: `"t1"`, K: 20, ShardMask: mask}}, &br)
 	if br.Errs[0] != nil {
 		t.Fatalf("direct masked search: %v", br.Errs[0])
 	}
-	want := br.Results[0]
+	want := &br.Results[0]
 	if err := oracle.Same(res.TopK, want.TopK); err != nil {
 		t.Fatalf("partial answer against the direct masked one: %v", err)
 	}
@@ -165,4 +169,112 @@ func TestSharedClockFrontToClusterRetry(t *testing.T) {
 	if backoffs == 0 || elapsed != backoffs {
 		t.Errorf("clock moved %v beyond the script's advances, backoffs sum to %v", elapsed, backoffs)
 	}
+}
+
+// errPoisoned marks storage the torture below overwrote.
+var errPoisoned = errors.New("front: read a poisoned BatchResult")
+
+// TestRecordReuseTortureClusterBackend is TestRecordReuseTorture's reused
+// arm through the front door's backend: mixed batches — depths, shard masks,
+// fetches by id and searches with their documents — run through one
+// ClusterBackend, whose BatchResult is poisoned between batches (everything
+// but the TopK and Docs it handed off). Every Out must equal what a fresh
+// cluster answers for its query alone, when its batch returns and again once
+// every batch has run.
+func TestRecordReuseTortureClusterBackend(t *testing.T) {
+	c := corpus.Generate(corpus.CCNewsLike(0.006))
+	cl, err := pool.NewCluster(pool.DefaultConfig(), c, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cl.Fresh(pool.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var qs []pool.BatchQuery
+	for _, qt := range corpus.AllQueryTypes() {
+		for _, q := range corpus.SampleQueries(c, qt, 2, 33) {
+			for _, k := range []int{1, 10, 37} {
+				for _, mask := range []uint64{0, 0b1011, 0b0110} {
+					qs = append(qs, pool.BatchQuery{Expr: q.Expr, K: k, ShardMask: mask}, pool.BatchQuery{Expr: q.Expr, K: k, ShardMask: mask, WithDocs: true})
+				}
+			}
+		}
+	}
+	alone := func(q pool.BatchQuery) Out {
+		out := make([]Out, 1)
+		NewClusterBackend(ref).ExecuteBatch(ctx, []pool.BatchQuery{q}, out)
+		return out[0]
+	}
+	var want []Out
+	for _, q := range qs {
+		want = append(want, alone(q))
+	}
+	for i := range qs {
+		if w := want[i]; w.Err == nil && !qs[i].WithDocs && len(w.TopK) > 0 {
+			q := pool.BatchQuery{FetchIDs: make([]uint32, len(w.TopK)), ShardMask: qs[i].ShardMask}
+			for j, e := range w.TopK {
+				q.FetchIDs[j] = e.DocID
+			}
+			qs = append(qs, q)
+			want = append(want, alone(q))
+		}
+	}
+	check := func(what string, qi int, got Out) {
+		t.Helper()
+		w := want[qi]
+		if fmt.Sprint(got.Err) != fmt.Sprint(w.Err) || !reflect.DeepEqual(got.TopK, w.TopK) || !reflect.DeepEqual(got.Docs, w.Docs) || got.Degraded != w.Degraded {
+			t.Errorf("%s %+v:\n got %+v\nwant %+v", what, qs[qi], got, w)
+		}
+	}
+
+	be := NewClusterBackend(cl)
+	var kept []Out
+	var order []int
+	rng := rand.New(rand.NewSource(7))
+	const batch = 16
+	for range 3 {
+		perm := rng.Perm(len(qs))
+		for lo := 0; lo < len(perm); lo += batch {
+			idx := perm[lo:min(lo+batch, len(perm))]
+			b := make([]pool.BatchQuery, len(idx))
+			for i, qi := range idx {
+				b[i] = qs[qi]
+			}
+			out := make([]Out, len(b))
+			be.ExecuteBatch(ctx, b, out)
+			for i, qi := range idx {
+				check("at return", qi, out[i])
+			}
+			kept, order = append(kept, out...), append(order, idx...)
+			poisonBatch(&be.br)
+		}
+	}
+	for i, o := range kept {
+		check("after every batch", order[i], o)
+	}
+}
+
+// poisonBatch overwrites what a BatchResult keeps for its next batch and a
+// front-door caller never keeps: the metrics every PerShard points to, every
+// ShardErrs, ServedBy and Errs entry, and the results' own counters.
+func poisonBatch(br *pool.BatchResult) {
+	for i := range br.Results {
+		r := &br.Results[i]
+		for _, m := range r.PerShard {
+			if m != nil {
+				*m = perf.Metrics{SeqReadBytes: -1, HostBytes: -1, ComputeTime: -1, BlocksFetched: -1}
+			}
+		}
+		for si := range r.ShardErrs {
+			r.ShardErrs[si] = errPoisoned
+		}
+		for si := range r.ServedBy {
+			r.ServedBy[si] = -7
+		}
+		r.LinkBytes, r.Degraded, r.Hedged, r.HedgeWins = -1, ^uint64(0), -1, -1
+		br.Errs[i] = errPoisoned
+	}
+	br.Err = errPoisoned
 }

@@ -422,8 +422,9 @@ func Overload(ctx *Context, shards int) *OverloadReport {
 		// so a fixed-rate "2x" would overdrive one skew and underdrive the
 		// other; per-skew capacity keeps the multiplier honest.
 		capBatch := pool.Queries(overloadExprs(s.Corpus, 64, zs, ctx.Cfg.Seed), k)
+		var br pool.BatchResult
 		capacity := measureQPS(len(capBatch), func() {
-			if br := cl.SearchBatchQueries(context.Background(), capBatch); br.Err != nil {
+			if cl.SearchBatchQueries(context.Background(), capBatch, &br); br.Err != nil {
 				panic(br.Err)
 			}
 		})

@@ -216,7 +216,7 @@ func (cl *Cluster) Fresh(cfg Config) (*Cluster, error) {
 // resilience state and the record pool. NewCluster and Fresh call it.
 func (cl *Cluster) initServing() {
 	cl.initResilience(cl.cfg.Resilience)
-	cl.records.New = func() any { return newRecord(len(cl.shards)) }
+	cl.records.New = func() any { return newRecord(cl) }
 }
 
 // Replicas reports the number of independently-faultable copies each
@@ -307,8 +307,12 @@ type ClusterResult struct {
 	ServedBy []int
 
 	// metrics is PerShard's backing: every shard's record in one
-	// allocation, addressed only through PerShard.
+	// allocation, addressed only through PerShard. errs and served are
+	// ShardErrs' and ServedBy's, for a result in a BatchResult; nil, they are
+	// allocated when first needed.
 	metrics []perf.Metrics
+	errs    []error
+	served  []int
 }
 
 // addShard folds shard si's work into the result: a copy into the result's
@@ -525,97 +529,76 @@ func liveCtx(ctx context.Context) context.Context {
 	return ctx
 }
 
-// ForEach runs fn(i) for every i in [0, n) on `workers` goroutines and
-// returns once they have all exited. A dead context stops the hand-out:
-// fn ran for the first `dispatched` indices only. workers must be at least
-// 1 when n is. It is the tree's one batch worker pool: the cluster's shard
-// fan-out and query pipeline, and the facade's single-device batches.
-func ForEach(ctx context.Context, n, workers int, fn func(i int)) (dispatched int) {
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each index goes to one worker, so per-index state needs no lock.
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-dispatch:
-	for ; dispatched < n; dispatched++ {
-		select {
-		case next <- dispatched:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	return dispatched
-}
-
 // exec is the cluster's one request path. It runs the request (serve) on a
 // per-request record from the cluster's pool, which holds everything the
 // request needs below it and nothing it returns, and recycles the record.
-// shardWorkers is the shard fan-out width: 1 sweeps the shards on the calling
-// goroutine, as a batch worker (which owns one in-flight query) must.
-// Results are bit-identical at every width.
+// The answer goes into res, an empty result bound to storage for this
+// cluster (newResult, or a BatchResult's slot); on an error res holds nothing
+// the caller should read. shardWorkers is the shard fan-out width: 1 sweeps
+// the shards on the calling goroutine, as a batch worker (which owns one
+// in-flight query) must. Results are bit-identical at every width.
 //
 //boss:hotpath once per request: the record's get and put around serve.
-func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int) (*ClusterResult, error) {
+func (cl *Cluster) exec(parent context.Context, q BatchQuery, shardWorkers int, res *ClusterResult) error {
 	rec := cl.records.Get().(*queryRec)
-	res, err := cl.serve(parent, rec, q, shardWorkers)
+	err := cl.serve(parent, rec, q, shardWorkers, res)
 	rec.reset(cl.poison)
 	cl.records.Put(rec)
-	return res, err
+	return err
+}
+
+// execFresh is exec into a fresh result: the single-request entry points.
+func (cl *Cluster) execFresh(ctx context.Context, q BatchQuery, shardWorkers int) (*ClusterResult, error) {
+	res := cl.newResult()
+	if err := cl.exec(ctx, q, shardWorkers, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // serve is exec's body: it prepares the query unless the caller carried it
 // prepared, checks its terms are indexed somewhere, sweeps it across the
-// shards (sweep), folds the survivors (mergePartial) and, for WithDocs,
-// chains into the fetch arm; fetch queries go straight there.
-func (cl *Cluster) serve(parent context.Context, rec *queryRec, q BatchQuery, shardWorkers int) (*ClusterResult, error) {
+// shards (sweep), folds the survivors into res (mergePartial) and, for
+// WithDocs, chains into the fetch arm; fetch queries go straight there.
+func (cl *Cluster) serve(parent context.Context, rec *queryRec, q BatchQuery, shardWorkers int, res *ClusterResult) error {
 	ctx := liveCtx(parent)
 	if len(q.FetchIDs) > 0 {
 		if q.Expr != "" {
-			return nil, errExprAndFetch
+			return errExprAndFetch
 		}
-		return cl.fetch(ctx, rec, cl.newResult(), q.FetchIDs, q.ShardMask, shardWorkers)
+		return cl.fetch(ctx, rec, res, q.FetchIDs, q.ShardMask, shardWorkers)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	p := q.Prepared
 	if p == nil {
 		var err error
 		if p, err = prepare(q.Expr); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// A term no shard indexes is an error, as on the single-node engines;
 	// nearly every term is on the first shard asked.
 	for _, term := range p.Terms {
 		if !slices.ContainsFunc(cl.shards, func(idx *index.Index) bool { return holds(idx, term) }) {
-			return nil, fmt.Errorf("pool: term %q not indexed on any shard", term)
+			return fmt.Errorf("pool: term %q not indexed on any shard", term)
 		}
 	}
 	// NewCluster builds no shard with impacts, so SPARSE is refused here:
 	// a refusal on the shards would count against their breakers.
 	if p.DNF == nil {
-		return nil, fmt.Errorf("pool: %w", core.ErrNoImpacts)
+		return fmt.Errorf("pool: %w", core.ErrNoImpacts)
 	}
 	k := cl.depth(q.K)
 	rec.sizeSlab(k)
 	outs := cl.sweep(ctx, shardWork{Plan: p.Plan, k: k, qkey: mem.StableKey(q.Expr), rec: rec}, q.ShardMask, shardWorkers)
 	// A context that died mid-sweep fails the query, whatever shards ran.
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	res, err := cl.mergePartial(outs, k)
-	if err != nil || !q.WithDocs {
-		return res, err
+	if err := cl.mergePartial(outs, k, res); err != nil || !q.WithDocs {
+		return err
 	}
 	for _, e := range res.TopK {
 		rec.hits = append(rec.hits, e.DocID)
@@ -625,30 +608,17 @@ func (cl *Cluster) serve(parent context.Context, rec *queryRec, q BatchQuery, sh
 
 // sweep is the one shard fan-out, for searches and fetches alike: it runs
 // w on every shard under the front-door mask with the full resilience
-// machinery (runShard) and returns the per-shard outcomes, in shard order,
-// in the record's outs.
+// machinery (runShard), on shardWorkers goroutines through ForEach, and
+// returns the per-shard outcomes, in shard order, in the record's outs. The
+// record carries the sweep to ForEach (sweepShard), so no closure is built.
 //
 //boss:hotpath once per request: the shard fan-out.
 func (cl *Cluster) sweep(ctx context.Context, w shardWork, mask uint64, shardWorkers int) []shardOut {
-	outs := w.rec.outs
-	if shardWorkers > 1 {
-		cl.fanOut(ctx, w, mask, shardWorkers)
-		return outs
-	}
-	for si := range outs {
-		outs[si] = cl.runShard(ctx, w, si, mask)
-	}
-	return outs
-}
-
-// fanOut is sweep on shardWorkers goroutines. It is sweep's parallel branch,
-// kept apart because its closure is a heap allocation per call: a serial
-// sweep, as every batch worker's is, makes none.
-func (cl *Cluster) fanOut(ctx context.Context, w shardWork, mask uint64, shardWorkers int) {
-	outs := w.rec.outs
-	ForEach(ctx, len(outs), shardWorkers, func(si int) {
-		outs[si] = cl.runShard(ctx, w, si, mask)
-	})
+	rec := w.rec
+	rec.ctx, rec.work, rec.mask = ctx, w, mask
+	ForEach(ctx, len(rec.outs), shardWorkers, rec.sweepFn)
+	rec.ctx, rec.work = nil, shardWork{}
+	return rec.outs
 }
 
 // newResult is an empty result sized for this cluster: PerShard and the
@@ -686,7 +656,7 @@ func strict(res *ClusterResult, err error) (*ClusterResult, error) {
 //
 //boss:ctx-root Search is the context-free entry point; SearchCtx takes the caller's.
 func (cl *Cluster) Search(expr string, k int) (*ClusterResult, error) {
-	return strict(cl.exec(context.Background(), BatchQuery{Expr: expr, K: k}, cl.workers(len(cl.shards))))
+	return strict(cl.execFresh(context.Background(), BatchQuery{Expr: expr, K: k}, cl.workers(len(cl.shards))))
 }
 
 // SearchSerial is Search with the shards visited one at a time on the
@@ -695,7 +665,7 @@ func (cl *Cluster) Search(expr string, k int) (*ClusterResult, error) {
 //
 //boss:ctx-root SearchSerial is the context-free serial baseline.
 func (cl *Cluster) SearchSerial(expr string, k int) (*ClusterResult, error) {
-	return strict(cl.exec(context.Background(), BatchQuery{Expr: expr, K: k}, 1))
+	return strict(cl.execFresh(context.Background(), BatchQuery{Expr: expr, K: k}, 1))
 }
 
 // SearchCtx is Search with deadlines, retries, circuit breaking, and
@@ -703,46 +673,111 @@ func (cl *Cluster) SearchSerial(expr string, k int) (*ClusterResult, error) {
 // result whose Degraded mask and ShardErrs name the missing shards. The
 // query errors only when the context dies or every shard fails.
 func (cl *Cluster) SearchCtx(ctx context.Context, expr string, k int) (*ClusterResult, error) {
-	return cl.exec(ctx, BatchQuery{Expr: expr, K: k}, cl.workers(len(cl.shards)))
+	return cl.execFresh(ctx, BatchQuery{Expr: expr, K: k}, cl.workers(len(cl.shards)))
 }
 
-// BatchResult is the outcome of a pipelined query batch.
+// BatchResult is the outcome of a pipelined query batch, in storage the
+// caller owns: SearchBatchQueries overwrites it on every call and keeps its
+// backing arrays, so a BatchResult reused across batches costs its batches
+// nothing. Of each result, only TopK and Docs are fresh per call and the
+// caller's to keep; everything else — the results themselves, PerShard and
+// the metrics it points to, ShardErrs, ServedBy, Errs — is overwritten by the
+// next call on the same BatchResult. The zero value is ready to use; a
+// BatchResult serves one call at a time.
 type BatchResult struct {
-	// Results holds one ClusterResult per input query, in input order; nil
-	// where the matching Errs entry is non-nil.
-	Results []*ClusterResult
+	// Results holds one ClusterResult per input query, in input order; the
+	// zero ClusterResult where the matching Errs entry is non-nil.
+	Results []ClusterResult
 	// Errs holds one entry per input query (nil for successes).
 	Errs []error
 	// Err is the first error in input order (remaining queries still run).
 	Err error
+
+	// The per-batch slabs behind every result: query qi's shard si is entry
+	// qi*shards + si of each (bind).
+	perShard  []*perf.Metrics
+	metrics   []perf.Metrics
+	shardErrs []error
+	servedBy  []int
+
+	// The call in flight, which runQuery reads. run is runQuery, bound once,
+	// so handing it to ForEach allocates nothing.
+	cl  *Cluster
+	ctx context.Context
+	qs  []BatchQuery
+	run func(qi int)
 }
 
-// SearchBatchQueries pipelines a batch across the cluster: each worker
-// owns one in-flight query and sweeps it across all shards, so different
-// queries occupy different nodes concurrently. Queries are heterogeneous —
-// per-query depths, front-door shard masks, searches with or without
-// documents, fetches — and per-query results match the single-query entry
-// points. A shard failure degrades that query's result; a dead context
-// fails the remaining queries promptly, and no goroutines outlive the
-// call. It is the surface the front-door serving tier flushes its
-// coalesced batches into.
-func (cl *Cluster) SearchBatchQueries(parent context.Context, qs []BatchQuery) *BatchResult {
-	ctx := liveCtx(parent)
-	br := &BatchResult{
-		Results: make([]*ClusterResult, len(qs)),
-		Errs:    make([]error, len(qs)),
-	}
-	dispatched := ForEach(ctx, len(qs), cl.workers(len(qs)), func(qi int) {
-		br.Results[qi], br.Errs[qi] = cl.exec(ctx, qs[qi], 1)
-	})
+// SearchBatchQueries pipelines a batch across the cluster into br: each
+// worker owns one in-flight query and sweeps it across all shards, so
+// different queries occupy different nodes concurrently. Queries are
+// heterogeneous — per-query depths, front-door shard masks, searches with or
+// without documents, fetches — and per-query results match the single-query
+// entry points. A shard failure degrades that query's result; a dead context
+// fails the remaining queries promptly. The workers are ForEach's: the
+// calling goroutine and parked helpers, so a warm batch starts no goroutine,
+// and one through a reused br allocates only its answers — a TopK per
+// non-empty ranking and a fetch's Docs. It is the surface the front-door
+// serving tier flushes its coalesced batches into.
+//
+//boss:hotpath once per batch: binding the results, the hand-out and the error scan.
+func (cl *Cluster) SearchBatchQueries(ctx context.Context, qs []BatchQuery, br *BatchResult) {
+	br.bind(cl, ctx, qs)
+	dispatched := ForEach(br.ctx, len(qs), cl.workers(len(qs)), br.run)
 	for qi := dispatched; qi < len(qs); qi++ {
-		br.Errs[qi] = ctx.Err()
+		br.Results[qi], br.Errs[qi] = ClusterResult{}, br.ctx.Err()
 	}
+	br.Err = nil
 	for _, err := range br.Errs {
 		if err != nil {
 			br.Err = err
 			break
 		}
 	}
-	return br
+	br.cl, br.ctx, br.qs = nil, nil, nil
+}
+
+// bind readies br for a batch of qs on cl under ctx (nil: no deadline):
+// every slice sized and cleared, in the backing arrays it has when they are
+// large enough, and every result an empty one bound to its share of the
+// slabs.
+func (br *BatchResult) bind(cl *Cluster, ctx context.Context, qs []BatchQuery) {
+	n, shards, replicated := len(qs), len(cl.shards), cl.Replicas() > 1
+	br.Results, br.Errs = sized(br.Results, n), sized(br.Errs, n)
+	br.perShard, br.metrics = sized(br.perShard, n*shards), sized(br.metrics, n*shards)
+	br.shardErrs = sized(br.shardErrs, n*shards)
+	if replicated {
+		br.servedBy = sized(br.servedBy, n*shards)
+	}
+	for qi := range br.Results {
+		lo, hi := qi*shards, (qi+1)*shards
+		res := &br.Results[qi]
+		res.PerShard, res.metrics, res.errs = br.perShard[lo:hi:hi], br.metrics[lo:hi:hi], br.shardErrs[lo:hi:hi]
+		if replicated {
+			res.served = br.servedBy[lo:hi:hi]
+		}
+	}
+	br.cl, br.ctx, br.qs = cl, liveCtx(ctx), qs
+	if br.run == nil {
+		br.run = br.runQuery
+	}
+}
+
+// sized returns s resized to n zero values, in its own backing array when
+// that holds n.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// runQuery is one batch worker's query: exec at shard width 1 into the
+// query's slot.
+func (br *BatchResult) runQuery(qi int) {
+	if err := br.cl.exec(br.ctx, br.qs[qi], 1, &br.Results[qi]); err != nil {
+		br.Results[qi], br.Errs[qi] = ClusterResult{}, err
+	}
 }

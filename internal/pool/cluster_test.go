@@ -30,6 +30,22 @@ func mustCluster(t testing.TB, cfg Config, c *corpus.Corpus, shards int) *Cluste
 	return cl
 }
 
+// runBatch runs qs as one SearchBatchQueries batch into a fresh BatchResult.
+func runBatch(ctx context.Context, cl *Cluster, qs []BatchQuery) *BatchResult {
+	br := new(BatchResult)
+	cl.SearchBatchQueries(ctx, qs, br)
+	return br
+}
+
+// slot reads query i of a batch as the single-query entry points return it:
+// its result, or nil and its error.
+func slot(br *BatchResult, i int) (*ClusterResult, error) {
+	if err := br.Errs[i]; err != nil {
+		return nil, err
+	}
+	return &br.Results[i], nil
+}
+
 func TestClusterShardCounts(t *testing.T) {
 	_, _, cl := clusterFixture(t, 4)
 	if cl.Shards() != 4 {

@@ -76,12 +76,12 @@ func TestSearchBatchQueriesMatchesHomogeneousBatch(t *testing.T) {
 	for i := range het {
 		het[i].K = depths[i]
 	}
-	got := cl.SearchBatchQueries(context.Background(), het)
+	got := runBatch(context.Background(), cl, het)
 	if got.Err != nil {
 		t.Fatal(got.Err)
 	}
 	for i, k := range depths {
-		hom := cl.SearchBatchQueries(context.Background(), Queries(exprs, k))
+		hom := runBatch(context.Background(), cl, Queries(exprs, k))
 		if hom.Err != nil {
 			t.Fatal(hom.Err)
 		}
@@ -105,12 +105,12 @@ func TestSearchBatchQueriesShardMask(t *testing.T) {
 	}
 	cl.ResetEvents()
 	const mask = uint64(0b0101) // shards 0 and 2 execute; 1 and 3 shed
-	br := cl.SearchBatchQueries(context.Background(),
+	br := runBatch(context.Background(), cl,
 		[]BatchQuery{{Expr: `"t1"`, K: 30, ShardMask: mask}})
 	if br.Errs[0] != nil {
 		t.Fatalf("masked query: %v", br.Errs[0])
 	}
-	res := br.Results[0]
+	res := &br.Results[0]
 	if res.Degraded != ^mask&0b1111 {
 		t.Fatalf("Degraded = %04b, want %04b", res.Degraded, ^mask&0b1111)
 	}
@@ -131,7 +131,7 @@ func TestSearchBatchQueriesShardMask(t *testing.T) {
 		t.Fatal("masked query returned no hits")
 	}
 	// Zero mask means no mask: all shards execute.
-	full := cl.SearchBatchQueries(context.Background(), []BatchQuery{{Expr: `"t1"`, K: 30}})
+	full := runBatch(context.Background(), cl, []BatchQuery{{Expr: `"t1"`, K: 30}})
 	if full.Errs[0] != nil || full.Results[0].Degraded != 0 {
 		t.Fatalf("zero-mask query: err=%v degraded=%04b", full.Errs[0], full.Results[0].Degraded)
 	}

@@ -38,8 +38,12 @@ func batchOf(build func(expr string, k int) BatchQuery) func(*Cluster, []string,
 		for i, e := range exprs {
 			qs[i] = build(e, k)
 		}
-		br := cl.SearchBatchQueries(context.Background(), qs)
-		return br.Results, br.Err
+		br := runBatch(context.Background(), cl, qs)
+		out := make([]*ClusterResult, len(qs))
+		for i := range out {
+			out[i], _ = slot(br, i)
+		}
+		return out, br.Err
 	}
 }
 
@@ -115,8 +119,7 @@ func TestEntryPointsAgree(t *testing.T) {
 			if len(ids) == 0 {
 				return cl.FetchBatch(ctx, ids)
 			}
-			br := cl.SearchBatchQueries(ctx, []BatchQuery{{FetchIDs: ids}})
-			return br.Results[0], br.Err
+			return slot(runBatch(ctx, cl, []BatchQuery{{FetchIDs: ids}}), 0)
 		}))},
 	}
 

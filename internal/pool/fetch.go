@@ -99,36 +99,40 @@ func (cl *Cluster) FetchBatch(ctx context.Context, ids []uint32) (*ClusterResult
 	// exec, straight into its fetch arm: BatchQuery spells a fetch as a
 	// non-empty FetchIDs, and an empty id list is still a (vacuous) fetch.
 	rec := cl.records.Get().(*queryRec)
-	res, err := cl.fetch(liveCtx(ctx), rec, cl.newResult(), ids, 0, cl.workers(len(cl.shards)))
+	res := cl.newResult()
+	err := cl.fetch(liveCtx(ctx), rec, res, ids, 0, cl.workers(len(cl.shards)))
 	rec.reset(cl.poison)
 	cl.records.Put(rec)
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // fetch is exec's fetch arm. It routes each docID to its owning shard,
-// sweeps the shards like a search does and folds the outcomes into res — a
-// fresh result for a fetch query, the search's result for WithDocs: Docs
+// sweeps the shards like a search does and folds the outcomes into res — an
+// empty result for a fetch query, the search's result for WithDocs: Docs
 // holds one entry per id, the fetch work merges into PerShard and
 // LinkBytes, and fetch failures join the Degraded mask. The fold is not
 // mergePartial's: only the shards that own a requested document are
 // involved, and the call fails when every one of *them* did. rec is the
 // request's record, which routes the ids; shardWorkers is exec's.
-func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult, ids []uint32, mask uint64, shardWorkers int) (*ClusterResult, error) {
+func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult, ids []uint32, mask uint64, shardWorkers int) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := cl.EnsureDocs(); err != nil {
-		return nil, err
+		return err
 	}
 	res.Docs = make([]FetchedDoc, len(ids))
 	if len(ids) == 0 {
-		return res, nil
+		return nil
 	}
 	// Route each requested docID to its owning shard, remembering where in
 	// the input it goes back.
 	for i, id := range ids {
 		if int(id) >= cl.spec.NumDocs {
-			return nil, fetchRangeError(id, cl.spec.NumDocs)
+			return fetchRangeError(id, cl.spec.NumDocs)
 		}
 		si := cl.shardOfDoc(id)
 		rec.ids[si] = append(rec.ids[si], id)
@@ -137,7 +141,7 @@ func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult,
 	w := shardWork{rec: rec, docs: res.Docs}
 	outs := cl.sweep(ctx, w, mask, shardWorkers)
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	involved, failed := 0, 0
 	var firstErr error
@@ -162,9 +166,9 @@ func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult,
 		res.addShard(si, out.m)
 	}
 	if failed == involved {
-		return nil, firstErr
+		return firstErr
 	}
-	return res, nil
+	return nil
 }
 
 // fetchQueryKey folds a fetch's docID set into the stable query key the
@@ -234,5 +238,5 @@ func copyFields(dst, src [][]byte, n int) [][]byte {
 // Search and fetch degrade independently; both phases' failed shards
 // appear in the Degraded mask.
 func (cl *Cluster) SearchFetchCtx(ctx context.Context, expr string, k int) (*ClusterResult, error) {
-	return cl.exec(ctx, BatchQuery{Expr: expr, K: k, WithDocs: true}, cl.workers(len(cl.shards)))
+	return cl.execFresh(ctx, BatchQuery{Expr: expr, K: k, WithDocs: true}, cl.workers(len(cl.shards)))
 }

@@ -30,25 +30,26 @@ func expectedDoc(c *corpus.Corpus, id uint32) (name, text []byte) {
 }
 
 // TestFetchPathAllocs pins what a warm fetch by id costs SearchBatchQueries
-// at 4 shards: the batch's 7 (TestClusterPathAllocs), the result's 3 (the
-// result, its PerShard and the metrics records behind it) and Docs, and per
+// at 4 shards through a reused BatchResult: what it hands off, Docs, and per
 // document 2, its Fields and one slice holding all its fields' bytes. The
 // routing, the shard outcomes, their metrics and the document buffers come
-// from the request's record.
+// from the request's record, the result and its PerShard from the
+// BatchResult (until it was reused, they and the batch cost 10 more).
 func TestFetchPathAllocs(t *testing.T) {
 	skipUnderRace(t)
 	c, cl := fetchFixture(t, 4)
 	n := uint32(c.Spec.NumDocs)
 	ids := []uint32{0, n - 1, n / 2, 1, n/2 + 1, n / 3, 7, n / 4, 3 * n / 4, n - 2}
+	var br BatchResult
 	for _, docs := range []int{1, len(ids)} {
 		qs := []BatchQuery{{FetchIDs: ids[:docs]}}
 		run := func() {
-			if br := cl.SearchBatchQueries(context.Background(), qs); br.Err != nil {
+			if cl.SearchBatchQueries(context.Background(), qs, &br); br.Err != nil {
 				t.Fatal(br.Err)
 			}
 		}
 		run() // build the stores, warm the cache and the records
-		if got, want := testing.AllocsPerRun(100, run), 7+4+2*docs; got != float64(want) {
+		if got, want := testing.AllocsPerRun(100, run), 1+2*docs; got != float64(want) {
 			t.Errorf("a warm fetch of %d documents allocates %.2f, want %d", docs, got, want)
 		}
 	}
@@ -162,7 +163,7 @@ func TestSearchFetchBatch(t *testing.T) {
 	for i, q := range qs {
 		batch[i] = BatchQuery{Expr: q.Expr, K: 10, WithDocs: true}
 	}
-	br := cl.SearchBatchQueries(context.Background(), batch)
+	br := runBatch(context.Background(), cl, batch)
 	if br.Err != nil {
 		t.Fatal(br.Err)
 	}
@@ -183,7 +184,7 @@ func TestSearchFetchBatch(t *testing.T) {
 func TestFetchBatchQueries(t *testing.T) {
 	c, cl := fetchFixture(t, 2)
 	q := corpus.SampleQueries(c, corpus.Q1, 1, 3)[0]
-	br := cl.SearchBatchQueries(context.Background(), []BatchQuery{
+	br := runBatch(context.Background(), cl, []BatchQuery{
 		{Expr: q.Expr, K: 5},
 		{FetchIDs: []uint32{1, 2, 3}},
 		{Expr: q.Expr, FetchIDs: []uint32{1}}, // invalid: both
@@ -198,13 +199,13 @@ func TestFetchBatchQueries(t *testing.T) {
 		t.Fatalf("mixed query error = %v", br.Errs[2])
 	}
 	// A shard mask sheds masked shards' fetches without engaging breakers.
-	masked := cl.SearchBatchQueries(context.Background(), []BatchQuery{
+	masked := runBatch(context.Background(), cl, []BatchQuery{
 		{FetchIDs: []uint32{0, uint32(c.Spec.NumDocs - 1)}, ShardMask: 1},
 	})
 	if masked.Errs[0] != nil {
 		t.Fatal(masked.Errs[0])
 	}
-	r := masked.Results[0]
+	r := &masked.Results[0]
 	if r.Degraded&2 == 0 {
 		t.Fatalf("masked shard not degraded: %b", r.Degraded)
 	}
@@ -294,28 +295,38 @@ func TestFetchCancelled(t *testing.T) {
 	}
 }
 
-// peakClock is the wall clock with a probe on Now: the breaker reads it on
-// the goroutine issuing each shard attempt, so it sees the goroutine peak.
-type peakClock struct {
+// inflightClock is the wall clock with a probe on Now. A shard run reads it
+// once as it starts (pickReplica's breaker check), and the read holds for a
+// moment so that runs starting together overlap in it: peak is the most
+// shard runs in flight at once, goroutines the most goroutines alive then.
+type inflightClock struct {
 	clock.Clock
-	peak atomic.Int64
+	in, peak, goroutines atomic.Int64
 }
 
-func (p *peakClock) Now() time.Time {
-	n := int64(runtime.NumGoroutine())
-	for old := p.peak.Load(); n > old && !p.peak.CompareAndSwap(old, n); old = p.peak.Load() {
-	}
+func (p *inflightClock) Now() time.Time {
+	raise(&p.peak, p.in.Add(1))
+	raise(&p.goroutines, int64(runtime.NumGoroutine()))
+	time.Sleep(100 * time.Microsecond)
+	p.in.Add(-1)
 	return p.Clock.Now()
+}
+
+// raise lifts v to n when n is larger.
+func raise(v *atomic.Int64, n int64) {
+	for old := v.Load(); n > old && !v.CompareAndSwap(old, n); old = v.Load() {
+	}
 }
 
 // TestBatchFetchSweepsSerially: a batch worker owns one in-flight query
 // and sweeps it across the shards itself, so fetches — and the fetch phase
-// of WithDocs searches — inside a batch must not spawn a shard fan-out of
-// their own (W workers, not up to W×W goroutines).
+// of WithDocs searches — inside a batch must not fan out across the shards
+// on their own: at most W shard runs in flight, not up to W×W. The batch's
+// workers are the caller and parked helpers, so it starts no goroutine.
 func TestBatchFetchSweepsSerially(t *testing.T) {
 	const workers = 4
 	c := corpus.Generate(corpus.CCNewsLike(0.004))
-	probe := &peakClock{Clock: clock.Wall()}
+	probe := &inflightClock{Clock: clock.Wall()}
 	cfg := DefaultConfig()
 	cfg.Workers = workers
 	cfg.Clock = probe
@@ -330,12 +341,15 @@ func TestBatchFetchSweepsSerially(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		batch = append(batch, BatchQuery{FetchIDs: everyShard}, BatchQuery{Expr: expr, K: 10, WithDocs: true})
 	}
+	parkHelpers(workers)
 	before := runtime.NumGoroutine()
-	if br := cl.SearchBatchQueries(context.Background(), batch); br.Err != nil {
+	if br := runBatch(context.Background(), cl, batch); br.Err != nil {
 		t.Fatal(br.Err)
 	}
-	if got := probe.peak.Load(); got == 0 || got > int64(before+workers) {
-		t.Fatalf("peak %d goroutines during the batch, want at most %d (the caller's %d + %d batch workers)",
-			got, before+workers, before, workers)
+	if got := probe.peak.Load(); got == 0 || got > workers {
+		t.Fatalf("peak %d shard runs in flight during the batch, want at most %d (one per batch worker)", got, workers)
+	}
+	if got := probe.goroutines.Load(); got > int64(before) {
+		t.Fatalf("peak %d goroutines during the batch, want at most the %d before it: its workers are the caller and parked helpers", got, before)
 	}
 }

@@ -32,7 +32,7 @@ func TestClusterSearchWorkerWidths(t *testing.T) {
 func TestClusterSearchBatchErrors(t *testing.T) {
 	_, _, cl := clusterFixture(t, 3)
 	exprs := []string{`"t0"`, `"nosuchtermzz"`, `bad syntax`, `"t1"`}
-	br := cl.SearchBatchQueries(context.Background(), Queries(exprs, 10))
+	br := runBatch(context.Background(), cl, Queries(exprs, 10))
 	if br.Err == nil {
 		t.Fatal("batch containing bad queries should surface an error")
 	}
@@ -45,14 +45,14 @@ func TestClusterSearchBatchErrors(t *testing.T) {
 	if br.Err != br.Errs[1] {
 		t.Fatal("Err should be the first failing query's error in input order")
 	}
-	if br.Results[0] == nil || br.Results[3] == nil {
+	if len(br.Results[0].TopK) == 0 || len(br.Results[3].TopK) == 0 {
 		t.Fatal("good queries should still produce results")
 	}
-	if br.Results[1] != nil || br.Results[2] != nil {
-		t.Fatal("failed queries should leave nil results")
+	if !reflect.DeepEqual(br.Results[1], ClusterResult{}) || !reflect.DeepEqual(br.Results[2], ClusterResult{}) {
+		t.Fatal("failed queries should leave empty results")
 	}
 
-	empty := cl.SearchBatchQueries(context.Background(), nil)
+	empty := runBatch(context.Background(), cl, nil)
 	if empty.Err != nil || len(empty.Results) != 0 {
 		t.Fatal("empty batch should succeed vacuously")
 	}

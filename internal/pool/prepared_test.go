@@ -57,13 +57,13 @@ func TestPreparedIsSharedNotWritten(t *testing.T) {
 			defer wg.Done()
 			bare := q
 			bare.Prepared = nil
-			want, err := cl.exec(ctx, bare, 1)
+			want, err := cl.execFresh(ctx, bare, 1)
 			if err != nil {
 				t.Errorf("k=%d mask=%b unprepared: %v", q.K, q.ShardMask, err)
 				return
 			}
 			for i := 0; i < 20; i++ {
-				got, err := cl.exec(ctx, q, width)
+				got, err := cl.execFresh(ctx, q, width)
 				if err != nil {
 					t.Errorf("k=%d mask=%b: %v", q.K, q.ShardMask, err)
 					return
@@ -82,20 +82,20 @@ func TestPreparedIsSharedNotWritten(t *testing.T) {
 }
 
 // clusterPathAllocs is what one warm, prepared 2-term conjunction at k = 10
-// costs SearchBatchQueries at 4 shards: the pool's own per-query constant,
-// with no preparation in it. By allocation site: 7 are the batch's (its
-// result, two slices and worker closure; ForEach's channel, closure and
-// goroutine) and 4 the query's, all of which it returns — the result, its
-// PerShard and the metrics records PerShard points into, and the TopK, each
-// allocated once at its final size. Everything else the query touches comes
-// from its recycled record (queryRec): the shard outcomes, each shard's
-// metrics, narrowed plan and top-k slab region, and the core runs' records.
-// Until that record existed the query cost 21 (the sweep's outcomes, the
-// merge heap's growths, copy and sort, and per shard a Metrics and a top-k
-// copy). Unprepared, the same call allocated 49 before Prepare existed — the
-// expression was parsed (7), flattened (2), normalised (9) and pruned per
-// shard (4) on every execution — and costs this plus one Prepare now.
-const clusterPathAllocs = 11
+// costs SearchBatchQueries at 4 shards through a reused BatchResult: the
+// pool's own per-query constant, with no preparation in it. It is the TopK,
+// the one thing the query hands off, allocated once at its final size.
+// Everything else comes from recycled storage: the result, its PerShard and
+// the metrics records behind it, ShardErrs and ServedBy from the
+// BatchResult; the shard outcomes, each shard's metrics, narrowed plan and
+// top-k slab region from the query's record (queryRec); the core runs'
+// records; ForEach's job, and its parked helpers instead of goroutines. A
+// fresh BatchResult per batch, and per-call workers, cost 11 (the batch's 7
+// and the result's 3); until the record existed, 28. Unprepared, the same
+// call allocated 49 before Prepare existed — the expression was parsed (7),
+// flattened (2), normalised (9) and pruned per shard (4) on every execution
+// — and costs this plus one Prepare now.
+const clusterPathAllocs = 1
 
 // skipUnderRace skips an allocation pin in a -race build, which instruments
 // allocations and randomizes sync.Pool reuse.
@@ -117,21 +117,30 @@ func TestClusterPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(q BatchQuery) float64 {
-		qs := []BatchQuery{q}
+	var br BatchResult
+	measure := func(qs []BatchQuery) float64 {
 		run := func() {
-			if br := cl.SearchBatchQueries(context.Background(), qs); br.Err != nil || len(br.Results[0].TopK) == 0 {
-				t.Fatalf("%+v: %v", q, br.Err)
+			if cl.SearchBatchQueries(context.Background(), qs, &br); br.Err != nil || len(br.Results[0].TopK) == 0 {
+				t.Fatalf("%+v: %v", qs[0], br.Err)
 			}
 		}
-		run() // warm the cache, the run records and their scratch
+		run() // warm the cache, the records, the helpers and the BatchResult
 		return testing.AllocsPerRun(200, run)
 	}
-	prepared := measure(BatchQuery{Expr: expr, Prepared: p, K: 10})
+	q := BatchQuery{Expr: expr, Prepared: p, K: 10}
+	prepared := measure([]BatchQuery{q})
 	if prepared > clusterPathAllocs {
 		t.Errorf("a warm prepared query allocates %.2f, want at most %d", prepared, clusterPathAllocs)
 	}
-	if bare := measure(BatchQuery{Expr: expr, K: 10}); bare <= prepared {
+	// A batch costs its queries' answers and nothing of its own.
+	sixteen := make([]BatchQuery, 16)
+	for i := range sixteen {
+		sixteen[i] = q
+	}
+	if got := measure(sixteen); got > 16*clusterPathAllocs {
+		t.Errorf("a warm 16-query batch allocates %.2f, want at most %d", got, 16*clusterPathAllocs)
+	}
+	if bare := measure([]BatchQuery{{Expr: expr, K: 10}}); bare <= prepared {
 		t.Errorf("preparing inside exec is free (%.2f against %.2f carried): the carried query is not what ran", bare, prepared)
 	} else {
 		t.Logf("prepared %.2f, unprepared %.2f allocs per warm query", prepared, bare)

@@ -1,6 +1,8 @@
 package pool
 
 import (
+	"context"
+
 	"boss/internal/core"
 	"boss/internal/perf"
 	"boss/internal/topk"
@@ -26,18 +28,37 @@ type queryRec struct {
 	// slab holds every shard's top-k for a request of depth k: shard si's
 	// region is slab[si*k : (si+1)*k] (region). sizeSlab grows it.
 	slab []topk.Entry
+
+	// The sweep in flight (sweep), which sweepShard reads. sweepFn is
+	// sweepShard, bound once, so handing it to ForEach allocates nothing.
+	cl      *Cluster
+	ctx     context.Context
+	work    shardWork
+	mask    uint64
+	sweepFn func(si int)
 }
 
-// newRecord builds an empty record for a cluster of the given shard count.
-func newRecord(shards int) *queryRec {
-	return &queryRec{
+// newRecord builds an empty record for the cluster.
+func newRecord(cl *Cluster) *queryRec {
+	shards := len(cl.shards)
+	rec := &queryRec{
 		outs:  make([]shardOut, shards),
 		ms:    make([]perf.Metrics, shards),
 		plans: make([]planBuf, shards),
 		bufs:  make([]core.DocBuf, shards),
 		ids:   make([][]uint32, shards),
 		pos:   make([][]int, shards),
+		cl:    cl,
 	}
+	rec.sweepFn = rec.sweepShard
+	return rec
+}
+
+// sweepShard is one shard of the sweep in flight.
+//
+//boss:hotpath once per (query, shard).
+func (rec *queryRec) sweepShard(si int) {
+	rec.outs[si] = rec.cl.runShard(rec.ctx, rec.work, si, rec.mask)
 }
 
 // sizeSlab readies the slab for a search of depth k.

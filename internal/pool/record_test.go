@@ -60,6 +60,29 @@ func poisonRecord(rec *queryRec) {
 	}
 }
 
+// poisonBatch overwrites everything a BatchResult keeps for its next batch
+// except the TopK and Docs it handed off: the metrics slab with negative
+// counters, every PerShard, ShardErrs and ServedBy slot, every error, and
+// every result's own fields. A batch that read what its BatchResult held
+// before binding it reads this; an answer kept from an earlier batch must not
+// change.
+func poisonBatch(br *BatchResult) {
+	for i := range br.metrics {
+		br.metrics[i] = perf.Metrics{SeqReadBytes: -1, HostBytes: -1, ComputeTime: -1, BlocksFetched: -1, DocsEvaluated: -1, DocsFetched: -1}
+		br.perShard[i] = &br.metrics[i]
+		br.shardErrs[i] = errPoisoned
+	}
+	for i := range br.servedBy {
+		br.servedBy[i] = -7
+	}
+	for i := range br.Results {
+		r := &br.Results[i]
+		r.LinkBytes, r.Degraded, r.Hedged, r.HedgeWins, r.ShardErrs = -1, ^uint64(0), -1, -1, br.shardErrs
+		br.Errs[i] = errPoisoned
+	}
+	br.Err = errPoisoned
+}
+
 // TestRecordReuseTorture: every per-request record is poisoned as it is
 // released (poisonRecord) while concurrent SearchBatchQueries batches mix
 // depths, front-door shard masks, searches with and without their documents
@@ -67,7 +90,12 @@ func poisonRecord(rec *queryRec) {
 // queries. Each result must equal what the serial path (SearchSerial's, one
 // query at a time) answers on a fresh cluster that poisons nothing — checked
 // when its batch returns, and again once every batch has run, after its
-// records have been recycled many times over.
+// records have been recycled many times over. In the "fresh" arm every batch
+// has a BatchResult of its own, and the whole result is checked again; in the
+// "reused" arm each goroutine runs all its batches through one BatchResult,
+// poisoned between batches (poisonBatch), and what a caller keeps of an
+// answer — the TopK and Docs it is handed, copies of the rest — is checked
+// again.
 func TestRecordReuseTorture(t *testing.T) {
 	c, _, ref := clusterFixture(t, 5)
 	cl, err := ref.Fresh(DefaultConfig())
@@ -106,7 +134,7 @@ func TestRecordReuseTorture(t *testing.T) {
 		err error
 	}
 	serial := func(q BatchQuery) answer {
-		res, err := ref.exec(ctx, q, 1)
+		res, err := ref.execFresh(ctx, q, 1)
 		return answer{res, err}
 	}
 	var want []answer
@@ -124,7 +152,7 @@ func TestRecordReuseTorture(t *testing.T) {
 			want = append(want, serial(q))
 		}
 	}
-	check := func(what string, qi int, got answer) {
+	check := func(t *testing.T, what string, qi int, got answer, whole bool) {
 		t.Helper()
 		q, w := qs[qi], want[qi]
 		switch {
@@ -133,44 +161,60 @@ func TestRecordReuseTorture(t *testing.T) {
 		case got.err != nil:
 		case !reflect.DeepEqual(got.res.TopK, w.res.TopK):
 			t.Errorf("%s %+v: TopK\n got %v\nwant %v", what, q, got.res.TopK, w.res.TopK)
-		case !reflect.DeepEqual(got.res.PerShard, w.res.PerShard):
+		case whole && !reflect.DeepEqual(got.res.PerShard, w.res.PerShard):
 			t.Errorf("%s %+v: PerShard differs from the serial run's", what, q)
 		case !reflect.DeepEqual(got.res.Docs, w.res.Docs) || got.res.LinkBytes != w.res.LinkBytes || got.res.Degraded != w.res.Degraded:
 			t.Errorf("%s %+v: documents, link bytes or degradation differ from the serial run's", what, q)
 		}
 	}
 
-	const goroutines, rounds, batch = 4, 3, 16
-	got := make([][]answer, goroutines)
-	order := make([][]int, goroutines)
-	var wg sync.WaitGroup
-	for g := range goroutines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for range rounds {
-				perm := rng.Perm(len(qs))
-				for lo := 0; lo < len(perm); lo += batch {
-					idx := perm[lo:min(lo+batch, len(perm))]
-					b := make([]BatchQuery, len(idx))
-					for i, qi := range idx {
-						b[i] = qs[qi]
+	for _, arm := range []string{"fresh", "reused"} {
+		t.Run(arm, func(t *testing.T) {
+			const goroutines, rounds, batch = 4, 3, 16
+			got := make([][]answer, goroutines)
+			order := make([][]int, goroutines)
+			var wg sync.WaitGroup
+			for g := range goroutines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g)))
+					var reused BatchResult
+					for range rounds {
+						perm := rng.Perm(len(qs))
+						for lo := 0; lo < len(perm); lo += batch {
+							idx := perm[lo:min(lo+batch, len(perm))]
+							b := make([]BatchQuery, len(idx))
+							for i, qi := range idx {
+								b[i] = qs[qi]
+							}
+							br := &reused
+							if arm == "fresh" {
+								br = new(BatchResult)
+							}
+							cl.SearchBatchQueries(ctx, b, br)
+							for i, qi := range idx {
+								res, err := slot(br, i)
+								check(t, "at return", qi, answer{res, err}, true)
+								if arm == "reused" && err == nil {
+									// What the caller may keep: the handed-off TopK and Docs, copies of the rest.
+									res = &ClusterResult{TopK: res.TopK, Docs: res.Docs, LinkBytes: res.LinkBytes, Degraded: res.Degraded}
+								}
+								got[g], order[g] = append(got[g], answer{res, err}), append(order[g], qi)
+							}
+							if arm == "reused" {
+								poisonBatch(br)
+							}
+						}
 					}
-					br := cl.SearchBatchQueries(ctx, b)
-					for i, qi := range idx {
-						a := answer{br.Results[i], br.Errs[i]}
-						check("at return", qi, a)
-						got[g], order[g] = append(got[g], a), append(order[g], qi)
-					}
+				}()
+			}
+			wg.Wait()
+			for g := range got {
+				for i, a := range got[g] {
+					check(t, "after every batch", order[g][i], a, arm == "fresh")
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	for g := range got {
-		for i, a := range got[g] {
-			check("after every batch", order[g][i], a)
-		}
+		})
 	}
 }

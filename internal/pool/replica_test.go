@@ -461,6 +461,7 @@ func TestHedgeLoserGoroutineExits(t *testing.T) {
 	run, stalled := stragglerRun(cl, fake, hedgePrimary(cl, `"t1"`))
 	cl.runFn = run
 
+	parkHelpers(runtime.GOMAXPROCS(0))
 	before := runtime.NumGoroutine()
 	if _, err := cl.SearchCtx(context.Background(), `"t1"`, 10); err != nil {
 		t.Fatalf("SearchCtx: %v", err)

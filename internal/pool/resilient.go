@@ -640,23 +640,31 @@ func logEvent(st *shardState, kind EventKind, attempt int, backoff time.Duration
 func (res *ClusterResult) fail(si int, err error) {
 	res.Degraded |= 1 << uint(si)
 	if res.ShardErrs == nil {
-		res.ShardErrs = make([]error, len(res.PerShard))
+		res.ShardErrs = orMake(res.errs, len(res.PerShard))
 	}
 	res.ShardErrs[si] = err
 }
 
-// mergePartial is the one search fold: per-shard results merge into the
+// orMake is buf, or n fresh zero values when buf is nil.
+func orMake[T any](buf []T, n int) []T {
+	if buf == nil {
+		return make([]T, n)
+	}
+	return buf
+}
+
+// mergePartial is the one search fold: per-shard results merge into res's
 // root ranking (mergeTopK) — bit-identical however the shard runs were
 // scheduled — degrading gracefully: failed shards set their bit in Degraded
 // and park their error in ShardErrs instead of failing the query. Only when
 // every shard failed does the query itself error. What the result keeps is
-// copied out of the outcomes, into storage allocated once at its final size.
-func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) {
-	res := cl.newResult()
+// copied out of the outcomes: into res's own storage, and a TopK allocated
+// at its final size.
+func (cl *Cluster) mergePartial(outs []shardOut, k int, res *ClusterResult) error {
 	if cl.Replicas() > 1 {
-		// Replica attribution is allocated only on replicated clusters so
+		// Replica attribution exists only on replicated clusters so
 		// single-copy serving pays nothing new.
-		res.ServedBy = make([]int, len(outs))
+		res.ServedBy = orMake(res.served, len(outs))
 	}
 	failed, hits := 0, 0
 	var firstErr error
@@ -687,10 +695,10 @@ func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) 
 		hits += len(out.topk)
 	}
 	if failed == len(outs) && failed > 0 {
-		return nil, firstErr
+		return firstErr
 	}
 	res.TopK = mergeTopK(make([]topk.Entry, min(hits, k)), outs, cl.offsets)
-	return res, nil
+	return nil
 }
 
 // maskHas reports whether shard si participates under a front-door shard

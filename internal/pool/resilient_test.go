@@ -70,15 +70,16 @@ func TestChaosBatchTransient(t *testing.T) {
 	chaos.SetFaultPlan(&mem.FaultPlan{Seed: 2026, TransientRate: 0.01})
 
 	exprs := chaosExprs(c, 1000)
+	parkHelpers(runtime.GOMAXPROCS(0))
 	before := runtime.NumGoroutine()
-	br := chaos.SearchBatchQueries(context.Background(), Queries(exprs, 10))
+	br := runBatch(context.Background(), chaos, Queries(exprs, 10))
 	if br.Err != nil {
 		t.Fatalf("batch error: %v", br.Err)
 	}
 	for qi, expr := range exprs {
-		res := br.Results[qi]
-		if res == nil {
-			t.Fatalf("query %d: nil result without error", qi)
+		res, err := slot(br, qi)
+		if err != nil {
+			t.Fatalf("query %d: %v", qi, err)
 		}
 		want, err := clean.Search(expr, 10)
 		if err != nil {
@@ -141,11 +142,11 @@ func TestChaosDegradedResultsAreAccurate(t *testing.T) {
 		}
 		// The expected partial merge is the pristine cluster's answer with
 		// shard 2 masked out.
-		br := clean.SearchBatchQueries(context.Background(), []BatchQuery{{Expr: expr, K: 10, ShardMask: 0b1011}})
+		br := runBatch(context.Background(), clean, []BatchQuery{{Expr: expr, K: 10, ShardMask: 0b1011}})
 		if br.Err != nil {
 			t.Fatal(br.Err)
 		}
-		want := br.Results[0]
+		want := &br.Results[0]
 		if !reflect.DeepEqual(res.TopK, want.TopK) {
 			t.Fatalf("%s: degraded merge differs from pristine partial merge", expr)
 		}
@@ -175,9 +176,10 @@ func TestSearchBatchCtxPreCancelled(t *testing.T) {
 	cancel()
 
 	exprs := chaosExprs(c, 64)
+	parkHelpers(runtime.GOMAXPROCS(0))
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	br := cl.SearchBatchQueries(ctx, Queries(exprs, 10))
+	br := runBatch(ctx, cl, Queries(exprs, 10))
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("cancelled batch took %v", took)
 	}
@@ -188,7 +190,7 @@ func TestSearchBatchCtxPreCancelled(t *testing.T) {
 		if !errors.Is(br.Errs[qi], context.Canceled) {
 			t.Fatalf("query %d: %v does not wrap context.Canceled", qi, br.Errs[qi])
 		}
-		if br.Results[qi] != nil {
+		if !reflect.DeepEqual(br.Results[qi], ClusterResult{}) {
 			t.Fatalf("query %d: result alongside cancellation", qi)
 		}
 	}
@@ -207,17 +209,18 @@ func TestSearchBatchCtxCancelMidFlight(t *testing.T) {
 	cl := mustCluster(t, DefaultConfig(), c, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	exprs := chaosExprs(c, 400)
+	parkHelpers(runtime.GOMAXPROCS(0))
+	before := runtime.NumGoroutine()
 	go func() {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 	}()
-	before := runtime.NumGoroutine()
-	br := cl.SearchBatchQueries(ctx, Queries(exprs, 10))
+	br := runBatch(ctx, cl, Queries(exprs, 10))
 	for qi := range exprs {
-		ok := br.Errs[qi] == nil && br.Results[qi] != nil
+		ok := br.Errs[qi] == nil && br.Results[qi].PerShard != nil
 		cancelled := br.Errs[qi] != nil && errors.Is(br.Errs[qi], context.Canceled)
 		if !ok && !cancelled {
-			t.Fatalf("query %d: neither completed nor cancelled: res=%v err=%v",
+			t.Fatalf("query %d: neither completed nor cancelled: res=%+v err=%v",
 				qi, br.Results[qi], br.Errs[qi])
 		}
 	}

@@ -155,10 +155,11 @@ func BenchmarkClusterSearchBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var br pool.BatchResult
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if br := cl.SearchBatchQueries(context.Background(), batch); br.Err != nil {
+				if cl.SearchBatchQueries(context.Background(), batch, &br); br.Err != nil {
 					b.Fatal(br.Err)
 				}
 			}
