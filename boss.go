@@ -35,9 +35,7 @@ import (
 	"time"
 	"unicode"
 
-	"boss/internal/cache"
 	"boss/internal/compress"
-	"boss/internal/core"
 	"boss/internal/corpus"
 	"boss/internal/docstore"
 	"boss/internal/engine"
@@ -328,24 +326,23 @@ type AccelOptions struct {
 	CacheBytes int64
 }
 
-// Accelerator is a handle to the simulated BOSS device over one index.
+// Accelerator is a handle to the simulated BOSS device over one index: the
+// paper's deployment with a single memory node, which runs on a one-shard
+// pool.Cluster, the request path a ShardedIndex's nodes run on.
 type Accelerator struct {
-	acc   *core.Accelerator
-	ix    *Index
-	dev   mem.Config
-	cores int
-
-	fetchOnce sync.Once
-	fetchErr  error
-	fetch     *core.FetchEngine
+	deployment
 }
 
 // Accelerator returns a simulated BOSS device over the index.
 func (ix *Index) Accelerator(opts AccelOptions) *Accelerator {
-	co := core.Options{
-		BlockET:    !opts.DisableBlockET,
-		DocET:      !opts.DisableWAND,
-		FixedPoint: opts.FixedPoint,
+	cfg := pool.DefaultConfig()
+	cfg.Opts.BlockET, cfg.Opts.DocET, cfg.Opts.FixedPoint = !opts.DisableBlockET, !opts.DisableWAND, opts.FixedPoint
+	if opts.CacheBytes != 0 {
+		cfg.CacheBytes = max(opts.CacheBytes, 0) // negative disables, as 0 does in pool.Config
+	}
+	cl, err := pool.NewSingle(cfg, ix.idx, ix.ensureDocs)
+	if err != nil {
+		panic(err) // unreachable: the config is valid by construction
 	}
 	dev := mem.SCM()
 	if opts.DRAM {
@@ -355,11 +352,7 @@ func (ix *Index) Accelerator(opts AccelOptions) *Accelerator {
 	if cores <= 0 {
 		cores = 8
 	}
-	cb := opts.CacheBytes
-	if cb == 0 {
-		cb = pool.DefaultCacheBytes
-	}
-	return &Accelerator{acc: core.NewCached(ix.idx, co, cache.New(cb)), ix: ix, dev: dev, cores: cores}
+	return &Accelerator{deployment{cluster: cl, names: ix.names, dev: dev, cores: cores}}
 }
 
 // CacheHitRate reports the fraction of block fetches this handle served
@@ -367,32 +360,18 @@ func (ix *Index) Accelerator(opts AccelOptions) *Accelerator {
 // The cache is shared by both client classes — decoded posting blocks
 // (search) and decoded document blocks (fetch) — and this rate spans
 // both; PostingCacheHitRate and DocCacheHitRate report the split.
-func (a *Accelerator) CacheHitRate() float64 { return a.acc.Cache().Stats().HitRate() }
+func (a *Accelerator) CacheHitRate() float64 { return a.cluster.CacheStats().HitRate() }
 
 // PostingCacheHitRate reports the decoded-block cache hit rate of the
 // search phase's posting-block fetches alone.
 func (a *Accelerator) PostingCacheHitRate() float64 {
-	return a.acc.Cache().Stats().PostingHitRate()
+	return a.cluster.CacheStats().PostingHitRate()
 }
 
 // DocCacheHitRate reports the decoded-block cache hit rate of the fetch
 // phase's document-block fetches alone.
 func (a *Accelerator) DocCacheHitRate() float64 {
-	return a.acc.Cache().Stats().DocHitRate()
-}
-
-// fetchEngine lazily wires the accelerator's fetch engine over the
-// index's document store, sharing this handle's decoded-block cache.
-func (a *Accelerator) fetchEngine() (*core.FetchEngine, error) {
-	a.fetchOnce.Do(func() {
-		ds, err := a.ix.ensureDocs()
-		if err != nil {
-			a.fetchErr = err
-			return
-		}
-		a.fetch = core.NewFetchEngine(ds, a.acc.Cache())
-	})
-	return a.fetch, a.fetchErr
+	return a.cluster.CacheStats().DocHitRate()
 }
 
 // Doc is one fetched document payload.
@@ -410,72 +389,30 @@ type Doc struct {
 
 // FetchDocs fetches document payloads by docID, charging the simulated
 // device for the document-store block loads and decodes exactly as
-// Search charges posting-block work. Repeated fetches of co-located
-// documents hit the handle's decoded-block cache, which changes
-// wall-clock speed only: the returned stats are byte-identical with the
-// cache on, off, or resized.
+// Search charges posting-block work, and the host link for the payloads
+// returned. Repeated fetches of co-located documents hit the handle's
+// decoded-block cache, which changes wall-clock speed only: the returned
+// stats are byte-identical with the cache on, off, or resized.
 func (a *Accelerator) FetchDocs(ids []uint32) ([]Doc, *SimStats, error) {
-	eng, err := a.fetchEngine()
+	res, err := a.result(a.cluster.FetchBatch(context.Background(), ids))
 	if err != nil {
 		return nil, nil, err
 	}
-	m := perf.NewMetrics()
-	docs, err := fetchDocs(nil, eng, ids, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	return docsFromFetched(docs), simStats(m, a.dev, a.cores), nil
-}
-
-// fetchDocs is the single device's fetch loop, shared by FetchDocs,
-// SearchFetch and Serve's fetch requests. It charges m, and copies each
-// payload out of the zero-copy fetch buffer before the next fetch
-// invalidates it.
-func fetchDocs(ctx context.Context, eng *core.FetchEngine, ids []uint32, m *perf.Metrics) ([]pool.FetchedDoc, error) {
-	var buf core.DocBuf
-	defer buf.Release()
-	docs := make([]pool.FetchedDoc, len(ids))
-	for i, id := range ids {
-		if err := eng.FetchInto(ctx, id, m, &buf); err != nil {
-			return nil, err
-		}
-		fields := make([][]byte, len(buf.Fields))
-		for j, f := range buf.Fields {
-			fields[j] = append([]byte(nil), f...)
-		}
-		docs[i] = pool.FetchedDoc{DocID: id, Fields: fields}
-	}
-	return docs, nil
+	return res.Docs, res.Stats, nil
 }
 
 // SearchFetch executes a query and fetches the top-k hits' documents in
 // one call: the paper's full serving path, where ranking ends at scored
 // docIDs and the response returns the documents themselves. The returned
-// stats cover both phases — posting traffic plus document-store traffic —
-// on one simulated device.
+// stats cover both phases — posting traffic plus document-store traffic,
+// and on the host link the ranking plus the payloads — on one simulated
+// device.
 func (a *Accelerator) SearchFetch(expr string, k int) ([]Hit, []Doc, *SimStats, error) {
-	p, err := query.Prepare(expr)
+	res, err := a.result(a.cluster.SearchFetchCtx(context.Background(), expr, k))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	eng, err := a.fetchEngine()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m := perf.NewMetrics()
-	top, err := a.acc.Exec(nil, p.Plan, k, m, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ids := make([]uint32, len(top))
-	for i, e := range top {
-		ids[i] = e.DocID
-	}
-	docs, err := fetchDocs(nil, eng, ids, m)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return hits(a.ix.names, top), docsFromFetched(docs), simStats(m, a.dev, a.cores), nil
+	return res.Hits, res.Docs, res.Stats, nil
 }
 
 // SimStats summarizes one simulated query execution.
@@ -487,7 +424,9 @@ type SimStats struct {
 	ThroughputQPS float64
 	// DeviceBytes is the SCM/DRAM traffic the query generated.
 	DeviceBytes int64
-	// HostBytes crossed the shared interconnect (k results × 8 B).
+	// HostBytes crossed the shared interconnect: the ranking (k results ×
+	// 8 B per node that ranked) plus, on the fetch paths, every returned
+	// document's name and text bytes.
 	HostBytes int64
 	// DocsEvaluated is the number of documents actually scored.
 	DocsEvaluated int64
@@ -518,16 +457,11 @@ func simStats(m *perf.Metrics, dev mem.Config, cores int) *SimStats {
 // prepared as Server.Submit prepares it, so one of more than 16 term
 // occurrences is refused with the same error before anything runs.
 func (a *Accelerator) Search(expr string, k int) ([]Hit, *SimStats, error) {
-	p, err := query.Prepare(expr)
+	res, err := a.result(a.cluster.Search(expr, k))
 	if err != nil {
 		return nil, nil, err
 	}
-	m := perf.NewMetrics()
-	top, err := a.acc.Exec(nil, p.Plan, k, m, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return hits(a.ix.names, top), simStats(m, a.dev, a.cores), nil
+	return res.Hits, res.Stats, nil
 }
 
 // SearchBatch runs many queries concurrently on the simulated accelerator
@@ -535,11 +469,7 @@ func (a *Accelerator) Search(expr string, k int) ([]Hit, *SimStats, error) {
 // with its own simulated statistics. Each item is what Search returns for
 // its query: the device model is stateless.
 func (a *Accelerator) SearchBatch(exprs []string, k int) []BatchItem {
-	items := make([]BatchItem, len(exprs))
-	pool.ForEach(context.Background(), len(exprs), batchWorkers(len(exprs)), func(i int) {
-		items[i].Hits, items[i].Stats, items[i].Err = a.Search(exprs[i], k)
-	})
-	return items
+	return a.batchItems(context.Background(), exprs, k, true)
 }
 
 // SyntheticKind selects a built-in synthetic corpus profile.
@@ -599,7 +529,17 @@ func (ix *Index) CommonTerm(rank int) string {
 // and the per-node top-k lists are merged; because shards score with
 // collection-global statistics, results are identical to a single index's.
 type ShardedIndex struct {
+	deployment
+}
+
+// deployment is the facade over one pool.Cluster, a ShardedIndex's or an
+// Accelerator's one-shard cluster: names names its hits (nil: "doc<N>"),
+// and dev and cores turn its work into SimStats.
+type deployment struct {
 	cluster *pool.Cluster
+	names   []string
+	dev     mem.Config
+	cores   int
 }
 
 // Shard builds a sharded deployment of a synthetic corpus over the given
@@ -652,7 +592,7 @@ func ShardReplicated(kind SyntheticKind, scale float64, nodes int, opt ReplicaOp
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedIndex{cluster: cl}, nil
+	return &ShardedIndex{deployment{cluster: cl, dev: mem.SCM(), cores: 8}}, nil
 }
 
 // Nodes reports how many memory nodes hold shards.
@@ -674,7 +614,7 @@ func (s *ShardedIndex) DocCacheHitRate() float64 { return s.cluster.CacheStats()
 // returned stats aggregate all nodes' work; HostBytes is the total result
 // traffic over the shared interconnect (per-node top-k lists).
 func (s *ShardedIndex) Search(expr string, k int) ([]Hit, *SimStats, error) {
-	res, err := shardedResult(s.cluster.Search(expr, k))
+	res, err := s.result(s.cluster.Search(expr, k))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -692,9 +632,9 @@ func (s *ShardedIndex) SearchBatch(exprs []string, k int) []BatchItem {
 // batchItems runs a cluster batch and converts it into facade items. strict
 // is SearchBatch's contract, matching Search: a node failure fails the item
 // instead of degrading it.
-func (s *ShardedIndex) batchItems(ctx context.Context, exprs []string, k int, strict bool) []BatchItem {
+func (d *deployment) batchItems(ctx context.Context, exprs []string, k int, strict bool) []BatchItem {
 	var br pool.BatchResult
-	s.cluster.SearchBatchQueries(ctx, pool.Queries(exprs, k), &br)
+	d.cluster.SearchBatchQueries(ctx, pool.Queries(exprs, k), &br)
 	items := make([]BatchItem, len(br.Results))
 	for i := range br.Results {
 		res, err := &br.Results[i], br.Errs[i]
@@ -706,7 +646,7 @@ func (s *ShardedIndex) batchItems(ctx context.Context, exprs []string, k int, st
 				}
 			}
 		}
-		if r, err := shardedResult(res, err); err != nil {
+		if r, err := d.result(res, err); err != nil {
 			items[i].Err = err
 		} else {
 			items[i] = BatchItem{Hits: r.Hits, Stats: r.Stats, Degraded: r.Degraded}
@@ -787,20 +727,20 @@ type ShardedResult struct {
 	ServedBy []int
 }
 
-// shardedResult converts a cluster call's outcome into the facade form.
-func shardedResult(res *pool.ClusterResult, err error) (*ShardedResult, error) {
+// result converts a cluster call's outcome into the facade form.
+func (d *deployment) result(res *pool.ClusterResult, err error) (*ShardedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := perf.NewMetrics()
+	var agg perf.Metrics
 	for _, m := range res.PerShard {
 		if m != nil {
 			agg.Merge(m)
 		}
 	}
 	out := &ShardedResult{
-		Hits:      hits(nil, res.TopK),
-		Stats:     simStats(agg, mem.SCM(), 8),
+		Hits:      hits(d.names, res.TopK),
+		Stats:     simStats(&agg, d.dev, d.cores),
 		Degraded:  res.Degraded,
 		Hedged:    res.Hedged,
 		HedgeWins: res.HedgeWins,
@@ -811,8 +751,8 @@ func shardedResult(res *pool.ClusterResult, err error) (*ShardedResult, error) {
 }
 
 // docsFromFetched converts fetched payloads (already copied at the cluster
-// boundary or by fetchDocs) into facade Docs. A degraded fetch leaves a
-// document's Fields empty; the Doc keeps its id with empty payloads.
+// boundary) into facade Docs. A degraded fetch leaves a document's Fields
+// empty; the Doc keeps its id with empty payloads.
 func docsFromFetched(fds []pool.FetchedDoc) []Doc {
 	if fds == nil {
 		return nil
@@ -835,7 +775,7 @@ func docsFromFetched(fds []pool.FetchedDoc) []Doc {
 // degraded fetch leaves its documents zero-valued rather than failing
 // the query.
 func (s *ShardedIndex) SearchFetchCtx(ctx context.Context, expr string, k int) (*ShardedResult, error) {
-	return shardedResult(s.cluster.SearchFetchCtx(ctx, expr, k))
+	return s.result(s.cluster.SearchFetchCtx(ctx, expr, k))
 }
 
 // FetchDocsCtx fetches document payloads by docID across the deployment:
@@ -843,7 +783,7 @@ func (s *ShardedIndex) SearchFetchCtx(ctx context.Context, expr string, k int) (
 // result's Hits are empty; Docs holds one entry per requested id, in
 // input order.
 func (s *ShardedIndex) FetchDocsCtx(ctx context.Context, ids []uint32) (*ShardedResult, error) {
-	return shardedResult(s.cluster.FetchBatch(ctx, ids))
+	return s.result(s.cluster.FetchBatch(ctx, ids))
 }
 
 // SearchCtx is Search with deadlines, bounded retry, per-node circuit
@@ -852,7 +792,7 @@ func (s *ShardedIndex) FetchDocsCtx(ctx context.Context, ids []uint32) (*Sharded
 // failing the query. The error is non-nil only when the context dies,
 // the query is invalid, or every node fails.
 func (s *ShardedIndex) SearchCtx(ctx context.Context, expr string, k int) (*ShardedResult, error) {
-	return shardedResult(s.cluster.SearchCtx(ctx, expr, k))
+	return s.result(s.cluster.SearchCtx(ctx, expr, k))
 }
 
 // SearchBatchCtx is SearchBatch with per-query resilience: node failures

@@ -74,6 +74,15 @@ func TestSearchFetch(t *testing.T) {
 	if sOnly.DocsFetched != 0 {
 		t.Fatalf("search-only DocsFetched = %d", sOnly.DocsFetched)
 	}
+	// The host link carries the ranking, then every returned payload: the
+	// documents' name and text bytes, as on the sharded fetch paths.
+	var payload int64
+	for _, d := range docs {
+		payload += int64(len(d.Name) + len(d.Text))
+	}
+	if stats.HostBytes != sOnly.HostBytes+payload {
+		t.Fatalf("SearchFetch HostBytes = %d, want Search's %d + %d payload bytes", stats.HostBytes, sOnly.HostBytes, payload)
+	}
 }
 
 // TestSearchFetchSynthetic: synthetic indexes synthesize their document

@@ -14,6 +14,7 @@ import (
 	"boss/internal/compress"
 	"boss/internal/core"
 	"boss/internal/corpus"
+	"boss/internal/docstore"
 	"boss/internal/index"
 	"boss/internal/mem"
 	"boss/internal/perf"
@@ -43,13 +44,11 @@ type Cluster struct {
 	// wall-clock accelerator (nil when Config.CacheBytes <= 0).
 	cache *cache.Cache
 
-	// Fetch-phase state (fetch.go). The per-shard document stores are
-	// synthesized lazily on first fetch from the retained sampler
-	// statistics; spec and docLens are everything the builder needs, so
-	// clusters that never fetch pay nothing beyond the two retained
-	// fields.
-	spec     corpus.Spec
-	docLens  []uint32
+	// Fetch-phase state (fetch.go). The per-shard document stores are built
+	// lazily on first fetch by docs, the cluster's store source, which
+	// returns the store of the global docID interval [lo, hi); clusters that
+	// never fetch never call it.
+	docs     func(lo, hi uint32) (*docstore.Store, error)
 	docsOnce sync.Once
 	docsErr  error
 	// fetchers[si][ri] is replica ri's fetch engine over a
@@ -140,14 +139,15 @@ func NewCluster(cfg Config, c *corpus.Corpus, shards int) (*Cluster, error) {
 		gs.DF[c.Terms[i].Term] = len(c.Terms[i].Postings)
 	}
 
+	// Document payloads are synthesized from (Seed, global docID, DocLens),
+	// so every shard layout packs byte-identical content.
+	spec, docLens := c.Spec, append([]uint32(nil), c.DocLens...)
 	cl := &Cluster{
 		cfg:   cfg,
 		cache: cache.New(cfg.CacheBytes),
-		// Retained for the lazy fetch-phase docstore build: document
-		// payloads are synthesized from (Seed, global docID, DocLens), so
-		// every shard layout packs byte-identical content.
-		spec:    c.Spec,
-		docLens: append([]uint32(nil), c.DocLens...),
+		docs: func(lo, hi uint32) (*docstore.Store, error) {
+			return corpus.DocStore(spec, docLens, lo, hi)
+		},
 	}
 	per := (c.Spec.NumDocs + shards - 1) / shards
 	for s := 0; s < shards; s++ {
@@ -169,6 +169,28 @@ func NewCluster(cfg Config, c *corpus.Corpus, shards int) (*Cluster, error) {
 		// follows the workload's skew instead of splitting it evenly.
 		cl.accs = append(cl.accs, cl.buildReplicas(idx))
 	}
+	cl.initServing()
+	return cl, nil
+}
+
+// NewSingle is the single-device deployment: a one-shard cluster over idx,
+// an index already built, whose document store docs returns on the first
+// fetch. It serves exactly as a NewCluster shard does — the same request
+// path, resilience and fetch phase — and, unlike NewCluster's shards, idx
+// may carry impacts, so it serves SPARSE. Invalid config fields return an
+// error wrapping ErrBadConfig.
+func NewSingle(cfg Config, idx *index.Index, docs func() (*docstore.Store, error)) (*Cluster, error) {
+	if err := validateConfig(cfg); err != nil {
+		return nil, err
+	}
+	cl := &Cluster{
+		cfg:     cfg,
+		shards:  []*index.Index{idx},
+		offsets: []uint32{0},
+		cache:   cache.New(cfg.CacheBytes),
+		docs:    func(_, _ uint32) (*docstore.Store, error) { return docs() },
+	}
+	cl.accs = [][]*core.Accelerator{cl.buildReplicas(idx)}
 	cl.initServing()
 	return cl, nil
 }
@@ -202,8 +224,7 @@ func (cl *Cluster) Fresh(cfg Config) (*Cluster, error) {
 		shards:  cl.shards,
 		offsets: cl.offsets,
 		cache:   cache.New(cfg.CacheBytes),
-		spec:    cl.spec,
-		docLens: cl.docLens,
+		docs:    cl.docs,
 	}
 	for _, idx := range nc.shards {
 		nc.accs = append(nc.accs, nc.buildReplicas(idx))
@@ -270,6 +291,12 @@ func shardCorpus(c *corpus.Corpus, lo, hi uint32) *corpus.Corpus {
 
 // Shards reports the number of populated memory nodes.
 func (cl *Cluster) Shards() int { return len(cl.shards) }
+
+// numDocs is the collection's size: where the last shard's interval ends.
+func (cl *Cluster) numDocs() int {
+	last := len(cl.shards) - 1
+	return int(cl.offsets[last]) + cl.shards[last].NumDocs
+}
 
 // ClusterResult is a fanned-out query's outcome.
 type ClusterResult struct {
@@ -579,16 +606,19 @@ func (cl *Cluster) serve(parent context.Context, rec *queryRec, q BatchQuery, sh
 		}
 	}
 	// A term no shard indexes is an error, as on the single-node engines;
-	// nearly every term is on the first shard asked.
+	// nearly every term is on the first shard asked. SPARSE reads impacts,
+	// which a cluster's shards all carry or all lack (NewCluster builds none,
+	// NewSingle's index may), so a SPARSE term its first holder keeps without
+	// them is refused here: a refusal on the shards would count against their
+	// breakers.
 	for _, term := range p.Terms {
-		if !slices.ContainsFunc(cl.shards, func(idx *index.Index) bool { return holds(idx, term) }) {
+		si := slices.IndexFunc(cl.shards, func(idx *index.Index) bool { return holds(idx, term) })
+		if si < 0 {
 			return fmt.Errorf("pool: term %q not indexed on any shard", term)
 		}
-	}
-	// NewCluster builds no shard with impacts, so SPARSE is refused here:
-	// a refusal on the shards would count against their breakers.
-	if p.DNF == nil {
-		return fmt.Errorf("pool: %w", core.ErrNoImpacts)
+		if p.DNF == nil && !cl.shards[si].List(term).HasImpacts() {
+			return fmt.Errorf("pool: term %q: %w", term, core.ErrNoImpacts)
+		}
 	}
 	k := cl.depth(q.K)
 	rec.sizeSlab(k)

@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"boss/internal/compress"
@@ -10,6 +11,7 @@ import (
 	"boss/internal/corpus"
 	"boss/internal/index"
 	"boss/internal/oracle"
+	"boss/internal/perf"
 	"boss/internal/query"
 )
 
@@ -139,18 +141,84 @@ func TestClusterGlobalStatsMatter(t *testing.T) {
 	}
 }
 
-// TestSparseRefusedBeforeTheShards: no shard carries impacts, so SPARSE is
-// refused with core.ErrNoImpacts before it reaches one. Refused on the
-// shards, it counted against their breakers, which opened on the queries
-// after it.
+// TestSparseRefusedBeforeTheShards: SPARSE is refused with core.ErrNoImpacts
+// where the index lacks impacts — on NewCluster, whose shards never carry
+// them, and on NewSingle over an index built without — and refused before it
+// reaches a shard, as an unknown term and an over-limit query are. Refused on
+// the shards, they counted against the breakers, which opened on the queries
+// after them.
 func TestSparseRefusedBeforeTheShards(t *testing.T) {
-	_, _, cl := clusterFixture(t, 2)
-	for i := 0; i < 2*DefaultResilience().BreakerThreshold; i++ {
-		if _, err := cl.SearchCtx(context.Background(), `SPARSE("t1", "t2")`, 10); !errors.Is(err, core.ErrNoImpacts) {
-			t.Fatalf("SPARSE query %d: err = %v, want core.ErrNoImpacts", i, err)
+	c, plain, cl := clusterFixture(t, 2)
+	single, err := NewSingle(DefaultConfig(), plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lim *query.TermLimitError
+	for _, tc := range []struct {
+		name    string
+		cl      *Cluster
+		expr    string
+		refused func(error) bool
+	}{
+		{"NewCluster SPARSE", cl, `SPARSE("t1", "t2")`, func(err error) bool { return errors.Is(err, core.ErrNoImpacts) }},
+		{"NewSingle SPARSE", single, `SPARSE("t1", "t2")`, func(err error) bool { return errors.Is(err, core.ErrNoImpacts) }},
+		{"NewSingle unknown term", single, `"t1" AND "nosuchtermzz"`, func(err error) bool { return err != nil }},
+		{"NewSingle 17 terms", single, `"t1"` + strings.Repeat(` OR "t1"`, query.MaxTerms), func(err error) bool { return errors.As(err, &lim) }},
+	} {
+		for i := 0; i < 2*DefaultResilience().BreakerThreshold; i++ {
+			if _, err := tc.cl.SearchCtx(context.Background(), tc.expr, 10); !tc.refused(err) {
+				t.Fatalf("%s: query %d: err = %v, want a refusal", tc.name, i, err)
+			}
+		}
+		if evs := tc.cl.Events(0); len(evs) != 0 {
+			t.Fatalf("%s: the refusals reached shard 0: %v", tc.name, evs)
 		}
 	}
-	if _, err := cl.Search(`"t1" AND "t2"`, 10); err != nil || len(cl.Events(0)) != 1 {
-		t.Fatalf("boolean query after the refusals: %v, shard 0 events %v", err, cl.Events(0))
+	for _, tc := range []struct {
+		name string
+		cl   *Cluster
+	}{{"NewCluster", cl}, {"NewSingle", single}} {
+		if _, err := tc.cl.Search(`"t1" AND "t2"`, 10); err != nil || len(tc.cl.Events(0)) != 1 {
+			t.Fatalf("%s: boolean query after the refusals: %v, shard 0 events %v", tc.name, err, tc.cl.Events(0))
+		}
+	}
+
+	// Over an index with impacts, NewSingle serves SPARSE: core.Exec's
+	// answer, bit for bit, through SearchCtx and SearchBatchQueries.
+	imp := index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid, Impacts: true})
+	one, err := NewSingle(DefaultConfig(), imp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.New(imp, DefaultConfig().Opts)
+	var qs []BatchQuery
+	for _, q := range corpus.SampleQueries(c, corpus.Q7, 6, 11) {
+		qs = append(qs, BatchQuery{Expr: q.Expr, K: 10})
+	}
+	br := runBatch(context.Background(), one, qs)
+	ranked := 0
+	for i, q := range qs {
+		want, err := ref.Exec(nil, query.MustParse(q.Expr).Plan(), q.K, new(perf.Metrics), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked += len(want)
+		res, err := one.SearchCtx(context.Background(), q.Expr, q.K)
+		if err != nil {
+			t.Fatalf("%s: SearchCtx: %v", q.Expr, err)
+		}
+		if err := oracle.Same(res.TopK, want); err != nil {
+			t.Errorf("%s: SearchCtx vs core.Exec: %v", q.Expr, err)
+		}
+		got, err := slot(br, i)
+		if err != nil {
+			t.Fatalf("%s: SearchBatchQueries: %v", q.Expr, err)
+		}
+		if err := oracle.Same(got.TopK, want); err != nil {
+			t.Errorf("%s: SearchBatchQueries vs core.Exec: %v", q.Expr, err)
+		}
+	}
+	if len(qs) == 0 || ranked == 0 {
+		t.Fatalf("%d SPARSE queries ranking %d documents: the arm checks nothing", len(qs), ranked)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"boss/internal/core"
-	"boss/internal/corpus"
 	"boss/internal/mem"
 	"boss/internal/perf"
 )
@@ -15,11 +14,13 @@ import (
 // global docIDs, the documents themselves live on the shards that scored
 // them. FetchBatch routes each requested docID to its owning shard's
 // document store, fetches through the shard's fetch engine (charging the
-// shard's simulated SCM under mem.CatLoadDoc), and copies the payloads
-// out at the cluster boundary. The per-shard stores are synthesized
-// lazily from the retained sampler statistics — payload bytes depend
-// only on (Seed, global docID, DocLens), so every shard count packs
-// byte-identical documents and fetch results are sharding-independent.
+// shard's simulated SCM under mem.CatLoadDoc, and each returned payload
+// to the host link), and copies the payloads out at the cluster boundary.
+// The per-shard stores come lazily from the cluster's store source:
+// NewCluster's synthesizes them from the retained sampler statistics —
+// payload bytes depend only on (Seed, global docID, DocLens), so every
+// shard count packs byte-identical documents and fetch results are
+// sharding-independent — and NewSingle's is its caller's.
 //
 // A fetch is shard work like a search: it goes through the same sweep and
 // the same attempt loop (runShard) — the same per-copy circuit breakers,
@@ -38,26 +39,24 @@ type FetchedDoc struct {
 
 // EnsureDocs builds the per-shard document stores and fetch engines if
 // they have not been built yet. Safe for concurrent use; the build runs
-// once. Search-only clusters never pay for it.
+// once, and its error (the store source's) is every fetch's after it.
+// Search-only clusters never pay for it.
 func (cl *Cluster) EnsureDocs() error {
 	cl.docsOnce.Do(cl.buildDocs)
 	return cl.docsErr
 }
 
-// buildDocs synthesizes one document store per shard over the shard's
-// global docID interval, then one fetch engine per replica of the shard.
-// Replica 0 serves the base store; higher replicas serve ReplicaViews
-// (shared payload bytes, fresh cache identity) and draw faults from
-// their own injector domain, mirroring buildReplicas. Runs under
-// docsOnce.
+// buildDocs asks the store source for one document store per shard, over
+// the shard's global docID interval, then builds one fetch engine per
+// replica of the shard. Replica 0 serves the base store; higher replicas
+// serve ReplicaViews (shared payload bytes, fresh cache identity) and draw
+// faults from their own injector domain, mirroring buildReplicas. Runs
+// under docsOnce.
 func (cl *Cluster) buildDocs() {
 	cl.fetchers = make([][]*core.FetchEngine, len(cl.shards))
-	for si := range cl.shards {
-		hi := uint32(cl.spec.NumDocs)
-		if si+1 < len(cl.offsets) {
-			hi = cl.offsets[si+1]
-		}
-		base, err := corpus.DocStore(cl.spec, cl.docLens, cl.offsets[si], hi)
+	for si, idx := range cl.shards {
+		lo := cl.offsets[si]
+		base, err := cl.docs(lo, lo+uint32(idx.NumDocs))
 		if err != nil {
 			cl.docsErr = err
 			return
@@ -130,9 +129,10 @@ func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult,
 	}
 	// Route each requested docID to its owning shard, remembering where in
 	// the input it goes back.
+	n := cl.numDocs()
 	for i, id := range ids {
-		if int(id) >= cl.spec.NumDocs {
-			return fetchRangeError(id, cl.spec.NumDocs)
+		if int(id) >= n {
+			return fetchRangeError(id, n)
 		}
 		si := cl.shardOfDoc(id)
 		rec.ids[si] = append(rec.ids[si], id)

@@ -4,10 +4,7 @@ import (
 	"context"
 	"time"
 
-	"boss/internal/core"
 	"boss/internal/front"
-	"boss/internal/perf"
-	"boss/internal/pool"
 )
 
 // Serving-tier admission errors, re-exported from the front door.
@@ -174,67 +171,25 @@ type ServeTicket struct {
 // Degraded admissions execute on a subset of memory nodes, reusing the
 // resilient path's partial-answer machinery (ServedResult.Degraded uses
 // the same node bitmask as BatchItem.Degraded).
-func (s *ShardedIndex) Serve(cfg FrontConfig) (*Server, error) {
-	f, err := front.New(cfg.toFront(), front.NewClusterBackend(s.cluster))
-	if err != nil {
-		return nil, err
-	}
-	return &Server{f: f}, nil
-}
+func (s *ShardedIndex) Serve(cfg FrontConfig) (*Server, error) { return s.serve(cfg) }
 
 // Serve starts a front-door serving tier over the single-device
-// accelerator. With one device there is nothing to degrade to, so the
-// ladder sheds or rejects instead; coalescing, batching, and rate limits
+// accelerator, on the same one-shard cluster its Search runs on. With one
+// device there is no node to leave out, so nothing degrades: an over-rate
+// PriorityLow request is still shed with ErrShed, but an over-rate or
+// under-pressure admission of any other priority executes in full
+// (ServedResult.Degraded and ServeStats.Degraded stay zero), and a full
+// queue rejects with ErrOverloaded. Coalescing, batching, and rate limits
 // work identically to the sharded deployment.
-func (a *Accelerator) Serve(cfg FrontConfig) (*Server, error) {
-	f, err := front.New(cfg.toFront(), accelBackend{a: a})
+func (a *Accelerator) Serve(cfg FrontConfig) (*Server, error) { return a.serve(cfg) }
+
+// serve is both Serves' body: the front door over the deployment's cluster.
+func (d *deployment) serve(cfg FrontConfig) (*Server, error) {
+	f, err := front.New(cfg.toFront(), front.NewClusterBackend(d.cluster))
 	if err != nil {
 		return nil, err
 	}
-	return &Server{f: f, names: a.ix.names}, nil
-}
-
-// accelBackend adapts the single-device accelerator to the front door's
-// batch execution surface. It holds the facade handle rather than the
-// core engine so fetch queries reach the lazily-wired fetch engine (and
-// its docstore synthesis) through the same path FetchDocs uses.
-type accelBackend struct {
-	a *Accelerator
-}
-
-func (b accelBackend) Shards() int { return 1 }
-
-func (b accelBackend) ExecuteBatch(ctx context.Context, qs []pool.BatchQuery, out []front.Out) {
-	// The front door reads a search's answer, not its work: one record takes
-	// every search's charges in turn.
-	m := new(perf.Metrics)
-	for i, q := range qs {
-		if len(q.FetchIDs) > 0 {
-			out[i] = b.fetchOut(ctx, q.FetchIDs)
-			continue
-		}
-		k := q.K
-		if k <= 0 {
-			k = core.DefaultK
-		}
-		// Prepared at admission: front.Backend's contract for a search.
-		top, err := b.a.acc.Exec(ctx, q.Prepared.Plan, k, m, nil)
-		if err != nil {
-			out[i] = front.Out{Err: err}
-			continue
-		}
-		out[i] = front.Out{TopK: top}
-	}
-}
-
-// fetchOut serves one document-fetch batch query on the single device.
-func (b accelBackend) fetchOut(ctx context.Context, ids []uint32) front.Out {
-	eng, err := b.a.fetchEngine()
-	if err != nil {
-		return front.Out{Err: err}
-	}
-	docs, err := fetchDocs(ctx, eng, ids, perf.NewMetrics())
-	return front.Out{Docs: docs, Err: err}
+	return &Server{f: f, names: d.names}, nil
 }
 
 // Submit admits one request asynchronously, returning a ticket to wait

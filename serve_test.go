@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/bits"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,17 +13,19 @@ import (
 
 // TestServeShedAndDegrade exercises the facade's shedding ladder: an
 // exhausted tenant bucket sheds low-priority requests with ErrShed and
-// degrades normal ones to partial-node answers.
+// degrades normal ones to partial-node answers — on a sharded deployment;
+// a single device has no node to leave out, so it serves them in full.
 func TestServeShedAndDegrade(t *testing.T) {
+	cfg := boss.FrontConfig{
+		BatchTarget: 8,
+		Timeout:     100 * time.Millisecond,
+		Tenants:     map[string]boss.TenantRate{"t": {Rate: 1, Burst: 1}},
+	}
 	sh, err := boss.Shard(boss.ClueWebLike, 0.01, 4)
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
-	srv, err := sh.Serve(boss.FrontConfig{
-		BatchTarget: 8,
-		Timeout:     100 * time.Millisecond,
-		Tenants:     map[string]boss.TenantRate{"t": {Rate: 1, Burst: 1}},
-	})
+	srv, err := sh.Serve(cfg)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -61,6 +64,40 @@ func TestServeShedAndDegrade(t *testing.T) {
 	if st.Shed != 1 || st.Degraded != 1 {
 		t.Fatalf("stats = %+v, want 1 shed and 1 degraded", st)
 	}
+
+	t.Run("single device", func(t *testing.T) {
+		acc := boss.BuildSynthetic(boss.ClueWebLike, 0.01).Accelerator(boss.AccelOptions{})
+		one, err := acc.Serve(cfg)
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		defer one.Close()
+		if _, err := one.Submit(boss.ServeRequest{Expr: `"t1"`, K: 20, Tenant: "t"}); err != nil {
+			t.Fatalf("first submit: %v", err)
+		}
+		if _, err := one.Submit(boss.ServeRequest{Expr: `"t2"`, K: 20, Tenant: "t", Priority: boss.PriorityLow}); !errors.Is(err, boss.ErrShed) {
+			t.Fatalf("low-priority over rate: err = %v, want ErrShed", err)
+		}
+		over, err := one.Submit(boss.ServeRequest{Expr: `"t3"`, K: 20, Tenant: "t"})
+		if err != nil {
+			t.Fatalf("normal over rate: %v", err)
+		}
+		one.Flush()
+		got, err := over.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("normal over rate: %v", err)
+		}
+		want, _, err := acc.Search(`"t3"`, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Degraded != 0 || len(want) == 0 || !reflect.DeepEqual(got.Hits, want) {
+			t.Fatalf("normal over rate: degraded=%b hits %v, want Search's %v in full", got.Degraded, got.Hits, want)
+		}
+		if st := one.Stats(); st.Shed != 1 || st.Degraded != 0 {
+			t.Fatalf("stats = %+v, want 1 shed and 0 degraded", st)
+		}
+	})
 }
 
 // TestServeTicketCancel verifies a cancelled facade ticket reports an
