@@ -751,18 +751,36 @@ func (d *deployment) result(res *pool.ClusterResult, err error) (*ShardedResult,
 }
 
 // docsFromFetched converts fetched payloads (already copied at the cluster
-// boundary) into facade Docs. A degraded fetch leaves a document's Fields
-// empty; the Doc keeps its id with empty payloads.
+// boundary) into facade Docs. Every name and text is written into one buffer
+// that becomes one string, which each Doc's Name and Text slice, so an answer
+// costs two allocations however many documents it holds: its Docs and their
+// payloads. A degraded fetch leaves a document's Fields empty; the Doc keeps
+// its id with empty payloads.
 func docsFromFetched(fds []pool.FetchedDoc) []Doc {
 	if fds == nil {
 		return nil
 	}
+	n := 0
+	for _, f := range fds {
+		if len(f.Fields) == 2 {
+			n += len(f.Fields[0]) + len(f.Fields[1])
+		}
+	}
+	var all strings.Builder
+	all.Grow(n)
+	for _, f := range fds {
+		if len(f.Fields) == 2 {
+			all.Write(f.Fields[0])
+			all.Write(f.Fields[1])
+		}
+	}
+	rest := all.String()
 	out := make([]Doc, len(fds))
 	for i, f := range fds {
 		out[i] = Doc{DocID: f.DocID}
 		if len(f.Fields) == 2 {
-			out[i].Name = string(f.Fields[0])
-			out[i].Text = string(f.Fields[1])
+			out[i].Name, rest = rest[:len(f.Fields[0])], rest[len(f.Fields[0]):]
+			out[i].Text, rest = rest[:len(f.Fields[1])], rest[len(f.Fields[1]):]
 		}
 	}
 	return out

@@ -233,3 +233,56 @@ func TestShardedFetchDegraded(t *testing.T) {
 		t.Fatalf("dead node not flagged: %b", sf.Degraded)
 	}
 }
+
+// TestFetchDocsAllocs: a facade fetch's cost does not grow with its
+// documents. The pool hands off Docs and one arena per answer, and the
+// facade converts them into its Docs and one string every Name and Text
+// slices (two strings per document until then: 4 more allocations each), so
+// ShardedIndex.FetchDocsCtx and Accelerator.FetchDocs of 10 documents
+// allocate what they do for 1, and serve the same documents one at a time
+// or together.
+func TestFetchDocsAllocs(t *testing.T) {
+	s, err := Shard(CCNewsLike, 0.004, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := BuildSynthetic(CCNewsLike, 0.004)
+	acc := ix.Accelerator(AccelOptions{})
+	n := uint32(ix.NumDocs())
+	ids := []uint32{0, n - 1, n / 2, 1, n/2 + 1, n / 3, 7, n / 4, 3 * n / 4, n - 2}
+	fetchers := []struct {
+		name  string
+		fetch func(ids []uint32) []Doc
+	}{
+		{"ShardedIndex.FetchDocsCtx", func(ids []uint32) []Doc {
+			res, err := s.FetchDocsCtx(context.Background(), ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Docs
+		}},
+		{"Accelerator.FetchDocs", func(ids []uint32) []Doc {
+			docs, _, err := acc.FetchDocs(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return docs
+		}},
+	}
+	for _, f := range fetchers {
+		all := f.fetch(ids)
+		for i, id := range ids {
+			if one := f.fetch(ids[i : i+1])[0]; all[i] != one || one.DocID != id || one.Name == "" || one.Text == "" {
+				t.Fatalf("%s: document %d fetched with nine others is %+v, alone %+v", f.name, id, all[i], one)
+			}
+		}
+		if raceEnabled() {
+			continue
+		}
+		one := testing.AllocsPerRun(50, func() { f.fetch(ids[:1]) })
+		ten := testing.AllocsPerRun(50, func() { f.fetch(ids) })
+		if one != ten {
+			t.Errorf("%s allocates %.2f for 1 document and %.2f for 10, want the same", f.name, one, ten)
+		}
+	}
+}

@@ -142,12 +142,117 @@ func TestFetchDegradedAdmission(t *testing.T) {
 }
 
 // TestFetchCanonDisjoint: fetch keys can never collide with query keys,
-// so a fetch and a search never coalesce.
+// so a fetch and a search never coalesce, and the key a recorder logs for a
+// fetch renders its whole id list.
 func TestFetchCanonDisjoint(t *testing.T) {
-	if k := fetchCanon([]uint32{1, 2}); k[0] != 0 {
-		t.Fatalf("fetch canon %q lacks the NUL prefix", k)
+	if fetchTag[0] != 0 {
+		t.Fatalf("fetch tag %q lacks the NUL prefix", fetchTag)
+	}
+	if k := fetchCanon([]uint32{1, 2}); k != fetchTag+":1:2" {
+		t.Fatalf("fetch canon %q, want the tag and the ids", k)
 	}
 	if a, b := fetchCanon([]uint32{12}), fetchCanon([]uint32{1, 2}); a == b {
 		t.Fatal("distinct id lists share a canon")
+	}
+}
+
+// TestFetchKeyCollision: a fetch is keyed by a hash of its id list, and a
+// key match counts only when the lists are equal. Equal lists coalesce;
+// two different lists made to collide (through the Front's hash seam) do
+// not, both complete with their own documents, and the flights map keeps the
+// first list's flight until that flight itself retires — neither cancelling
+// nor completing the other list's flight removes it. A recorder still logs
+// the rendered id list.
+func TestFetchKeyCollision(t *testing.T) {
+	be := &fakeBackend{shards: 4, block: make(chan struct{})}
+	rec := &Recorder{}
+	f := start(t, Config{BatchTarget: 64, Clock: clock.NewFakeClock(time.Unix(0, 0)), Recorder: rec}, be)
+	t.Cleanup(func() { close(be.block) }) // runs before f.Close: frees the executor
+	f.fetchHash = func([]uint32) uint64 { return 7 }
+	a, b := []uint32{3, 1, 4}, []uint32{5, 9}
+	key := flightKey{canon: fetchTag, ids: 7}
+	submit := func(ids []uint32) *Ticket {
+		t.Helper()
+		tk, err := f.Submit(Request{FetchIDs: ids})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+	holder := func() *flight {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.flights[key]
+	}
+	wantDocs := func(tk *Ticket, ids []uint32, dedup bool) {
+		t.Helper()
+		res := tk.Wait(context.Background())
+		if res.Err != nil || len(res.Docs) != len(ids) {
+			t.Fatalf("fetch of %v: %+v", ids, res)
+		}
+		for i, id := range ids {
+			if res.Docs[i].DocID != id {
+				t.Fatalf("fetch of %v delivered %+v", ids, res.Docs)
+			}
+		}
+		if res.DedupHit != dedup {
+			t.Fatalf("fetch of %v: DedupHit = %v, want %v", ids, res.DedupHit, dedup)
+		}
+	}
+
+	// Equal lists coalesce; a colliding list gets a flight of its own,
+	// outside the map, and a cancelled one leaves the holder's entry alone.
+	a1, a2 := submit(a), submit(a)
+	if a2.fl != a1.fl || holder() != a1.fl {
+		t.Fatal("equal id lists did not share the mapped flight")
+	}
+	if b1 := submit(b); b1.fl == a1.fl || b1.fl.keyed {
+		t.Fatal("a colliding id list joined or displaced the holder's flight")
+	} else if b1.Cancel(); holder() != a1.fl {
+		t.Fatal("withdrawing the colliding flight removed the holder's entry")
+	}
+	b2 := submit(b)
+	f.Flush()
+	be.block <- struct{}{}
+	wantDocs(a1, a, false)
+	wantDocs(a2, a, true)
+	wantDocs(b2, b, false)
+	if holder() != nil {
+		t.Fatal("a completed flight is still mapped")
+	}
+
+	// The colliding list's flight completes while the other list's flight
+	// holds the key: the holder stays mapped and still coalesces its twins.
+	x, y := submit(a), submit(b)
+	x.Cancel() // frees the key; y, admitted while x held it, stays unmapped
+	f.Flush()  // y's batch waits in the backend
+	z := submit(a)
+	if holder() != z.fl {
+		t.Fatal("a fetch admitted onto a free key is not mapped")
+	}
+	be.block <- struct{}{}
+	wantDocs(y, b, false)
+	if holder() != z.fl {
+		t.Fatal("completing the colliding flight removed the holder's entry")
+	}
+	w := submit(a)
+	f.Flush()
+	be.block <- struct{}{}
+	wantDocs(z, a, false)
+	wantDocs(w, a, true)
+
+	if m := f.Metrics(); m.DedupHits != 2 {
+		t.Fatalf("metrics = %+v, want the two equal-list coalesces", m)
+	}
+	var logged bool
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for _, d := range rec.ds {
+		if d.Kind == DAdmit && d.Key == "\x00f:3:1:4" {
+			logged = true
+		}
+	}
+	if !logged {
+		t.Fatalf("no admission logged under the rendered key: %q", rec.ds)
 	}
 }

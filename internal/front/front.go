@@ -25,6 +25,7 @@ package front
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -173,9 +174,13 @@ type Result struct {
 
 // flightKey identifies coalescible executions: same canonical DNF, same
 // top-k depth, same shard mask. Requests differing only in term order,
-// duplication, or distribution share a key.
+// duplication, or distribution share a key. A fetch's canon is fetchTag and
+// ids its id list's hash (hashIDs), so building the key allocates nothing;
+// a fetch joins a flight under its key only when the flight's own id list is
+// equal (twinLocked).
 type flightKey struct {
 	canon string
+	ids   uint64
 	k     int
 	mask  uint64
 }
@@ -205,6 +210,7 @@ type flight struct {
 	waiters  *Ticket
 	nwait    int
 	pending  bool
+	keyed    bool    // the flights map holds it under key (see Submit)
 	prev     *flight // intrusive pending queue
 	next     *flight // doubles as the free-list link when pooled
 }
@@ -249,6 +255,9 @@ type Front struct {
 	shards    int
 	dropN     int     // shards dropped per degraded admission
 	watermark float64 // inSystem threshold for pressure degradation
+	// fetchHash is a fetch key's hash of its id list: hashIDs, which a test
+	// replaces before the first Submit to make different lists collide.
+	fetchHash func([]uint32) uint64
 
 	mu         sync.Mutex
 	closed     bool
@@ -279,14 +288,15 @@ func New(cfg Config, be Backend) (*Front, error) {
 	}
 	cfg = cfg.withDefaults()
 	f := &Front{
-		cfg:     cfg,
-		be:      be,
-		clock:   cfg.Clock,
-		rec:     cfg.Recorder,
-		shards:  be.Shards(),
-		keys:    make(map[string]keyEntry),
-		flights: make(map[flightKey]*flight),
-		buckets: make(map[string]*bucket, len(cfg.Tenants)),
+		cfg:       cfg,
+		be:        be,
+		clock:     cfg.Clock,
+		rec:       cfg.Recorder,
+		fetchHash: hashIDs,
+		shards:    be.Shards(),
+		keys:      make(map[string]keyEntry),
+		flights:   make(map[flightKey]*flight),
+		buckets:   make(map[string]*bucket, len(cfg.Tenants)),
 		// Capacity invariant: each batch holds ≥ 1 flight and admission
 		// bounds flights in the system at MaxQueue, so at most MaxQueue
 		// batches can be queued — the flush path's send never blocks
@@ -341,12 +351,20 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 		return nil, err
 	}
 	f.m.Submitted++
-	if len(req.FetchIDs) > 0 {
-		f.m.Fetches++
-	}
 	k := req.K
 	if k < 0 {
 		k = 0
+	}
+	key := flightKey{canon: canon, k: k}
+	// logKey is what the decision log records: canon for a search, the
+	// rendered id list for a fetch, which only a recorder pays for.
+	logKey := canon
+	if len(req.FetchIDs) > 0 {
+		f.m.Fetches++
+		key.ids = f.fetchHash(req.FetchIDs)
+		if f.rec != nil {
+			logKey = fetchCanon(req.FetchIDs)
+		}
 	}
 	now := f.clock.Now()
 	deadline := req.Deadline
@@ -356,10 +374,10 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 
 	// Dedup first: attaching to a full-quality twin costs nothing, so it
 	// is checked before any admission bound.
-	key := flightKey{canon: canon, k: k}
-	if fl := f.flights[key]; fl != nil {
+	fl, taken := f.twinLocked(key, req.FetchIDs)
+	if fl != nil {
 		t := f.attachLocked(fl, deadline, true)
-		f.recordLocked(DAttach, req.Tenant, canon, 0)
+		f.recordLocked(DAttach, req.Tenant, logKey, 0)
 		f.mu.Unlock()
 		return t, nil
 	}
@@ -369,22 +387,22 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 	if b := f.buckets[req.Tenant]; b != nil && !takeToken(b, now) {
 		if req.Priority == PriLow {
 			f.m.ShedTokens++
-			f.recordLocked(DShedTokens, req.Tenant, canon, 0)
+			f.recordLocked(DShedTokens, req.Tenant, logKey, 0)
 			f.mu.Unlock()
 			return nil, ErrShed
 		}
 		degrade = true
-		f.recordLocked(DDegradeTokens, req.Tenant, canon, 0)
+		f.recordLocked(DDegradeTokens, req.Tenant, logKey, 0)
 	}
 	if f.inSystem >= f.cfg.MaxQueue {
 		f.m.RejectedFull++
-		f.recordLocked(DRejectFull, req.Tenant, canon, 0)
+		f.recordLocked(DRejectFull, req.Tenant, logKey, 0)
 		f.mu.Unlock()
 		return nil, ErrOverloaded
 	}
 	if !degrade && req.Priority != PriHigh && float64(f.inSystem) >= f.watermark {
 		degrade = true
-		f.recordLocked(DDegradePressure, req.Tenant, canon, 0)
+		f.recordLocked(DDegradePressure, req.Tenant, logKey, 0)
 	}
 	var mask uint64
 	if degrade {
@@ -392,29 +410,34 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 		if mask != 0 {
 			// A degraded twin with the same rotation coalesces too.
 			key.mask = mask
-			if fl := f.flights[key]; fl != nil {
+			if fl, taken = f.twinLocked(key, req.FetchIDs); fl != nil {
 				t := f.attachLocked(fl, deadline, true)
-				f.recordLocked(DAttach, req.Tenant, canon, 0)
+				f.recordLocked(DAttach, req.Tenant, logKey, 0)
 				f.mu.Unlock()
 				return t, nil
 			}
 		}
 	}
 
-	fl := f.getFlightLocked() //boss:escape-ok free-list miss inside inlined getFlightLocked
+	fl = f.getFlightLocked() //boss:escape-ok free-list miss inside inlined getFlightLocked
 	fl.key = key
 	fl.expr = req.Expr
 	fl.prep = prep
 	fl.fetchIDs = append(fl.fetchIDs[:0], req.FetchIDs...)
 	fl.deadline = deadline
-	f.flights[key] = fl
+	// A fetch whose key a different id list's flight holds runs on its
+	// own: out of the map it coalesces nothing, and retiring it leaves the
+	// holder's entry alone.
+	if fl.keyed = !taken; fl.keyed {
+		f.flights[key] = fl
+	}
 	f.pushPendingLocked(fl)
 	f.m.Admitted++
 	if mask != 0 {
 		f.m.Degraded++
 	}
 	t := f.attachLocked(fl, deadline, false)
-	f.recordLocked(DAdmit, req.Tenant, canon, 0)
+	f.recordLocked(DAdmit, req.Tenant, logKey, 0)
 	if f.npending >= f.cfg.BatchTarget {
 		f.flushLocked(flushSize)
 	} else {
@@ -545,15 +568,16 @@ const maxKeys = 1 << 16
 // is the canonical DNF. Only an expression's first sighting is parsed, held
 // to the term limit and normalised (query.Prepare, in that order: the limit,
 // not the expression, bounds the work done under the mutex); a refusal is
-// cached like a success. A fetch's key is its rendered id list.
+// cached like a success. A fetch's canon is fetchTag; Submit adds its id
+// list's hash to the key.
 //
-//boss:hotpath one map probe per search request in steady state; fetch keys are built by the outlined fetchCanon.
+//boss:hotpath one map probe per search request in steady state; none per fetch.
 func (f *Front) prepareLocked(req *Request) (string, *query.Prepared, error) {
 	if len(req.FetchIDs) > 0 {
 		if req.Expr != "" {
 			return "", nil, ErrMixedRequest
 		}
-		return fetchCanon(req.FetchIDs), nil, nil
+		return fetchTag, nil, nil
 	}
 	e, ok := f.keys[req.Expr]
 	if !ok {
@@ -569,15 +593,44 @@ func (f *Front) prepareLocked(req *Request) (string, *query.Prepared, error) {
 	return e.prep.Key, e.prep, nil
 }
 
-// fetchCanon renders a fetch request's coalescing key. The leading NUL
-// byte keeps fetch keys disjoint from every DNF canonicalization, so a
-// fetch can never coalesce onto a query flight. Outlined from the
-// zero-alloc admission path: fetch submissions pay one key allocation
-// per call (id lists are poor map keys to intern), while the search
-// path's steady state stays allocation-free.
+// fetchTag is every fetch key's canon. Its leading NUL byte keeps fetch
+// keys disjoint from every DNF canonicalization, so a fetch can never
+// coalesce onto a query flight.
+const fetchTag = "\x00f"
+
+// twinLocked returns the in-flight flight a request with the given fetch id
+// list (empty for a search) coalesces onto under key, or nil. taken reports
+// that the key's slot is held, by the twin or — when a different id list
+// hashed alike — by a flight the request must not join.
+//
+//boss:hotpath one map probe per admission and per degraded admission.
+func (f *Front) twinLocked(key flightKey, ids []uint32) (twin *flight, taken bool) {
+	fl := f.flights[key]
+	if fl != nil && slices.Equal(fl.fetchIDs, ids) {
+		return fl, true
+	}
+	return nil, fl != nil
+}
+
+// hashIDs hashes a fetch's id list, order and length included, for its
+// flight key. Equal lists hash alike; a key match is confirmed against the
+// flight's own list (twinLocked), so a collision costs a missed coalesce,
+// never a wrong answer.
+func hashIDs(ids []uint32) uint64 {
+	h := uint64(len(ids))
+	for _, id := range ids {
+		h = (h ^ uint64(id)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+// fetchCanon renders a fetch request's id list after fetchTag: the key the
+// decision log records for a fetch. Only a front with a Recorder renders
+// it, at two allocations (the buffer and the string).
 func fetchCanon(ids []uint32) string {
 	b := make([]byte, 0, 2+len(ids)*7)
-	b = append(b, 0, 'f')
+	b = append(b, fetchTag...)
 	for _, id := range ids {
 		b = append(b, ':')
 		b = strconv.AppendUint(b, uint64(id), 10)
@@ -645,7 +698,9 @@ func (f *Front) dropPendingLocked(fl *flight) {
 	fl.pending = false
 	f.npending--
 	f.inSystem--
-	delete(f.flights, fl.key)
+	if fl.keyed {
+		delete(f.flights, fl.key)
+	}
 	f.putFlightLocked(fl)
 }
 
@@ -764,7 +819,9 @@ func (f *Front) completeBatch(bt *batch) {
 //
 //boss:hotpath one call per completed flight.
 func (f *Front) completeLocked(fl *flight, out *Out) {
-	delete(f.flights, fl.key)
+	if fl.keyed {
+		delete(f.flights, fl.key)
+	}
 	f.inSystem--
 	for t := fl.waiters; t != nil; {
 		next := t.next
@@ -898,6 +955,7 @@ func (f *Front) putFlightLocked(fl *flight) {
 	fl.waiters = nil
 	fl.nwait = 0
 	fl.pending = false
+	fl.keyed = false
 	fl.prev = nil
 	fl.next = f.freeFlights
 	f.freeFlights = fl

@@ -471,10 +471,10 @@ func holdsAll(idx *index.Index, conj []string) bool {
 	return true
 }
 
-// shardWork is what one request asks of every shard: a search (docs nil: the
-// query's plan, depth and stable replica key) or a fetch (the result's Docs,
-// which the attempts fill in place, with the docIDs routed to each shard in
-// the record). It is passed by value all the way down, so it never escapes to
+// shardWork is what one request asks of every shard: a search (the query's
+// plan, depth and stable replica key) or a fetch (fetch set: the docIDs
+// routed to each shard, and the payload scratch the attempts fill, are the
+// record's). It is passed by value all the way down, so it never escapes to
 // the heap, and runShard can narrow its own copy's plan to the terms its
 // shard holds.
 type shardWork struct {
@@ -486,7 +486,7 @@ type shardWork struct {
 	// outlive the request and so must touch nothing that is recycled.
 	rec *queryRec
 
-	docs []FetchedDoc
+	fetch bool
 }
 
 // narrow is narrow for shard si: into the record's storage for the shard, or

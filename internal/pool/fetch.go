@@ -15,7 +15,8 @@ import (
 // them. FetchBatch routes each requested docID to its owning shard's
 // document store, fetches through the shard's fetch engine (charging the
 // shard's simulated SCM under mem.CatLoadDoc, and each returned payload
-// to the host link), and copies the payloads out at the cluster boundary.
+// to the host link), and copies the payloads out at the cluster boundary,
+// into one arena per answer.
 // The per-shard stores come lazily from the cluster's store source:
 // NewCluster's synthesizes them from the retained sampler statistics —
 // payload bytes depend only on (Seed, global docID, DocLens), so every
@@ -25,13 +26,17 @@ import (
 // A fetch is shard work like a search: it goes through the same sweep and
 // the same attempt loop (runShard) — the same per-copy circuit breakers,
 // bounded retry with jittered backoff, front-door mask — and degrades the
-// same way (a failed shard zeroes its documents and sets its Degraded bit
-// instead of failing the batch). Only the attempt body (fetchShard) and
-// the fold are its own.
+// same way (a failed shard's documents stay zero-valued and its Degraded
+// bit is set instead of failing the batch). Only the attempt body
+// (fetchShard) and the fold are its own.
 
 // FetchedDoc is one fetched document at the cluster boundary. Fields are
-// copies (name, then text: the stores' field order), so the caller owns
-// them outright — no pins or aliases into shard caches escape the cluster.
+// copies (name, then text: the stores' field order), so no pins or aliases
+// into shard caches escape the cluster. The copies of one answer's
+// documents share its arena: one byte slab for every field and one slab of
+// field headers, each field capped at its own length so that an append to
+// it reallocates rather than reach its neighbour. A retained document
+// therefore keeps its whole answer's slabs alive.
 type FetchedDoc struct {
 	DocID  uint32
 	Fields [][]byte
@@ -89,11 +94,11 @@ func fetchRangeError(id uint32, n int) error {
 }
 
 // FetchBatch fetches the documents with the given global docIDs. The
-// result's Docs holds one entry per requested id, in input order; TopK
-// stays empty. Shard failures degrade: the failed shard's documents are
-// zero-valued, its Degraded bit is set, and its error lands in
-// ShardErrs. The call errors only on invalid ids, a dead context, or
-// when every involved shard failed.
+// result's Docs holds one entry per requested id, in input order, in one
+// arena (FetchedDoc); TopK stays empty. Shard failures degrade: the failed
+// shard's documents are zero-valued, its Degraded bit is set, and its
+// error lands in ShardErrs. The call errors only on invalid ids, a dead
+// context, or when every involved shard failed.
 func (cl *Cluster) FetchBatch(ctx context.Context, ids []uint32) (*ClusterResult, error) {
 	// exec, straight into its fetch arm: BatchQuery spells a fetch as a
 	// non-empty FetchIDs, and an empty id list is still a (vacuous) fetch.
@@ -114,8 +119,11 @@ func (cl *Cluster) FetchBatch(ctx context.Context, ids []uint32) (*ClusterResult
 // holds one entry per id, the fetch work merges into PerShard and
 // LinkBytes, and fetch failures join the Degraded mask. The fold is not
 // mergePartial's: only the shards that own a requested document are
-// involved, and the call fails when every one of *them* did. rec is the
-// request's record, which routes the ids; shardWorkers is exec's.
+// involved, and the call fails when every one of *them* did. The surviving
+// shards' payloads are copied out of the record into the answer's arena
+// (arena); a failed shard's documents are never written, so they keep the
+// zero value. rec is the request's record, which routes the ids;
+// shardWorkers is exec's.
 func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult, ids []uint32, mask uint64, shardWorkers int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -138,8 +146,7 @@ func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult,
 		rec.ids[si] = append(rec.ids[si], id)
 		rec.pos[si] = append(rec.pos[si], i)
 	}
-	w := shardWork{rec: rec, docs: res.Docs}
-	outs := cl.sweep(ctx, w, mask, shardWorkers)
+	outs := cl.sweep(ctx, shardWork{rec: rec, fetch: true}, mask, shardWorkers)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -156,11 +163,6 @@ func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult,
 				firstErr = out.err
 			}
 			res.fail(si, out.err)
-			// A failed attempt may have partially populated its documents;
-			// zero them so degraded entries are unambiguous.
-			for _, p := range rec.pos[si] {
-				res.Docs[p] = FetchedDoc{}
-			}
 			continue
 		}
 		res.addShard(si, out.m)
@@ -168,7 +170,44 @@ func (cl *Cluster) fetch(ctx context.Context, rec *queryRec, res *ClusterResult,
 	if failed == involved {
 		return firstErr
 	}
+	rec.arena(res.Docs)
 	return nil
+}
+
+// arena copies the documents of every shard whose fetch succeeded (outs
+// without an error) from the record's payload scratch into docs at their
+// input positions: all their bytes into one slab, all their field headers
+// into another, each field capped at its own length (an empty field is nil).
+// A shard's scratch holds the same number of fields for each of its
+// documents, its store's field count.
+func (rec *queryRec) arena(docs []FetchedDoc) {
+	nb, nf := 0, 0
+	for si, out := range rec.outs {
+		if len(rec.ids[si]) > 0 && out.err == nil {
+			nb += len(rec.payload[si])
+			nf += len(rec.flens[si])
+		}
+	}
+	slab, fields := make([]byte, nb), make([][]byte, nf)
+	for si, out := range rec.outs {
+		ids := rec.ids[si]
+		if len(ids) == 0 || out.err != nil {
+			continue
+		}
+		copy(slab, rec.payload[si])
+		flens := rec.flens[si]
+		per := len(flens) / len(ids)
+		for j, p := range rec.pos[si] {
+			d := &docs[p]
+			d.DocID = ids[j]
+			d.Fields, fields = fields[:per:per], fields[per:]
+			for fi, n := range flens[j*per : (j+1)*per] {
+				if n > 0 {
+					d.Fields[fi], slab = slab[:n:n], slab[n:]
+				}
+			}
+		}
+	}
 }
 
 // fetchQueryKey folds a fetch's docID set into the stable query key the
@@ -184,53 +223,34 @@ func fetchQueryKey(ids []uint32) uint64 {
 
 // fetchShard is attempt's fetch body: every document routed to shard si
 // streams through replica ri's fetch engine into the record's buffer for
-// the shard, and the payloads are copied into w.docs at their input
-// positions. The shard's metrics record is zeroed per attempt, so a retried
-// attempt does not double-charge the recorded shard work.
+// the shard, and its fields are appended to the shard's payload scratch,
+// which fetch copies into the answer once the sweep is over. The shard's
+// metrics record and scratch are reset per attempt, so a retried attempt
+// neither double-charges the recorded shard work nor keeps a failed
+// attempt's payloads. Fetches are never hedged, so no two attempts share
+// the scratch.
 func (cl *Cluster) fetchShard(ctx context.Context, w shardWork, si, ri int) shardOut {
 	eng := cl.fetchers[si][ri]
 	off := cl.offsets[si]
-	pos := w.rec.pos[si]
 	m := &w.rec.ms[si]
 	*m = perf.Metrics{}
+	payload, flens := &w.rec.payload[si], &w.rec.flens[si]
+	*payload, *flens = (*payload)[:0], (*flens)[:0]
 	buf := &w.rec.bufs[si]
 	defer buf.Release()
-	for j, id := range w.rec.ids[si] {
+	for _, id := range w.rec.ids[si] {
 		if err := eng.FetchInto(ctx, id-off, m, buf); err != nil {
 			return shardOut{err: shardError(si, err)}
 		}
-		var n int
+		n := len(*payload)
 		for _, f := range buf.Fields {
-			n += len(f)
+			*payload = append(*payload, f...)
+			*flens = append(*flens, len(f))
 		}
-		d := &w.docs[pos[j]]
-		d.DocID = id
-		d.Fields = copyFields(d.Fields, buf.Fields, n)
 		// The returned payload crosses the shared interconnect to the root.
-		m.AddHost(int64(n), mem.CatLoadDoc)
+		m.AddHost(int64(len(*payload)-n), mem.CatLoadDoc)
 	}
 	return shardOut{m: m}
-}
-
-// copyFields replaces dst with copies of src's field slices, whose lengths
-// sum to n: the bytes of every field in one allocation, each field capped at
-// its own length so that an append to one cannot reach the next (an empty
-// field is nil), in dst's backing array when it has room — a retried
-// attempt's — else in one of exactly len(src).
-func copyFields(dst, src [][]byte, n int) [][]byte {
-	if cap(dst) < len(src) {
-		dst = make([][]byte, len(src))
-	}
-	dst = dst[:len(src)]
-	b := make([]byte, n)
-	for i, f := range src {
-		dst[i] = nil
-		if len(f) > 0 {
-			dst[i], b = b[:len(f):len(f)], b[len(f):]
-			copy(dst[i], f)
-		}
-	}
-	return dst
 }
 
 // SearchFetchCtx is SearchCtx plus the fetch phase: the merged top-k's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -30,11 +31,13 @@ func expectedDoc(c *corpus.Corpus, id uint32) (name, text []byte) {
 }
 
 // TestFetchPathAllocs pins what a warm fetch by id costs SearchBatchQueries
-// at 4 shards through a reused BatchResult: what it hands off, Docs, and per
-// document 2, its Fields and one slice holding all its fields' bytes. The
-// routing, the shard outcomes, their metrics and the document buffers come
-// from the request's record, the result and its PerShard from the
-// BatchResult (until it was reused, they and the batch cost 10 more).
+// at 4 shards through a reused BatchResult: what it hands off, Docs and the
+// answer's arena — one slab for every field's bytes and one for the field
+// headers — 3 however many documents it holds (1 + 2n until the arena). The
+// routing, the shard outcomes, their metrics, the document buffers and the
+// payload scratch come from the request's record, the result and its
+// PerShard from the BatchResult (until it was reused, they and the batch
+// cost 10 more).
 func TestFetchPathAllocs(t *testing.T) {
 	skipUnderRace(t)
 	c, cl := fetchFixture(t, 4)
@@ -49,10 +52,76 @@ func TestFetchPathAllocs(t *testing.T) {
 			}
 		}
 		run() // build the stores, warm the cache and the records
-		if got, want := testing.AllocsPerRun(100, run), 1+2*docs; got != float64(want) {
+		if got, want := testing.AllocsPerRun(100, run), 3; got != float64(want) {
 			t.Errorf("a warm fetch of %d documents allocates %.2f, want %d", docs, got, want)
 		}
 	}
+}
+
+// TestFetchArenaIsolation: a fetch's documents share one arena per answer,
+// and no document can reach another's bytes or the record the arena was
+// copied from. With every released record poisoned (poisonRecord), on a
+// 4-shard cluster through one reused BatchResult: appending to any returned
+// field leaves every field of every document equal to the store's; with one
+// shard dead, its documents are zero-valued and the rest intact, though its
+// scratch still holds the last batch's payloads; and the documents of every
+// batch stay equal to the store's after the later batches reuse the
+// BatchResult and the records.
+func TestFetchArenaIsolation(t *testing.T) {
+	c, cl := fetchFixture(t, 4)
+	cl.poison = poisonRecord
+	n := uint32(c.Spec.NumDocs)
+	ids := []uint32{0, n - 1, n / 2, 1, n/2 + 1, n / 3, 7, n / 4, 3 * n / 4, n - 2}
+	intact := func(what string, docs []FetchedDoc, ids []uint32, dead int) {
+		t.Helper()
+		if len(docs) != len(ids) {
+			t.Fatalf("%s: %d documents for %d ids", what, len(docs), len(ids))
+		}
+		for i, id := range ids {
+			d := docs[i]
+			if cl.shardOfDoc(id) == dead {
+				if d.DocID != 0 || d.Fields != nil {
+					t.Fatalf("%s: document %d of the dead shard is not zero-valued: %+v", what, id, d)
+				}
+				continue
+			}
+			name, text := expectedDoc(c, id)
+			if d.DocID != id || len(d.Fields) != 2 || !bytes.Equal(d.Fields[0], name) || !bytes.Equal(d.Fields[1], text) {
+				t.Fatalf("%s: document %d differs from the store's", what, id)
+			}
+		}
+	}
+	var br BatchResult
+	fetch := func(ids []uint32) *ClusterResult {
+		t.Helper()
+		if cl.SearchBatchQueries(context.Background(), []BatchQuery{{FetchIDs: ids}}, &br); br.Err != nil {
+			t.Fatal(br.Err)
+		}
+		return &br.Results[0]
+	}
+
+	first := fetch(ids).Docs
+	intact("fetched", first, ids, -1)
+	for i := range first {
+		for fi := range first[i].Fields {
+			_ = append(first[i].Fields[fi], "appended past the field"...)
+			intact(fmt.Sprintf("after an append to document %d field %d", first[i].DocID, fi), first, ids, -1)
+		}
+	}
+
+	cl.SetFaultPlan(&mem.FaultPlan{Seed: 1, DeadDevices: []int{1}})
+	res := fetch(ids)
+	if res.Degraded != 1<<1 {
+		t.Fatalf("Degraded = %b, want shard 1", res.Degraded)
+	}
+	degraded := res.Docs
+	intact("one shard dead", degraded, ids, 1)
+
+	cl.SetFaultPlan(nil)
+	again := []uint32{n - 3, 2, n/2 + 2, 5, n / 5}
+	intact("the next batch", fetch(again).Docs, again, -1)
+	intact("the first batch, after two more", first, ids, -1)
+	intact("the degraded batch, after one more", degraded, ids, 1)
 }
 
 func TestFetchBatchRoundTrip(t *testing.T) {

@@ -12,11 +12,11 @@ import (
 // cluster's pool so that a warm request allocates only what it returns. Per
 // shard it holds the sweep's outcome, the metrics record and the slab region
 // a search attempt charges and ranks into, the plan narrowed to the shard's
-// dictionary, and a fetch's routing and document buffer; besides, the hit
-// list a WithDocs search fetches. Nothing a result carries points into it:
-// mergePartial copies the metrics out and merges the shards' lists into a
-// TopK of its own, and fetchShard copies the payloads out. A hedged search
-// shard runs without it (shardWork.rec).
+// dictionary, and a fetch's routing, document buffer and payload scratch;
+// besides, the hit list a WithDocs search fetches. Nothing a result carries
+// points into it: mergePartial copies the metrics out and merges the shards'
+// lists into a TopK of its own, and fetch copies the payloads into the
+// answer's arena. A hedged search shard runs without it (shardWork.rec).
 type queryRec struct {
 	outs  []shardOut
 	ms    []perf.Metrics
@@ -24,7 +24,12 @@ type queryRec struct {
 	bufs  []core.DocBuf
 	ids   [][]uint32 // a fetch's docIDs routed to each shard
 	pos   [][]int    // where each of them goes back in the request
-	hits  []uint32   // a WithDocs search's hits, the ids its fetch asks for
+	// A fetch attempt's payloads on each shard: the field bytes of the
+	// shard's documents back to back, in routing order, and each field's
+	// length. fetchShard truncates them as an attempt starts.
+	payload [][]byte
+	flens   [][]int
+	hits    []uint32 // a WithDocs search's hits, the ids its fetch asks for
 	// slab holds every shard's top-k for a request of depth k: shard si's
 	// region is slab[si*k : (si+1)*k] (region). sizeSlab grows it.
 	slab []topk.Entry
@@ -42,13 +47,15 @@ type queryRec struct {
 func newRecord(cl *Cluster) *queryRec {
 	shards := len(cl.shards)
 	rec := &queryRec{
-		outs:  make([]shardOut, shards),
-		ms:    make([]perf.Metrics, shards),
-		plans: make([]planBuf, shards),
-		bufs:  make([]core.DocBuf, shards),
-		ids:   make([][]uint32, shards),
-		pos:   make([][]int, shards),
-		cl:    cl,
+		outs:    make([]shardOut, shards),
+		ms:      make([]perf.Metrics, shards),
+		plans:   make([]planBuf, shards),
+		bufs:    make([]core.DocBuf, shards),
+		ids:     make([][]uint32, shards),
+		pos:     make([][]int, shards),
+		payload: make([][]byte, shards),
+		flens:   make([][]int, shards),
+		cl:      cl,
 	}
 	rec.sweepFn = rec.sweepShard
 	return rec
@@ -79,8 +86,9 @@ func (rec *queryRec) region(si, k int) []topk.Entry {
 // reset readies rec for the next request: it drops every reference the last
 // one left (outcomes with their errors and any hedged attempt's storage,
 // narrowed plans aliasing its prepared query) and truncates the routing,
-// keeping each backing array. The metrics records and the slab hold plain
-// values that every use overwrites. A non-nil poison then gets the record.
+// keeping each backing array. The metrics records, the slab and the fetch
+// payload scratch hold plain values that every use overwrites. A non-nil
+// poison then gets the record.
 func (rec *queryRec) reset(poison func(*queryRec)) {
 	clear(rec.outs)
 	for si := range rec.plans {

@@ -24,9 +24,10 @@ var errPoisoned = errors.New("pool: read a released record")
 // poisonRecord overwrites everything a released record still holds: every
 // slab entry becomes a sentinel docID with a NaN score, every metrics record
 // negative counters, every outcome an error, every narrowed-plan slot a term
-// no shard holds, and every routing slot a sentinel. A result that kept a
-// reference into a record it gave back, or a request that read its record
-// before writing it, reads this.
+// no shard holds, every routing slot a sentinel, every fetch payload byte a
+// sentinel and every field length negative. A result that kept a reference
+// into a record it gave back, or a request that read its record before
+// writing it, reads this.
 func poisonRecord(rec *queryRec) {
 	for i := range rec.slab[:cap(rec.slab)] {
 		rec.slab[i] = topk.Entry{DocID: poisonDoc, Score: math.NaN()}
@@ -53,6 +54,15 @@ func poisonRecord(rec *queryRec) {
 		}
 		for j := range pos[:cap(pos)] {
 			pos[:cap(pos)][j] = -1
+		}
+	}
+	for si := range rec.payload {
+		payload, flens := rec.payload[si], rec.flens[si]
+		for j := range payload[:cap(payload)] {
+			payload[:cap(payload)][j] = 0xEE
+		}
+		for j := range flens[:cap(flens)] {
+			flens[:cap(flens)][j] = -1
 		}
 	}
 	for j := range rec.hits[:cap(rec.hits)] {

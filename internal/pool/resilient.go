@@ -403,7 +403,7 @@ func (cl *Cluster) retryableOn(err error, si int) bool {
 // charging and ranking where w.out says — or the fetch body (fetchShard,
 // fetch.go).
 func (cl *Cluster) attempt(ctx context.Context, w shardWork, si, ri int) shardOut {
-	if w.docs != nil {
+	if w.fetch {
 		return cl.fetchShard(ctx, w, si, ri)
 	}
 	m, dst := w.out(si)
@@ -484,21 +484,20 @@ func replicaDraw(seed, qkey uint64, si int) uint64 {
 //
 //boss:hotpath one call per (query, shard).
 func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint64) shardOut {
-	fetch := w.docs != nil
-	if fetch && len(w.rec.ids[si]) == 0 {
+	if w.fetch && len(w.rec.ids[si]) == 0 {
 		return shardOut{}
 	}
 	if !maskHas(mask, si) {
 		return shardOut{err: shardError(si, ErrShardShed)}
 	}
 	qkey, hedge := w.qkey, cl.res.HedgeCutoff > 0 && len(cl.states[si]) > 1
-	if fetch {
+	if w.fetch {
 		qkey, hedge = fetchQueryKey(w.rec.ids[si]), false
 	}
 	if cause := ctx.Err(); cause != nil {
 		return shardOut{err: shardError(si, cause)}
 	}
-	if !fetch {
+	if !w.fetch {
 		if hedge {
 			w.rec = nil // a losing runner may outlive the request
 		}
