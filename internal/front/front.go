@@ -175,9 +175,9 @@ type Result struct {
 // flightKey identifies coalescible executions: same canonical DNF, same
 // top-k depth, same shard mask. Requests differing only in term order,
 // duplication, or distribution share a key. A fetch's canon is fetchTag and
-// ids its id list's hash (hashIDs), so building the key allocates nothing;
-// a fetch joins a flight under its key only when the flight's own id list is
-// equal (twinLocked).
+// ids its id list's hash (pool.FetchKey), so building the key allocates
+// nothing; a fetch joins a flight under its key only when the flight's own
+// id list is equal (twinLocked).
 type flightKey struct {
 	canon string
 	ids   uint64
@@ -255,8 +255,9 @@ type Front struct {
 	shards    int
 	dropN     int     // shards dropped per degraded admission
 	watermark float64 // inSystem threshold for pressure degradation
-	// fetchHash is a fetch key's hash of its id list: hashIDs, which a test
-	// replaces before the first Submit to make different lists collide.
+	// fetchHash is a fetch key's hash of its id list: pool.FetchKey, which
+	// a test replaces before the first Submit to make different lists
+	// collide.
 	fetchHash func([]uint32) uint64
 
 	mu         sync.Mutex
@@ -292,7 +293,7 @@ func New(cfg Config, be Backend) (*Front, error) {
 		be:        be,
 		clock:     cfg.Clock,
 		rec:       cfg.Recorder,
-		fetchHash: hashIDs,
+		fetchHash: pool.FetchKey,
 		shards:    be.Shards(),
 		keys:      make(map[string]keyEntry),
 		flights:   make(map[flightKey]*flight),
@@ -601,7 +602,8 @@ const fetchTag = "\x00f"
 // twinLocked returns the in-flight flight a request with the given fetch id
 // list (empty for a search) coalesces onto under key, or nil. taken reports
 // that the key's slot is held, by the twin or — when a different id list
-// hashed alike — by a flight the request must not join.
+// hashed alike — by a flight the request must not join: a hash collision
+// costs a missed coalesce, never a wrong answer.
 //
 //boss:hotpath one map probe per admission and per degraded admission.
 func (f *Front) twinLocked(key flightKey, ids []uint32) (twin *flight, taken bool) {
@@ -610,19 +612,6 @@ func (f *Front) twinLocked(key flightKey, ids []uint32) (twin *flight, taken boo
 		return fl, true
 	}
 	return nil, fl != nil
-}
-
-// hashIDs hashes a fetch's id list, order and length included, for its
-// flight key. Equal lists hash alike; a key match is confirmed against the
-// flight's own list (twinLocked), so a collision costs a missed coalesce,
-// never a wrong answer.
-func hashIDs(ids []uint32) uint64 {
-	h := uint64(len(ids))
-	for _, id := range ids {
-		h = (h ^ uint64(id)) * 0x9e3779b97f4a7c15
-		h ^= h >> 32
-	}
-	return h
 }
 
 // fetchCanon renders a fetch request's id list after fetchTag: the key the

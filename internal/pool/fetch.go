@@ -210,10 +210,11 @@ func (rec *queryRec) arena(docs []FetchedDoc) {
 	}
 }
 
-// fetchQueryKey folds a fetch's docID set into the stable query key the
-// replica rotation hashes on, so a given fetch routes to the same copy
-// across replays just like a search expression does.
-func fetchQueryKey(ids []uint32) uint64 {
+// FetchKey folds a fetch's docID list, in order, into a stable key. The
+// replica rotation hashes on it, so a given fetch routes to the same copy
+// across replays just like a search expression does, and the front door
+// keys fetch flights on it.
+func FetchKey(ids []uint32) uint64 {
 	var key uint64
 	for _, id := range ids {
 		key = splitmix64(key ^ uint64(id))

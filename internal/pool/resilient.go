@@ -469,11 +469,12 @@ func replicaDraw(seed, qkey uint64, si int) uint64 {
 //   - the fetch shard with nothing to do is recognised before the mask is
 //     looked at, the search shard after it (a masked-out shard is reported
 //     shed without its query being examined);
-//   - a fetch's replica key is fetchQueryKey of the ids routed to this
+//   - a fetch's replica key is FetchKey of the ids routed to this
 //     shard, not of the whole request, so a given shard's share routes to
 //     the same copy whatever else the request asked for;
-//   - fetches are never hedged: a fetch attempt writes payloads into the
-//     result's Docs in place, and two racing attempts would tear them.
+//   - fetches are never hedged: a fetch attempt appends payloads to the
+//     record's scratch for its shard, and two racing attempts would tear
+//     it.
 //
 // A retry's copy is picked before its backoff: when none is left — the
 // other breakers reject, and re-reading the copy that just returned a
@@ -492,7 +493,7 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 	}
 	qkey, hedge := w.qkey, cl.res.HedgeCutoff > 0 && len(cl.states[si]) > 1
 	if w.fetch {
-		qkey, hedge = fetchQueryKey(w.rec.ids[si]), false
+		qkey, hedge = FetchKey(w.rec.ids[si]), false
 	}
 	if cause := ctx.Err(); cause != nil {
 		return shardOut{err: shardError(si, cause)}
