@@ -550,25 +550,19 @@ func Shard(kind SyntheticKind, scale float64, nodes int) (*ShardedIndex, error) 
 }
 
 // ReplicaOptions configures shard replication for ShardReplicated. The
-// zero value means single-copy shards with hedging off — exactly Shard.
-// Negative values are refused with an error wrapping pool.ErrBadConfig.
+// zero value means single-copy shards — exactly Shard. A negative replica
+// count is refused with an error wrapping pool.ErrBadConfig.
 type ReplicaOptions struct {
 	// Replicas is the number of independently-faultable copies of every
 	// shard (0 or 1 = single copy).
 	Replicas int
-	// HedgeCutoff, when positive, arms hedged requests: a backup attempt
-	// fires on another replica when the primary has not answered within
-	// the cutoff (0 = hedging off). Requires Replicas > 1 to have any
-	// effect.
-	HedgeCutoff time.Duration
 }
 
 // ShardReplicated is Shard with R-way shard replication: every memory
 // node's shard exists as opt.Replicas independently-faultable copies,
 // queries route to copies deterministically with open-breaker copies
 // skipped, and retries rotate across copies (so even a permanent media
-// error on one copy is served from another). With opt.HedgeCutoff set,
-// tail-latency stragglers are hedged onto a second copy.
+// error on one copy is served from another).
 func ShardReplicated(kind SyntheticKind, scale float64, nodes int, opt ReplicaOptions) (*ShardedIndex, error) {
 	spec, err := kind.spec(scale)
 	if err != nil {
@@ -577,7 +571,7 @@ func ShardReplicated(kind SyntheticKind, scale float64, nodes int, opt ReplicaOp
 	c := corpus.Generate(spec)
 	cfg := pool.DefaultConfig()
 	if opt.Replicas != 0 {
-		cfg.Replicas = opt.Replicas
+		cfg.Replicas = opt.Replicas // as given: NewCluster refuses a negative count
 	}
 	if opt.Replicas > 1 {
 		// Replication without retries cannot fail over: a query whose
@@ -586,8 +580,6 @@ func ShardReplicated(kind SyntheticKind, scale float64, nodes int, opt ReplicaOp
 		// zero-valued (retry-free) resilience Shard always had.
 		cfg.Resilience = pool.DefaultResilience()
 	}
-	// Both values pass through as given: NewCluster refuses negative ones.
-	cfg.Resilience.HedgeCutoff = opt.HedgeCutoff
 	cl, err := pool.NewCluster(cfg, c, nodes)
 	if err != nil {
 		return nil, err
@@ -717,11 +709,6 @@ type ShardedResult struct {
 	// requested docID). Documents a degraded node could not serve are
 	// zero-valued apart from their position. Nil on search-only paths.
 	Docs []Doc
-	// Hedged counts shard attempts that fired a hedged backup, and
-	// HedgeWins how many of those backups beat the primary. Always zero
-	// on single-copy or hedging-off deployments.
-	Hedged    int
-	HedgeWins int
 	// ServedBy names the replica that served each node's shard (-1 for a
 	// degraded node). Nil on single-copy deployments.
 	ServedBy []int
@@ -739,13 +726,11 @@ func (d *deployment) result(res *pool.ClusterResult, err error) (*ShardedResult,
 		}
 	}
 	out := &ShardedResult{
-		Hits:      hits(d.names, res.TopK),
-		Stats:     simStats(&agg, d.dev, d.cores),
-		Degraded:  res.Degraded,
-		Hedged:    res.Hedged,
-		HedgeWins: res.HedgeWins,
-		ServedBy:  res.ServedBy,
-		Docs:      docsFromFetched(res.Docs), // nil on search-only results
+		Hits:     hits(d.names, res.TopK),
+		Stats:    simStats(&agg, d.dev, d.cores),
+		Degraded: res.Degraded,
+		ServedBy: res.ServedBy,
+		Docs:     docsFromFetched(res.Docs), // nil on search-only results
 	}
 	return out, nil
 }

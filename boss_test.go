@@ -488,14 +488,11 @@ func TestShardReplicatedFailsOver(t *testing.T) {
 	}
 }
 
-// TestShardReplicatedRejectsNegativeOptions: a negative replica count or
-// hedge cutoff is refused with the cluster's ErrBadConfig, not read as one
-// copy or as hedging off.
+// TestShardReplicatedRejectsNegativeOptions: a negative replica count is
+// refused with the cluster's ErrBadConfig, not read as one copy.
 func TestShardReplicatedRejectsNegativeOptions(t *testing.T) {
-	for _, opt := range []ReplicaOptions{{Replicas: -1}, {HedgeCutoff: -time.Millisecond}} {
-		if _, err := ShardReplicated(CCNewsLike, 0.004, 2, opt); !errors.Is(err, pool.ErrBadConfig) {
-			t.Errorf("ShardReplicated(%+v): err = %v, want pool.ErrBadConfig", opt, err)
-		}
+	if _, err := ShardReplicated(CCNewsLike, 0.004, 2, ReplicaOptions{Replicas: -1}); !errors.Is(err, pool.ErrBadConfig) {
+		t.Errorf("ShardReplicated(Replicas: -1): err = %v, want pool.ErrBadConfig", err)
 	}
 }
 

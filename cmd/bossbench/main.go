@@ -43,7 +43,7 @@ func main() {
 		chaos   = flag.Bool("chaos", false, "sweep fault-injection rates and report availability/QPS of the resilient serving path")
 		over    = flag.Bool("overload", false, "sweep offered load past capacity and report front-door goodput, shedding, and tail latency")
 		shards  = flag.Int("shards", 4, "cluster shard count for -chaos and -overload")
-		reps    = flag.Int("replicas", 1, "with -chaos, copies of every shard (replication + hedging when > 1)")
+		reps    = flag.Int("replicas", 1, "with -chaos, copies of every shard (replication + failover retries when > 1)")
 		repKill = flag.Bool("replicakill", false, "with -chaos, kill copy 0 of every shard at each point (requires -replicas >= 2)")
 		jsonOut = flag.Bool("json", false, "with -chaos or -overload, emit the report as JSON")
 		profile = flag.String("profile", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof covering the run")

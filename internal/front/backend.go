@@ -21,9 +21,6 @@ type Out struct {
 	// front door or failed in the backend (mirrors
 	// pool.ClusterResult.Degraded). Zero means complete.
 	Degraded uint64
-	// Hedged counts shard attempts that fired a hedged backup replica
-	// (mirrors pool.ClusterResult.Hedged; zero on single-copy backends).
-	Hedged int
 	// Err is the query's terminal error, if execution failed outright.
 	Err error
 }
@@ -72,6 +69,6 @@ func (b *ClusterBackend) ExecuteBatch(ctx context.Context, qs []pool.BatchQuery,
 			continue
 		}
 		res := &b.br.Results[i]
-		out[i] = Out{TopK: res.TopK, Docs: res.Docs, Degraded: res.Degraded, Hedged: res.Hedged}
+		out[i] = Out{TopK: res.TopK, Docs: res.Docs, Degraded: res.Degraded}
 	}
 }

@@ -273,7 +273,7 @@ func poisonBatch(br *pool.BatchResult) {
 		for si := range r.ServedBy {
 			r.ServedBy[si] = -7
 		}
-		r.LinkBytes, r.Degraded, r.Hedged, r.HedgeWins = -1, ^uint64(0), -1, -1
+		r.LinkBytes, r.Degraded = -1, ^uint64(0)
 		br.Errs[i] = errPoisoned
 	}
 	br.Err = errPoisoned

@@ -162,9 +162,6 @@ type Result struct {
 	// Degraded is the bitmask of shards missing from TopK, whether
 	// shed by admission or failed in the backend. Zero means complete.
 	Degraded uint64
-	// Hedged counts backend shard attempts that fired a hedged backup
-	// replica (zero on single-copy backends).
-	Hedged int
 	// DedupHit reports that this request coalesced onto another
 	// in-flight execution instead of admitting its own.
 	DedupHit bool
@@ -790,7 +787,6 @@ func (f *Front) runExecutor() {
 func (f *Front) completeBatch(bt *batch) {
 	f.mu.Lock()
 	for i, fl := range bt.flights {
-		f.m.Hedged += uint64(bt.outs[i].Hedged)
 		f.completeLocked(fl, &bt.outs[i])
 		bt.flights[i] = nil
 	}
@@ -817,7 +813,6 @@ func (f *Front) completeLocked(fl *flight, out *Out) {
 		t.res.TopK = out.TopK
 		t.res.Docs = out.Docs
 		t.res.Degraded = out.Degraded
-		t.res.Hedged = out.Hedged
 		t.res.Err = out.Err
 		t.res.DedupHit = t.dedup
 		t.delivered = true

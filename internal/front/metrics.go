@@ -38,10 +38,6 @@ type Metrics struct {
 	FlushManual   uint64
 	// Executed counts flights completed by the backend.
 	Executed uint64
-	// Hedged counts backend shard attempts that fired a hedged backup
-	// replica, summed over completed flights (zero on single-copy
-	// backends).
-	Hedged uint64
 }
 
 // DecisionKind labels one admission/batching decision in the log.

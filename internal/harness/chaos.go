@@ -48,9 +48,6 @@ type ChaosPoint struct {
 	// shard replicas from the resilience event logs.
 	ShardRetries int `json:"shard_retries"`
 	BreakerOpens int `json:"breaker_opens"`
-	// Hedged counts shard attempts that fired a hedged backup replica
-	// (always zero on single-copy sweeps, where hedging is off).
-	Hedged int `json:"hedged"`
 	// QPS is real host-side throughput and P50LatencyUS / P99LatencyUS
 	// per-query host latency percentiles in microseconds — of the work done:
 	// backoff waits are virtual. Only these three differ between two runs.
@@ -63,7 +60,7 @@ type ChaosPoint struct {
 // resilient cluster serving path at increasing fault-injection rates. Rate
 // zero is the control — it runs with a nil fault plan, i.e. the exact
 // fault-free fast path every simulated figure uses. With Replicas > 1 the
-// sweep serves from replicated shards (hedging armed); with ReplicaKill
+// sweep serves from replicated shards with retries armed; with ReplicaKill
 // the fault plan additionally takes copy 0 of every shard down, so
 // availability measures pure replica failover.
 type ChaosReport struct {
@@ -86,11 +83,6 @@ const (
 	chaosBatch  = 200
 	chaosPasses = 5
 )
-
-// chaosHedgeCutoff arms hedged requests on replicated sweeps: generous
-// against simulated-device service times, so hedges fire only on real
-// stragglers rather than doubling the whole workload.
-const chaosHedgeCutoff = 2 * time.Millisecond
 
 // chaosInterArrival is the virtual time between two queries (5k QPS
 // offered): with backoffs, all that moves the sweep's clock.
@@ -116,7 +108,7 @@ func chaosExprs(c *corpus.Corpus, seed int64, n int) []string {
 // chaosConfig is the sweep's cluster configuration: cache off (faults are
 // drawn on the decode path, so a warm decoded-block cache would absorb
 // the fault plan after the first pass and every point would trivially
-// report full availability), the requested replica count, hedging armed
+// report full availability), the requested replica count, retries armed
 // on replicated sweeps, and a serial shard sweep on the given clock.
 func chaosConfig(replicas int, clk clock.Clock) pool.Config {
 	cfg := pool.DefaultConfig()
@@ -125,12 +117,11 @@ func chaosConfig(replicas int, clk clock.Clock) pool.Config {
 	cfg.Workers = 1
 	cfg.Clock = clk
 	if replicas > 1 {
-		// Replicated sweeps arm the full failover stack: retries (so a
-		// failed attempt rotates onto another copy instead of degrading)
-		// and hedged requests. Single-copy sweeps keep the zero policy:
-		// no retries, so an uncorrectable error degrades the result.
+		// Replicated sweeps arm retries, so a failed attempt rotates onto
+		// another copy instead of degrading. Single-copy sweeps keep the
+		// zero policy: no retries, so an uncorrectable error degrades the
+		// result.
 		cfg.Resilience = pool.DefaultResilience()
-		cfg.Resilience.HedgeCutoff = chaosHedgeCutoff
 	}
 	return cfg
 }
@@ -185,7 +176,6 @@ func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate floa
 				pt.FullyOK++
 			}
 			if err == nil {
-				pt.Hedged += res.Hedged
 				for _, m := range res.PerShard {
 					if m != nil {
 						pt.TransientRetries += m.TransientRetries
@@ -219,10 +209,9 @@ func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate floa
 // each point. Every point runs on a fake clock that moves by
 // chaosInterArrival per query and by each backoff's length, so breaker
 // cooldowns are functions of the query sequence and every outcome column
-// is byte-identical across runs; nothing moves the clock while an attempt
-// is in flight, so no hedge fires. Rate zero is the control: full
-// availability, zero retries, breaker opens and hedges. replicas > 1
-// serves every point from replicated shards with hedging armed;
+// is byte-identical across runs. Rate zero is the control: full
+// availability, zero retries and breaker opens. replicas > 1 serves every
+// point from replicated shards with retries armed;
 // replicaKill additionally takes copy 0 of every shard down at every point
 // (requires replicas >= 2 — with one copy a whole-replica kill is just an
 // outage). The shard corpora and index builds are shared across points;
@@ -277,7 +266,6 @@ func (r *ChaosReport) Table() *Table {
 			fmt.Sprintf("%d", p.TransientRetries),
 			fmt.Sprintf("%d", p.ShardRetries),
 			fmt.Sprintf("%d", p.BreakerOpens),
-			fmt.Sprintf("%d", p.Hedged),
 			fmt.Sprintf("%.0f", p.QPS),
 			fmt.Sprintf("%.0f", p.P99LatencyUS),
 		})
@@ -288,7 +276,7 @@ func (r *ChaosReport) Table() *Table {
 		Header: []string{
 			"fault-rate", "replicas", "dead", "queries", "ok", "degraded", "failed",
 			"availability", "dev-retries", "shard-retries", "breaker-opens",
-			"hedged", "qps", "p99-us",
+			"qps", "p99-us",
 		},
 		Rows: rows,
 		Notes: []string{

@@ -9,9 +9,7 @@ import (
 
 // TestChaosControlPoint pins what Chaos's doc comment promises of the
 // rate-0 control: a fixed query count, full availability, and no fault
-// handling of any kind — no hedge either: the sweep's clock is virtual and
-// stands still while an attempt is in flight — on single-copy and
-// replicated clusters.
+// handling of any kind, on single-copy and replicated clusters.
 func TestChaosControlPoint(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
 		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
@@ -29,7 +27,7 @@ func TestChaosControlPoint(t *testing.T) {
 			if p.Availability != 1 {
 				t.Fatalf("availability %v, want 1", p.Availability)
 			}
-			if p.Degraded != 0 || p.Failed != 0 || p.TransientRetries != 0 || p.ShardRetries != 0 || p.BreakerOpens != 0 || p.Hedged != 0 {
+			if p.Degraded != 0 || p.Failed != 0 || p.TransientRetries != 0 || p.ShardRetries != 0 || p.BreakerOpens != 0 {
 				t.Fatalf("control point handled faults it was never given: %+v", p)
 			}
 		})
@@ -59,8 +57,8 @@ func TestChaosDeterministic(t *testing.T) {
 			if outcome(a[i]) != outcome(b[i]) {
 				t.Fatalf("replicas=%d kill=%v, point %d differs between two runs:\n%+v\n%+v", replicas, kill, i, a[i], b[i])
 			}
-			if a[i].Queries != 1000 || a[i].Hedged != 0 {
-				t.Fatalf("replicas=%d kill=%v, point %d: %d queries, %d hedged; want 1000 and 0", replicas, kill, i, a[i].Queries, a[i].Hedged)
+			if a[i].Queries != 1000 {
+				t.Fatalf("replicas=%d kill=%v, point %d: %d queries, want 1000", replicas, kill, i, a[i].Queries)
 			}
 		}
 		return a

@@ -59,13 +59,10 @@ type Cluster struct {
 
 	// Resilience machinery (see resilient.go): normalized policy, one
 	// breaker + event log per shard replica, and the clock (Config.Clock)
-	// that breaker cooldowns, retry backoff and the hedge cutoff run on.
+	// that breaker cooldowns and retry backoff run on.
 	res    Resilience
 	states [][]*shardState
 	clock  clock.Clock
-	// runFn issues one replica attempt on the hedged path; tests substitute
-	// it to script a replica's latency (a copy that stalls), never time.
-	runFn func(ctx context.Context, w shardWork, si, ri int) shardOut
 
 	// records recycles the per-request records exec runs on (queryRec). A
 	// non-nil poison is handed every record as it is released, before it is
@@ -95,9 +92,6 @@ func validateConfig(cfg Config) error {
 	}
 	if cfg.Replicas < 1 {
 		return fmt.Errorf("%w: Replicas %d (every shard needs at least one copy; DefaultConfig sets 1)", ErrBadConfig, cfg.Replicas)
-	}
-	if cfg.Resilience.HedgeCutoff < 0 {
-		return fmt.Errorf("%w: negative HedgeCutoff %v (use 0 to disable hedging)", ErrBadConfig, cfg.Resilience.HedgeCutoff)
 	}
 	return nil
 }
@@ -241,13 +235,8 @@ func (cl *Cluster) initServing() {
 }
 
 // Replicas reports the number of independently-faultable copies each
-// shard keeps (1 = single-copy serving).
-func (cl *Cluster) Replicas() int {
-	if cl.cfg.Replicas < 1 {
-		return 1
-	}
-	return cl.cfg.Replicas
-}
+// shard keeps (1 = single-copy serving); validateConfig holds it >= 1.
+func (cl *Cluster) Replicas() int { return cl.cfg.Replicas }
 
 // ReplicaDevice maps (shard, replica) to its fault-plan device index:
 // replica ri of shard si plays device si*Replicas+ri. With single-copy
@@ -321,12 +310,6 @@ type ClusterResult struct {
 	// requested docID for FetchBatch, one per TopK entry for the
 	// search+fetch paths. Entries from degraded shards are zero-valued.
 	Docs []FetchedDoc
-	// Hedged counts backup replica attempts this query fired (hedged
-	// requests past the cutoff); HedgeWins counts the backups whose
-	// result was adopted over the primary's. Both stay zero with
-	// hedging disabled or single-copy shards.
-	Hedged    int
-	HedgeWins int
 	// ServedBy, non-nil only on replicated clusters (Replicas > 1),
 	// records which replica produced each shard's contribution (-1 for
 	// shards that failed or could not match). Single-copy clusters leave
@@ -383,30 +366,13 @@ func (cl *Cluster) workers(n int) int {
 }
 
 // shardOut is one node's contribution to a fanned-out query. m and topk
-// point into the request's record (queryRec) or, on a hedged shard, into an
-// attempt's own storage; the fold copies both out.
+// point into the request's record (queryRec); the fold copies both out.
 type shardOut struct {
 	m    *perf.Metrics
 	topk []topk.Entry
 	err  error
-	// ri is the replica that produced the result; hedged/hedgeWin count
-	// the backup attempts fired and adopted while producing it.
-	ri       int
-	hedged   int
-	hedgeWin bool
-}
-
-// narrow restricts pl, a prepared query's plan or a copy of it, to what one
-// shard can answer: a conjunct survives iff idx holds all its terms, a sparse
-// term iff idx holds it; ok is false when none does and the shard has no part
-// in the answer. This is exactly pruning the expression and normalising the
-// rest: Node.DNF is an order-preserving cross product (TestFilterMatchesPrune,
-// FuzzFilterVsPrune). The prepared slices are shared, so it writes none: a
-// narrowed copy goes into fresh storage here, into a request's record through
-// planBuf.narrow.
-func narrow(pl query.Plan, idx *index.Index) (_ query.Plan, ok bool) {
-	var b planBuf
-	return b.narrow(pl, idx)
+	// ri is the replica that produced the result.
+	ri int
 }
 
 // planBuf is the storage a narrowed plan is copied into: the conjuncts or
@@ -417,7 +383,13 @@ type planBuf struct {
 	terms []string
 }
 
-// narrow is narrow into b's storage.
+// narrow restricts pl, a prepared query's plan or a copy of it, to what one
+// shard can answer: a conjunct survives iff idx holds all its terms, a sparse
+// term iff idx holds it; ok is false when none does and the shard has no part
+// in the answer. This is exactly pruning the expression and normalising the
+// rest: Node.DNF is an order-preserving cross product (TestFilterMatchesPrune,
+// FuzzFilterVsPrune). The prepared slices are shared, so it writes none: a
+// narrowed copy goes into b's storage.
 func (b *planBuf) narrow(pl query.Plan, idx *index.Index) (_ query.Plan, ok bool) {
 	if pl.DNF != nil {
 		pl.DNF = filter(pl.DNF, idx, holdsAll, &b.dnf)
@@ -482,30 +454,10 @@ type shardWork struct {
 	k    int
 	qkey uint64
 	// rec is the request's record, which an attempt narrows, charges and
-	// ranks into; nil on a hedged search shard, whose losing runner may
-	// outlive the request and so must touch nothing that is recycled.
+	// ranks into.
 	rec *queryRec
 
 	fetch bool
-}
-
-// narrow is narrow for shard si: into the record's storage for the shard, or
-// fresh storage without a record.
-func (w *shardWork) narrow(si int, idx *index.Index) (query.Plan, bool) {
-	if w.rec == nil {
-		return narrow(w.Plan, idx)
-	}
-	return w.rec.plans[si].narrow(w.Plan, idx)
-}
-
-// out returns where a search attempt on shard si charges its work and ranks
-// its top-k: the record's metrics and slab region for the shard, or fresh
-// storage without a record.
-func (w *shardWork) out(si int) (*perf.Metrics, []topk.Entry) {
-	if w.rec == nil {
-		return new(perf.Metrics), nil
-	}
-	return &w.rec.ms[si], w.rec.region(si, w.k)
 }
 
 // BatchQuery is one request to the cluster: either a search (Expr),

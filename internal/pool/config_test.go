@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"boss/internal/corpus"
 )
@@ -24,12 +23,6 @@ func TestNewClusterRejectsBadConfig(t *testing.T) {
 		{"negative Workers", func() Config { c := DefaultConfig(); c.Workers = -2; return c }()},
 		{"zero Replicas", func() Config { c := DefaultConfig(); c.Replicas = 0; return c }()},
 		{"negative Replicas", func() Config { c := DefaultConfig(); c.Replicas = -2; return c }()},
-		{"hedging with negative cutoff", func() Config {
-			c := DefaultConfig()
-			c.Replicas = 2
-			c.Resilience.HedgeCutoff = -time.Millisecond
-			return c
-		}()},
 	}
 	base, err := NewCluster(DefaultConfig(), c, 2)
 	if err != nil {

@@ -228,8 +228,8 @@ func FetchKey(ids []uint32) uint64 {
 // which fetch copies into the answer once the sweep is over. The shard's
 // metrics record and scratch are reset per attempt, so a retried attempt
 // neither double-charges the recorded shard work nor keeps a failed
-// attempt's payloads. Fetches are never hedged, so no two attempts share
-// the scratch.
+// attempt's payloads. A shard's attempts run one at a time, so the scratch
+// has one writer.
 func (cl *Cluster) fetchShard(ctx context.Context, w shardWork, si, ri int) shardOut {
 	eng := cl.fetchers[si][ri]
 	off := cl.offsets[si]

@@ -82,12 +82,13 @@ type Config struct {
 	// below 1 are rejected by NewCluster with ErrBadConfig.
 	Replicas int
 	// Resilience configures the cluster's serving-path fault handling
-	// (every entry point runs under it). Zero fields take
-	// DefaultResilience values.
+	// (every entry point runs under it). Its zero or negative backoff and
+	// breaker fields take DefaultResilience values; MaxRetries does not, so
+	// a zero MaxRetries retries nothing.
 	Resilience Resilience
-	// Clock supplies time to breaker cooldowns, retry backoff and the hedge
-	// cutoff; nil uses the wall clock. Tests and the chaos sweep inject a
-	// clock.FakeClock, the same one as the front door's when one sits on top.
+	// Clock supplies time to breaker cooldowns and retry backoff; nil uses
+	// the wall clock. Tests and the chaos sweep inject a clock.FakeClock,
+	// the same one as the front door's when one sits on top.
 	Clock clock.Clock
 }
 

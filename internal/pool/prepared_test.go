@@ -39,7 +39,8 @@ func TestPreparedIsSharedNotWritten(t *testing.T) {
 	}
 	narrowed := 0
 	for _, idx := range cl.shards {
-		if pl, _ := narrow(p.Plan, idx); len(pl.DNF) < len(p.DNF) {
+		var b planBuf
+		if pl, _ := b.narrow(p.Plan, idx); len(pl.DNF) < len(p.DNF) {
 			narrowed++
 		}
 	}
@@ -117,8 +118,8 @@ func TestClusterPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br BatchResult
-	measure := func(qs []BatchQuery) float64 {
+	measure := func(cl *Cluster, qs []BatchQuery) float64 {
+		var br BatchResult
 		run := func() {
 			if cl.SearchBatchQueries(context.Background(), qs, &br); br.Err != nil || len(br.Results[0].TopK) == 0 {
 				t.Fatalf("%+v: %v", qs[0], br.Err)
@@ -128,21 +129,33 @@ func TestClusterPathAllocs(t *testing.T) {
 		return testing.AllocsPerRun(200, run)
 	}
 	q := BatchQuery{Expr: expr, Prepared: p, K: 10}
-	prepared := measure([]BatchQuery{q})
+	prepared := measure(cl, []BatchQuery{q})
 	if prepared > clusterPathAllocs {
 		t.Errorf("a warm prepared query allocates %.2f, want at most %d", prepared, clusterPathAllocs)
+	}
+	// Replication adds replica selection and ServedBy, both from recycled
+	// storage: the same query on two copies of every shard costs the same.
+	cfg := DefaultConfig()
+	cfg.Replicas, cfg.Resilience = 2, DefaultResilience()
+	replicated, err := cl.Fresh(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl := measure(replicated, []BatchQuery{q})
+	if repl > clusterPathAllocs {
+		t.Errorf("a warm prepared query on 2 replicas allocates %.2f, want at most %d", repl, clusterPathAllocs)
 	}
 	// A batch costs its queries' answers and nothing of its own.
 	sixteen := make([]BatchQuery, 16)
 	for i := range sixteen {
 		sixteen[i] = q
 	}
-	if got := measure(sixteen); got > 16*clusterPathAllocs {
+	if got := measure(cl, sixteen); got > 16*clusterPathAllocs {
 		t.Errorf("a warm 16-query batch allocates %.2f, want at most %d", got, 16*clusterPathAllocs)
 	}
-	if bare := measure([]BatchQuery{{Expr: expr, K: 10}}); bare <= prepared {
+	if bare := measure(cl, []BatchQuery{{Expr: expr, K: 10}}); bare <= prepared {
 		t.Errorf("preparing inside exec is free (%.2f against %.2f carried): the carried query is not what ran", bare, prepared)
 	} else {
-		t.Logf("prepared %.2f, unprepared %.2f allocs per warm query", prepared, bare)
+		t.Logf("prepared %.2f (%.2f on 2 replicas), unprepared %.2f allocs per warm query", prepared, repl, bare)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // besides, the hit list a WithDocs search fetches. Nothing a result carries
 // points into it: mergePartial copies the metrics out and merges the shards'
 // lists into a TopK of its own, and fetch copies the payloads into the
-// answer's arena. A hedged search shard runs without it (shardWork.rec).
+// answer's arena.
 type queryRec struct {
 	outs  []shardOut
 	ms    []perf.Metrics
@@ -84,11 +84,10 @@ func (rec *queryRec) region(si, k int) []topk.Entry {
 }
 
 // reset readies rec for the next request: it drops every reference the last
-// one left (outcomes with their errors and any hedged attempt's storage,
-// narrowed plans aliasing its prepared query) and truncates the routing,
-// keeping each backing array. The metrics records, the slab and the fetch
-// payload scratch hold plain values that every use overwrites. A non-nil
-// poison then gets the record.
+// one left (outcomes with their errors, narrowed plans aliasing its prepared
+// query) and truncates the routing, keeping each backing array. The metrics
+// records, the slab and the fetch payload scratch hold plain values that
+// every use overwrites. A non-nil poison then gets the record.
 func (rec *queryRec) reset(poison func(*queryRec)) {
 	clear(rec.outs)
 	for si := range rec.plans {

@@ -87,7 +87,7 @@ func poisonBatch(br *BatchResult) {
 	}
 	for i := range br.Results {
 		r := &br.Results[i]
-		r.LinkBytes, r.Degraded, r.Hedged, r.HedgeWins, r.ShardErrs = -1, ^uint64(0), -1, -1, br.shardErrs
+		r.LinkBytes, r.Degraded, r.ShardErrs = -1, ^uint64(0), br.shardErrs
 		br.Errs[i] = errPoisoned
 	}
 	br.Err = errPoisoned

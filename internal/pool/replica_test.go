@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -268,255 +266,5 @@ func TestFreshSharesArtifactsMatchesResults(t *testing.T) {
 	bad.Replicas = 0
 	if _, err := base.Fresh(bad); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("Fresh(zero Replicas): err = %v, want ErrBadConfig", err)
-	}
-}
-
-// hedgedCluster builds a 1-shard, 2-replica cluster with the given hedge
-// cutoff on a fake clock (a positive cutoff arms hedging, 0 leaves it off).
-// Nobody advances that clock unless a test's runFn does, so the cutoff fires
-// exactly when the test says: never, by default.
-func hedgedCluster(t *testing.T, c *corpus.Corpus, cutoff time.Duration) (*Cluster, *clock.FakeClock) {
-	t.Helper()
-	fake := clock.NewFakeClock(time.Unix(0, 0))
-	cfg := replicatedConfig(2)
-	cfg.Resilience.HedgeCutoff = cutoff
-	cfg.Clock = fake
-	cl, err := NewCluster(cfg, c, 1)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	return cl, fake
-}
-
-// eventTrace renders a shard's event log without wall-clock fields so
-// two runs can be compared byte for byte.
-func eventTrace(cl *Cluster, si int) string {
-	var s string
-	for ri := 0; ri < cl.Replicas(); ri++ {
-		for _, ev := range cl.ReplicaEvents(si, ri) {
-			s += fmt.Sprintf("r%d:%s:a%d ", ev.Replica, ev.Kind, ev.Attempt)
-		}
-	}
-	return s
-}
-
-// TestHedgePrimaryWinsBeforeCutoff: when the primary answers before the
-// timer fires, no backup is spawned and the result is unhedged.
-func TestHedgePrimaryWinsBeforeCutoff(t *testing.T) {
-	c := replicaTestCorpus(t)
-	cl, _ := hedgedCluster(t, c, time.Millisecond) // the clock never moves: the cutoff never fires
-	res, err := cl.SearchCtx(context.Background(), `"t1"`, 15)
-	if err != nil {
-		t.Fatalf("SearchCtx: %v", err)
-	}
-	if res.Hedged != 0 || res.HedgeWins != 0 {
-		t.Fatalf("Hedged=%d HedgeWins=%d, want 0/0 (primary beat the cutoff)", res.Hedged, res.HedgeWins)
-	}
-	for si := 0; si < cl.Shards(); si++ {
-		for _, ev := range cl.Events(si) {
-			if ev.Kind == EvHedge {
-				t.Fatalf("EvHedge recorded with the timer never firing: %+v", ev)
-			}
-		}
-	}
-}
-
-// hedgePrimary computes which replica the rotation will pick as the
-// attempt-0 primary for expr on shard 0 — the same pure draw
-// pickReplica makes — so the tests can pin their straggler to it.
-func hedgePrimary(cl *Cluster, expr string) int {
-	return int(replicaDraw(uint64(cl.res.Seed), mem.StableKey(expr), 0) % uint64(cl.Replicas()))
-}
-
-// stragglerRun returns a runFn under which the given replica takes the
-// hedge cutoff — it advances the fake clock by it, firing the armed cutoff
-// inline — and then blocks until its context dies (the straggling
-// primary); every other call goes to the real attempt path (the hedged
-// backup).
-func stragglerRun(cl *Cluster, fake *clock.FakeClock, straggler int) (runFn func(context.Context, shardWork, int, int) shardOut, stalled *atomic.Int32) {
-	stalled = new(atomic.Int32)
-	return func(ctx context.Context, w shardWork, si, ri int) shardOut {
-		if ri == straggler {
-			fake.Advance(cl.res.HedgeCutoff)
-			<-ctx.Done()
-			stalled.Add(1)
-			return shardOut{err: shardError(si, ctx.Err())}
-		}
-		return cl.attempt(ctx, w, si, ri)
-	}, stalled
-}
-
-// hedgeEvents counts the EvHedge entries in shard 0's replica logs.
-func hedgeEvents(cl *Cluster) int {
-	hedges := 0
-	for _, ev := range cl.Events(0) {
-		if ev.Kind == EvHedge {
-			hedges++
-		}
-	}
-	return hedges
-}
-
-// TestHedgeBackupWins: a straggling primary is hedged; the backup's
-// result is adopted, the loser is cancelled, and — critically — the
-// abandoned primary never counts against its breaker. With HedgeCutoff 0
-// the same straggler is never hedged: hedging is off, so the attempt runs
-// on the primary directly and never reaches the stalling runFn.
-func TestHedgeBackupWins(t *testing.T) {
-	c := replicaTestCorpus(t)
-	const expr = `"t1" AND "t2"`
-
-	off, fake := hedgedCluster(t, c, 0)
-	run, stalled := stragglerRun(off, fake, hedgePrimary(off, expr))
-	off.runFn = run
-	// Bounded, so a stall reached by mistake fails the test instead of hanging it.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := off.SearchCtx(ctx, expr, 15)
-	if err != nil {
-		t.Fatalf("HedgeCutoff 0: SearchCtx: %v", err)
-	}
-	if res.Hedged != 0 || res.HedgeWins != 0 || hedgeEvents(off) != 0 || stalled.Load() != 0 {
-		t.Fatalf("HedgeCutoff 0: Hedged=%d HedgeWins=%d, %d EvHedge, %d stalls; want none",
-			res.Hedged, res.HedgeWins, hedgeEvents(off), stalled.Load())
-	}
-
-	cl, fake := hedgedCluster(t, c, time.Millisecond)
-	run, stalled = stragglerRun(cl, fake, hedgePrimary(cl, expr))
-	cl.runFn = run
-
-	p, err := prepare(expr)
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	want := cl.attempt(context.Background(), shardWork{Plan: p.Plan, k: 15}, 0, 0)
-	if want.err != nil {
-		t.Fatalf("direct attempt: %v", want.err)
-	}
-	res, err = cl.SearchCtx(context.Background(), expr, 15)
-	if err != nil {
-		t.Fatalf("SearchCtx: %v", err)
-	}
-	if res.Hedged != 1 || res.HedgeWins != 1 {
-		t.Fatalf("Hedged=%d HedgeWins=%d, want 1/1", res.Hedged, res.HedgeWins)
-	}
-	if err := oracle.Same(res.TopK, want.topk); err != nil {
-		t.Fatalf("hedged result: %v", err)
-	}
-	// The cancelled primary must actually have been cancelled.
-	deadline := time.Now().Add(2 * time.Second)
-	for stalled.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("straggling primary was never cancelled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Loser accounting: no replica may carry a failure event — the
-	// abandoned primary's outcome never reaches a breaker.
-	for ri := 0; ri < cl.Replicas(); ri++ {
-		for _, ev := range cl.ReplicaEvents(0, ri) {
-			if ev.Kind == EvFailure || ev.Kind == EvBreakerOpen {
-				t.Fatalf("hedge loser settled a breaker: %+v", ev)
-			}
-		}
-	}
-	// Exactly one EvHedge, on the backup.
-	if hedges := hedgeEvents(cl); hedges != 1 {
-		t.Fatalf("EvHedge count = %d, want 1", hedges)
-	}
-}
-
-// TestHedgeOrderingDeterministic: the scripted straggler scenario must
-// produce a byte-identical resilience event trace across two fresh runs
-// (and, under -race, with the race detector watching the hedge spawn).
-func TestHedgeOrderingDeterministic(t *testing.T) {
-	c := replicaTestCorpus(t)
-	trace := func() string {
-		cl, fake := hedgedCluster(t, c, time.Millisecond)
-		run, _ := stragglerRun(cl, fake, hedgePrimary(cl, `"t2"`))
-		cl.runFn = run
-		if _, err := cl.SearchCtx(context.Background(), `"t2"`, 10); err != nil {
-			t.Fatalf("SearchCtx: %v", err)
-		}
-		// The loser's goroutine records nothing, but wait for it anyway so
-		// the trace can't race a late event append.
-		time.Sleep(5 * time.Millisecond)
-		return eventTrace(cl, 0)
-	}
-	a, b := trace(), trace()
-	if a != b {
-		t.Fatalf("hedge event traces diverged:\n%q\n%q", a, b)
-	}
-	if a == "" {
-		t.Fatal("hedge scenario recorded no events")
-	}
-}
-
-// TestHedgeLoserGoroutineExits: the cancelled-loser path must not leak —
-// after the hedged query completes and the loser is cancelled, the
-// goroutine count returns to its baseline.
-func TestHedgeLoserGoroutineExits(t *testing.T) {
-	c := replicaTestCorpus(t)
-	cl, fake := hedgedCluster(t, c, time.Millisecond)
-	run, stalled := stragglerRun(cl, fake, hedgePrimary(cl, `"t1"`))
-	cl.runFn = run
-
-	parkHelpers(runtime.GOMAXPROCS(0))
-	before := runtime.NumGoroutine()
-	if _, err := cl.SearchCtx(context.Background(), `"t1"`, 10); err != nil {
-		t.Fatalf("SearchCtx: %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if stalled.Load() > 0 && runtime.NumGoroutine() <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not drain: before=%d now=%d stalled=%d",
-				before, runtime.NumGoroutine(), stalled.Load())
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestHedgeRidesPrimaryWhenBackupSick: when every other copy's breaker
-// rejects at hedge-fire time, the attempt rides the primary instead of
-// failing, and nothing is recorded as hedged.
-func TestHedgeRidesPrimaryWhenBackupSick(t *testing.T) {
-	c := replicaTestCorpus(t)
-	cl, fake := hedgedCluster(t, c, time.Millisecond)
-	// Open the backup's breaker by failing it past the threshold; the fake
-	// clock moves by one cutoff only, so the cooldown never lets a half-open
-	// probe through.
-	primary := hedgePrimary(cl, `"t1"`)
-	backup := 1 - primary
-	for i := 0; i < cl.res.BreakerThreshold; i++ {
-		cl.states[0][backup].failure(0, fake.Now(), cl.res.BreakerThreshold, errors.New("seeded failure"))
-	}
-	// The primary takes the cutoff and answers only once the backup's
-	// breaker has logged a reject: runShardHedged has then taken the fire
-	// branch, looked for a backup and found none.
-	cl.runFn = func(ctx context.Context, w shardWork, si, ri int) shardOut {
-		fake.Advance(cl.res.HedgeCutoff)
-		for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
-			if evs := cl.ReplicaEvents(0, backup); evs[len(evs)-1].Kind == EvBreakerReject {
-				break
-			}
-			if time.Now().After(deadline) {
-				return shardOut{err: shardError(si, errors.New("the fired cutoff never probed the backup"))}
-			}
-		}
-		return cl.attempt(ctx, w, si, ri)
-	}
-	res, err := cl.SearchCtx(context.Background(), `"t1"`, 10)
-	if err != nil {
-		t.Fatalf("SearchCtx: %v", err)
-	}
-	if res.Hedged != 0 {
-		t.Fatalf("Hedged = %d, want 0 (no healthy backup to hedge onto)", res.Hedged)
-	}
-	if len(res.TopK) == 0 {
-		t.Fatal("query with sick backups returned no hits")
 	}
 }

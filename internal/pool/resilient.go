@@ -13,13 +13,14 @@ import (
 )
 
 // Resilience configures the cluster's fault-handling policy: bounded
-// retry with jittered exponential backoff, a circuit breaker per shard
-// copy, and hedged requests across copies. The zero value is normalized
-// to DefaultResilience by NewCluster.
+// retry with jittered exponential backoff and a circuit breaker per shard
+// copy. Every construction path fills a zero or negative BackoffBase,
+// BackoffMax, BreakerThreshold or BreakerCooldown from DefaultResilience;
+// MaxRetries and Seed are taken as given, so the zero value retries nothing.
 type Resilience struct {
 	// MaxRetries is how many times a retryable shard failure is retried
-	// (so a shard sees at most MaxRetries+1 attempts). Negative disables
-	// retry entirely.
+	// (so a shard sees at most MaxRetries+1 attempts). Zero or negative
+	// disables retry entirely; it is not filled from DefaultResilience.
 	MaxRetries int
 	// BackoffBase is the pre-jitter delay before the first retry; it
 	// doubles per attempt up to BackoffMax.
@@ -35,15 +36,6 @@ type Resilience struct {
 	// BreakerCooldown is how long an open breaker rejects attempts
 	// before letting a half-open probe through.
 	BreakerCooldown time.Duration
-	// HedgeCutoff, when positive, arms hedged requests on replicated
-	// clusters (Config.Replicas > 1): when the primary replica has not
-	// answered HedgeCutoff after dispatch, a backup attempt fires on the
-	// next healthy replica and the first result to arrive wins; the loser
-	// is cancelled and never counts against any breaker. Set it near the
-	// serving path's p99 so only tail stragglers pay the duplicated work.
-	// Zero disables hedging, it does nothing on single-copy shards, and
-	// NewCluster rejects a negative cutoff with ErrBadConfig.
-	HedgeCutoff time.Duration
 }
 
 // DefaultResilience is the serving default: two retries with 1–16 ms
@@ -61,7 +53,8 @@ func DefaultResilience() Resilience {
 	}
 }
 
-// normalize fills zero fields with their defaults.
+// normalize fills the non-positive backoff and breaker fields with their
+// defaults. MaxRetries and Seed stay as given.
 func (r Resilience) normalize() Resilience {
 	def := DefaultResilience()
 	if r.BackoffBase <= 0 {
@@ -101,9 +94,6 @@ const (
 	EvBreakerHalfOpen
 	EvBreakerClose
 	EvBreakerReject
-	// EvHedge marks a hedged backup attempt fired on this replica after
-	// the primary missed the cutoff.
-	EvHedge
 )
 
 func (k EventKind) String() string {
@@ -122,8 +112,6 @@ func (k EventKind) String() string {
 		return "breaker-close"
 	case EvBreakerReject:
 		return "breaker-reject"
-	case EvHedge:
-		return "hedge"
 	}
 	return "unknown"
 }
@@ -254,10 +242,10 @@ func (s *shardState) failure(attempt int, now time.Time, threshold int, err erro
 }
 
 // abandon releases a claim on the breaker without recording an outcome,
-// for a pick that was never adopted — a hedge loser, or a retry whose
-// backoff the context cut short. Neither counts against the breaker, but
-// a half-open probe slot claimed at selection time must be freed or the
-// replica's breaker would wedge half-open forever.
+// for a pick that was never used: a retry whose backoff the context cut
+// short. It counts against nothing, but a half-open probe slot claimed at
+// selection time must be freed or the replica's breaker would wedge
+// half-open forever.
 func (s *shardState) abandon() {
 	s.mu.Lock()
 	s.probing = false
@@ -313,7 +301,6 @@ func (cl *Cluster) initResilience(r Resilience) {
 	if cl.clock == nil {
 		cl.clock = clock.Wall()
 	}
-	cl.runFn = cl.attempt
 }
 
 // backoffDelay computes the jittered exponential backoff before retry
@@ -400,14 +387,14 @@ func (cl *Cluster) retryableOn(err error, si int) bool {
 
 // attempt issues one attempt of w on replica ri of shard si: the search
 // body — w's plan already narrowed to the terms shard si holds (runShard),
-// charging and ranking where w.out says — or the fetch body (fetchShard,
-// fetch.go).
+// charging the record's metrics for the shard and ranking into its slab
+// region — or the fetch body (fetchShard, fetch.go).
 func (cl *Cluster) attempt(ctx context.Context, w shardWork, si, ri int) shardOut {
 	if w.fetch {
 		return cl.fetchShard(ctx, w, si, ri)
 	}
-	m, dst := w.out(si)
-	top, err := cl.accs[si][ri].Exec(ctx, w.Plan, w.k, m, dst)
+	m := &w.rec.ms[si]
+	top, err := cl.accs[si][ri].Exec(ctx, w.Plan, w.k, m, w.rec.region(si, w.k))
 	if err != nil {
 		return shardOut{err: shardError(si, err)}
 	}
@@ -459,27 +446,26 @@ func replicaDraw(seed, qkey uint64, si int) uint64 {
 // front-door mask (a masked-out shard is skipped entirely — no attempt, no
 // breaker or retry activity — and reported with ErrShardShed),
 // breaker-aware replica selection, bounded retry with jittered backoff,
-// hedged dispatch, parent-context awareness. Both kinds of work share the
-// per-replica breaker state, so a copy that fails searches also sheds
-// fetches. A search's plan is narrowed to the terms the shard holds here, once
-// for all its attempts; when nothing is left the shard has no part in the answer and,
-// like a fetch shard that owns none of the requested documents, does nothing:
-// no copy is picked, no event logged, and no breaker hears of a success the
-// device never produced. Three asymmetries are deliberate:
+// parent-context awareness. Both kinds of work share the per-replica breaker
+// state, so a copy that fails searches also sheds fetches. A search's plan is
+// narrowed to the terms the shard holds here, once for all its attempts; when
+// nothing is left the shard has no part in the answer and, like a fetch shard
+// that owns none of the requested documents, does nothing: no copy is picked,
+// no event logged, and no breaker hears of a success the device never
+// produced. Two asymmetries are deliberate:
 //   - the fetch shard with nothing to do is recognised before the mask is
 //     looked at, the search shard after it (a masked-out shard is reported
 //     shed without its query being examined);
 //   - a fetch's replica key is FetchKey of the ids routed to this
 //     shard, not of the whole request, so a given shard's share routes to
-//     the same copy whatever else the request asked for;
-//   - fetches are never hedged: a fetch attempt appends payloads to the
-//     record's scratch for its shard, and two racing attempts would tear
-//     it.
+//     the same copy whatever else the request asked for.
 //
-// A retry's copy is picked before its backoff: when none is left — the
-// other breakers reject, and re-reading the copy that just returned a
-// replica-permanent error cannot succeed (BlockFault is a pure function of
-// key and block) — the loop stops with the failure it has.
+// Each attempt runs on the calling goroutine and settles its copy's breaker;
+// then the loop returns or retries. A retry's copy is picked before its
+// backoff: when none is left — the other breakers reject, and re-reading the
+// copy that just returned a replica-permanent error cannot succeed
+// (BlockFault is a pure function of key and block) — the loop stops with the
+// failure it has.
 //
 // Event recording and error construction are outlined.
 //
@@ -491,19 +477,16 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 	if !maskHas(mask, si) {
 		return shardOut{err: shardError(si, ErrShardShed)}
 	}
-	qkey, hedge := w.qkey, cl.res.HedgeCutoff > 0 && len(cl.states[si]) > 1
+	qkey := w.qkey
 	if w.fetch {
-		qkey, hedge = FetchKey(w.rec.ids[si]), false
+		qkey = FetchKey(w.rec.ids[si])
 	}
 	if cause := ctx.Err(); cause != nil {
 		return shardOut{err: shardError(si, cause)}
 	}
 	if !w.fetch {
-		if hedge {
-			w.rec = nil // a losing runner may outlive the request
-		}
 		var ok bool
-		if w.Plan, ok = w.narrow(si, cl.shards[si]); !ok {
+		if w.Plan, ok = w.rec.plans[si].narrow(w.Plan, cl.shards[si]); !ok {
 			return shardOut{}
 		}
 	}
@@ -514,14 +497,9 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 	var spent uint64 // copies that returned this request a replica-permanent error
 	for attempt := 0; ; attempt++ {
 		logEvent(st, EvAttempt, attempt, 0)
-		var out shardOut
-		if hedge {
-			out = cl.runShardHedged(ctx, w, si, ri, attempt, st, spent)
-		} else {
-			out = cl.attempt(ctx, w, si, ri)
-			out.ri = ri
-			cl.settle(st, out.err, attempt)
-		}
+		out := cl.attempt(ctx, w, si, ri)
+		out.ri = ri
+		cl.settle(st, out.err, attempt)
 		if out.err == nil || attempt >= cl.res.MaxRetries || !cl.retryableOn(out.err, si) || ctx.Err() != nil {
 			return out
 		}
@@ -550,81 +528,6 @@ func (cl *Cluster) settle(st *shardState, err error, attempt int) {
 		return
 	}
 	st.failure(attempt, cl.clock.Now(), cl.res.BreakerThreshold, err)
-}
-
-// runShardHedged arms the hedge cutoff on the cluster clock and issues the
-// attempt on the primary replica: if the primary has not answered at the
-// cutoff, a backup attempt fires on the next copy the same rotation allows
-// (minus the primary and the spent copies) and the first result to arrive
-// wins (a first arrival carrying an error waits for the other runner). The
-// loser is cancelled, its outcome never reaches any breaker — only the
-// adopted result settles its replica — and its claim on a half-open probe
-// slot is released. Both runners deliver into cap-1 buffered channels, so
-// a cancelled loser's goroutine always exits.
-func (cl *Cluster) runShardHedged(ctx context.Context, w shardWork, si, primary, attempt int, st *shardState, spent uint64) shardOut {
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	pch := make(chan shardOut, 1)
-	// Armed before the primary is spawned, so the cutoff counts from
-	// dispatch; it fires once into a cap-1 channel, so the send never blocks.
-	fire := make(chan struct{}, 1)
-	cutoff := cl.clock.AfterFunc(cl.res.HedgeCutoff, func() { fire <- struct{}{} })
-	go cl.hedgeRun(pctx, w, si, primary, pch)
-	var pout shardOut
-	select {
-	case pout = <-pch: // primary answered before the cutoff: no hedge
-		cutoff.Stop()
-		pout.ri = primary
-		cl.settle(st, pout.err, attempt)
-		return pout
-	case <-fire:
-	}
-	bst, bri, ok := cl.pickReplica(si, w.qkey, attempt, spent|1<<uint(primary))
-	if !ok {
-		// Every other copy is sick: ride the primary to completion.
-		pout = <-pch
-		pout.ri = primary
-		cl.settle(st, pout.err, attempt)
-		return pout
-	}
-	logEvent(bst, EvHedge, attempt, 0)
-	bctx, bcancel := context.WithCancel(ctx)
-	defer bcancel()
-	bch := make(chan shardOut, 1)
-	go cl.hedgeRun(bctx, w, si, bri, bch)
-	var bout shardOut
-	var pdone bool
-	select {
-	case pout = <-pch:
-		pdone = true
-	case bout = <-bch:
-	}
-	if pdone && pout.err != nil {
-		bout = <-bch // primary lost its own race; let the backup finish
-		pdone = false
-	} else if !pdone && bout.err != nil {
-		pout = <-pch // backup failed first; fall back to the primary
-		pdone = true
-	}
-	if pdone {
-		bcancel()
-		bst.abandon()
-		pout.ri, pout.hedged = primary, 1
-		cl.settle(st, pout.err, attempt)
-		return pout
-	}
-	pcancel()
-	st.abandon()
-	bout.ri, bout.hedged, bout.hedgeWin = bri, 1, bout.err == nil
-	cl.settle(bst, bout.err, attempt)
-	return bout
-}
-
-// hedgeRun executes one replica attempt and delivers its result on a
-// cap-1 buffered channel: the send never blocks, so a cancelled loser's
-// goroutine always exits.
-func (cl *Cluster) hedgeRun(ctx context.Context, w shardWork, si, ri int, ch chan<- shardOut) {
-	ch <- cl.runFn(ctx, w, si, ri)
 }
 
 // logEvent records one event on a replica's log; outlined from the retry
@@ -669,10 +572,6 @@ func (cl *Cluster) mergePartial(outs []shardOut, k int, res *ClusterResult) erro
 	failed, hits := 0, 0
 	var firstErr error
 	for si, out := range outs {
-		res.Hedged += out.hedged
-		if out.hedgeWin {
-			res.HedgeWins++
-		}
 		if res.ServedBy != nil {
 			if out.err != nil || out.m == nil {
 				res.ServedBy[si] = -1

@@ -117,9 +117,6 @@ type ServedResult struct {
 	// by the admission ladder or failed during execution. Zero means
 	// the answer is complete.
 	Degraded uint64
-	// Hedged counts node attempts that fired a hedged backup replica
-	// while executing this request (zero on single-copy deployments).
-	Hedged int
 }
 
 // ServeStats snapshots a Server's admission and batching counters.
@@ -144,9 +141,6 @@ type ServeStats struct {
 	Batches uint64
 	// Executed counts distinct executions completed.
 	Executed uint64
-	// Hedged counts node attempts that fired a hedged backup replica,
-	// summed over completed executions.
-	Hedged uint64
 }
 
 // Server is a front-door serving tier over a deployment: a bounded
@@ -234,7 +228,6 @@ func servedResult(s *Server, res front.Result) (*ServedResult, error) {
 	out := &ServedResult{
 		DedupHit: res.DedupHit,
 		Degraded: res.Degraded,
-		Hedged:   res.Hedged,
 	}
 	if res.Docs != nil {
 		out.Docs = docsFromFetched(res.Docs)
@@ -275,6 +268,5 @@ func (s *Server) Stats() ServeStats {
 		Rejected:  m.RejectedFull,
 		Batches:   m.Batches,
 		Executed:  m.Executed,
-		Hedged:    m.Hedged,
 	}
 }
