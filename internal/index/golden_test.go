@@ -1,0 +1,78 @@
+package index
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"boss/internal/compress"
+	"boss/internal/corpus"
+)
+
+// digest hashes every built byte of the index in term order: per list the
+// scheme, placement, payload, each block's metadata and the list-wide
+// maxima, then the norms' placement and the footprint.
+func (idx *Index) digest() string {
+	h := sha256.New()
+	var buf []byte
+	u8 := func(v uint8) { buf = append(buf, v) }
+	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
+	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	f64 := func(v float64) { u64(math.Float64bits(v)) }
+	for _, term := range idx.Terms() {
+		pl := idx.Lists[term]
+		u32(uint32(len(term)))
+		buf = append(buf, term...)
+		u8(uint8(pl.Scheme))
+		u32(uint32(pl.DF))
+		f64(pl.IDF)
+		f64(pl.MaxScore)
+		u32(uint32(pl.ImpactStep))
+		u8(pl.MaxImpact)
+		u64(pl.BaseAddr)
+		u32(uint32(len(pl.Blocks)))
+		for _, b := range pl.Blocks {
+			u32(b.FirstDoc)
+			u32(b.LastDoc)
+			f64(b.MaxScore)
+			u32(b.Offset)
+			u32(b.Length)
+			u32(uint32(b.Count))
+			u32(b.Checksum)
+			u8(b.MaxImpact)
+		}
+		u32(uint32(len(pl.Data)))
+		h.Write(buf)
+		h.Write(pl.Data)
+		buf = buf[:0]
+	}
+	u64(idx.NormBaseAddr)
+	u64(idx.TotalBytes)
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBuildGolden pins the hybrid index built from both corpus profiles,
+// with and without impacts, byte for byte: the per-list scheme choice,
+// every payload byte and every block's metadata. A faster build must keep
+// these digests, which is what keeps every figure and simulated cost fixed.
+func TestBuildGolden(t *testing.T) {
+	for _, tc := range []struct {
+		spec    corpus.Spec
+		impacts bool
+		want    string
+	}{
+		{corpus.ClueWebLike(0.01), false, "66ca68a0f2af607ef568f4efb1372060cfec818e01b0a79ce87b4fc3f510ba05"},
+		{corpus.ClueWebLike(0.01), true, "1a45cb9047a7e91a35c982c44464e164790146300c8906c60996f2eb05f88352"},
+		{corpus.CCNewsLike(0.01), false, "51232a7bce35ea2183f511b1806351f190550a05393aa6bd784e1c62912a7555"},
+		{corpus.CCNewsLike(0.01), true, "a7c2f30eb3c7a329a7722049aeb951acf1df5c7aa317a987ef4eb2b32c99b525"},
+	} {
+		c := corpus.Generate(tc.spec)
+		idx := Build(c, BuildOptions{Scheme: compress.SchemeHybrid, Impacts: tc.impacts})
+		if got := idx.digest(); got != tc.want {
+			t.Errorf("%s impacts=%v: Build digest %s, want %s", tc.spec.Name, tc.impacts, got, tc.want)
+		}
+	}
+}

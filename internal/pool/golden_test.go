@@ -1,0 +1,116 @@
+package pool
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
+	"slices"
+	"testing"
+
+	"boss/internal/corpus"
+	"boss/internal/docstore"
+)
+
+// clusterBuild is what NewCluster and EnsureDocs built, reduced to what must
+// not depend on how many goroutines built it.
+type clusterBuild struct {
+	shards string // SHA-256 of every shard index's serialized form, in shard order
+	docs   string // SHA-256 of every shard's document store, in shard order
+	// listIDs holds the shard lists' identities in (shard, corpus term)
+	// order, relative to the first; storeIDs the stores' in shard order.
+	listIDs  []uint64
+	storeIDs []uint64
+}
+
+// buildCluster builds a 4-shard cluster over c and its document stores.
+func buildCluster(t *testing.T, c *corpus.Corpus) clusterBuild {
+	t.Helper()
+	cl := mustCluster(t, DefaultConfig(), c, 4)
+	var b clusterBuild
+	h := sha256.New()
+	for _, idx := range cl.shards {
+		if _, err := idx.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.Terms {
+			if pl := idx.Lists[c.Terms[i].Term]; pl != nil {
+				b.listIDs = append(b.listIDs, pl.ID())
+			}
+		}
+	}
+	b.shards = hex.EncodeToString(h.Sum(nil))
+
+	stores := make([]*docstore.Store, cl.Shards())
+	source := cl.docs
+	cl.docs = func(lo, hi uint32) (*docstore.Store, error) {
+		s, err := source(lo, hi)
+		stores[cl.shardOfDoc(lo)] = s
+		return s, err
+	}
+	if err := cl.EnsureDocs(); err != nil {
+		t.Fatal(err)
+	}
+	h.Reset()
+	for _, s := range stores {
+		if _, err := s.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		b.storeIDs = append(b.storeIDs, s.ID())
+	}
+	b.docs = hex.EncodeToString(h.Sum(nil))
+
+	for _, ids := range [][]uint64{b.listIDs, b.storeIDs} {
+		for i := len(ids) - 1; i >= 0; i-- {
+			if i > 0 && ids[i] <= ids[i-1] {
+				t.Fatalf("identities out of build order at %d: %d after %d", i, ids[i], ids[i-1])
+			}
+			ids[i] -= ids[0]
+		}
+	}
+	return b
+}
+
+// Digests of the ClueWebLike(0.01) 4-shard cluster: shard indexes built
+// with Global statistics, and the document stores EnsureDocs packs.
+const (
+	goldenShards = "560a11d25f835c832cf16680adaad9ee66b7dd64ee39e2c894e1c726e8276dcc"
+	goldenDocs   = "709bcdd8334a950112689a8de1119f92a625983a3e6d7a84f928e744f3a210ab"
+)
+
+// TestBuildGolden pins a cluster's shard indexes and document stores byte
+// for byte, so a faster construction cannot move a figure.
+func TestBuildGolden(t *testing.T) {
+	b := buildCluster(t, corpus.Generate(corpus.ClueWebLike(0.01)))
+	if b.shards != goldenShards {
+		t.Errorf("shard index digest %s, want %s", b.shards, goldenShards)
+	}
+	if b.docs != goldenDocs {
+		t.Errorf("document store digest %s, want %s", b.docs, goldenDocs)
+	}
+}
+
+// TestBuildWidths builds the same cluster and stores at one, two and eight
+// Ps: the bytes and the order in which lists and stores take their
+// identities must not depend on the build's width.
+func TestBuildWidths(t *testing.T) {
+	c := corpus.Generate(corpus.ClueWebLike(0.01))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want clusterBuild
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		b := buildCluster(t, c)
+		if procs == 1 {
+			want = b
+			continue
+		}
+		if b.shards != want.shards || b.docs != want.docs {
+			t.Errorf("GOMAXPROCS=%d: digests %s/%s, want %s/%s", procs, b.shards, b.docs, want.shards, want.docs)
+		}
+		if !slices.Equal(b.listIDs, want.listIDs) || !slices.Equal(b.storeIDs, want.storeIDs) {
+			t.Errorf("GOMAXPROCS=%d: identity order differs from GOMAXPROCS=1", procs)
+		}
+	}
+	if want.shards != goldenShards || want.docs != goldenDocs {
+		t.Errorf("GOMAXPROCS=1: digests %s/%s, want %s/%s", want.shards, want.docs, goldenShards, goldenDocs)
+	}
+}
