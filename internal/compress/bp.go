@@ -10,7 +10,7 @@ func (bpCodec) Supports(values []uint32) bool { return true }
 func (bpCodec) MaxValue() uint32              { return ^uint32(0) }
 
 func (bpCodec) Encode(dst []byte, values []uint32) []byte {
-	w := maxBitWidth(values)
+	w := measure(values).max
 	dst = append(dst, byte(w))
 	return packBits(dst, values, w)
 }

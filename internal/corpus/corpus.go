@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 )
 
 // Spec parameterizes a synthetic document corpus. The defaults produced by
@@ -118,6 +119,7 @@ func Generate(spec Spec) *Corpus {
 		DocLens: make([]uint32, spec.NumDocs),
 	}
 	topDF := float64(spec.NumDocs) * spec.TopDF
+	sc := &sampleScratch{seen: make([]uint64, (spec.NumDocs+63)/64)}
 	for rank := 0; rank < spec.NumTerms; rank++ {
 		df := int(topDF / math.Pow(float64(rank+1), spec.ZipfS))
 		if df < 1 {
@@ -126,9 +128,9 @@ func Generate(spec Spec) *Corpus {
 		if df > spec.NumDocs {
 			df = spec.NumDocs
 		}
-		postings := c.samplePostings(rng, df)
+		postings := c.samplePostings(rng, df, sc)
 		c.Terms[rank] = TermPostings{
-			Term:     fmt.Sprintf("t%d", rank),
+			Term:     "t" + strconv.Itoa(rank),
 			Postings: postings,
 		}
 		c.TotalPostings += int64(len(postings))
@@ -165,10 +167,18 @@ func Generate(spec Spec) *Corpus {
 	return c
 }
 
+// sampleScratch is Generate's reusable sampling state: the docID buffer
+// each term's postings are copied from, and the bitset sampleSparse
+// dedups on, one bit per document and all clear between terms.
+type sampleScratch struct {
+	ids  []uint32
+	seen []uint64
+}
+
 // samplePostings draws df distinct docIDs (uniform or clustered per the
 // spec), assigns term frequencies, and charges each posting's tf to the
 // document's length.
-func (c *Corpus) samplePostings(rng *rand.Rand, df int) []Posting {
+func (c *Corpus) samplePostings(rng *rand.Rand, df int, sc *sampleScratch) []Posting {
 	d := c.Spec.NumDocs
 	if df > d {
 		df = d
@@ -177,7 +187,7 @@ func (c *Corpus) samplePostings(rng *rand.Rand, df int) []Posting {
 	if df*2 >= d {
 		// Dense list: Bernoulli per doc keeps things exact and fast enough.
 		p := float64(df) / float64(d)
-		ids = make([]uint32, 0, df)
+		ids = sc.ids[:0]
 		for doc := 0; doc < d; doc++ {
 			if rng.Float64() < p {
 				ids = append(ids, uint32(doc))
@@ -187,8 +197,9 @@ func (c *Corpus) samplePostings(rng *rand.Rand, df int) []Posting {
 			ids = append(ids, uint32(rng.Intn(d)))
 		}
 	} else {
-		ids = c.sampleSparse(rng, df)
+		ids = c.sampleSparse(rng, df, sc)
 	}
+	sc.ids = ids
 	postings := make([]Posting, len(ids))
 	for i, id := range ids {
 		tf := sampleTF(rng, c.Spec.MaxTF)
@@ -198,11 +209,12 @@ func (c *Corpus) samplePostings(rng *rand.Rand, df int) []Posting {
 	return postings
 }
 
-// sampleSparse draws df distinct docIDs with the spec's clustering.
-func (c *Corpus) sampleSparse(rng *rand.Rand, df int) []uint32 {
+// sampleSparse draws df distinct docIDs with the spec's clustering into
+// sc.ids, sorted.
+func (c *Corpus) sampleSparse(rng *rand.Rand, df int, sc *sampleScratch) []uint32 {
 	d := int64(c.Spec.NumDocs)
-	seen := make(map[uint32]struct{}, df)
-	ids := make([]uint32, 0, df)
+	seen := sc.seen
+	ids := sc.ids[:0]
 
 	clustered := int(float64(df) * c.Spec.Clustering)
 	numClusters := clustered/128 + 1
@@ -220,10 +232,11 @@ func (c *Corpus) sampleSparse(rng *rand.Rand, df int) []uint32 {
 			return false
 		}
 		u := uint32(v)
-		if _, dup := seen[u]; dup {
+		word, bit := u/64, uint64(1)<<(u%64)
+		if seen[word]&bit != 0 {
 			return false
 		}
-		seen[u] = struct{}{}
+		seen[word] |= bit
 		ids = append(ids, u)
 		return true
 	}
@@ -236,7 +249,10 @@ func (c *Corpus) sampleSparse(rng *rand.Rand, df int) []uint32 {
 	for len(ids) < df {
 		add(rng.Int63n(d))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, u := range ids {
+		seen[u/64] = 0
+	}
+	slices.Sort(ids)
 	return ids
 }
 

@@ -3,9 +3,13 @@ package pool
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"boss/internal/core"
+	"boss/internal/docstore"
 	"boss/internal/mem"
 	"boss/internal/perf"
 )
@@ -52,20 +56,46 @@ func (cl *Cluster) EnsureDocs() error {
 }
 
 // buildDocs asks the store source for one document store per shard, over
-// the shard's global docID interval, then builds one fetch engine per
-// replica of the shard. Replica 0 serves the base store; higher replicas
-// serve ReplicaViews (shared payload bytes, fresh cache identity) and draw
-// faults from their own injector domain, mirroring buildReplicas. Runs
-// under docsOnce.
+// the shard's global docID interval, on every P, the caller included. Once
+// all are built it wires one fetch engine per replica of each shard, in
+// shard order, so stores take their cache identities in the same order at
+// every width. Replica 0 serves the base store; higher replicas serve
+// ReplicaViews (shared payload bytes, fresh cache identity) and draw faults
+// from their own injector domain, mirroring buildReplicas. The first
+// failing shard's error is the build's. Runs under docsOnce.
 func (cl *Cluster) buildDocs() {
-	cl.fetchers = make([][]*core.FetchEngine, len(cl.shards))
-	for si, idx := range cl.shards {
-		lo := cl.offsets[si]
-		base, err := cl.docs(lo, lo+uint32(idx.NumDocs))
+	stores := make([]*docstore.Store, len(cl.shards))
+	errs := make([]error, len(cl.shards))
+	var next atomic.Int64
+	work := func() {
+		for {
+			si := int(next.Add(1) - 1)
+			if si >= len(stores) {
+				return
+			}
+			lo := cl.offsets[si]
+			stores[si], errs[si] = cl.docs(lo, lo+uint32(cl.shards[si].NumDocs))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(stores)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			cl.docsErr = err
 			return
 		}
+	}
+
+	cl.fetchers = make([][]*core.FetchEngine, len(cl.shards))
+	for si, base := range stores {
 		reps := make([]*core.FetchEngine, cl.Replicas())
 		for ri := range reps {
 			store := base
