@@ -30,11 +30,11 @@ import (
 )
 
 // ScopePackages are the package path segments the analyzer applies to: the
-// event-driven simulation kernel, the memory system, the accelerator model,
-// the programmable decompressor, the experiment harness that reports
-// simulated figures, and the serving stack — front door and cluster read
-// time only through internal/clock, whose wall implementation carries the
-// one waiver, so a fake clock replays their decisions exactly.
+// simulated time units, the memory constants and fault model, the
+// accelerator model, the programmable decompressor, the experiment harness
+// that reports simulated figures, and the serving stack — front door and
+// cluster read time only through internal/clock, whose wall implementation
+// carries the one waiver, so a fake clock replays their decisions exactly.
 var ScopePackages = []string{
 	"internal/sim",
 	"internal/mem",
@@ -46,7 +46,7 @@ var ScopePackages = []string{
 	"internal/pool",
 }
 
-// StatePackages hold simulated-time, metrics, or event-queue state; calling
+// StatePackages hold simulated-time, metrics, fault or breaker state; calling
 // into them from inside a map iteration is what the map rule flags.
 var StatePackages = []string{
 	"internal/sim",

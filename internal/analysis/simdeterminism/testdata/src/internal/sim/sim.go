@@ -1,6 +1,6 @@
-// Package sim is a fixture stand-in for the repository's event-driven
-// simulation kernel: just enough surface for the map-iteration rule to see
-// calls that feed event-queue and metrics state. Its own path sits inside
+// Package sim is a fixture: a small event-driven simulation kernel with
+// just enough surface for the map-iteration rule to see calls that feed
+// event-queue and metrics state. Its own path sits inside
 // the analyzer's scope, so the code here must itself be clean.
 package sim
 

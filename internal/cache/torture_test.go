@@ -141,10 +141,17 @@ func TestTableTorture(t *testing.T) {
 
 	var hits, misses atomic.Int64
 	var wg sync.WaitGroup
+	// Readers start once every publisher has published a block, so they
+	// cannot all finish before the cache holds anything to hit.
+	var published sync.WaitGroup
+	published.Add(publishers)
 	for g := 0; g < readers+publishers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			if g < readers {
+				published.Wait()
+			}
 			rng := uint64(g)*2654435761 + 1
 			for op := 0; op < opsPerG; op++ {
 				rng = rng*6364136223846793005 + 1442695040888963407
@@ -164,6 +171,9 @@ func TestTableTorture(t *testing.T) {
 				got := tab.Publish(b, e, docs, tfs, 0)
 				check(got, list, b)
 				c.Release(got)
+				if op == 0 {
+					published.Done()
+				}
 			}
 		}(g)
 	}

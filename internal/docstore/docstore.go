@@ -90,23 +90,6 @@ func (s *Store) ID() uint64 {
 	return s.id.Load()
 }
 
-// ReplicaView returns a replica of the store for R-way replicated
-// serving: block metadata and payload bytes are shared with the
-// receiver, but the view carries a fresh process-wide identity so
-// replicas key a shared decoded-block cache disjointly (one replica's
-// clean decode never masks another replica's fault draws).
-func (s *Store) ReplicaView() *Store {
-	v := &Store{
-		Fields:   s.Fields,
-		NumDocs:  s.NumDocs,
-		Blocks:   s.Blocks,
-		Data:     s.Data,
-		RawBytes: s.RawBytes,
-	}
-	v.id.Store(nextStoreID.Add(1))
-	return v
-}
-
 // NumBlocks returns the number of packed blocks.
 func (s *Store) NumBlocks() int { return len(s.Blocks) }
 

@@ -414,47 +414,6 @@ func (pl *PostingList) BlockImpacts(b int) []byte {
 // indexed.
 func (idx *Index) List(term string) *PostingList { return idx.Lists[term] }
 
-// ReplicaView returns a replica of the index for R-way replicated
-// serving. The immutable built artifacts — compressed posting payloads,
-// block metadata, document norms, statistics — are shared with the
-// receiver, but every posting list carries a fresh process-wide
-// identity. Replicas therefore key a shared decoded-block cache
-// disjointly: one replica's clean decode can never mask another
-// replica's fault draws, which is what makes replicas independently
-// faultable while staying byte-identical in content and costing no
-// rebuild.
-func (idx *Index) ReplicaView() *Index {
-	v := &Index{
-		Params:       idx.Params,
-		NumDocs:      idx.NumDocs,
-		AvgDocLen:    idx.AvgDocLen,
-		DocNorms:     idx.DocNorms,
-		Lists:        make(map[string]*PostingList, len(idx.Lists)),
-		NormBaseAddr: idx.NormBaseAddr,
-		TotalBytes:   idx.TotalBytes,
-		statsDocs:    idx.statsDocs,
-		globalDF:     idx.globalDF,
-	}
-	for term, pl := range idx.Lists {
-		np := &PostingList{
-			Term:       pl.Term,
-			Scheme:     pl.Scheme,
-			DF:         pl.DF,
-			IDF:        pl.IDF,
-			MaxScore:   pl.MaxScore,
-			Blocks:     pl.Blocks,
-			Data:       pl.Data,
-			ImpactStep: pl.ImpactStep,
-			MaxImpact:  pl.MaxImpact,
-			BaseAddr:   pl.BaseAddr,
-			codec:      pl.codec,
-		}
-		np.id.Store(nextListID.Add(1))
-		v.Lists[term] = np
-	}
-	return v
-}
-
 // MustList returns the posting list for term, panicking if absent.
 func (idx *Index) MustList(term string) *PostingList {
 	pl := idx.Lists[term]

@@ -1,3 +1,10 @@
+// Package pool is the paper's Figure 1(b) pooled-memory deployment that
+// serves queries: docID-interval shards on wall-clock accelerators behind
+// one request path (Cluster, configured by Config), with replication,
+// resilience and the fetch phase, and ForEach, the repository's one batch
+// worker pool. It keeps no clock of its own: each shard's accelerator
+// charges a perf.Metrics, and callers read simulated time from
+// internal/perf's roofline over those metrics.
 package pool
 
 import (
@@ -22,6 +29,56 @@ import (
 	"boss/internal/topk"
 )
 
+// Config describes a sharded Cluster: what NewCluster and Fresh read.
+type Config struct {
+	// K is the top-k depth of queries that name none.
+	K int
+	// Opts configures the shard accelerators' early-termination features.
+	Opts core.Options
+	// Workers bounds the host-side goroutines a single query's shard
+	// fan-out and Cluster.SearchBatchQueries' query pipeline run on
+	// (0 = GOMAXPROCS).
+	Workers int
+	// CacheBytes is the byte budget of the cluster's cross-query decoded-
+	// block cache, shared by all shards' wall-clock accelerators (every
+	// Search* entry point). 0 disables the cache; negative values are
+	// rejected by NewCluster with ErrBadConfig.
+	CacheBytes int64
+	// Replicas is the number of independently-faultable copies of each
+	// shard the cluster keeps (R-way replication). Each replica has its
+	// own accelerator, fault-injection domain and circuit breaker over
+	// the shard's one index and document store; every query routes across
+	// replicas with deterministic seeded selection, skipping replicas
+	// whose breakers are open. 1 (the DefaultConfig value) is single-copy
+	// serving, byte-identical to the pre-replication code path; values
+	// below 1 are rejected by NewCluster with ErrBadConfig.
+	Replicas int
+	// Resilience configures the cluster's serving-path fault handling
+	// (every entry point runs under it). Its zero or negative backoff and
+	// breaker fields take DefaultResilience values; MaxRetries does not, so
+	// a zero MaxRetries retries nothing.
+	Resilience Resilience
+	// Clock supplies time to breaker cooldowns and retry backoff; nil uses
+	// the wall clock. Tests and the chaos sweep inject a clock.FakeClock,
+	// the same one as the front door's when one sits on top.
+	Clock clock.Clock
+}
+
+// DefaultCacheBytes is the default decoded-block cache budget for wall-
+// clock serving: 64 MiB comfortably holds the hot Zipf head of the
+// harness corpora without approaching the index's own footprint.
+const DefaultCacheBytes = 64 << 20
+
+// DefaultConfig is single-copy serving with the decoded-block cache on.
+func DefaultConfig() Config {
+	return Config{
+		K:          core.DefaultK,
+		Opts:       core.DefaultOptions(),
+		CacheBytes: DefaultCacheBytes,
+		Replicas:   1,
+	}
+}
+
 // Cluster is the paper's Figure 1(b)/Figure 2 deployment: the inverted
 // index partitioned into disjoint docID-interval shards, one per memory
 // node, each with its own BOSS device. A query fans out to every node,
@@ -33,10 +90,11 @@ type Cluster struct {
 	shards  []*index.Index
 	offsets []uint32 // global docID of each shard's local doc 0
 	// accs[si][ri] is the wall-clock accelerator of replica ri of shard
-	// si. Replica 0 serves the base index; replicas 1..R-1 serve
-	// index.ReplicaView copies, so every replica shares one decoded-block
-	// cache budget with replica-disjoint keys and owns its own
-	// fault-injection domain. Every entry point routes across replicas
+	// si. Every replica serves the shard's one index through the shared
+	// decoded-block cache and owns its own fault-injection domain: the
+	// accelerator makes every charge, the fault draw included, before it
+	// reads the cache's answer, so a block another copy decoded never
+	// spares a copy its own draw. Every entry point routes across replicas
 	// through pickReplica; with Replicas == 1 that is always replica 0,
 	// byte-identical to single-copy serving.
 	accs [][]*core.Accelerator
@@ -51,9 +109,8 @@ type Cluster struct {
 	docs     func(lo, hi uint32) (*docstore.Store, error)
 	docsOnce sync.Once
 	docsErr  error
-	// fetchers[si][ri] is replica ri's fetch engine over a
-	// docstore.ReplicaView of the shard's store (replica 0 serves the
-	// base store), mirroring accs' replica layout.
+	// fetchers[si][ri] is replica ri's fetch engine over the shard's
+	// store, mirroring accs' replica layout.
 	fetchers  [][]*core.FetchEngine
 	faultPlan *mem.FaultPlan
 
@@ -158,9 +215,9 @@ func NewCluster(cfg Config, c *corpus.Corpus, shards int) (*Cluster, error) {
 		cl.shards = append(cl.shards, idx)
 		cl.offsets = append(cl.offsets, uint32(lo))
 		// All shards and replicas share one cache: posting-list identities
-		// are process-wide (replicas get fresh ones via ReplicaView), so
-		// keys never collide across shards or copies, and a shared budget
-		// follows the workload's skew instead of splitting it evenly.
+		// are process-wide, so keys never collide across shards, and a
+		// shared budget follows the workload's skew instead of splitting
+		// it evenly.
 		cl.accs = append(cl.accs, cl.buildReplicas(idx))
 	}
 	cl.initServing()
@@ -189,14 +246,12 @@ func NewSingle(cfg Config, idx *index.Index, docs func() (*docstore.Store, error
 	return cl, nil
 }
 
-// buildReplicas constructs one shard's replica accelerators: replica 0
-// over the base index, replicas 1..R-1 over fresh ReplicaViews, all
-// sharing the cluster cache.
+// buildReplicas constructs one shard's replica accelerators, all over
+// the shard's index and the cluster cache.
 func (cl *Cluster) buildReplicas(idx *index.Index) []*core.Accelerator {
 	reps := make([]*core.Accelerator, cl.Replicas())
-	reps[0] = core.NewCached(idx, cl.cfg.Opts, cl.cache)
-	for ri := 1; ri < len(reps); ri++ {
-		reps[ri] = core.NewCached(idx.ReplicaView(), cl.cfg.Opts, cl.cache)
+	for ri := range reps {
+		reps[ri] = core.NewCached(idx, cl.cfg.Opts, cl.cache)
 	}
 	return reps
 }
@@ -338,8 +393,8 @@ func (res *ClusterResult) addShard(si int, m *perf.Metrics) {
 	res.PerShard[si] = &res.metrics[si]
 }
 
-// prepare is query.Prepare for the pool's entry points handed a string and
-// nothing prepared (exec, Device.Submit), refusing in the pool's name.
+// prepare is query.Prepare for exec's queries that arrive as a string with
+// nothing prepared, refusing in the pool's name.
 func prepare(expr string) (*query.Prepared, error) {
 	p, err := query.Prepare(expr)
 	var lim *query.TermLimitError

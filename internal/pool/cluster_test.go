@@ -164,6 +164,7 @@ func TestSparseRefusedBeforeTheShards(t *testing.T) {
 		{"NewSingle SPARSE", single, `SPARSE("t1", "t2")`, func(err error) bool { return errors.Is(err, core.ErrNoImpacts) }},
 		{"NewSingle unknown term", single, `"t1" AND "nosuchtermzz"`, func(err error) bool { return err != nil }},
 		{"NewSingle 17 terms", single, `"t1"` + strings.Repeat(` OR "t1"`, query.MaxTerms), func(err error) bool { return errors.As(err, &lim) }},
+		{"NewCluster 17 terms", cl, `"t1"` + strings.Repeat(` OR "t1"`, query.MaxTerms), func(err error) bool { return errors.As(err, &lim) }},
 	} {
 		for i := 0; i < 2*DefaultResilience().BreakerThreshold; i++ {
 			if _, err := tc.cl.SearchCtx(context.Background(), tc.expr, 10); !tc.refused(err) {

@@ -59,10 +59,11 @@ func (cl *Cluster) EnsureDocs() error {
 // the shard's global docID interval, on every P, the caller included. Once
 // all are built it wires one fetch engine per replica of each shard, in
 // shard order, so stores take their cache identities in the same order at
-// every width. Replica 0 serves the base store; higher replicas serve
-// ReplicaViews (shared payload bytes, fresh cache identity) and draw faults
-// from their own injector domain, mirroring buildReplicas. The first
-// failing shard's error is the build's. Runs under docsOnce.
+// every width. Every replica's engine serves the shard's store and draws
+// faults from the replica's own injector domain, mirroring buildReplicas:
+// FetchInto makes its fault draw before it reads the cache's answer, so a
+// shared store identity never lets one copy's decode mask another's fault.
+// The first failing shard's error is the build's. Runs under docsOnce.
 func (cl *Cluster) buildDocs() {
 	stores := make([]*docstore.Store, len(cl.shards))
 	errs := make([]error, len(cl.shards))
@@ -95,13 +96,9 @@ func (cl *Cluster) buildDocs() {
 	}
 
 	cl.fetchers = make([][]*core.FetchEngine, len(cl.shards))
-	for si, base := range stores {
+	for si, store := range stores {
 		reps := make([]*core.FetchEngine, cl.Replicas())
 		for ri := range reps {
-			store := base
-			if ri > 0 {
-				store = store.ReplicaView()
-			}
 			eng := core.NewFetchEngine(store, cl.cache)
 			if cl.faultPlan != nil {
 				eng.SetFault(cl.faultPlan.InjectorFor(cl.ReplicaDevice(si, ri)))

@@ -32,6 +32,38 @@ func replicatedConfig(r int) Config {
 	return cfg
 }
 
+// copy0Marks is the length of copy 0's event log on every shard.
+func copy0Marks(cl *Cluster) []int {
+	marks := make([]int, cl.Shards())
+	for si := range marks {
+		marks[si] = len(cl.ReplicaEvents(si, 0))
+	}
+	return marks
+}
+
+// copy0FailedTries counts the attempts copy 0 of every shard logged since
+// marks, failing the test unless each of them failed.
+func copy0FailedTries(t *testing.T, cl *Cluster, marks []int, what string) int {
+	t.Helper()
+	total := 0
+	for si, mark := range marks {
+		var tries, fails int
+		for _, ev := range cl.ReplicaEvents(si, 0)[mark:] {
+			switch ev.Kind {
+			case EvAttempt:
+				tries++
+			case EvFailure:
+				fails++
+			}
+		}
+		if fails != tries {
+			t.Fatalf("%s: dead copy 0 of shard %d failed %d of %d attempts over cached blocks", what, si, fails, tries)
+		}
+		total += tries
+	}
+	return total
+}
+
 // TestReplicaSelectionDeterministic: replica routing is a pure function
 // of (seed, query, shard, attempt) — two identically-configured clusters
 // serving the same query stream must pick byte-identical replicas.
@@ -73,29 +105,51 @@ func TestReplicaSelectionDeterministic(t *testing.T) {
 // TestReplicaFailoverUncorrectable: with R=2 and copy 0 of every shard
 // dead, retries rotate onto the surviving copy, so queries complete
 // fully served with no degradation — where the same plan on a
-// single-copy cluster degrades.
+// single-copy cluster degrades. The copies share the shard's index and
+// so its cache entries: asked again for blocks copy 1 has just published,
+// the dead copy must still fail every attempt, because its fault draw
+// comes before the cache's answer.
 func TestReplicaFailoverUncorrectable(t *testing.T) {
 	c := replicaTestCorpus(t)
 	cl, err := NewCluster(replicatedConfig(2), c, 3)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
+	if cl.Cache() == nil {
+		t.Fatal("the cache is off: the shared-entry check would check nothing")
+	}
 	plan := &mem.FaultPlan{Seed: 7}
 	for si := 0; si < cl.Shards(); si++ {
 		plan.DeadDevices = append(plan.DeadDevices, cl.ReplicaDevice(si, 0))
 	}
 	cl.SetFaultPlan(plan)
-	res, err := cl.SearchCtx(context.Background(), `"t1" AND "t2"`, 30)
-	if err != nil {
-		t.Fatalf("SearchCtx with copy 0 dead: %v", err)
-	}
-	if res.Degraded != 0 {
-		t.Fatalf("Degraded = %b, want 0 (copy 1 holds every shard)", res.Degraded)
-	}
-	for si, ri := range res.ServedBy {
-		if ri != 1 {
-			t.Fatalf("shard %d served by replica %d, want 1 (replica 0 is dead)", si, ri)
+	served := func(expr string) {
+		t.Helper()
+		res, err := cl.SearchCtx(context.Background(), expr, 30)
+		if err != nil {
+			t.Fatalf("%s: SearchCtx with copy 0 dead: %v", expr, err)
 		}
+		if res.Degraded != 0 {
+			t.Fatalf("%s: Degraded = %b, want 0 (copy 1 holds every shard)", expr, res.Degraded)
+		}
+		for si, ri := range res.ServedBy {
+			if ri != 1 {
+				t.Fatalf("%s: shard %d served by replica %d, want 1 (replica 0 is dead)", expr, si, ri)
+			}
+		}
+	}
+	deadTries := 0
+	for _, expr := range []string{`"t1" AND "t2"`, `"t3" OR "t4"`, `"t5"`} {
+		served(expr) // copy 1 decodes and publishes the blocks expr reads
+		marks, hits := copy0Marks(cl), cl.CacheStats().Hits
+		served(expr) // the same picks, now over published blocks
+		if cl.CacheStats().Hits == hits {
+			t.Fatalf("%s: the second run found nothing in the cache", expr)
+		}
+		deadTries += copy0FailedTries(t, cl, marks, expr)
+	}
+	if deadTries == 0 {
+		t.Fatal("no second run tried a dead copy: the shared-entry check checks nothing")
 	}
 
 	// Control: the same outage on a single-copy cluster loses the shards.
@@ -208,7 +262,9 @@ func TestEmptyPruneIsNotACopyHealthSignal(t *testing.T) {
 }
 
 // TestFetchReplicaFailover: the fetch phase rides the same rotation — a
-// dead copy 0 must not cost a single document.
+// dead copy 0 must not cost a single document. Nor may it serve one: asked
+// again for documents whose blocks copy 1 has just published, the dead copy
+// still fails every attempt.
 func TestFetchReplicaFailover(t *testing.T) {
 	c := replicaTestCorpus(t)
 	cl, err := NewCluster(replicatedConfig(2), c, 2)
@@ -220,18 +276,32 @@ func TestFetchReplicaFailover(t *testing.T) {
 		plan.DeadDevices = append(plan.DeadDevices, cl.ReplicaDevice(si, 0))
 	}
 	cl.SetFaultPlan(plan)
-	ids := []uint32{0, 5, uint32(c.Spec.NumDocs - 1)}
-	res, err := cl.FetchBatch(context.Background(), ids)
-	if err != nil {
-		t.Fatalf("FetchBatch with copy 0 dead: %v", err)
-	}
-	if res.Degraded != 0 {
-		t.Fatalf("fetch Degraded = %b, want 0", res.Degraded)
-	}
-	for i, d := range res.Docs {
-		if d.DocID != ids[i] || len(d.Fields) == 0 {
-			t.Fatalf("doc %d came back empty: %+v", ids[i], d)
+	fetched := func(ids []uint32) {
+		t.Helper()
+		res, err := cl.FetchBatch(context.Background(), ids)
+		if err != nil {
+			t.Fatalf("%v: FetchBatch with copy 0 dead: %v", ids, err)
 		}
+		if res.Degraded != 0 {
+			t.Fatalf("%v: fetch Degraded = %b, want 0", ids, res.Degraded)
+		}
+		for i, d := range res.Docs {
+			if d.DocID != ids[i] || len(d.Fields) == 0 {
+				t.Fatalf("doc %d came back empty: %+v", ids[i], d)
+			}
+		}
+	}
+	last := uint32(c.Spec.NumDocs - 1)
+	deadTries := 0
+	for i := uint32(0); i < 4; i++ {
+		ids := []uint32{i, 5 + i, last - i}
+		fetched(ids) // copy 1 decodes and publishes the blocks ids live in
+		marks := copy0Marks(cl)
+		fetched(ids) // the same picks, now over published blocks
+		deadTries += copy0FailedTries(t, cl, marks, fmt.Sprint(ids))
+	}
+	if deadTries == 0 {
+		t.Fatal("no second fetch tried a dead copy: the shared-entry check checks nothing")
 	}
 }
 
