@@ -48,9 +48,12 @@ func TestGenerateGolden(t *testing.T) {
 	}{
 		{ClueWebLike(0.01), "b3b08fde4621b607f84fc89ead08bc58b4524853a5e7c03f9b076fada966b41d"},
 		{CCNewsLike(0.01), "07fbc88ce71243d2e9eb3d12b286e04a3e96302d80c999822821e77cda8a6b2f"},
+		// The bench's scale: large lists take sampler branches the small
+		// corpora may never reach.
+		{ClueWebLike(0.25), "d31de9b56b516a9d77dd510f7f6efdce7b9f4f2eb77465d8f8110655e2b35ca2"},
 	} {
 		if got := Generate(tc.spec).digest(); got != tc.want {
-			t.Errorf("%s: Generate digest %s, want %s", tc.spec.Name, got, tc.want)
+			t.Errorf("%s/%d docs: Generate digest %s, want %s", tc.spec.Name, tc.spec.NumDocs, got, tc.want)
 		}
 	}
 }

@@ -68,11 +68,13 @@ func TestBuildGolden(t *testing.T) {
 		{corpus.ClueWebLike(0.01), true, "1a45cb9047a7e91a35c982c44464e164790146300c8906c60996f2eb05f88352"},
 		{corpus.CCNewsLike(0.01), false, "51232a7bce35ea2183f511b1806351f190550a05393aa6bd784e1c62912a7555"},
 		{corpus.CCNewsLike(0.01), true, "a7c2f30eb3c7a329a7722049aeb951acf1df5c7aa317a987ef4eb2b32c99b525"},
+		{corpus.ClueWebLike(0.25), false, "fc96a6c8bdbf9c3eaa0f6b751304f4822003df9d81df6f8b2c101106955aad96"},
+		{corpus.ClueWebLike(0.25), true, "2c12a7a1c3a5454142be32da40df31c3c19b6b59bd256000aab0304045155798"},
 	} {
 		c := corpus.Generate(tc.spec)
 		idx := Build(c, BuildOptions{Scheme: compress.SchemeHybrid, Impacts: tc.impacts})
 		if got := idx.digest(); got != tc.want {
-			t.Errorf("%s impacts=%v: Build digest %s, want %s", tc.spec.Name, tc.impacts, got, tc.want)
+			t.Errorf("%s/%d docs impacts=%v: Build digest %s, want %s", tc.spec.Name, tc.spec.NumDocs, tc.impacts, got, tc.want)
 		}
 	}
 }
