@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -168,11 +169,13 @@ func Generate(spec Spec) *Corpus {
 }
 
 // sampleScratch is Generate's reusable sampling state: the docID buffer
-// each term's postings are copied from, and the bitset sampleSparse
-// dedups on, one bit per document and all clear between terms.
+// each term's postings are copied from, sampleSparse's cluster centers,
+// and the bitset it dedups on, one bit per document and all clear between
+// terms.
 type sampleScratch struct {
-	ids  []uint32
-	seen []uint64
+	ids     []uint32
+	centers []int64
+	seen    []uint64
 }
 
 // samplePostings draws df distinct docIDs (uniform or clustered per the
@@ -209,6 +212,10 @@ func (c *Corpus) samplePostings(rng *rand.Rand, df int, sc *sampleScratch) []Pos
 	return postings
 }
 
+// sortFreeSpan is how many bitset words per drawn id sampleSparse will
+// scan to read its ids back in order instead of sorting them.
+const sortFreeSpan = 16
+
 // sampleSparse draws df distinct docIDs with the spec's clustering into
 // sc.ids, sorted.
 func (c *Corpus) sampleSparse(rng *rand.Rand, df int, sc *sampleScratch) []uint32 {
@@ -218,7 +225,8 @@ func (c *Corpus) sampleSparse(rng *rand.Rand, df int, sc *sampleScratch) []uint3
 
 	clustered := int(float64(df) * c.Spec.Clustering)
 	numClusters := clustered/128 + 1
-	centers := make([]int64, numClusters)
+	centers := slices.Grow(sc.centers[:0], numClusters)[:numClusters]
+	sc.centers = centers
 	for i := range centers {
 		centers[i] = rng.Int63n(d)
 	}
@@ -227,6 +235,7 @@ func (c *Corpus) sampleSparse(rng *rand.Rand, df int, sc *sampleScratch) []uint3
 		width = 2
 	}
 
+	lowWord, highWord := uint32(len(seen)), uint32(0)
 	add := func(v int64) bool {
 		if v < 0 || v >= d {
 			return false
@@ -237,6 +246,7 @@ func (c *Corpus) sampleSparse(rng *rand.Rand, df int, sc *sampleScratch) []uint3
 			return false
 		}
 		seen[word] |= bit
+		lowWord, highWord = min(lowWord, word), max(highWord, word)
 		ids = append(ids, u)
 		return true
 	}
@@ -248,6 +258,19 @@ func (c *Corpus) sampleSparse(rng *rand.Rand, df int, sc *sampleScratch) []uint3
 	}
 	for len(ids) < df {
 		add(rng.Int63n(d))
+	}
+	if int(highWord-lowWord) < sortFreeSpan*len(ids) {
+		// The ids are dense enough in the words they span that reading
+		// them back off the bitset, clearing it as it goes, is cheaper
+		// than sorting them.
+		ids = ids[:0]
+		for w := lowWord; w <= highWord; w++ {
+			for set := seen[w]; set != 0; set &= set - 1 {
+				ids = append(ids, w*64+uint32(bits.TrailingZeros64(set)))
+			}
+			seen[w] = 0
+		}
+		return ids
 	}
 	for _, u := range ids {
 		seen[u/64] = 0
