@@ -33,21 +33,22 @@ const BlockMetaBytes = 19
 // Scoring Module).
 const DocNormBytes = 4
 
-// BlockMeta is the per-block skip/decompression record.
+// BlockMeta is the per-block skip/decompression record. Its fields are
+// ordered widest first so that it packs into 32 bytes.
 type BlockMeta struct {
+	MaxScore float64 // maximum term-score of any posting in the block
 	FirstDoc uint32  // first docID in the block (uncompressed)
 	LastDoc  uint32  // last docID in the block (uncompressed)
-	MaxScore float64 // maximum term-score of any posting in the block
 	Offset   uint32  // byte offset of the compressed payload within the list
 	Length   uint32  // byte length of the compressed payload
-	Count    uint16  // number of postings in the block (≤ block size)
 	// Checksum is the CRC32-C of the compressed payload, computed at
 	// build time and verified on fetch so media corruption is detected
 	// instead of silently scored. Zero means "unchecksummed" (lists
-	// hand-built before PR 5, e.g. in tests). It is not part of the
+	// hand-built in tests). It is not part of the
 	// paper's 19-byte metadata budget: SCM devices keep block CRCs in
 	// the per-line ECC/spare area, so BlockMetaBytes is unchanged.
 	Checksum uint32
+	Count    uint16 // number of postings in the block (≤ block size)
 	// MaxImpact is the largest 8-bit quantized impact code of any posting
 	// in the block (impact-enabled lists only; see BuildOptions.Impacts).
 	// The MaxScore operator skips whole blocks on it the way BlockMaxWAND
@@ -128,24 +129,6 @@ type Index struct {
 	// TotalBytes is the total simulated footprint (payloads + metadata +
 	// norms).
 	TotalBytes uint64
-
-	// statsDocs and globalDF override collection statistics for sharded
-	// indexes (zero/nil means use the local shard's own statistics).
-	statsDocs int
-	globalDF  map[string]int
-}
-
-// GlobalStats carries collection-wide statistics for sharded deployments:
-// each leaf node indexes only its docID interval but must score with global
-// document counts so merged top-k results rank exactly as a single index
-// would (Section II-B's root/leaf architecture).
-type GlobalStats struct {
-	// NumDocs is the collection-wide document count.
-	NumDocs int
-	// AvgDocLen is the collection-wide average document length.
-	AvgDocLen float64
-	// DF maps each term to its collection-wide document frequency.
-	DF map[string]int
 }
 
 // BuildOptions configures index construction.
@@ -158,9 +141,6 @@ type BuildOptions struct {
 	BlockSize int
 	// Params are the BM25 parameters (default k1=1.2, b=0.75 if zero).
 	Params score.Params
-	// Global, when non-nil, supplies collection-wide statistics for IDF
-	// and length normalization (sharded indexes).
-	Global *GlobalStats
 	// Impacts stores each posting's 8-bit quantized term score at the
 	// block payload's tail (after the tf stream), plus per-block and
 	// per-list max-impact metadata — the Q7 "sparse-dot" family's
@@ -169,8 +149,26 @@ type BuildOptions struct {
 	Impacts bool
 }
 
-// Build constructs an index from a generated corpus.
+// Build constructs an index over the whole corpus.
 func Build(c *corpus.Corpus, opts BuildOptions) *Index {
+	return BuildRange(c, 0, c.Spec.NumDocs, opts)
+}
+
+// BuildRange constructs the index of the docID range [lo, hi) of the
+// corpus, in place: each posting's docID is rebased to lo as it is
+// encoded, and terms with no posting in the range are absent. Scoring
+// takes the collection's statistics — the document count, the average
+// document length and each term's document frequency — from the whole
+// corpus, so a range's lists score every document exactly as the whole
+// corpus's index does (Section II-B's root/leaf architecture).
+//
+// The index lays its lists out in three slabs: one PostingList per term
+// present, one BlockMeta array for all their blocks, and the payloads
+// packed into chunked arenas, one per build worker.
+func BuildRange(c *corpus.Corpus, lo, hi int, opts BuildOptions) *Index {
+	if lo < 0 || hi > c.Spec.NumDocs || lo >= hi {
+		panic(fmt.Sprintf("index: docID range [%d, %d) outside a %d-document corpus", lo, hi, c.Spec.NumDocs))
+	}
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultBlockSize
 	}
@@ -180,52 +178,67 @@ func Build(c *corpus.Corpus, opts BuildOptions) *Index {
 	if opts.Params == (score.Params{}) {
 		opts.Params = score.DefaultParams()
 	}
-	statsDocs := c.Spec.NumDocs
-	avgdl := c.AvgDocLen
-	if opts.Global != nil {
-		statsDocs = opts.Global.NumDocs
-		avgdl = opts.Global.AvgDocLen
-	}
 	idx := &Index{
 		Params:    opts.Params,
-		NumDocs:   c.Spec.NumDocs,
-		AvgDocLen: avgdl,
-		statsDocs: statsDocs,
-		globalDF:  nil,
-		DocNorms:  make([]float64, c.Spec.NumDocs),
-		Lists:     make(map[string]*PostingList, len(c.Terms)),
+		NumDocs:   hi - lo,
+		AvgDocLen: c.AvgDocLen,
+		DocNorms:  make([]float64, hi-lo),
 	}
-	if opts.Global != nil {
-		idx.globalDF = opts.Global.DF
-	}
-	for d, l := range c.DocLens {
+	for d, l := range c.DocLens[lo:hi] {
 		dl := l
 		if dl == 0 {
 			dl = 1 // empty docs still need a sane norm
 		}
-		idx.DocNorms[d] = opts.Params.DocNorm(dl, avgdl)
+		idx.DocNorms[d] = opts.Params.DocNorm(dl, c.AvgDocLen)
 	}
+
+	// Find each term's postings in the range and size the slabs.
+	bs := opts.BlockSize
+	spans := make([]termSpan, 0, len(c.Terms))
+	numBlocks := 0
+	for i := range c.Terms {
+		ps := c.Terms[i].Postings
+		start, end := 0, len(ps)
+		if lo > 0 {
+			start = sort.Search(len(ps), func(j int) bool { return ps[j].DocID >= uint32(lo) })
+		}
+		if hi < c.Spec.NumDocs {
+			end = start + sort.Search(len(ps)-start, func(j int) bool { return ps[start+j].DocID >= uint32(hi) })
+		}
+		if start == end {
+			continue
+		}
+		spans = append(spans, termSpan{term: i, start: start, end: end, block: numBlocks})
+		numBlocks += (end - start + bs - 1) / bs
+	}
+	lists := make([]PostingList, len(spans))
+	blocks := make([]BlockMeta, numBlocks)
 
 	// Posting lists are independent once the document norms exist; build
 	// them on every P, the caller included, each worker claiming buildChunk
 	// terms at a time, then lay out identities and addresses in term order.
-	built := make([]*PostingList, len(c.Terms))
 	var next atomic.Int64
 	work := func() {
-		var sc buildScratch
+		sc := buildScratch{base: uint32(lo)}
 		for {
-			lo := int(next.Add(buildChunk)) - buildChunk
-			if lo >= len(built) {
+			first := int(next.Add(buildChunk)) - buildChunk
+			if first >= len(spans) {
 				return
 			}
-			for i := lo; i < min(lo+buildChunk, len(built)); i++ {
-				tp := &c.Terms[i]
-				built[i] = sc.buildList(idx, tp.Term, tp.Postings, opts)
+			for j := first; j < min(first+buildChunk, len(spans)); j++ {
+				sp := &spans[j]
+				tp := &c.Terms[sp.term]
+				pl := &lists[j]
+				pl.Term = tp.Term
+				pl.IDF = score.IDF(c.Spec.NumDocs, len(tp.Postings))
+				nb := (sp.end - sp.start + bs - 1) / bs
+				pl.Blocks = blocks[sp.block : sp.block+nb : sp.block+nb]
+				sc.buildList(idx, pl, tp.Postings[sp.start:sp.end], opts)
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), (len(built)+buildChunk-1)/buildChunk); w++ {
+	for w := 1; w < min(runtime.GOMAXPROCS(0), (len(spans)+buildChunk-1)/buildChunk); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -235,16 +248,25 @@ func Build(c *corpus.Corpus, opts BuildOptions) *Index {
 	work()
 	wg.Wait()
 
+	idx.Lists = make(map[string]*PostingList, len(lists))
 	var addr uint64
-	for i, pl := range built {
+	for j := range lists {
+		pl := &lists[j]
 		pl.id.Store(nextListID.Add(1))
 		pl.BaseAddr = addr
 		addr += uint64(len(pl.Data)) + uint64(pl.MetadataBytes())
-		idx.Lists[c.Terms[i].Term] = pl
+		idx.Lists[pl.Term] = pl
 	}
 	idx.NormBaseAddr = addr
 	idx.TotalBytes = addr + uint64(idx.NumDocs*DocNormBytes)
 	return idx
+}
+
+// termSpan is one term present in a BuildRange: its rank in the corpus,
+// its postings in the range, Postings[start:end], and where its blocks
+// start in the block slab.
+type termSpan struct {
+	term, start, end, block int
 }
 
 // buildChunk is how many consecutive terms a Build worker claims at once,
@@ -252,38 +274,49 @@ func Build(c *corpus.Corpus, opts BuildOptions) *Index {
 // the bench corpus's shards in the same time at one and two Ps.
 const buildChunk = 16
 
-// buildScratch is one Build worker's reusable buffers: the hybrid choice's
-// delta stream, one block's docID deltas and tfs, an impact list's scores
-// and the list payload under construction. Nothing built points into it.
+// arenaChunk is the size of the chunks a Build worker packs payloads
+// into. A payload over an eighth of it gets an allocation of its own, so
+// at most an eighth of a chunk goes unused.
+const arenaChunk = 64 << 10
+
+// buildScratch is one Build worker's state: the range's first docID, which
+// every posting is rebased to, the worker's payload arena, and its reusable
+// buffers: the hybrid choice's delta stream, one block's docID deltas and
+// tfs, an impact list's scores and the list payload under construction.
+// Nothing built points into the buffers.
 type buildScratch struct {
+	base              uint32
+	arena             []byte
 	deltas, docs, tfs []uint32
 	scores            []float64
 	data              []byte
 }
 
-// buildList compresses one posting list into blocks.
-func (sc *buildScratch) buildList(idx *Index, term string, postings []corpus.Posting, opts BuildOptions) *PostingList {
-	df := len(postings)
-	if idx.globalDF != nil {
-		if g, ok := idx.globalDF[term]; ok {
-			df = g
-		}
+// place copies a finished payload into the worker's arena and returns it,
+// capped at its own length.
+func (sc *buildScratch) place(p []byte) []byte {
+	if len(p) > arenaChunk/8 {
+		return append([]byte(nil), p...)
 	}
-	statsDocs := idx.statsDocs
-	if statsDocs == 0 {
-		statsDocs = idx.NumDocs
+	if cap(sc.arena)-len(sc.arena) < len(p) {
+		sc.arena = make([]byte, 0, arenaChunk)
 	}
-	pl := &PostingList{
-		Term: term,
-		DF:   len(postings),
-		IDF:  score.IDF(statsDocs, df),
-	}
+	off := len(sc.arena)
+	sc.arena = append(sc.arena, p...)
+	return sc.arena[off:len(sc.arena):len(sc.arena)]
+}
+
+// buildList compresses one term's postings into pl, whose Term, IDF and
+// Blocks (sized to the list's block count) the caller has set.
+func (sc *buildScratch) buildList(idx *Index, pl *PostingList, postings []corpus.Posting, opts BuildOptions) {
+	pl.DF = len(postings)
+	base := sc.base
 
 	// Hybrid selection considers the whole list's delta stream.
 	scheme := opts.Scheme
 	if scheme == compress.SchemeHybrid {
 		deltas := sc.deltas[:0]
-		prev := uint32(0)
+		prev := base
 		for _, p := range postings {
 			deltas = append(deltas, p.DocID-prev, p.TF)
 			prev = p.DocID
@@ -302,7 +335,7 @@ func (sc *buildScratch) buildList(idx *Index, term string, postings []corpus.Pos
 	listMax := 0.0
 	if opts.Impacts {
 		for _, p := range postings {
-			s := idx.Params.TermScore(pl.IDF, p.TF, idx.DocNorms[p.DocID])
+			s := idx.Params.TermScore(pl.IDF, p.TF, idx.DocNorms[p.DocID-base])
 			scores = append(scores, s)
 			if s > listMax {
 				listMax = s
@@ -314,13 +347,9 @@ func (sc *buildScratch) buildList(idx *Index, term string, postings []corpus.Pos
 
 	bs := opts.BlockSize
 	docBuf, tfBuf, data := sc.docs, sc.tfs, sc.data[:0]
-	pl.Blocks = make([]BlockMeta, 0, (len(postings)+bs-1)/bs)
-	for start := 0; start < len(postings); start += bs {
-		end := start + bs
-		if end > len(postings) {
-			end = len(postings)
-		}
-		blk := postings[start:end]
+	for b := range pl.Blocks {
+		start := b * bs
+		blk := postings[start:min(start+bs, len(postings))]
 		docBuf = docBuf[:0]
 		tfBuf = tfBuf[:0]
 		first := blk[0].DocID
@@ -330,7 +359,7 @@ func (sc *buildScratch) buildList(idx *Index, term string, postings []corpus.Pos
 			docBuf = append(docBuf, p.DocID-prev) // first delta is 0
 			prev = p.DocID
 			tfBuf = append(tfBuf, p.TF)
-			s := idx.Params.TermScore(pl.IDF, p.TF, idx.DocNorms[p.DocID])
+			s := idx.Params.TermScore(pl.IDF, p.TF, idx.DocNorms[p.DocID-base])
 			if s > maxScore {
 				maxScore = s
 			}
@@ -357,23 +386,22 @@ func (sc *buildScratch) buildList(idx *Index, term string, postings []corpus.Pos
 				pl.MaxImpact = maxImpact
 			}
 		}
-		pl.Blocks = append(pl.Blocks, BlockMeta{
-			FirstDoc:  first,
-			LastDoc:   blk[len(blk)-1].DocID,
+		pl.Blocks[b] = BlockMeta{
+			FirstDoc:  first - base,
+			LastDoc:   blk[len(blk)-1].DocID - base,
 			MaxScore:  maxScore,
 			Offset:    offset,
 			Length:    uint32(len(data)) - offset,
 			Count:     uint16(len(blk)),
 			Checksum:  ChecksumPayload(data[offset:]),
 			MaxImpact: maxImpact,
-		})
+		}
 		if maxScore > pl.MaxScore {
 			pl.MaxScore = maxScore
 		}
 	}
-	pl.Data = append([]byte(nil), data...)
+	pl.Data = sc.place(data)
 	sc.docs, sc.tfs, sc.data = docBuf, tfBuf, data
-	return pl
 }
 
 // castagnoli is the CRC32-C polynomial table used for block integrity

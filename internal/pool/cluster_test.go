@@ -3,6 +3,8 @@ package pool
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,22 +124,75 @@ func TestClusterLinkTrafficIsPerShardTopK(t *testing.T) {
 	}
 }
 
-func TestClusterGlobalStatsMatter(t *testing.T) {
-	// Building shards WITHOUT global stats must (in general) change
-	// scores: this guards against silently dropping the global-stats
-	// plumbing.
-	c := corpus.Generate(corpus.CCNewsLike(0.004))
-	perShard := (c.Spec.NumDocs + 1) / 2
-	sc := shardCorpus(c, 0, uint32(perShard))
-	local := index.Build(sc, index.BuildOptions{Scheme: compress.SchemeHybrid})
-	gs := &index.GlobalStats{NumDocs: c.Spec.NumDocs, AvgDocLen: c.AvgDocLen, DF: map[string]int{}}
-	for i := range c.Terms {
-		gs.DF[c.Terms[i].Term] = len(c.Terms[i].Postings)
+// TestShardIsMonolithRange: every shard index NewCluster builds is the
+// monolithic index restricted to the shard's docID range. Each shard list
+// decodes to the monolithic list's postings in [lo, hi), rebased to lo,
+// with a bit-equal IDF; each shard's document norms are the monolithic
+// norms of its range; and a term with no posting in the range is absent.
+// This is what makes a sharded top-k byte-identical to the monolithic one.
+// The corpus's 3599 documents leave every layout's last shard short.
+func TestShardIsMonolithRange(t *testing.T) {
+	spec := corpus.CCNewsLike(0.006)
+	spec.NumDocs = 3599
+	c := corpus.Generate(spec)
+	mono := index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid})
+	type decoded struct{ docs, tfs []uint32 }
+	full := make(map[string]decoded, len(mono.Lists))
+	for term, pl := range mono.Lists {
+		var d decoded
+		for b := range pl.Blocks {
+			d.docs, d.tfs = mono.DecodeBlock(pl, b, d.docs, d.tfs)
+		}
+		full[term] = d
 	}
-	withGlobal := index.Build(sc, index.BuildOptions{Scheme: compress.SchemeHybrid, Global: gs})
-	lpl, gpl := local.MustList("t0"), withGlobal.MustList("t0")
-	if lpl.IDF == gpl.IDF {
-		t.Fatal("global df should change t0's IDF on a half-collection shard")
+	for _, shards := range []int{1, 3, 4, 5} {
+		cl := mustCluster(t, DefaultConfig(), c, shards)
+		for si, idx := range cl.shards {
+			lo := cl.offsets[si]
+			hi := lo + uint32(idx.NumDocs)
+			if math.Float64bits(idx.AvgDocLen) != math.Float64bits(mono.AvgDocLen) {
+				t.Fatalf("%d shards, shard %d: AvgDocLen %v, want %v", shards, si, idx.AvgDocLen, mono.AvgDocLen)
+			}
+			for d, norm := range idx.DocNorms {
+				if math.Float64bits(norm) != math.Float64bits(mono.DocNorms[int(lo)+d]) {
+					t.Fatalf("%d shards, shard %d: DocNorms[%d] %v, want %v", shards, si, d, norm, mono.DocNorms[int(lo)+d])
+				}
+			}
+			present := 0
+			for term, want := range full {
+				start, _ := slices.BinarySearch(want.docs, lo)
+				end, _ := slices.BinarySearch(want.docs, hi)
+				pl := idx.List(term)
+				if start == end {
+					if pl != nil {
+						t.Fatalf("%d shards, shard %d: %q has no posting in [%d, %d) but is indexed", shards, si, term, lo, hi)
+					}
+					continue
+				}
+				present++
+				if pl == nil {
+					t.Fatalf("%d shards, shard %d: %q missing", shards, si, term)
+				}
+				if math.Float64bits(pl.IDF) != math.Float64bits(mono.Lists[term].IDF) {
+					t.Fatalf("%d shards, shard %d: %q IDF %v, want %v", shards, si, term, pl.IDF, mono.Lists[term].IDF)
+				}
+				var got decoded
+				for b := range pl.Blocks {
+					got.docs, got.tfs = idx.DecodeBlock(pl, b, got.docs, got.tfs)
+				}
+				rebased := make([]uint32, 0, end-start)
+				for _, d := range want.docs[start:end] {
+					rebased = append(rebased, d-lo)
+				}
+				if pl.DF != end-start || !slices.Equal(got.docs, rebased) || !slices.Equal(got.tfs, want.tfs[start:end]) {
+					t.Fatalf("%d shards, shard %d: %q decodes to %d postings unequal to the monolith's %d in [%d, %d)",
+						shards, si, term, len(got.docs), end-start, lo, hi)
+				}
+			}
+			if present != len(idx.Lists) {
+				t.Fatalf("%d shards, shard %d: %d lists, want %d", shards, si, len(idx.Lists), present)
+			}
+		}
 	}
 }
 
