@@ -196,8 +196,12 @@ func appendUvarint(dst []byte, v uint64) []byte {
 // code: it allocates freely.
 type Builder struct {
 	fields []string
-	pend   [][]byte // len(fields) slices per pending doc, flushed per block
-	ndocs  int
+	// pend holds the pending documents' field values back to back, and
+	// ends[i] where value i ends in it: len(fields) values per document,
+	// in field order, flushed per block.
+	pend  []byte
+	ends  []int
+	ndocs int
 
 	raw    []byte // packed-block scratch, reused across flushes
 	blocks []BlockMeta
@@ -222,7 +226,8 @@ func (b *Builder) Add(vals ...[]byte) error {
 		return fmt.Errorf("docstore: Add got %d values for %d fields", len(vals), len(b.fields))
 	}
 	for _, v := range vals {
-		b.pend = append(b.pend, append([]byte(nil), v...))
+		b.pend = append(b.pend, v...)
+		b.ends = append(b.ends, len(b.pend))
 	}
 	b.ndocs++
 	if b.ndocs%BlockDocs == 0 {
@@ -237,7 +242,8 @@ func (b *Builder) AddStrings(vals ...string) error {
 		return fmt.Errorf("docstore: AddStrings got %d values for %d fields", len(vals), len(b.fields))
 	}
 	for _, v := range vals {
-		b.pend = append(b.pend, []byte(v))
+		b.pend = append(b.pend, v...)
+		b.ends = append(b.ends, len(b.pend))
 	}
 	b.ndocs++
 	if b.ndocs%BlockDocs == 0 {
@@ -251,18 +257,25 @@ func (b *Builder) AddStrings(vals ...string) error {
 // bytes; the packed block is LZ-compressed and checksummed.
 func (b *Builder) flush() {
 	nf := len(b.fields)
-	cnt := len(b.pend) / nf
+	cnt := len(b.ends) / nf
 	if cnt == 0 {
 		return
+	}
+	value := func(v int) []byte {
+		start := 0
+		if v > 0 {
+			start = b.ends[v-1]
+		}
+		return b.pend[start:b.ends[v]]
 	}
 	raw := b.raw[:0]
 	raw = appendUvarint(raw, uint64(cnt))
 	for f := 0; f < nf; f++ {
 		for i := 0; i < cnt; i++ {
-			raw = appendUvarint(raw, uint64(len(b.pend[i*nf+f])))
+			raw = appendUvarint(raw, uint64(len(value(i*nf+f))))
 		}
 		for i := 0; i < cnt; i++ {
-			raw = append(raw, b.pend[i*nf+f]...)
+			raw = append(raw, value(i*nf+f)...)
 		}
 	}
 	b.raw = raw[:0]
@@ -278,7 +291,7 @@ func (b *Builder) flush() {
 		Checksum: ChecksumPayload(payload),
 	})
 	b.rawSum += int64(len(raw))
-	b.pend = b.pend[:0]
+	b.pend, b.ends = b.pend[:0], b.ends[:0]
 }
 
 // Build flushes any partial block and seals the store.
