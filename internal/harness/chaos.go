@@ -128,8 +128,8 @@ func chaosConfig(replicas int, clk clock.Clock) pool.Config {
 
 // chaosPoint measures one fault rate on a fresh serving state derived
 // from the base cluster (so breaker state and the decoded-block cache
-// never leak across points, while the expensive shard corpora and index
-// builds are shared), its own fake clock, the rate's fault plan, and
+// never leak across points, while the expensive shard index builds are
+// shared), its own fake clock, the rate's fault plan, and
 // chaosPasses serial passes over the batch. The cluster is returned for
 // tests that read its event logs.
 //
@@ -214,7 +214,7 @@ func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate floa
 // point from replicated shards with retries armed;
 // replicaKill additionally takes copy 0 of every shard down at every point
 // (requires replicas >= 2 — with one copy a whole-replica kill is just an
-// outage). The shard corpora and index builds are shared across points;
+// outage). The shard index builds are shared across points;
 // only serving state (cache, breakers, fault plan, clock) is per point.
 func Chaos(ctx *Context, shards, replicas int, replicaKill bool) *ChaosReport {
 	if shards <= 0 {
