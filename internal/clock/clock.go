@@ -1,8 +1,8 @@
 // Package clock is the serving stack's one source of time. The front door
-// (deadlines, token-bucket refill, the batch flush timer) and the cluster
-// (breaker cooldowns, retry backoff) read, wait and arm timers only through
-// a Clock, so every batching, shedding, retry and breaker decision is a pure
-// function of (config, request sequence, clock readings). Production runs on
+// (deadlines, the batch flush timer) and the cluster (breaker cooldowns,
+// retry backoff) read, wait and arm timers only through a Clock, so every
+// batching, shedding, retry and breaker decision is a pure function of
+// (config, request sequence, clock readings). Production runs on
 // Wall; tests and the chaos sweep share one FakeClock across both tiers and
 // replay identical request sequences into byte-identical decision logs and
 // event traces.

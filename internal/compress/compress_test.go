@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -468,5 +469,20 @@ func BenchmarkDecode128(b *testing.B) {
 				buf, _ = c.Decode(buf[:0], enc, len(values))
 			}
 		})
+	}
+}
+
+// DeltaEncode rewrites sorted values in place as d-gaps: out[0] = in[0]-base,
+// out[i] = in[i]-in[i-1]. It panics if the input is not non-decreasing from
+// base (inverted-index docIDs are strictly increasing, but ties are
+// tolerated here so the function is usable for tf streams too).
+func DeltaEncode(values []uint32, base uint32) {
+	prev := base
+	for i, v := range values {
+		if v < prev {
+			panic(fmt.Sprintf("compress: DeltaEncode input not sorted at %d: %d < %d", i, v, prev))
+		}
+		values[i] = v - prev
+		prev = v
 	}
 }

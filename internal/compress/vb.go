@@ -36,22 +36,6 @@ func appendVB(dst []byte, v uint32) []byte {
 	}
 }
 
-// vbLen reports the encoded length of one value without encoding it.
-func vbLen(v uint32) int {
-	switch {
-	case v < 1<<7:
-		return 1
-	case v < 1<<14:
-		return 2
-	case v < 1<<21:
-		return 3
-	case v < 1<<28:
-		return 4
-	default:
-		return 5
-	}
-}
-
 func (vbCodec) Decode(dst []uint32, src []byte, n int) ([]uint32, int) {
 	out, used, f := DecodeVB(dst, src, n)
 	mustDecode(VB, f)

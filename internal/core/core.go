@@ -348,7 +348,7 @@ func (r *run) release() {
 // Exec executes a plan with the given top-k depth under a context (nil means
 // none): a normal form on the boolean pipeline, a term set (nil DNF) on the
 // sparse-dot operator, which opens one cursor per term — a sparse query is a
-// set (query.Sparse and the parser drop repeats). The pipeline checks for
+// set (the parser keeps a repeated term's first occurrence only). The pipeline checks for
 // cancellation once per block fetch and returns an error wrapping
 // ErrDeadlineExceeded (deadline) or context.Canceled (cancellation) instead
 // of a result. The term limit is the host's, held by query.Prepare; a plan is

@@ -19,7 +19,6 @@ func newQuietFront(t *testing.T) *Front {
 		MaxQueue:    1 << 20,
 		Timeout:     time.Hour,
 		Clock:       clock.NewFakeClock(time.Unix(0, 0)),
-		Tenants:     map[string]TenantConfig{"t": {Rate: 1e9, Burst: 1e9}},
 	}, be)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -35,8 +34,8 @@ var allocRequests = []struct {
 	name string
 	req  Request
 }{
-	{"search", Request{Expr: `"a" AND "b"`, K: 10, Tenant: "t"}},
-	{"fetch", Request{FetchIDs: []uint32{9, 2, 7, 2, 40}, Tenant: "t"}},
+	{"search", Request{Expr: `"a" AND "b"`, K: 10}},
+	{"fetch", Request{FetchIDs: []uint32{9, 2, 7, 2, 40}}},
 }
 
 // TestAdmissionPathAllocs pins the zero-allocation guarantee of the

@@ -39,20 +39,29 @@ func TestClusterDegradedExecutesPartialShards(t *testing.T) {
 	cl := newTestCluster(t)
 	f, err := New(Config{
 		BatchTarget: 4,
+		MaxQueue:    4,
 		Timeout:     50 * time.Millisecond,
-		// Zero-rate bucket: every admission for tenant z degrades.
-		Tenants: map[string]TenantConfig{"z": {}},
+		// A filler flight fills the queue to the 0.25 × 4 watermark, so
+		// the next admission degrades.
+		DegradeWatermark: 0.25,
 	}, NewClusterBackend(cl))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer f.Close()
 
-	tk, err := f.Submit(Request{Expr: `"t1"`, K: 20, Tenant: "z"})
+	filler, err := f.Submit(Request{Expr: `"t2"`, K: 20})
+	if err != nil {
+		t.Fatalf("Submit filler: %v", err)
+	}
+	tk, err := f.Submit(Request{Expr: `"t1"`, K: 20})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	f.Flush()
+	if res := filler.Wait(context.Background()); res.Err != nil || res.Degraded != 0 {
+		t.Fatalf("pre-watermark filler: err=%v degraded=%b", res.Err, res.Degraded)
+	}
 	res := tk.Wait(context.Background())
 	if res.Err != nil {
 		t.Fatalf("degraded search: %v", res.Err)
@@ -90,7 +99,7 @@ func TestSharedClockFrontToClusterRetry(t *testing.T) {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	epoch := time.Unix(0, 0)
-	const slack = 8 * time.Millisecond // Timeout - FlushSlack: when a lone batch flushes
+	const slack = 8 * time.Millisecond // Timeout - flushSlack: when a lone batch flushes
 	run := func() (decisions []byte, events string, elapsed, backoffs time.Duration) {
 		fake := clock.NewFakeClock(epoch)
 		cfg := pool.DefaultConfig()
@@ -109,8 +118,8 @@ func TestSharedClockFrontToClusterRetry(t *testing.T) {
 		}
 		cl.SetFaultPlan(plan)
 		rec := &Recorder{}
-		f, err := New(Config{BatchTarget: 64, Timeout: 10 * time.Millisecond, FlushSlack: 2 * time.Millisecond,
-			Clock: fake, Recorder: rec}, NewClusterBackend(cl))
+		f, err := New(Config{BatchTarget: 64, Timeout: 10 * time.Millisecond, Clock: fake, Recorder: rec},
+			NewClusterBackend(cl))
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

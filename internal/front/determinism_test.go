@@ -11,10 +11,10 @@ import (
 )
 
 // runScript drives one full front-door lifecycle against a fake clock:
-// deadline flushes, size flushes, coalescing, token sheds, pressure
-// degradation, and queue-full rejection. Completions are synchronized
-// through the backend gate so every recorded decision — including the
-// queue depth it was taken under — is a pure function of the script.
+// deadline flushes, size flushes, coalescing, pressure degradation, and
+// queue-full rejection. Completions are synchronized through the backend
+// gate so every recorded decision — including the queue depth it was taken
+// under — is a pure function of the script.
 func runScript(t *testing.T) []byte {
 	t.Helper()
 	clk := clock.NewFakeClock(time.Unix(0, 0))
@@ -24,22 +24,17 @@ func runScript(t *testing.T) []byte {
 		BatchTarget:      4,
 		MaxQueue:         6,
 		Timeout:          10 * time.Millisecond,
-		FlushSlack:       2 * time.Millisecond,
 		DegradeWatermark: 0.5,
-		Tenants: map[string]TenantConfig{
-			"a": {Rate: 100, Burst: 2},
-			"b": {Rate: 1, Burst: 1},
-		},
-		Clock:    clk,
-		Recorder: rec,
+		Clock:            clk,
+		Recorder:         rec,
 	}, be)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 
 	var tickets []*Ticket
-	submit := func(expr, tenant string, pri Priority) {
-		tk, err := f.Submit(Request{Expr: expr, Tenant: tenant, Priority: pri})
+	submit := func(expr string) {
+		tk, err := f.Submit(Request{Expr: expr})
 		if err == nil {
 			tickets = append(tickets, tk)
 		}
@@ -58,29 +53,27 @@ func runScript(t *testing.T) []byte {
 
 	// Phase 1: three arrivals coalesce to two flights; the deadline's
 	// slack budget forces the flush.
-	submit(`"x" AND "y"`, "a", PriNormal)
-	submit(`"y" AND "x"`, "a", PriNormal) // attach
-	submit(`"z"`, "b", PriNormal)
+	submit(`"x" AND "y"`)
+	submit(`"y" AND "x"`) // attach
+	submit(`"z"`)
 	clk.Advance(8 * time.Millisecond)
 	drain(1)
 
-	// Phase 2: the bucket for tenant b is empty (one token spent, 8 ms
-	// of refill at 1/s is not a token): Low sheds, Normal degrades. The
-	// two "q" degradations get different rotation masks, so they admit
-	// separate flights; the fourth pending flight trips the size flush.
-	submit(`"p"`, "b", PriLow)    // shed
-	submit(`"q"`, "b", PriNormal) // degrade via tokens
-	submit(`"q"`, "b", PriNormal) // degrade again, rotated mask
-	submit(`"r"`, "a", PriNormal) // tenant a still has tokens: full
-	submit(`"u"`, "a", PriHigh)   // tenant a bucket now empty: degrade; size flush
+	// Phase 2: three flights fill the queue to the 0.5 × 6 watermark, so
+	// the fourth degrades; as the fourth pending flight it also trips the
+	// size flush.
+	submit(`"p"`)
+	submit(`"q"`)
+	submit(`"r"`)
+	submit(`"u"`) // degrade; size flush
 	drain(1)
 
 	// Phase 3: fill to MaxQueue against a blocked backend, then reject.
 	for _, e := range []string{`"c0"`, `"c1"`, `"c2"`, `"c3"`, `"c4"`, `"c5"`} {
-		submit(e, "", PriNormal) // past the 0.5 watermark these degrade
+		submit(e) // past the 0.5 watermark these degrade
 	}
-	submit(`"c6"`, "", PriNormal) // queue full: reject
-	submit(`"c0"`, "", PriNormal) // attach still works at capacity
+	submit(`"c6"`) // queue full: reject
+	submit(`"c0"`) // attach still works at capacity
 	f.Flush()
 	drain(2)
 
@@ -89,8 +82,8 @@ func runScript(t *testing.T) []byte {
 }
 
 // TestDecisionLogDeterminism replays one arrival script twice and
-// requires byte-identical decision logs: every batch boundary, shed, and
-// degradation lands identically run over run (and under -race).
+// requires byte-identical decision logs: every batch boundary, rejection,
+// and degradation lands identically run over run (and under -race).
 func TestDecisionLogDeterminism(t *testing.T) {
 	first := runScript(t)
 	for run := 1; run < 3; run++ {
@@ -102,8 +95,8 @@ func TestDecisionLogDeterminism(t *testing.T) {
 	// The script must actually exercise the whole decision surface.
 	log := string(first)
 	for _, kind := range []DecisionKind{
-		DAdmit, DAttach, DDegradeTokens, DDegradePressure,
-		DShedTokens, DRejectFull, DFlushSize, DFlushDeadline, DFlushManual,
+		DAdmit, DAttach, DRejectFull, DDegradePressure,
+		DFlushSize, DFlushDeadline, DFlushManual,
 	} {
 		if !strings.Contains(log, " "+kind.String()+" ") {
 			t.Errorf("script never produced a %q decision:\n%s", kind, log)
@@ -117,8 +110,7 @@ func TestBatchBoundariesDeterministic(t *testing.T) {
 	shapes := func() []int {
 		clk := clock.NewFakeClock(time.Unix(0, 0))
 		be := &fakeBackend{shards: 4}
-		f, err := New(Config{BatchTarget: 3, Timeout: 10 * time.Millisecond,
-			FlushSlack: 2 * time.Millisecond, Clock: clk}, be)
+		f, err := New(Config{BatchTarget: 3, Timeout: 10 * time.Millisecond, Clock: clk}, be)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

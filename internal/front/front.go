@@ -1,8 +1,8 @@
 // Package front is the front-door serving tier over the pooled-memory
 // cluster: a bounded async admission queue feeding deadline-aware batch
 // formation, singleflight deduplication of identical concurrent queries,
-// and per-tenant token buckets with priority-aware load shedding that
-// degrades to partial-shard answers before rejecting outright.
+// and load shedding that degrades to partial-shard answers past a queue
+// watermark before rejecting outright.
 //
 // The tier exists because the paper's device model is batch-hungry — the
 // cluster's resilient batch path amortizes fan-out over many in-flight
@@ -17,7 +17,7 @@
 // arena'd, the pending queue is an open-coded intrusive list, flights,
 // tickets, and batches recycle through free lists, and the flush timer is
 // a single persistent handle that is only ever Reset. Every batching and
-// shedding decision is a pure function of (config, arrival sequence,
+// admission decision is a pure function of (config, arrival sequence,
 // clock readings), so tests drive a clock.FakeClock and assert
 // byte-identical decision logs across runs.
 package front
@@ -36,23 +36,8 @@ import (
 	"boss/internal/topk"
 )
 
-// Priority orders requests for the shedding ladder: when capacity runs
-// short, Low sheds first and High degrades last. The zero value is
-// Normal.
-type Priority uint8
-
-// Request priorities.
-const (
-	PriNormal Priority = iota
-	PriLow
-	PriHigh
-)
-
 // Typed admission errors.
 var (
-	// ErrShed reports that a low-priority request was shed because its
-	// tenant's token bucket was empty. The request never executed.
-	ErrShed = errors.New("front: request shed (tenant over rate)")
 	// ErrOverloaded reports that the admission queue was at capacity.
 	ErrOverloaded = errors.New("front: overloaded (admission queue full)")
 	// ErrClosed reports a Submit after Close.
@@ -61,13 +46,6 @@ var (
 	// and a document-fetch id list; a request is one or the other.
 	ErrMixedRequest = errors.New("front: request carries both Expr and FetchIDs")
 )
-
-// TenantConfig is one tenant's token bucket: Rate tokens per second with
-// a Burst ceiling. A request costs one token.
-type TenantConfig struct {
-	Rate  float64
-	Burst float64
-}
 
 // Config tunes the front door. The zero value gets serving defaults.
 type Config struct {
@@ -80,20 +58,12 @@ type Config struct {
 	// Timeout is the deadline budget assigned to requests that arrive
 	// without one (default 10ms).
 	Timeout time.Duration
-	// FlushSlack is how far before the earliest admitted deadline the
-	// pending batch is force-flushed (default 2ms).
-	FlushSlack time.Duration
 	// DegradeWatermark is the fill fraction of MaxQueue beyond which
-	// non-High admissions degrade to partial-shard execution
-	// (default 0.75; ≥ 1 disables pressure degradation).
+	// admissions degrade to partial-shard execution, dropping half the
+	// backend's shards (default 0.75; ≥ 1 disables pressure degradation).
+	// A one-shard backend cannot degrade; degraded admissions execute in
+	// full.
 	DegradeWatermark float64
-	// DegradeShards is how many shards a degraded query drops
-	// (default: half the backend's shards, at least one). A one-shard
-	// backend cannot degrade; degraded admissions execute in full.
-	DegradeShards int
-	// Tenants configures per-tenant token buckets; tenants absent from
-	// the map are not rate-limited.
-	Tenants map[string]TenantConfig
 	// Clock supplies time; nil uses the wall clock. Tests inject a
 	// clock.FakeClock to make batching decisions reproducible.
 	Clock clock.Clock
@@ -112,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Millisecond
-	}
-	if c.FlushSlack <= 0 {
-		c.FlushSlack = 2 * time.Millisecond
 	}
 	if c.DegradeWatermark <= 0 {
 		c.DegradeWatermark = 0.75
@@ -139,14 +106,9 @@ type Request struct {
 	FetchIDs []uint32
 	// K is the top-k depth (<= 0 uses the backend's default).
 	K int
-	// Tenant names the token bucket the request draws from; unknown
-	// tenants are not rate-limited.
-	Tenant string
-	// Priority places the request on the shedding ladder.
-	Priority Priority
 	// Deadline is when the answer stops being useful (zero: now +
 	// Config.Timeout). The batch former flushes early enough that the
-	// earliest admitted deadline keeps FlushSlack of headroom.
+	// earliest admitted deadline keeps 2 ms (flushSlack) of headroom.
 	Deadline time.Time
 }
 
@@ -227,13 +189,9 @@ type keyEntry struct {
 	err  error
 }
 
-// bucket is one tenant's token bucket, refilled lazily off the clock.
-type bucket struct {
-	tokens float64
-	rate   float64
-	burst  float64
-	last   time.Time
-}
+// flushSlack is how far before the earliest admitted deadline the pending
+// batch is force-flushed.
+const flushSlack = 2 * time.Millisecond
 
 // Flush-trigger reasons.
 const (
@@ -249,8 +207,7 @@ type Front struct {
 	be        Backend
 	clock     clock.Clock
 	rec       *Recorder
-	shards    int
-	dropN     int     // shards dropped per degraded admission
+	bits      int     // the backend's shards, capped at a shard mask's 64
 	watermark float64 // inSystem threshold for pressure degradation
 	// fetchHash is a fetch key's hash of its id list: pool.FetchKey, which
 	// a test replaces before the first Submit to make different lists
@@ -261,7 +218,6 @@ type Front struct {
 	closed     bool
 	keys       map[string]keyEntry
 	flights    map[flightKey]*flight
-	buckets    map[string]*bucket
 	pendHead   *flight
 	pendTail   *flight
 	npending   int // flights in the pending queue
@@ -291,35 +247,15 @@ func New(cfg Config, be Backend) (*Front, error) {
 		clock:     cfg.Clock,
 		rec:       cfg.Recorder,
 		fetchHash: pool.FetchKey,
-		shards:    be.Shards(),
+		bits:      min(be.Shards(), 64),
 		keys:      make(map[string]keyEntry),
 		flights:   make(map[flightKey]*flight),
-		buckets:   make(map[string]*bucket, len(cfg.Tenants)),
 		// Capacity invariant: each batch holds ≥ 1 flight and admission
 		// bounds flights in the system at MaxQueue, so at most MaxQueue
 		// batches can be queued — the flush path's send never blocks
 		// while holding the mutex.
-		execCh: make(chan *batch, cfg.MaxQueue+1),
-	}
-	bits := f.shards
-	if bits > 64 {
-		bits = 64
-	}
-	f.dropN = cfg.DegradeShards
-	if f.dropN <= 0 {
-		f.dropN = bits / 2
-	}
-	if f.dropN >= bits {
-		f.dropN = bits - 1
-	}
-	f.watermark = cfg.DegradeWatermark * float64(cfg.MaxQueue)
-	now := f.clock.Now()
-	for name, tc := range cfg.Tenants {
-		burst := tc.Burst
-		if burst <= 0 {
-			burst = tc.Rate
-		}
-		f.buckets[name] = &bucket{tokens: burst, rate: tc.Rate, burst: burst, last: now}
+		execCh:    make(chan *batch, cfg.MaxQueue+1),
+		watermark: cfg.DegradeWatermark * float64(cfg.MaxQueue),
 	}
 	// One persistent timer, armed lazily; the hot path only ever Resets it.
 	f.timer = f.clock.AfterFunc(time.Hour, f.onTimer)
@@ -330,11 +266,9 @@ func New(cfg Config, be Backend) (*Front, error) {
 }
 
 // Submit admits one request, returning a Ticket to wait on. It applies
-// the full ladder in order: coalesce onto an identical in-flight twin
-// (always free, bypasses admission); shed or degrade on an empty tenant
-// bucket (Low sheds with ErrShed, others degrade); reject with
-// ErrOverloaded at queue capacity; degrade non-High requests past the
-// pressure watermark; otherwise admit a fresh flight.
+// the ladder in order: coalesce onto an identical in-flight twin (always
+// free, bypasses admission); reject with ErrOverloaded at queue capacity;
+// degrade past the pressure watermark; otherwise admit a fresh flight.
 //
 //boss:hotpath one call per serving request; tickets, flights, and batches recycle through free lists, so steady state allocates nothing.
 func (f *Front) Submit(req Request) (*Ticket, error) {
@@ -364,10 +298,9 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 			logKey = fetchCanon(req.FetchIDs)
 		}
 	}
-	now := f.clock.Now()
 	deadline := req.Deadline
 	if deadline.IsZero() {
-		deadline = now.Add(f.cfg.Timeout)
+		deadline = f.clock.Now().Add(f.cfg.Timeout)
 	}
 
 	// Dedup first: attaching to a full-quality twin costs nothing, so it
@@ -375,42 +308,28 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 	fl, taken := f.twinLocked(key, req.FetchIDs)
 	if fl != nil {
 		t := f.attachLocked(fl, deadline, true)
-		f.recordLocked(DAttach, req.Tenant, logKey, 0)
+		f.recordLocked(DAttach, logKey, 0)
 		f.mu.Unlock()
 		return t, nil
 	}
 
 	// Admission ladder.
-	degrade := false
-	if b := f.buckets[req.Tenant]; b != nil && !takeToken(b, now) {
-		if req.Priority == PriLow {
-			f.m.ShedTokens++
-			f.recordLocked(DShedTokens, req.Tenant, logKey, 0)
-			f.mu.Unlock()
-			return nil, ErrShed
-		}
-		degrade = true
-		f.recordLocked(DDegradeTokens, req.Tenant, logKey, 0)
-	}
 	if f.inSystem >= f.cfg.MaxQueue {
 		f.m.RejectedFull++
-		f.recordLocked(DRejectFull, req.Tenant, logKey, 0)
+		f.recordLocked(DRejectFull, logKey, 0)
 		f.mu.Unlock()
 		return nil, ErrOverloaded
 	}
-	if !degrade && req.Priority != PriHigh && float64(f.inSystem) >= f.watermark {
-		degrade = true
-		f.recordLocked(DDegradePressure, req.Tenant, logKey, 0)
-	}
 	var mask uint64
-	if degrade {
+	if float64(f.inSystem) >= f.watermark {
+		f.recordLocked(DDegradePressure, logKey, 0)
 		mask = f.degradeMaskLocked()
 		if mask != 0 {
 			// A degraded twin with the same rotation coalesces too.
 			key.mask = mask
 			if fl, taken = f.twinLocked(key, req.FetchIDs); fl != nil {
 				t := f.attachLocked(fl, deadline, true)
-				f.recordLocked(DAttach, req.Tenant, logKey, 0)
+				f.recordLocked(DAttach, logKey, 0)
 				f.mu.Unlock()
 				return t, nil
 			}
@@ -435,7 +354,7 @@ func (f *Front) Submit(req Request) (*Ticket, error) {
 		f.m.Degraded++
 	}
 	t := f.attachLocked(fl, deadline, false)
-	f.recordLocked(DAdmit, req.Tenant, logKey, 0)
+	f.recordLocked(DAdmit, logKey, 0)
 	if f.npending >= f.cfg.BatchTarget {
 		f.flushLocked(flushSize)
 	} else {
@@ -690,12 +609,12 @@ func (f *Front) dropPendingLocked(fl *flight) {
 	f.putFlightLocked(fl)
 }
 
-// armTimerLocked retargets the flush timer at deadline−FlushSlack if
+// armTimerLocked retargets the flush timer at deadline−flushSlack if
 // that is earlier than the currently armed point.
 //
 //boss:hotpath one Reset per admission that tightens the deadline.
 func (f *Front) armTimerLocked(deadline time.Time) {
-	at := deadline.Add(-f.cfg.FlushSlack)
+	at := deadline.Add(-flushSlack)
 	if !f.timerAt.IsZero() && !at.Before(f.timerAt) {
 		return
 	}
@@ -757,13 +676,13 @@ func (f *Front) flushLocked(reason int) {
 	switch reason {
 	case flushSize:
 		f.m.FlushSize++
-		f.recordLocked(DFlushSize, "", "", n)
+		f.recordLocked(DFlushSize, "", n)
 	case flushDeadline:
 		f.m.FlushDeadline++
-		f.recordLocked(DFlushDeadline, "", "", n)
+		f.recordLocked(DFlushDeadline, "", n)
 	default:
 		f.m.FlushManual++
-		f.recordLocked(DFlushManual, "", "", n)
+		f.recordLocked(DFlushManual, "", n)
 	}
 	f.execCh <- bt
 }
@@ -827,61 +746,30 @@ func (f *Front) completeLocked(fl *flight, out *Out) {
 	f.putFlightLocked(fl)
 }
 
-// takeToken lazily refills the bucket from elapsed clock time and takes
-// one token if available.
-//
-//boss:hotpath one call per rate-limited admission.
-func takeToken(b *bucket, now time.Time) bool {
-	if b.rate > 0 {
-		dt := now.Sub(b.last).Seconds()
-		if dt > 0 {
-			b.tokens += dt * b.rate
-			if b.tokens > b.burst {
-				b.tokens = b.burst
-			}
-		}
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
-}
-
 // degradeMaskLocked computes the next degraded shard mask: all shards
-// except dropN of them, rotating which shards are dropped so degraded
-// load spreads evenly. Returns zero (execute in full) when the backend
-// cannot degrade.
+// except half of them, rotating which shards are dropped so degraded load
+// spreads evenly. Returns zero (execute in full) when the backend cannot
+// degrade.
 func (f *Front) degradeMaskLocked() uint64 {
-	bits := f.shards
-	if bits > 64 {
-		bits = 64
-	}
-	if bits <= 1 || f.dropN <= 0 {
+	drop := f.bits / 2
+	if drop == 0 {
 		return 0
 	}
-	var full uint64
-	if bits == 64 {
-		full = ^uint64(0)
-	} else {
-		full = uint64(1)<<uint(bits) - 1
+	mask := ^uint64(0) >> uint(64-f.bits)
+	for i := 0; i < drop; i++ {
+		mask &^= 1 << uint((f.degradeRot+i)%f.bits)
 	}
-	mask := full
-	for i := 0; i < f.dropN; i++ {
-		mask &^= 1 << uint((f.degradeRot+i)%bits)
-	}
-	f.degradeRot = (f.degradeRot + f.dropN) % bits
+	f.degradeRot = (f.degradeRot + drop) % f.bits
 	return mask
 }
 
 // recordLocked appends to the decision log when a Recorder is attached
 // (outlined from the hot path; nil-recorder fronts pay one branch).
-func (f *Front) recordLocked(kind DecisionKind, tenant, key string, n int) {
+func (f *Front) recordLocked(kind DecisionKind, key string, n int) {
 	if f.rec == nil {
 		return
 	}
-	f.rec.record(Decision{Kind: kind, Tenant: tenant, Key: key, Queue: f.inSystem, N: n})
+	f.rec.record(Decision{Kind: kind, Key: key, Queue: f.inSystem, N: n})
 }
 
 // --- free lists ---

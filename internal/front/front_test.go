@@ -150,7 +150,6 @@ func TestDeadlineSlackFlush(t *testing.T) {
 	f := start(t, Config{
 		BatchTarget: 64,
 		Timeout:     10 * time.Millisecond,
-		FlushSlack:  2 * time.Millisecond,
 		Clock:       clk,
 	}, be)
 
@@ -179,7 +178,6 @@ func TestUrgentAttachTightensFlushTimer(t *testing.T) {
 	f := start(t, Config{
 		BatchTarget: 64,
 		Timeout:     20 * time.Millisecond,
-		FlushSlack:  2 * time.Millisecond,
 		Clock:       clk,
 	}, be)
 
@@ -241,52 +239,7 @@ func TestOverloadRejectsWhenQueueFull(t *testing.T) {
 	}
 }
 
-func TestTokenBucketShedsLowDegradesNormal(t *testing.T) {
-	be := &fakeBackend{shards: 4}
-	clk := clock.NewFakeClock(time.Unix(0, 0))
-	f := start(t, Config{
-		BatchTarget: 64,
-		Clock:       clk,
-		Tenants:     map[string]TenantConfig{"t": {Rate: 1, Burst: 1}},
-	}, be)
-
-	// First request drains the bucket.
-	tk0, err := f.Submit(Request{Expr: `"a"`, Tenant: "t"})
-	if err != nil {
-		t.Fatalf("Submit 0: %v", err)
-	}
-	// Low priority with an empty bucket sheds.
-	if _, err := f.Submit(Request{Expr: `"b"`, Tenant: "t", Priority: PriLow}); !errors.Is(err, ErrShed) {
-		t.Fatalf("low-priority submit: err = %v, want ErrShed", err)
-	}
-	// Normal priority degrades to a partial-shard answer instead.
-	tk1, err := f.Submit(Request{Expr: `"c"`, Tenant: "t"})
-	if err != nil {
-		t.Fatalf("normal-priority submit: %v", err)
-	}
-	// Refilled bucket admits in full again.
-	clk.Advance(2 * time.Second)
-	tk2, err := f.Submit(Request{Expr: `"d"`, Tenant: "t", Priority: PriLow})
-	if err != nil {
-		t.Fatalf("refilled submit: %v", err)
-	}
-	f.Flush()
-	if res := tk0.Wait(context.Background()); res.Degraded != 0 {
-		t.Fatalf("full admission degraded: %064b", res.Degraded)
-	}
-	if res := tk1.Wait(context.Background()); res.Degraded == 0 {
-		t.Fatal("token-degraded admission executed in full")
-	}
-	if res := tk2.Wait(context.Background()); res.Degraded != 0 {
-		t.Fatalf("refilled admission degraded: %064b", res.Degraded)
-	}
-	m := f.Metrics()
-	if m.ShedTokens != 1 || m.Degraded != 1 {
-		t.Fatalf("metrics = %+v, want 1 shed and 1 degraded", m)
-	}
-}
-
-func TestPressureWatermarkDegradesAllButHigh(t *testing.T) {
+func TestPressureWatermarkDegrades(t *testing.T) {
 	be := &fakeBackend{shards: 4}
 	clk := clock.NewFakeClock(time.Unix(0, 0))
 	f := start(t, Config{BatchTarget: 64, MaxQueue: 4, DegradeWatermark: 0.5, Clock: clk}, be)
@@ -294,14 +247,10 @@ func TestPressureWatermarkDegradesAllButHigh(t *testing.T) {
 	// Two full admissions reach the 0.5 × 4 watermark.
 	ta, _ := f.Submit(Request{Expr: `"a"`})
 	tb, _ := f.Submit(Request{Expr: `"b"`})
-	// At the watermark, Normal degrades, High does not.
+	// At the watermark, admissions degrade.
 	tc, err := f.Submit(Request{Expr: `"c"`})
 	if err != nil {
 		t.Fatalf("Submit c: %v", err)
-	}
-	td, err := f.Submit(Request{Expr: `"d"`, Priority: PriHigh})
-	if err != nil {
-		t.Fatalf("Submit d: %v", err)
 	}
 	f.Flush()
 	if res := ta.Wait(context.Background()); res.Degraded != 0 {
@@ -311,34 +260,37 @@ func TestPressureWatermarkDegradesAllButHigh(t *testing.T) {
 		t.Fatal("pre-watermark admission degraded")
 	}
 	if res := tc.Wait(context.Background()); res.Degraded == 0 {
-		t.Fatal("past-watermark Normal admission not degraded")
-	}
-	if res := td.Wait(context.Background()); res.Degraded != 0 {
-		t.Fatal("High-priority admission degraded under pressure")
+		t.Fatal("past-watermark admission not degraded")
 	}
 }
 
 func TestDegradeMaskRotates(t *testing.T) {
 	be := &fakeBackend{shards: 4}
 	clk := clock.NewFakeClock(time.Unix(0, 0))
-	f := start(t, Config{
-		BatchTarget: 64,
-		Clock:       clk,
-		// A zero-rate bucket forces every Normal admission to degrade.
-		Tenants: map[string]TenantConfig{"z": {}},
-	}, be)
-
-	var masks []uint64
+	// A filler flight fills the queue to the 0.125 × 8 watermark, so every
+	// admission after it degrades.
+	f := start(t, Config{BatchTarget: 64, MaxQueue: 8, DegradeWatermark: 0.125, Clock: clk}, be)
+	filler, err := f.Submit(Request{Expr: `"f"`})
+	if err != nil {
+		t.Fatalf("Submit filler: %v", err)
+	}
+	var tickets []*Ticket
 	for _, e := range []string{`"a"`, `"b"`, `"c"`, `"d"`} {
-		tk, err := f.Submit(Request{Expr: e, Tenant: "z"})
+		tk, err := f.Submit(Request{Expr: e})
 		if err != nil {
 			t.Fatalf("Submit(%q): %v", e, err)
 		}
-		f.Flush()
-		res := tk.Wait(context.Background())
-		masks = append(masks, res.Degraded)
+		tickets = append(tickets, tk)
 	}
-	if masks[0] == masks[1] {
+	f.Flush()
+	if res := filler.Wait(context.Background()); res.Degraded != 0 {
+		t.Fatal("pre-watermark filler degraded")
+	}
+	var masks []uint64
+	for _, tk := range tickets {
+		masks = append(masks, tk.Wait(context.Background()).Degraded)
+	}
+	if masks[0] == 0 || masks[0] == masks[1] {
 		t.Fatalf("degrade masks did not rotate: %v", masks)
 	}
 	if masks[0] != masks[2] || masks[1] != masks[3] {
@@ -349,18 +301,24 @@ func TestDegradeMaskRotates(t *testing.T) {
 func TestSingleShardBackendCannotDegrade(t *testing.T) {
 	be := &fakeBackend{shards: 1}
 	clk := clock.NewFakeClock(time.Unix(0, 0))
-	f := start(t, Config{
-		BatchTarget: 64,
-		Clock:       clk,
-		Tenants:     map[string]TenantConfig{"z": {}},
-	}, be)
-	tk, err := f.Submit(Request{Expr: `"a"`, Tenant: "z"})
+	// Past the watermark the second admission would degrade, but one
+	// shard leaves nothing to drop.
+	f := start(t, Config{BatchTarget: 64, MaxQueue: 4, DegradeWatermark: 0.25, Clock: clk}, be)
+	filler, err := f.Submit(Request{Expr: `"f"`})
+	if err != nil {
+		t.Fatalf("Submit filler: %v", err)
+	}
+	tk, err := f.Submit(Request{Expr: `"a"`})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	f.Flush()
+	filler.Wait(context.Background())
 	if res := tk.Wait(context.Background()); res.Degraded != 0 {
 		t.Fatal("one-shard backend produced a degraded result")
+	}
+	if m := f.Metrics(); m.Degraded != 0 {
+		t.Fatalf("metrics = %+v, want no degraded admission", m)
 	}
 }
 

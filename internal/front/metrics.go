@@ -19,10 +19,10 @@ type Metrics struct {
 	// execution instead of admitting a new one.
 	DedupHits uint64
 	// Degraded counts admissions downgraded to partial-shard execution
-	// by token-bucket exhaustion or queue pressure.
+	// by queue pressure.
 	Degraded uint64
-	// ShedTokens counts low-priority requests shed because their
-	// tenant's token bucket was empty.
+	// ShedTokens is always zero: the front door has no rate limits. It
+	// stays only because the benchmark still reads it.
 	ShedTokens uint64
 	// RejectedFull counts requests rejected because the admission
 	// queue was at capacity.
@@ -47,10 +47,8 @@ type DecisionKind uint8
 const (
 	DAdmit           DecisionKind = iota // new flight admitted
 	DAttach                              // coalesced onto an in-flight twin
-	DDegradeTokens                       // degraded: tenant bucket empty
-	DDegradePressure                     // degraded: queue past watermark
-	DShedTokens                          // shed: bucket empty, low priority
 	DRejectFull                          // rejected: queue at capacity
+	DDegradePressure                     // degraded: queue past watermark
 	DFlushSize                           // batch flushed: size target
 	DFlushDeadline                       // batch flushed: deadline slack
 	DFlushManual                         // batch flushed: Flush/Close
@@ -62,14 +60,10 @@ func (k DecisionKind) String() string {
 		return "admit"
 	case DAttach:
 		return "attach"
-	case DDegradeTokens:
-		return "degrade-tokens"
-	case DDegradePressure:
-		return "degrade-pressure"
-	case DShedTokens:
-		return "shed-tokens"
 	case DRejectFull:
 		return "reject-full"
+	case DDegradePressure:
+		return "degrade-pressure"
 	case DFlushSize:
 		return "flush-size"
 	case DFlushDeadline:
@@ -90,10 +84,9 @@ type Decision struct {
 	Seq int
 	// Kind is what was decided.
 	Kind DecisionKind
-	// Tenant and Key identify the request (Key is the canonical query
-	// form; empty for flush decisions).
-	Tenant string
-	Key    string
+	// Key identifies the request: the canonical query form, or a fetch's
+	// rendered id list; empty for flush decisions.
+	Key string
 	// Queue is the number of flights in the system when the decision
 	// was taken.
 	Queue int
@@ -126,8 +119,6 @@ func (r *Recorder) Render() []byte {
 		b = strconv.AppendInt(b, int64(d.Seq), 10)
 		b = append(b, ' ')
 		b = append(b, d.Kind.String()...)
-		b = append(b, " tenant="...)
-		b = append(b, d.Tenant...)
 		b = append(b, " key="...)
 		b = append(b, d.Key...)
 		b = append(b, " queue="...)

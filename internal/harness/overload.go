@@ -83,9 +83,9 @@ type OverloadPoint struct {
 	OfferedQPS float64 `json:"offered_qps"`
 	// GoodputQPS counts only requests answered within the deadline.
 	GoodputQPS float64 `json:"goodput_qps"`
-	// ShedRate is the fraction refused at admission (rate-limit sheds
-	// plus queue-full rejections). Zero for the no-front baseline, which
-	// admits everything and lets latency blow up instead.
+	// ShedRate is the fraction refused at admission: queue-full
+	// rejections. Zero for the no-front baseline, which admits everything
+	// and lets latency blow up instead.
 	ShedRate float64 `json:"shed_rate"`
 	// DedupRate is the fraction of submissions answered by coalescing
 	// onto an identical in-flight query.
@@ -194,7 +194,6 @@ func overloadFrontConfig() front.Config {
 		BatchTarget:      16,
 		MaxQueue:         128,
 		Timeout:          overloadDeadline,
-		FlushSlack:       2 * time.Millisecond,
 		DegradeWatermark: 0.5,
 	}
 }

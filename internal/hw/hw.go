@@ -78,15 +78,6 @@ func CoreBuffers() []OnChipBuffer {
 	}
 }
 
-// CoreBufferBytes reports the total per-core SRAM (the paper's ~11 KB).
-func CoreBufferBytes() int {
-	total := 0
-	for _, b := range CoreBuffers() {
-		total += b.Bytes
-	}
-	return total
-}
-
 // CPUPackagePowerW is the measured average package power of the paper's
 // host Xeon running Lucene (footnote 1: 74.8 W via Intel SoC Watch).
 const CPUPackagePowerW = 74.8

@@ -86,7 +86,10 @@ func TestEnergyArithmetic(t *testing.T) {
 }
 
 func TestCoreBuffersMatchSectionIVC(t *testing.T) {
-	total := CoreBufferBytes()
+	total := 0
+	for _, b := range CoreBuffers() {
+		total += b.Bytes
+	}
 	// The paper: "a BOSS core uses about 11KB of SRAM for on-chip buffers".
 	if total < 11000 || total > 12500 {
 		t.Fatalf("core SRAM = %d bytes, paper says about 11 KB", total)

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -519,4 +520,10 @@ func TestBuildDecodeQuickProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// approxEqual allows for float32 rounding introduced by serialization.
+func approxEqual(a, b float64) bool {
+	diff := math.Abs(a - b)
+	return diff <= 1e-6*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }

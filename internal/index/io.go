@@ -348,9 +348,3 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 	cr.crc = crc32.Update(cr.crc, castagnoli, p[:n])
 	return n, err
 }
-
-// approxEqual allows for float32 rounding introduced by serialization.
-func approxEqual(a, b float64) bool {
-	diff := math.Abs(a - b)
-	return diff <= 1e-6*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}

@@ -274,17 +274,6 @@ func (cl *Cluster) ReplicaEvents(si, ri int) []Event {
 	return s.appendEvents(nil)
 }
 
-// ResetEvents clears every replica's event log (test/benchmark setup).
-func (cl *Cluster) ResetEvents() {
-	for _, reps := range cl.states {
-		for _, s := range reps {
-			s.mu.Lock()
-			s.events, s.oldest = nil, 0
-			s.mu.Unlock()
-		}
-	}
-}
-
 // initResilience wires the cluster's resilience machinery; called from
 // NewCluster and Fresh.
 func (cl *Cluster) initResilience(r Resilience) {

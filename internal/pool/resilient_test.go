@@ -466,3 +466,14 @@ func TestSearchStrictFailsOnShardError(t *testing.T) {
 		}
 	}
 }
+
+// ResetEvents clears every replica's event log (test/benchmark setup).
+func (cl *Cluster) ResetEvents() {
+	for _, reps := range cl.states {
+		for _, s := range reps {
+			s.mu.Lock()
+			s.events, s.oldest = nil, 0
+			s.mu.Unlock()
+		}
+	}
+}

@@ -36,18 +36,6 @@ type Node struct {
 // Term returns a leaf node.
 func Term(name string) *Node { return &Node{Op: OpTerm, Term: name} }
 
-// Sparse returns a sparse-dot (Q7) query over the given terms. A sparse
-// query is a set of terms — that is what its Canonical key says, and what
-// the front door coalesces on — so a repeated term keeps only its first
-// occurrence; execution then scores each list once.
-func Sparse(terms ...string) *Node {
-	set := sparseSet{children: make([]*Node, 0, len(terms))}
-	for _, t := range terms {
-		set.add(t)
-	}
-	return &Node{Op: OpSparse, Children: set.children}
-}
-
 // sparseSet collects a SPARSE node's distinct terms in first-occurrence
 // order. Up to sparseScanMax terms it deduplicates by scanning what it
 // already holds, which allocates nothing (serving queries hold at most 16
@@ -166,23 +154,6 @@ func (n *Node) String() string {
 	default:
 		return "?"
 	}
-}
-
-// IsPureAnd reports whether the expression is a single term or a conjunction
-// of terms only.
-func (n *Node) IsPureAnd() bool {
-	if n.Op == OpTerm {
-		return true
-	}
-	if n.Op != OpAnd {
-		return false
-	}
-	for _, c := range n.Children {
-		if c.Op != OpTerm {
-			return false
-		}
-	}
-	return true
 }
 
 // IsPureOr reports whether the expression is a single term or a disjunction

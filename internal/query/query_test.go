@@ -109,17 +109,11 @@ func TestStringRoundTrip(t *testing.T) {
 }
 
 func TestPurityPredicates(t *testing.T) {
-	if !MustParse(`"a" AND "b"`).IsPureAnd() {
-		t.Error("pure AND not detected")
-	}
-	if MustParse(`"a" AND ("b" OR "c")`).IsPureAnd() {
-		t.Error("mixed query wrongly pure AND")
-	}
 	if !MustParse(`"a" OR "b"`).IsPureOr() {
 		t.Error("pure OR not detected")
 	}
-	if !MustParse(`"a"`).IsPureAnd() || !MustParse(`"a"`).IsPureOr() {
-		t.Error("single term should be both pure AND and pure OR")
+	if !MustParse(`"a"`).IsPureOr() {
+		t.Error("single term should be pure OR")
 	}
 }
 
@@ -237,4 +231,16 @@ func TestMustParsePanicsOnError(t *testing.T) {
 		}
 	}()
 	MustParse(`bogus`)
+}
+
+// Sparse returns a sparse-dot (Q7) query over the given terms. A sparse
+// query is a set of terms — that is what its Canonical key says, and what
+// the front door coalesces on — so a repeated term keeps only its first
+// occurrence; execution then scores each list once.
+func Sparse(terms ...string) *Node {
+	set := sparseSet{children: make([]*Node, 0, len(terms))}
+	for _, t := range terms {
+		set.add(t)
+	}
+	return &Node{Op: OpSparse, Children: set.children}
 }

@@ -40,14 +40,6 @@ func (p Params) TermScore(idf float64, tf uint32, norm float64) float64 {
 	return idf * (f * (p.K1 + 1)) / (f + norm)
 }
 
-// MaxTermScore computes the largest possible contribution of a term for any
-// document: the limit of TermScore as tf grows with the smallest norm. Used
-// as a conservative upper bound when a true per-list maximum is not yet
-// known.
-func (p Params) MaxTermScore(idf float64) float64 {
-	return idf * (p.K1 + 1)
-}
-
 // Fixed is a Q16.16 signed fixed-point value, the representation used by
 // BOSS's hardware scoring and top-k modules. BM25 scores for realistic
 // corpora stay well below 2^15, so Q16.16 has ample headroom.

@@ -183,3 +183,11 @@ func TestFixedTermScoreMonotonicInTF(t *testing.T) {
 		prev = s
 	}
 }
+
+// MaxTermScore computes the largest possible contribution of a term for any
+// document: the limit of TermScore as tf grows with the smallest norm. Used
+// as a conservative upper bound when a true per-list maximum is not yet
+// known.
+func (p Params) MaxTermScore(idf float64) float64 {
+	return idf * (p.K1 + 1)
+}

@@ -15,7 +15,6 @@ type Duration = Time
 
 // Common durations.
 const (
-	Picosecond  Duration = 1
 	Nanosecond  Duration = 1000
 	Microsecond Duration = 1000 * Nanosecond
 	Millisecond Duration = 1000 * Microsecond

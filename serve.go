@@ -7,33 +7,9 @@ import (
 	"boss/internal/front"
 )
 
-// Serving-tier admission errors, re-exported from the front door.
-var (
-	// ErrShed reports a low-priority request shed because its tenant
-	// exceeded its rate. The request never executed.
-	ErrShed = front.ErrShed
-	// ErrOverloaded reports the admission queue was at capacity.
-	ErrOverloaded = front.ErrOverloaded
-)
-
-// Priority places a serving request on the front door's shedding ladder:
-// under pressure, PriorityLow sheds first and PriorityHigh degrades
-// last. The zero value is PriorityNormal.
-type Priority uint8
-
-// Serving priorities.
-const (
-	PriorityNormal Priority = iota
-	PriorityLow
-	PriorityHigh
-)
-
-// TenantRate is one tenant's serving rate limit: Rate requests per
-// second with a Burst ceiling (Burst defaults to Rate).
-type TenantRate struct {
-	Rate  float64
-	Burst float64
-}
+// ErrOverloaded reports the admission queue was at capacity, re-exported
+// from the front door.
+var ErrOverloaded = front.ErrOverloaded
 
 // FrontConfig tunes the front-door serving tier. The zero value gets
 // serving defaults (batches of 16, a 256-deep admission queue, 10 ms
@@ -47,36 +23,18 @@ type FrontConfig struct {
 	MaxQueue int
 	// Timeout is the deadline budget for requests without one.
 	Timeout time.Duration
-	// FlushSlack is how far before the earliest admitted deadline the
-	// pending batch is force-flushed.
-	FlushSlack time.Duration
-	// DegradeWatermark is the queue-fill fraction past which non-high
-	// admissions degrade to partial-node answers (≥ 1 disables).
+	// DegradeWatermark is the queue-fill fraction past which admissions
+	// degrade to answers that skip half the memory nodes (≥ 1 disables).
 	DegradeWatermark float64
-	// DegradeShards is how many memory nodes a degraded query skips
-	// (default: half).
-	DegradeShards int
-	// Tenants configures per-tenant token buckets; absent tenants are
-	// not rate-limited.
-	Tenants map[string]TenantRate
 }
 
 func (c FrontConfig) toFront() front.Config {
-	fc := front.Config{
+	return front.Config{
 		BatchTarget:      c.BatchTarget,
 		MaxQueue:         c.MaxQueue,
 		Timeout:          c.Timeout,
-		FlushSlack:       c.FlushSlack,
 		DegradeWatermark: c.DegradeWatermark,
-		DegradeShards:    c.DegradeShards,
 	}
-	if len(c.Tenants) > 0 {
-		fc.Tenants = make(map[string]front.TenantConfig, len(c.Tenants))
-		for name, tr := range c.Tenants {
-			fc.Tenants[name] = front.TenantConfig{Rate: tr.Rate, Burst: tr.Burst}
-		}
-	}
-	return fc
 }
 
 // ServeRequest is one request to a serving-tier Server: either a search
@@ -86,17 +44,13 @@ type ServeRequest struct {
 	Expr string
 	// FetchIDs, when non-empty, makes this a document-fetch request:
 	// the payloads come back in ServedResult.Docs. Fetches share the
-	// admission ladder, rate limits, coalescing, and batch former with
-	// queries — identical concurrent id lists execute once, and a
-	// degraded admission leaves the shed nodes' documents empty.
+	// admission ladder, coalescing, and batch former with queries —
+	// identical concurrent id lists execute once, and a degraded admission
+	// leaves the shed nodes' documents empty.
 	// Mutually exclusive with Expr.
 	FetchIDs []uint32
 	// K is the top-k depth (<= 0 uses the deployment default).
 	K int
-	// Tenant names the rate-limit bucket the request draws from.
-	Tenant string
-	// Priority places the request on the shedding ladder.
-	Priority Priority
 	// Deadline is when the answer stops being useful (zero: now +
 	// FrontConfig.Timeout).
 	Deadline time.Time
@@ -132,7 +86,8 @@ type ServeStats struct {
 	DedupHits uint64
 	// Degraded counts admissions downgraded to partial-node answers.
 	Degraded uint64
-	// Shed counts requests shed by rate limiting (ErrShed).
+	// Shed is always zero: the serving tier has no rate limits. It stays
+	// only because the benchmark still reads it.
 	Shed uint64
 	// Rejected counts requests refused at queue capacity
 	// (ErrOverloaded).
@@ -145,10 +100,9 @@ type ServeStats struct {
 
 // Server is a front-door serving tier over a deployment: a bounded
 // admission queue feeding deadline-aware batch formation, coalescing of
-// identical concurrent queries, and per-tenant rate limits with
-// priority-aware shedding that degrades to partial-node answers before
-// rejecting. Construct with ShardedIndex.Serve or Accelerator.Serve;
-// Close releases it.
+// identical concurrent queries, and load shedding that degrades to
+// partial-node answers past a queue watermark before rejecting. Construct
+// with ShardedIndex.Serve or Accelerator.Serve; Close releases it.
 type Server struct {
 	f     *front.Front
 	names []string // docID -> user-facing name; nil names documents "doc<id>"
@@ -169,12 +123,11 @@ func (s *ShardedIndex) Serve(cfg FrontConfig) (*Server, error) { return s.serve(
 
 // Serve starts a front-door serving tier over the single-device
 // accelerator, on the same one-shard cluster its Search runs on. With one
-// device there is no node to leave out, so nothing degrades: an over-rate
-// PriorityLow request is still shed with ErrShed, but an over-rate or
-// under-pressure admission of any other priority executes in full
-// (ServedResult.Degraded and ServeStats.Degraded stay zero), and a full
-// queue rejects with ErrOverloaded. Coalescing, batching, and rate limits
-// work identically to the sharded deployment.
+// device there is no node to leave out, so nothing degrades: an admission
+// past the watermark executes in full (ServedResult.Degraded and
+// ServeStats.Degraded stay zero), and a full queue rejects with
+// ErrOverloaded. Coalescing and batching work identically to the sharded
+// deployment.
 func (a *Accelerator) Serve(cfg FrontConfig) (*Server, error) { return a.serve(cfg) }
 
 // serve is both Serves' body: the front door over the deployment's cluster.
@@ -188,16 +141,14 @@ func (d *deployment) serve(cfg FrontConfig) (*Server, error) {
 
 // Submit admits one request asynchronously, returning a ticket to wait
 // on. Identical concurrent queries (same canonical boolean form, same k)
-// coalesce into one execution. Admission failures return ErrShed,
-// ErrOverloaded, or the expression's own error: it does not parse, or holds
-// more terms than the device handles.
+// coalesce into one execution. Admission failures return ErrOverloaded or
+// the expression's own error: it does not parse, or holds more terms than
+// the device handles.
 func (s *Server) Submit(req ServeRequest) (*ServeTicket, error) {
 	t, err := s.f.Submit(front.Request{
 		Expr:     req.Expr,
 		FetchIDs: req.FetchIDs,
 		K:        req.K,
-		Tenant:   req.Tenant,
-		Priority: front.Priority(req.Priority),
 		Deadline: req.Deadline,
 	})
 	if err != nil {

@@ -11,15 +11,19 @@ import (
 	"boss"
 )
 
-// TestServeShedAndDegrade exercises the facade's shedding ladder: an
-// exhausted tenant bucket sheds low-priority requests with ErrShed and
-// degrades normal ones to partial-node answers — on a sharded deployment;
-// a single device has no node to leave out, so it serves them in full.
+// TestServeShedAndDegrade exercises the facade's admission ladder: past
+// the queue watermark an admission degrades to a partial-node answer, and
+// at capacity a request is refused with ErrOverloaded — on a sharded
+// deployment; a single device has no node to leave out, so it serves the
+// degraded admission in full.
 func TestServeShedAndDegrade(t *testing.T) {
+	// The first flight fills the queue to the 0.5 × 2 watermark, the
+	// second degrades and fills it, and the third is refused.
 	cfg := boss.FrontConfig{
-		BatchTarget: 8,
-		Timeout:     100 * time.Millisecond,
-		Tenants:     map[string]boss.TenantRate{"t": {Rate: 1, Burst: 1}},
+		BatchTarget:      8,
+		MaxQueue:         2,
+		Timeout:          100 * time.Millisecond,
+		DegradeWatermark: 0.5,
 	}
 	sh, err := boss.Shard(boss.ClueWebLike, 0.01, 4)
 	if err != nil {
@@ -31,28 +35,28 @@ func TestServeShedAndDegrade(t *testing.T) {
 	}
 	defer srv.Close()
 
-	full, err := srv.Submit(boss.ServeRequest{Expr: `"t1"`, K: 20, Tenant: "t"})
+	full, err := srv.Submit(boss.ServeRequest{Expr: `"t1"`, K: 20})
 	if err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
-	if _, err := srv.Submit(boss.ServeRequest{Expr: `"t2"`, K: 20, Tenant: "t", Priority: boss.PriorityLow}); !errors.Is(err, boss.ErrShed) {
-		t.Fatalf("low-priority over rate: err = %v, want ErrShed", err)
-	}
-	part, err := srv.Submit(boss.ServeRequest{Expr: `"t3"`, K: 20, Tenant: "t"})
+	part, err := srv.Submit(boss.ServeRequest{Expr: `"t3"`, K: 20})
 	if err != nil {
-		t.Fatalf("normal over rate: %v", err)
+		t.Fatalf("past-watermark submit: %v", err)
+	}
+	if _, err := srv.Submit(boss.ServeRequest{Expr: `"t2"`, K: 20}); !errors.Is(err, boss.ErrOverloaded) {
+		t.Fatalf("submit at capacity: err = %v, want ErrOverloaded", err)
 	}
 	srv.Flush()
 	fr, err := full.Wait(context.Background())
 	if err != nil || fr.Degraded != 0 {
-		t.Fatalf("in-rate request: err=%v degraded=%04b", err, fr.Degraded)
+		t.Fatalf("pre-watermark request: err=%v degraded=%04b", err, fr.Degraded)
 	}
 	pr, err := part.Wait(context.Background())
 	if err != nil {
 		t.Fatalf("degraded request: %v", err)
 	}
 	if pr.Degraded == 0 {
-		t.Fatal("over-rate normal request was not degraded")
+		t.Fatal("past-watermark request was not degraded")
 	}
 	if bits.OnesCount64(pr.Degraded) != 2 {
 		t.Fatalf("degraded node count = %d, want 2 (half of 4)", bits.OnesCount64(pr.Degraded))
@@ -61,8 +65,8 @@ func TestServeShedAndDegrade(t *testing.T) {
 		t.Fatal("degraded request returned no partial answer")
 	}
 	st := srv.Stats()
-	if st.Shed != 1 || st.Degraded != 1 {
-		t.Fatalf("stats = %+v, want 1 shed and 1 degraded", st)
+	if st.Rejected != 1 || st.Degraded != 1 || st.Shed != 0 {
+		t.Fatalf("stats = %+v, want 1 rejected, 1 degraded and 0 shed", st)
 	}
 
 	t.Run("single device", func(t *testing.T) {
@@ -72,30 +76,30 @@ func TestServeShedAndDegrade(t *testing.T) {
 			t.Fatalf("Serve: %v", err)
 		}
 		defer one.Close()
-		if _, err := one.Submit(boss.ServeRequest{Expr: `"t1"`, K: 20, Tenant: "t"}); err != nil {
+		if _, err := one.Submit(boss.ServeRequest{Expr: `"t1"`, K: 20}); err != nil {
 			t.Fatalf("first submit: %v", err)
 		}
-		if _, err := one.Submit(boss.ServeRequest{Expr: `"t2"`, K: 20, Tenant: "t", Priority: boss.PriorityLow}); !errors.Is(err, boss.ErrShed) {
-			t.Fatalf("low-priority over rate: err = %v, want ErrShed", err)
-		}
-		over, err := one.Submit(boss.ServeRequest{Expr: `"t3"`, K: 20, Tenant: "t"})
+		over, err := one.Submit(boss.ServeRequest{Expr: `"t3"`, K: 20})
 		if err != nil {
-			t.Fatalf("normal over rate: %v", err)
+			t.Fatalf("past-watermark submit: %v", err)
+		}
+		if _, err := one.Submit(boss.ServeRequest{Expr: `"t2"`, K: 20}); !errors.Is(err, boss.ErrOverloaded) {
+			t.Fatalf("submit at capacity: err = %v, want ErrOverloaded", err)
 		}
 		one.Flush()
 		got, err := over.Wait(context.Background())
 		if err != nil {
-			t.Fatalf("normal over rate: %v", err)
+			t.Fatalf("past-watermark request: %v", err)
 		}
 		want, _, err := acc.Search(`"t3"`, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Degraded != 0 || len(want) == 0 || !reflect.DeepEqual(got.Hits, want) {
-			t.Fatalf("normal over rate: degraded=%b hits %v, want Search's %v in full", got.Degraded, got.Hits, want)
+			t.Fatalf("past-watermark request: degraded=%b hits %v, want Search's %v in full", got.Degraded, got.Hits, want)
 		}
-		if st := one.Stats(); st.Shed != 1 || st.Degraded != 0 {
-			t.Fatalf("stats = %+v, want 1 shed and 0 degraded", st)
+		if st := one.Stats(); st.Rejected != 1 || st.Degraded != 0 {
+			t.Fatalf("stats = %+v, want 1 rejected and 0 degraded", st)
 		}
 	})
 }
