@@ -1,11 +1,10 @@
 package docstore
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
+
+	"boss/internal/wire"
 )
 
 // Binary document-store format (version 1):
@@ -29,7 +28,8 @@ const (
 )
 
 // Structural sanity bounds: a corrupt length field must produce
-// ErrCorrupt, not a multi-gigabyte allocation.
+// ErrCorrupt, not a multi-gigabyte allocation. One that passes them still
+// costs no more than the stream holds (wire.Grow).
 const (
 	maxDocs      = 1 << 30
 	maxBlocks    = 1 << 26
@@ -38,187 +38,105 @@ const (
 	maxFieldName = 1 << 10
 )
 
-// WriteTo serializes the store. It implements io.WriterTo.
+// WriteTo serializes the store in one write. It implements io.WriterTo.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	write := func(v interface{}) {
-		if cw.err == nil {
-			cw.err = binary.Write(cw, binary.LittleEndian, v)
-		}
-	}
-	cw.writeString(docMagic)
-	write(uint32(s.NumDocs))
-	write(uint16(len(s.Fields)))
+	size := len(docMagic) + 4 + 2 + 4 + 6*4*len(s.Blocks) + 4 + len(s.Data) + wire.FooterBytes
 	for _, f := range s.Fields {
-		write(uint16(len(f)))
-		cw.writeString(f)
+		size += 2 + len(f)
 	}
-	write(uint32(len(s.Blocks)))
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, docMagic...)
+	buf = le.AppendUint32(buf, uint32(s.NumDocs))
+	buf = le.AppendUint16(buf, uint16(len(s.Fields)))
+	for _, f := range s.Fields {
+		buf = le.AppendUint16(buf, uint16(len(f)))
+		buf = append(buf, f...)
+	}
+	buf = le.AppendUint32(buf, uint32(len(s.Blocks)))
 	for _, b := range s.Blocks {
-		write(b.FirstDoc)
-		write(b.Count)
-		write(b.Offset)
-		write(b.CompLen)
-		write(b.RawLen)
-		write(b.Checksum)
+		buf = le.AppendUint32(buf, b.FirstDoc)
+		buf = le.AppendUint32(buf, b.Count)
+		buf = le.AppendUint32(buf, b.Offset)
+		buf = le.AppendUint32(buf, b.CompLen)
+		buf = le.AppendUint32(buf, b.RawLen)
+		buf = le.AppendUint32(buf, b.Checksum)
 	}
-	write(uint32(len(s.Data)))
-	_, _ = cw.Write(s.Data) // countingWriter latches the first error in cw.err
-	// Footer: seal everything written so far under the stream CRC. The
-	// footer magic itself is covered by nothing (it is the seal).
-	sum := cw.crc
-	cw.writeString(docFooter)
-	write(sum)
-	if cw.err == nil {
-		cw.err = cw.w.(*bufio.Writer).Flush()
-	}
-	return cw.n, cw.err
+	buf = le.AppendUint32(buf, uint32(len(s.Data)))
+	buf = append(buf, s.Data...)
+	return wire.Seal(w, buf, docFooter)
 }
 
 // Read deserializes a store written by WriteTo. Any truncation, bad
 // length field, or checksum mismatch yields an error wrapping
 // ErrCorrupt.
 func Read(r io.Reader) (*Store, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	magic := make([]byte, len(docMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %w", ErrCorrupt, err)
-	}
-	if string(magic) != docMagic {
-		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, magic, docMagic)
-	}
-	var err error
-	read := func(v interface{}) {
-		if err == nil {
-			err = binary.Read(cr, binary.LittleEndian, v)
-		}
+	d := wire.NewDecoder(r)
+	if err := d.Magic(docMagic); err != nil {
+		return nil, corruptf("%w", err)
 	}
 	s := &Store{}
-	var numDocs, numBlocks, dataLen uint32
-	var numFields uint16
-	read(&numDocs)
-	read(&numFields)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading header: %w", ErrCorrupt, err)
+	numDocs := d.U32()
+	numFields := d.U16()
+	if err := d.Err(); err != nil {
+		return nil, corruptf("reading header: %w", err)
 	}
 	if numDocs > maxDocs || int(numFields) > maxFields || numFields == 0 {
-		return nil, fmt.Errorf("%w: implausible header (docs=%d fields=%d)", ErrCorrupt, numDocs, numFields)
+		return nil, corruptf("implausible header (docs=%d fields=%d)", numDocs, numFields)
 	}
 	s.NumDocs = int(numDocs)
 	s.Fields = make([]string, numFields)
 	for i := range s.Fields {
-		var nameLen uint16
-		read(&nameLen)
-		if err != nil {
-			return nil, fmt.Errorf("%w: field %d: %w", ErrCorrupt, i, err)
-		}
+		nameLen := d.U16()
 		if int(nameLen) > maxFieldName {
-			return nil, fmt.Errorf("%w: field %d: implausible name length %d", ErrCorrupt, i, nameLen)
+			return nil, corruptf("field %d: implausible name length %d", i, nameLen)
 		}
-		name := make([]byte, nameLen)
-		if _, err = io.ReadFull(cr, name); err != nil {
-			return nil, fmt.Errorf("%w: field %d name: %w", ErrCorrupt, i, err)
-		}
-		s.Fields[i] = string(name)
+		s.Fields[i] = string(d.Next(int(nameLen)))
 	}
-	read(&numBlocks)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading block count: %w", ErrCorrupt, err)
-	}
+	numBlocks := d.U32()
 	if numBlocks > maxBlocks {
-		return nil, fmt.Errorf("%w: implausible block count %d", ErrCorrupt, numBlocks)
+		return nil, corruptf("implausible block count %d", numBlocks)
 	}
-	s.Blocks = make([]BlockMeta, numBlocks)
-	for bi := range s.Blocks {
-		b := &s.Blocks[bi]
-		read(&b.FirstDoc)
-		read(&b.Count)
-		read(&b.Offset)
-		read(&b.CompLen)
-		read(&b.RawLen)
-		read(&b.Checksum)
+	for range numBlocks {
+		if len(s.Blocks) == cap(s.Blocks) {
+			if d.Err() != nil {
+				break
+			}
+			s.Blocks = wire.Grow(s.Blocks, int(numBlocks))
+		}
+		// The fields in file order: Go evaluates the calls left to right.
+		s.Blocks = append(s.Blocks, BlockMeta{
+			FirstDoc: d.U32(), Count: d.U32(), Offset: d.U32(),
+			CompLen: d.U32(), RawLen: d.U32(), Checksum: d.U32(),
+		})
 	}
-	read(&dataLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading blocks: %w", ErrCorrupt, err)
-	}
+	dataLen := d.U32()
 	if dataLen > maxDataBytes {
-		return nil, fmt.Errorf("%w: implausible data length %d", ErrCorrupt, dataLen)
+		return nil, corruptf("implausible data length %d", dataLen)
 	}
-	s.Data = make([]byte, dataLen)
-	if _, err = io.ReadFull(cr, s.Data); err != nil {
-		return nil, fmt.Errorf("%w: reading data: %w", ErrCorrupt, err)
+	if s.Data = d.ReadN(int(dataLen)); d.Err() != nil {
+		return nil, corruptf("reading fields, blocks and data: %w", d.Err())
 	}
 	var docs uint64
 	for bi := range s.Blocks {
 		b := &s.Blocks[bi]
 		if uint64(b.Offset)+uint64(b.CompLen) > uint64(dataLen) {
-			return nil, fmt.Errorf("%w: block %d exceeds payload", ErrCorrupt, bi)
+			return nil, corruptf("block %d exceeds payload", bi)
 		}
 		if b.Count == 0 || b.Count > BlockDocs || b.RawLen > maxDataBytes {
-			return nil, fmt.Errorf("%w: block %d implausible (count=%d raw=%d)", ErrCorrupt, bi, b.Count, b.RawLen)
+			return nil, corruptf("block %d implausible (count=%d raw=%d)", bi, b.Count, b.RawLen)
 		}
 		if uint64(b.FirstDoc) != uint64(bi)*BlockDocs {
-			return nil, fmt.Errorf("%w: block %d firstDoc %d (want %d)", ErrCorrupt, bi, b.FirstDoc, bi*BlockDocs)
+			return nil, corruptf("block %d firstDoc %d (want %d)", bi, b.FirstDoc, bi*BlockDocs)
 		}
 		docs += uint64(b.Count)
 		s.RawBytes += int64(b.RawLen)
 	}
 	if docs != uint64(numDocs) {
-		return nil, fmt.Errorf("%w: block doc counts sum to %d, header says %d", ErrCorrupt, docs, numDocs)
+		return nil, corruptf("block doc counts sum to %d, header says %d", docs, numDocs)
 	}
-	// Footer: the stream CRC accumulated so far must match the sealed
-	// value. Read the footer outside the CRC accounting.
-	sum := cr.crc
-	footer := make([]byte, len(docFooter))
-	if _, err := io.ReadFull(cr, footer); err != nil {
-		return nil, fmt.Errorf("%w: reading footer: %w", ErrCorrupt, err)
-	}
-	if string(footer) != docFooter {
-		return nil, fmt.Errorf("%w: bad footer magic %q (truncated file?)", ErrCorrupt, footer)
-	}
-	var sealed uint32
-	if err := binary.Read(cr, binary.LittleEndian, &sealed); err != nil {
-		return nil, fmt.Errorf("%w: reading footer checksum: %w", ErrCorrupt, err)
-	}
-	if sealed != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch (file %08x, computed %08x)", ErrCorrupt, sealed, sum)
+	if err := d.Footer(docFooter); err != nil {
+		return nil, corruptf("footer: %w", err)
 	}
 	return s, nil
-}
-
-// countingWriter tracks bytes written, the running stream CRC, and the
-// first error.
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	crc uint32
-	err error
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	if cw.err != nil {
-		return 0, cw.err
-	}
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
-	cw.err = err
-	return n, err
-}
-
-func (cw *countingWriter) writeString(s string) {
-	_, _ = cw.Write([]byte(s)) // error latched in cw.err
-}
-
-// crcReader accumulates the CRC32-C of everything read through it.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, castagnoli, p[:n])
-	return n, err
 }

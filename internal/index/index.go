@@ -286,7 +286,7 @@ const arenaChunk = 64 << 10
 // Nothing built points into the buffers.
 type buildScratch struct {
 	base              uint32
-	arena             []byte
+	arena             slab[byte]
 	deltas, docs, tfs []uint32
 	scores            []float64
 	data              []byte
@@ -298,12 +298,21 @@ func (sc *buildScratch) place(p []byte) []byte {
 	if len(p) > arenaChunk/8 {
 		return append([]byte(nil), p...)
 	}
-	if cap(sc.arena)-len(sc.arena) < len(p) {
-		sc.arena = make([]byte, 0, arenaChunk)
+	return append(sc.arena.take(len(p), arenaChunk)[:0], p...)
+}
+
+// slab hands out runs of elements carved from chunks it allocates.
+type slab[E any] []E
+
+// take returns the next n elements of the slab, capped at n, starting a
+// new chunk of the given size when the current one lacks room.
+func (s *slab[E]) take(n, chunk int) []E {
+	if cap(*s)-len(*s) < n {
+		*s = make([]E, 0, chunk)
 	}
-	off := len(sc.arena)
-	sc.arena = append(sc.arena, p...)
-	return sc.arena[off:len(sc.arena):len(sc.arena)]
+	off := len(*s)
+	*s = (*s)[:off+n]
+	return (*s)[off : off+n : off+n]
 }
 
 // buildList compresses one term's postings into pl, whose Term, IDF and

@@ -1,24 +1,24 @@
 package index
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"slices"
+	"strings"
 
 	"boss/internal/compress"
 	"boss/internal/score"
+	"boss/internal/wire"
 )
 
 // Binary index format (version 2):
 //
 //	magic "BOSSIDX2"
 //	numDocs u32 | avgDocLen f64 | k1 f64 | b f64 | numLists u32
-//	per list:
+//	per list, in strictly increasing term order:
 //	  termLen u16 | term bytes | scheme u8 | df u32 | idf f64 |
 //	  maxScore f64 | baseAddr u64 | numBlocks u32 |
 //	  per block: first u32 | last u32 | maxScore f32 | offset u32 |
@@ -51,16 +51,20 @@ const (
 
 // Structural sanity bounds: a corrupt length field must produce
 // ErrCorrupt, not a multi-gigabyte allocation. One that passes them still
-// costs no more than the stream holds: Read allocates at most maxPrealloc
-// bytes ahead of those it has read (readN).
+// costs no more than the stream holds: Read allocates at most
+// wire.MaxPrealloc bytes ahead of those it has read (wire.Grow).
 const (
 	maxLists     = 1 << 26
 	maxBlocks    = 1 << 26
 	maxDataBytes = 1 << 30
 	maxDocs      = 1 << 30
-	maxPrealloc  = 1 << 20
 
-	blockWireBytes = 4 + 4 + 4 + 4 + 4 + 2 + 4 // first, last, maxScore, offset, length, count, checksum
+	listWireBytes  = 2 + 1 + 4 + 8 + 8 + 8 + 4 + 4 // termLen, scheme, df, idf, maxScore, baseAddr, numBlocks, dataLen
+	blockWireBytes = 4 + 4 + 4 + 4 + 4 + 2 + 4     // first, last, maxScore, offset, length, count, checksum
+
+	// Read lays lists and block metadata out in chunks of these sizes; a
+	// list with more than an eighth of a block chunk gets its own.
+	listChunk, blockChunk = 1024, 2048
 )
 
 // ErrCorrupt reports a structurally invalid, truncated, or
@@ -68,283 +72,198 @@ const (
 // test with errors.Is(err, index.ErrCorrupt).
 var ErrCorrupt = errors.New("index: corrupt or truncated index file")
 
-// WriteTo serializes the index. It implements io.WriterTo.
+// corruptf wraps ErrCorrupt with context.
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+}
+
+// WriteTo serializes the index in one write. It implements io.WriterTo.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	write := func(v interface{}) {
-		if cw.err == nil {
-			cw.err = binary.Write(cw, binary.LittleEndian, v)
-		}
+	type entry struct {
+		term string
+		pl   *PostingList
 	}
-	cw.WriteString(indexMagic)
-	write(uint32(idx.NumDocs))
-	write(idx.AvgDocLen)
-	write(idx.Params.K1)
-	write(idx.Params.B)
-	write(uint32(len(idx.Lists)))
-	for _, term := range idx.Terms() {
-		pl := idx.Lists[term]
-		write(uint16(len(term)))
-		cw.WriteString(term)
-		write(uint8(pl.Scheme))
-		write(uint32(pl.DF))
-		write(pl.IDF)
-		write(pl.MaxScore)
-		write(pl.BaseAddr)
-		write(uint32(len(pl.Blocks)))
-		for _, b := range pl.Blocks {
-			write(b.FirstDoc)
-			write(b.LastDoc)
-			write(float32(b.MaxScore))
-			write(b.Offset)
-			write(b.Length)
-			write(b.Count)
-			write(b.Checksum)
-		}
-		write(uint32(len(pl.Data)))
-		_, _ = cw.Write(pl.Data) // countingWriter latches the first error in cw.err
+	lists := make([]entry, 0, len(idx.Lists))
+	// The magic, the header, the norms and their address, the footer and the
+	// impact section's magic; the lists add theirs, impact maxima included.
+	size := len(indexMagic) + 32 + 8 + 4*len(idx.DocNorms) + wire.FooterBytes + len(impactMagic)
+	hasImpacts := false
+	for term, pl := range idx.Lists {
+		lists = append(lists, entry{term, pl})
+		size += listWireBytes + len(term) + (blockWireBytes+1)*len(pl.Blocks) + len(pl.Data) + 5
+		hasImpacts = hasImpacts || pl.HasImpacts()
 	}
-	write(idx.NormBaseAddr)
+	slices.SortFunc(lists, func(a, b entry) int { return strings.Compare(a.term, b.term) })
+
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, indexMagic...)
+	buf = le.AppendUint32(buf, uint32(idx.NumDocs))
+	buf = le.AppendUint64(buf, math.Float64bits(idx.AvgDocLen))
+	buf = le.AppendUint64(buf, math.Float64bits(idx.Params.K1))
+	buf = le.AppendUint64(buf, math.Float64bits(idx.Params.B))
+	buf = le.AppendUint32(buf, uint32(len(lists)))
+	for _, e := range lists {
+		pl := e.pl
+		buf = le.AppendUint16(buf, uint16(len(e.term)))
+		buf = append(buf, e.term...)
+		buf = append(buf, uint8(pl.Scheme))
+		buf = le.AppendUint32(buf, uint32(pl.DF))
+		buf = le.AppendUint64(buf, math.Float64bits(pl.IDF))
+		buf = le.AppendUint64(buf, math.Float64bits(pl.MaxScore))
+		buf = le.AppendUint64(buf, pl.BaseAddr)
+		buf = le.AppendUint32(buf, uint32(len(pl.Blocks)))
+		for i := range pl.Blocks {
+			b := &pl.Blocks[i]
+			buf = le.AppendUint32(buf, b.FirstDoc)
+			buf = le.AppendUint32(buf, b.LastDoc)
+			buf = le.AppendUint32(buf, math.Float32bits(float32(b.MaxScore)))
+			buf = le.AppendUint32(buf, b.Offset)
+			buf = le.AppendUint32(buf, b.Length)
+			buf = le.AppendUint16(buf, b.Count)
+			buf = le.AppendUint32(buf, b.Checksum)
+		}
+		buf = le.AppendUint32(buf, uint32(len(pl.Data)))
+		buf = append(buf, pl.Data...)
+	}
+	buf = le.AppendUint64(buf, idx.NormBaseAddr)
 	for _, n := range idx.DocNorms {
-		write(float32(n))
+		buf = le.AppendUint32(buf, math.Float32bits(float32(n)))
 	}
 	// Impact section: emitted only when some list carries impacts, so
 	// impact-free indexes serialize byte-identically to pre-impact v2.
-	hasImpacts := false
-	for _, pl := range idx.Lists {
-		if pl.HasImpacts() {
-			hasImpacts = true
-			break
-		}
-	}
 	if hasImpacts {
-		cw.WriteString(impactMagic)
-		for _, term := range idx.Terms() {
-			pl := idx.Lists[term]
-			write(int32(pl.ImpactStep))
-			write(pl.MaxImpact)
-			for _, b := range pl.Blocks {
-				write(b.MaxImpact)
+		buf = append(buf, impactMagic...)
+		for _, e := range lists {
+			buf = le.AppendUint32(buf, uint32(e.pl.ImpactStep))
+			buf = append(buf, e.pl.MaxImpact)
+			for i := range e.pl.Blocks {
+				buf = append(buf, e.pl.Blocks[i].MaxImpact)
 			}
 		}
 	}
-	// Footer: seal everything written so far under a stream CRC. The
-	// footer magic itself is covered by nothing (it is the seal).
-	sum := cw.crc
-	cw.WriteString(footerMagic)
-	write(sum)
-	if cw.err == nil {
-		cw.err = cw.w.(*bufio.Writer).Flush()
-	}
-	return cw.n, cw.err
+	return wire.Seal(w, buf, footerMagic)
 }
 
 // Read deserializes an index written by WriteTo. Any truncation, bad
-// length field, or checksum mismatch yields an error wrapping
-// ErrCorrupt.
+// length field, out-of-order term or checksum mismatch yields an error
+// wrapping ErrCorrupt. It lays the lists out in slabs, as BuildRange does,
+// and reads the impact section, which is in term order, in file order.
 func Read(r io.Reader) (*Index, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %w", ErrCorrupt, err)
+	d := wire.NewDecoder(r)
+	if err := d.Magic(indexMagic); err != nil {
+		return nil, corruptf("%w", err)
 	}
-	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, magic, indexMagic)
-	}
-	var err error
-	read := func(v interface{}) {
-		if err == nil {
-			err = binary.Read(cr, binary.LittleEndian, v)
-		}
-	}
-	idx := &Index{Lists: make(map[string]*PostingList)}
-	var numDocs, numLists uint32
-	read(&numDocs)
-	read(&idx.AvgDocLen)
-	read(&idx.Params.K1)
-	read(&idx.Params.B)
-	read(&numLists)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading header: %w", ErrCorrupt, err)
+	// Here and below, records decode in file order: Go evaluates the calls
+	// in a composite literal left to right.
+	numDocs := d.U32()
+	idx := &Index{NumDocs: int(numDocs), AvgDocLen: d.F64(), Params: score.Params{K1: d.F64(), B: d.F64()}}
+	numLists := d.U32()
+	if err := d.Err(); err != nil {
+		return nil, corruptf("reading header: %w", err)
 	}
 	if numDocs > maxDocs || numLists > maxLists {
-		return nil, fmt.Errorf("%w: implausible header (docs=%d lists=%d)", ErrCorrupt, numDocs, numLists)
+		return nil, corruptf("implausible header (docs=%d lists=%d)", numDocs, numLists)
 	}
-	idx.NumDocs = int(numDocs)
-	for i := uint32(0); i < numLists; i++ {
-		var termLen uint16
-		read(&termLen)
-		if err != nil {
-			return nil, fmt.Errorf("%w: list %d: %w", ErrCorrupt, i, err)
+	var (
+		lists  []*PostingList // in file order
+		pls    slab[PostingList]
+		blocks slab[BlockMeta]
+		arena  slab[byte]
+	)
+	for i := range int(numLists) {
+		if len(lists) == cap(lists) {
+			lists = wire.Grow(lists, int(numLists))
 		}
-		termBytes := make([]byte, termLen)
-		if _, err = io.ReadFull(cr, termBytes); err != nil {
-			return nil, fmt.Errorf("%w: list %d term: %w", ErrCorrupt, i, err)
+		pl := &pls.take(1, listChunk)[0]
+		lists = append(lists, pl)
+		term := string(d.Next(int(d.U16()))) // before the next call reuses the buffer
+		*pl = PostingList{Term: term, Scheme: compress.Scheme(d.U8()), DF: int(d.U32()),
+			IDF: d.F64(), MaxScore: d.F64(), BaseAddr: d.U64()}
+		numBlocks := d.U32()
+		switch {
+		case d.Err() != nil:
+			return nil, corruptf("list %d header: %w", i, d.Err())
+		case i > 0 && pl.Term <= lists[i-1].Term:
+			return nil, corruptf("list %d: term %q not after %q", i, pl.Term, lists[i-1].Term)
+		case numBlocks > maxBlocks:
+			return nil, corruptf("list %q: implausible block count %d", pl.Term, numBlocks)
+		case pl.Scheme >= compress.NumSchemes:
+			return nil, corruptf("list %q: unknown scheme %d", pl.Term, pl.Scheme)
 		}
-		pl := &PostingList{Term: string(termBytes)}
-		pl.id.Store(nextListID.Add(1))
-		var scheme uint8
-		var df, numBlocks, dataLen uint32
-		read(&scheme)
-		read(&df)
-		read(&pl.IDF)
-		read(&pl.MaxScore)
-		read(&pl.BaseAddr)
-		read(&numBlocks)
-		if err != nil {
-			return nil, fmt.Errorf("%w: list %q header: %w", ErrCorrupt, pl.Term, err)
-		}
-		if numBlocks > maxBlocks {
-			return nil, fmt.Errorf("%w: list %q: implausible block count %d", ErrCorrupt, pl.Term, numBlocks)
-		}
-		if compress.Scheme(scheme) >= compress.NumSchemes {
-			return nil, fmt.Errorf("%w: list %q: unknown scheme %d", ErrCorrupt, pl.Term, scheme)
-		}
-		pl.Scheme = compress.Scheme(scheme)
 		pl.codec = compress.ForScheme(pl.Scheme)
-		pl.DF = int(df)
-		var raw []byte
-		if raw, err = readN(cr, int(numBlocks)*blockWireBytes); err != nil {
-			return nil, fmt.Errorf("%w: list %q blocks: %w", ErrCorrupt, pl.Term, err)
+		if numBlocks <= blockChunk/8 {
+			pl.Blocks = blocks.take(int(numBlocks), blockChunk)[:0]
 		}
-		pl.Blocks = make([]BlockMeta, numBlocks)
-		for bi := range pl.Blocks {
-			w := raw[bi*blockWireBytes:]
-			pl.Blocks[bi] = BlockMeta{
-				FirstDoc: binary.LittleEndian.Uint32(w),
-				LastDoc:  binary.LittleEndian.Uint32(w[4:]),
-				MaxScore: float64(math.Float32frombits(binary.LittleEndian.Uint32(w[8:]))),
-				Offset:   binary.LittleEndian.Uint32(w[12:]),
-				Length:   binary.LittleEndian.Uint32(w[16:]),
-				Count:    binary.LittleEndian.Uint16(w[20:]),
-				Checksum: binary.LittleEndian.Uint32(w[22:]),
+		for range numBlocks {
+			if len(pl.Blocks) == cap(pl.Blocks) {
+				if d.Err() != nil {
+					break
+				}
+				pl.Blocks = wire.Grow(pl.Blocks, int(numBlocks))
 			}
+			pl.Blocks = append(pl.Blocks, BlockMeta{
+				FirstDoc: d.U32(), LastDoc: d.U32(), MaxScore: d.F32(),
+				Offset: d.U32(), Length: d.U32(), Count: d.U16(), Checksum: d.U32(),
+			})
 		}
-		read(&dataLen)
-		if err != nil {
-			return nil, fmt.Errorf("%w: list %q blocks: %w", ErrCorrupt, pl.Term, err)
-		}
+		dataLen := d.U32()
 		if dataLen > maxDataBytes {
-			return nil, fmt.Errorf("%w: list %q: implausible data length %d", ErrCorrupt, pl.Term, dataLen)
+			return nil, corruptf("list %q: implausible data length %d", pl.Term, dataLen)
 		}
-		if pl.Data, err = readN(cr, int(dataLen)); err != nil {
-			return nil, fmt.Errorf("%w: list %q data: %w", ErrCorrupt, pl.Term, err)
+		if dataLen <= arenaChunk/8 {
+			pl.Data = arena.take(int(dataLen), arenaChunk)
+			d.ReadFull(pl.Data)
+		} else {
+			pl.Data = d.ReadN(int(dataLen))
+		}
+		if err := d.Err(); err != nil {
+			return nil, corruptf("list %q blocks and data: %w", pl.Term, err)
 		}
 		for bi := range pl.Blocks {
-			b := &pl.Blocks[bi]
-			if uint64(b.Offset)+uint64(b.Length) > uint64(dataLen) {
-				return nil, fmt.Errorf("%w: list %q block %d exceeds payload", ErrCorrupt, pl.Term, bi)
+			if b := &pl.Blocks[bi]; uint64(b.Offset)+uint64(b.Length) > uint64(dataLen) {
+				return nil, corruptf("list %q block %d exceeds payload", pl.Term, bi)
 			}
 		}
-		idx.Lists[pl.Term] = pl
 	}
-	read(&idx.NormBaseAddr)
-	var norms []byte
-	if err == nil {
-		norms, err = readN(cr, 4*idx.NumDocs) // float32 each
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading norms: %w", ErrCorrupt, err)
-	}
-	idx.DocNorms = make([]float64, idx.NumDocs)
-	for d := range idx.DocNorms {
-		idx.DocNorms[d] = float64(math.Float32frombits(binary.LittleEndian.Uint32(norms[4*d:])))
-	}
-	// Section sniff: the eight bytes after the norms are either the
-	// optional impact section's magic or the footer's. Anything else is
-	// named explicitly so a file expected to carry impacts fails with an
-	// error distinguishable from an ordinary footer mismatch.
-	sum := cr.crc
-	sect := make([]byte, len(footerMagic))
-	if _, err := io.ReadFull(cr, sect); err != nil {
-		return nil, fmt.Errorf("%w: reading impact-section/footer magic: %w", ErrCorrupt, err)
-	}
-	if string(sect) == impactMagic {
-		for _, term := range idx.Terms() {
-			pl := idx.Lists[term]
-			var step int32
-			read(&step)
-			read(&pl.MaxImpact)
-			if err != nil {
-				return nil, fmt.Errorf("%w: impact section: list %q header: %w", ErrCorrupt, term, err)
+	idx.NormBaseAddr = d.U64()
+	for range numDocs {
+		if len(idx.DocNorms) == cap(idx.DocNorms) {
+			if d.Err() != nil {
+				break
 			}
-			pl.ImpactStep = score.Fixed(step)
+			idx.DocNorms = wire.Grow(idx.DocNorms, idx.NumDocs)
+		}
+		idx.DocNorms = append(idx.DocNorms, d.F32())
+	}
+	if err := d.Err(); err != nil {
+		return nil, corruptf("reading norms: %w", err)
+	}
+	// The norms are followed by the optional impact section's magic or by
+	// the footer; the error names both, so a file expected to carry impacts
+	// fails distinguishably from an ordinary footer mismatch.
+	if d.Sniff(impactMagic) {
+		for _, pl := range lists {
+			pl.ImpactStep = score.Fixed(int32(d.U32()))
+			pl.MaxImpact = d.U8()
 			for bi := range pl.Blocks {
-				read(&pl.Blocks[bi].MaxImpact)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%w: impact section: list %q block maxima: %w", ErrCorrupt, term, err)
+				pl.Blocks[bi].MaxImpact = d.U8()
 			}
 		}
-		// The seal covers the impact section; the footer must follow.
-		sum = cr.crc
-		if _, err := io.ReadFull(cr, sect); err != nil {
-			return nil, fmt.Errorf("%w: reading footer after impact section: %w", ErrCorrupt, err)
+		if err := d.Err(); err != nil {
+			return nil, corruptf("reading impact section: %w", err)
 		}
 	}
-	if string(sect) != footerMagic {
-		return nil, fmt.Errorf("%w: bad magic %q after norms: want impact section %q or footer %q (impact section missing or corrupt?)", ErrCorrupt, sect, impactMagic, footerMagic)
+	if err := d.Footer(footerMagic); err != nil {
+		return nil, corruptf("impact section %q or footer after norms: %w", impactMagic, err)
 	}
-	var sealed uint32
-	if err := binary.Read(cr, binary.LittleEndian, &sealed); err != nil {
-		return nil, fmt.Errorf("%w: reading footer checksum: %w", ErrCorrupt, err)
-	}
-	if sealed != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch (file %08x, computed %08x)", ErrCorrupt, sealed, sum)
+	idx.Lists = make(map[string]*PostingList, len(lists))
+	id := nextListID.Add(uint64(len(lists))) - uint64(len(lists))
+	for _, pl := range lists {
+		id++
+		pl.id.Store(id)
+		idx.Lists[pl.Term] = pl
 	}
 	idx.TotalBytes = idx.NormBaseAddr + uint64(idx.NumDocs*DocNormBytes)
 	return idx, nil
-}
-
-// readN reads exactly n bytes, allocating at most maxPrealloc of them
-// before they have arrived.
-func readN(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, 0, min(n, maxPrealloc))
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n, 2*len(buf))-len(buf))
-		}
-		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// countingWriter tracks bytes written, the running stream CRC, and the
-// first error.
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	crc uint32
-	err error
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	if cw.err != nil {
-		return 0, cw.err
-	}
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
-	cw.err = err
-	return n, err
-}
-
-func (cw *countingWriter) WriteString(s string) {
-	_, _ = cw.Write([]byte(s)) // error latched in cw.err
-}
-
-// crcReader accumulates the CRC32-C of everything read through it.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, castagnoli, p[:n])
-	return n, err
 }
