@@ -2,10 +2,15 @@
 // pattern internal/cache uses: Reserve carves a pooled slab whose ownership
 // transfers to a longer-lived structure (Publish), and the release half puts
 // it back once the last reader unpins it. The Get side is waived with
-// //boss:pool-escapes; the Put side still owes a visible reset.
+// //boss:pool-escapes; the Put side still owes a visible reset. The cache
+// recycles its slabs by size class, from an array of pools indexed by the
+// class, so the same rules hold for a pool reached through an index.
 package slabarena
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 type slab struct {
 	words []uint32
@@ -50,4 +55,39 @@ func reserveLeaky(n int) *slab {
 	s := slabPool.Get().(*slab) // want `sync\.Pool\.Get without a Put on the same pool`
 	s.used = n
 	return s
+}
+
+// classPools recycles slabs by size class: classPools[c] holds slabs of
+// 16<<c words.
+var classPools [8]sync.Pool
+
+func sizeClass(n int) int {
+	if n <= 16 {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - 4
+}
+
+// reserveClass carves a slab of n's size class for the caller to publish.
+//
+//boss:pool-escapes published slabs live in the cache until eviction.
+func reserveClass(n int) *slab {
+	c := sizeClass(n)
+	s, _ := classPools[c].Get().(*slab)
+	if s == nil {
+		s = &slab{words: make([]uint32, 0, 16<<c)}
+	}
+	return s
+}
+
+// evictClass clears an evicted slab and pools it by its size class.
+func evictClass(s *slab) {
+	s.words = s.words[:0]
+	s.used = 0
+	classPools[sizeClass(cap(s.words))].Put(s)
+}
+
+// evictClassDirty pools an evicted slab by class without clearing it.
+func evictClassDirty(s *slab) {
+	classPools[sizeClass(cap(s.words))].Put(s) // want `pooled object is not reset before Put`
 }

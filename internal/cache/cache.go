@@ -53,6 +53,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -79,13 +80,18 @@ const (
 	numClasses
 )
 
-// entryOverheadBytes approximates the budget charge of one resident entry
-// beyond its slab: the Entry struct, its table slot, and its ring slot.
+// entryOverheadBytes is the budget charge of one resident entry beyond its
+// slab: the Entry struct (96 B), its table slot and its ring slot (8 B each).
 const entryOverheadBytes = 128
 
-// slabQuantum rounds slab capacities so recycled slabs fit most blocks
-// (2 values per posting × the default 128-posting block).
-const slabQuantum = 256
+// Slabs come in power-of-two size classes: class c holds minSlabBytes<<c
+// bytes, so a posting slab of the smallest class holds 16 values (8
+// postings), and a slab of the smallest class that holds a block is under
+// twice its payload unless it is of the smallest class of all.
+const (
+	minSlabBytes   = 64
+	numSlabClasses = 32
+)
 
 // An entry's state word holds its pin count and, above it, the resident
 // flag: set while the entry sits in a table slot and on its shard's ring
@@ -101,29 +107,36 @@ const residentBit = 1 << 31
 // immutable slices into the cache-owned slab; after Release the slices
 // must not be used.
 type Entry struct {
-	key    Key
-	tab    *Table // the table whose slot key.Block holds a resident entry
-	docs   []uint32
-	tfs    []uint32
-	data   []byte   // published byte payload (doc-class entries)
-	buf    []uint32 // the arena slab backing docs and tfs
-	bbuf   []byte   // the arena slab backing data
+	key Key
+	tab *Table // the table whose slot key.Block holds a resident entry
+	// An entry holds one slab, kept for its whole life: buf for a posting
+	// entry, bbuf for a doc entry, the other nil. The slab's capacity is its
+	// size class; its length is the published payload — n docIDs followed by
+	// n term frequencies, or the decoded bytes — and zero while unpublished.
+	buf    []uint32
+	bbuf   []byte
 	cycles int64
-	bytes  int64 // budget charge: slab capacities + entryOverheadBytes
+	bytes  int64 // budget charge: slab bytes + entryOverheadBytes
 
 	used  atomic.Bool   // CLOCK reference bit
 	state atomic.Uint32 // pin count | residentBit
 }
 
 // Docs returns the decoded docIDs. Valid only while the entry is pinned.
-func (e *Entry) Docs() []uint32 { return e.docs }
+func (e *Entry) Docs() []uint32 {
+	n := len(e.buf) / 2
+	return e.buf[:n:n]
+}
 
 // Tfs returns the decoded term frequencies. Valid only while pinned.
-func (e *Entry) Tfs() []uint32 { return e.tfs }
+func (e *Entry) Tfs() []uint32 {
+	n := len(e.buf) / 2
+	return e.buf[n : 2*n : 2*n]
+}
 
 // Data returns the decoded byte payload of a doc-class entry. Valid only
 // while the entry is pinned.
-func (e *Entry) Data() []byte { return e.data }
+func (e *Entry) Data() []byte { return e.bbuf[:len(e.bbuf):len(e.bbuf)] }
 
 // Cycles returns the decode cycle count recorded at publish time, so a
 // posting block found in the cache charges the simulated pipeline exactly as
@@ -142,6 +155,9 @@ func (e *Entry) TfsBuf(n int) []uint32 { return e.buf[n : n : 2*n] }
 // ByteBuf returns an n-byte decode destination inside the byte slab of an
 // entry obtained from ReserveBytes.
 func (e *Entry) ByteBuf(n int) []byte { return e.bbuf[:n] }
+
+// slabBytes is the size of the entry's slab, whichever kind it is.
+func (e *Entry) slabBytes() int { return 4*cap(e.buf) + cap(e.bbuf) }
 
 // pin takes one pin on e if e is resident, and reports whether it did. Every
 // pin on an entry that someone else can reach is taken here: the CAS succeeds
@@ -228,9 +244,19 @@ type Cache struct {
 	tables map[tableID]*Table
 }
 
-// slabs recycles entries with their slabs. It belongs to the package, not to
-// a Cache, so that a nil *Cache reserves and releases through it too.
-var slabs sync.Pool // of *Entry
+// slabs recycles entries with their slabs: slabs[ClassPosting][c] holds
+// entries with a posting slab of size class c, slabs[ClassDoc][c] entries
+// with a byte slab of that class. The pools belong to the package, not to a
+// Cache, so that a nil *Cache reserves and releases through them too.
+var slabs [numClasses][numSlabClasses]sync.Pool // of *Entry
+
+// slabClass returns the smallest size class that holds size bytes.
+func slabClass(size int) int {
+	if size <= minSlabBytes {
+		return 0
+	}
+	return bits.Len(uint(size-1)) - bits.Len(minSlabBytes-1)
+}
 
 // missedOnce marks a table slot whose block was declined on a miss that
 // would have evicted something (insert). Its state word is zero and nothing
@@ -375,34 +401,33 @@ func (c *Cache) PublishBytes(k Key, e *Entry, data []byte) *Entry {
 
 // Reserve returns a private, pinned entry whose slab holds n docIDs plus n
 // term frequencies. Decode into DocsBuf(n)/TfsBuf(n), then Publish.
-func (c *Cache) Reserve(n int) *Entry { return reserve(2*n, 0) }
+func (c *Cache) Reserve(n int) *Entry { return reserve(ClassPosting, 8*n) }
 
 // ReserveBytes returns a private, pinned entry whose byte slab holds n
 // bytes. Decode into ByteBuf(n), then PublishBytes.
-func (c *Cache) ReserveBytes(n int) *Entry { return reserve(0, n) }
+func (c *Cache) ReserveBytes(n int) *Entry { return reserve(ClassDoc, n) }
 
-// reserve takes a recycled entry (free left it blank) or makes a first one,
-// and grows whichever slab is too small for values uint32s and bytes bytes.
+// reserve takes a recycled entry (free left it blank) whose slab is of the
+// kind class stores and of the size class that holds size bytes, or makes a
+// first one.
 //
 //boss:pool-escapes the slab leaves with the caller until Publish/Release (arena-slab publish pattern).
-func reserve(values, bytes int) *Entry {
-	e, _ := slabs.Get().(*Entry)
+func reserve(class uint8, size int) *Entry {
+	sc := slabClass(size)
+	e, _ := slabs[class][sc].Get().(*Entry)
 	if e == nil {
 		e = new(Entry)
-	}
-	if cap(e.buf) < values {
-		e.buf = make([]uint32, 0, roundToQuantum(values))
-	}
-	if cap(e.bbuf) < bytes {
-		e.bbuf = make([]byte, 0, roundToQuantum(bytes))
+		if class == ClassPosting {
+			e.buf = make([]uint32, 0, minSlabBytes<<sc/4)
+		} else {
+			e.bbuf = make([]byte, 0, minSlabBytes<<sc)
+		}
 	}
 	// A free entry's state is zero and nobody changes it: pin requires the
 	// resident bit. So the first pin is a plain store.
 	e.state.Store(1)
 	return e
 }
-
-func roundToQuantum(n int) int { return (n + slabQuantum - 1) / slabQuantum * slabQuantum }
 
 // Publish inserts a reserved, decoded entry as block b and returns the entry
 // the caller should use — either e itself (now resident, still pinned) or,
@@ -412,18 +437,19 @@ func roundToQuantum(n int) int { return (n + slabQuantum - 1) / slabQuantum * sl
 // carry the mark of an earlier miss (see the package comment); or the entry
 // exceeds the shard budget or everything resident is pinned — the entry is
 // returned un-inserted and stays caller-owned until Release. docs and tfs
-// must be slices of e's slab; cycles is the decode cycle count Cycles
-// reports from then on.
+// must be DocsBuf(n) and TfsBuf(n) of e, each filled with n values: the
+// entry keeps n, and Docs and Tfs view its slab again. cycles is the decode
+// cycle count Cycles reports from then on.
 func (t *Table) Publish(b int, e *Entry, docs, tfs []uint32, cycles int64) *Entry {
-	e.docs, e.tfs = docs, tfs
+	e.buf = e.buf[:2*len(docs)]
 	e.cycles = cycles
 	return t.insert(b, e)
 }
 
 // PublishBytes is Publish for a doc-class entry reserved with
-// ReserveBytes: data must be a slice of e's byte slab.
+// ReserveBytes: data must be ByteBuf(len(data)) of e.
 func (t *Table) PublishBytes(b int, e *Entry, data []byte) *Entry {
-	e.data = data
+	e.bbuf = e.bbuf[:len(data)]
 	return t.insert(b, e)
 }
 
@@ -435,7 +461,7 @@ func (t *Table) insert(b int, e *Entry) *Entry {
 	}
 	e.key = Key{List: t.list, Block: uint32(b), Class: t.class}
 	e.tab = t
-	e.bytes = int64(cap(e.buf))*4 + int64(cap(e.bbuf)) + entryOverheadBytes
+	e.bytes = int64(e.slabBytes()) + entryOverheadBytes
 	s := t.c.shardFor(e.key)
 	s.mu.Lock()
 	slot := &(*t.slots.Load())[b]
@@ -491,15 +517,20 @@ func (c *Cache) Release(e *Entry) {
 	}
 }
 
-// free blanks an unreachable entry and recycles it with its slabs. The
-// entry's state must be zero: unpinned, and either never resident or claimed
-// by the evictor and already cleared from its slot.
+// free blanks an unreachable entry and recycles it with its slab, to the
+// pool of the slab's kind and size class. The entry's state must be zero:
+// unpinned, and either never resident or claimed by the evictor and already
+// cleared from its slot.
 func free(e *Entry) {
 	e.key, e.tab = Key{}, nil
-	e.docs, e.tfs, e.data = nil, nil, nil
+	e.buf, e.bbuf = e.buf[:0], e.bbuf[:0]
 	e.cycles, e.bytes = 0, 0
 	e.used.Store(false)
-	slabs.Put(e)
+	kind := ClassPosting
+	if e.bbuf != nil {
+		kind = ClassDoc
+	}
+	slabs[kind][slabClass(e.slabBytes())].Put(e)
 }
 
 // makeRoom evicts entries until need bytes fit under the shard budget.
@@ -630,10 +661,12 @@ func (c *Cache) Stats() Stats {
 // shard locked: per shard, resident bytes equal the sum of entry charges and
 // never exceed the budget; every ring entry is on one ring once, on the
 // shard its key hashes to, has the resident bit set and sits in the slot its
-// key names; every non-nil, unmarked slot of every table holds an entry that
-// is on a ring (so no slot names a free or never-admitted entry); and the
-// missedOnce mark is on no ring and never pinned. Tests and the fuzz target
-// call it after every operation.
+// key names, and holds exactly one slab, of its class's kind and of the
+// smallest size class that holds its payload, charged at that slab plus
+// entryOverheadBytes; every non-nil, unmarked slot of every table
+// holds an entry that is on a ring (so no slot names a free or never-admitted
+// entry); and the missedOnce mark is on no ring and never pinned. Tests and
+// the fuzz target call it after every operation.
 func (c *Cache) checkInvariants() error {
 	if c == nil {
 		return nil
@@ -666,6 +699,17 @@ func (c *Cache) checkInvariants() error {
 			}
 			if slots := *t.slots.Load(); int(e.key.Block) >= len(slots) || slots[e.key.Block].Load() != e {
 				return fmt.Errorf("shard %d: ring entry %v is not in its table slot", i, e.key)
+			}
+			posting := e.key.Class == ClassPosting
+			if (e.buf != nil) != posting || (e.bbuf != nil) == posting {
+				return fmt.Errorf("shard %d: ring entry %v does not hold exactly one slab of its class's kind", i, e.key)
+			}
+			slab, payload := e.slabBytes(), 4*len(e.buf)+len(e.bbuf)
+			if slab != minSlabBytes<<slabClass(payload) {
+				return fmt.Errorf("shard %d: ring entry %v holds a %d-byte slab for a %d-byte payload", i, e.key, slab, payload)
+			}
+			if e.bytes != int64(slab)+entryOverheadBytes {
+				return fmt.Errorf("shard %d: ring entry %v is charged %d for a %d-byte slab", i, e.key, e.bytes, slab)
 			}
 		}
 		if sum != s.bytes {

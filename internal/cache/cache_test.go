@@ -1,6 +1,11 @@
 package cache
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 // fill builds docs/tfs content derived from the key so tests can verify an
 // entry still holds the block it was published under.
@@ -36,11 +41,14 @@ func mustInvariants(t *testing.T, c *Cache) {
 	}
 }
 
-// drainSlabs empties the package's slab pool. Tests whose arithmetic assumes
-// an entry is charged for exactly the slab it asked for start with it: a slab
-// recycled from an earlier test may be larger.
+// drainSlabs empties every one of the package's slab pools, so that what
+// comes next reserves fresh slabs.
 func drainSlabs() {
-	for slabs.Get() != nil {
+	for kind := range slabs {
+		for sc := range slabs[kind] {
+			for slabs[kind][sc].Get() != nil {
+			}
+		}
 	}
 }
 
@@ -140,7 +148,6 @@ func TestNilCache(t *testing.T) {
 // miss once admitting it would evict), and that CLOCK evicts cold entries
 // first.
 func TestBudgetEviction(t *testing.T) {
-	drainSlabs()
 	const n = 128
 	one := int64(2*n)*4 + entryOverheadBytes
 	c := NewSharded(3*one, 1) // room for exactly 3 resident entries
@@ -218,7 +225,6 @@ func TestBudgetEviction(t *testing.T) {
 // TestPinnedNotEvicted checks a pinned entry survives arbitrary insert
 // pressure and its contents stay intact.
 func TestPinnedNotEvicted(t *testing.T) {
-	drainSlabs()
 	const n = 128
 	one := int64(2*n)*4 + entryOverheadBytes
 	c := NewSharded(2*one, 1)
@@ -241,7 +247,6 @@ func TestPinnedNotEvicted(t *testing.T) {
 // TestBypass checks that when nothing can be evicted (all pinned), Publish
 // hands the entry back un-inserted and the budget still holds.
 func TestBypass(t *testing.T) {
-	drainSlabs()
 	const n = 128
 	one := int64(2*n)*4 + entryOverheadBytes
 	c := NewSharded(one, 1) // room for exactly 1 resident entry
@@ -273,6 +278,85 @@ func TestBypass(t *testing.T) {
 		t.Fatalf("oversized publish should bypass: %+v", st)
 	}
 	c.Release(big)
+}
+
+// TestEntryOverheadCoversEntry pins the charge of a resident entry beyond
+// its slab to what it costs: the Entry struct and one pointer each in its
+// table slot and its ring slot.
+func TestEntryOverheadCoversEntry(t *testing.T) {
+	var e Entry
+	if need := unsafe.Sizeof(e) + 2*unsafe.Sizeof(&e); entryOverheadBytes < need {
+		t.Fatalf("entryOverheadBytes = %d, but an entry costs %d beyond its slab", entryOverheadBytes, need)
+	}
+}
+
+// TestReserveSizeClasses checks each reserved slab is of the kind its class
+// stores and of the smallest size class that holds the block: a power of two
+// from 64 bytes up, so under twice the payload unless it is the smallest.
+func TestReserveSizeClasses(t *testing.T) {
+	for _, tc := range []struct{ n, postingSlab, byteSlab int }{
+		{0, 64, 64}, {1, 64, 64}, {8, 64, 64}, {9, 128, 64}, {64, 512, 64}, {65, 1024, 128},
+		{127, 1024, 128}, {128, 1024, 128}, {129, 2048, 256}, {4097, 65536, 8192}, {5000, 65536, 8192},
+	} {
+		e := (*Cache)(nil).Reserve(tc.n)
+		if e.bbuf != nil || 4*cap(e.buf) != tc.postingSlab || len(e.buf) != 0 {
+			t.Errorf("Reserve(%d): %d-value slab of length %d (byte slab %v), want a %d-byte posting slab", tc.n, cap(e.buf), len(e.buf), e.bbuf != nil, tc.postingSlab)
+		}
+		(*Cache)(nil).Release(e)
+		d := (*Cache)(nil).ReserveBytes(tc.n)
+		if d.buf != nil || cap(d.bbuf) != tc.byteSlab || len(d.bbuf) != 0 {
+			t.Errorf("ReserveBytes(%d): %d-byte slab of length %d (posting slab %v), want %d bytes", tc.n, cap(d.bbuf), len(d.bbuf), d.buf != nil, tc.byteSlab)
+		}
+		(*Cache)(nil).Release(d)
+	}
+	// Every size maps to the smallest class that holds it, and that class is
+	// under twice the size unless it is the first.
+	for size := 1; size <= 1<<17; size++ {
+		c := slabClass(size)
+		if slab := minSlabBytes << c; slab < size || c > 0 && slab >= 2*size {
+			t.Fatalf("size %d maps to class %d of %d bytes", size, c, slab)
+		}
+	}
+}
+
+// TestSlabRecycleAllocs pins that slabs recycle by kind and size class: a
+// warm cycle of Reserve → Publish → evict → Reserve over blocks of mixed
+// sizes and both classes allocates nothing, where the same cycle from
+// drained pools does.
+func TestSlabRecycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race randomizes sync.Pool reuse")
+	}
+	sizes := []int{1, 8, 9, 127, 128, 300}
+	c := NewSharded(4*(8*128+entryOverheadBytes), 1) // a few blocks: admissions evict
+	post, doc := c.Table(1, ClassPosting, len(sizes)), c.Table(1, ClassDoc, len(sizes))
+	cycle := func() {
+		for b, n := range sizes {
+			// Twice: once the cache is full a block is admitted on its
+			// second miss, and that admission evicts.
+			for range 2 {
+				e := c.Reserve(n)
+				c.Release(post.Publish(b, e, e.DocsBuf(n)[:n], e.TfsBuf(n)[:n], 0))
+				d := c.ReserveBytes(10 * n)
+				c.Release(doc.PublishBytes(b, d, d.ByteBuf(10*n)))
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	drainSlabs()
+	runtime.ReadMemStats(&before)
+	cycle()
+	runtime.ReadMemStats(&after)
+	if after.Mallocs == before.Mallocs {
+		t.Fatal("a cycle from drained pools allocated nothing: the test measures nothing")
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("a warm reserve/publish/evict cycle allocates %v times, want 0", avg)
+	}
+	if st := c.Stats(); st.Evictions == 0 {
+		t.Fatalf("stats = %+v: nothing was evicted, so nothing recycled through eviction", st)
+	}
+	mustInvariants(t, c)
 }
 
 // TestPublishRace checks the loser of a concurrent publish gets the winner's
@@ -470,20 +554,33 @@ func TestTablePerCache(t *testing.T) {
 // FuzzCLOCK drives a single-shard cache through a byte-coded op sequence
 // and checks the invariants after every operation: resident bytes never
 // exceed the budget; every ring entry sits in its table slot with the
-// resident bit set, every non-nil slot but a missedOnce mark is on exactly
-// one ring, and the mark is on none with its state at zero
-// (checkInvariants); no entry off the ring — free, bypassed or still private
-// — has the resident bit; a publish to an empty slot is admitted exactly
-// when it fits without evicting and otherwise leaves the mark, a publish to
-// a marked slot is admitted unless nothing can be evicted; and pinned
-// entries keep their published contents (no use-after-evict).
+// resident bit set, holds one slab of its class's kind under twice its
+// payload (or of the smallest class) and is charged that slab plus the
+// entry overhead, every non-nil slot but a missedOnce mark is on exactly one
+// ring, and the mark is on none with its state at zero (checkInvariants); no
+// entry off the ring — free, bypassed or still private — has the resident
+// bit; a publish to an empty slot is admitted exactly when it fits without
+// evicting and otherwise leaves the mark, a publish to a marked slot is
+// admitted unless nothing can be evicted; and pinned entries keep their
+// published contents (no use-after-evict). An op byte names a key by its
+// low six bits — list op%8, block op/8%4, class op/32%2 — and blocks come in
+// the sizes of clockSizes, by list, so short blocks and both classes share
+// one budget.
 func FuzzCLOCK(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{10, 10, 10, 251, 10, 10})
 	f.Add([]byte{0, 0, 0, 0, 252, 1, 1, 1, 1})
+	// Short blocks (n = 1, 8, 9, 127) of both classes, hit, released, then
+	// pushed out by full ones.
+	pub, get := func(l, b, c int) byte { return clockOp(false, l, b, c) }, func(l, b, c int) byte { return clockOp(true, l, b, c) }
+	f.Add([]byte{pub(1, 0, 0), pub(2, 0, 0), pub(3, 0, 0), pub(4, 0, 0), get(1, 0, 0), get(2, 0, 0), get(3, 0, 0), get(4, 0, 0), 251,
+		pub(0, 0, 0), pub(0, 1, 0), pub(0, 2, 0), pub(0, 2, 0), pub(0, 3, 0), pub(0, 3, 0), get(1, 0, 0), get(4, 0, 0)})
+	f.Add([]byte{pub(1, 0, 1), pub(2, 0, 1), pub(3, 0, 1), pub(4, 0, 1), pub(1, 0, 0), get(1, 0, 1), 252,
+		pub(4, 1, 1), pub(4, 1, 1), pub(7, 1, 1), pub(7, 1, 1), pub(3, 2, 0), pub(3, 2, 0), 251, get(4, 1, 1), get(3, 0, 1)})
+	f.Add([]byte{pub(3, 1, 0), pub(3, 1, 1), get(3, 1, 0), get(3, 1, 1), 251, pub(4, 2, 0), pub(4, 2, 1), pub(4, 2, 0), pub(4, 2, 1),
+		pub(2, 3, 1), pub(2, 3, 1), pub(1, 3, 0), pub(1, 3, 0), 252, 252, pub(4, 3, 0), pub(4, 3, 0), 251, get(2, 3, 1), get(4, 2, 0)})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		const n = 128
-		one := int64(2*n)*4 + entryOverheadBytes
+		one := int64(8*128) + entryOverheadBytes
 		c := NewSharded(3*one, 1)
 		type pin struct {
 			e *Entry
@@ -491,7 +588,7 @@ func FuzzCLOCK(f *testing.F) {
 		}
 		var pins []pin
 		seen := make(map[*Entry]bool) // every entry the cache has handed out
-		keyOf := func(b byte) Key { return Key{List: uint64(b % 8), Block: uint32(b / 8 % 4)} }
+		keyOf := func(b byte) Key { return Key{List: uint64(b % 8), Block: uint32(b / 8 % 4), Class: b / 32 % 2} }
 		for _, op := range ops {
 			switch {
 			case op == 251: // release all pins
@@ -511,17 +608,19 @@ func FuzzCLOCK(f *testing.F) {
 				}
 			default: // publish (keep pinned)
 				k := keyOf(op)
-				e := c.Reserve(n)
-				seen[e] = true
-				docs := e.DocsBuf(n)
-				tfs := e.TfsBuf(n)
-				for i := 0; i < n; i++ {
-					docs = append(docs, uint32(k.List)*1000+k.Block*100+uint32(i))
-					tfs = append(tfs, uint32(k.List)+k.Block+uint32(i))
-				}
+				n := clockSize(k)
 				slot := &(*c.Table(k.List, k.Class, int(k.Block)+1).slots.Load())[k.Block]
 				prev, used := slot.Load(), c.shards[0].bytes
-				got := c.Publish(k, e, docs, tfs, int64(op))
+				var e, got *Entry
+				if k.Class == ClassDoc {
+					e = c.ReserveBytes(n)
+					got = c.PublishBytes(k, e, fillBytes(e, k, n))
+				} else {
+					e = c.Reserve(n)
+					docs, tfs := fill(e, k, n)
+					got = c.Publish(k, e, docs, tfs, int64(op))
+				}
+				seen[e] = true
 				pins = append(pins, pin{got, k})
 				// Admission. Only a resident prev makes got another entry, so
 				// in the arms checked here e is still pinned and its charge
@@ -550,13 +649,8 @@ func FuzzCLOCK(f *testing.F) {
 			// Every live pin must still read its published contents — an
 			// evicted-and-recycled slab would show another key's pattern.
 			for _, p := range pins {
-				if len(p.e.Docs()) != n {
-					t.Fatalf("pinned %v: %d docs, want %d", p.k, len(p.e.Docs()), n)
-				}
-				for i := 0; i < n; i++ {
-					if want := uint32(p.k.List)*1000 + p.k.Block*100 + uint32(i); p.e.Docs()[i] != want {
-						t.Fatalf("pinned %v doc[%d] = %d, want %d (use-after-evict)", p.k, i, p.e.Docs()[i], want)
-					}
+				if err := clockContent(p.e, p.k); err != nil {
+					t.Fatalf("pinned %v: %v (use-after-evict)", p.k, err)
 				}
 			}
 		}
@@ -567,4 +661,58 @@ func FuzzCLOCK(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// clockSizes gives FuzzCLOCK's blocks their sizes by list: postings for a
+// posting block, eight bytes a posting plus five for a document block.
+var clockSizes = [8]int{128, 1, 8, 9, 127, 128, 16, 200}
+
+func clockSize(k Key) int {
+	n := clockSizes[k.List%8]
+	if k.Class == ClassDoc {
+		return 8*n + 5
+	}
+	return n
+}
+
+// clockOp encodes a get or a publish of (list, block, class) in FuzzCLOCK's
+// byte code: the key in the low six bits, and the high two chosen so the op
+// reads as a get exactly when it is divisible by three.
+func clockOp(get bool, list, block, class int) byte {
+	for hi := 0; ; hi += 64 {
+		if b := byte(list + 8*block + 32*class + hi); (b%3 == 0) == get && b < 251 {
+			return b
+		}
+	}
+}
+
+// clockContent checks a pinned entry still holds what FuzzCLOCK published
+// under k: fill's pattern for a posting block, fillBytes' for a document.
+func clockContent(e *Entry, k Key) error {
+	n := clockSize(k)
+	if k.Class == ClassDoc {
+		data := e.Data()
+		if len(data) != n || e.Docs() != nil {
+			return fmt.Errorf("%d bytes and %d docs, want %d bytes", len(data), len(e.Docs()), n)
+		}
+		for i := range data {
+			if want := byte(uint32(k.List)*31 + k.Block*7 + uint32(i)); data[i] != want {
+				return fmt.Errorf("byte %d = %d, want %d", i, data[i], want)
+			}
+		}
+		return nil
+	}
+	docs, tfs := e.Docs(), e.Tfs()
+	if len(docs) != n || len(tfs) != n || e.Data() != nil {
+		return fmt.Errorf("%d docs / %d tfs / %d bytes, want %d postings", len(docs), len(tfs), len(e.Data()), n)
+	}
+	for i := 0; i < n; i++ {
+		if want := uint32(k.List)*1000 + k.Block*100 + uint32(i); docs[i] != want {
+			return fmt.Errorf("doc[%d] = %d, want %d", i, docs[i], want)
+		}
+		if want := uint32(k.List) + k.Block + uint32(i); tfs[i] != want {
+			return fmt.Errorf("tf[%d] = %d, want %d", i, tfs[i], want)
+		}
+	}
+	return nil
 }

@@ -82,20 +82,35 @@ func TestDocClassMissSplit(t *testing.T) {
 	}
 }
 
-// TestDocClassSlabReuse: a recycled entry's byte slab is reused when big
-// enough, and the budget charge accounts for both slabs.
+// TestDocClassSlabReuse: a doc entry holds one byte slab — no posting slab,
+// not even one a recycled entry kept — sized to the block's size class and
+// charged that slab plus the entry overhead; a released byte slab is reused
+// by the next reservation of its class.
 func TestDocClassSlabReuse(t *testing.T) {
 	c := NewSharded(1<<20, 1)
+	// A posting entry recycled just before must not lend the doc entry its slab.
+	c.Release(c.Reserve(128))
 	k := Key{List: 2, Class: ClassDoc}
-	e := c.ReserveBytes(10)
-	data := fillBytes(e, k, 10)
+	e := c.ReserveBytes(100)
+	data := fillBytes(e, k, 100)
 	e = c.PublishBytes(k, e, data)
-	charge := e.bytes
-	if charge < int64(cap(e.bbuf))+entryOverheadBytes {
-		t.Fatalf("budget charge %d does not cover byte slab %d", charge, cap(e.bbuf))
+	if e.buf != nil || cap(e.bbuf) != 128 {
+		t.Fatalf("doc entry holds a %d-value posting slab and a %d-byte byte slab, want none and 128", cap(e.buf), cap(e.bbuf))
+	}
+	if want := int64(cap(e.bbuf)) + entryOverheadBytes; e.bytes != want {
+		t.Fatalf("budget charge %d, want the byte slab plus overhead, %d", e.bytes, want)
 	}
 	c.Release(e)
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if !raceEnabled { // -race randomizes sync.Pool reuse
+		d := c.ReserveBytes(70)
+		c.Release(d)
+		again := c.ReserveBytes(75)
+		if again != d {
+			t.Fatal("a released byte slab was not reused by the next reservation of its class")
+		}
+		c.Release(again)
 	}
 }

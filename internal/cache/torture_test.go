@@ -271,3 +271,132 @@ func TestRegrowTorture(t *testing.T) {
 	}
 	t.Logf("regrow torture: %d hits, %d misses, %d evictions", st.Hits, st.Misses, st.Evictions)
 }
+
+// TestSlabClassTorture is TestTableTorture over blocks of mixed sizes and
+// both classes, so that entries recycle through several kinds and size
+// classes of slab pool at once: a posting table and a document table per
+// list, each block with a size of its own — from one posting to more than a
+// default block's worth, several sizes to a class — published by two
+// publishers and looked up by four readers under a budget of three full
+// blocks. Every hit's contents are checked against the pattern and the
+// size of the block asked for, so a slab handed to a block of another size
+// or class while a reader holds it shows as another block's data.
+func TestSlabClassTorture(t *testing.T) {
+	const (
+		readers    = 4
+		publishers = 2
+		lists      = 2
+		blocks     = 4 // per table
+		opsPerG    = 10000
+	)
+	sizes := [lists][blocks]int{{1, 9, 100, 200}, {5, 16, 65, 128}}
+	c := cache.NewSharded(3*(8*128+128), 1)
+	var tabs [lists][2]*cache.Table
+	for l := range tabs {
+		tabs[l] = [2]*cache.Table{c.Table(uint64(l+1), cache.ClassPosting, blocks), c.Table(uint64(l+1), cache.ClassDoc, blocks)}
+	}
+	// A document block holds 8 bytes a posting plus 3.
+	size := func(l int, class uint8, b int) int {
+		if class == cache.ClassDoc {
+			return 8*sizes[l][b] + 3
+		}
+		return sizes[l][b]
+	}
+	pattern := func(l int, class uint8, b, i int) uint32 { return uint32(l*100000 + int(class)*10000 + b*1000 + i) }
+	check := func(e *cache.Entry, l int, class uint8, b int) {
+		n := size(l, class, b)
+		if class == cache.ClassDoc {
+			data := e.Data()
+			if len(data) != n || e.Docs() != nil {
+				t.Errorf("list %d doc block %d: %d bytes, %d docs", l, b, len(data), len(e.Docs()))
+				return
+			}
+			for i := range data {
+				if data[i] != byte(pattern(l, class, b, i)) {
+					t.Errorf("list %d doc block %d: byte %d = %d: another block's data", l, b, i, data[i])
+					return
+				}
+			}
+			return
+		}
+		docs, tfs := e.Docs(), e.Tfs()
+		if len(docs) != n || len(tfs) != n || e.Data() != nil {
+			t.Errorf("list %d block %d: %d docs / %d tfs / %d bytes", l, b, len(docs), len(tfs), len(e.Data()))
+			return
+		}
+		for i := range docs {
+			if docs[i] != pattern(l, class, b, i) || tfs[i] != uint32(l*blocks+b) {
+				t.Errorf("list %d block %d: doc[%d] = %d, tf = %d: another block's data", l, b, i, docs[i], tfs[i])
+				return
+			}
+		}
+	}
+
+	var hits, misses atomic.Int64
+	var wg sync.WaitGroup
+	var published sync.WaitGroup
+	published.Add(publishers)
+	for g := 0; g < readers+publishers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g < readers {
+				published.Wait()
+			}
+			rng := uint64(g)*2654435761 + 1
+			for op := 0; op < opsPerG; op++ {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				l, class, b := int(rng>>33)%lists, uint8(rng>>40)%2, int(rng>>45)%blocks
+				tab := tabs[l][class]
+				if g < readers {
+					if e := tab.Get(b); e != nil {
+						hits.Add(1)
+						check(e, l, class, b)
+						c.Release(e)
+					} else {
+						misses.Add(1)
+					}
+					continue
+				}
+				n := size(l, class, b)
+				var got *cache.Entry
+				if class == cache.ClassDoc {
+					e := c.ReserveBytes(n)
+					data := e.ByteBuf(n)
+					for i := range data {
+						data[i] = byte(pattern(l, class, b, i))
+					}
+					got = tab.PublishBytes(b, e, data)
+				} else {
+					e := c.Reserve(n)
+					docs, tfs := e.DocsBuf(n), e.TfsBuf(n)
+					for i := 0; i < n; i++ {
+						docs = append(docs, pattern(l, class, b, i))
+						tfs = append(tfs, uint32(l*blocks+b))
+					}
+					got = tab.Publish(b, e, docs, tfs, 0)
+				}
+				check(got, l, class, b)
+				c.Release(got)
+				if op == 0 {
+					published.Done()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	st := c.Stats()
+	if st.PinnedEntries != 0 || st.ResidentBytes > st.BudgetBytes {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st.Hits != hits.Load() || st.Misses != misses.Load() {
+		t.Fatalf("stats count %d hits / %d misses, the readers saw %d / %d",
+			st.Hits, st.Misses, hits.Load(), misses.Load())
+	}
+	if st.Evictions == 0 || st.PostingHits == 0 || st.DocHits == 0 {
+		t.Fatalf("stats = %+v: no churn or a class never hit, so the test exercises nothing", st)
+	}
+	t.Logf("slab class torture: %d hits (%d doc), %d misses, %d evictions, %d bypasses",
+		st.Hits, st.DocHits, st.Misses, st.Evictions, st.Bypasses)
+}

@@ -91,8 +91,9 @@ func TestClusterCacheDeterminism(t *testing.T) {
 // posting lists, the same list identities — each through its own cache, and
 // are queried at the same time. Were a table hung on the list, one cache's
 // entries would answer the other's lookups; as it is the answers match the
-// parent's, each cache counts its own lookups (the second, far too small for the working set,
-// also evicts), and nothing stays pinned in either.
+// parent's, each cache counts its own lookups (the second, 16 KiB, far too
+// small for the working set, also evicts), and nothing stays pinned in
+// either.
 func TestFreshClustersOwnTheirTables(t *testing.T) {
 	cl, exprs := cacheTestCluster(t, DefaultConfig())
 	const k = 20
@@ -106,7 +107,7 @@ func TestFreshClustersOwnTheirTables(t *testing.T) {
 	}
 
 	small := DefaultConfig()
-	small.CacheBytes = 64 << 10
+	small.CacheBytes = 16 << 10
 	fresh := make([]*Cluster, 2)
 	for i, cfg := range []Config{DefaultConfig(), small} {
 		nc, err := cl.Fresh(cfg)
