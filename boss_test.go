@@ -292,30 +292,72 @@ func TestCommonTermPanicsOnUserIndex(t *testing.T) {
 	ix.CommonTerm(0)
 }
 
+// TestIndexSerializationRoundTrip: an index read back from its file answers
+// as the built index does, bit for bit: the hand-written index one query
+// through Index.Search, and a synthetic one 300 sampled boolean queries
+// through both Index.Search and Accelerator.Search.
 func TestIndexSerializationRoundTrip(t *testing.T) {
+	readBack := func(ix *Index) *Index {
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadIndex(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	same := func(engine, expr string, got, want []Hit) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s %s: %d hits after the round trip, want %d", engine, expr, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].DocID != want[i].DocID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("%s %s: hit %d is %d/%v after the round trip, want %d/%v",
+					engine, expr, i, got[i].DocID, got[i].Score, want[i].DocID, want[i].Score)
+			}
+		}
+	}
+
 	ix := sampleIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := ix.Search(`"memory"`, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := got.Search(`"memory"`, 10)
+	hits, err := readBack(ix).Search(`"memory"`, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != len(want) {
-		t.Fatal("hit count differs after round trip")
-	}
-	for i := range hits {
-		if hits[i].DocID != want[i].DocID {
-			t.Fatal("results differ after round trip")
+	same("Index.Search", `"memory"`, hits, want)
+
+	c := corpus.Generate(corpus.CCNewsLike(0.02))
+	built := &Index{idx: index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid})}
+	back := readBack(built)
+	builtAcc, backAcc := built.Accelerator(AccelOptions{}), back.Accelerator(AccelOptions{})
+	for _, qt := range corpus.AllQueryTypes() {
+		for _, q := range corpus.SampleQueries(c, qt, 50, 3) {
+			for _, e := range []struct {
+				name   string
+				search func(*Index, *Accelerator) ([]Hit, error)
+			}{
+				{"Index.Search", func(ix *Index, _ *Accelerator) ([]Hit, error) { return ix.Search(q.Expr, 10) }},
+				{"Accelerator.Search", func(_ *Index, acc *Accelerator) ([]Hit, error) {
+					hits, _, err := acc.Search(q.Expr, 10)
+					return hits, err
+				}},
+			} {
+				want, err := e.search(built, builtAcc)
+				if err != nil {
+					t.Fatalf("%s %s: %v", e.name, q.Expr, err)
+				}
+				got, err := e.search(back, backAcc)
+				if err != nil {
+					t.Fatalf("%s %s after the round trip: %v", e.name, q.Expr, err)
+				}
+				same(e.name, q.Expr, got, want)
+			}
 		}
 	}
 }

@@ -13,8 +13,10 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
+	"strings"
 
 	"boss/internal/compress"
 	"boss/internal/corpus"
@@ -22,52 +24,58 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "indexstat: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and prints the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("indexstat", flag.ExitOnError)
 	var (
-		corpusName = flag.String("corpus", "clueweb", "synthetic corpus: clueweb or ccnews")
-		scale      = flag.Float64("scale", 0.02, "corpus scale in (0,1]")
-		file       = flag.String("file", "", "read a serialized index instead of generating one")
-		whatIf     = flag.Bool("whatif", false, "also build the corpus with each single scheme (slow)")
+		corpusName = fs.String("corpus", "clueweb", "synthetic corpus: clueweb or ccnews")
+		scale      = fs.Float64("scale", 0.02, "corpus scale in (0,1]")
+		file       = fs.String("file", "", "read a serialized index instead of generating one")
+		whatIf     = fs.Bool("whatif", false, "also build the corpus with each single scheme (slow)")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag
 
 	var idx *index.Index
 	var c *corpus.Corpus
 	if *file != "" {
 		f, err := os.Open(*file)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "indexstat: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		idx, err = index.Read(f)
-		closeErr := f.Close()
-		if err == nil {
+		if closeErr := f.Close(); err == nil {
 			err = closeErr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "indexstat: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 	} else {
 		spec, err := corpus.ByName(*corpusName, *scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "indexstat: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		c = corpus.Generate(spec)
 		idx = index.Build(c, index.BuildOptions{Scheme: compress.SchemeHybrid})
 	}
 
+	var b strings.Builder
 	st := idx.ComputeStats()
-	fmt.Printf("documents:        %d\n", st.NumDocs)
-	fmt.Printf("terms:            %d\n", st.NumTerms)
-	fmt.Printf("postings:         %d\n", st.TotalPostings)
-	fmt.Printf("payload bytes:    %d (%.2f B/posting)\n", st.PayloadBytes,
+	fmt.Fprintf(&b, "documents:        %d\n", st.NumDocs)
+	fmt.Fprintf(&b, "terms:            %d\n", st.NumTerms)
+	fmt.Fprintf(&b, "postings:         %d\n", st.TotalPostings)
+	fmt.Fprintf(&b, "payload bytes:    %d (%.2f B/posting)\n", st.PayloadBytes,
 		float64(st.PayloadBytes)/float64(max64(st.TotalPostings, 1)))
-	fmt.Printf("metadata bytes:   %d (19 B/block)\n", st.MetadataBytes)
-	fmt.Printf("norm bytes:       %d (4 B/doc)\n", st.NormBytes)
-	fmt.Printf("compression:      %.2fx over raw 8 B postings\n", st.CompressionRatio())
+	fmt.Fprintf(&b, "metadata bytes:   %d (19 B/block)\n", st.MetadataBytes)
+	fmt.Fprintf(&b, "norm bytes:       %d (4 B/doc)\n", st.NormBytes)
+	fmt.Fprintf(&b, "compression:      %.2fx over raw 8 B postings\n", st.CompressionRatio())
 
-	fmt.Printf("\nhybrid scheme choice by posting list:\n")
+	fmt.Fprintf(&b, "\nhybrid scheme choice by posting list:\n")
 	hist := idx.SchemeHistogram()
 	type kv struct {
 		s compress.Scheme
@@ -81,21 +89,23 @@ func main() {
 	// not follow map order.
 	slices.SortFunc(kvs, func(a, b kv) int { return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.s, b.s)) })
 	for _, e := range kvs {
-		fmt.Printf("  %-8s %7d lists (%.1f%%)\n", e.s, e.n, 100*float64(e.n)/float64(st.NumTerms))
+		fmt.Fprintf(&b, "  %-8s %7d lists (%.1f%%)\n", e.s, e.n, 100*float64(e.n)/float64(st.NumTerms))
 	}
 
 	if *whatIf && c != nil {
-		fmt.Printf("\nwhat-if payload sizes with a single scheme:\n")
+		fmt.Fprintf(&b, "\nwhat-if payload sizes with a single scheme:\n")
 		for _, s := range compress.AllSchemes() {
 			if s == compress.S16 {
 				// S16 cannot represent every delta stream.
 				continue
 			}
 			alt := index.Build(c, index.BuildOptions{Scheme: s}).ComputeStats()
-			fmt.Printf("  %-8s %12d bytes (%+.1f%% vs hybrid)\n", s, alt.PayloadBytes,
+			fmt.Fprintf(&b, "  %-8s %12d bytes (%+.1f%% vs hybrid)\n", s, alt.PayloadBytes,
 				100*float64(alt.PayloadBytes-st.PayloadBytes)/float64(st.PayloadBytes))
 		}
 	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 func max64(a, b int64) int64 {

@@ -8,7 +8,8 @@
 // early-termination variant in float64 and Q16.16, cold and cache-warm; the
 // cluster at 1 and -shards shards × 1 or 2 replicas × cache off or on,
 // through Search and SearchBatchQueries; the front door over the cluster;
-// the facade's Index, Accelerator, ShardedIndex.SearchCtx and both Servers.
+// the facade's Index, Accelerator, ReadIndex (the reference index written
+// and read back), ShardedIndex.SearchCtx and both Servers.
 //
 // Families: search (Q1–Q6), SPARSE (Q7 over the impact-quantized index) and
 // fetch (each query's reference top-k by id, and chained onto a search where
@@ -462,23 +463,10 @@ func (s *stream) facade(m *matrix, peer string) error {
 		return ready(facade(hs, nil, 0, err))
 	}})
 
-	// SPARSE runs on the reference index, written and read back: the
-	// synthetic index carries no impacts.
-	var file bytes.Buffer
-	if _, err := s.idx.WriteTo(&file); err != nil {
-		return err
-	}
-	imp, err := boss.ReadIndex(&file)
-	if err != nil {
-		return err
-	}
-	acc, impAcc := ix.Accelerator(boss.AccelOptions{}), imp.Accelerator(boss.AccelOptions{})
+	acc := ix.Accelerator(boss.AccelOptions{})
 	r := m.add(row{name: "boss Accelerator", exact: true})
-	s.drive(r, surface{sparse: true, fetch: true, chained: true, send: func(f int, q pool.BatchQuery) func() answer {
+	s.drive(r, surface{fetch: true, chained: true, send: func(f int, q pool.BatchQuery) func() answer {
 		switch {
-		case f == sparse:
-			hs, _, err := impAcc.Search(q.Expr, q.K)
-			return ready(facade(hs, nil, 0, err))
 		case q.FetchIDs != nil:
 			docs, _, err := acc.FetchDocs(q.FetchIDs)
 			return ready(facade(nil, docs, 0, err))
@@ -491,6 +479,22 @@ func (s *stream) facade(m *matrix, peer string) error {
 			r.cells[search].check(st.SimulatedLatency > 0 && st.ThroughputQPS > 0 && (len(hs) == 0 || st.DocsEvaluated > 0 && st.BlocksFetched > 0),
 				"%s: empty stats %+v", q.Expr, st)
 		}
+		return ready(facade(hs, nil, 0, err))
+	}})
+
+	// The reference index, written and read back, answers search and
+	// SPARSE (the synthetic index carries no impacts) exactly as built.
+	var file bytes.Buffer
+	if _, err := s.idx.WriteTo(&file); err != nil {
+		return err
+	}
+	imp, err := boss.ReadIndex(&file)
+	if err != nil {
+		return err
+	}
+	impAcc := imp.Accelerator(boss.AccelOptions{})
+	s.drive(m.add(row{name: "boss ReadIndex", exact: true}), surface{sparse: true, send: func(_ int, q pool.BatchQuery) func() answer {
+		hs, _, err := impAcc.Search(q.Expr, q.K)
 		return ready(facade(hs, nil, 0, err))
 	}})
 

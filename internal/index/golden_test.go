@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"boss/internal/compress"
@@ -14,8 +15,8 @@ import (
 )
 
 // digest hashes every built byte of the index in term order: per list the
-// scheme, placement, payload, each block's metadata and the list-wide
-// maxima, then the norms' placement and the footprint.
+// scheme, payload, each block's metadata and the list-wide maxima, then the
+// footprint.
 func (idx *Index) digest() string {
 	h := sha256.New()
 	var buf []byte
@@ -33,7 +34,6 @@ func (idx *Index) digest() string {
 		f64(pl.MaxScore)
 		u32(uint32(pl.ImpactStep))
 		u8(pl.MaxImpact)
-		u64(pl.BaseAddr)
 		u32(uint32(len(pl.Blocks)))
 		for _, b := range pl.Blocks {
 			u32(b.FirstDoc)
@@ -50,7 +50,6 @@ func (idx *Index) digest() string {
 		h.Write(pl.Data)
 		buf = buf[:0]
 	}
-	u64(idx.NormBaseAddr)
 	u64(idx.TotalBytes)
 	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
@@ -61,26 +60,26 @@ func (idx *Index) digest() string {
 // every payload byte and every block's metadata. A faster build must keep
 // these digests, which is what keeps every figure and simulated cost fixed.
 // It also pins the bytes WriteTo writes for each index, and requires Read
-// to give back the index that was written, block maxima rounded to the
-// float32 the file stores.
+// to give back the index that was written, bit for bit: the digest, the
+// header and every norm.
 func TestBuildGolden(t *testing.T) {
 	for _, tc := range []struct {
 		spec        corpus.Spec
 		impacts     bool
 		want, wfile string
 	}{
-		{corpus.ClueWebLike(0.01), false, "66ca68a0f2af607ef568f4efb1372060cfec818e01b0a79ce87b4fc3f510ba05",
-			"fc80b6ff5b1cdab547bd4f86d9fb64bce69700ca4eed9a15229d4ea0c6b6c166"},
-		{corpus.ClueWebLike(0.01), true, "1a45cb9047a7e91a35c982c44464e164790146300c8906c60996f2eb05f88352",
-			"c105ba32560d906fbe27aef2c471c69b02e021e01cc7b81107f01161b6e6336d"},
-		{corpus.CCNewsLike(0.01), false, "51232a7bce35ea2183f511b1806351f190550a05393aa6bd784e1c62912a7555",
-			"439ab7b5ca2ab415b638face0f589c2f0cf2cbce6b0c3ecc11bd50e41c0b6021"},
-		{corpus.CCNewsLike(0.01), true, "a7c2f30eb3c7a329a7722049aeb951acf1df5c7aa317a987ef4eb2b32c99b525",
-			"a1888017929d178cca7b997f377b8091338fe5ccea3d5f2e815e21f8a870ff97"},
-		{corpus.ClueWebLike(0.25), false, "fc96a6c8bdbf9c3eaa0f6b751304f4822003df9d81df6f8b2c101106955aad96",
-			"2e5b909d87dd03db7b2d651a6b0875080c1edb2bdba6a59c4d839c1418e53a7e"},
-		{corpus.ClueWebLike(0.25), true, "2c12a7a1c3a5454142be32da40df31c3c19b6b59bd256000aab0304045155798",
-			"8e100a654e23353174b36a2c3f4b7f4a3b0ff91db5eeba85e3658b7a506e47ae"},
+		{corpus.ClueWebLike(0.01), false, "5928c91e09b8f7f5703060af00a5d7ebfc445123ccdb277c98fe65ae41b50392",
+			"d952c8616e016ef9f69f5be8e66a176e458c5fad0cee41d464a379ae12615c0d"},
+		{corpus.ClueWebLike(0.01), true, "232557fd029a9299062c08b7fff69aba7a377d60a7748fecebd2b7a2d80f3ded",
+			"f925ec281cad2b1664a6e3587513fe17e969710e2f2b5f11b23342f673bcc890"},
+		{corpus.CCNewsLike(0.01), false, "9e22da5c9f1b238d9742b6f28b6ab09c1030df703ea62454a51ba736f79999c2",
+			"87dec00aaf8618568911d9586a7f86b7b0e0a907460a837119542fa21e498b77"},
+		{corpus.CCNewsLike(0.01), true, "e295178da507b27033c5b9dfae268ad92f2d488372a5f9d1f7e2d7d20fe5da48",
+			"f8357bfc6ebfbe47ad3d5d9f5b2f5af56b1c53948805fc21d147bd677444352c"},
+		{corpus.ClueWebLike(0.25), false, "dc8f51ef2b3fe74d21f0906cde6f8489316850744d0590ac2efeaa698ba08d7c",
+			"1cef4d6ba9f058e3215f5157538a20d16cd7dd5ad7dd0c58807b450848c8d9db"},
+		{corpus.ClueWebLike(0.25), true, "650551d86ecdf51a8fea79e1c8b1171464be67212309687feabb6c0e49e78be0",
+			"b38d94e3589bd39c9dace86151d9dc46d64969c20e9d52b21fc8927828063f55"},
 	} {
 		c := corpus.Generate(tc.spec)
 		idx := Build(c, BuildOptions{Scheme: compress.SchemeHybrid, Impacts: tc.impacts})
@@ -99,14 +98,12 @@ func TestBuildGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Read: %v", name, err)
 		}
-		// The file keeps each block's maximum score as a float32.
-		for _, pl := range idx.Lists {
-			for b := range pl.Blocks {
-				pl.Blocks[b].MaxScore = float64(float32(pl.Blocks[b].MaxScore))
-			}
-		}
 		if got, want := back.digest(), idx.digest(); got != want {
 			t.Errorf("%s: Read(WriteTo) digest %s, want %s", name, got, want)
+		}
+		if back.NumDocs != idx.NumDocs || back.AvgDocLen != idx.AvgDocLen || back.Params != idx.Params ||
+			!slices.Equal(back.DocNorms, idx.DocNorms) {
+			t.Errorf("%s: Read(WriteTo) header or norms differ from the built index", name)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package index
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -73,10 +74,6 @@ type PostingList struct {
 	ImpactStep score.Fixed
 	MaxImpact  uint8
 
-	// BaseAddr is the list's placement in the simulated memory node's
-	// address space, assigned by the builder.
-	BaseAddr uint64
-
 	// codec is the Scheme's codec, resolved once at build/load time so the
 	// per-block decode path skips the scheme dispatch.
 	codec compress.Codec
@@ -123,11 +120,8 @@ type Index struct {
 	DocNorms []float64
 	// Lists maps term -> posting list.
 	Lists map[string]*PostingList
-	// NormBaseAddr is the placement of the per-document norm array in the
-	// simulated address space.
-	NormBaseAddr uint64
-	// TotalBytes is the total simulated footprint (payloads + metadata +
-	// norms).
+	// TotalBytes is the modeled footprint: payloads, block metadata and
+	// norms.
 	TotalBytes uint64
 }
 
@@ -172,7 +166,7 @@ func BuildRange(c *corpus.Corpus, lo, hi int, opts BuildOptions) *Index {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultBlockSize
 	}
-	if opts.BlockSize > 1<<16 {
+	if opts.BlockSize > math.MaxUint16 {
 		panic("index: block size exceeds metadata range")
 	}
 	if opts.Params == (score.Params{}) {
@@ -216,7 +210,7 @@ func BuildRange(c *corpus.Corpus, lo, hi int, opts BuildOptions) *Index {
 
 	// Posting lists are independent once the document norms exist; build
 	// them on every P, the caller included, each worker claiming buildChunk
-	// terms at a time, then lay out identities and addresses in term order.
+	// terms at a time, then hand out identities in term order.
 	var next atomic.Int64
 	work := func() {
 		sc := buildScratch{base: uint32(lo)}
@@ -249,17 +243,19 @@ func BuildRange(c *corpus.Corpus, lo, hi int, opts BuildOptions) *Index {
 	wg.Wait()
 
 	idx.Lists = make(map[string]*PostingList, len(lists))
-	var addr uint64
+	idx.TotalBytes = uint64(idx.NumDocs * DocNormBytes)
 	for j := range lists {
-		pl := &lists[j]
-		pl.id.Store(nextListID.Add(1))
-		pl.BaseAddr = addr
-		addr += uint64(len(pl.Data)) + uint64(pl.MetadataBytes())
-		idx.Lists[pl.Term] = pl
+		idx.addList(&lists[j], nextListID.Add(1))
 	}
-	idx.NormBaseAddr = addr
-	idx.TotalBytes = addr + uint64(idx.NumDocs*DocNormBytes)
 	return idx
+}
+
+// addList files pl under its term with identity id, and adds its payload
+// and block metadata to TotalBytes, which the norms' bytes start.
+func (idx *Index) addList(pl *PostingList, id uint64) {
+	pl.id.Store(id)
+	idx.Lists[pl.Term] = pl
+	idx.TotalBytes += uint64(len(pl.Data) + pl.MetadataBytes())
 }
 
 // termSpan is one term present in a BuildRange: its rank in the corpus,

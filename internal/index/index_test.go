@@ -146,32 +146,6 @@ func TestHybridNotWorseThanAnySingleScheme(t *testing.T) {
 	}
 }
 
-func TestAddressesAreDisjoint(t *testing.T) {
-	c := testCorpus(t)
-	idx := buildHybrid(t, c)
-	type region struct {
-		start, end uint64
-	}
-	var regions []region
-	for _, pl := range idx.Lists {
-		regions = append(regions, region{pl.BaseAddr, pl.BaseAddr + uint64(len(pl.Data)) + uint64(pl.MetadataBytes())})
-	}
-	regions = append(regions, region{idx.NormBaseAddr, idx.TotalBytes})
-	for i, a := range regions {
-		if a.end > idx.TotalBytes {
-			t.Fatalf("region %d extends past TotalBytes", i)
-		}
-		for j, b := range regions {
-			if i == j {
-				continue
-			}
-			if a.start < b.end && b.start < a.end {
-				t.Fatalf("regions %d and %d overlap", i, j)
-			}
-		}
-	}
-}
-
 func TestDocNorms(t *testing.T) {
 	c := testCorpus(t)
 	idx := buildHybrid(t, c)
@@ -308,7 +282,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if got.NumDocs != idx.NumDocs || len(got.Lists) != len(idx.Lists) {
 		t.Fatal("header mismatch after round trip")
 	}
-	if !approxEqual(got.AvgDocLen, idx.AvgDocLen) {
+	if got.AvgDocLen != idx.AvgDocLen {
 		t.Fatal("avgdl mismatch")
 	}
 	for _, term := range idx.Terms() {
@@ -328,13 +302,13 @@ func TestSerializationRoundTrip(t *testing.T) {
 				ab.Offset != bb.Offset || ab.Length != bb.Length || ab.Count != bb.Count {
 				t.Fatalf("term %s block %d mismatch", term, i)
 			}
-			if !approxEqual(ab.MaxScore, bb.MaxScore) {
+			if ab.MaxScore != bb.MaxScore {
 				t.Fatalf("term %s block %d max score mismatch", term, i)
 			}
 		}
 	}
 	for d := range idx.DocNorms {
-		if !approxEqual(idx.DocNorms[d], got.DocNorms[d]) {
+		if idx.DocNorms[d] != got.DocNorms[d] {
 			t.Fatalf("norm %d mismatch", d)
 		}
 	}
@@ -401,6 +375,37 @@ func TestSmallBlockSize(t *testing.T) {
 	docs, _ = idx.DecodeBlock(pl, 0, docs, nil)
 	if len(docs) != 16 {
 		t.Fatalf("first block has %d docs", len(docs))
+	}
+}
+
+// A block holds at most math.MaxUint16 postings, the most its Count
+// records: a larger block size is refused, and the largest one allowed
+// gives back every posting of a list longer than one block.
+func TestBlockSizeBound(t *testing.T) {
+	const n = 70000
+	c := &corpus.Corpus{Spec: corpus.Spec{Name: "one-term", NumDocs: n, NumTerms: 1}, AvgDocLen: 1, TotalPostings: n}
+	ps := make([]corpus.Posting, n)
+	for i := range ps {
+		ps[i] = corpus.Posting{DocID: uint32(i), TF: 1}
+		c.DocLens = append(c.DocLens, 1)
+	}
+	c.Terms = []corpus.TermPostings{{Term: "t0", Postings: ps}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Build accepted a block size of 1<<16")
+			}
+		}()
+		Build(c, BuildOptions{Scheme: compress.SchemeHybrid, BlockSize: 1 << 16})
+	}()
+	idx := Build(c, BuildOptions{Scheme: compress.SchemeHybrid, BlockSize: math.MaxUint16})
+	pl := idx.MustList("t0")
+	var docs []uint32
+	for b := range pl.Blocks {
+		docs, _ = idx.DecodeBlock(pl, b, docs, nil)
+	}
+	if len(pl.Blocks) != 2 || len(docs) != n {
+		t.Fatalf("%d blocks decode to %d postings, want 2 blocks and %d", len(pl.Blocks), len(docs), n)
 	}
 }
 
@@ -520,10 +525,4 @@ func TestBuildDecodeQuickProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// approxEqual allows for float32 rounding introduced by serialization.
-func approxEqual(a, b float64) bool {
-	diff := math.Abs(a - b)
-	return diff <= 1e-6*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }

@@ -74,7 +74,7 @@ func buildCluster(t *testing.T, c *corpus.Corpus) clusterBuild {
 // the docID range of the one corpus it serves, and the document stores
 // EnsureDocs packs.
 const (
-	goldenShards = "560a11d25f835c832cf16680adaad9ee66b7dd64ee39e2c894e1c726e8276dcc"
+	goldenShards = "c8a6fc645fe14cfde6cd71bf9fbe70bfe8f0f1755428837017f5ae8af8f74f42"
 	goldenDocs   = "709bcdd8334a950112689a8de1119f92a625983a3e6d7a84f928e744f3a210ab"
 )
 
@@ -88,7 +88,7 @@ func TestBuildGolden(t *testing.T) {
 	}{
 		{corpus.ClueWebLike(0.01), goldenShards, goldenDocs},
 		{corpus.ClueWebLike(0.25),
-			"45e822537cfca6c466d18450b380ab32d752ce833c1c46526affb0aad21d6266",
+			"b3d1736c535a31bcd4d0d91c423392131db27deb362acf56de4198d3b47c9ef9",
 			"630e837eda9a26a0fbc0a2cce70abdb2b5bace893402d453b1e0933534e83929"},
 	} {
 		b := buildCluster(t, corpus.Generate(tc.spec))

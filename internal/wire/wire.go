@@ -87,12 +87,11 @@ func (d *Decoder) Next(n int) []byte {
 	return d.buf[d.pos-n : d.pos]
 }
 
-// U8 to U64 consume an unsigned integer, F32 and F64 a float (F32 widened).
+// U8 to U64 consume an unsigned integer, F64 a float.
 func (d *Decoder) U8() uint8    { return d.Next(1)[0] }
 func (d *Decoder) U16() uint16  { return binary.LittleEndian.Uint16(d.Next(2)) }
 func (d *Decoder) U32() uint32  { return binary.LittleEndian.Uint32(d.Next(4)) }
 func (d *Decoder) U64() uint64  { return binary.LittleEndian.Uint64(d.Next(8)) }
-func (d *Decoder) F32() float64 { return float64(math.Float32frombits(d.U32())) }
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // ReadFull fills p from the stream.
@@ -123,15 +122,6 @@ func (d *Decoder) Magic(magic string) error {
 		return fmt.Errorf("bad magic %q (want %q)", p, magic)
 	}
 	return nil
-}
-
-// Sniff consumes magic if it comes next, and reports whether it did.
-func (d *Decoder) Sniff(magic string) bool {
-	ok := (d.end-d.pos >= len(magic) || d.fill(len(magic))) && string(d.buf[d.pos:d.pos+len(magic)]) == magic
-	if ok {
-		d.pos += len(magic)
-	}
-	return ok
 }
 
 // Footer consumes the footer Seal wrote, which must seal every byte
