@@ -573,13 +573,6 @@ func ShardReplicated(kind SyntheticKind, scale float64, nodes int, opt ReplicaOp
 	if opt.Replicas != 0 {
 		cfg.Replicas = opt.Replicas // as given: NewCluster refuses a negative count
 	}
-	if opt.Replicas > 1 {
-		// Replication without retries cannot fail over: a query whose
-		// deterministic draw lands on a dead copy would degrade instead
-		// of rotating onto a survivor. Single-copy deployments keep the
-		// zero-valued (retry-free) resilience Shard always had.
-		cfg.Resilience = pool.DefaultResilience()
-	}
 	cl, err := pool.NewCluster(cfg, c, nodes)
 	if err != nil {
 		return nil, err

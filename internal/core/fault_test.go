@@ -266,4 +266,33 @@ func TestFaultReplayDeterministic(t *testing.T) {
 			t.Fatalf("query %d: replay diverged: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+
+	// Cached arm: each query twice back to back on one cached accelerator,
+	// the second run over the blocks the first one published. The fault
+	// draws come before the cache's answer and restart at attempt 0, so
+	// the second run fails as the first did or answers as it did, charge
+	// for charge. A retry on the same copy therefore cannot succeed.
+	acc := NewCached(f.idx, DefaultOptions(), cache.New(64<<20))
+	acc.SetFault(plan.InjectorFor(0))
+	var retried int64
+	for i, node := range nodes {
+		first, err1 := acc.exec(nil, node.Plan(), 10)
+		second, err2 := acc.exec(nil, node.Plan(), 10)
+		switch {
+		case err1 != nil || err2 != nil:
+			if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
+				t.Fatalf("query %d: the cached rerun's error %v differs from the first run's %v", i, err2, err1)
+			}
+		case *first.M != *second.M:
+			t.Fatalf("query %d: the cached rerun charged\n%+v\nwhere the first run charged\n%+v", i, *second.M, *first.M)
+		default:
+			if err := oracle.Same(second.TopK, first.TopK); err != nil {
+				t.Fatalf("query %d: the cached rerun's answer: %v", i, err)
+			}
+			retried += second.M.TransientRetries
+		}
+	}
+	if retried == 0 || acc.Cache().Stats().Hits == 0 {
+		t.Fatalf("%d transient retries, %d cache hits: the cached arm checks nothing", retried, acc.Cache().Stats().Hits)
+	}
 }

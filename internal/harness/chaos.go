@@ -43,9 +43,9 @@ type ChaosPoint struct {
 	// TransientRetries counts device reads the accelerators retried
 	// transparently (core-level, from the per-shard metrics).
 	TransientRetries int64 `json:"transient_retries"`
-	// ShardRetries counts pool-level shard re-attempts (backoff events),
-	// and BreakerOpens counts circuit-breaker opens, both summed across
-	// shard replicas from the resilience event logs.
+	// ShardRetries counts pool-level shard re-attempts (backoffs), and
+	// BreakerOpens counts circuit-breaker opens, both summed over shard
+	// replicas from pool.Cluster.ReplicaStats.
 	ShardRetries int `json:"shard_retries"`
 	BreakerOpens int `json:"breaker_opens"`
 	// QPS is real host-side throughput and P50LatencyUS / P99LatencyUS
@@ -60,9 +60,9 @@ type ChaosPoint struct {
 // resilient cluster serving path at increasing fault-injection rates. Rate
 // zero is the control — it runs with a nil fault plan, i.e. the exact
 // fault-free fast path every simulated figure uses. With Replicas > 1 the
-// sweep serves from replicated shards with retries armed; with ReplicaKill
-// the fault plan additionally takes copy 0 of every shard down, so
-// availability measures pure replica failover.
+// sweep serves from replicated shards, which retry on another copy; with
+// ReplicaKill the fault plan additionally takes copy 0 of every shard down,
+// so availability measures pure replica failover.
 type ChaosReport struct {
 	ReportHeader
 	Replicas    int          `json:"replicas"`
@@ -77,8 +77,7 @@ var chaosRates = []float64{0, 0.001, 0.01}
 // chaosBatch is how many Zipfian queries each operating point serves per
 // measurement pass, and chaosPasses how many serial passes it makes: a
 // fixed count, so a point's query total does not depend on how fast the
-// host is (1,000 per point, well inside the pool's 16Ki-event log, so the
-// shard-retries and breaker-opens columns count every event).
+// host is (1,000 per point).
 const (
 	chaosBatch  = 200
 	chaosPasses = 5
@@ -108,21 +107,15 @@ func chaosExprs(c *corpus.Corpus, seed int64, n int) []string {
 // chaosConfig is the sweep's cluster configuration: cache off (faults are
 // drawn on the decode path, so a warm decoded-block cache would absorb
 // the fault plan after the first pass and every point would trivially
-// report full availability), the requested replica count, retries armed
-// on replicated sweeps, and a serial shard sweep on the given clock.
+// report full availability), the requested replica count (a replicated
+// sweep retries a failed attempt on another copy; a single copy degrades
+// it), and a serial shard sweep on the given clock.
 func chaosConfig(replicas int, clk clock.Clock) pool.Config {
 	cfg := pool.DefaultConfig()
 	cfg.CacheBytes = 0
 	cfg.Replicas = replicas
 	cfg.Workers = 1
 	cfg.Clock = clk
-	if replicas > 1 {
-		// Replicated sweeps arm retries, so a failed attempt rotates onto
-		// another copy instead of degrading. Single-copy sweeps keep the
-		// zero policy: no retries, so an uncorrectable error degrades the
-		// result.
-		cfg.Resilience = pool.DefaultResilience()
-	}
 	return cfg
 }
 
@@ -131,7 +124,7 @@ func chaosConfig(replicas int, clk clock.Clock) pool.Config {
 // never leak across points, while the expensive shard index builds are
 // shared), its own fake clock, the rate's fault plan, and
 // chaosPasses serial passes over the batch. The cluster is returned for
-// tests that read its event logs.
+// tests that read its replica counters.
 //
 //boss:wallclock qps and the latency percentiles intentionally measure real host-side work.
 func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate float64, replicaKill bool) (ChaosPoint, *pool.Cluster) {
@@ -189,13 +182,10 @@ func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate floa
 	pt.Availability = float64(pt.FullyOK+pt.Degraded) / float64(pt.Queries)
 	pt.QPS = float64(pt.Queries) / elapsed.Seconds()
 	for si := 0; si < cl.Shards(); si++ {
-		for _, ev := range cl.Events(si) {
-			switch ev.Kind {
-			case pool.EvBackoff:
-				pt.ShardRetries++
-			case pool.EvBreakerOpen:
-				pt.BreakerOpens++
-			}
+		for ri := 0; ri < cl.Replicas(); ri++ {
+			st := cl.ReplicaStats(si, ri)
+			pt.ShardRetries += st.Backoffs
+			pt.BreakerOpens += st.BreakerOpens
 		}
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
@@ -211,7 +201,7 @@ func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate floa
 // cooldowns are functions of the query sequence and every outcome column
 // is byte-identical across runs. Rate zero is the control: full
 // availability, zero retries and breaker opens. replicas > 1 serves every
-// point from replicated shards with retries armed;
+// point from replicated shards, which retry on another copy;
 // replicaKill additionally takes copy 0 of every shard down at every point
 // (requires replicas >= 2 — with one copy a whole-replica kill is just an
 // outage). The shard index builds are shared across points;

@@ -85,6 +85,14 @@ func TestChaosDeterministic(t *testing.T) {
 	if p := kill[2]; p.Failed != 0 || p.Degraded > 235 {
 		t.Errorf("replica kill at 1%%: %d degraded, %d failed; want at most 235 and 0", p.Degraded, p.Failed)
 	}
+	// DESIGN §14's shard-retries and breaker-opens columns: every attempt
+	// on a dead copy pays one backoff, and only the dead copies' breakers
+	// open.
+	for i, want := range [][2]int{{48, 20}, {48, 20}, {40, 20}} {
+		if got := [2]int{kill[i].ShardRetries, kill[i].BreakerOpens}; got != want {
+			t.Errorf("replica kill at %v: shard-retries/breaker-opens = %v, want %v", kill[i].FaultRate, got, want)
+		}
+	}
 
 	// The same 1% replica-kill point again, keeping the cluster: no breaker
 	// ever opened on a surviving copy.
@@ -98,10 +106,8 @@ func TestChaosDeterministic(t *testing.T) {
 		t.Fatalf("the 1%% replica-kill point differs from the sweep's:\n%+v\n%+v", pt, kill[2])
 	}
 	for si := 0; si < cl.Shards(); si++ {
-		for _, ev := range cl.ReplicaEvents(si, 1) {
-			if ev.Kind == pool.EvBreakerOpen {
-				t.Fatalf("shard %d: the surviving copy's breaker opened: %+v", si, ev)
-			}
+		if st := cl.ReplicaStats(si, 1); st.BreakerOpens != 0 {
+			t.Fatalf("shard %d: the surviving copy's breaker opened: %+v", si, st)
 		}
 	}
 }

@@ -153,13 +153,13 @@ func TestFig15BOSSHasNoInterTraffic(t *testing.T) {
 }
 
 func TestDeviceFor(t *testing.T) {
-	if deviceFor(Lucene, "scm").Name != "host-scm" {
+	if deviceFor(Lucene, "scm") != mem.HostSCM() {
 		t.Fatal("Lucene on SCM should use the host SCM config")
 	}
-	if deviceFor(Lucene, "dram").Name != "host-dram" {
+	if deviceFor(Lucene, "dram") != mem.HostDRAM() {
 		t.Fatal("Lucene on DRAM should use the host DRAM config")
 	}
-	if deviceFor(BOSS, "scm").Name != "scm" || deviceFor(IIU, "dram").Name != "dram" {
+	if deviceFor(BOSS, "scm") != mem.SCM() || deviceFor(IIU, "dram") != mem.DRAM() {
 		t.Fatal("accelerators should use pool device configs")
 	}
 }

@@ -60,8 +60,6 @@ func Categories() []Category {
 
 // Config describes one memory device type attached to a node.
 type Config struct {
-	// Name labels the device ("scm", "dram").
-	Name string
 	// Channels is the number of independent channels on the node (Table I
 	// prints it; the roofline reads only the aggregate bandwidths below).
 	Channels int
@@ -84,7 +82,6 @@ type Config struct {
 // write, with Optane-like latency and 256 B internal granularity.
 func SCM() Config {
 	return Config{
-		Name:        "scm",
 		Channels:    4,
 		SeqReadGBs:  25.6,
 		RandReadGBs: 6.6,
@@ -98,7 +95,6 @@ func SCM() Config {
 // (85.2 GB/s), uniform read bandwidth and DRAM-class latency.
 func DRAM() Config {
 	return Config{
-		Name:        "dram",
 		Channels:    4,
 		SeqReadGBs:  85.2,
 		RandReadGBs: 42.6, // row-miss-dominated scattered reads
@@ -112,7 +108,6 @@ func DRAM() Config {
 // 39.6 GB/s), used when the Lucene baseline runs against SCM.
 func HostSCM() Config {
 	c := SCM()
-	c.Name = "host-scm"
 	c.Channels = 6
 	c.SeqReadGBs = 39.6
 	c.RandReadGBs = 9.9
@@ -124,7 +119,6 @@ func HostSCM() Config {
 // channels, 140.76 GB/s).
 func HostDRAM() Config {
 	c := DRAM()
-	c.Name = "host-dram"
 	c.Channels = 6
 	c.SeqReadGBs = 140.76
 	c.RandReadGBs = 70.4

@@ -3,12 +3,12 @@ package mem
 import "testing"
 
 func TestConfigPresets(t *testing.T) {
-	for _, cfg := range []Config{SCM(), DRAM(), HostSCM(), HostDRAM()} {
+	for i, cfg := range []Config{SCM(), DRAM(), HostSCM(), HostDRAM()} {
 		if cfg.Channels <= 0 || cfg.SeqReadGBs <= 0 || cfg.WriteGBs <= 0 {
-			t.Errorf("config %s has zero fields: %+v", cfg.Name, cfg)
+			t.Errorf("preset %d has zero fields: %+v", i, cfg)
 		}
 		if cfg.RandReadGBs > cfg.SeqReadGBs {
-			t.Errorf("config %s: random faster than sequential", cfg.Name)
+			t.Errorf("preset %d: random faster than sequential", i)
 		}
 	}
 	if SCM().SeqReadGBs != 25.6 || SCM().RandReadGBs != 6.6 || SCM().WriteGBs != 9.2 {

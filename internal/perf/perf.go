@@ -52,7 +52,7 @@ type Metrics struct {
 	PostingsDecoded  int64
 	MembershipProbes int64
 
-	// Resilience counters (PR 5). Both stay zero with an empty
+	// Fault counters (PR 5). Both stay zero with an empty
 	// FaultPlan, so every reproduction figure is unaffected.
 	//
 	// TransientRetries counts block reads re-issued after an injected

@@ -47,16 +47,12 @@ type Config struct {
 	// shard the cluster keeps (R-way replication). Each replica has its
 	// own accelerator, fault-injection domain and circuit breaker over
 	// the shard's one index and document store; every query routes across
-	// replicas with deterministic seeded selection, skipping replicas
-	// whose breakers are open. 1 (the DefaultConfig value) is single-copy
-	// serving, byte-identical to the pre-replication code path; values
-	// below 1 are rejected by NewCluster with ErrBadConfig.
+	// replicas with deterministic selection, skipping replicas whose
+	// breakers are open. Retries follow replication: a replicated shard
+	// retries a failed attempt on another copy, a single copy never
+	// retries (resilient.go). 1 (the DefaultConfig value) is single-copy
+	// serving; values below 1 are rejected by NewCluster with ErrBadConfig.
 	Replicas int
-	// Resilience configures the cluster's serving-path fault handling
-	// (every entry point runs under it). Its zero or negative backoff and
-	// breaker fields take DefaultResilience values; MaxRetries does not, so
-	// a zero MaxRetries retries nothing.
-	Resilience Resilience
 	// Clock supplies time to breaker cooldowns and retry backoff; nil uses
 	// the wall clock. Tests and the chaos sweep inject a clock.FakeClock,
 	// the same one as the front door's when one sits on top.
@@ -113,10 +109,9 @@ type Cluster struct {
 	fetchers  [][]*core.FetchEngine
 	faultPlan *mem.FaultPlan
 
-	// Resilience machinery (see resilient.go): normalized policy, one
-	// breaker + event log per shard replica, and the clock (Config.Clock)
-	// that breaker cooldowns and retry backoff run on.
-	res    Resilience
+	// Fault handling (see resilient.go): one breaker and its
+	// counters per shard replica, and the clock (Config.Clock) that
+	// breaker cooldowns and retry backoff run on.
 	states [][]*shardState
 	clock  clock.Clock
 
@@ -248,12 +243,12 @@ func (cl *Cluster) buildReplicas(idx *index.Index) []*core.Accelerator {
 
 // Fresh returns a new cluster over the same built shard indexes with
 // fresh serving state: its own decoded-block cache, accelerators,
-// breaker/event state, no fault plan, and an unbuilt fetch phase. The
+// breakers and counters, no fault plan, and an unbuilt fetch phase. The
 // expensive immutable artifacts — the shard index builds — are
 // shared with the receiver, so sweeps that need per-point
 // state isolation (the chaos harness) pay index construction once
 // instead of once per sweep point. cfg may differ from the receiver's
-// (a different cache budget, replica count, or resilience policy).
+// (a different cache budget, replica count or clock).
 func (cl *Cluster) Fresh(cfg Config) (*Cluster, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
@@ -275,7 +270,7 @@ func (cl *Cluster) Fresh(cfg Config) (*Cluster, error) {
 // initServing wires the per-request machinery once the shards exist: the
 // resilience state and the record pool. NewCluster and Fresh call it.
 func (cl *Cluster) initServing() {
-	cl.initResilience(cl.cfg.Resilience)
+	cl.initBreakers()
 	cl.records.New = func() any { return newRecord(cl) }
 }
 

@@ -221,21 +221,22 @@ func TestSparseRefusedBeforeTheShards(t *testing.T) {
 		{"NewSingle 17 terms", single, `"t1"` + strings.Repeat(` OR "t1"`, query.MaxTerms), func(err error) bool { return errors.As(err, &lim) }},
 		{"NewCluster 17 terms", cl, `"t1"` + strings.Repeat(` OR "t1"`, query.MaxTerms), func(err error) bool { return errors.As(err, &lim) }},
 	} {
-		for i := 0; i < 2*DefaultResilience().BreakerThreshold; i++ {
+		for i := 0; i < 2*breakerThreshold; i++ {
 			if _, err := tc.cl.SearchCtx(context.Background(), tc.expr, 10); !tc.refused(err) {
 				t.Fatalf("%s: query %d: err = %v, want a refusal", tc.name, i, err)
 			}
 		}
-		if evs := tc.cl.Events(0); len(evs) != 0 {
-			t.Fatalf("%s: the refusals reached shard 0: %v", tc.name, evs)
+		if st := tc.cl.ReplicaStats(0, 0); st != (ReplicaStats{}) {
+			t.Fatalf("%s: the refusals reached shard 0: %+v", tc.name, st)
 		}
 	}
 	for _, tc := range []struct {
 		name string
 		cl   *Cluster
 	}{{"NewCluster", cl}, {"NewSingle", single}} {
-		if _, err := tc.cl.Search(`"t1" AND "t2"`, 10); err != nil || len(tc.cl.Events(0)) != 1 {
-			t.Fatalf("%s: boolean query after the refusals: %v, shard 0 events %v", tc.name, err, tc.cl.Events(0))
+		_, err := tc.cl.Search(`"t1" AND "t2"`, 10)
+		if st := tc.cl.ReplicaStats(0, 0); err != nil || st != (ReplicaStats{Successes: 1}) {
+			t.Fatalf("%s: boolean query after the refusals: %v, shard 0 counters %+v", tc.name, err, st)
 		}
 	}
 

@@ -84,9 +84,8 @@ func searchThenFetch(fetch func(cl *Cluster, ids []uint32) (*ClusterResult, erro
 }
 
 // TestEntryPointsAgree is the wrapper contract of the cluster's request
-// surface: on a clean cluster (no fault plan, zero Resilience) every
-// exported entry point returns the same ranking, the same per-shard
-// simulated work (perf.Metrics: bytes by category, accesses, compute time)
+// surface: on a clean cluster (no fault plan) every exported entry point
+// returns the same ranking, the same per-shard simulated work (perf.Metrics: bytes by category, accesses, compute time)
 // and the same link traffic for the same query — whatever the worker
 // width, replica count or cache setting — and every way of getting
 // documents returns the same payloads. The first row of each table is the

@@ -13,32 +13,40 @@ import (
 	"boss/internal/mem"
 )
 
-// policyFixture is a Fresh two-shard, single-copy cluster on a fake clock
-// (backoff sleeps advance it and return at once); shard 1 is the one the
-// tests break.
+// policyFixture is a Fresh two-shard cluster with two copies of each shard
+// on a fake clock (backoff sleeps advance it and return at once); shard 1
+// is the one the tests break. It keeps two copies because a single copy
+// never retries.
 type policyFixture struct {
 	cl    *Cluster
 	clock *clock.FakeClock
+	trace strings.Builder
 }
 
-const policyFaulty = 1
+const (
+	policyFaulty   = 1
+	policyReplicas = 2
+)
+
+var policyEpoch = time.Unix(1000, 0)
 
 func policyConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Workers = 1 // serial sweep: the event order is the request order
-	cfg.Resilience = Resilience{
-		MaxRetries:       2,
-		Seed:             3,
-		BreakerThreshold: 5,
-		BreakerCooldown:  time.Minute,
-	}
+	cfg.Replicas = policyReplicas
+	cfg.Workers = 1 // serial sweep: the counters follow the request order
 	return cfg
+}
+
+// policyDead is a plan whose only fault is that both copies of the faulty
+// shard are dead (copy ri of shard si is device si*Replicas+ri).
+func policyDead() *mem.FaultPlan {
+	return &mem.FaultPlan{Seed: 1, DeadDevices: []int{policyFaulty * policyReplicas, policyFaulty*policyReplicas + 1}}
 }
 
 func newPolicyFixture(t *testing.T, base *Cluster, plan *mem.FaultPlan) *policyFixture {
 	t.Helper()
 	cfg := policyConfig()
-	fake := clock.NewFakeClock(time.Unix(1000, 0))
+	fake := clock.NewFakeClock(policyEpoch)
 	cfg.Clock = fake
 	cl, err := base.Fresh(cfg)
 	if err != nil {
@@ -48,27 +56,41 @@ func newPolicyFixture(t *testing.T, base *Cluster, plan *mem.FaultPlan) *policyF
 	return &policyFixture{cl: cl, clock: fake}
 }
 
-// trace renders the faulty shard's event log as kind/attempt/backoff — the
-// fields the attempt policy decides; error texts name the failing layer and
-// legitimately differ between a search and a fetch.
-func (f *policyFixture) trace() string {
-	var b strings.Builder
-	for _, ev := range f.cl.Events(policyFaulty) {
-		fmt.Fprintf(&b, "%s:a%d:%v ", ev.Kind, ev.Attempt, ev.Backoff)
+// faulty sums the faulty shard's counters over its copies: a search and a
+// fetch start their rotation from different copies, so per-copy counts
+// may come out mirrored.
+func (f *policyFixture) faulty() ReplicaStats {
+	var sum ReplicaStats
+	for ri := 0; ri < policyReplicas; ri++ {
+		st := f.cl.ReplicaStats(policyFaulty, ri)
+		sum.Successes += st.Successes
+		sum.Failures += st.Failures
+		sum.Backoffs += st.Backoffs
+		sum.BreakerOpens += st.BreakerOpens
+		sum.BreakerHalfOpens += st.BreakerHalfOpens
+		sum.BreakerCloses += st.BreakerCloses
+		sum.BreakerRejects += st.BreakerRejects
 	}
-	return b.String()
+	return sum
 }
 
-// drive issues seven requests (enough to open the breaker and be rejected
-// by it), lets the cooldown pass, and issues two more (a half-open probe
-// that fails, then a reject).
+// drive issues seven requests (enough to open the breakers and be rejected
+// by them), lets the cooldown pass, and issues two more (half-open probes
+// that fail, then rejects). After each request it appends the faulty
+// shard's counters and the clock's reading to the trace: what the attempt
+// policy decided, request by request. (Error texts name the failing layer
+// and legitimately differ between a search and a fetch.)
 func (f *policyFixture) drive(request func()) {
-	for i := 0; i < 7; i++ {
+	step := func() {
 		request()
+		fmt.Fprintf(&f.trace, "%+v @%v\n", f.faulty(), f.clock.Now().Sub(policyEpoch))
 	}
-	f.clock.Advance(2 * time.Minute)
-	request()
-	request()
+	for i := 0; i < 7; i++ {
+		step()
+	}
+	f.clock.Advance(2 * breakerCooldown)
+	step()
+	step()
 }
 
 // TestSearchAndFetchShareAttemptPolicy: searches and fetches run through
@@ -84,48 +106,39 @@ func TestSearchAndFetchShareAttemptPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		plan *mem.FaultPlan
-		want []string // event kinds the history must contain
 	}{
-		{
-			name: "dead device",
-			plan: &mem.FaultPlan{Seed: 1, DeadDevices: []int{policyFaulty}},
-			want: []string{"breaker-open", "breaker-reject", "breaker-half-open"},
-		},
-		{
-			name: "every read transient",
-			plan: &mem.FaultPlan{Seed: 1, TransientRate: 0.999999},
-			want: []string{"backoff", "breaker-open", "breaker-reject", "breaker-half-open"},
-		},
+		{"dead device", policyDead()},
+		{"every read transient", &mem.FaultPlan{Seed: 1, TransientRate: 0.999999}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			search := newPolicyFixture(t, base, tc.plan)
-			search.drive(func() { search.cl.SearchCtx(ctx, `"t0"`, 5) })
+			// Masked to the faulty shard, as the fetch touches no other:
+			// only its backoffs move the clock.
+			search.drive(func() { runBatch(ctx, search.cl, []BatchQuery{{Expr: `"t0"`, K: 5, ShardMask: 1 << policyFaulty}}) })
 			fetch := newPolicyFixture(t, base, tc.plan)
 			fetch.drive(func() { fetch.cl.FetchBatch(ctx, owned) })
 
-			got, want := fetch.trace(), search.trace()
+			got, want := fetch.trace.String(), search.trace.String()
 			if got != want {
-				t.Fatalf("faulty shard's history differs\nsearch: %s\n fetch: %s", want, got)
+				t.Fatalf("faulty shard's history differs\nsearch:\n%s fetch:\n%s", want, got)
 			}
-			for _, kind := range tc.want {
-				if !strings.Contains(want, kind+":") {
-					t.Errorf("history has no %s event: %s", kind, want)
-				}
+			if st := search.faulty(); st.Backoffs == 0 || st.BreakerOpens == 0 || st.BreakerRejects == 0 || st.BreakerHalfOpens == 0 {
+				t.Errorf("history lacks a backoff, breaker open, reject or half-open: %+v", st)
 			}
 		})
 	}
 
-	// A breaker opened by searches sheds the next fetch on that shard
+	// Breakers opened by searches shed the next fetch on that shard
 	// without issuing it.
 	t.Run("search-opened breaker rejects fetch", func(t *testing.T) {
-		f := newPolicyFixture(t, base, &mem.FaultPlan{Seed: 1, DeadDevices: []int{policyFaulty}})
-		for i := 0; i < 5; i++ {
+		f := newPolicyFixture(t, base, policyDead())
+		for i := 0; i < breakerThreshold; i++ {
 			res, err := f.cl.SearchCtx(ctx, `"t0"`, 5)
 			if err != nil || !errors.Is(res.ShardErrs[policyFaulty], mem.ErrDeviceDown) {
 				t.Fatalf("search %d: err=%v res=%+v", i, err, res)
 			}
 		}
-		before := len(f.cl.Events(policyFaulty))
+		before := f.faulty()
 		res, err := f.cl.FetchBatch(ctx, append([]uint32{0}, owned...))
 		if err != nil {
 			t.Fatalf("FetchBatch: %v", err)
@@ -136,9 +149,10 @@ func TestSearchAndFetchShareAttemptPolicy(t *testing.T) {
 		if res.Degraded != 1<<policyFaulty || len(res.Docs[0].Fields) == 0 || res.Docs[1].Fields != nil {
 			t.Fatalf("degraded=%b docs[0]=%d fields docs[1]=%d fields", res.Degraded, len(res.Docs[0].Fields), len(res.Docs[1].Fields))
 		}
-		after := f.cl.Events(policyFaulty)[before:]
-		if len(after) != 1 || after[0].Kind != EvBreakerReject {
-			t.Fatalf("fetch on an open breaker logged %+v, want one breaker-reject and no attempt", after)
+		after := f.faulty()
+		before.BreakerRejects += policyReplicas
+		if after != before {
+			t.Fatalf("fetch on open breakers moved the counters to %+v, want one reject per copy and no attempt: %+v", after, before)
 		}
 	})
 }

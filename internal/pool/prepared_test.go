@@ -136,7 +136,7 @@ func TestClusterPathAllocs(t *testing.T) {
 	// Replication adds replica selection and ServedBy, both from recycled
 	// storage: the same query on two copies of every shard costs the same.
 	cfg := DefaultConfig()
-	cfg.Replicas, cfg.Resilience = 2, DefaultResilience()
+	cfg.Replicas = 2
 	replicated, err := cl.Fresh(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -21,45 +21,36 @@ func replicaTestCorpus(t *testing.T) *corpus.Corpus {
 	return corpus.Generate(corpus.ClueWebLike(0.005))
 }
 
-// replicatedConfig is the tests' replicated-cluster base: R copies,
-// retries armed so rotation can fail over, serial shard sweep for
-// deterministic event logs.
+// replicatedConfig is the tests' replicated-cluster base: R copies and a
+// serial shard sweep, so the replica counters are deterministic.
 func replicatedConfig(r int) Config {
 	cfg := DefaultConfig()
 	cfg.Replicas = r
-	cfg.Resilience = DefaultResilience()
 	cfg.Workers = 1
 	return cfg
 }
 
-// copy0Marks is the length of copy 0's event log on every shard.
-func copy0Marks(cl *Cluster) []int {
-	marks := make([]int, cl.Shards())
+// copy0Marks snapshots copy 0's counters on every shard.
+func copy0Marks(cl *Cluster) []ReplicaStats {
+	marks := make([]ReplicaStats, cl.Shards())
 	for si := range marks {
-		marks[si] = len(cl.ReplicaEvents(si, 0))
+		marks[si] = cl.ReplicaStats(si, 0)
 	}
 	return marks
 }
 
-// copy0FailedTries counts the attempts copy 0 of every shard logged since
+// copy0FailedTries counts the attempts copy 0 of every shard served since
 // marks, failing the test unless each of them failed.
-func copy0FailedTries(t *testing.T, cl *Cluster, marks []int, what string) int {
+func copy0FailedTries(t *testing.T, cl *Cluster, marks []ReplicaStats, what string) int {
 	t.Helper()
 	total := 0
 	for si, mark := range marks {
-		var tries, fails int
-		for _, ev := range cl.ReplicaEvents(si, 0)[mark:] {
-			switch ev.Kind {
-			case EvAttempt:
-				tries++
-			case EvFailure:
-				fails++
-			}
+		st := cl.ReplicaStats(si, 0)
+		fails, wins := st.Failures-mark.Failures, st.Successes-mark.Successes
+		if wins != 0 {
+			t.Fatalf("%s: dead copy 0 of shard %d served %d of %d attempts over cached blocks", what, si, wins, fails+wins)
 		}
-		if fails != tries {
-			t.Fatalf("%s: dead copy 0 of shard %d failed %d of %d attempts over cached blocks", what, si, fails, tries)
-		}
-		total += tries
+		total += fails
 	}
 	return total
 }
@@ -153,7 +144,7 @@ func TestReplicaFailoverUncorrectable(t *testing.T) {
 	}
 
 	// Control: the same outage on a single-copy cluster loses the shards.
-	single, err := NewCluster(func() Config { c := DefaultConfig(); c.Resilience = DefaultResilience(); return c }(), c, 3)
+	single, err := NewCluster(DefaultConfig(), c, 3)
 	if err != nil {
 		t.Fatalf("NewCluster(R=1): %v", err)
 	}
@@ -186,21 +177,13 @@ func TestMediaErrorIsNotACopyHealthSignal(t *testing.T) {
 			t.Fatalf("query %d: err = %v, want the last copy's own failure", i, err)
 		}
 	}
-	count := func(ri int, kind EventKind) (n int) {
-		for _, ev := range cl.ReplicaEvents(0, ri) {
-			if ev.Kind == kind {
-				n++
-			}
-		}
-		return n
+	if st := cl.ReplicaStats(0, 1); st.Failures != queries || st.Successes != 0 {
+		t.Errorf("copy 1: %d failed and %d served attempts over %d queries; want one failure per query", st.Failures, st.Successes, queries)
 	}
-	if a, f := count(1, EvAttempt), count(1, EvFailure); a != queries || f != queries {
-		t.Errorf("copy 1: %d attempts, %d failures over %d queries; want one of each per query", a, f, queries)
+	if st := cl.ReplicaStats(0, 1); st.BreakerOpens+st.BreakerRejects != 0 {
+		t.Errorf("copy 1's breaker opened or rejected %d times on media errors", st.BreakerOpens+st.BreakerRejects)
 	}
-	if n := count(1, EvBreakerOpen) + count(1, EvBreakerReject); n != 0 {
-		t.Errorf("copy 1's breaker opened or rejected %d times on media errors", n)
-	}
-	if count(0, EvBreakerOpen) == 0 {
+	if cl.ReplicaStats(0, 0).BreakerOpens == 0 {
 		t.Error("the dead copy's breaker never opened")
 	}
 }
@@ -210,7 +193,7 @@ func TestMediaErrorIsNotACopyHealthSignal(t *testing.T) {
 // health. With copy 0 of shard 0 dead, its breaker open and the cooldown
 // over — the next attempt it is picked for would be its half-open probe —
 // queries that prune to nothing on shard 0 leave the copy exactly as it was:
-// no pick, no event, and above all no success closing the breaker.
+// no pick, no count, and above all no success closing the breaker.
 func TestEmptyPruneIsNotACopyHealthSignal(t *testing.T) {
 	c := replicaTestCorpus(t)
 	cfg := replicatedConfig(2)
@@ -230,7 +213,7 @@ func TestEmptyPruneIsNotACopyHealthSignal(t *testing.T) {
 			t.Fatalf("query %d did not fail over to copy 1: %v", i, err)
 		}
 	}
-	fake.Advance(2 * cfg.Resilience.BreakerCooldown)
+	fake.Advance(2 * breakerCooldown)
 
 	var absent []string // terms some other shard holds and shard 0 does not
 	for term := range cl.shards[1].Lists {
@@ -243,7 +226,7 @@ func TestEmptyPruneIsNotACopyHealthSignal(t *testing.T) {
 	if len(absent) < queries {
 		t.Fatalf("only %d terms are absent from shard 0; the corpus is too small for this test", len(absent))
 	}
-	before := len(cl.ReplicaEvents(0, 0))
+	before := cl.ReplicaStats(0, 0)
 	for _, term := range absent[:queries] {
 		res, err := cl.SearchCtx(context.Background(), fmt.Sprintf("%q", term), 10)
 		if err != nil || res.Degraded != 0 || len(res.TopK) == 0 {
@@ -253,8 +236,8 @@ func TestEmptyPruneIsNotACopyHealthSignal(t *testing.T) {
 			t.Fatalf("%q: shard 0 reports work (copy %d) for a term it does not hold", term, res.ServedBy[0])
 		}
 	}
-	if evs := cl.ReplicaEvents(0, 0); len(evs) != before {
-		t.Errorf("the dead copy's log gained %v from queries that never reached its shard", evs[before:])
+	if st := cl.ReplicaStats(0, 0); st != before {
+		t.Errorf("the dead copy's counters moved from %+v to %+v on queries that never reached its shard", before, st)
 	}
 	if dead.state != brOpen {
 		t.Errorf("the dead copy's breaker left the open state (now %d) without a device read", dead.state)

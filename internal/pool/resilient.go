@@ -12,65 +12,22 @@ import (
 	"boss/internal/topk"
 )
 
-// Resilience configures the cluster's fault-handling policy: bounded
-// retry with jittered exponential backoff and a circuit breaker per shard
-// copy. Every construction path fills a zero or negative BackoffBase,
-// BackoffMax, BreakerThreshold or BreakerCooldown from DefaultResilience;
-// MaxRetries and Seed are taken as given, so the zero value retries nothing.
-type Resilience struct {
-	// MaxRetries is how many times a retryable shard failure is retried
-	// (so a shard sees at most MaxRetries+1 attempts). Zero or negative
-	// disables retry entirely; it is not filled from DefaultResilience.
-	MaxRetries int
-	// BackoffBase is the pre-jitter delay before the first retry; it
-	// doubles per attempt up to BackoffMax.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff.
-	BackoffMax time.Duration
-	// Seed drives backoff jitter. Delays are a pure function of
-	// (Seed, shard, attempt), so a replayed plan backs off identically.
-	Seed int64
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// shard's circuit breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects attempts
-	// before letting a half-open probe through.
-	BreakerCooldown time.Duration
-}
-
-// DefaultResilience is the serving default: two retries with 1–16 ms
-// jittered backoff, a breaker that opens after 5 consecutive failures
-// and probes again after 50 ms. There is no per-attempt timeout:
-// simulated devices answer in microseconds of host time, and the parent
-// context's deadline reaches every block fetch.
-func DefaultResilience() Resilience {
-	return Resilience{
-		MaxRetries:       2,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       16 * time.Millisecond,
-		BreakerThreshold: 5,
-		BreakerCooldown:  50 * time.Millisecond,
-	}
-}
-
-// normalize fills the non-positive backoff and breaker fields with their
-// defaults. MaxRetries and Seed stay as given.
-func (r Resilience) normalize() Resilience {
-	def := DefaultResilience()
-	if r.BackoffBase <= 0 {
-		r.BackoffBase = def.BackoffBase
-	}
-	if r.BackoffMax <= 0 {
-		r.BackoffMax = def.BackoffMax
-	}
-	if r.BreakerThreshold <= 0 {
-		r.BreakerThreshold = def.BreakerThreshold
-	}
-	if r.BreakerCooldown <= 0 {
-		r.BreakerCooldown = def.BreakerCooldown
-	}
-	return r
-}
+// The serving path's fault-handling policy has no settings. A shard with
+// more than one copy retries a failed attempt up to maxRetries times, on
+// another copy where one is left, after a jittered exponential backoff of
+// backoffBase doubling to backoffMax; a single copy never retries (see
+// retryable). Every copy has a circuit breaker that opens after
+// breakerThreshold consecutive failures and lets one probe through after
+// breakerCooldown. There is no per-attempt timeout: simulated devices answer
+// in microseconds of host time, and the parent context's deadline reaches
+// every block fetch.
+const (
+	maxRetries       = 2
+	backoffBase      = time.Millisecond
+	backoffMax       = 16 * time.Millisecond
+	breakerThreshold = 5
+	breakerCooldown  = 50 * time.Millisecond
+)
 
 // ErrShardUnavailable reports that a shard's circuit breaker rejected
 // the attempt without issuing it.
@@ -83,49 +40,14 @@ var ErrShardUnavailable = errors.New("pool: shard unavailable (breaker open)")
 // breaker and retry machinery never engage.
 var ErrShardShed = errors.New("pool: shard shed (front-door degradation)")
 
-// EventKind labels one entry in a shard's resilience event log.
-type EventKind uint8
-
-const (
-	EvAttempt EventKind = iota
-	EvFailure
-	EvBackoff
-	EvBreakerOpen
-	EvBreakerHalfOpen
-	EvBreakerClose
-	EvBreakerReject
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case EvAttempt:
-		return "attempt"
-	case EvFailure:
-		return "failure"
-	case EvBackoff:
-		return "backoff"
-	case EvBreakerOpen:
-		return "breaker-open"
-	case EvBreakerHalfOpen:
-		return "breaker-half-open"
-	case EvBreakerClose:
-		return "breaker-close"
-	case EvBreakerReject:
-		return "breaker-reject"
-	}
-	return "unknown"
-}
-
-// Event is one retry/breaker transition on one shard replica. The
-// per-replica sequence is deterministic given a fault plan and a query
-// order.
-type Event struct {
-	Shard   int
-	Replica int
-	Kind    EventKind
-	Attempt int
-	Backoff time.Duration
-	Err     error
+// ReplicaStats counts one shard copy's resilience activity since the
+// cluster was built: the attempts it served (Successes + Failures), the
+// retry backoffs that followed its failures, and its breaker's transitions
+// and rejections. For a given fault plan and query order the counts are
+// deterministic.
+type ReplicaStats struct {
+	Successes, Failures, Backoffs                                 int
+	BreakerOpens, BreakerHalfOpens, BreakerCloses, BreakerRejects int
 }
 
 // breaker states.
@@ -135,65 +57,36 @@ const (
 	brHalfOpen
 )
 
-// eventLogCap bounds each replica's event log. Every clean attempt logs
-// one event, so an unbounded log grows with a serving process's lifetime;
-// the newest 16Ki events per replica cover every test and the default-scale
-// chaos sweep in full.
-const eventLogCap = 1 << 14
-
-// shardState is one shard replica's breaker plus its resilience event
-// log, under one mutex so log order matches breaker-transition order.
+// shardState is one shard copy's breaker and its counters, under one mutex.
 type shardState struct {
-	si, ri   int // owning shard and replica, stamped on every event
 	mu       sync.Mutex
 	state    int
 	fails    int
 	openedAt time.Time
 	probing  bool
-	// events is the log: append-only up to eventLogCap, then a ring whose
-	// oldest entry sits at oldest.
-	events []Event
-	oldest int
-}
-
-// record logs an event while holding s.mu, dropping the oldest once the
-// log is full.
-func (s *shardState) record(kind EventKind, attempt int, backoff time.Duration, err error) {
-	ev := Event{Shard: s.si, Replica: s.ri, Kind: kind, Attempt: attempt, Backoff: backoff, Err: err}
-	if len(s.events) < eventLogCap {
-		s.events = append(s.events, ev)
-		return
-	}
-	s.events[s.oldest] = ev
-	s.oldest = (s.oldest + 1) % eventLogCap
-}
-
-// appendEvents appends the log to dst, oldest first, while holding s.mu.
-func (s *shardState) appendEvents(dst []Event) []Event {
-	dst = append(dst, s.events[s.oldest:]...)
-	return append(dst, s.events[:s.oldest]...)
+	stats    ReplicaStats
 }
 
 // allow reports whether an attempt may be issued, applying the
 // open → half-open transition after the cooldown.
-func (s *shardState) allow(now time.Time, cooldown time.Duration) bool {
+func (s *shardState) allow(now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.state {
 	case brClosed:
 		return true
 	case brOpen:
-		if now.Sub(s.openedAt) < cooldown {
-			s.record(EvBreakerReject, 0, 0, nil)
+		if now.Sub(s.openedAt) < breakerCooldown {
+			s.stats.BreakerRejects++
 			return false
 		}
 		s.state = brHalfOpen
 		s.probing = true
-		s.record(EvBreakerHalfOpen, 0, 0, nil)
+		s.stats.BreakerHalfOpens++
 		return true
 	default: // half-open: one probe in flight at a time
 		if s.probing {
-			s.record(EvBreakerReject, 0, 0, nil)
+			s.stats.BreakerRejects++
 			return false
 		}
 		s.probing = true
@@ -201,27 +94,29 @@ func (s *shardState) allow(now time.Time, cooldown time.Duration) bool {
 	}
 }
 
-// success closes the breaker.
+// success counts a served attempt and closes the breaker.
 func (s *shardState) success() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.stats.Successes++
 	if s.state != brClosed {
-		s.record(EvBreakerClose, 0, 0, nil)
+		s.stats.BreakerCloses++
 	}
 	s.state = brClosed
 	s.fails = 0
 	s.probing = false
 }
 
-// failure records a failed attempt and opens the breaker when the
+// failure counts a failed attempt and opens the breaker when the
 // consecutive-failure threshold is reached (immediately in half-open).
-// An uncorrectable block is logged but counts for nothing (it only frees a
-// half-open probe claim): it is a fact about one block, not about the
-// copy's health, unlike a dead device or exhausted transient retries.
-func (s *shardState) failure(attempt int, now time.Time, threshold int, err error) {
+// An uncorrectable block is counted as a failure but weighs nothing toward
+// the breaker (it only frees a half-open probe claim): it is a fact about
+// one block, not about the copy's health, unlike a dead device or
+// exhausted transient retries.
+func (s *shardState) failure(now time.Time, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.record(EvFailure, attempt, 0, err)
+	s.stats.Failures++
 	if errors.Is(err, mem.ErrMediaUncorrectable) {
 		s.probing = false
 		return
@@ -230,15 +125,22 @@ func (s *shardState) failure(attempt int, now time.Time, threshold int, err erro
 		s.state = brOpen
 		s.openedAt = now
 		s.probing = false
-		s.record(EvBreakerOpen, attempt, 0, nil)
+		s.stats.BreakerOpens++
 		return
 	}
 	s.fails++
-	if s.state == brClosed && s.fails >= threshold {
+	if s.state == brClosed && s.fails >= breakerThreshold {
 		s.state = brOpen
 		s.openedAt = now
-		s.record(EvBreakerOpen, attempt, 0, nil)
+		s.stats.BreakerOpens++
 	}
+}
+
+// backedOff counts a backoff that followed one of this copy's failures.
+func (s *shardState) backedOff() {
+	s.mu.Lock()
+	s.stats.Backoffs++
+	s.mu.Unlock()
 }
 
 // abandon releases a claim on the breaker without recording an outcome,
@@ -252,37 +154,22 @@ func (s *shardState) abandon() {
 	s.mu.Unlock()
 }
 
-// Events snapshots one shard's resilience event log: every replica's
-// events (the newest eventLogCap of them) concatenated in replica order
-// (identical to the lone replica's log on single-copy clusters).
-// ReplicaEvents narrows to one copy.
-func (cl *Cluster) Events(si int) []Event {
-	var out []Event
-	for _, s := range cl.states[si] {
-		s.mu.Lock()
-		out = s.appendEvents(out)
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// ReplicaEvents snapshots one shard replica's resilience event log.
-func (cl *Cluster) ReplicaEvents(si, ri int) []Event {
+// ReplicaStats snapshots the resilience counters of replica ri of shard si.
+func (cl *Cluster) ReplicaStats(si, ri int) ReplicaStats {
 	s := cl.states[si][ri]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendEvents(nil)
+	return s.stats
 }
 
-// initResilience wires the cluster's resilience machinery; called from
-// NewCluster and Fresh.
-func (cl *Cluster) initResilience(r Resilience) {
-	cl.res = r.normalize()
+// initBreakers gives every shard copy a closed breaker and zero counters,
+// and picks the clock; called from NewCluster and Fresh.
+func (cl *Cluster) initBreakers() {
 	cl.states = make([][]*shardState, len(cl.shards))
 	for si := range cl.states {
 		reps := make([]*shardState, cl.Replicas())
 		for ri := range reps {
-			reps[ri] = &shardState{si: si, ri: ri}
+			reps[ri] = &shardState{}
 		}
 		cl.states[si] = reps
 	}
@@ -293,24 +180,21 @@ func (cl *Cluster) initResilience(r Resilience) {
 }
 
 // backoffDelay computes the jittered exponential backoff before retry
-// `attempt` (0-based). It is a pure function of (seed, shard, attempt):
-// replays back off identically, and no two shards share a jitter stream.
+// `attempt` (0-based). It is a pure function of (shard, attempt): replays
+// back off identically, and no two shards share a jitter stream.
 //
 //boss:hotpath one call per retried shard attempt.
-func (r Resilience) backoffDelay(shard, attempt int) time.Duration {
-	d := r.BackoffBase
-	for i := 0; i < attempt && d < r.BackoffMax; i++ {
+func backoffDelay(shard, attempt int) time.Duration {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > r.BackoffMax {
-		d = r.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	// Jitter in [d/2, d): splitmix64 over the decision coordinates.
-	h := splitmix64(uint64(r.Seed) ^ (uint64(shard)+1)*0x9e3779b97f4a7c15 + uint64(attempt)*0xbf58476d1ce4e5b9)
+	h := splitmix64((uint64(shard)+1)*0x9e3779b97f4a7c15 + uint64(attempt)*0xbf58476d1ce4e5b9)
 	half := d / 2
-	if half <= 0 {
-		return d
-	}
 	return half + time.Duration(h%uint64(half))
 }
 
@@ -346,32 +230,21 @@ func (cl *Cluster) SetFaultPlan(plan *mem.FaultPlan) {
 	}
 }
 
-// retryable reports whether a shard failure is worth retrying on the
-// same copy: transient read errors are; permanent media errors, dead
-// devices, and parent-context cancellation are not.
-func retryable(err error) bool {
-	switch {
-	case errors.Is(err, mem.ErrMediaUncorrectable):
-		return false
-	case errors.Is(err, mem.ErrDeviceDown):
-		return false
-	case errors.Is(err, context.Canceled):
-		return false
-	default:
-		return true
-	}
+// retryable reports whether a failed attempt on shard si is retried: on a
+// replicated shard up to maxRetries times, never after cancellation. A
+// single copy never retries, because the retry would read what the attempt
+// read and fail as it did: mem.Injector.BlockFault is a pure function of
+// (plan seed, device, key, block, attempt), core restarts the attempt count
+// at 0 on every shard attempt, and a dead device stays dead.
+func (cl *Cluster) retryable(err error, si, attempt int) bool {
+	return len(cl.states[si]) > 1 && attempt < maxRetries && !errors.Is(err, context.Canceled)
 }
 
-// retryableOn is retryable under replication: failures that are
-// permanent for one copy (uncorrectable media, dead device) stay
-// retryable on replicated shards, because the retry goes to a different
-// copy holding the same blocks (runShard never re-issues on the copy that
-// returned the error). Context cancellation is never retryable.
-func (cl *Cluster) retryableOn(err error, si int) bool {
-	if retryable(err) {
-		return true
-	}
-	return len(cl.states[si]) > 1 && !errors.Is(err, context.Canceled)
+// permanent reports a failure that re-reading the same copy cannot cure: an
+// uncorrectable block or a dead device. The copy is spent for the request,
+// and a retry goes to another copy holding the same blocks.
+func permanent(err error) bool {
+	return errors.Is(err, mem.ErrMediaUncorrectable) || errors.Is(err, mem.ErrDeviceDown)
 }
 
 // attempt issues one attempt of w on replica ri of shard si: the search
@@ -399,8 +272,8 @@ func shardError(si int, err error) error {
 }
 
 // pickReplica chooses the replica serving (query, shard, attempt). The
-// rotation start is a pure function of (Resilience.Seed, the query's
-// stable key, the shard); the attempt index advances the rotation so
+// rotation start is a pure function of (the query's stable key, the
+// shard); the attempt index advances the rotation so
 // consecutive attempts land on different copies; and replicas whose
 // breakers reject are skipped at selection time, not after a failed
 // attempt, as are the copies in spent (bit ri: copy ri already returned
@@ -413,11 +286,11 @@ func (cl *Cluster) pickReplica(si int, qkey uint64, attempt int, spent uint64) (
 	sts := cl.states[si]
 	start := 0
 	if len(sts) > 1 { // a single copy needs no draw: its breaker gate is the whole decision
-		start = int(replicaDraw(uint64(cl.res.Seed), qkey, si) % uint64(len(sts)))
+		start = int(replicaDraw(qkey, si) % uint64(len(sts)))
 	}
 	for p := 0; p < len(sts); p++ {
 		ri := (start + attempt + p) % len(sts)
-		if spent&(1<<uint(ri)) == 0 && sts[ri].allow(cl.clock.Now(), cl.res.BreakerCooldown) {
+		if spent&(1<<uint(ri)) == 0 && sts[ri].allow(cl.clock.Now()) {
 			return sts[ri], ri, true
 		}
 	}
@@ -425,10 +298,10 @@ func (cl *Cluster) pickReplica(si int, qkey uint64, attempt int, spent uint64) (
 }
 
 // replicaDraw is the deterministic replica-selection hash: a pure
-// function of (seed, query key, shard), so replays route identically
-// and no two shards share a rotation stream.
-func replicaDraw(seed, qkey uint64, si int) uint64 {
-	return splitmix64(seed ^ qkey ^ (uint64(si)+1)*0x94d049bb133111eb)
+// function of (query key, shard), so replays route identically and no two
+// shards share a rotation stream.
+func replicaDraw(qkey uint64, si int) uint64 {
+	return splitmix64(qkey ^ (uint64(si)+1)*0x94d049bb133111eb)
 }
 
 // runShard is the one attempt loop, for searches and fetches alike: the
@@ -440,7 +313,7 @@ func replicaDraw(seed, qkey uint64, si int) uint64 {
 // narrowed to the terms the shard holds here, once for all its attempts; when
 // nothing is left the shard has no part in the answer and, like a fetch shard
 // that owns none of the requested documents, does nothing: no copy is picked,
-// no event logged, and no breaker hears of a success the device never
+// nothing counted, and no breaker hears of a success the device never
 // produced. Two asymmetries are deliberate:
 //   - the fetch shard with nothing to do is recognised before the mask is
 //     looked at, the search shard after it (a masked-out shard is reported
@@ -449,14 +322,14 @@ func replicaDraw(seed, qkey uint64, si int) uint64 {
 //     shard, not of the whole request, so a given shard's share routes to
 //     the same copy whatever else the request asked for.
 //
-// Each attempt runs on the calling goroutine and settles its copy's breaker;
-// then the loop returns or retries. A retry's copy is picked before its
-// backoff: when none is left — the other breakers reject, and re-reading the
-// copy that just returned a replica-permanent error cannot succeed
-// (BlockFault is a pure function of key and block) — the loop stops with the
-// failure it has.
+// Each attempt runs on the calling goroutine and settles its copy's breaker
+// and counters; then the loop returns or retries. A retry's copy is picked
+// before its backoff: when none is left — the other breakers reject, and
+// re-reading the copy that just returned a replica-permanent error cannot
+// succeed (BlockFault is a pure function of key and block) — the loop stops
+// with the failure it has.
 //
-// Event recording and error construction are outlined.
+// Error construction is outlined.
 //
 //boss:hotpath one call per (query, shard).
 func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint64) shardOut {
@@ -485,23 +358,21 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 	}
 	var spent uint64 // copies that returned this request a replica-permanent error
 	for attempt := 0; ; attempt++ {
-		logEvent(st, EvAttempt, attempt, 0)
 		out := cl.attempt(ctx, w, si, ri)
 		out.ri = ri
-		cl.settle(st, out.err, attempt)
-		if out.err == nil || attempt >= cl.res.MaxRetries || !cl.retryableOn(out.err, si) || ctx.Err() != nil {
+		cl.settle(st, out.err)
+		if out.err == nil || !cl.retryable(out.err, si, attempt) || ctx.Err() != nil {
 			return out
 		}
-		if !retryable(out.err) {
+		if permanent(out.err) {
 			spent |= 1 << uint(out.ri)
 		}
 		next, nri, ok := cl.pickReplica(si, qkey, attempt+1, spent)
 		if !ok {
 			return out
 		}
-		d := cl.res.backoffDelay(si, attempt)
-		logEvent(st, EvBackoff, attempt, d)
-		if cl.clock.Sleep(ctx, d) != nil {
+		st.backedOff()
+		if cl.clock.Sleep(ctx, backoffDelay(si, attempt)) != nil {
 			next.abandon()
 			return out // context died during backoff: report the last failure
 		}
@@ -511,20 +382,12 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 
 // settle records an attempt's adopted outcome against the replica that
 // produced it (outlined from the retry loop).
-func (cl *Cluster) settle(st *shardState, err error, attempt int) {
+func (cl *Cluster) settle(st *shardState, err error) {
 	if err == nil {
 		st.success()
 		return
 	}
-	st.failure(attempt, cl.clock.Now(), cl.res.BreakerThreshold, err)
-}
-
-// logEvent records one event on a replica's log; outlined from the retry
-// loop so the hot path stays free of composite construction.
-func logEvent(st *shardState, kind EventKind, attempt int, backoff time.Duration) {
-	st.mu.Lock()
-	st.record(kind, attempt, backoff, nil)
-	st.mu.Unlock()
+	st.failure(cl.clock.Now(), err)
 }
 
 // fail marks shard si as missing from the result: its Degraded bit and

@@ -3,8 +3,11 @@ package pool
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/bits"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,214 +236,248 @@ func TestSearchBatchCtxCancelMidFlight(t *testing.T) {
 }
 
 // Replay determinism: the same fault plan over the same workload on two
-// independently built clusters produces identical outcomes and identical
-// per-shard resilience event logs, event for event.
-func TestResilienceReplayDeterministic(t *testing.T) {
+// independently built clusters produces identical outcomes — each query's
+// Degraded mask and per-shard errors —, identical per-replica counters and
+// the same final clock reading.
+func TestClusterReplayDeterministic(t *testing.T) {
 	c := corpus.Generate(corpus.CCNewsLike(0.004))
 	plan := &mem.FaultPlan{Seed: 77, TransientRate: 0.05, UncorrectableRate: 0.01}
 	exprs := chaosExprs(c, 60)
+	epoch := time.Unix(0, 0)
 
-	type qOutcome struct {
-		degraded uint64
-		errText  string
+	type replay struct {
+		outcomes []string
+		stats    []ReplicaStats
+		elapsed  time.Duration
 	}
-	type shardEvent struct {
-		kind    EventKind
-		attempt int
-		backoff time.Duration
-		errText string
-	}
-	runOnce := func() ([]qOutcome, [][]shardEvent) {
+	runOnce := func() replay {
 		cfg := DefaultConfig()
-		cfg.Workers = 1    // serial sweep: event order is the query order
+		cfg.Workers = 1    // serial sweep: the counters follow the query order
 		cfg.CacheBytes = 0 // identical fetch sequences on both runs
-		cfg.Clock = clock.NewFakeClock(time.Unix(0, 0))
+		fake := clock.NewFakeClock(epoch)
+		cfg.Clock = fake
 		cl := mustCluster(t, cfg, c, 4)
 		cl.SetFaultPlan(plan)
-		outs := make([]qOutcome, 0, len(exprs))
+		var r replay
 		for _, expr := range exprs {
 			res, err := cl.SearchCtx(context.Background(), expr, 10)
-			o := qOutcome{}
 			if err != nil {
-				o.errText = err.Error()
+				r.outcomes = append(r.outcomes, err.Error())
 			} else {
-				o.degraded = res.Degraded
-			}
-			outs = append(outs, o)
-		}
-		logs := make([][]shardEvent, cl.Shards())
-		for si := range logs {
-			for _, ev := range cl.Events(si) {
-				se := shardEvent{kind: ev.Kind, attempt: ev.Attempt, backoff: ev.Backoff}
-				if ev.Err != nil {
-					se.errText = ev.Err.Error()
-				}
-				logs[si] = append(logs[si], se)
+				r.outcomes = append(r.outcomes, fmt.Sprintf("%b %v", res.Degraded, res.ShardErrs))
 			}
 		}
-		return outs, logs
+		for si := 0; si < cl.Shards(); si++ {
+			r.stats = append(r.stats, cl.ReplicaStats(si, 0))
+		}
+		r.elapsed = fake.Now().Sub(epoch)
+		return r
 	}
 
-	outA, logA := runOnce()
-	outB, logB := runOnce()
-	if !reflect.DeepEqual(outA, outB) {
-		t.Fatal("query outcomes diverged between identical replays")
+	a, b := runOnce(), runOnce()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("identical replays diverged:\n%+v\n%+v", a, b)
 	}
-	for si := range logA {
-		if len(logA[si]) != len(logB[si]) {
-			t.Fatalf("shard %d: %d events vs %d", si, len(logA[si]), len(logB[si]))
+	failures := 0
+	for _, st := range a.stats {
+		failures += st.Failures
+	}
+	if failures == 0 {
+		t.Fatal("the plan failed no attempt: the replay checks nothing")
+	}
+}
+
+// TestSingleCopyAttemptsOnce: a single copy never retries, so under a
+// seeded fault plan every failed shard was attempted once — or refused by
+// its open breaker without an attempt — and no backoff was served. The
+// cache is on, so later queries read blocks earlier ones published. The
+// plans: core's replay plan, whose failures are almost all uncorrectable
+// blocks, and one whose transient reads often exhaust the device's
+// re-reads, the failure a retry on the same copy would repeat.
+func TestSingleCopyAttemptsOnce(t *testing.T) {
+	c := corpus.Generate(corpus.ClueWebLike(0.02))
+	var exprs []string
+	for _, qt := range corpus.AllQueryTypes() {
+		for _, q := range corpus.SampleQueries(c, qt, 40, 99) {
+			exprs = append(exprs, q.Expr)
 		}
-		for i := range logA[si] {
-			if logA[si][i] != logB[si][i] {
-				t.Fatalf("shard %d event %d: %+v vs %+v", si, i, logA[si][i], logB[si][i])
+	}
+	for _, plan := range []*mem.FaultPlan{
+		{Seed: 42, TransientRate: 0.05, UncorrectableRate: 0.002},
+		{Seed: 42, TransientRate: 0.4},
+	} {
+		cl := mustCluster(t, DefaultConfig(), c, 4)
+		cl.SetFaultPlan(plan)
+		failed := 0
+		for _, expr := range exprs {
+			res, err := cl.SearchCtx(context.Background(), expr, 10)
+			switch {
+			case err != nil:
+				failed += cl.Shards() // only an all-shards failure fails the query
+			default:
+				failed += bits.OnesCount64(res.Degraded)
 			}
+		}
+		var sum ReplicaStats
+		for si := 0; si < cl.Shards(); si++ {
+			st := cl.ReplicaStats(si, 0)
+			sum.Failures += st.Failures
+			sum.BreakerRejects += st.BreakerRejects
+			sum.Backoffs += st.Backoffs
+		}
+		if failed == 0 {
+			t.Fatalf("%+v failed no shard: the check checks nothing", *plan)
+		}
+		if sum.Failures+sum.BreakerRejects != failed || sum.Backoffs != 0 {
+			t.Fatalf("%+v: %d failed attempts, %d breaker refusals and %d backoffs for %d failed shards; want one of the first two per failed shard and no backoff",
+				*plan, sum.Failures, sum.BreakerRejects, sum.Backoffs, failed)
 		}
 	}
 }
 
-// Breaker lifecycle on a fake clock: consecutive failures open it,
-// rejections flow while open, the cooldown admits a half-open probe, a
-// failed probe re-opens, and a successful probe closes it.
+// TestReplicaStatsConcurrent: every copy's counters are kept under its
+// breaker's mutex, so concurrent requests lose no count. On a clean
+// 4-shard, 2-copy cluster, one 256-query batch at GOMAXPROCS workers runs
+// beside concurrent SearchCtx callers; afterwards each shard's Successes,
+// summed over its copies, equal the answers it served, and nothing else
+// was counted.
+func TestReplicaStatsConcurrent(t *testing.T) {
+	c := replicaTestCorpus(t)
+	cfg := DefaultConfig()
+	cfg.Replicas = 2
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	cl := mustCluster(t, cfg, c, 4)
+	exprs := chaosExprs(c, 256)
+	ctx := context.Background()
+
+	const callers = 4
+	singles := make([][]*ClusterResult, callers)
+	var wg sync.WaitGroup
+	for g := range singles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(exprs); i += callers {
+				res, err := cl.SearchCtx(ctx, exprs[i], 10)
+				if err != nil {
+					t.Errorf("SearchCtx(%q): %v", exprs[i], err)
+					return
+				}
+				singles[g] = append(singles[g], res)
+			}
+		}()
+	}
+	br := runBatch(ctx, cl, Queries(exprs, 10))
+	wg.Wait()
+	if br.Err != nil {
+		t.Fatalf("batch: %v", br.Err)
+	}
+
+	served := make([]int, cl.Shards())
+	tally := func(res *ClusterResult) {
+		for si, ri := range res.ServedBy {
+			if ri >= 0 {
+				served[si]++
+			}
+		}
+	}
+	for i := range br.Results {
+		tally(&br.Results[i])
+	}
+	for _, results := range singles {
+		for _, res := range results {
+			tally(res)
+		}
+	}
+	for si := range served {
+		var sum ReplicaStats
+		for ri := 0; ri < cl.Replicas(); ri++ {
+			st := cl.ReplicaStats(si, ri)
+			sum.Successes += st.Successes
+			st.Successes = 0
+			if st != (ReplicaStats{}) {
+				t.Errorf("shard %d copy %d counted more than successes on a clean cluster: %+v", si, ri, st)
+			}
+		}
+		if sum.Successes != served[si] || served[si] == 0 {
+			t.Errorf("shard %d: %d successes counted, %d answers served", si, sum.Successes, served[si])
+		}
+	}
+}
+
+// Breaker lifecycle on a fake clock, read off the counters after every
+// request: consecutive failures open it, rejections flow while open, the
+// cooldown admits a half-open probe, a failed probe re-opens, and a
+// successful probe closes it.
 func TestBreakerTransitions(t *testing.T) {
 	c := corpus.Generate(corpus.CCNewsLike(0.003))
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	cfg.Resilience = Resilience{
-		MaxRetries:       0, // isolate the breaker from retry
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Minute,
-	}
 	fake := clock.NewFakeClock(time.Unix(1000, 0))
 	cfg.Clock = fake
 	cl := mustCluster(t, cfg, c, 1)
 	cl.SetFaultPlan(&mem.FaultPlan{Seed: 1, DeadDevices: []int{0}})
 
 	ctx := context.Background()
-	// Three failures open the breaker.
-	for i := 0; i < 3; i++ {
-		if _, err := cl.SearchCtx(ctx, `"t0"`, 5); !errors.Is(err, mem.ErrDeviceDown) {
-			t.Fatalf("failure %d: %v", i, err)
+	search := func(step string, want error, stats ReplicaStats) {
+		t.Helper()
+		_, err := cl.SearchCtx(ctx, `"t0"`, 5)
+		if want == nil && err != nil || want != nil && !errors.Is(err, want) {
+			t.Fatalf("%s: err = %v, want %v", step, err, want)
+		}
+		if got := cl.ReplicaStats(0, 0); got != stats {
+			t.Fatalf("%s: counters\n got %+v\nwant %+v", step, got, stats)
 		}
 	}
-	// Open: attempts are rejected without reaching the shard.
-	if _, err := cl.SearchCtx(ctx, `"t0"`, 5); !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("open breaker: got %v, want ErrShardUnavailable", err)
+	// breakerThreshold failures open the breaker; a single copy never retries.
+	for i := 1; i < breakerThreshold; i++ {
+		search(fmt.Sprintf("failure %d", i), mem.ErrDeviceDown, ReplicaStats{Failures: i})
 	}
+	search("opening failure", mem.ErrDeviceDown, ReplicaStats{Failures: 5, BreakerOpens: 1})
+	// Open: attempts are rejected without reaching the shard.
+	search("open breaker", ErrShardUnavailable, ReplicaStats{Failures: 5, BreakerOpens: 1, BreakerRejects: 1})
 	// After the cooldown a probe goes through; the shard is still dead,
 	// so the breaker re-opens.
-	fake.Advance(2 * time.Minute)
-	if _, err := cl.SearchCtx(ctx, `"t0"`, 5); !errors.Is(err, mem.ErrDeviceDown) {
-		t.Fatalf("half-open probe: %v", err)
-	}
-	if _, err := cl.SearchCtx(ctx, `"t0"`, 5); !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("re-opened breaker: got %v, want ErrShardUnavailable", err)
-	}
+	fake.Advance(2 * breakerCooldown)
+	search("half-open probe", mem.ErrDeviceDown,
+		ReplicaStats{Failures: 6, BreakerOpens: 2, BreakerHalfOpens: 1, BreakerRejects: 1})
+	search("re-opened breaker", ErrShardUnavailable,
+		ReplicaStats{Failures: 6, BreakerOpens: 2, BreakerHalfOpens: 1, BreakerRejects: 2})
 	// Heal the device; the next cooldown probe succeeds and closes it.
 	cl.SetFaultPlan(nil)
-	fake.Advance(2 * time.Minute)
-	if _, err := cl.SearchCtx(ctx, `"t0"`, 5); err != nil {
-		t.Fatalf("healing probe: %v", err)
-	}
-	if _, err := cl.SearchCtx(ctx, `"t0"`, 5); err != nil {
-		t.Fatalf("closed breaker: %v", err)
-	}
-	// The event log shows the full lifecycle in order.
-	var kinds []EventKind
-	for _, ev := range cl.Events(0) {
-		kinds = append(kinds, ev.Kind)
-	}
-	want := []EventKind{
-		EvAttempt, EvFailure, // 1st failure
-		EvAttempt, EvFailure, // 2nd
-		EvAttempt, EvFailure, EvBreakerOpen, // 3rd opens
-		EvBreakerReject,                                        // rejected while open
-		EvBreakerHalfOpen, EvAttempt, EvFailure, EvBreakerOpen, // probe fails
-		EvBreakerReject,                              // rejected again
-		EvBreakerHalfOpen, EvAttempt, EvBreakerClose, // healing probe
-		EvAttempt, // closed-state success
-	}
-	if !reflect.DeepEqual(kinds, want) {
-		t.Fatalf("event kinds\n got %v\nwant %v", kinds, want)
-	}
+	fake.Advance(2 * breakerCooldown)
+	search("healing probe", nil,
+		ReplicaStats{Successes: 1, Failures: 6, BreakerOpens: 2, BreakerHalfOpens: 2, BreakerCloses: 1, BreakerRejects: 2})
+	search("closed breaker", nil,
+		ReplicaStats{Successes: 2, Failures: 6, BreakerOpens: 2, BreakerHalfOpens: 2, BreakerCloses: 1, BreakerRejects: 2})
 }
 
-// Backoff delays are pure in (seed, shard, attempt), bounded by the cap,
-// and at least half the exponential step.
+// Backoff delays are pure in (shard, attempt), bounded by the cap, at
+// least half the exponential step, and no two shards share a jitter stream.
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	r := Resilience{BackoffBase: time.Millisecond, BackoffMax: 16 * time.Millisecond, Seed: 4}.normalize()
 	for shard := 0; shard < 4; shard++ {
 		for attempt := 0; attempt < 8; attempt++ {
-			a := r.backoffDelay(shard, attempt)
-			b := r.backoffDelay(shard, attempt)
+			a := backoffDelay(shard, attempt)
+			b := backoffDelay(shard, attempt)
 			if a != b {
 				t.Fatalf("shard %d attempt %d: %v != %v", shard, attempt, a, b)
 			}
-			if a > r.BackoffMax {
+			if a > backoffMax {
 				t.Fatalf("shard %d attempt %d: %v exceeds cap", shard, attempt, a)
 			}
-			if a < r.BackoffBase/2 {
+			if a < backoffBase/2 {
 				t.Fatalf("shard %d attempt %d: %v below half the base", shard, attempt, a)
 			}
 		}
 	}
-	other := Resilience{BackoffBase: time.Millisecond, BackoffMax: 16 * time.Millisecond, Seed: 5}.normalize()
 	same := 0
 	for attempt := 0; attempt < 8; attempt++ {
-		if r.backoffDelay(0, attempt) == other.backoffDelay(0, attempt) {
+		if backoffDelay(0, attempt) == backoffDelay(1, attempt) {
 			same++
 		}
 	}
 	if same == 8 {
-		t.Fatal("different seeds produced identical jitter streams")
-	}
-}
-
-// The event log is a ring: a serving process logs one event per clean
-// (query, shard) attempt forever, so the log keeps the newest eventLogCap
-// per replica and drops the oldest.
-func TestEventLogBounded(t *testing.T) {
-	c := corpus.Generate(corpus.CCNewsLike(0.003))
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	cl := mustCluster(t, cfg, c, 1)
-	rare := `"` + c.Terms[len(c.Terms)-1].Term + `"`
-	ctx := context.Background()
-
-	// The oldest events: one failed query.
-	cl.SetFaultPlan(&mem.FaultPlan{Seed: 1, DeadDevices: []int{0}})
-	if _, err := cl.SearchCtx(ctx, rare, 5); !errors.Is(err, mem.ErrDeviceDown) {
-		t.Fatalf("marker query: %v", err)
-	}
-	cl.SetFaultPlan(nil)
-	for i := 0; i < 3*eventLogCap; i++ {
-		if _, err := cl.Search(rare, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	evs := cl.Events(0)
-	if len(evs) != eventLogCap {
-		t.Fatalf("%d events after %d clean queries, want the cap %d", len(evs), 3*eventLogCap, eventLogCap)
-	}
-	for i, ev := range evs {
-		if ev.Kind != EvAttempt {
-			t.Fatalf("event %d is %v: the oldest events were not the ones dropped", i, ev.Kind)
-		}
-	}
-	// The newest events: another failed query lands at the tail, in order.
-	cl.SetFaultPlan(&mem.FaultPlan{Seed: 1, DeadDevices: []int{0}})
-	if _, err := cl.SearchCtx(ctx, rare, 5); !errors.Is(err, mem.ErrDeviceDown) {
-		t.Fatalf("tail query: %v", err)
-	}
-	evs = cl.ReplicaEvents(0, 0)
-	if len(evs) != eventLogCap {
-		t.Fatalf("%d events, want the cap %d", len(evs), eventLogCap)
-	}
-	if a, f := evs[len(evs)-2], evs[len(evs)-1]; a.Kind != EvAttempt || f.Kind != EvFailure || !errors.Is(f.Err, mem.ErrDeviceDown) {
-		t.Fatalf("log tail is %v, %v; want the newest attempt and its failure", a.Kind, f.Kind)
-	}
-	cl.ResetEvents()
-	if evs := cl.Events(0); len(evs) != 0 {
-		t.Fatalf("%d events after ResetEvents", len(evs))
+		t.Fatal("two shards produced identical jitter streams")
 	}
 }
 
@@ -463,17 +500,6 @@ func TestSearchStrictFailsOnShardError(t *testing.T) {
 	} {
 		if res, err := search(expr, 10); !errors.Is(err, mem.ErrDeviceDown) || res != nil {
 			t.Fatalf("%s: res=%v err=%v, want the dead shard's ErrDeviceDown and no result", name, res, err)
-		}
-	}
-}
-
-// ResetEvents clears every replica's event log (test/benchmark setup).
-func (cl *Cluster) ResetEvents() {
-	for _, reps := range cl.states {
-		for _, s := range reps {
-			s.mu.Lock()
-			s.events, s.oldest = nil, 0
-			s.mu.Unlock()
 		}
 	}
 }
