@@ -355,25 +355,6 @@ func (ix *Index) Accelerator(opts AccelOptions) *Accelerator {
 	return &Accelerator{deployment{cluster: cl, names: ix.names, dev: dev, cores: cores}}
 }
 
-// CacheHitRate reports the fraction of block fetches this handle served
-// from its decoded-block cache (0 when the cache is disabled or cold).
-// The cache is shared by both client classes — decoded posting blocks
-// (search) and decoded document blocks (fetch) — and this rate spans
-// both; PostingCacheHitRate and DocCacheHitRate report the split.
-func (a *Accelerator) CacheHitRate() float64 { return a.cluster.CacheStats().HitRate() }
-
-// PostingCacheHitRate reports the decoded-block cache hit rate of the
-// search phase's posting-block fetches alone.
-func (a *Accelerator) PostingCacheHitRate() float64 {
-	return a.cluster.CacheStats().PostingHitRate()
-}
-
-// DocCacheHitRate reports the decoded-block cache hit rate of the fetch
-// phase's document-block fetches alone.
-func (a *Accelerator) DocCacheHitRate() float64 {
-	return a.cluster.CacheStats().DocHitRate()
-}
-
 // Doc is one fetched document payload.
 type Doc struct {
 	// DocID is the internal identifier.
@@ -385,34 +366,6 @@ type Doc struct {
 	// indexes, the deterministic synthetic payload otherwise. Empty for
 	// documents a degraded sharded fetch could not serve.
 	Text string
-}
-
-// FetchDocs fetches document payloads by docID, charging the simulated
-// device for the document-store block loads and decodes exactly as
-// Search charges posting-block work, and the host link for the payloads
-// returned. Repeated fetches of co-located documents hit the handle's
-// decoded-block cache, which changes wall-clock speed only: the returned
-// stats are byte-identical with the cache on, off, or resized.
-func (a *Accelerator) FetchDocs(ids []uint32) ([]Doc, *SimStats, error) {
-	res, err := a.result(a.cluster.FetchBatch(context.Background(), ids))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Docs, res.Stats, nil
-}
-
-// SearchFetch executes a query and fetches the top-k hits' documents in
-// one call: the paper's full serving path, where ranking ends at scored
-// docIDs and the response returns the documents themselves. The returned
-// stats cover both phases — posting traffic plus document-store traffic,
-// and on the host link the ranking plus the payloads — on one simulated
-// device.
-func (a *Accelerator) SearchFetch(expr string, k int) ([]Hit, []Doc, *SimStats, error) {
-	res, err := a.result(a.cluster.SearchFetchCtx(context.Background(), expr, k))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res.Hits, res.Docs, res.Stats, nil
 }
 
 // SimStats summarizes one simulated query execution.
@@ -450,26 +403,6 @@ func simStats(m *perf.Metrics, dev mem.Config, cores int) *SimStats {
 		BlocksSkipped:    m.BlocksSkipped,
 		DocsFetched:      m.DocsFetched,
 	}
-}
-
-// Search executes a query on the simulated accelerator, returning the
-// top-k hits and the execution's simulated statistics. The expression is
-// prepared as Server.Submit prepares it, so one of more than 16 term
-// occurrences is refused with the same error before anything runs.
-func (a *Accelerator) Search(expr string, k int) ([]Hit, *SimStats, error) {
-	res, err := a.result(a.cluster.Search(expr, k))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Hits, res.Stats, nil
-}
-
-// SearchBatch runs many queries concurrently on the simulated accelerator
-// (one worker per CPU) and returns one item per query, in input order, each
-// with its own simulated statistics. Each item is what Search returns for
-// its query: the device model is stateless.
-func (a *Accelerator) SearchBatch(exprs []string, k int) []BatchItem {
-	return a.batchItems(context.Background(), exprs, k, true)
 }
 
 // SyntheticKind selects a built-in synthetic corpus profile.
@@ -534,12 +467,91 @@ type ShardedIndex struct {
 
 // deployment is the facade over one pool.Cluster, a ShardedIndex's or an
 // Accelerator's one-shard cluster: names names its hits (nil: "doc<N>"),
-// and dev and cores turn its work into SimStats.
+// and dev and cores turn its work into SimStats. Its methods are both
+// handles' serving surface: on an Accelerator, "every node" is its one
+// device.
 type deployment struct {
 	cluster *pool.Cluster
 	names   []string
 	dev     mem.Config
 	cores   int
+}
+
+// CacheHitRate reports the fraction of block fetches the deployment served
+// from its decoded-block cache (0 when the cache is disabled or cold). The
+// cache is shared by both client classes — decoded posting blocks (search)
+// and decoded document blocks (fetch) — and this rate spans both;
+// PostingCacheHitRate and DocCacheHitRate report the split. The cache
+// changes wall-clock speed only: hits and simulated stats are byte-identical
+// with it on, off, or resized.
+func (d *deployment) CacheHitRate() float64 { return d.cluster.CacheStats().HitRate() }
+
+// PostingCacheHitRate reports the decoded-block cache hit rate of the
+// search phase's posting-block fetches alone.
+func (d *deployment) PostingCacheHitRate() float64 { return d.cluster.CacheStats().PostingHitRate() }
+
+// DocCacheHitRate reports the decoded-block cache hit rate of the fetch
+// phase's document-block fetches alone.
+func (d *deployment) DocCacheHitRate() float64 { return d.cluster.CacheStats().DocHitRate() }
+
+// Search runs a query on every node and merges the per-node top-k lists,
+// returning the hits and the simulated statistics of all nodes' work;
+// HostBytes is the result traffic over the shared interconnect. The
+// expression is prepared as Server.Submit prepares it, so one of more than
+// 16 term occurrences is refused with the same error before anything runs.
+// Any node failure fails the query.
+func (d *deployment) Search(expr string, k int) ([]Hit, *SimStats, error) {
+	res, err := d.result(d.cluster.Search(expr, k))
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Hits, res.Stats, nil
+}
+
+// SearchCtx is Search with deadlines, bounded retry, per-node circuit
+// breaking, and graceful degradation: when a node fails permanently its
+// shard is dropped from the merge and flagged in Degraded rather than
+// failing the query. The error is non-nil only when the context dies,
+// the query is invalid, or every node fails.
+func (d *deployment) SearchCtx(ctx context.Context, expr string, k int) (*ShardedResult, error) {
+	return d.result(d.cluster.SearchCtx(ctx, expr, k))
+}
+
+// SearchBatch pipelines many queries across the deployment: each host worker
+// owns one in-flight query and sweeps it across the nodes, so different
+// queries occupy different nodes concurrently. Items preserve input order,
+// each with its own simulated statistics, and match Search query for query.
+func (d *deployment) SearchBatch(exprs []string, k int) []BatchItem {
+	return d.batchItems(context.Background(), exprs, k, true)
+}
+
+// SearchBatchCtx is SearchBatch with per-query resilience: node failures
+// degrade individual results (see BatchItem.Degraded) instead of
+// failing them, and cancelling the context fails the remaining queries
+// promptly.
+func (d *deployment) SearchBatchCtx(ctx context.Context, exprs []string, k int) []BatchItem {
+	return d.batchItems(ctx, exprs, k, false)
+}
+
+// SearchFetchCtx is SearchCtx plus the fetch phase, the paper's full serving
+// path: the merged top-k hits' documents come back in Docs (one per Hit, in
+// rank order), fetched from the nodes that hold them with the same
+// deadlines, retries, and circuit breaking as the search fan-out. The stats
+// cover both phases: posting plus document-store traffic, and on the host
+// link the ranking plus the payloads. Nodes that fail either phase appear in
+// Degraded; a degraded fetch leaves its documents zero-valued rather than
+// failing the query.
+func (d *deployment) SearchFetchCtx(ctx context.Context, expr string, k int) (*ShardedResult, error) {
+	return d.result(d.cluster.SearchFetchCtx(ctx, expr, k))
+}
+
+// FetchDocsCtx fetches document payloads by docID: each document is served
+// by the node holding its shard, which is charged for the document-store
+// block loads and decodes exactly as a search is charged for posting-block
+// work, and the host link for the payloads returned. The result's Hits are
+// empty; Docs holds one entry per requested id, in input order.
+func (d *deployment) FetchDocsCtx(ctx context.Context, ids []uint32) (*ShardedResult, error) {
+	return d.result(d.cluster.FetchBatch(ctx, ids))
 }
 
 // Shard builds a sharded deployment of a synthetic corpus over the given
@@ -585,34 +597,6 @@ func (s *ShardedIndex) Nodes() int { return s.cluster.Shards() }
 
 // Replicas reports how many copies of each shard the deployment holds.
 func (s *ShardedIndex) Replicas() int { return s.cluster.Replicas() }
-
-// CacheHitRate reports the fraction of block fetches the cluster served
-// from its cross-query decoded-block cache, across both client classes
-// (decoded posting blocks and decoded document blocks).
-func (s *ShardedIndex) CacheHitRate() float64 { return s.cluster.CacheStats().HitRate() }
-
-// DocCacheHitRate reports the cluster cache's hit rate for the fetch
-// phase's document blocks alone.
-func (s *ShardedIndex) DocCacheHitRate() float64 { return s.cluster.CacheStats().DocHitRate() }
-
-// Search fans the query out to every node and merges the results. The
-// returned stats aggregate all nodes' work; HostBytes is the total result
-// traffic over the shared interconnect (per-node top-k lists).
-func (s *ShardedIndex) Search(expr string, k int) ([]Hit, *SimStats, error) {
-	res, err := s.result(s.cluster.Search(expr, k))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Hits, res.Stats, nil
-}
-
-// SearchBatch pipelines many queries across the pooled-memory cluster: each
-// host worker owns one in-flight query and sweeps it across the nodes, so
-// different queries occupy different nodes concurrently. Items preserve
-// input order and match Search query for query.
-func (s *ShardedIndex) SearchBatch(exprs []string, k int) []BatchItem {
-	return s.batchItems(context.Background(), exprs, k, true)
-}
 
 // batchItems runs a cluster batch and converts it into facade items. strict
 // is SearchBatch's contract, matching Search: a node failure fails the item
@@ -690,9 +674,10 @@ func (s *ShardedIndex) InjectFaults(fc FaultConfig) {
 	})
 }
 
-// ShardedResult is a resilient sharded query's outcome: the merged hits,
+// ShardedResult is a *Ctx call's outcome on either handle: the merged hits,
 // aggregate statistics over the surviving nodes, and a bitmask of nodes
-// whose shard results are missing (zero = complete).
+// whose shard results are missing (zero = complete; always zero on an
+// Accelerator, whose one node failing fails the call).
 type ShardedResult struct {
 	Hits     []Hit
 	Stats    *SimStats
@@ -762,39 +747,4 @@ func docsFromFetched(fds []pool.FetchedDoc) []Doc {
 		}
 	}
 	return out
-}
-
-// SearchFetchCtx is SearchCtx plus the fetch phase: the merged top-k
-// hits' documents come back in Docs, fetched from the nodes that hold
-// them with the same deadlines, retries, and circuit breaking as the
-// search fan-out. Nodes that fail either phase appear in Degraded; a
-// degraded fetch leaves its documents zero-valued rather than failing
-// the query.
-func (s *ShardedIndex) SearchFetchCtx(ctx context.Context, expr string, k int) (*ShardedResult, error) {
-	return s.result(s.cluster.SearchFetchCtx(ctx, expr, k))
-}
-
-// FetchDocsCtx fetches document payloads by docID across the deployment:
-// each document is served by the memory node holding its shard. The
-// result's Hits are empty; Docs holds one entry per requested id, in
-// input order.
-func (s *ShardedIndex) FetchDocsCtx(ctx context.Context, ids []uint32) (*ShardedResult, error) {
-	return s.result(s.cluster.FetchBatch(ctx, ids))
-}
-
-// SearchCtx is Search with deadlines, bounded retry, per-node circuit
-// breaking, and graceful degradation: when a node fails permanently its
-// shard is dropped from the merge and flagged in Degraded rather than
-// failing the query. The error is non-nil only when the context dies,
-// the query is invalid, or every node fails.
-func (s *ShardedIndex) SearchCtx(ctx context.Context, expr string, k int) (*ShardedResult, error) {
-	return s.result(s.cluster.SearchCtx(ctx, expr, k))
-}
-
-// SearchBatchCtx is SearchBatch with per-query resilience: node failures
-// degrade individual results (see BatchItem.Degraded) instead of
-// failing them, and cancelling the context fails the remaining queries
-// promptly.
-func (s *ShardedIndex) SearchBatchCtx(ctx context.Context, exprs []string, k int) []BatchItem {
-	return s.batchItems(ctx, exprs, k, false)
 }

@@ -15,6 +15,8 @@ import (
 
 	"boss/internal/compress"
 	"boss/internal/corpus"
+	"boss/internal/engine"
+	"boss/internal/iiu"
 	"boss/internal/index"
 	"boss/internal/pool"
 	"boss/internal/query"
@@ -103,7 +105,7 @@ func TestSearchErrors(t *testing.T) {
 
 // TestAcceleratorTermLimit: the accelerator facade prepares a query as its
 // Server does, so an expression of 17 term occurrences fails Search,
-// SearchFetch and SearchBatch with the *query.TermLimitError Submit refuses
+// SearchFetchCtx and SearchBatch with the *query.TermLimitError Submit refuses
 // it with, before anything runs.
 func TestAcceleratorTermLimit(t *testing.T) {
 	acc := sampleIndex(t).Accelerator(AccelOptions{})
@@ -115,9 +117,9 @@ func TestAcceleratorTermLimit(t *testing.T) {
 	defer srv.Close()
 	_, submitErr := srv.Submit(ServeRequest{Expr: expr, K: 5})
 	_, _, searchErr := acc.Search(expr, 5)
-	_, _, _, fetchErr := acc.SearchFetch(expr, 5)
+	_, fetchErr := acc.SearchFetchCtx(context.Background(), expr, 5)
 	batch := acc.SearchBatch([]string{`"dog"`, expr}, 5)
-	for name, err := range map[string]error{"Server.Submit": submitErr, "Search": searchErr, "SearchFetch": fetchErr, "SearchBatch": batch[1].Err} {
+	for name, err := range map[string]error{"Server.Submit": submitErr, "Search": searchErr, "SearchFetchCtx": fetchErr, "SearchBatch": batch[1].Err} {
 		var lim *query.TermLimitError
 		if !errors.As(err, &lim) || lim.Terms != query.MaxTerms+1 {
 			t.Errorf("%s(%d terms) = %v; want a *query.TermLimitError naming the count", name, query.MaxTerms+1, err)
@@ -198,6 +200,47 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 				t.Errorf("empty batch returned %d items", len(items))
 			}
 		})
+	}
+}
+
+// TestAcceleratorCtx: the single-device handle's *Ctx forms are its Search
+// and SearchBatch with a context and a ShardedResult. Search, SearchCtx,
+// SearchBatch, SearchBatchCtx and SearchFetchCtx give one query the same
+// hits; the Ctx forms report a complete answer (Degraded 0) and, on one
+// copy, no ServedBy; a dead context fails SearchCtx and every item of
+// SearchBatchCtx. CI runs this at -cpu 1,2,8.
+func TestAcceleratorCtx(t *testing.T) {
+	ix := BuildSynthetic(CCNewsLike, 0.004)
+	acc := ix.Accelerator(AccelOptions{})
+	ctx := context.Background()
+	exprs := []string{`"t1"`, `"t2" AND "t3"`, `"t4" OR "t9"`, `"nosuchtermzz"`}
+	batch, batchCtx := acc.SearchBatch(exprs, 10), acc.SearchBatchCtx(ctx, exprs, 10)
+	for i, expr := range exprs {
+		hits, stats, err := acc.Search(expr, 10)
+		res, errCtx := acc.SearchCtx(ctx, expr, 10)
+		if fmt.Sprint(err) != fmt.Sprint(errCtx) || !reflect.DeepEqual(batch[i], batchCtx[i]) {
+			t.Fatalf("%s: Search err %v, SearchCtx err %v; SearchBatch %+v, SearchBatchCtx %+v", expr, err, errCtx, batch[i], batchCtx[i])
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(res.Hits, hits) || !reflect.DeepEqual(res.Stats, stats) || res.Degraded != 0 || res.ServedBy != nil || res.Docs != nil {
+			t.Fatalf("%s: SearchCtx = %+v, want Search's hits %v and stats %+v, complete, single-copy", expr, res, hits, stats)
+		}
+		fetched, err := acc.SearchFetchCtx(ctx, expr, 10)
+		if err != nil || !reflect.DeepEqual(fetched.Hits, hits) || len(fetched.Docs) != len(hits) {
+			t.Fatalf("%s: SearchFetchCtx = %+v, %v; want Search's hits and a document each", expr, fetched, err)
+		}
+	}
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := acc.SearchCtx(dead, exprs[0], 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchCtx on a dead context: %v", err)
+	}
+	for i, it := range acc.SearchBatchCtx(dead, exprs, 10) {
+		if !errors.Is(it.Err, context.Canceled) {
+			t.Fatalf("SearchBatchCtx item %d on a dead context: %+v", i, it)
+		}
 	}
 }
 
@@ -585,4 +628,66 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// TestSoftwareEnginesRefuseCorruptBlocks: the software engine (exhaustive and
+// WAND), the IIU model and Index.Search, which runs on the engine, fail a
+// query whose posting block no longer matches its checksum with an error
+// wrapping index.ErrCorrupt, instead of ranking around the block; restoring
+// the byte gives back the original ranking. The union streams the corrupt
+// list; the conjunction probes it (IIU's binary-search path).
+func TestSoftwareEnginesRefuseCorruptBlocks(t *testing.T) {
+	ix := BuildSynthetic(CCNewsLike, 0.004)
+	t.Run("union", func(t *testing.T) { refusesCorruptBlock(t, ix, `"t0" OR "t1"`) })
+	t.Run("conjunction", func(t *testing.T) { refusesCorruptBlock(t, ix, `"t1" AND "t0"`) })
+}
+
+// refusesCorruptBlock runs expr on every software engine over ix with block 4
+// of "t0" intact, flipped and restored.
+func refusesCorruptBlock(t *testing.T, ix *Index, expr string) {
+	const k = 1000
+	node := query.MustParse(expr)
+	wand := engine.New(ix.idx)
+	wand.EnableWAND()
+	for _, tc := range []struct {
+		name string
+		run  func() ([]topk.Entry, error)
+	}{
+		{"engine", func() ([]topk.Entry, error) {
+			res, err := engine.New(ix.idx).Run(node, k)
+			return res.TopK, err
+		}},
+		{"engine WAND", func() ([]topk.Entry, error) {
+			res, err := wand.Run(node, k)
+			return res.TopK, err
+		}},
+		{"iiu", func() ([]topk.Entry, error) {
+			res, err := iiu.New(ix.idx).Run(node, k)
+			return res.TopK, err
+		}},
+		{"Index.Search", func() ([]topk.Entry, error) {
+			hs, err := ix.Search(expr, k)
+			es := make([]topk.Entry, len(hs))
+			for i, h := range hs {
+				es[i] = topk.Entry{DocID: h.DocID, Score: h.Score}
+			}
+			return es, err
+		}},
+	} {
+		clean, err := tc.run()
+		if err != nil || len(clean) == 0 {
+			t.Fatalf("%s: clean run: %d hits, %v", tc.name, len(clean), err)
+		}
+		pl := ix.idx.Lists["t0"]
+		at := pl.Blocks[4].Offset
+		pl.Data[at] ^= 0x01
+		got, err := tc.run()
+		pl.Data[at] ^= 0x01
+		if !errors.Is(err, index.ErrCorrupt) {
+			t.Errorf("%s over a corrupt block: %d hits, error %v; want an error wrapping index.ErrCorrupt", tc.name, len(got), err)
+		}
+		if again, err := tc.run(); err != nil || !slices.Equal(again, clean) {
+			t.Errorf("%s after restoring the block: %d hits, %v; want the original %d", tc.name, len(again), err, len(clean))
+		}
+	}
 }

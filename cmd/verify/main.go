@@ -468,11 +468,9 @@ func (s *stream) facade(m *matrix, peer string) error {
 	s.drive(r, surface{fetch: true, chained: true, send: func(f int, q pool.BatchQuery) func() answer {
 		switch {
 		case q.FetchIDs != nil:
-			docs, _, err := acc.FetchDocs(q.FetchIDs)
-			return ready(facade(nil, docs, 0, err))
+			return ready(sharded(acc.FetchDocsCtx(ctx, q.FetchIDs)))
 		case q.WithDocs:
-			hs, docs, _, err := acc.SearchFetch(q.Expr, q.K)
-			return ready(facade(hs, docs, 0, err))
+			return ready(sharded(acc.SearchFetchCtx(ctx, q.Expr, q.K)))
 		}
 		hs, st, err := acc.Search(q.Expr, q.K)
 		if err == nil {
@@ -517,10 +515,7 @@ func (s *stream) facade(m *matrix, peer string) error {
 				sr.cells[search].check(len(res.Hits) == 0 || res.Stats.DocsEvaluated > 0, "%s: no aggregate stats", q.Expr)
 			}
 		}
-		if err != nil {
-			return ready(answer{err: err})
-		}
-		return ready(facade(res.Hits, res.Docs, res.Degraded, nil))
+		return ready(sharded(res, err))
 	}})
 
 	fc := serving(s)
@@ -707,4 +702,12 @@ func facade(hs []boss.Hit, ds []boss.Doc, degraded uint64, err error) answer {
 		}
 	}
 	return a
+}
+
+// sharded is facade over a facade call's *ShardedResult.
+func sharded(res *boss.ShardedResult, err error) answer {
+	if err != nil {
+		return answer{err: err}
+	}
+	return facade(res.Hits, res.Docs, res.Degraded, nil)
 }

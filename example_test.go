@@ -92,22 +92,23 @@ func ExampleShard() {
 	// nodes: 3 identical ranking: true
 }
 
-// SearchFetch runs a query and returns the stored payloads of the
+// SearchFetchCtx runs a query and returns the stored payloads of the
 // ranked hits in one call. Payload blocks decode through the same
 // decoded-block cache as posting blocks, so re-fetching a hot document
 // is a zero-copy cache hit — visible in the per-class hit-rate split.
-func ExampleAccelerator_SearchFetch() {
+func ExampleAccelerator_SearchFetchCtx() {
 	b := boss.NewBuilder()
 	b.Add("doc1", "alpha beta")
 	b.Add("doc2", "alpha gamma delta")
 	ix := b.Build()
 	acc := ix.Accelerator(boss.AccelOptions{})
 
-	hits, docs, _, _ := acc.SearchFetch(`"gamma"`, 10)
-	fmt.Println(len(hits), "hit:", docs[0].Name, "/", docs[0].Text)
+	ctx := context.Background()
+	res, _ := acc.SearchFetchCtx(ctx, `"gamma"`, 10)
+	fmt.Println(len(res.Hits), "hit:", res.Docs[0].Name, "/", res.Docs[0].Text)
 
-	docs, _, _ = acc.FetchDocs([]uint32{docs[0].DocID}) // hot re-fetch
-	fmt.Println("re-fetched:", docs[0].Text)
+	res, _ = acc.FetchDocsCtx(ctx, []uint32{res.Docs[0].DocID}) // hot re-fetch
+	fmt.Println("re-fetched:", res.Docs[0].Text)
 	fmt.Printf("doc-cache hit rate: %.2f\n", acc.DocCacheHitRate())
 	// Output:
 	// 1 hit: doc2 / alpha gamma delta

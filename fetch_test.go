@@ -21,10 +21,11 @@ func fetchTestIndex(t *testing.T) *Index {
 func TestFetchDocsUserIndex(t *testing.T) {
 	ix := fetchTestIndex(t)
 	acc := ix.Accelerator(AccelOptions{})
-	docs, stats, err := acc.FetchDocs([]uint32{2, 0})
+	res, err := acc.FetchDocsCtx(context.Background(), []uint32{2, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	docs, stats := res.Docs, res.Stats
 	if len(docs) != 2 {
 		t.Fatalf("got %d docs", len(docs))
 	}
@@ -42,10 +43,11 @@ func TestFetchDocsUserIndex(t *testing.T) {
 func TestSearchFetch(t *testing.T) {
 	ix := fetchTestIndex(t)
 	acc := ix.Accelerator(AccelOptions{})
-	hits, docs, stats, err := acc.SearchFetch(`"five"`, 10)
+	res, err := acc.SearchFetchCtx(context.Background(), `"five"`, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hits, docs, stats := res.Hits, res.Docs, res.Stats
 	if len(hits) == 0 || len(docs) != len(hits) {
 		t.Fatalf("hits=%d docs=%d", len(hits), len(docs))
 	}
@@ -81,7 +83,7 @@ func TestSearchFetch(t *testing.T) {
 		payload += int64(len(d.Name) + len(d.Text))
 	}
 	if stats.HostBytes != sOnly.HostBytes+payload {
-		t.Fatalf("SearchFetch HostBytes = %d, want Search's %d + %d payload bytes", stats.HostBytes, sOnly.HostBytes, payload)
+		t.Fatalf("SearchFetchCtx HostBytes = %d, want Search's %d + %d payload bytes", stats.HostBytes, sOnly.HostBytes, payload)
 	}
 }
 
@@ -90,10 +92,11 @@ func TestSearchFetch(t *testing.T) {
 func TestSearchFetchSynthetic(t *testing.T) {
 	ix := BuildSynthetic(CCNewsLike, 0.004)
 	acc := ix.Accelerator(AccelOptions{})
-	hits, docs, _, err := acc.SearchFetch(`"`+ix.CommonTerm(2)+`"`, 5)
+	res, err := acc.SearchFetchCtx(context.Background(), `"`+ix.CommonTerm(2)+`"`, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hits, docs := res.Hits, res.Docs
 	if len(docs) != len(hits) || len(docs) == 0 {
 		t.Fatalf("hits=%d docs=%d", len(hits), len(docs))
 	}
@@ -104,11 +107,11 @@ func TestSearchFetchSynthetic(t *testing.T) {
 	}
 	// A second accelerator over a second identical build serves identical bytes.
 	again := BuildSynthetic(CCNewsLike, 0.004).Accelerator(AccelOptions{})
-	docs2, _, err := again.FetchDocs([]uint32{docs[0].DocID})
+	res2, err := again.FetchDocsCtx(context.Background(), []uint32{docs[0].DocID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if docs2[0].Text != docs[0].Text {
+	if res2.Docs[0].Text != docs[0].Text {
 		t.Fatal("synthetic payloads nondeterministic across builds")
 	}
 }
@@ -122,11 +125,11 @@ func TestFetchStatsCacheIndependent(t *testing.T) {
 	}
 	run := func(cacheBytes int64) *SimStats {
 		acc := ix.Accelerator(AccelOptions{CacheBytes: cacheBytes})
-		_, stats, err := acc.FetchDocs(ids)
+		res, err := acc.FetchDocsCtx(context.Background(), ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats
+		return res.Stats
 	}
 	plain, cached := run(-1), run(64<<20)
 	if *plain != *cached {
@@ -134,7 +137,7 @@ func TestFetchStatsCacheIndependent(t *testing.T) {
 	}
 	// And the cache actually served the repeats.
 	acc := ix.Accelerator(AccelOptions{})
-	if _, _, err := acc.FetchDocs(ids); err != nil {
+	if _, err := acc.FetchDocsCtx(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 	if acc.DocCacheHitRate() == 0 {
@@ -158,11 +161,11 @@ func TestReadIndexNoDocStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := back.Accelerator(AccelOptions{})
-	if _, _, err := acc.FetchDocs([]uint32{0}); !errors.Is(err, ErrNoDocStore) {
+	if _, err := acc.FetchDocsCtx(context.Background(), []uint32{0}); !errors.Is(err, ErrNoDocStore) {
 		t.Fatalf("err = %v, want ErrNoDocStore", err)
 	}
-	if _, _, _, err := acc.SearchFetch(`"quick"`, 3); !errors.Is(err, ErrNoDocStore) {
-		t.Fatalf("SearchFetch err = %v, want ErrNoDocStore", err)
+	if _, err := acc.SearchFetchCtx(context.Background(), `"quick"`, 3); !errors.Is(err, ErrNoDocStore) {
+		t.Fatalf("SearchFetchCtx err = %v, want ErrNoDocStore", err)
 	}
 	// Plain search still works.
 	if _, _, err := acc.Search(`"quick"`, 3); err != nil {
@@ -238,7 +241,7 @@ func TestShardedFetchDegraded(t *testing.T) {
 // documents. The pool hands off Docs and one arena per answer, and the
 // facade converts them into its Docs and one string every Name and Text
 // slices (two strings per document until then: 4 more allocations each), so
-// ShardedIndex.FetchDocsCtx and Accelerator.FetchDocs of 10 documents
+// ShardedIndex.FetchDocsCtx and Accelerator.FetchDocsCtx of 10 documents
 // allocate what they do for 1, and serve the same documents one at a time
 // or together.
 func TestFetchDocsAllocs(t *testing.T) {
@@ -261,12 +264,12 @@ func TestFetchDocsAllocs(t *testing.T) {
 			}
 			return res.Docs
 		}},
-		{"Accelerator.FetchDocs", func(ids []uint32) []Doc {
-			docs, _, err := acc.FetchDocs(ids)
+		{"Accelerator.FetchDocsCtx", func(ids []uint32) []Doc {
+			res, err := acc.FetchDocsCtx(context.Background(), ids)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return docs
+			return res.Docs
 		}},
 	}
 	for _, f := range fetchers {

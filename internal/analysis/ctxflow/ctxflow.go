@@ -21,7 +21,7 @@
 //     function that has a context-aware sibling: calling m.Search(...)
 //     where m.SearchCtx(ctx, ...) exists silently discards the deadline.
 //     The sibling convention is NameCtx, matching this repository's API
-//     surface (Search/SearchCtx, Run/RunCtx, FetchDocs/FetchDocsCtx).
+//     surface (Search/SearchCtx, Run/RunCtx, SearchBatch/SearchBatchCtx).
 //
 //  4. Unbounded retry loops must observe cancellation: a `for` statement
 //     with no condition, inside a function that received a context, must

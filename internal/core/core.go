@@ -673,8 +673,8 @@ func (r *run) decodeBlock(ls *listState, pl *index.PostingList, b int) *cache.En
 	payload := pl.Data[meta.Offset : meta.Offset+meta.Length]
 	// Integrity gate: verify the payload CRC before decoding so real
 	// corruption is detected and typed instead of silently scored (and
-	// never published to the shared cache). Zero means unchecksummed.
-	if meta.Checksum != 0 && index.ChecksumPayload(payload) != meta.Checksum {
+	// never published to the shared cache).
+	if index.ChecksumPayload(payload) != meta.Checksum {
 		r.m.IntegrityFailures++
 		r.failCorrupt(pl, b) //boss:escape-ok cold corrupt-block error path
 		return nil

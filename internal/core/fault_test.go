@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -110,11 +111,12 @@ func TestCorruptBlockReturnsTypedError(t *testing.T) {
 	}
 }
 
-// A malformed payload the checksum gate cannot catch (Checksum == 0, as in
-// hand-built lists) reaches the decompression module's fused kernels. They
-// must refuse it with the module's error, typed by the core, on a cached
-// and an uncached accelerator alike; the cache must neither publish the
-// block nor keep the reserved entry pinned.
+// A malformed payload the checksum gate cannot catch (its CRC resealed over
+// the malformed bytes, as a writer that checksums what it was handed would)
+// reaches the decompression module's fused kernels. They must refuse it with
+// the module's error, typed by the core, on a cached and an uncached
+// accelerator alike; the cache must neither publish the block nor keep the
+// reserved entry pinned.
 func TestMalformedUnchecksummedBlockFailsTyped(t *testing.T) {
 	c := corpus.Generate(corpus.CCNewsLike(0.004))
 	for _, tc := range []struct {
@@ -133,8 +135,9 @@ func TestMalformedUnchecksummedBlockFailsTyped(t *testing.T) {
 			idx := index.Build(c, index.BuildOptions{Scheme: tc.scheme})
 			pl := idx.Lists["t0"] // the most frequent term: several full blocks
 			saved, first := pl.Blocks[0], pl.Data[pl.Blocks[0].Offset]
-			pl.Blocks[0].Checksum = 0
 			tc.corrupt(pl)
+			meta := &pl.Blocks[0]
+			meta.Checksum = index.ChecksumPayload(pl.Data[meta.Offset : meta.Offset+meta.Length])
 
 			var ch *cache.Cache
 			if cached {
@@ -161,6 +164,38 @@ func TestMalformedUnchecksummedBlockFailsTyped(t *testing.T) {
 			if st := ch.Stats(); st.PinnedEntries != 0 {
 				t.Fatalf("%s: %d entries still pinned after the query finished", tc.name, st.PinnedEntries)
 			}
+		}
+	}
+}
+
+// A zero Checksum is a checksum like any other. A block whose Checksum is
+// zeroed and whose payload is flipped survives a write and a read (the
+// file's seal covers the edit), and must then fail VerifyBlock and the
+// accelerator's integrity gate, cached and uncached, as any mismatched block
+// does.
+func TestZeroChecksumIsChecked(t *testing.T) {
+	idx := index.Build(corpus.Generate(corpus.CCNewsLike(0.004)), index.BuildOptions{Scheme: compress.SchemeHybrid})
+	pl := idx.Lists["t0"]
+	const b = 1
+	pl.Blocks[b].Checksum = 0
+	pl.Data[pl.Blocks[b].Offset] ^= 0x5a
+	var file bytes.Buffer
+	if _, err := idx.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	back, err := index.Read(&file)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if back.Lists["t0"].VerifyBlock(b) {
+		t.Fatal("a flipped payload under a zero checksum verifies")
+	}
+	for _, ch := range []*cache.Cache{nil, cache.New(1 << 20)} {
+		acc := NewCached(back, ExhaustiveOptions(), ch)
+		_, err := acc.exec(context.Background(), query.Plan{DNF: [][]string{{"t0"}}}, 10)
+		want := `core: list "t0" block 1: checksum mismatch`
+		if !errors.Is(err, mem.ErrMediaUncorrectable) || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("cached=%v: got %v, want %s… wrapping mem.ErrMediaUncorrectable", ch != nil, err, want)
 		}
 	}
 }

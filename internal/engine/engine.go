@@ -21,38 +21,26 @@ import (
 	"boss/internal/topk"
 )
 
-// CostModel holds the per-operation CPU costs in nanoseconds. The defaults
-// are calibrated so an 8-core software baseline lands where the paper's
-// Lucene does relative to the accelerator models.
-type CostModel struct {
-	DecodeNSPerValue float64 // posting decompression, per value
-	ScoreNSPerOp     float64 // one BM25 term-score evaluation
-	MergeNSPerOp     float64 // one comparison/advance in merge or probe
-	SeekNSPerBlock   float64 // skip-pointer traversal per block level
-	HeapNSPerInsert  float64 // one top-k heap offer
-}
-
-// DefaultCostModel returns the calibrated software cost model.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		DecodeNSPerValue: 1.8,
-		ScoreNSPerOp:     4.2,
-		MergeNSPerOp:     2.0,
-		SeekNSPerBlock:   28.0, // skip-list traversal + iterator dispatch
-		HeapNSPerInsert:  4.0,
-	}
-}
+// The per-operation CPU costs in nanoseconds, calibrated so an 8-core
+// software baseline lands where the paper's Lucene does relative to the
+// accelerator models.
+const (
+	decodeNSPerValue = 1.8  // posting decompression, per value
+	scoreNSPerOp     = 4.2  // one BM25 term-score evaluation
+	mergeNSPerOp     = 2.0  // one comparison/advance in merge or probe
+	seekNSPerBlock   = 28.0 // skip-list traversal + iterator dispatch, per seek
+	heapNSPerInsert  = 4.0  // one top-k heap offer
+)
 
 // Engine is a software query engine over one index shard.
 type Engine struct {
 	idx  *index.Index
-	cost CostModel
 	wand bool
 }
 
-// New returns an engine with the default cost model.
+// New returns an engine over idx.
 func New(idx *index.Index) *Engine {
-	return &Engine{idx: idx, cost: DefaultCostModel()}
+	return &Engine{idx: idx}
 }
 
 // Result is the outcome of one query.
@@ -77,20 +65,22 @@ type tally struct {
 // flush converts the accumulated counts to compute time on m and zeroes the
 // tally. Applying each per-operation cost to its whole count keeps the
 // result deterministic regardless of iteration interleaving.
-func (ta *tally) flush(cost CostModel, m *perf.Metrics) {
-	ns := cost.DecodeNSPerValue*float64(ta.decoded) +
-		cost.ScoreNSPerOp*float64(ta.scoreOps) +
-		cost.MergeNSPerOp*float64(ta.mergeOps) +
-		cost.SeekNSPerBlock*float64(ta.seeks) +
-		cost.HeapNSPerInsert*float64(ta.heapInserts)
+func (ta *tally) flush(m *perf.Metrics) {
+	ns := decodeNSPerValue*float64(ta.decoded) +
+		scoreNSPerOp*float64(ta.scoreOps) +
+		mergeNSPerOp*float64(ta.mergeOps) +
+		seekNSPerBlock*float64(ta.seeks) +
+		heapNSPerInsert*float64(ta.heapInserts)
 	m.AddCompute(sim.Duration(ns * float64(sim.Nanosecond)))
 	*ta = tally{}
 }
 
 // Run evaluates the query and returns the top-k documents plus the work
-// metrics the run accumulated. Run is safe for concurrent use from multiple
-// goroutines: the engine itself is stateless and all per-query state lives
-// in the iterator tree built here.
+// metrics the run accumulated. A block whose payload fails its checksum
+// stops its list's cursor, and Run returns the first such error (wrapping
+// index.ErrCorrupt) instead of a ranking that silently lacks the block. Run
+// is safe for concurrent use from multiple goroutines: the engine itself is
+// stateless and all per-query state lives in the iterator tree built here.
 func (e *Engine) Run(node *query.Node, k int) (Result, error) {
 	m := perf.NewMetrics()
 	ta := &tally{}
@@ -110,15 +100,20 @@ func (e *Engine) Run(node *query.Node, k int) (Result, error) {
 		sel.Insert(doc, s)
 		it.next()
 	}
+	err = it.err()
 	it.close()
-	ta.flush(e.cost, m)
+	if err != nil {
+		return Result{}, err
+	}
+	ta.flush(m)
 	return Result{TopK: sel.Results(), M: m}, nil
 }
 
 // iter is a DAAT document iterator. score() may only be called when
-// valid(), and charges the scoring cost for the current document. close()
-// releases decode buffers back to the shared pool; the iterator must not be
-// used afterwards.
+// valid(), and charges the scoring cost for the current document. err()
+// reports the first integrity failure among its cursors. close() releases
+// decode buffers back to the shared pool; the iterator must not be used
+// afterwards.
 type iter interface {
 	valid() bool
 	doc() uint32
@@ -126,6 +121,7 @@ type iter interface {
 	next()
 	seekGEQ(target uint32) bool
 	estDF() int
+	err() error
 	close()
 }
 
@@ -210,6 +206,7 @@ func (e *Engine) newTermIter(pl *index.PostingList, m *perf.Metrics, ta *tally) 
 func (t *termIter) valid() bool { return t.cur.Valid() }
 func (t *termIter) doc() uint32 { return t.cur.Doc() }
 func (t *termIter) estDF() int  { return t.pl.DF }
+func (t *termIter) err() error  { return t.cur.Err() }
 func (t *termIter) close()      { t.cur.Release() }
 
 func (t *termIter) score() float64 {
@@ -281,6 +278,8 @@ outer:
 func (a *andIter) valid() bool { return a.ok }
 func (a *andIter) doc() uint32 { return a.cur }
 
+func (a *andIter) err() error { return firstErr(a.children) }
+
 func (a *andIter) close() {
 	for _, c := range a.children {
 		c.close()
@@ -349,6 +348,8 @@ func (o *orIter) settle() {
 func (o *orIter) valid() bool { return o.ok }
 func (o *orIter) doc() uint32 { return o.cur }
 
+func (o *orIter) err() error { return firstErr(o.children) }
+
 func (o *orIter) close() {
 	for _, c := range o.children {
 		c.close()
@@ -393,4 +394,14 @@ func (o *orIter) seekGEQ(target uint32) bool {
 	}
 	o.settle()
 	return o.ok
+}
+
+// firstErr is the first integrity failure among iterators, in order.
+func firstErr[I iter](its []I) error {
+	for _, it := range its {
+		if err := it.err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -19,7 +19,8 @@ func (e *Engine) EnableWAND() { e.wand = true }
 // runWAND evaluates a pure disjunction of terms with document-level WAND.
 // The caller guarantees every child of node is a term. Results are
 // identical to exhaustive evaluation (ET is lossless, with the same
-// tie-safe >= pivoting the hardware model uses).
+// tie-safe >= pivoting the hardware model uses). A corrupt block fails the
+// run as it fails Run.
 func (e *Engine) runWAND(node *query.Node, k int, m *perf.Metrics, ta *tally) (Result, error) {
 	children := make([]*termIter, len(node.Children))
 	for i, c := range node.Children {
@@ -96,6 +97,9 @@ func (e *Engine) runWAND(node *query.Node, k int, m *perf.Metrics, ta *tally) (R
 			}
 		}
 	}
-	ta.flush(e.cost, m)
+	if err := firstErr(all); err != nil {
+		return Result{}, err
+	}
+	ta.flush(m)
 	return Result{TopK: sel.Results(), M: m}, nil
 }

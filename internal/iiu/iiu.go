@@ -196,7 +196,10 @@ func (r *run) scanTerm(term string) ([]postingMatch, error) {
 	var docs, tfs []uint32
 	for b := range pl.Blocks {
 		r.chargeBlockLoad(pl, b, false)
-		docs, tfs = r.acc.idx.DecodeBlock(pl, b, docs[:0], tfs[:0])
+		var err error
+		if docs, tfs, err = r.decode(pl, b, docs, tfs); err != nil {
+			return nil, err
+		}
 		for i := range docs {
 			out = append(out, postingMatch{doc: docs[i], terms: []termTF{{pl, tfs[i]}}})
 		}
@@ -219,6 +222,16 @@ func (r *run) chargeBlockLoad(pl *index.PostingList, b int, random bool) {
 	// Decode both the docID and tf streams (two values per posting) through
 	// two-lane extraction: one cycle per posting.
 	r.decodeCycles += float64(meta.Count)
+}
+
+// decode decodes block b of pl into docs and tfs once its payload passes
+// its checksum: a corrupt block is refused, never scored.
+func (r *run) decode(pl *index.PostingList, b int, docs, tfs []uint32) ([]uint32, []uint32, error) {
+	if !pl.VerifyBlock(b) {
+		return nil, nil, fmt.Errorf("iiu: list %q block %d: checksum mismatch: %w", pl.Term, b, index.ErrCorrupt)
+	}
+	docs, tfs = r.acc.idx.DecodeBlock(pl, b, docs[:0], tfs[:0])
+	return docs, tfs, nil
 }
 
 // mergeUnion merges sorted match lists, concatenating term contributions
@@ -293,9 +306,9 @@ func (r *run) intersect(terms []*index.PostingList, materialized [][]postingMatc
 			r.spill(len(current))
 		}
 		passes++
-		current = r.probeList(current, pl)
-		if len(current) == 0 {
-			return current, nil
+		var err error
+		if current, err = r.probeList(current, pl); err != nil || len(current) == 0 {
+			return current, err
 		}
 	}
 	for _, ml := range materialized {
@@ -314,7 +327,7 @@ func (r *run) intersect(terms []*index.PostingList, materialized [][]postingMatc
 // probeList performs membership tests of candidates against a posting list
 // using block-level binary search: each new candidate block is located by
 // dependent random metadata probes and loaded with a random read.
-func (r *run) probeList(candidates []postingMatch, pl *index.PostingList) []postingMatch {
+func (r *run) probeList(candidates []postingMatch, pl *index.PostingList) ([]postingMatch, error) {
 	var out []postingMatch
 	loaded := -1
 	var docs, tfs []uint32
@@ -341,7 +354,10 @@ func (r *run) probeList(candidates []postingMatch, pl *index.PostingList) []post
 			}
 			r.mergeCycles += float64(hops * probeCyclesPerHop)
 			r.chargeBlockLoad(pl, b, true)
-			docs, tfs = r.acc.idx.DecodeBlock(pl, b, docs[:0], tfs[:0])
+			var err error
+			if docs, tfs, err = r.decode(pl, b, docs, tfs); err != nil {
+				return nil, err
+			}
 			loaded = b
 		}
 		// Binary search within the decoded block (on-chip).
@@ -354,7 +370,7 @@ func (r *run) probeList(candidates []postingMatch, pl *index.PostingList) []post
 			})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // probeMaterialized intersects candidates with an in-memory intermediate

@@ -44,10 +44,10 @@ type BlockMeta struct {
 	Length   uint32  // byte length of the compressed payload
 	// Checksum is the CRC32-C of the compressed payload, computed at
 	// build time and verified on fetch so media corruption is detected
-	// instead of silently scored. Zero means "unchecksummed" (lists
-	// hand-built in tests). It is not part of the
-	// paper's 19-byte metadata budget: SCM devices keep block CRCs in
-	// the per-line ECC/spare area, so BlockMetaBytes is unchanged.
+	// instead of silently scored; no value switches the check off. It is
+	// not part of the paper's 19-byte metadata budget: SCM devices keep
+	// block CRCs in the per-line ECC/spare area, so BlockMetaBytes is
+	// unchanged.
 	Checksum uint32
 	Count    uint16 // number of postings in the block (≤ block size)
 	// MaxImpact is the largest 8-bit quantized impact code of any posting
@@ -418,13 +418,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func ChecksumPayload(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // VerifyBlock recomputes block b's payload checksum, reporting whether
-// the payload is intact. Unchecksummed blocks (Checksum == 0) always
-// verify.
+// the payload is intact. Every block is checked: a zero Checksum is a
+// checksum like any other.
 func (pl *PostingList) VerifyBlock(b int) bool {
 	meta := pl.Blocks[b]
-	if meta.Checksum == 0 {
-		return true
-	}
 	return ChecksumPayload(pl.Data[meta.Offset:meta.Offset+meta.Length]) == meta.Checksum
 }
 

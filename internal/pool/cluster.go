@@ -84,17 +84,15 @@ type Cluster struct {
 	cfg     Config
 	shards  []*index.Index
 	offsets []uint32 // global docID of each shard's local doc 0
-	// accs[si][ri] is the wall-clock accelerator of replica ri of shard
-	// si. Every replica serves the shard's one index through the shared
-	// decoded-block cache and owns its own fault-injection domain: the
-	// accelerator makes every charge, the fault draw included, before it
-	// reads the cache's answer, so a block another copy decoded never
-	// spares a copy its own draw. Every entry point routes across replicas
-	// through pickReplica; with Replicas == 1 that is always replica 0,
-	// byte-identical to single-copy serving.
-	accs [][]*core.Accelerator
-	// cache is the cross-query decoded-block cache shared by every shard's
-	// wall-clock accelerator (nil when Config.CacheBytes <= 0).
+	// reps[si][ri] is replica ri of shard si (replica). Every entry point
+	// routes across a shard's copies through pickReplica; with Replicas == 1
+	// that is always replica 0, byte-identical to single-copy serving.
+	reps [][]replica
+	// cache is the cross-query decoded-block cache shared by every copy's
+	// accelerator and fetch engine (nil when Config.CacheBytes <= 0): posting
+	// and store identities are process-wide, so keys never collide across
+	// shards, and a shared budget follows the workload's skew instead of
+	// splitting it evenly.
 	cache *cache.Cache
 
 	// Fetch-phase state (fetch.go). The per-shard document stores are built
@@ -104,16 +102,10 @@ type Cluster struct {
 	docs     func(lo, hi uint32) (*docstore.Store, error)
 	docsOnce sync.Once
 	docsErr  error
-	// fetchers[si][ri] is replica ri's fetch engine over the shard's
-	// store, mirroring accs' replica layout.
-	fetchers  [][]*core.FetchEngine
-	faultPlan *mem.FaultPlan
 
-	// Fault handling (see resilient.go): one breaker and its
-	// counters per shard replica, and the clock (Config.Clock) that
-	// breaker cooldowns and retry backoff run on.
-	states [][]*shardState
-	clock  clock.Clock
+	// clock (Config.Clock) runs breaker cooldowns and retry backoff
+	// (resilient.go).
+	clock clock.Clock
 
 	// records recycles the per-request records exec runs on (queryRec). A
 	// non-nil poison is handed every record as it is released, before it is
@@ -121,6 +113,20 @@ type Cluster struct {
 	// a record would read garbage.
 	records sync.Pool
 	poison  func(*queryRec)
+}
+
+// replica is one shard copy: its wall-clock accelerator over the shard's one
+// index, its fetch engine over the shard's one document store (nil until
+// EnsureDocs builds the stores), the fault-injection domain both draw from
+// (nil: pristine; SetFaultPlan), and its circuit breaker with the copy's
+// counters (resilient.go). The accelerator and the fetch engine make every
+// charge, the fault draw included, before they read the shared cache's
+// answer, so a block another copy decoded never spares a copy its own draw.
+type replica struct {
+	acc   *core.Accelerator
+	fetch *core.FetchEngine
+	fault *mem.Injector
+	breaker
 }
 
 // ErrBadConfig reports an invalid cluster construction request. All
@@ -176,37 +182,20 @@ func NewCluster(cfg Config, c *corpus.Corpus, shards int) (*Cluster, error) {
 		return nil, fmt.Errorf("%w: %d shards over %d documents would leave empty shards",
 			ErrBadConfig, shards, c.Spec.NumDocs)
 	}
+	var idxs []*index.Index
+	var offsets []uint32
+	per := (c.Spec.NumDocs + shards - 1) / shards
+	for lo := 0; lo < c.Spec.NumDocs; lo += per {
+		hi := min(lo+per, c.Spec.NumDocs)
+		idxs = append(idxs, index.BuildRange(c, lo, hi, index.BuildOptions{Scheme: compress.SchemeHybrid}))
+		offsets = append(offsets, uint32(lo))
+	}
 	// Document payloads are synthesized from (Seed, global docID, DocLens),
 	// so every shard layout packs byte-identical content.
 	spec, docLens := c.Spec, append([]uint32(nil), c.DocLens...)
-	cl := &Cluster{
-		cfg:   cfg,
-		cache: cache.New(cfg.CacheBytes),
-		docs: func(lo, hi uint32) (*docstore.Store, error) {
-			return corpus.DocStore(spec, docLens, lo, hi)
-		},
-	}
-	per := (c.Spec.NumDocs + shards - 1) / shards
-	for s := 0; s < shards; s++ {
-		lo := s * per
-		hi := lo + per
-		if hi > c.Spec.NumDocs {
-			hi = c.Spec.NumDocs
-		}
-		if lo >= hi {
-			break
-		}
-		idx := index.BuildRange(c, lo, hi, index.BuildOptions{Scheme: compress.SchemeHybrid})
-		cl.shards = append(cl.shards, idx)
-		cl.offsets = append(cl.offsets, uint32(lo))
-		// All shards and replicas share one cache: posting-list identities
-		// are process-wide, so keys never collide across shards, and a
-		// shared budget follows the workload's skew instead of splitting
-		// it evenly.
-		cl.accs = append(cl.accs, cl.buildReplicas(idx))
-	}
-	cl.initServing()
-	return cl, nil
+	return assemble(cfg, idxs, offsets, func(lo, hi uint32) (*docstore.Store, error) {
+		return corpus.DocStore(spec, docLens, lo, hi)
+	})
 }
 
 // NewSingle is the single-device deployment: a one-shard cluster over idx,
@@ -216,62 +205,41 @@ func NewCluster(cfg Config, c *corpus.Corpus, shards int) (*Cluster, error) {
 // may carry impacts, so it serves SPARSE. Invalid config fields return an
 // error wrapping ErrBadConfig.
 func NewSingle(cfg Config, idx *index.Index, docs func() (*docstore.Store, error)) (*Cluster, error) {
-	if err := validateConfig(cfg); err != nil {
-		return nil, err
-	}
-	cl := &Cluster{
-		cfg:     cfg,
-		shards:  []*index.Index{idx},
-		offsets: []uint32{0},
-		cache:   cache.New(cfg.CacheBytes),
-		docs:    func(_, _ uint32) (*docstore.Store, error) { return docs() },
-	}
-	cl.accs = [][]*core.Accelerator{cl.buildReplicas(idx)}
-	cl.initServing()
-	return cl, nil
-}
-
-// buildReplicas constructs one shard's replica accelerators, all over
-// the shard's index and the cluster cache.
-func (cl *Cluster) buildReplicas(idx *index.Index) []*core.Accelerator {
-	reps := make([]*core.Accelerator, cl.Replicas())
-	for ri := range reps {
-		reps[ri] = core.NewCached(idx, cl.cfg.Opts, cl.cache)
-	}
-	return reps
+	return assemble(cfg, []*index.Index{idx}, []uint32{0}, func(_, _ uint32) (*docstore.Store, error) { return docs() })
 }
 
 // Fresh returns a new cluster over the same built shard indexes with
-// fresh serving state: its own decoded-block cache, accelerators,
-// breakers and counters, no fault plan, and an unbuilt fetch phase. The
-// expensive immutable artifacts — the shard index builds — are
-// shared with the receiver, so sweeps that need per-point
-// state isolation (the chaos harness) pay index construction once
-// instead of once per sweep point. cfg may differ from the receiver's
-// (a different cache budget, replica count or clock).
+// fresh serving state: its own decoded-block cache, replicas, breakers and
+// counters, no fault plan, and an unbuilt fetch phase. The expensive
+// immutable artifacts — the shard index builds — are shared with the
+// receiver, so sweeps that need per-point state isolation (the chaos
+// harness) pay index construction once instead of once per sweep point. cfg
+// may differ from the receiver's (a different cache budget, replica count or
+// clock).
 func (cl *Cluster) Fresh(cfg Config) (*Cluster, error) {
+	return assemble(cfg, cl.shards, cl.offsets, cl.docs)
+}
+
+// assemble is every constructor's serving state over built shards: the
+// cache, cfg.Replicas pristine copies of each shard with closed breakers,
+// the clock and the record pool.
+func assemble(cfg Config, shards []*index.Index, offsets []uint32, docs func(lo, hi uint32) (*docstore.Store, error)) (*Cluster, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	nc := &Cluster{
-		cfg:     cfg,
-		shards:  cl.shards,
-		offsets: cl.offsets,
-		cache:   cache.New(cfg.CacheBytes),
-		docs:    cl.docs,
+	cl := &Cluster{cfg: cfg, shards: shards, offsets: offsets, cache: cache.New(cfg.CacheBytes), docs: docs, clock: cfg.Clock}
+	if cl.clock == nil {
+		cl.clock = clock.Wall()
 	}
-	for _, idx := range nc.shards {
-		nc.accs = append(nc.accs, nc.buildReplicas(idx))
+	cl.reps = make([][]replica, len(shards))
+	for si, idx := range shards {
+		cl.reps[si] = make([]replica, cfg.Replicas)
+		for ri := range cl.reps[si] {
+			cl.reps[si][ri].acc = core.NewCached(idx, cfg.Opts, cl.cache)
+		}
 	}
-	nc.initServing()
-	return nc, nil
-}
-
-// initServing wires the per-request machinery once the shards exist: the
-// resilience state and the record pool. NewCluster and Fresh call it.
-func (cl *Cluster) initServing() {
-	cl.initBreakers()
 	cl.records.New = func() any { return newRecord(cl) }
+	return cl, nil
 }
 
 // Replicas reports the number of independently-faultable copies each
@@ -648,19 +616,22 @@ func strict(res *ClusterResult, err error) (*ClusterResult, error) {
 // Search fans a query out to every node and merges the local top-k lists.
 // Shards run concurrently on a bounded worker pool (Config.Workers, default
 // GOMAXPROCS). Any shard failure fails the query.
-//
-//boss:ctx-root Search is the context-free entry point; SearchCtx takes the caller's.
 func (cl *Cluster) Search(expr string, k int) (*ClusterResult, error) {
-	return strict(cl.execFresh(context.Background(), BatchQuery{Expr: expr, K: k}, cl.workers(len(cl.shards))))
+	return cl.searchStrict(expr, k, cl.workers(len(cl.shards)))
 }
 
 // SearchSerial is Search with the shards visited one at a time on the
 // calling goroutine: the baseline the wall-clock benchmarks compare the
 // fan-out to.
-//
-//boss:ctx-root SearchSerial is the context-free serial baseline.
 func (cl *Cluster) SearchSerial(expr string, k int) (*ClusterResult, error) {
-	return strict(cl.execFresh(context.Background(), BatchQuery{Expr: expr, K: k}, 1))
+	return cl.searchStrict(expr, k, 1)
+}
+
+// searchStrict is Search and SearchSerial at shard width shardWorkers.
+//
+//boss:ctx-root the context-free entry points' root; SearchCtx takes the caller's.
+func (cl *Cluster) searchStrict(expr string, k, shardWorkers int) (*ClusterResult, error) {
+	return strict(cl.execFresh(context.Background(), BatchQuery{Expr: expr, K: k}, shardWorkers))
 }
 
 // SearchCtx is Search with deadlines, retries, circuit breaking, and

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"boss/internal/core"
 	"boss/internal/docstore"
@@ -56,56 +54,33 @@ func (cl *Cluster) EnsureDocs() error {
 }
 
 // buildDocs asks the store source for one document store per shard, over
-// the shard's global docID interval, on every P, the caller included. Once
-// all are built it wires one fetch engine per replica of each shard, in
-// shard order, so stores take their cache identities in the same order at
-// every width. Every replica's engine serves the shard's store and draws
-// faults from the replica's own injector domain, mirroring buildReplicas:
-// FetchInto makes its fault draw before it reads the cache's answer, so a
-// shared store identity never lets one copy's decode mask another's fault.
-// The first failing shard's error is the build's. Runs under docsOnce.
+// the shard's global docID interval, on ForEach's workers (one per P, the
+// caller included). Once all are built it gives every copy of each shard a
+// fetch engine over the shard's store, in shard order, so stores take their
+// cache identities in the same order at every width; each engine draws
+// faults from its copy's injector. The first failing shard's error is the
+// build's. Runs under docsOnce.
+//
+//boss:ctx-root every later fetch shares the build, so no request's deadline may cut it short.
 func (cl *Cluster) buildDocs() {
 	stores := make([]*docstore.Store, len(cl.shards))
 	errs := make([]error, len(cl.shards))
-	var next atomic.Int64
-	work := func() {
-		for {
-			si := int(next.Add(1) - 1)
-			if si >= len(stores) {
-				return
-			}
-			lo := cl.offsets[si]
-			stores[si], errs[si] = cl.docs(lo, lo+uint32(cl.shards[si].NumDocs))
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(stores)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	ForEach(context.Background(), len(stores), runtime.GOMAXPROCS(0), func(si int) {
+		lo := cl.offsets[si]
+		stores[si], errs[si] = cl.docs(lo, lo+uint32(cl.shards[si].NumDocs))
+	})
 	for _, err := range errs {
 		if err != nil {
 			cl.docsErr = err
 			return
 		}
 	}
-
-	cl.fetchers = make([][]*core.FetchEngine, len(cl.shards))
 	for si, store := range stores {
-		reps := make([]*core.FetchEngine, cl.Replicas())
-		for ri := range reps {
-			eng := core.NewFetchEngine(store, cl.cache)
-			if cl.faultPlan != nil {
-				eng.SetFault(cl.faultPlan.InjectorFor(cl.ReplicaDevice(si, ri)))
-			}
-			reps[ri] = eng
+		for ri := range cl.reps[si] {
+			rep := &cl.reps[si][ri]
+			rep.fetch = core.NewFetchEngine(store, cl.cache)
+			rep.fetch.SetFault(rep.fault)
 		}
-		cl.fetchers[si] = reps
 	}
 }
 
@@ -258,7 +233,7 @@ func FetchKey(ids []uint32) uint64 {
 // attempt's payloads. A shard's attempts run one at a time, so the scratch
 // has one writer.
 func (cl *Cluster) fetchShard(ctx context.Context, w shardWork, si, ri int) shardOut {
-	eng := cl.fetchers[si][ri]
+	eng := cl.reps[si][ri].fetch
 	off := cl.offsets[si]
 	m := &w.rec.ms[si]
 	*m = perf.Metrics{}

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"boss/internal/clock"
 	"boss/internal/corpus"
+	"boss/internal/docstore"
 	"boss/internal/mem"
 	"boss/internal/oracle"
 )
@@ -204,7 +207,7 @@ func TestEmptyPruneIsNotACopyHealthSignal(t *testing.T) {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	cl.SetFaultPlan(&mem.FaultPlan{Seed: 7, DeadDevices: []int{cl.ReplicaDevice(0, 0)}})
-	dead := cl.states[0][0]
+	dead := &cl.reps[0][0]
 	for i := 0; dead.state != brOpen; i++ {
 		if i == 200 {
 			t.Fatal("the dead copy's breaker never opened")
@@ -319,5 +322,91 @@ func TestFreshSharesArtifactsMatchesResults(t *testing.T) {
 	bad.Replicas = 0
 	if _, err := base.Fresh(bad); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("Fresh(zero Replicas): err = %v, want ErrBadConfig", err)
+	}
+}
+
+// TestFaultWiringOrderIndependent: a copy's fetch engine draws from the
+// copy's fault domain whether the plan is set before EnsureDocs builds the
+// engines or after. On an R=2, 2-shard cluster with shard 0's copy 0 dead,
+// both orders answer a fetch sequence with the same documents and Degraded
+// masks and leave every copy the same counters.
+func TestFaultWiringOrderIndependent(t *testing.T) {
+	c := replicaTestCorpus(t)
+	base, err := NewCluster(replicatedConfig(2), c, 2)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	last := uint32(c.Spec.NumDocs - 1)
+	batches := [][]uint32{{0, 5, last}, {1, last - 1}, {2, 3, last / 2}, {4, 6, 7, 8}, {9}}
+	run := func(planFirst bool) []string {
+		cl, err := base.Fresh(replicatedConfig(2))
+		if err != nil {
+			t.Fatalf("Fresh: %v", err)
+		}
+		plan := &mem.FaultPlan{Seed: 3, DeadDevices: []int{cl.ReplicaDevice(0, 0)}}
+		if planFirst {
+			cl.SetFaultPlan(plan)
+		}
+		if err := cl.EnsureDocs(); err != nil {
+			t.Fatalf("EnsureDocs: %v", err)
+		}
+		if !planFirst {
+			cl.SetFaultPlan(plan)
+		}
+		var trace []string
+		for _, ids := range batches {
+			res, err := cl.FetchBatch(context.Background(), ids)
+			if err != nil {
+				t.Fatalf("FetchBatch(%v): %v", ids, err)
+			}
+			trace = append(trace, fmt.Sprintf("%v: degraded %b", ids, res.Degraded))
+			for _, d := range res.Docs {
+				trace = append(trace, fmt.Sprintf("  %d %q", d.DocID, d.Fields))
+			}
+		}
+		for si := 0; si < cl.Shards(); si++ {
+			for ri := 0; ri < cl.Replicas(); ri++ {
+				trace = append(trace, fmt.Sprintf("copy %d/%d: %+v", si, ri, cl.ReplicaStats(si, ri)))
+			}
+		}
+		if cl.ReplicaStats(0, 0).Failures == 0 {
+			t.Fatalf("planFirst=%v: no fetch tried the dead copy; the comparison checks nothing", planFirst)
+		}
+		return trace
+	}
+	before, after := run(true), run(false)
+	if !slices.Equal(before, after) {
+		t.Fatalf("plan set before the fetch engines exist:\n%s\nplan set after:\n%s", strings.Join(before, "\n"), strings.Join(after, "\n"))
+	}
+}
+
+// TestDocsBuildErrorSticks: a store source that fails on shard 1 fails the
+// document build, and every fetch after it — by id on either shard, or
+// chained to a search — returns shard 1's error.
+func TestDocsBuildErrorSticks(t *testing.T) {
+	c := replicaTestCorpus(t)
+	cl, err := NewCluster(replicatedConfig(2), c, 2)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	errShard1 := errors.New("store source: shard 1 unreadable")
+	source := cl.docs
+	cl.docs = func(lo, hi uint32) (*docstore.Store, error) {
+		if lo == cl.offsets[1] {
+			return nil, errShard1
+		}
+		return source(lo, hi)
+	}
+	last := uint32(c.Spec.NumDocs - 1)
+	for i, ids := range [][]uint32{{0, 1}, {last}, {0, last}, {2}} {
+		if _, err := cl.FetchBatch(context.Background(), ids); !errors.Is(err, errShard1) {
+			t.Fatalf("fetch %d (%v): err = %v, want shard 1's", i, ids, err)
+		}
+	}
+	if _, err := cl.SearchFetchCtx(context.Background(), `"t1"`, 10); !errors.Is(err, errShard1) {
+		t.Fatalf("SearchFetchCtx: err = %v, want shard 1's", err)
+	}
+	if err := cl.EnsureDocs(); !errors.Is(err, errShard1) {
+		t.Fatalf("EnsureDocs: err = %v, want shard 1's", err)
 	}
 }

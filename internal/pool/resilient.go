@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"boss/internal/clock"
 	"boss/internal/mem"
 	"boss/internal/topk"
 )
@@ -57,8 +56,9 @@ const (
 	brHalfOpen
 )
 
-// shardState is one shard copy's breaker and its counters, under one mutex.
-type shardState struct {
+// breaker is one shard copy's circuit breaker and its counters, under one
+// mutex.
+type breaker struct {
 	mu       sync.Mutex
 	state    int
 	fails    int
@@ -69,7 +69,7 @@ type shardState struct {
 
 // allow reports whether an attempt may be issued, applying the
 // open → half-open transition after the cooldown.
-func (s *shardState) allow(now time.Time) bool {
+func (s *breaker) allow(now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.state {
@@ -95,7 +95,7 @@ func (s *shardState) allow(now time.Time) bool {
 }
 
 // success counts a served attempt and closes the breaker.
-func (s *shardState) success() {
+func (s *breaker) success() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Successes++
@@ -113,7 +113,7 @@ func (s *shardState) success() {
 // the breaker (it only frees a half-open probe claim): it is a fact about
 // one block, not about the copy's health, unlike a dead device or
 // exhausted transient retries.
-func (s *shardState) failure(now time.Time, err error) {
+func (s *breaker) failure(now time.Time, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Failures++
@@ -137,7 +137,7 @@ func (s *shardState) failure(now time.Time, err error) {
 }
 
 // backedOff counts a backoff that followed one of this copy's failures.
-func (s *shardState) backedOff() {
+func (s *breaker) backedOff() {
 	s.mu.Lock()
 	s.stats.Backoffs++
 	s.mu.Unlock()
@@ -148,7 +148,7 @@ func (s *shardState) backedOff() {
 // short. It counts against nothing, but a half-open probe slot claimed at
 // selection time must be freed or the replica's breaker would wedge
 // half-open forever.
-func (s *shardState) abandon() {
+func (s *breaker) abandon() {
 	s.mu.Lock()
 	s.probing = false
 	s.mu.Unlock()
@@ -156,27 +156,10 @@ func (s *shardState) abandon() {
 
 // ReplicaStats snapshots the resilience counters of replica ri of shard si.
 func (cl *Cluster) ReplicaStats(si, ri int) ReplicaStats {
-	s := cl.states[si][ri]
+	s := &cl.reps[si][ri].breaker
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// initBreakers gives every shard copy a closed breaker and zero counters,
-// and picks the clock; called from NewCluster and Fresh.
-func (cl *Cluster) initBreakers() {
-	cl.states = make([][]*shardState, len(cl.shards))
-	for si := range cl.states {
-		reps := make([]*shardState, cl.Replicas())
-		for ri := range reps {
-			reps[ri] = &shardState{}
-		}
-		cl.states[si] = reps
-	}
-	cl.clock = cl.cfg.Clock
-	if cl.clock == nil {
-		cl.clock = clock.Wall()
-	}
 }
 
 // backoffDelay computes the jittered exponential backoff before retry
@@ -212,20 +195,19 @@ func splitmix64(x uint64) uint64 {
 // shards that is device si, the historical layout, so existing plans
 // keep their meaning). Replicas are independent fault domains — each
 // draws from its own injector stream, so one copy's media errors never
-// shadow another's. A nil or empty plan restores pristine shards. Not
-// safe concurrently with queries; meant for setup time.
+// shadow another's. A copy's accelerator and fetch engine share its
+// injector; a fetch engine EnsureDocs builds later takes it from the copy.
+// A nil or empty plan restores pristine shards. Not safe concurrently with
+// queries; meant for setup time.
 func (cl *Cluster) SetFaultPlan(plan *mem.FaultPlan) {
-	cl.faultPlan = plan
-	for si, reps := range cl.accs {
-		for ri, acc := range reps {
-			acc.SetFault(plan.InjectorFor(cl.ReplicaDevice(si, ri)))
-		}
-	}
-	// Fetch engines are built lazily; wire the ones that exist and retain
-	// the plan so EnsureDocs wires the rest at build time.
-	for si, reps := range cl.fetchers {
-		for ri, eng := range reps {
-			eng.SetFault(plan.InjectorFor(cl.ReplicaDevice(si, ri)))
+	for si := range cl.reps {
+		for ri := range cl.reps[si] {
+			rep := &cl.reps[si][ri]
+			rep.fault = plan.InjectorFor(cl.ReplicaDevice(si, ri))
+			rep.acc.SetFault(rep.fault)
+			if rep.fetch != nil {
+				rep.fetch.SetFault(rep.fault)
+			}
 		}
 	}
 }
@@ -237,7 +219,7 @@ func (cl *Cluster) SetFaultPlan(plan *mem.FaultPlan) {
 // (plan seed, device, key, block, attempt), core restarts the attempt count
 // at 0 on every shard attempt, and a dead device stays dead.
 func (cl *Cluster) retryable(err error, si, attempt int) bool {
-	return len(cl.states[si]) > 1 && attempt < maxRetries && !errors.Is(err, context.Canceled)
+	return len(cl.reps[si]) > 1 && attempt < maxRetries && !errors.Is(err, context.Canceled)
 }
 
 // permanent reports a failure that re-reading the same copy cannot cure: an
@@ -256,7 +238,7 @@ func (cl *Cluster) attempt(ctx context.Context, w shardWork, si, ri int) shardOu
 		return cl.fetchShard(ctx, w, si, ri)
 	}
 	m := &w.rec.ms[si]
-	top, err := cl.accs[si][ri].Exec(ctx, w.Plan, w.k, m, w.rec.region(si, w.k))
+	top, err := cl.reps[si][ri].acc.Exec(ctx, w.Plan, w.k, m, w.rec.region(si, w.k))
 	if err != nil {
 		return shardOut{err: shardError(si, err)}
 	}
@@ -282,16 +264,16 @@ func shardError(si int, err error) error {
 // query through the breaker error path.
 //
 //boss:hotpath one call per (query, shard, attempt).
-func (cl *Cluster) pickReplica(si int, qkey uint64, attempt int, spent uint64) (*shardState, int, bool) {
-	sts := cl.states[si]
+func (cl *Cluster) pickReplica(si int, qkey uint64, attempt int, spent uint64) (*replica, int, bool) {
+	reps := cl.reps[si]
 	start := 0
-	if len(sts) > 1 { // a single copy needs no draw: its breaker gate is the whole decision
-		start = int(replicaDraw(qkey, si) % uint64(len(sts)))
+	if len(reps) > 1 { // a single copy needs no draw: its breaker gate is the whole decision
+		start = int(replicaDraw(qkey, si) % uint64(len(reps)))
 	}
-	for p := 0; p < len(sts); p++ {
-		ri := (start + attempt + p) % len(sts)
-		if spent&(1<<uint(ri)) == 0 && sts[ri].allow(cl.clock.Now()) {
-			return sts[ri], ri, true
+	for p := 0; p < len(reps); p++ {
+		ri := (start + attempt + p) % len(reps)
+		if spent&(1<<uint(ri)) == 0 && reps[ri].allow(cl.clock.Now()) {
+			return &reps[ri], ri, true
 		}
 	}
 	return nil, 0, false
@@ -382,7 +364,7 @@ func (cl *Cluster) runShard(ctx context.Context, w shardWork, si int, mask uint6
 
 // settle records an attempt's adopted outcome against the replica that
 // produced it (outlined from the retry loop).
-func (cl *Cluster) settle(st *shardState, err error) {
+func (cl *Cluster) settle(st *replica, err error) {
 	if err == nil {
 		st.success()
 		return

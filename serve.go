@@ -115,23 +115,15 @@ type ServeTicket struct {
 	t *front.Ticket
 }
 
-// Serve starts a front-door serving tier over the sharded deployment.
-// Degraded admissions execute on a subset of memory nodes, reusing the
-// resilient path's partial-answer machinery (ServedResult.Degraded uses
-// the same node bitmask as BatchItem.Degraded).
-func (s *ShardedIndex) Serve(cfg FrontConfig) (*Server, error) { return s.serve(cfg) }
-
-// Serve starts a front-door serving tier over the single-device
-// accelerator, on the same one-shard cluster its Search runs on. With one
-// device there is no node to leave out, so nothing degrades: an admission
-// past the watermark executes in full (ServedResult.Degraded and
+// Serve starts a front-door serving tier over the deployment, on the same
+// cluster its Search runs on. Degraded admissions execute on a subset of
+// memory nodes, reusing the resilient path's partial-answer machinery
+// (ServedResult.Degraded uses the same node bitmask as BatchItem.Degraded).
+// An Accelerator has no node to leave out, so nothing degrades there: an
+// admission past the watermark executes in full (ServedResult.Degraded and
 // ServeStats.Degraded stay zero), and a full queue rejects with
-// ErrOverloaded. Coalescing and batching work identically to the sharded
-// deployment.
-func (a *Accelerator) Serve(cfg FrontConfig) (*Server, error) { return a.serve(cfg) }
-
-// serve is both Serves' body: the front door over the deployment's cluster.
-func (d *deployment) serve(cfg FrontConfig) (*Server, error) {
+// ErrOverloaded. Coalescing and batching work identically on both handles.
+func (d *deployment) Serve(cfg FrontConfig) (*Server, error) {
 	f, err := front.New(cfg.toFront(), front.NewClusterBackend(d.cluster))
 	if err != nil {
 		return nil, err

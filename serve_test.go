@@ -193,7 +193,7 @@ func TestServeFetchSharded(t *testing.T) {
 }
 
 // TestServeFetchAccelerator: the single-device serving tier serves
-// fetches through the same lazily-wired engine FetchDocs uses.
+// fetches through the same lazily-wired engine FetchDocsCtx uses.
 func TestServeFetchAccelerator(t *testing.T) {
 	b := boss.NewBuilder()
 	b.Add("alpha", "the quick brown fox")
