@@ -59,3 +59,93 @@ func BenchmarkGetHit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPublish is a miss's insert alone — Reserve + Table.Publish +
+// Release of a 128-posting block on one shard holding 1,024 — in the three
+// ways it can go. fits: the cache has room, so the block is admitted without
+// an eviction or a sketch (what bench/'s cache.publish_ns times). evicts: the
+// cache is full of cold entries and each block is marked and rated hot, so it
+// is admitted and evicts one. declines: the cache is full of hot entries and
+// each block is marked and rated cold, so the sketch declines it. Every
+// round of operations starts from a cache set up with the timer stopped; a
+// round is short enough that no publish meets an entry the round admitted.
+// All three must report 0 allocs/op.
+func BenchmarkPublish(b *testing.B) {
+	const (
+		n       = 128
+		entries = 1024
+		list    = 5
+	)
+	one := int64(8*n) + entryOverheadBytes
+	var c *Cache
+	var tab *Table
+	// fill starts a round: the previous cache's entries go back to the slab
+	// pools, and a new one, with the given budget, holds entries blocks
+	// published below the budget with their reference bits cleared.
+	fill := func(budget int64) {
+		if c != nil {
+			s := &c.shards[0]
+			for len(s.ring) > 0 {
+				s.hand = 0
+				s.evict(s.ring[0])
+			}
+		}
+		c = NewSharded(budget, 1)
+		tab = c.Table(list, ClassPosting, 3*entries)
+		for i := range entries {
+			e := c.Reserve(n)
+			c.Release(tab.Publish(i, e, e.DocsBuf(n)[:n], e.TfsBuf(n)[:n], 0))
+			(*tab.slots.Load())[i].Load().used.Store(false)
+		}
+	}
+	// rate marks the slots of a round's candidate blocks, from entries up,
+	// and gives the shard a sketch that counts each resident block resident
+	// times and each candidate candidate times.
+	rate := func(round, resident, candidate int) {
+		sk := newSketch(entries)
+		c.shards[0].freq.Store(sk)
+		for i := range entries + round {
+			hot := resident
+			if i >= entries {
+				hot = candidate
+				(*tab.slots.Load())[i].Store(&missedOnce)
+			}
+			for range hot {
+				sk.add(keyHash(Key{List: list, Block: uint32(i)}))
+			}
+		}
+	}
+	arms := []struct {
+		name  string
+		round int
+		setup func(round int)
+	}{
+		{"fits", entries, func(int) { fill(3 * entries * one) }},
+		{"evicts", entries / 2, func(round int) { fill(entries * one); rate(round, 0, counterMax) }},
+		{"declines", 2 * entries, func(round int) { fill(entries * one); rate(round, counterMax, 0) }},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var evictions, bypasses int64
+			for i := 0; i < b.N; i++ {
+				if i%arm.round == 0 {
+					b.StopTimer()
+					if c != nil {
+						st := c.Stats()
+						evictions, bypasses = evictions+st.Evictions, bypasses+st.Bypasses
+					}
+					arm.setup(arm.round)
+					b.StartTimer()
+				}
+				e := c.Reserve(n)
+				c.Release(tab.Publish(entries+i%arm.round, e, e.DocsBuf(n)[:n], e.TfsBuf(n)[:n], 0))
+			}
+			b.StopTimer()
+			st := c.Stats()
+			b.ReportMetric(float64(evictions+st.Evictions)/float64(b.N), "evictions/op")
+			b.ReportMetric(float64(bypasses+st.Bypasses)/float64(b.N), "bypasses/op")
+			c = nil
+		})
+	}
+}

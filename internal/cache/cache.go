@@ -19,19 +19,24 @@
 // caller un-inserted ("bypass"): the budget is a hard ceiling, never
 // exceeded.
 //
-// Admission is the doorkeeper of TinyLFU (Einziger, Friedman & Manes, ACM
-// TOS 2017): once a shard is full, a block is admitted on its second miss,
-// not its first. Below the budget a publish is admitted at once. A publish
-// that would have to evict something, to a slot that is not marked, instead
-// marks the slot with the missedOnce sentinel and returns the entry
-// caller-owned, counted as a bypass; the block's next publish replaces the
-// mark and evicts as usual. Eviction empties the slot, so an evicted block
-// has to miss twice again. The mark costs the hit path nothing — Get cannot
-// pin it, so a marked slot is a miss like an empty one — and no memory: it
-// is a pointer in the slot the block would occupy. A block decoded at line
-// rate is cheap to redo, which is why the paper's device keeps none; a
-// block that misses once and is never asked for again is not worth the
-// eviction of one that is.
+// Admission is TinyLFU (Einziger, Friedman & Manes, ACM TOS 2017): a
+// doorkeeper in front of a frequency sketch. Below the budget a publish is
+// admitted at once. A publish that would have to evict something, to a slot
+// that is not marked, instead marks the slot with the missedOnce sentinel and
+// returns the entry caller-owned, counted as a bypass. The mark costs the hit
+// path nothing — Get cannot pin it, so a marked slot is a miss like an empty
+// one — and no memory: it is a pointer in the slot the block would occupy.
+// A marked block's next publish is admitted only if a count-min sketch of
+// recent frequency (sketch.go) rates it above the CLOCK victim it would
+// evict; otherwise it too is declined as a bypass (Stats.Rejected) and keeps
+// its mark. The sketch counts every publish (a miss) and every hit that sets
+// a reference bit the hand had cleared, and halves its counters as they
+// accrue, so an old mark or an old burst of hits buys nothing. Eviction
+// empties the slot, so an evicted block is a first miss again. A shard sizes its sketch from what it holds
+// the first time it must evict; a shard that never fills has none, and its
+// hit path writes nothing for it. A block decoded at line rate is cheap to
+// redo, which is why the paper's device keeps none; a block asked for less
+// often than the one it would push out is not worth the eviction.
 //
 // There is no invalidation: an index is immutable once built, and a table
 // names its container by a process-wide identity that is never reused, so an
@@ -177,11 +182,10 @@ func (e *Entry) pin() bool {
 }
 
 // touch sets the CLOCK reference bit, without dirtying a hot entry's cache
-// line when it is already set.
-func (e *Entry) touch() {
-	if !e.used.Load() {
-		e.used.Store(true)
-	}
+// line when it is already set, and reports whether it was the one to set it:
+// the first hit since the hand cleared the bit.
+func (e *Entry) touch() bool {
+	return !e.used.Load() && e.used.CompareAndSwap(false, true)
 }
 
 // shard is one lock domain of the cache: everything that changes which
@@ -194,10 +198,16 @@ type shard struct {
 	bytes  int64 // resident budget charge; never exceeds budget
 	budget int64
 
+	// freq is the admission sketch: nil until the shard first has to evict,
+	// set once under the mutex, and read without it by Get to count a hit.
+	freq atomic.Pointer[sketch]
+
 	// Evictions and bypasses are capacity effects of the shared budget,
-	// counted under the mutex and not split by class.
+	// counted under the mutex and not split by class. rejected counts the
+	// bypasses the admission sketch declined.
 	evictions int64
 	bypasses  int64
+	rejected  int64
 
 	_ [64]byte // keep the lookup counters off the mutex's cache line
 
@@ -370,7 +380,12 @@ func (t *Table) Get(b int) *Entry {
 	if slots := *t.slots.Load(); uint(b) < uint(len(slots)) {
 		if e := slots[b].Load(); e != nil && e.pin() {
 			if e.key == k {
-				e.touch()
+				// A hit that sets a bit the hand cleared counts in the sketch.
+				if e.touch() {
+					if sk := s.freq.Load(); sk != nil {
+						sk.add(keyHash(k))
+					}
+				}
 				s.hits[cls].Add(1)
 				return e
 			}
@@ -434,8 +449,9 @@ func reserve(class uint8, size int) *Entry {
 // if a concurrent publisher won the race, the already-resident entry
 // (pinned; e's slab is recycled). When the cache does not admit it — the
 // table is nil; admitting it would evict and the block's slot does not
-// carry the mark of an earlier miss (see the package comment); or the entry
-// exceeds the shard budget or everything resident is pinned — the entry is
+// carry the mark of an earlier miss, or the sketch rates the block no
+// hotter than the victim (see the package comment); or the entry exceeds
+// the shard budget or everything resident is pinned — the entry is
 // returned un-inserted and stays caller-owned until Release. docs and tfs
 // must be DocsBuf(n) and TfsBuf(n) of e, each filled with n values: the
 // entry keeps n, and Docs and Tfs view its slab again. cycles is the decode
@@ -476,17 +492,34 @@ func (t *Table) insert(b int, e *Entry) *Entry {
 		t.c.Release(e)
 		return old
 	}
-	// Admitting e would evict: only a block that has missed before may.
-	if old != &missedOnce && s.bytes+e.bytes > s.budget {
-		slot.Store(&missedOnce)
-		s.bypasses++
-		s.mu.Unlock()
-		return e
+	// Every publish is a miss, and the sketch counts it once the shard has
+	// one; the shard sizes one to what it holds the first time it is full.
+	full := s.bytes+e.bytes > s.budget
+	sk := s.freq.Load()
+	if sk == nil && full {
+		sk = newSketch(len(s.ring))
+		s.freq.Store(sk)
 	}
-	if e.bytes > s.budget || !s.makeRoom(e.bytes) {
-		s.bypasses++
-		s.mu.Unlock()
-		return e
+	var h uint64
+	if sk != nil {
+		h = keyHash(e.key)
+		sk.addMiss(h)
+	}
+	// Admitting e would evict: only a block that has missed before may, and
+	// only in place of entries the sketch rates colder.
+	if full {
+		admit := false
+		switch {
+		case old != &missedOnce:
+			slot.Store(&missedOnce)
+		case e.bytes <= s.budget:
+			admit = s.makeRoom(e.bytes, sk.estimate(h))
+		}
+		if !admit {
+			s.bypasses++
+			s.mu.Unlock()
+			return e
+		}
 	}
 	// The key is in place before the resident bit, the resident bit before
 	// the slot: a reader that can pin e can trust its key.
@@ -533,49 +566,66 @@ func free(e *Entry) {
 	slabs[kind][slabClass(e.slabBytes())].Put(e)
 }
 
-// makeRoom evicts entries until need bytes fit under the shard budget.
-// Returns false when the budget cannot be met (all entries pinned). Caller
-// holds s.mu.
-func (s *shard) makeRoom(need int64) bool {
+// makeRoom evicts CLOCK victims until need bytes fit under the shard budget,
+// each one only if the sketch estimates it below freq, the estimate of the
+// block that needs the room. It returns false when a victim is estimated no
+// colder (counted as a rejection; the hand stays on the victim, which the
+// next publish is compared against unless a hit has set its bit since) or
+// nothing is evictable (all entries pinned). Caller holds s.mu; the shard
+// has a sketch.
+func (s *shard) makeRoom(need int64, freq int) bool {
+	sk := s.freq.Load()
 	for s.bytes+need > s.budget {
-		if !s.evictOne() {
+		v := s.victim()
+		if v == nil {
 			return false
 		}
+		if sk.estimate(keyHash(v.key)) >= freq {
+			s.rejected++
+			return false
+		}
+		s.evict(v)
 	}
 	return true
 }
 
-// evictOne runs the CLOCK hand: second-chance losers with no pins are
-// evicted; referenced entries get their bit cleared; pinned entries are
-// skipped. Returns false when two full sweeps find nothing evictable. Caller
-// holds s.mu.
-func (s *shard) evictOne() bool {
+// victim runs the CLOCK hand to the next entry it may evict and returns it,
+// leaving the hand on it: referenced entries get their bit cleared and pinned
+// entries are skipped. Returns nil when two full sweeps find nothing
+// evictable. Caller holds s.mu.
+func (s *shard) victim() *Entry {
 	for scanned := 0; scanned < 2*len(s.ring); scanned++ {
 		if s.hand >= len(s.ring) {
 			s.hand = 0
 		}
-		e := s.ring[s.hand]
-		// Unpinned and out of chances is not enough without a lock on the
-		// readers: the entry is claimed by taking its state from "resident, no
-		// pins" to zero in one step, which fails if a reader pinned it since
-		// the load and after which no reader can.
-		if e.state.Load() != residentBit || e.used.CompareAndSwap(true, false) || !e.state.CompareAndSwap(residentBit, 0) {
-			s.hand++
-			continue
+		if e := s.ring[s.hand]; e.state.Load() == residentBit && !e.used.CompareAndSwap(true, false) {
+			return e
 		}
-		// Clear the slot before the entry can be recycled, so the slot never
-		// names a free entry.
-		(*e.tab.slots.Load())[e.key.Block].Store(nil)
-		last := len(s.ring) - 1
-		s.ring[s.hand] = s.ring[last]
-		s.ring[last] = nil
-		s.ring = s.ring[:last]
-		s.bytes -= e.bytes
-		s.evictions++
-		free(e)
-		return true
+		s.hand++
 	}
-	return false
+	return nil
+}
+
+// evict removes the victim under the hand. Unpinned when victim chose it is
+// not enough without a lock on the readers: the entry is claimed by taking
+// its state from "resident, no pins" to zero in one step, which fails if a
+// reader pinned it since, and after which no reader can. A failed claim moves
+// the hand on and evicts nothing. Caller holds s.mu.
+func (s *shard) evict(e *Entry) {
+	if !e.state.CompareAndSwap(residentBit, 0) {
+		s.hand++
+		return
+	}
+	// Clear the slot before the entry can be recycled, so the slot never
+	// names a free entry.
+	(*e.tab.slots.Load())[e.key.Block].Store(nil)
+	last := len(s.ring) - 1
+	s.ring[s.hand] = s.ring[last]
+	s.ring[last] = nil
+	s.ring = s.ring[:last]
+	s.bytes -= e.bytes
+	s.evictions++
+	free(e)
 }
 
 // Stats is a point-in-time snapshot of the cache's counters.
@@ -587,10 +637,15 @@ type Stats struct {
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
 	// Bypasses counts publishes handed back un-inserted by a non-nil cache:
-	// a block's first miss while admitting it would evict (the admission
-	// rule in the package comment), an entry larger than a shard budget, or
-	// one arriving when every resident entry is pinned.
+	// a block's first miss while admitting it would evict, a later miss the
+	// frequency sketch declines (both the admission rule in the package
+	// comment), an entry larger than a shard budget, or one arriving when
+	// every resident entry is pinned.
 	Bypasses int64 `json:"bypasses"`
+	// Rejected counts the bypasses the sketch declined: a marked block's
+	// publish whose estimate did not beat the CLOCK victim's. It is a subset
+	// of Bypasses.
+	Rejected int64 `json:"rejected"`
 
 	// Per-class lookup split: posting blocks (ClassPosting) vs document
 	// blocks (ClassDoc).
@@ -642,6 +697,7 @@ func (c *Cache) Stats() Stats {
 		st.DocMisses += s.misses[ClassDoc].Load()
 		st.Evictions += s.evictions
 		st.Bypasses += s.bypasses
+		st.Rejected += s.rejected
 		st.ResidentEntries += int64(len(s.ring))
 		st.ResidentBytes += s.bytes
 		st.BudgetBytes += s.budget
@@ -665,8 +721,9 @@ func (c *Cache) Stats() Stats {
 // smallest size class that holds its payload, charged at that slab plus
 // entryOverheadBytes; every non-nil, unmarked slot of every table
 // holds an entry that is on a ring (so no slot names a free or never-admitted
-// entry); and the missedOnce mark is on no ring and never pinned. Tests and
-// the fuzz target call it after every operation.
+// entry); the missedOnce mark is on no ring and never pinned; and the
+// rejections are bypasses. Tests and the fuzz target call it after every
+// operation.
 func (c *Cache) checkInvariants() error {
 	if c == nil {
 		return nil
@@ -717,6 +774,9 @@ func (c *Cache) checkInvariants() error {
 		}
 		if s.bytes > s.budget {
 			return fmt.Errorf("shard %d: resident %d exceeds budget %d", i, s.bytes, s.budget)
+		}
+		if s.rejected > s.bypasses {
+			return fmt.Errorf("shard %d: %d rejections but %d bypasses", i, s.rejected, s.bypasses)
 		}
 	}
 	if onRing[&missedOnce] {

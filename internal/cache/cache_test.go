@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -144,21 +145,26 @@ func TestNilCache(t *testing.T) {
 }
 
 // TestBudgetEviction checks the budget is a hard ceiling, the admission rule
-// (a first publish is admitted at once below the budget, and on its second
-// miss once admitting it would evict), and that CLOCK evicts cold entries
-// first.
+// — a first publish is admitted at once below the budget; once admitting it
+// would evict, a block's first miss marks its slot, and a marked block is
+// admitted only if the sketch rates it above the CLOCK victim — and that
+// CLOCK evicts cold entries first.
 func TestBudgetEviction(t *testing.T) {
 	const n = 128
 	one := int64(2*n)*4 + entryOverheadBytes
 	c := NewSharded(3*one, 1) // room for exactly 3 resident entries
+	s := &c.shards[0]
+	slot := func(k Key) *Entry { return (*c.Table(k.List, k.Class, 1).slots.Load())[0].Load() }
+	est := func(k Key) int { return s.freq.Load().estimate(keyHash(k)) }
 	for i := 0; i < 3; i++ {
 		e := publish(c, Key{List: uint64(i)}, n, 0)
 		c.Release(e)
 	}
 	mustInvariants(t, c)
-	// Below the budget every first publish is admitted at once.
-	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 0 || st.Bypasses != 0 {
-		t.Fatalf("warm stats = %+v, want 3 resident / 0 evictions / 0 bypasses", st)
+	// Below the budget every first publish is admitted at once, and the
+	// shard has no sketch.
+	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 0 || st.Bypasses != 0 || s.freq.Load() != nil {
+		t.Fatalf("warm stats = %+v, sketch %v: want 3 resident / 0 evictions / 0 bypasses and no sketch", st, s.freq.Load() != nil)
 	}
 
 	// Touch list 1 so its reference bit survives the first hand pass.
@@ -166,8 +172,8 @@ func TestBudgetEviction(t *testing.T) {
 	c.Release(h)
 
 	// The cache is full: the 4th key's first publish would evict, so it is
-	// declined — handed back caller-owned, nothing evicted — and a Get of it
-	// misses.
+	// declined — handed back caller-owned, nothing evicted, its slot marked —
+	// and a Get of it misses. The shard sizes its sketch now and counts it.
 	e := publish(c, Key{List: 3}, n, 0)
 	if st := e.state.Load(); st != 1 {
 		t.Fatalf("declined entry state %#x, want one pin and not resident (caller-owned)", st)
@@ -175,22 +181,29 @@ func TestBudgetEviction(t *testing.T) {
 	checkContent(t, e, Key{List: 3}, n)
 	c.Release(e)
 	mustInvariants(t, c)
-	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 0 || st.Bypasses != 1 {
-		t.Fatalf("after first miss stats = %+v, want 3 resident / 0 evictions / 1 bypass", st)
+	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 0 || st.Bypasses != 1 || st.Rejected != 0 {
+		t.Fatalf("after first miss stats = %+v, want 3 resident / 0 evictions / 1 bypass / 0 rejected", st)
+	}
+	if slot(Key{List: 3}) != &missedOnce || s.freq.Load() == nil {
+		t.Fatal("a first miss that would evict must mark its slot and give the shard a sketch")
 	}
 	if h := c.Get(Key{List: 3}); h != nil {
 		t.Fatal("a block declined on its first miss must not be findable")
 	}
 
-	// Its second publish is admitted and evicts exactly one. The hand starts
-	// at list 0 (bit set at insert): it clears 0's bit, clears 1's freshly
-	// re-set bit... second pass evicts 0 first.
+	// Its second publish: estimated 2 (two misses) against the victim's 0 —
+	// list 0, published before the sketch existed. The hand starts at list 0
+	// (bit set at insert): it clears 0's, 1's and 2's bits, then finds 0. So
+	// the block is admitted and evicts exactly one entry, list 0.
+	if a, v := est(Key{List: 3})+1, est(Key{List: 0}); a <= v {
+		t.Fatalf("premise: list 3 would be estimated %d against the victim's %d", a, v)
+	}
 	e = publish(c, Key{List: 3}, n, 0)
 	c.Release(e)
 	mustInvariants(t, c)
 	st := c.Stats()
-	if st.ResidentEntries != 3 || st.Evictions != 1 || st.Bypasses != 1 {
-		t.Fatalf("after second miss stats = %+v, want 3 resident / 1 eviction / 1 bypass", st)
+	if st.ResidentEntries != 3 || st.Evictions != 1 || st.Bypasses != 1 || st.Rejected != 0 {
+		t.Fatalf("after second miss stats = %+v, want 3 resident / 1 eviction / 1 bypass / 0 rejected", st)
 	}
 	if st.ResidentBytes > st.BudgetBytes {
 		t.Fatalf("resident %d exceeds budget %d", st.ResidentBytes, st.BudgetBytes)
@@ -209,16 +222,123 @@ func TestBudgetEviction(t *testing.T) {
 		}
 	}
 
-	// Eviction drops a block's mark with it: the evicted list 0's next first
-	// miss is declined again.
+	// Eviction drops a block's mark with it: the evicted list 0's next miss
+	// is a first miss again, declined and marked.
 	e = publish(c, Key{List: 0}, n, 0)
 	c.Release(e)
 	mustInvariants(t, c)
-	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 1 || st.Bypasses != 2 {
+	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 1 || st.Bypasses != 2 || st.Rejected != 0 {
 		t.Fatalf("after the evicted block's first miss stats = %+v, want 3 resident / 1 eviction / 2 bypasses", st)
 	}
-	if h := c.Get(Key{List: 0}); h != nil {
-		t.Fatal("an evicted block must be declined again on its next first miss")
+	if slot(Key{List: 0}) != &missedOnce {
+		t.Fatal("an evicted block must be marked again on its next first miss")
+	}
+
+	// Its second publish would be estimated 2: the sketch saw one miss before
+	// this one. Rate every resident at least that hot. List 3 was published
+	// twice since the sketch existed, and a hit counts when it sets a
+	// reference bit the hand had cleared, so two rounds of the hand's pass
+	// followed by a hit on lists 1 and 2 rate each of them 2 or more. The
+	// ring is now 2, 1, 3 with the hand at its start: it clears 2's and 1's
+	// bits and stops on list 3, the victim. Not hotter, list 0 is declined:
+	// handed back, its mark kept, nothing evicted.
+	for range 2 {
+		for _, k := range []Key{{List: 1}, {List: 2}, {List: 3}} {
+			slot(k).used.Store(false) // the hand's pass
+		}
+		c.Release(c.Get(Key{List: 1}))
+		c.Release(c.Get(Key{List: 2}))
+	}
+	if a, v := est(Key{List: 0})+1, est(Key{List: 3}); a != 2 || v != 2 || est(Key{List: 1}) < 2 || est(Key{List: 2}) < 2 {
+		t.Fatalf("premise: list 0 would be estimated %d against the victim's %d; lists 1 and 2 at %d and %d", a, v, est(Key{List: 1}), est(Key{List: 2}))
+	}
+	e = publish(c, Key{List: 0}, n, 0)
+	if got := e.state.Load(); got != 1 {
+		t.Fatalf("declined entry state %#x, want caller-owned", got)
+	}
+	checkContent(t, e, Key{List: 0}, n)
+	c.Release(e)
+	mustInvariants(t, c)
+	if st := c.Stats(); st.ResidentEntries != 3 || st.Evictions != 1 || st.Bypasses != 3 || st.Rejected != 1 {
+		t.Fatalf("after a not-hotter second miss stats = %+v, want 3 resident / 1 eviction / 3 bypasses / 1 rejected", st)
+	}
+	if slot(Key{List: 0}) != &missedOnce {
+		t.Fatal("a declined marked block must keep its mark")
+	}
+	if v := s.ring[s.hand]; v.key != (Key{List: 3}) {
+		t.Fatalf("the hand rests on %v, want the victim that won, list 3", v.key)
+	}
+	for _, k := range []Key{{List: 1}, {List: 2}, {List: 3}} {
+		if h := c.Get(k); h == nil {
+			t.Fatalf("%v was evicted by a declined publish", k)
+		} else {
+			c.Release(h)
+		}
+	}
+}
+
+// scanReplay replays a seeded block trace on a one-shard cache of 64
+// entries: Zipf-popular blocks of one list, then the same stream with a scan
+// of another list's blocks interleaved, one scan lookup to each popular one.
+// reads is how many times the scan reads each of its blocks, back to back.
+// It returns the popular lookups' hit rate during the scan, and how many of
+// the 16 most popular blocks are resident after it.
+func scanReplay(reads int) (hitRate float64, hotResident int) {
+	const (
+		n       = 128
+		popular = 256
+		warm    = 20000
+		scan    = 5000
+	)
+	c := NewSharded(64*(8*n+entryOverheadBytes), 1)
+	rng := rand.New(rand.NewSource(42))
+	zipf := rand.NewZipf(rng, 1.1, 1, popular-1)
+	lookup := func(k Key) bool {
+		if e := c.Get(k); e != nil {
+			c.Release(e)
+			return true
+		}
+		c.Release(publish(c, k, n, 0))
+		return false
+	}
+	for range warm {
+		lookup(Key{List: 1, Block: uint32(zipf.Uint64())})
+	}
+	hits := 0
+	for i := range scan {
+		for range reads {
+			lookup(Key{List: 2, Block: uint32(i)})
+		}
+		if lookup(Key{List: 1, Block: uint32(zipf.Uint64())}) {
+			hits++
+		}
+	}
+	for b := range 16 {
+		if e := c.Get(Key{List: 1, Block: uint32(b)}); e != nil {
+			hotResident++
+			c.Release(e)
+		}
+	}
+	return float64(hits) / scan, hotResident
+}
+
+// TestScanResistance replays a seeded trace on a one-shard cache: Zipf-
+// popular blocks, then a scan of 5,000 blocks of another list interleaved
+// with them. The 16 hottest blocks must survive the scan, and the popular
+// lookups' hit rate during it must stay at or above the floor measured when
+// the sketch landed. A one-shot scan is one the doorkeeper alone keeps out
+// too (the second-miss-only rule read 0.782, 15 of 16); a scan that reads
+// each block twice passes the doorkeeper, and only the sketch keeps it from
+// flushing the hot set (second-miss-only: 0.556, 10 of 16).
+func TestScanResistance(t *testing.T) {
+	for _, tc := range []struct {
+		reads int
+		floor float64 // measured 0.8176 and 0.8004
+	}{{1, 0.81}, {2, 0.79}} {
+		hitRate, hot := scanReplay(tc.reads)
+		if hot != 16 || hitRate < tc.floor {
+			t.Errorf("scan reading each block %d times: popular hit rate %.4f (floor %.2f), %d of the 16 hottest blocks resident", tc.reads, hitRate, tc.floor, hot)
+		}
 	}
 }
 
@@ -332,8 +452,9 @@ func TestSlabRecycleAllocs(t *testing.T) {
 	post, doc := c.Table(1, ClassPosting, len(sizes)), c.Table(1, ClassDoc, len(sizes))
 	cycle := func() {
 		for b, n := range sizes {
-			// Twice: once the cache is full a block is admitted on its
-			// second miss, and that admission evicts.
+			// Twice: once the cache is full a block's first miss marks
+			// it, and its second is admitted over a colder victim, which
+			// it evicts.
 			for range 2 {
 				e := c.Reserve(n)
 				c.Release(post.Publish(b, e, e.DocsBuf(n)[:n], e.TfsBuf(n)[:n], 0))
@@ -559,13 +680,19 @@ func TestTablePerCache(t *testing.T) {
 // entry overhead, every non-nil slot but a missedOnce mark is on exactly one
 // ring, and the mark is on none with its state at zero (checkInvariants); no
 // entry off the ring — free, bypassed or still private — has the resident
-// bit; a publish to an empty slot is admitted exactly when it fits without
-// evicting and otherwise leaves the mark, a publish to a marked slot is
-// admitted unless nothing can be evicted; and pinned entries keep their
-// published contents (no use-after-evict). An op byte names a key by its
-// low six bits — list op%8, block op/8%4, class op/32%2 — and blocks come in
-// the sizes of clockSizes, by list, so short blocks and both classes share
-// one budget.
+// bit; and pinned entries keep their published contents (no
+// use-after-evict). Admission is held to its rule: a publish to an empty
+// slot is admitted exactly when it fits without evicting and otherwise
+// leaves the mark; a publish to a marked slot is admitted if it fits, and
+// a declined one keeps the mark; every entry a publish evicted was
+// estimated below the publishing block; a publish the sketch declined was
+// estimated no higher than the victim, which is unpinned and under the
+// hand; one declined without that while an unpinned entry existed left none
+// (it evicted them all, each colder, and found the rest pinned); and the
+// shard has no sketch until a publish would have exceeded its budget. An op
+// byte names a key by its low six bits — list op%8, block op/8%4, class
+// op/32%2 — and blocks come in the sizes of clockSizes, by list, so short
+// blocks and both classes share one budget.
 func FuzzCLOCK(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{10, 10, 10, 251, 10, 10})
@@ -588,6 +715,8 @@ func FuzzCLOCK(f *testing.F) {
 		}
 		var pins []pin
 		seen := make(map[*Entry]bool) // every entry the cache has handed out
+		s := &c.shards[0]
+		exceeded := false // some publish would have exceeded the budget
 		keyOf := func(b byte) Key { return Key{List: uint64(b % 8), Block: uint32(b / 8 % 4), Class: b / 32 % 2} }
 		for _, op := range ops {
 			switch {
@@ -610,7 +739,13 @@ func FuzzCLOCK(f *testing.F) {
 				k := keyOf(op)
 				n := clockSize(k)
 				slot := &(*c.Table(k.List, k.Class, int(k.Block)+1).slots.Load())[k.Block]
-				prev, used := slot.Load(), c.shards[0].bytes
+				prev, used, rejected := slot.Load(), s.bytes, s.rejected
+				before := make(map[*Entry]Key, len(s.ring)) // the ring, with its keys: eviction blanks them
+				unpinned := false
+				for _, r := range s.ring {
+					before[r] = r.key
+					unpinned = unpinned || r.state.Load() == residentBit
+				}
 				var e, got *Entry
 				if k.Class == ClassDoc {
 					e = c.ReserveBytes(n)
@@ -626,12 +761,51 @@ func FuzzCLOCK(f *testing.F) {
 				// in the arms checked here e is still pinned and its charge
 				// still set.
 				now := slot.Load()
-				admitted, fits := now == e, used+e.bytes <= c.shards[0].budget
+				admitted, fits := now == e, used+e.bytes <= s.budget
+				exceeded = exceeded || !fits
 				switch {
 				case prev == nil && (admitted != fits || !admitted && now != &missedOnce):
 					t.Fatalf("first miss of %v (fits: %v): admitted %v, slot marked %v", k, fits, admitted, now == &missedOnce)
+				case prev == &missedOnce && fits && !admitted:
+					t.Fatalf("marked %v fits but was declined", k)
 				case prev == &missedOnce && !admitted && (got != e || now != &missedOnce):
-					t.Fatalf("declined second miss of %v must keep its mark and hand e back", k)
+					t.Fatalf("declined marked %v must keep its mark and hand e back", k)
+				}
+				sk := s.freq.Load()
+				if sk == nil {
+					if exceeded {
+						t.Fatalf("publish of %v: no sketch after a publish that would exceed the budget", k)
+					}
+					break
+				}
+				if !exceeded {
+					t.Fatalf("publish of %v: a sketch before any publish would exceed the budget", k)
+				}
+				est := sk.estimate(keyHash(k))
+				onRing := make(map[*Entry]bool, len(s.ring))
+				for _, r := range s.ring {
+					onRing[r] = true
+				}
+				evicted := false
+				for r, rk := range before {
+					if !onRing[r] {
+						evicted = true
+						if v := sk.estimate(keyHash(rk)); v >= est {
+							t.Fatalf("publish of %v (estimate %d) evicted %v, estimated %d", k, est, rk, v)
+						}
+					}
+				}
+				switch {
+				case s.rejected > rejected:
+					if v := s.ring[s.hand]; v.state.Load() != residentBit || sk.estimate(keyHash(v.key)) < est {
+						t.Fatalf("publish of %v (estimate %d) declined for %v (state %#x, estimate %d)", k, est, v.key, v.state.Load(), sk.estimate(keyHash(v.key)))
+					}
+				case prev == &missedOnce && !admitted && unpinned:
+					for _, r := range s.ring {
+						if r.state.Load() == residentBit {
+							t.Fatalf("marked %v declined without a rejection (evicted: %v) while %v was evictable", k, evicted, r.key)
+						}
+					}
 				}
 			}
 			if err := c.checkInvariants(); err != nil {

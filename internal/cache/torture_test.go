@@ -9,7 +9,8 @@ import (
 )
 
 // TestTorture hammers one cache from concurrent readers and publishers under
-// a budget tight enough to force constant eviction. Run with -race. Every
+// a budget of 8 entries for 64 keys drawn uniformly, so that every publish
+// would evict: most are declined, the rest evict. Run with -race. Every
 // pinned entry's contents are validated against a key-derived sentinel, so an
 // eviction recycling a pinned slab shows up as corrupted data even when the
 // race detector is off.
@@ -199,22 +200,33 @@ func TestTableTorture(t *testing.T) {
 
 // TestRegrowTorture is TestTableTorture for a table nobody declared a size
 // for: one publisher extends a list a block at a time through the Key
-// wrapper (each block twice, the second publish admitting it), regrowing the
-// table under three readers that chase it — through the wrapper and through
-// a handle resolved before the first publish — while a budget of four
-// entries keeps evicting what they look for. A reader that
+// wrapper, regrowing the table under three readers that chase it — through
+// the wrapper and through a handle resolved before the first publish. It then
+// serves the new block as the serving path would, looking it up and
+// publishing it on a miss until it hits (at most 64 times): each miss rates
+// it up in the sketch until it out-rates a victim, so a budget of four
+// entries keeps evicting what the readers look for. A reader that
 // loaded the slot array just before it was replaced reads a slot nobody
 // clears any more; the key check is what makes that a miss.
 func TestRegrowTorture(t *testing.T) {
 	const (
 		readers   = 3
-		blocks    = 3000
+		blocks    = 1000
 		blockLen  = 128
 		list      = 9
 		budgetOne = int64(2*blockLen)*4 + 128
 	)
 	c := cache.NewSharded(4*budgetOne, 1)
 	tab := c.Table(list, cache.ClassPosting, 0)
+	publish := func(b int) *cache.Entry {
+		e, docs, tfs := decodeBlock(c, blockLen, uint32(b), 1)
+		return c.Publish(cache.Key{List: list, Block: uint32(b)}, e, docs, tfs, 0)
+	}
+	check := func(e *cache.Entry, b int) {
+		if docs := e.Docs(); len(docs) != blockLen || docs[0] != uint32(b) || docs[blockLen-1] != uint32(b+blockLen-1) {
+			t.Errorf("block %d: another block's data", b)
+		}
+	}
 
 	var published atomic.Int64 // blocks [0, published) have been published
 	var hits atomic.Int64
@@ -244,21 +256,26 @@ func TestRegrowTorture(t *testing.T) {
 					continue
 				}
 				hits.Add(1)
-				if docs := e.Docs(); len(docs) != blockLen || docs[0] != uint32(b) || docs[blockLen-1] != uint32(b+blockLen-1) {
-					t.Errorf("block %d: another block's data", b)
-				}
+				check(e, b)
 				c.Release(e)
 			}
 		}(g)
 	}
 	for b := 0; b < blocks; b++ {
-		// Twice: once the cache is full a block is admitted on its second
-		// miss, and that admission is what evicts.
-		for range 2 {
-			e, docs, tfs := decodeBlock(c, blockLen, uint32(b), 1)
-			c.Release(c.Publish(cache.Key{List: list, Block: uint32(b)}, e, docs, tfs, 0))
-		}
+		c.Release(publish(b))
 		published.Store(int64(b + 1))
+		for range 64 {
+			e := tab.Get(b)
+			if e != nil {
+				hits.Add(1)
+				check(e, b)
+				c.Release(e)
+				break
+			}
+			e = publish(b)
+			check(e, b)
+			c.Release(e)
+		}
 	}
 	wg.Wait()
 
@@ -268,6 +285,9 @@ func TestRegrowTorture(t *testing.T) {
 	}
 	if st.Hits != hits.Load() {
 		t.Fatalf("stats count %d hits, the readers saw %d", st.Hits, hits.Load())
+	}
+	if st.Evictions < blocks/4 {
+		t.Fatalf("%d evictions for %d blocks: too little churn to exercise anything", st.Evictions, blocks)
 	}
 	t.Logf("regrow torture: %d hits, %d misses, %d evictions", st.Hits, st.Misses, st.Evictions)
 }
@@ -399,4 +419,79 @@ func TestSlabClassTorture(t *testing.T) {
 	}
 	t.Logf("slab class torture: %d hits (%d doc), %d misses, %d evictions, %d bypasses",
 		st.Hits, st.DocHits, st.Misses, st.Evictions, st.Bypasses)
+}
+
+// TestAdmissionTorture races the admission sketch's two writers on one full
+// shard: hits that set a reference bit the hand cleared count into the
+// sketch from the lock-free hit arm, while publishers count their misses,
+// age the sketch, run the hand (clearing the bits the hits set) and compare
+// estimates under the shard mutex. Four goroutines look blocks up with a
+// skewed popularity and publish what they miss, so some blocks are hot,
+// most publishes are declined, and the sketch (32 words for 8 entries)
+// ages every 1,280 misses. Every hit's and publish's contents are checked against the key
+// asked for, and the counters must add up: exact lookups, and rejections a
+// subset of bypasses.
+func TestAdmissionTorture(t *testing.T) {
+	const (
+		workers  = 4
+		lists    = 2
+		blocks   = 32 // per list
+		blockLen = 128
+		opsPerG  = 10000
+	)
+	c := cache.NewSharded(8*(int64(2*blockLen)*4+128), 1) // room for 8 of 64 blocks
+	var tabs [lists]*cache.Table
+	for l := range tabs {
+		tabs[l] = c.Table(uint64(l+1), cache.ClassPosting, blocks)
+	}
+	pattern := func(l, b, i int) uint32 { return uint32(l*100000 + b*1000 + i) }
+	check := func(e *cache.Entry, l, b int) {
+		docs := e.Docs()
+		if len(docs) != blockLen || docs[0] != pattern(l, b, 0) || docs[blockLen-1] != pattern(l, b, blockLen-1) {
+			t.Errorf("list %d block %d: another block's data", l, b)
+		}
+	}
+	var hits, misses atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := uint64(g)*2654435761 + 1
+			for op := 0; op < opsPerG; op++ {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				// The smaller of two draws: block 0 is drawn 63 times as often
+				// as block 31.
+				l, b := int(rng>>33)%lists, min(int(rng>>40)%blocks, int(rng>>50)%blocks)
+				if e := tabs[l].Get(b); e != nil {
+					hits.Add(1)
+					check(e, l, b)
+					c.Release(e)
+					continue
+				}
+				misses.Add(1)
+				e, docs, tfs := decodeBlock(c, blockLen, pattern(l, b, 0), 1)
+				got := tabs[l].Publish(b, e, docs, tfs, 0)
+				check(got, l, b)
+				c.Release(got)
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	st := c.Stats()
+	if st.PinnedEntries != 0 || st.ResidentBytes > st.BudgetBytes {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st.Hits != hits.Load() || st.Misses != misses.Load() {
+		t.Fatalf("stats count %d hits / %d misses, the workers saw %d / %d", st.Hits, st.Misses, hits.Load(), misses.Load())
+	}
+	if st.Rejected > st.Bypasses {
+		t.Fatalf("%d rejections but %d bypasses: rejections are bypasses", st.Rejected, st.Bypasses)
+	}
+	if st.Evictions == 0 || st.Rejected == 0 || st.Hits == 0 {
+		t.Fatalf("stats = %+v: no evictions, rejections or hits, so the test exercises nothing", st)
+	}
+	t.Logf("admission torture: %d hits, %d misses, %d evictions, %d bypasses (%d rejected)",
+		st.Hits, st.Misses, st.Evictions, st.Bypasses, st.Rejected)
 }
